@@ -1,13 +1,25 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact linear algebra over the rationals on an integer kernel.
 
-Matrices are tuples/lists of rows of Fractions. Everything here is
-small (dimension at most a few dozen), so plain row reduction wins over
-any dependency.
+Values enter and leave as reduced ``Fraction``s, but the arithmetic in
+between runs on Python integers: a rational vector is carried as
+integer numerators over one common denominator (``integer_vector``),
+and only the final result is turned back into reduced fractions
+(``fraction_vector``). Linear maps are compiled once into sparse integer
+columns over a single denominator (``compile_columns``) and applied
+with ``apply_columns``.
+
+``solve`` and ``invert_matrix`` share one fraction-free Gauss-Jordan
+elimination: every row is scaled to a primitive integer vector, rows
+are combined by integer cross-multiplication and divided by the gcd of
+their entries, and a solution is read off the reduced rows as
+``Fraction(rhs, pivot)``. Reduced row echelon form is unique, so the
+results equal those of elimination over ``Fraction`` rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -17,16 +29,91 @@ def identity_matrix(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_vec(matrix, vector):
-    return [sum((row[j] * vector[j] for j in range(len(vector))), ZERO) for row in matrix]
+def integer_vector(values):
+    """(numerators, denominator) with values[i] == numerators[i] / denominator.
+
+    The denominator is the least common multiple of the denominators of
+    the values (ints and Fractions alike), so it is positive.
+    """
+    den = lcm(*[v.denominator for v in values])
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(inner)), ZERO) for j in range(cols)]
-        for i in range(rows)
-    ]
+def fraction_vector(numerators, den):
+    """The tuple of reduced Fractions numerators[i] / den."""
+    return tuple(Fraction(n, den) if n else ZERO for n in numerators)
+
+
+def compile_columns(columns):
+    """Sparse integer form of a linear map given by its column vectors.
+
+    ``columns[j]`` is the image of the j-th basis vector. Returns
+    ``(cols, den)``: ``cols[j]`` lists the ``(i, c)`` with
+    ``columns[j][i] == c / den`` and ``c != 0``.
+    """
+    dim = len(columns[0]) if columns else 0
+    nums, den = integer_vector([v for col in columns for v in col])
+    cols = tuple(
+        tuple((i, c) for i, c in enumerate(nums[j * dim:(j + 1) * dim]) if c)
+        for j in range(len(columns))
+    )
+    return cols, den
+
+
+def apply_columns(compiled, coords):
+    """Image of a coordinate vector under a square compiled map."""
+    cols, den = compiled
+    nums, d = integer_vector(coords)
+    acc = [0] * len(nums)
+    for j, x in enumerate(nums):
+        if x:
+            for i, c in cols[j]:
+                acc[i] += c * x
+    return fraction_vector(acc, d * den)
+
+
+def _primitive_row(values):
+    """The values scaled to integers with no common factor."""
+    nums, _ = integer_vector(values)
+    g = gcd(*nums)
+    return [v // g for v in nums] if g > 1 else nums
+
+
+def _eliminate(rows, n_cols):
+    """Fraction-free Gauss-Jordan on integer rows, in place.
+
+    Pivots are taken from the first ``n_cols`` columns; returns the pivot
+    columns. Afterwards row r has its pivot in column ``pivot_cols[r]``
+    and zeros in every other pivot column, and the rows past the last
+    pivot row are zero in the first ``n_cols`` columns. Rows stay
+    primitive, which bounds entry growth like Bareiss's division does.
+    """
+    n_rows = len(rows)
+    pivot_cols = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(n_rows):
+            f = rows[i][c]
+            if i == r or not f:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = [a * v - b * w for v, w in zip(rows[i], prow)]
+            g = gcd(*row)
+            rows[i] = [v // g for v in row] if g > 1 else row
+        pivot_cols.append(c)
+        r += 1
+    return pivot_cols
 
 
 def solve(matrix, rhs):
@@ -34,47 +121,21 @@ def solve(matrix, rhs):
 
     The system may be rectangular or singular; free variables are set to 0.
     """
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
     n_cols = len(matrix[0]) if matrix else 0
-    pivot_cols = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [v - factor * p for v, p in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][n_cols] != 0:
-            return None
+    rows = [_primitive_row([*row, b]) for row, b in zip(matrix, rhs)]
+    pivot_cols = _eliminate(rows, n_cols)
+    if any(row[n_cols] for row in rows[len(pivot_cols):]):
+        return None
     solution = [ZERO] * n_cols
-    for row_idx, c in enumerate(pivot_cols):
-        solution[c] = rows[row_idx][n_cols]
+    for row, c in zip(rows, pivot_cols):
+        solution[c] = Fraction(row[n_cols], row[c])
     return solution
 
 
 def invert_matrix(matrix):
     """Exact inverse of a square matrix, or None if singular."""
     n = len(matrix)
-    aug = [list(row) + ident for row, ident in zip(matrix, identity_matrix(n))]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = ONE / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [v - factor * p for v, p in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    rows = [_primitive_row([*row, *unit]) for row, unit in zip(matrix, identity_matrix(n))]
+    if len(_eliminate(rows, n)) < n:
+        return None
+    return [[Fraction(v, row[c]) for v in row[n:]] for c, row in enumerate(rows)]

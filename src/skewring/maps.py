@@ -7,8 +7,13 @@ rational matrices on the flattened coordinate space; maps on polynomial
 coefficient rings are stored structurally (coefficient-wise action plus
 a variable scaling, or the formal derivative).
 
-Powers of a map are cached on the map object, which keeps the
-degree-bounded exhaustive checks in :mod:`skewring.structure` cheap.
+A matrix map is applied through its compiled form, sparse integer
+columns over one denominator: the argument's coordinates become integer
+numerators over their common denominator, and the image is converted
+back to reduced fractions once per application (see
+:mod:`skewring.linalg`). Powers of a map, with their compiled columns,
+are cached on the map object, which keeps the degree-bounded exhaustive
+checks in :mod:`skewring.structure` cheap.
 """
 
 from __future__ import annotations
@@ -98,7 +103,9 @@ class LinearTwist(TwistMap):
         self.images = tuple(tuple(row) for row in images)
         self.kind = kind
         self.params = params or {}
-        self._pow = {1: self.images}
+        self._columns = linalg.compile_columns(self.images)
+        # m -> (images of the m-th power, their compiled columns)
+        self._pow = {1: (self.images, self._columns)}
         self._inverse = None
         self._inverse_known = False
         d = len(self.images)
@@ -117,28 +124,17 @@ class LinearTwist(TwistMap):
             images.append(ring.flatten(fn(ring.unflatten(basis_vec))))
         return cls(ring, images, kind=kind, params=params)
 
-    def _apply_images(self, images, coords):
-        d = len(coords)
-        out = [_ZERO] * d
-        for j, cj in enumerate(coords):
-            if not cj:
-                continue
-            col = images[j]
-            for i, v in enumerate(col):
-                if v:
-                    out[i] += cj * v
-        return tuple(out)
-
     def __call__(self, el):
         if self._identity:
             return el
         coords = self.ring.flatten(el)
-        return self.ring.unflatten(self._apply_images(self.images, coords))
+        return self.ring.unflatten(linalg.apply_columns(self._columns, coords))
 
     def _images_power(self, m):
         if m not in self._pow:
-            prev = self._images_power(m - 1)
-            self._pow[m] = tuple(self._apply_images(self.images, col) for col in prev)
+            prev = self._images_power(m - 1)[0]
+            images = tuple(linalg.apply_columns(self._columns, col) for col in prev)
+            self._pow[m] = (images, linalg.compile_columns(images))
         return self._pow[m]
 
     def power_apply(self, m, el):
@@ -146,7 +142,7 @@ class LinearTwist(TwistMap):
             return el
         if m > 0:
             coords = self.ring.flatten(el)
-            return self.ring.unflatten(self._apply_images(self._images_power(m), coords))
+            return self.ring.unflatten(linalg.apply_columns(self._images_power(m)[1], coords))
         inv = self.inverse()
         if inv is None:
             raise NotInvertibleError("inverse unavailable")

@@ -96,7 +96,10 @@ class _Parser:
             kind, dtext, col = self.advance()
             if kind != "num":
                 raise ParseError("expected a denominator", column=col)
-            return Fraction(sign * numerator, int(dtext))
+            denominator = int(dtext)
+            if denominator == 0:
+                raise ParseError("zero denominator", column=col)
+            return Fraction(sign * numerator, denominator)
         return Fraction(sign * numerator)
 
     def parse_int(self):

@@ -18,6 +18,15 @@ rings implement the same protocol in :mod:`skewring.poly`.
 All arithmetic is exact; equality is coordinate-wise equality of
 reduced fractions. Elements are immutable values and every operation is
 a pure function, so everything here is safe to share across threads.
+
+Coordinates are tuples of reduced ``Fraction``s, but products and the
+involution run on integers: each ``AlgebraSpec`` compiles its structure
+constants once into sparse integer entries over a single table
+denominator (a Cayley-Dickson table is a signed permutation, so the
+octonions keep 64 of their 512 constants). A product scales both
+operands to integer numerators over their common denominators,
+accumulates the entries, and converts back to reduced fractions only
+for the result (see :mod:`skewring.linalg`).
 """
 
 from __future__ import annotations
@@ -80,6 +89,22 @@ class AlgebraSpec:
             raise ConstructionError("structure-constant entries must have length dim")
         if len(self.unit) != dim:
             raise ConstructionError("unit vector length must equal dimension")
+        if self.involution is not None and (
+            len(self.involution) != dim or any(len(row) != dim for row in self.involution)
+        ):
+            raise ConstructionError("involution must be dim x dim")
+        # row p of the compiled table lists (q, i, c): basis_p * basis_q has
+        # coordinate c / _mul_den at basis_i; zero entries are dropped
+        cells, self._mul_den = linalg.compile_columns(
+            [cell for row in self.table for cell in row]
+        )
+        self._mul_rows = tuple(
+            tuple((q, i, c) for q in range(dim) for i, c in cells[p * dim + q])
+            for p in range(dim)
+        )
+        self._involution_map = (
+            linalg.compile_columns(self.involution) if self.involution is not None else None
+        )
         if check:
             self._check_unit()
             if self.involution is not None:
@@ -116,32 +141,21 @@ class AlgebraSpec:
         return tuple(_ONE if i == p else _ZERO for i in range(self.dimension))
 
     def mul_coords(self, a, b):
-        acc = [_ZERO] * self.dimension
-        for p, ap in enumerate(a):
-            if not ap:
-                continue
-            row = self.table[p]
-            for q, bq in enumerate(b):
-                if not bq:
-                    continue
-                scale = ap * bq
-                cell = row[q]
-                for i, c in enumerate(cell):
-                    if c:
-                        acc[i] += scale * c
-        return tuple(acc)
+        na, da = linalg.integer_vector(a)
+        nb, db = linalg.integer_vector(b)
+        acc = [0] * self.dimension
+        for x, row in zip(na, self._mul_rows):
+            if x:
+                for q, i, c in row:
+                    y = nb[q]
+                    if y:
+                        acc[i] += c * x * y
+        return linalg.fraction_vector(acc, da * db * self._mul_den)
 
     def involve_coords(self, a):
-        if self.involution is None:
+        if self._involution_map is None:
             raise ConstructionError(f"{self.name} is not a *-algebra")
-        acc = [_ZERO] * self.dimension
-        for p, ap in enumerate(a):
-            if not ap:
-                continue
-            for i, c in enumerate(self.involution[p]):
-                if c:
-                    acc[i] += ap * c
-        return tuple(acc)
+        return linalg.apply_columns(self._involution_map, a)
 
     # -- ring protocol -------------------------------------------------
 

@@ -126,6 +126,15 @@ def test_mul_parse_error_exit_2(runner, tmp_path):
     assert "negative exponent" in result.output
 
 
+def test_mul_zero_denominator_exit_2(runner, tmp_path):
+    path = write(tmp_path, "laurent.json", GAUSS_Q2)
+    result = runner.invoke(cli.main, ["mul", "--config", path, "1/0", "i"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "zero denominator" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_reduce_command(runner, tmp_path):
     ore = dict(GAUSS_Q2, shape="ore")
     cfg_path = write(tmp_path, "cfg.json", ore)

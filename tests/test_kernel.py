@@ -1,0 +1,341 @@
+"""The integer coefficient kernel against dense Fraction oracles.
+
+The oracles below are the plain Fraction loops the kernel replaced:
+dense structure-constant products, column-by-column application of a
+linear map, and Gauss-Jordan elimination over Fraction rows. Reduced
+fractions and reduced row echelon form are unique, so the kernel must
+agree with them exactly, coordinate for coordinate.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skewring import linalg, maps, rings
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+
+def oracle_mul_coords(spec, a, b):
+    acc = [ZERO] * spec.dimension
+    for p, ap in enumerate(a):
+        if not ap:
+            continue
+        row = spec.table[p]
+        for q, bq in enumerate(b):
+            if not bq:
+                continue
+            scale = ap * bq
+            for i, c in enumerate(row[q]):
+                if c:
+                    acc[i] += scale * c
+    return tuple(acc)
+
+
+def oracle_apply(images, coords):
+    out = [ZERO] * len(coords)
+    for j, cj in enumerate(coords):
+        if not cj:
+            continue
+        for i, v in enumerate(images[j]):
+            if v:
+                out[i] += cj * v
+    return tuple(out)
+
+
+def oracle_solve(matrix, rhs):
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    n_cols = len(matrix[0]) if matrix else 0
+    pivot_cols = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [v - factor * p for v, p in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    for i in range(r, len(rows)):
+        if rows[i][n_cols] != 0:
+            return None
+    solution = [ZERO] * n_cols
+    for row_idx, c in enumerate(pivot_cols):
+        solution[c] = rows[row_idx][n_cols]
+    return solution
+
+
+def oracle_invert_matrix(matrix):
+    n = len(matrix)
+    aug = [list(row) + ident for row, ident in zip(matrix, linalg.identity_matrix(n))]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = ONE / aug[c][c]
+        aug[c] = [v * inv for v in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                factor = aug[i][c]
+                aug[i] = [v - factor * p for v, p in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def assert_fractions(values):
+    assert all(type(v) is Fraction for v in values)
+
+
+# ---------------------------------------------------------------------------
+# strategies: mixed denominators, with zeros so sparse paths run too
+# ---------------------------------------------------------------------------
+
+rationals = st.one_of(
+    st.just(ZERO),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-(1 << 40), 1 << 40), st.integers(1, 1 << 20)),
+)
+
+
+def vectors(n):
+    return st.lists(rationals, min_size=n, max_size=n).map(tuple)
+
+
+def matrix_units():
+    """M_2(Q) on the matrix units E11, E12, E21, E22: E_ab E_cd = [b == c] E_ad."""
+    def cell(p, q):
+        (a, b), (c, d) = divmod(p, 2), divmod(q, 2)
+        return tuple(int(b == c and i == 2 * a + d) for i in range(4))
+
+    table = [[cell(p, q) for q in range(4)] for p in range(4)]
+    return rings.AlgebraSpec("M2(QQ)", ("E11", "E12", "E21", "E22"), table, (1, 0, 0, 1))
+
+
+JORDAN_H = rings.jordan_algebra(rings.quaternions())
+# {E12, E21} = (E11 + E22)/2: a table with half-integer entries
+JORDAN_M2 = rings.jordan_algebra(matrix_units())
+ALGEBRAS = {
+    "QQ": rings.rationals(),
+    "QQ(i)": rings.gaussian(),
+    "HH": rings.quaternions(),
+    "OO": rings.octonions(),
+    "SS": rings.sedenions(),
+    "HH+": JORDAN_H,
+    "M2(QQ)+": JORDAN_M2,
+}
+
+
+def algebra_and_pair(names):
+    return st.sampled_from(names).flatmap(
+        lambda name: st.tuples(
+            st.just(ALGEBRAS[name]),
+            vectors(ALGEBRAS[name].dimension),
+            vectors(ALGEBRAS[name].dimension),
+        )
+    )
+
+
+# ---------------------------------------------------------------------------
+# coefficient products and the involution
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebra_and_pair(sorted(ALGEBRAS)))
+def test_mul_coords_matches_fraction_oracle(case):
+    spec, a, b = case
+    out = spec.mul_coords(a, b)
+    assert out == oracle_mul_coords(spec, a, b)
+    assert_fractions(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebra_and_pair(["QQ", "QQ(i)", "HH", "OO", "SS"]))
+def test_involution_matches_fraction_oracle(case):
+    spec, a, _ = case
+    out = spec.involve_coords(a)
+    assert out == oracle_apply(spec.involution, a)
+    assert_fractions(out)
+
+
+M2 = rings.matrix_algebra(rings.gaussian(), 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(vectors(M2.qdim), vectors(M2.qdim))
+def test_matrix_product_matches_fraction_oracle(x, y):
+    a, b = M2.unflatten(x), M2.unflatten(y)
+    base = M2.base
+    expected = []
+    for i in range(2):
+        for j in range(2):
+            acc = (ZERO,) * base.dimension
+            for k in range(2):
+                term = oracle_mul_coords(base, a.entries[i][k].coords, b.entries[k][j].coords)
+                acc = tuple(u + v for u, v in zip(acc, term))
+            expected.extend(acc)
+    out = M2.flatten(a * b)
+    assert out == tuple(expected)
+    assert_fractions(out)
+
+
+# ---------------------------------------------------------------------------
+# linear twists, their powers and inverses
+# ---------------------------------------------------------------------------
+
+
+def oracle_power(tm, m, coords):
+    images = tm.images
+    if m < 0:
+        inv = oracle_invert_matrix(
+            [[images[j][i] for j in range(len(images))] for i in range(len(images))]
+        )
+        images = tuple(tuple(inv[i][j] for i in range(len(inv))) for j in range(len(inv)))
+        m = -m
+    for _ in range(m):
+        coords = oracle_apply(images, coords)
+    return coords
+
+
+TWISTS = [
+    maps.make_twist(rings.gaussian(), "conjugation"),
+    maps.make_twist(rings.octonions(), "conjugation"),
+    maps.make_twist(rings.gaussian(), "q_twist", q="-7/3"),
+    maps.make_twist(JORDAN_H, "q_twist", q="5/2"),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(range(len(TWISTS))).flatmap(
+        lambda k: st.tuples(st.just(TWISTS[k]), vectors(TWISTS[k].ring.qdim))
+    ),
+    st.integers(-4, 5),
+)
+def test_twist_powers_match_fraction_oracle(case, m):
+    tm, coords = case
+    el = tm.ring.unflatten(coords)
+    if m == 1:
+        out = tm.ring.flatten(tm(el))
+    else:
+        out = tm.ring.flatten(tm.power_apply(m, el))
+    assert out == oracle_power(tm, m, coords)
+    assert_fractions(out)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
+def test_q_twist_inverse_images_match_oracle(q):
+    tm = maps.make_twist(rings.gaussian(), "q_twist", q=q)
+    expected = oracle_invert_matrix(
+        [[tm.images[j][i] for j in range(2)] for i in range(2)]
+    )
+    assert tm.inverse().images == tuple(
+        tuple(expected[i][j] for i in range(2)) for j in range(2)
+    )
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free solver
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def systems(draw):
+    """Square, rectangular, singular and inconsistent systems."""
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 6))
+    matrix = [draw(st.lists(rationals, min_size=n_cols, max_size=n_cols))
+              for _ in range(n_rows)]
+    if n_rows > 1 and draw(st.booleans()):
+        # a dependent row makes the system singular
+        k = draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)))
+        other = matrix[1] if n_rows > 2 else [ZERO] * n_cols
+        matrix[-1] = [u + k * v for u, v in zip(matrix[0], other)]
+    if draw(st.booleans()):
+        # consistent by construction
+        x0 = draw(st.lists(rationals, min_size=n_cols, max_size=n_cols))
+        rhs = [sum((a * x for a, x in zip(row, x0)), ZERO) for row in matrix]
+    else:
+        rhs = draw(st.lists(rationals, min_size=n_rows, max_size=n_rows))
+    return matrix, rhs
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems())
+def test_solve_matches_fraction_oracle(system):
+    matrix, rhs = system
+    out = linalg.solve(matrix, rhs)
+    expected = oracle_solve(matrix, rhs)
+    assert out == expected
+    if out is not None:
+        assert_fractions(out)
+        for row, b in zip(matrix, rhs):
+            assert sum((a * x for a, x in zip(row, out)), ZERO) == b
+
+
+def test_solve_free_variables_and_inconsistency():
+    half = Fraction(1, 2)
+    # x + 2y = 3 (y free, set to 0) and a duplicate of it
+    assert linalg.solve([[ONE, 2 * ONE], [half, ONE]], [3 * ONE, 3 * half]) == [3, 0]
+    assert linalg.solve([[ONE, 2 * ONE], [half, ONE]], [3 * ONE, ONE]) is None
+    # a zero column leaves its variable free
+    assert linalg.solve([[ZERO, Fraction(2, 3)]], [Fraction(4, 9)]) == [0, Fraction(2, 3)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(vectors(n).map(list), min_size=n, max_size=n)
+))
+def test_invert_matrix_matches_fraction_oracle(matrix):
+    out = linalg.invert_matrix(matrix)
+    assert out == oracle_invert_matrix(matrix)
+    if out is not None:
+        assert_fractions(v for row in out for v in row)
+
+
+def test_invert_matrix_singular():
+    assert linalg.invert_matrix([[ONE, 2 * ONE], [Fraction(1, 2), ONE]]) is None
+    assert linalg.invert_matrix([[ZERO]]) is None
+
+
+# ---------------------------------------------------------------------------
+# compiled table sizes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec, entries",
+    [
+        (rings.rationals(), 1),
+        (rings.gaussian(), 4),
+        (rings.quaternions(), 16),
+        (rings.octonions(), 64),
+        (rings.sedenions(), 256),
+    ],
+)
+def test_cayley_dickson_tables_compile_to_signed_permutations(spec, entries):
+    assert sum(len(row) for row in spec._mul_rows) == entries == spec.dimension ** 2
+    assert spec._mul_den == 1
+    assert all(abs(c) == 1 for row in spec._mul_rows for _q, _i, c in row)
+
+
+def test_jordan_table_denominators():
+    # ij + ji = 0 in H, so the halves cancel; E12 E21 + E21 E12 = E11 + E22
+    assert JORDAN_H._mul_den == 1
+    assert JORDAN_M2._mul_den == 2

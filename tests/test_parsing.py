@@ -59,6 +59,12 @@ def test_syntax_error_positions():
     assert err.value.column > 0
 
 
+def test_zero_denominator_rejected():
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parsing.parse_poly("3 + 1/0X", cfg_laurent())
+    assert err.value.column == 6
+
+
 def test_series_marker_required():
     cfg = cfg_laurent()
     with pytest.raises(ParseError, match="missing O"):

@@ -96,6 +96,11 @@ def test_double_requires_involution():
         rings.cayley_dickson_double(bare)
 
 
+def test_involution_shape_checked():
+    with pytest.raises(ConstructionError, match="involution must be dim x dim"):
+        rings.AlgebraSpec("bad", ("1", "i"), G.table, G.unit, involution=((1, 0), (0,)))
+
+
 def test_involution_axioms_exhaustive():
     for spec in (G, H, O):
         for a in spec.basis_elements():
