@@ -15,6 +15,10 @@ twist, delta), algebra (an explicit structure-constant document as in
 :mod:`skewring.rings`). Twist kinds are those of
 :func:`skewring.maps.make_twist`; rational parameters are "p/q"
 strings, elements are flat coordinate vectors.
+
+Documents are checked at this boundary: a missing field, a value of the
+wrong JSON type or a malformed rational raises ``ConstructionError``,
+never a bare ``KeyError``/``ValueError`` from deeper down.
 """
 
 from __future__ import annotations
@@ -38,20 +42,57 @@ _BUILTIN_RINGS = {
 }
 
 
-def ring_from_descriptor(doc):
+def _descriptor(doc, what):
+    """A descriptor as a JSON object; a bare string names its kind."""
     if isinstance(doc, str):
-        doc = {"kind": doc}
+        return {"kind": doc}
+    if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
+        raise ConstructionError(f'{what} must be a kind name or an object with a "kind"')
+    return doc
+
+
+def _field(doc, key, what):
+    if key not in doc:
+        raise ConstructionError(f"{what} needs a {key!r} field")
+    return doc[key]
+
+
+def _rational(value, what):
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ConstructionError(f"{what} must be a rational, got {value!r}") from None
+
+
+def _rationals(values, what):
+    if not isinstance(values, list):
+        raise ConstructionError(f"{what} must be a list of rationals")
+    return [_rational(v, what) for v in values]
+
+
+def ring_from_descriptor(doc):
+    doc = _descriptor(doc, "ring descriptor")
     kind = doc.get("kind")
     if kind in _BUILTIN_RINGS:
         return _BUILTIN_RINGS[kind]()
     if kind == "jordan":
-        return rings.jordan_algebra(ring_from_descriptor(doc["base"]))
+        return rings.jordan_algebra(ring_from_descriptor(_field(doc, "base", "jordan ring")))
     if kind == "matrix":
-        return rings.matrix_algebra(ring_from_descriptor(doc["base"]), int(doc["n"]))
+        n = _field(doc, "n", "matrix ring")
+        try:
+            n = int(n)
+        except (TypeError, ValueError):
+            raise ConstructionError(f"matrix size must be an integer, got {n!r}") from None
+        return rings.matrix_algebra(ring_from_descriptor(_field(doc, "base", "matrix ring")), n)
     if kind == "algebra":
-        return rings.algebra_from_json(doc["spec"], division=bool(doc.get("division")))
+        spec = _field(doc, "spec", "algebra ring")
+        if not isinstance(spec, dict):
+            raise ConstructionError("algebra spec must be a JSON object")
+        for key in ("name", "basis", "table", "unit"):
+            _field(spec, key, "algebra spec")
+        return rings.algebra_from_json(spec, division=bool(doc.get("division")))
     if kind == "polynomial":
-        base = ring_from_descriptor(doc["base"])
+        base = ring_from_descriptor(_field(doc, "base", "polynomial ring"))
         shape = doc.get("shape", "laurent")
         if shape not in (poly.ORE, poly.LAURENT):
             raise ConstructionError(f"unknown polynomial shape: {shape}")
@@ -71,20 +112,26 @@ def ring_from_descriptor(doc):
 
 
 def twist_from_descriptor(ring, doc):
-    if isinstance(doc, str):
-        doc = {"kind": doc}
+    doc = _descriptor(doc, "twist descriptor")
     kind = doc.get("kind")
     if kind not in maps.TWIST_KINDS:
         raise ConstructionError(f"unknown twist kind: {kind}")
+    what = f"twist {kind!r}"
     params = {}
     if kind in ("q_twist", "y_scale", "y_coeff_scale"):
-        params["q"] = Fraction(doc["q"])
+        params["q"] = _rational(_field(doc, "q", what), f"{what} field 'q'")
     elif kind == "inner":
-        params["u"] = ring.unflatten(tuple(Fraction(v) for v in doc["u"]))
+        u = _rationals(_field(doc, "u", what), f"{what} field 'u'")
+        if len(u) != ring.qdim:
+            raise ConstructionError(f"{what} field 'u' needs {ring.qdim} coordinates")
+        params["u"] = ring.unflatten(tuple(u))
     elif kind == "matrix":
-        params["matrix"] = [[Fraction(v) for v in row] for row in doc["matrix"]]
+        rows = _field(doc, "matrix", what)
+        if not isinstance(rows, list):
+            raise ConstructionError(f"{what} field 'matrix' must be a list of rows")
+        params["matrix"] = [_rationals(row, f"{what} field 'matrix'") for row in rows]
     elif kind == "coefficientwise":
-        params["base"] = twist_from_descriptor(ring.coefficients, doc["base"])
+        params["base"] = twist_from_descriptor(ring.coefficients, _field(doc, "base", what))
     return maps.make_twist(ring, kind, **params)
 
 
@@ -118,6 +165,8 @@ def load_config(doc):
     """Build a CliConfig from a parsed JSON document."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ConstructionError("config must be a JSON object")
     shape = doc.get("shape", "laurent")
     if shape not in SHAPES:
         raise ConstructionError(f"unknown shape: {shape}")
@@ -125,7 +174,7 @@ def load_config(doc):
     precision = doc.get("precision")
     if shape in ("power_series", "laurent_series") and precision is None:
         raise ConstructionError("series shapes require a precision")
-    ring = ring_from_descriptor(doc["ring"])
+    ring = ring_from_descriptor(_field(doc, "ring", "config"))
     sigma = twist_from_descriptor(ring, doc.get("twist", {"kind": "identity"}))
     sigma_report = maps.validate_twist_axioms(sigma, "sigma")
     if not sigma_report.ok:

@@ -64,23 +64,6 @@ class TwistMap:
             raise NotInvertibleError("inverse unavailable")
         return inv.power_apply(-m, el)
 
-    @property
-    def tags(self):
-        """Verified property set; multiplicative tags come from classify_multiplicativity."""
-        out = {"additive"}
-        one = self.ring.one
-        image = self(one)
-        if image == one:
-            out.add("respects_one")
-        if not image:
-            out.add("kills_one")
-        if self.inverse() is not None:
-            out.add("bijective")
-        return out
-
-    def is_identity_on(self, elements):
-        return all(self(el) == el for el in elements)
-
     def describe(self):
         scalars = [v for v in self.params.values() if isinstance(v, str)]
         if scalars:
@@ -465,9 +448,6 @@ class PiFamily:
 
     sigma: TwistMap
     delta: TwistMap | None = None
-
-    def apply(self, i, m, s):
-        return pi_apply(self, i, m, s)
 
 
 def pi_apply(fam, i, m, s):

@@ -177,6 +177,36 @@ class RingConfig:
                 return inverse
         raise NotInvertibleError("not invertible")
 
+    def solve_left_mul(self, c, r):
+        """u with c·u = r by exact long division, or None.
+
+        Only a commutative ring is solved (there c·u = u·c, so this is
+        also ``solve_right_mul``); any other config answers None. Each
+        step cancels the top term of the remainder through a solve in the
+        coefficient ring. Quotient exponents run down to 0 in the ore
+        shape and to ord r - ord c in the laurent shape, where a quotient
+        ends when the coefficients have no zero divisors.
+        """
+        if not (self.is_commutative and c):
+            return None
+        low = 0 if self.shape == ORE or not r else r.order - c.order
+        quotient = {}
+        rem = r
+        while rem:
+            e = rem.degree - c.degree
+            if e < low:
+                return None
+            lead = self.coefficients.solve_left_mul(
+                c.leading_coefficient, rem.leading_coefficient
+            )
+            if not lead:
+                return None
+            quotient[e] = lead
+            rem = rem - poly_mul(c, self.monomial(lead, e))
+        return self.from_terms(quotient)
+
+    solve_right_mul = solve_left_mul
+
     def describe(self):
         inner = self.coefficients.describe()
         var = self.variable + ("^±" if self.shape == LAURENT else "")
@@ -267,12 +297,7 @@ class SkewPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            acc = terms.get(e)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[e] = acc
-            elif e in terms:
-                del terms[e]
+            add_term(terms, e, c)
         return SkewPoly(self.config, terms)
 
     __radd__ = __add__
@@ -337,25 +362,23 @@ class SkewPoly:
         return self._hash
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        var = self.config.variable
-        parts = []
-        for e, c in self.sorted_terms():
-            coeff = repr(c)
-            if " " in coeff or coeff.startswith("-"):
-                coeff = f"({coeff})"
-            if e == 0:
-                parts.append(coeff)
-            else:
-                power = var if e == 1 else f"{var}^{e}"
-                parts.append(power if coeff == "1" else f"{coeff}{power}")
-        return " + ".join(parts)
+        from .parsing import format_poly
+        return format_poly(self)
 
 
 # ---------------------------------------------------------------------------
 # multiplication
 # ---------------------------------------------------------------------------
+
+
+def add_term(terms, exp, value):
+    """Add value to the coefficient at exp of a sparse map, dropping zeros."""
+    acc = terms.get(exp)
+    acc = value if acc is None else acc + value
+    if acc:
+        terms[exp] = acc
+    elif exp in terms:
+        del terms[exp]
 
 
 def _pi_row(fam, m, s):
@@ -381,22 +404,11 @@ def poly_mul(p, q):
     if config != q.config:
         raise RingMismatchError("incompatible rings")
     out = {}
-
-    def accumulate(exp, value):
-        if not value:
-            return
-        acc = out.get(exp)
-        acc = value if acc is None else acc + value
-        if acc:
-            out[exp] = acc
-        elif exp in out:
-            del out[exp]
-
     if config.shape == LAURENT or config.delta is None:
         sigma = config.sigma
         for m, r in p.terms.items():
             for n, s in q.terms.items():
-                accumulate(m + n, r * sigma.power_apply(m, s))
+                add_term(out, m + n, r * sigma.power_apply(m, s))
         return SkewPoly(config, out)
 
     fam = PiFamily(config.sigma, config.delta)
@@ -405,7 +417,7 @@ def poly_mul(p, q):
             row = _pi_row(fam, m, s)
             for i, t in enumerate(row):
                 if t:
-                    accumulate(i + n, r * t)
+                    add_term(out, i + n, r * t)
     return SkewPoly(config, out)
 
 

@@ -11,9 +11,16 @@ Two concrete ring shapes live here:
 Both expose the informal ring protocol the rest of the library relies
 on: ``zero``/``one``, ``qdim``, ``flatten``/``unflatten`` (coordinates
 over Q), ``basis_elements``, ``spanning_set(bound)``,
-``random_element(rng)``, ``invert``, and the cached structural
-predicates ``is_associative``/``is_commutative``.  Twisted polynomial
-rings implement the same protocol in :mod:`skewring.poly`.
+``random_element(rng)``, ``invert``, ``solve_left_mul(c, r)`` and
+``solve_right_mul(c, r)`` (a u with c·u = r, resp. u·c = r, or None),
+and the cached structural predicates ``is_associative``/
+``is_commutative``. Both shapes invert and solve through one routine:
+``operator_matrix`` builds the matrix of left or right multiplication
+by c on the flat coordinates, and :func:`skewring.linalg.solve` solves
+it exactly. Twisted polynomial rings implement the same protocol in
+:mod:`skewring.poly`; there ``RingConfig.solve_left_mul`` and
+``solve_right_mul`` are exact long division in a commutative ring and
+answer None otherwise.
 
 All arithmetic is exact; equality is coordinate-wise equality of
 reduced fractions. Elements are immutable values and every operation is
@@ -50,7 +57,10 @@ def _frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ConstructionError(f"not an exact rational: {value!r}")
 
 
@@ -238,48 +248,13 @@ class AlgebraSpec:
         return None
 
     def invert(self, el):
-        """Two-sided inverse by solving a·x = 1 = x·a exactly."""
-        if el.ring is not self and el.ring != self:
-            raise RingMismatchError("incompatible rings")
-        if not el:
-            raise NotInvertibleError("not invertible")
-        d = self.dimension
-        left = [[_ZERO] * d for _ in range(d)]
-        right = [[_ZERO] * d for _ in range(d)]
-        for j in range(d):
-            col_l = self.mul_coords(el.coords, self._basis_coords(j))
-            col_r = self.mul_coords(self._basis_coords(j), el.coords)
-            for i in range(d):
-                left[i][j] = col_l[i]
-                right[i][j] = col_r[i]
-        stacked = left + right
-        rhs = list(self.unit) + list(self.unit)
-        solution = linalg.solve(stacked, rhs)
-        if solution is None:
-            raise NotInvertibleError("not invertible")
-        return AlgebraElement(self, tuple(solution))
+        return invert_element(self, el)
 
     def solve_left_mul(self, c, r):
-        """Solve c·u = r; returns u or None when no solution exists."""
-        d = self.dimension
-        matrix = [[_ZERO] * d for _ in range(d)]
-        for j in range(d):
-            col = self.mul_coords(c.coords, self._basis_coords(j))
-            for i in range(d):
-                matrix[i][j] = col[i]
-        solution = linalg.solve(matrix, list(r.coords))
-        return None if solution is None else AlgebraElement(self, tuple(solution))
+        return solve_mul(self, c, r, "left")
 
     def solve_right_mul(self, c, r):
-        """Solve u·c = r; returns u or None when no solution exists."""
-        d = self.dimension
-        matrix = [[_ZERO] * d for _ in range(d)]
-        for j in range(d):
-            col = self.mul_coords(self._basis_coords(j), c.coords)
-            for i in range(d):
-                matrix[i][j] = col[i]
-        solution = linalg.solve(matrix, list(r.coords))
-        return None if solution is None else AlgebraElement(self, tuple(solution))
+        return solve_mul(self, c, r, "right")
 
     def describe(self):
         return self.name
@@ -418,29 +393,8 @@ class AlgebraElement:
         return self._hash
 
     def __repr__(self):
-        return format_algebra_element(self)
-
-
-def format_algebra_element(el):
-    parts = []
-    for label, c in zip(el.ring.basis_labels, el.coords):
-        if not c:
-            continue
-        if label == "1":
-            text = str(c)
-        elif c == 1:
-            text = label
-        elif c == -1:
-            text = f"-{label}"
-        else:
-            text = f"{c}{label}"
-        parts.append(text)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+        from .parsing import format_element
+        return format_element(self)
 
 
 # ---------------------------------------------------------------------------
@@ -698,31 +652,13 @@ class MatrixRing:
         return self.n == 1 and self.base.is_division
 
     def invert(self, el):
-        """Two-sided inverse via the flattened linear system."""
-        if not el:
-            raise NotInvertibleError("not invertible")
-        d = self.qdim
-        basis = [self.unflatten(tuple(_ONE if i == j else _ZERO for i in range(d)))
-                 for j in range(d)]
-        left = [[_ZERO] * d for _ in range(d)]
-        right = [[_ZERO] * d for _ in range(d)]
-        for j, b in enumerate(basis):
-            col_l = self.flatten(el * b)
-            col_r = self.flatten(b * el)
-            for i in range(d):
-                left[i][j] = col_l[i]
-                right[i][j] = col_r[i]
-        rhs = list(self.flatten(self.one)) * 2
-        solution = linalg.solve(left + right, rhs)
-        if solution is None:
-            raise NotInvertibleError("not invertible")
-        return self.unflatten(tuple(solution))
+        return invert_element(self, el)
 
     def solve_left_mul(self, c, r):
-        return _solve_mul(self, c, r, left=True)
+        return solve_mul(self, c, r, "left")
 
     def solve_right_mul(self, c, r):
-        return _solve_mul(self, c, r, left=False)
+        return solve_mul(self, c, r, "right")
 
     def describe(self):
         return f"M{self.n}({self.base.describe()})"
@@ -737,19 +673,6 @@ class MatrixRing:
 
     def __repr__(self):
         return self.describe()
-
-
-def _solve_mul(ring, c, r, left):
-    d = ring.qdim
-    basis = [ring.unflatten(tuple(_ONE if i == j else _ZERO for i in range(d)))
-             for j in range(d)]
-    matrix = [[_ZERO] * d for _ in range(d)]
-    for j, b in enumerate(basis):
-        col = ring.flatten(c * b if left else b * c)
-        for i in range(d):
-            matrix[i][j] = col[i]
-    solution = linalg.solve(matrix, list(ring.flatten(r)))
-    return None if solution is None else ring.unflatten(tuple(solution))
 
 
 class MatrixElement:
@@ -856,6 +779,45 @@ class MatrixElement:
 def matrix_algebra(base, n):
     """The matrix ring M_n over a finite-dimensional coefficient algebra."""
     return MatrixRing(base, n)
+
+
+# ---------------------------------------------------------------------------
+# multiplication operators
+# ---------------------------------------------------------------------------
+
+
+def operator_matrix(ring, c, side):
+    """Matrix of u -> c·u (side "left") or u -> u·c (side "right").
+
+    Column j is the flattened product of c with the j-th flat basis
+    vector, so the matrix acts on the coordinates of ``ring.flatten``.
+    """
+    d = ring.qdim
+    columns = []
+    for j in range(d):
+        b = ring.unflatten(tuple(_ONE if i == j else _ZERO for i in range(d)))
+        columns.append(ring.flatten(c * b if side == "left" else b * c))
+    return list(zip(*columns))
+
+
+def solve_mul(ring, c, r, side):
+    """u with c·u = r (side "left") or u·c = r (side "right"), or None."""
+    solution = linalg.solve(operator_matrix(ring, c, side), ring.flatten(r))
+    return None if solution is None else ring.unflatten(tuple(solution))
+
+
+def invert_element(ring, el):
+    """Two-sided inverse: el·x = 1 and x·el = 1 solved as one exact system."""
+    if el.ring is not ring and el.ring != ring:
+        raise RingMismatchError("incompatible rings")
+    if not el:
+        raise NotInvertibleError("not invertible")
+    one = ring.flatten(ring.one)
+    stacked = operator_matrix(ring, el, "left") + operator_matrix(ring, el, "right")
+    solution = linalg.solve(stacked, one + one)
+    if solution is None:
+        raise NotInvertibleError("not invertible")
+    return ring.unflatten(tuple(solution))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .errors import (
     RingMismatchError,
     ZeroElementError,
 )
+from .poly import add_term
 
 
 def _check_series_config(config):
@@ -95,14 +96,8 @@ class TruncatedSeries:
         window = min(self.window_start, other.window_start)
         coeffs = {e: c for e, c in self.coeffs.items() if e <= precision}
         for e, c in other.coeffs.items():
-            if e > precision:
-                continue
-            acc = coeffs.get(e)
-            acc = c if acc is None else acc + c
-            if acc:
-                coeffs[e] = acc
-            elif e in coeffs:
-                del coeffs[e]
+            if e <= precision:
+                add_term(coeffs, e, c)
         return TruncatedSeries(self.config, coeffs, precision, window)
 
     __radd__ = __add__
@@ -143,24 +138,8 @@ class TruncatedSeries:
         return hash((self.precision, frozenset(self.coeffs.items())))
 
     def __repr__(self):
-        # the trailing O(V^N) marker carries the precision N itself:
-        # coefficients with exponents through N are stored exactly
-        var = self.config.variable
-        if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for e, c in sorted(self.coeffs.items()):
-                coeff = repr(c)
-                if " " in coeff or coeff.startswith("-"):
-                    coeff = f"({coeff})"
-                if e == 0:
-                    parts.append(coeff)
-                else:
-                    power = var if e == 1 else f"{var}^{e}"
-                    parts.append(power if coeff == "1" else f"{coeff}{power}")
-            body = " + ".join(parts)
-        return f"{body} + O({var}^{self.precision})"
+        from .parsing import format_series
+        return format_series(self)
 
 
 def series(config, terms, precision, window_start=None):
@@ -187,18 +166,8 @@ def series_mul(a, b):
     out = {}
     for m, r in a.coeffs.items():
         for n, s in b.coeffs.items():
-            e = m + n
-            if e > precision:
-                continue
-            value = r * sigma.power_apply(m, s)
-            if not value:
-                continue
-            acc = out.get(e)
-            acc = value if acc is None else acc + value
-            if acc:
-                out[e] = acc
-            elif e in out:
-                del out[e]
+            if m + n <= precision:
+                add_term(out, m + n, r * sigma.power_apply(m, s))
     return TruncatedSeries(a.config, out, precision, window)
 
 
@@ -230,33 +199,13 @@ def equal_to_precision(a, b, precision=None):
     )
 
 
-def _solve_left(ring, c, r):
-    if hasattr(ring, "solve_left_mul"):
-        return ring.solve_left_mul(c, r)
-    try:
-        u = ring.invert(c) * r
-    except NotInvertibleError:
-        return None
-    return u if c * u == r else None
-
-
-def _solve_right(ring, c, r):
-    if hasattr(ring, "solve_right_mul"):
-        return ring.solve_right_mul(c, r)
-    try:
-        u = r * ring.invert(c)
-    except NotInvertibleError:
-        return None
-    return u if u * c == r else None
-
-
 def series_invert(a, side="right"):
     """Inverse of a unit series, solved one coefficient at a time.
 
     ``side="right"`` returns b with a·b = 1, ``side="left"`` returns b
     with b·a = 1, each by its own triangular recurrence whose steps are
-    exact multiplication-operator solves in the coefficient ring (no
-    associativity assumed). ``side="both"`` solves both recurrences and
+    the coefficient ring's exact ``solve_left_mul``/``solve_right_mul``
+    (no associativity assumed). ``side="both"`` solves both recurrences and
     insists they agree -- that is the genuinely two-sided inverse, which
     exists whenever the twist is an automorphism but can fail to exist
     otherwise (the one-sided inverses of 1 - iX under the q=2 scaling
@@ -292,7 +241,7 @@ def series_invert(a, side="right"):
                 prev = right.get(e - m)
                 if prev is not None:
                     acc = acc - am * sigma.power_apply(m, prev)
-            u = _solve_left(ring, lead, acc)
+            u = ring.solve_left_mul(lead, acc)
             if u is None:
                 raise NotInvertibleError("series is not a unit")
             right[n] = sigma.power_apply(-w, u)
@@ -305,7 +254,7 @@ def series_invert(a, side="right"):
                 prev = left.get(e - m)
                 if prev is not None:
                     acc = acc - prev * sigma.power_apply(e - m, am)
-            u = _solve_right(ring, sigma.power_apply(n, lead), acc)
+            u = ring.solve_right_mul(sigma.power_apply(n, lead), acc)
             if u is None:
                 raise NotInvertibleError("series is not a unit")
             left[n] = u

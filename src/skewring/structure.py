@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedRingError,
 )
 from .maps import classify_multiplicativity
-from .poly import LAURENT, SkewPoly, poly_mul
+from .poly import LAURENT, SkewPoly, add_term, poly_mul
 from .rings import associator
 from .series import TruncatedSeries, times_monomial
 
@@ -388,15 +388,7 @@ def central_reduction(p, m):
     modulus = m * m
     out = {}
     for e, c in p.terms.items():
-        sign = -1 if (e // modulus) % 2 else 1
-        target = e % modulus
-        value = c if sign == 1 else -c
-        acc = out.get(target)
-        acc = value if acc is None else acc + value
-        if acc:
-            out[target] = acc
-        elif target in out:
-            del out[target]
+        add_term(out, e % modulus, -c if (e // modulus) % 2 else c)
     return SkewPoly(config, out)
 
 
@@ -524,43 +516,6 @@ class GeneratorSet:
                 raise RingMismatchError("incompatible rings")
 
 
-def _solve_left_mul(ring, c, r):
-    if hasattr(ring, "solve_left_mul"):
-        return ring.solve_left_mul(c, r)
-    return _poly_exact_divide(ring, c, r)
-
-
-def _solve_right_mul(ring, c, r):
-    if hasattr(ring, "solve_right_mul"):
-        return ring.solve_right_mul(c, r)
-    return _poly_exact_divide(ring, c, r)
-
-
-def _poly_exact_divide(ring, c, r):
-    """u with c·u = r in a commutative untwisted polynomial ring, else None."""
-    if not (hasattr(ring, "shape") and ring.is_commutative):
-        return None
-    if not c:
-        return None
-    if not r:
-        return ring.zero
-    base = ring.coefficients
-    if not hasattr(base, "solve_left_mul"):
-        return None
-    quotient = {}
-    rem = r
-    while rem:
-        if rem.degree < c.degree:
-            return None
-        lead = _solve_left_mul(base, c.leading_coefficient, rem.leading_coefficient)
-        if lead is None or not lead:
-            return None
-        e = rem.degree - c.degree
-        quotient[e] = lead
-        rem = rem - poly_mul(c, ring.monomial(lead, e))
-    return ring.from_terms(quotient)
-
-
 def monic_left_reduce(f, p):
     """Left-divide f by p over division-ring coefficients.
 
@@ -584,8 +539,8 @@ def monic_left_reduce(f, p):
     rem = f
     while rem and rem.degree >= m:
         n = rem.degree
-        t = _solve_right_mul(config.coefficients, sigma.power_apply(n - m, c),
-                             rem.leading_coefficient)
+        t = config.coefficients.solve_right_mul(sigma.power_apply(n - m, c),
+                                                rem.leading_coefficient)
         if t is None:
             raise ReductionError("left division requires division ring")
         steps.append(CofactorStep(0, "left", t, n - m))
@@ -606,75 +561,39 @@ def right_reduce(f, gens, max_steps=None):
     """
     if gens.side != "right":
         raise ConstructionError("right_reduce needs a right generator set")
-    if isinstance(f, TruncatedSeries):
-        return _right_reduce_series(f, gens, max_steps)
-    return _right_reduce_poly(f, gens, max_steps)
-
-
-def _right_reduce_poly(f, gens, max_steps):
     config = f.config
     if gens.config != config:
         raise RingMismatchError("incompatible rings")
+    is_series = isinstance(f, TruncatedSeries)
+
+    def lead_exp(x):
+        return x.order if is_series else x.degree
+
+    floor = None if is_series else min(g.degree for g in gens.generators)
     sigma = config.sigma
     ring = config.coefficients
-    min_deg = min(g.degree for g in gens.generators)
     rem = f
     steps = []
-    irreducible = False
-    while rem and rem.degree >= min_deg:
+    while rem and (is_series or rem.degree >= floor):
         if max_steps is not None and len(steps) >= max_steps:
             break
-        n = rem.degree
-        r = rem.leading_coefficient
-        matched = False
+        n = lead_exp(rem)
         for idx, g in enumerate(gens.generators):
-            mg = g.degree
+            mg = lead_exp(g)
             if mg > n:
                 continue
-            w = _solve_left_mul(ring, g.leading_coefficient, r)
-            if w is None:
-                continue
-            u = sigma.power_apply(-mg, w)
-            steps.append(CofactorStep(idx, "right", u, n - mg))
+            w = ring.solve_left_mul(g.leading_coefficient, rem.leading_coefficient)
+            if w is not None:
+                break
+        else:
+            return ReductionResult(steps, rem, irreducible=True)
+        u = sigma.power_apply(-mg, w)
+        steps.append(CofactorStep(idx, "right", u, n - mg))
+        if is_series:
+            rem = rem - times_monomial(g, u, n - mg)
+        else:
             rem = rem - poly_mul(g, config.monomial(u, n - mg))
-            matched = True
-            break
-        if not matched:
-            irreducible = True
-            break
-    return ReductionResult(steps, rem, irreducible)
-
-
-def _right_reduce_series(f, gens, max_steps):
-    config = f.config
-    if gens.config != config:
-        raise RingMismatchError("incompatible rings")
-    sigma = config.sigma
-    ring = config.coefficients
-    rem = f
-    steps = []
-    irreducible = False
-    while rem.coeffs:
-        if max_steps is not None and len(steps) >= max_steps:
-            break
-        order = rem.order
-        matched = False
-        for idx, g in enumerate(gens.generators):
-            og = g.order
-            if og > order:
-                continue
-            w = _solve_left_mul(ring, g.leading_coefficient, rem.leading_coefficient)
-            if w is None:
-                continue
-            u = sigma.power_apply(-og, w)
-            steps.append(CofactorStep(idx, "right", u, order - og))
-            rem = rem - times_monomial(g, u, order - og)
-            matched = True
-            break
-        if not matched:
-            irreducible = True
-            break
-    return ReductionResult(steps, rem, irreducible)
+    return ReductionResult(steps, rem)
 
 
 def replay_reduction(result, gens):

@@ -62,18 +62,6 @@ class SuiteReport:
 
 
 @lru_cache(maxsize=None)
-def cfg_gaussian_q2():
-    g = rings.gaussian()
-    return poly.RingConfig(g, maps.make_twist(g, "q_twist", q=2), None, "X", poly.LAURENT)
-
-
-@lru_cache(maxsize=None)
-def cfg_gaussian_qm1():
-    g = rings.gaussian()
-    return poly.RingConfig(g, maps.make_twist(g, "q_twist", q=-1), None, "X", poly.LAURENT)
-
-
-@lru_cache(maxsize=None)
 def cfg_gaussian_q(q):
     g = rings.gaussian()
     return poly.RingConfig(g, maps.make_twist(g, "q_twist", q=q), None, "X", poly.LAURENT)
@@ -241,7 +229,7 @@ def _check_weyl_relation():
 
 
 def _laurent_roster():
-    return [cfg_gaussian_q2(), cfg_matrix_swap(), cfg_octonion_conj()]
+    return [cfg_gaussian_q(2), cfg_matrix_swap(), cfg_octonion_conj()]
 
 
 def _check_variable_coefficient_pass(configs):
@@ -298,7 +286,7 @@ def _check_ring_laws(configs):
 
 
 def _check_degree_growth():
-    division_cfg = cfg_gaussian_q2()
+    division_cfg = cfg_gaussian_q(2)
     rng = _rng("degree-growth")
     for _ in range(40):
         p = division_cfg.random_element(rng)
@@ -437,7 +425,7 @@ def _nuclei_suite(configs=None):
             ANCHOR_LEFT,
             _check_left_witness(config),
         ))
-    inverse_roster = configs or (_laurent_roster() + [cfg_gaussian_qm1()])
+    inverse_roster = configs or (_laurent_roster() + [cfg_gaussian_q(-1)])
     for config in inverse_roster:
         if config.shape != poly.LAURENT:
             continue
@@ -554,7 +542,7 @@ ANCHOR_NONSIMPLE = "finite twist order yields the proper nonzero ideal of 1 + X^
 
 
 def _check_shrink_example():
-    config = cfg_gaussian_q2()
+    config = cfg_gaussian_q(2)
     i = rings.gaussian().basis_element(1)
     p = config.gen + config.one
     result = structure.shrink(p, i)
@@ -566,7 +554,7 @@ def _check_shrink_example():
 
 
 def _check_probe_random():
-    config = cfg_gaussian_q2()
+    config = cfg_gaussian_q(2)
     reason = maps.infinite_order_reason(config.sigma)
     _require(reason is not None, "q=2 twist must certify infinite order")
     rng = _rng("probe-random")
@@ -601,7 +589,7 @@ def _check_probe_inconclusive():
 
 
 def _check_probe_constant():
-    config = cfg_gaussian_q2()
+    config = cfg_gaussian_q(2)
     probe = structure.simplicity_probe(config, config.scalar(5), 3)
     _require(probe.reached_unit and not probe.steps, "constants are already units")
     return "pass", None
@@ -636,7 +624,7 @@ def _check_finite_order_detected():
              "conjugation must have order 2")
     _require(maps.detect_finite_order(cfg_matrix_swap().sigma, 8) == 2,
              "diag swap must have order 2")
-    _require(maps.detect_finite_order(cfg_gaussian_q2().sigma, 8) is None,
+    _require(maps.detect_finite_order(cfg_gaussian_q(2).sigma, 8) is None,
              "q=2 twist has no finite order")
     return "pass", None
 
@@ -687,7 +675,7 @@ def _check_reduction_values():
 
 def _check_order_hypothesis_guard():
     try:
-        structure.central_reduction(cfg_gaussian_q2().one, 2)
+        structure.central_reduction(cfg_gaussian_q(2).one, 2)
     except ReductionError as exc:
         _require(str(exc) == "finite order hypothesis fails", "wrong guard message")
         return "pass", None
@@ -722,7 +710,7 @@ ANCHOR_RIGHT_REDUCE = (
 
 
 def _right_form_configs():
-    return [cfg_gaussian_q2(), cfg_octonion_conj(), cfg_weyl(), cfg_gaussian_ore_q2()]
+    return [cfg_gaussian_q(2), cfg_octonion_conj(), cfg_weyl(), cfg_gaussian_ore_q2()]
 
 
 def _check_right_form_round_trip():
@@ -915,7 +903,7 @@ ANCHOR_SERIES = (
 
 def _check_series_frozen_inverse():
     g = rings.gaussian()
-    config = cfg_gaussian_q2()
+    config = cfg_gaussian_q(2)
     i = g.basis_element(1)
     a = series.series(config, {0: g.one, 1: -i}, 4)
     b = series.series_invert(a)
@@ -933,7 +921,7 @@ def _check_series_frozen_inverse():
 
 def _check_series_one_sided():
     g = rings.gaussian()
-    config = cfg_gaussian_q2()
+    config = cfg_gaussian_q(2)
     i = g.basis_element(1)
     a = series.series(config, {0: g.one, 1: -i}, 4)
     left = series.series_invert(a, side="left")
@@ -973,7 +961,7 @@ def _check_series_two_sided_roundtrip():
 
 
 def _check_series_order_additivity():
-    config = cfg_gaussian_q2()
+    config = cfg_gaussian_q(2)
     g = rings.gaussian()
     rng = _rng("series-order-add")
     done = 0
@@ -998,7 +986,7 @@ def _check_series_order_additivity():
 
 
 def _check_series_poly_oracle():
-    config = cfg_gaussian_q2()
+    config = cfg_gaussian_q(2)
     rng = _rng("series-poly-oracle")
     for _ in range(25):
         p = config.random_element(rng, max_degree=3)
@@ -1020,7 +1008,7 @@ def _check_series_values():
     _require(geo == series.series(config, {e: q.one for e in range(5)}, 4),
              "the geometric series inverse must be 1 + X + ... + X^4")
     g = rings.gaussian()
-    config2 = cfg_gaussian_q2()
+    config2 = cfg_gaussian_q(2)
     i = g.basis_element(1)
     prod = series.series(config2, {1: i}, 4) * series.series(config2, {1: i}, 4)
     _require(prod.coefficient(2) == g.scalar(-2), "(iX)(iX) must be -2X²")
@@ -1317,7 +1305,7 @@ def _check_ore_family(label, ring, sigma, delta, bound):
 
 
 def _check_corrupted_family():
-    config = cfg_gaussian_q2()
+    config = cfg_gaussian_q(2)
     family = poly.corrupted_d_structure(poly.laurent_d_structure(config.sigma))
     rng = _rng("dstruct-corrupt")
     elements = [config.coefficients.random_element(rng) for _ in range(4)]
@@ -1427,10 +1415,10 @@ def run_suite(name, cli_config=None):
         start = time.perf_counter()
         try:
             status, witness = fn()
-        except SkewringError as exc:
+        except (SkewringError, AssertionError) as exc:
             status, witness = "fail", {"error": str(exc)}
-        except AssertionError as exc:
-            status, witness = "fail", {"error": str(exc)}
+        except Exception as exc:
+            status, witness = "fail", {"error": f"{type(exc).__name__}: {exc}"}
         elapsed = time.perf_counter() - start
         report.checks.append(
             CheckRecord(check_id, anchor, status, witness, round(elapsed, 6))

@@ -236,3 +236,60 @@ def test_reports_have_unique_check_ids():
     ids = [c.id for c in report.checks]
     assert len(ids) == len(set(ids))
     assert all(c.anchor for c in report.checks)
+
+
+BAD_CONFIGS = {
+    "json-list": [GAUSS_Q2],
+    "no-ring": {k: v for k, v in GAUSS_Q2.items() if k != "ring"},
+    "q-twist-without-q": dict(GAUSS_Q2, twist={"kind": "q_twist"}),
+    "q-not-rational": dict(GAUSS_Q2, twist={"kind": "q_twist", "q": "abc"}),
+    "matrix-without-n": dict(
+        GAUSS_Q2,
+        ring={"kind": "matrix", "base": {"kind": "rationals"}},
+        twist={"kind": "identity"},
+    ),
+    "algebra-bad-rational": dict(
+        GAUSS_Q2,
+        ring={
+            "kind": "algebra",
+            "spec": {"name": "A", "basis": ["1"], "table": [[["x"]]], "unit": ["1"]},
+        },
+        twist={"kind": "identity"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["mul", "verify"])
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_malformed_config_exit_2(runner, tmp_path, command, name):
+    path = write(tmp_path, "bad.json", BAD_CONFIGS[name])
+    if command == "mul":
+        args = ["mul", "--config", path, "X", "1"]
+    else:
+        args = ["verify", "--suite", "associativity", "--config", path]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_run_suite_records_unexpected_errors(monkeypatch):
+    builder = suites._SUITE_BUILDERS["jordan"]
+
+    def broken():
+        checks = builder()
+        check_id, anchor, _ = checks[0]
+
+        def boom():
+            raise ZeroDivisionError("division by zero")
+
+        return [(check_id, anchor, boom), *checks[1:]]
+
+    monkeypatch.setitem(suites._SUITE_BUILDERS, "jordan", broken)
+    report = suites.run_suite("jordan")
+    first, *rest = report.checks
+    assert first.status == "fail"
+    assert first.witness == {"error": "ZeroDivisionError: division by zero"}
+    assert len(rest) == len(builder()) - 1 > 0
+    assert all(c.status in ("pass", "witness") for c in rest)

@@ -92,7 +92,8 @@ def test_iterated_coefficients():
         - torus.scalar(2)
     )
     assert p == expected
-    assert parsing.parse_poly(parsing.format_poly(p), torus) == p
+    assert repr(p) == parsing.format_poly(p)
+    assert parsing.parse_poly(repr(p), torus) == p
 
 
 def test_format_zero():
@@ -123,6 +124,11 @@ def test_round_trip_random_polys():
             p = cfg.random_element(rng)
             text = parsing.format_poly(p)
             assert parsing.parse_poly(text, cfg) == p, text
+            assert repr(p) == text
+            assert parsing.parse_poly(repr(p), cfg) == p
+            for c in p.terms.values():
+                if isinstance(c, rings.AlgebraElement):
+                    assert repr(c) == parsing.format_element(c)
 
 
 def test_round_trip_random_series():
@@ -137,6 +143,7 @@ def test_round_trip_random_series():
         s = series.series(cfg, terms, 6)
         text = parsing.format_series(s)
         assert parsing.parse_series(text, cfg) == s, text
+        assert repr(s) == text
 
 
 @settings(max_examples=50, deadline=None)
@@ -154,6 +161,8 @@ def test_round_trip_property(terms):
     cfg = cfg_laurent()
     p = cfg.from_terms({e: G.element(c) for e, c in terms.items()})
     assert parsing.parse_poly(parsing.format_poly(p), cfg) == p
+    assert repr(p) == parsing.format_poly(p)
+    assert parsing.parse_poly(repr(p), cfg) == p
 
 
 def test_whitespace_insensitive():

@@ -265,3 +265,28 @@ def test_power_operator():
     cfg = laurent_q2()
     assert cfg.gen ** 3 == cfg.variable_power(3)
     assert cfg.gen ** 0 == cfg.one
+
+
+def test_ring_config_solves_by_exact_division():
+    qy = rational_poly_ring()
+    y = qy.gen
+    c = y + qy.one
+    u = (y * y).scale(3) - qy.scalar(Fraction(1, 2))
+    r = c * u
+    assert qy.solve_left_mul(c, r) == u
+    assert qy.solve_right_mul(c, r) == u
+    assert qy.solve_left_mul(c, qy.zero) == qy.zero
+    # Y + 1 does not divide Y^2 + 2, and Y is not a unit of Q[Y]
+    assert qy.solve_left_mul(c, y * y + qy.scalar(2)) is None
+    assert qy.solve_right_mul(y, qy.one) is None
+    # laurent shape: quotients may have negative exponents
+    ly = poly.RingConfig(Q, maps.make_twist(Q, "identity"), None, "Y", poly.LAURENT)
+    assert ly.solve_left_mul(ly.gen, ly.one) == ly.variable_power(-1)
+    c2 = ly.gen + ly.variable_power(-1)
+    u2 = ly.variable_power(-2).scale(3) - ly.gen
+    assert ly.solve_left_mul(c2, c2 * u2) == u2
+    assert ly.solve_left_mul(ly.gen + ly.one, ly.one) is None
+    # the Weyl algebra is not commutative, so even an exact multiple gets None
+    w = weyl()
+    assert w.solve_left_mul(w.gen, w.gen * w.gen) is None
+    assert w.solve_right_mul(w.gen, w.gen * w.gen) is None

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -190,3 +191,25 @@ def test_times_monomial():
     assert shifted.precision == 6
     assert shifted.coefficient(2) == i
     assert shifted.coefficient(3) == i * i.scale(2)
+
+
+def test_invert_with_polynomial_coefficients():
+    # coefficients in Q[Y]: the solves are exact division there, so the
+    # unit leading coefficient 2 inverts and the non-unit Y does not
+    qy = poly.RingConfig(Q, maps.make_twist(Q, "identity"), None, "Y", poly.ORE)
+    cfg = poly.RingConfig(qy, maps.make_twist(qy, "identity"), None, "X", poly.LAURENT)
+    a = series.series(cfg, {0: qy.scalar(2), 1: qy.gen}, 5)
+    inv = series.series_invert(a, side="both")
+    one = series.series_one(cfg, 5)
+    assert series.equal_to_precision(a * inv, one)
+    assert series.equal_to_precision(inv * a, one)
+    assert inv.coefficient(1) == qy.gen.scale(Fraction(-1, 4))
+    with pytest.raises(NotInvertibleError):
+        series.series_invert(series.series(cfg, {0: qy.gen, 1: qy.one}, 5))
+    # over Q[Y, 1/Y] the leading coefficient Y is a unit
+    ly = poly.RingConfig(Q, maps.make_twist(Q, "identity"), None, "Y", poly.LAURENT)
+    lcfg = poly.RingConfig(ly, maps.make_twist(ly, "identity"), None, "X", poly.LAURENT)
+    b = series.series(lcfg, {0: ly.gen, 1: ly.one}, 4)
+    inv_b = series.series_invert(b, side="both")
+    assert series.equal_to_precision(b * inv_b, series.series_one(lcfg, 4))
+    assert inv_b.coefficient(0) == ly.variable_power(-1)
