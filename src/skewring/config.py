@@ -14,7 +14,8 @@ jordan (base), matrix (base, n), polynomial (base, variable, shape,
 twist, delta), algebra (an explicit structure-constant document as in
 :mod:`skewring.rings`). Twist kinds are those of
 :func:`skewring.maps.make_twist`; rational parameters are "p/q"
-strings, elements are flat coordinate vectors.
+strings or integers (a JSON float is rejected, as it is binary, not an
+exact rational), elements are flat coordinate vectors.
 
 Documents are checked at this boundary: a missing field, a value of the
 wrong JSON type or a malformed rational raises ``ConstructionError``,
@@ -26,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import maps, poly, rings
 from .errors import ConstructionError
@@ -57,17 +57,10 @@ def _field(doc, key, what):
     return doc[key]
 
 
-def _rational(value, what):
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ConstructionError(f"{what} must be a rational, got {value!r}") from None
-
-
 def _rationals(values, what):
     if not isinstance(values, list):
         raise ConstructionError(f"{what} must be a list of rationals")
-    return [_rational(v, what) for v in values]
+    return [rings._frac(v) for v in values]
 
 
 def ring_from_descriptor(doc):
@@ -119,7 +112,7 @@ def twist_from_descriptor(ring, doc):
     what = f"twist {kind!r}"
     params = {}
     if kind in ("q_twist", "y_scale", "y_coeff_scale"):
-        params["q"] = _rational(_field(doc, "q", what), f"{what} field 'q'")
+        params["q"] = rings._frac(_field(doc, "q", what))
     elif kind == "inner":
         u = _rationals(_field(doc, "u", what), f"{what} field 'u'")
         if len(u) != ring.qdim:

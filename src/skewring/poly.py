@@ -178,16 +178,39 @@ class RingConfig:
         raise NotInvertibleError("not invertible")
 
     def solve_left_mul(self, c, r):
-        """u with c·u = r by exact long division, or None.
+        """u with c·u = r, or None.
 
-        Only a commutative ring is solved (there c·u = u·c, so this is
-        also ``solve_right_mul``); any other config answers None. Each
-        step cancels the top term of the remainder through a solve in the
-        coefficient ring. Quotient exponents run down to 0 in the ore
+        A commutative config divides exactly (see ``_divide``); any other
+        config inverts c, which succeeds for a unit monomial, and keeps
+        c⁻¹·r only if it solves the equation.
+        """
+        if self.is_commutative:
+            return self._divide(c, r)
+        try:
+            u = poly_mul(self.invert(c), r)
+        except NotInvertibleError:
+            return None
+        return u if poly_mul(c, u) == r else None
+
+    def solve_right_mul(self, c, r):
+        """u with u·c = r, or None; the mirror of ``solve_left_mul``."""
+        if self.is_commutative:
+            return self._divide(c, r)
+        try:
+            u = poly_mul(r, self.invert(c))
+        except NotInvertibleError:
+            return None
+        return u if poly_mul(u, c) == r else None
+
+    def _divide(self, c, r):
+        """u with c·u = r by exact long division in a commutative config.
+
+        Each step cancels the top term of the remainder through a solve in
+        the coefficient ring. Quotient exponents run down to 0 in the ore
         shape and to ord r - ord c in the laurent shape, where a quotient
         ends when the coefficients have no zero divisors.
         """
-        if not (self.is_commutative and c):
+        if not c:
             return None
         low = 0 if self.shape == ORE or not r else r.order - c.order
         quotient = {}
@@ -204,8 +227,6 @@ class RingConfig:
             quotient[e] = lead
             rem = rem - poly_mul(c, self.monomial(lead, e))
         return self.from_terms(quotient)
-
-    solve_right_mul = solve_left_mul
 
     def describe(self):
         inner = self.coefficients.describe()

@@ -19,8 +19,9 @@ and the cached structural predicates ``is_associative``/
 by c on the flat coordinates, and :func:`skewring.linalg.solve` solves
 it exactly. Twisted polynomial rings implement the same protocol in
 :mod:`skewring.poly`; there ``RingConfig.solve_left_mul`` and
-``solve_right_mul`` are exact long division in a commutative ring and
-answer None otherwise.
+``solve_right_mul`` are exact long division in a commutative ring and,
+in any other ring, multiply by the inverse of c when c is a unit
+monomial and check the result.
 
 All arithmetic is exact; equality is coordinate-wise equality of
 reduced fractions. Elements are immutable values and every operation is

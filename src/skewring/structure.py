@@ -451,12 +451,14 @@ def simplicity_probe(config, p, budget):
         raise ReductionError("simplicity probe needs a nonzero element")
     current = p
     steps = []
-    for _ in range(budget):
+    for _ in range(budget + 1):
         ord_c = current.order
         if ord_c != 0:
             current = poly_mul(current, config.variable_power(-ord_c))
         if current.degree == 0:
             return SimplicityResult("unit", current.terms[0], steps, "reduced to a unit")
+        if len(steps) == budget:
+            break
         candidate = None
         chosen = None
         for d in config.coefficients.basis_elements():
@@ -468,11 +470,6 @@ def simplicity_probe(config, p, budget):
             return SimplicityResult("inconclusive", None, steps, "all shrinks vanish")
         steps.append((chosen, candidate))
         current = candidate
-    ord_c = current.order
-    if ord_c != 0:
-        current = poly_mul(current, config.variable_power(-ord_c))
-    if current.degree == 0:
-        return SimplicityResult("unit", current.terms[0], steps, "reduced to a unit")
     return SimplicityResult("inconclusive", None, steps, "budget exhausted")
 
 
@@ -561,39 +558,75 @@ def right_reduce(f, gens, max_steps=None):
     """
     if gens.side != "right":
         raise ConstructionError("right_reduce needs a right generator set")
+    if isinstance(f, TruncatedSeries):
+        return _right_reduce_series(f, gens, max_steps)
+    return _right_reduce_poly(f, gens, max_steps)
+
+
+def _right_reduce_poly(f, gens, max_steps):
     config = f.config
     if gens.config != config:
         raise RingMismatchError("incompatible rings")
-    is_series = isinstance(f, TruncatedSeries)
+    sigma = config.sigma
+    ring = config.coefficients
+    min_deg = min(g.degree for g in gens.generators)
+    rem = f
+    steps = []
+    irreducible = False
+    while rem and rem.degree >= min_deg:
+        if max_steps is not None and len(steps) >= max_steps:
+            break
+        n = rem.degree
+        r = rem.leading_coefficient
+        matched = False
+        for idx, g in enumerate(gens.generators):
+            mg = g.degree
+            if mg > n:
+                continue
+            w = ring.solve_left_mul(g.leading_coefficient, r)
+            if w is None:
+                continue
+            u = sigma.power_apply(-mg, w)
+            steps.append(CofactorStep(idx, "right", u, n - mg))
+            rem = rem - poly_mul(g, config.monomial(u, n - mg))
+            matched = True
+            break
+        if not matched:
+            irreducible = True
+            break
+    return ReductionResult(steps, rem, irreducible)
 
-    def lead_exp(x):
-        return x.order if is_series else x.degree
 
-    floor = None if is_series else min(g.degree for g in gens.generators)
+def _right_reduce_series(f, gens, max_steps):
+    config = f.config
+    if gens.config != config:
+        raise RingMismatchError("incompatible rings")
     sigma = config.sigma
     ring = config.coefficients
     rem = f
     steps = []
-    while rem and (is_series or rem.degree >= floor):
+    irreducible = False
+    while rem.coeffs:
         if max_steps is not None and len(steps) >= max_steps:
             break
-        n = lead_exp(rem)
+        order = rem.order
+        matched = False
         for idx, g in enumerate(gens.generators):
-            mg = lead_exp(g)
-            if mg > n:
+            og = g.order
+            if og > order:
                 continue
             w = ring.solve_left_mul(g.leading_coefficient, rem.leading_coefficient)
-            if w is not None:
-                break
-        else:
-            return ReductionResult(steps, rem, irreducible=True)
-        u = sigma.power_apply(-mg, w)
-        steps.append(CofactorStep(idx, "right", u, n - mg))
-        if is_series:
-            rem = rem - times_monomial(g, u, n - mg)
-        else:
-            rem = rem - poly_mul(g, config.monomial(u, n - mg))
-    return ReductionResult(steps, rem)
+            if w is None:
+                continue
+            u = sigma.power_apply(-og, w)
+            steps.append(CofactorStep(idx, "right", u, order - og))
+            rem = rem - times_monomial(g, u, order - og)
+            matched = True
+            break
+        if not matched:
+            irreducible = True
+            break
+    return ReductionResult(steps, rem, irreducible)
 
 
 def replay_reduction(result, gens):

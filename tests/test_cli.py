@@ -243,6 +243,8 @@ BAD_CONFIGS = {
     "no-ring": {k: v for k, v in GAUSS_Q2.items() if k != "ring"},
     "q-twist-without-q": dict(GAUSS_Q2, twist={"kind": "q_twist"}),
     "q-not-rational": dict(GAUSS_Q2, twist={"kind": "q_twist", "q": "abc"}),
+    # a JSON float is binary, not an exact rational
+    "q-float": dict(GAUSS_Q2, twist={"kind": "q_twist", "q": 0.5}),
     "matrix-without-n": dict(
         GAUSS_Q2,
         ring={"kind": "matrix", "base": {"kind": "rationals"}},

@@ -267,7 +267,7 @@ def test_power_operator():
     assert cfg.gen ** 0 == cfg.one
 
 
-def test_ring_config_solves_by_exact_division():
+def test_ring_config_solves():
     qy = rational_poly_ring()
     y = qy.gen
     c = y + qy.one
@@ -286,7 +286,15 @@ def test_ring_config_solves_by_exact_division():
     u2 = ly.variable_power(-2).scale(3) - ly.gen
     assert ly.solve_left_mul(c2, c2 * u2) == u2
     assert ly.solve_left_mul(ly.gen + ly.one, ly.one) is None
-    # the Weyl algebra is not commutative, so even an exact multiple gets None
+    # the Weyl algebra is not commutative and X is not a unit there, so
+    # even an exact multiple gets None
     w = weyl()
     assert w.solve_left_mul(w.gen, w.gen * w.gen) is None
     assert w.solve_right_mul(w.gen, w.gen * w.gen) is None
+    # a non-commutative config solves through the inverse of a unit monomial
+    lq = laurent_q2()
+    x = lq.gen
+    u3 = x * x + lq.constant(G.element([0, 1]))
+    assert lq.solve_left_mul(x, x * u3) == u3
+    assert lq.solve_right_mul(x, u3 * x) == u3
+    assert lq.solve_left_mul(x + lq.one, x * u3) is None

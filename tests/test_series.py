@@ -213,3 +213,19 @@ def test_invert_with_polynomial_coefficients():
     inv_b = series.series_invert(b, side="both")
     assert series.equal_to_precision(b * inv_b, series.series_one(lcfg, 4))
     assert inv_b.coefficient(0) == ly.variable_power(-1)
+
+
+def test_invert_with_noncommutative_polynomial_coefficients():
+    # coefficients in Q(i)[X^±; q=2], which is not commutative: a unit
+    # monomial leading coefficient is solved through its inverse
+    inner = cfg_q2()
+    cfg = poly.RingConfig(inner, maps.make_twist(inner, "identity"), None, "Z", poly.LAURENT)
+    one = series.series_one(cfg, 4)
+    assert series.series_invert(series.series(cfg, {0: inner.one}, 4)) == one
+    a = series.series(cfg, {0: inner.gen, 1: inner.one}, 4)
+    inv = series.series_invert(a, side="both")
+    assert series.equal_to_precision(a * inv, one)
+    assert series.equal_to_precision(inv * a, one)
+    assert inv.coefficient(0) == inner.variable_power(-1)
+    with pytest.raises(NotInvertibleError):
+        series.series_invert(series.series(cfg, {0: inner.gen + inner.one}, 4))
