@@ -34,12 +34,6 @@ def parse_expr(text, cli_config):
     return parsing.parse_poly(text, cli_config.ring_config)
 
 
-def format_expr(value):
-    if hasattr(value, "precision"):
-        return parsing.format_series(value)
-    return parsing.format_poly(value)
-
-
 def _fail_config(exc):
     click.echo(f"error: {exc}", err=True)
     sys.exit(2)
@@ -89,7 +83,7 @@ def mul(config_path, left, right):
         product = a * b
     except SkewringError as exc:
         _fail_config(exc)
-    click.echo(format_expr(product))
+    click.echo(repr(product))
 
 
 @main.command()
@@ -123,7 +117,7 @@ def reduce(config_path, gens_path, side, max_steps, expr):
     except SkewringError as exc:
         _fail_config(exc)
     doc = {
-        "remainder": format_expr(result.remainder),
+        "remainder": repr(result.remainder),
         "irreducible": result.irreducible,
         "steps": [
             {

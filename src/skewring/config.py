@@ -18,8 +18,12 @@ strings or integers (a JSON float is rejected, as it is binary, not an
 exact rational), elements are flat coordinate vectors.
 
 Documents are checked at this boundary: a missing field, a value of the
-wrong JSON type or a malformed rational raises ``ConstructionError``,
-never a bare ``KeyError``/``ValueError`` from deeper down.
+wrong JSON type, a malformed rational or a ``precision`` that is not a
+non-negative integer raises ``ConstructionError``, never a bare
+``KeyError``/``ValueError`` from deeper down. The sigma/delta axioms
+(sigma fixes 1 and is bijective, delta kills 1, no delta on a laurent
+shape) are checked in one place, ``poly.RingConfig``, which every
+config document and ``polynomial`` ring descriptor is built through.
 """
 
 from __future__ import annotations
@@ -86,22 +90,23 @@ def ring_from_descriptor(doc):
         return rings.algebra_from_json(spec, division=bool(doc.get("division")))
     if kind == "polynomial":
         base = ring_from_descriptor(_field(doc, "base", "polynomial ring"))
-        shape = doc.get("shape", "laurent")
-        if shape not in (poly.ORE, poly.LAURENT):
-            raise ConstructionError(f"unknown polynomial shape: {shape}")
-        sigma = twist_from_descriptor(base, doc.get("twist", {"kind": "identity"}))
-        delta = None
-        if doc.get("delta") is not None:
-            # the delta of base[V; sigma, delta] acts on base itself
-            delta = twist_from_descriptor(base, doc["delta"])
-        return poly.RingConfig(
-            coefficients=base,
-            sigma=sigma,
-            delta=delta,
-            variable=doc.get("variable", "Y"),
-            shape=shape,
-        )
+        return _twisted_ring(base, doc, doc.get("shape", poly.LAURENT), "Y")
     raise ConstructionError(f"unknown ring kind: {kind}")
+
+
+def _twisted_ring(ring, doc, shape, default_variable):
+    """ring[V; sigma, delta] from doc's twist, delta and variable; both twists act on ring."""
+    sigma = twist_from_descriptor(ring, doc.get("twist", {"kind": "identity"}))
+    delta = doc.get("delta")
+    if delta is not None:
+        delta = twist_from_descriptor(ring, delta)
+    return poly.RingConfig(
+        coefficients=ring,
+        sigma=sigma,
+        delta=delta,
+        variable=doc.get("variable", default_variable),
+        shape=shape,
+    )
 
 
 def twist_from_descriptor(ring, doc):
@@ -135,7 +140,6 @@ class CliConfig:
     ring_config: poly.RingConfig
     shape: str
     precision: int | None
-    variable: str
     source: dict
 
     @property
@@ -150,9 +154,6 @@ class CliConfig:
         canonical = json.dumps(self.source, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
-    def describe(self):
-        return self.ring_config.describe()
-
 
 def load_config(doc):
     """Build a CliConfig from a parsed JSON document."""
@@ -163,39 +164,20 @@ def load_config(doc):
     shape = doc.get("shape", "laurent")
     if shape not in SHAPES:
         raise ConstructionError(f"unknown shape: {shape}")
-    variable = doc.get("variable", "X")
     precision = doc.get("precision")
-    if shape in ("power_series", "laurent_series") and precision is None:
-        raise ConstructionError("series shapes require a precision")
+    if precision is None:
+        if shape in ("power_series", "laurent_series"):
+            raise ConstructionError("series shapes require a precision")
+    elif type(precision) is not int or precision < 0:
+        # bool is a subclass of int, so `true` needs the exact type test
+        raise ConstructionError(f"precision must be a non-negative integer, got {precision!r}")
     ring = ring_from_descriptor(_field(doc, "ring", "config"))
-    sigma = twist_from_descriptor(ring, doc.get("twist", {"kind": "identity"}))
-    sigma_report = maps.validate_twist_axioms(sigma, "sigma")
-    if not sigma_report.ok:
-        failed = ", ".join(c.axiom for c in sigma_report.checks if not c.passed)
-        raise ConstructionError(f"twist fails sigma axioms: {failed}")
     base_shape = poly.ORE if shape == "ore" else poly.LAURENT
-    delta = None
-    if doc.get("delta") is not None:
-        if shape != "ore":
-            raise ConstructionError("laurent shape admits no delta")
-        # sigma and delta both act on the coefficient ring
-        delta = twist_from_descriptor(ring, doc["delta"])
-        delta_report = maps.validate_twist_axioms(delta, "delta")
-        if not delta_report.ok:
-            failed = ", ".join(c.axiom for c in delta_report.checks if not c.passed)
-            raise ConstructionError(f"delta fails axioms: {failed}")
-    config = poly.RingConfig(
-        coefficients=ring,
-        sigma=sigma,
-        delta=delta,
-        variable=variable,
-        shape=base_shape,
-    )
+    config = _twisted_ring(ring, doc, base_shape, "X")
     return CliConfig(
         ring_config=config,
         shape=shape,
         precision=precision,
-        variable=variable,
         source=doc,
     )
 

@@ -27,6 +27,7 @@ from .errors import (
     ZeroElementError,
 )
 from .maps import PiFamily, PolyTwist, make_twist, pi_apply
+from .rings import first_associator
 
 ORE = "ore"
 LAURENT = "laurent"
@@ -110,12 +111,7 @@ class RingConfig:
     def random_element(self, rng, max_degree=4, max_terms=3):
         lo = -max_degree if self.shape == LAURENT else 0
         exps = rng.sample(range(lo, max_degree + 1), k=rng.randint(1, max_terms))
-        terms = {}
-        for e in exps:
-            c = self.coefficients.random_element(rng)
-            if c:
-                terms[e] = c
-        return SkewPoly(self, terms)
+        return SkewPoly(self, random_terms(self.coefficients, rng, exps))
 
     @property
     def is_finite_dimensional(self):
@@ -137,11 +133,7 @@ class RingConfig:
     @property
     def is_associative(self):
         if self._assoc is None:
-            span = self.spanning_set(2)
-            self._assoc = all(
-                (a * b) * c == a * (b * c)
-                for a in span for b in span for c in span
-            )
+            self._assoc = first_associator(self.spanning_set(2)) is None
         return self._assoc
 
     def invert(self, el):
@@ -400,6 +392,16 @@ def add_term(terms, exp, value):
         terms[exp] = acc
     elif exp in terms:
         del terms[exp]
+
+
+def random_terms(ring, rng, exps):
+    """One random coefficient of ``ring`` per exponent, in order, zeros dropped."""
+    terms = {}
+    for e in exps:
+        c = ring.random_element(rng)
+        if c:
+            terms[e] = c
+    return terms
 
 
 def _pi_row(fam, m, s):

@@ -238,15 +238,8 @@ class AlgebraSpec:
         return self._comm
 
     def associativity_witness(self):
-        """First basis triple with nonzero associator, or None."""
-        basis = self.basis_elements()
-        for a in basis:
-            for b in basis:
-                ab = a * b
-                for c in basis:
-                    if (ab * c) != (a * (b * c)):
-                        return (a, b, c)
-        return None
+        """First basis triple with nonzero associator, as (a, b, c, value), or None."""
+        return first_associator(self.basis_elements())
 
     def invert(self, el):
         return invert_element(self, el)
@@ -773,8 +766,8 @@ class MatrixElement:
         return self._hash
 
     def __repr__(self):
-        rows = ["[" + ", ".join(repr(c) for c in row) + "]" for row in self.entries]
-        return "[" + "; ".join(rows) + "]"
+        from .parsing import format_element
+        return format_element(self)
 
 
 def matrix_algebra(base, n):
@@ -829,6 +822,18 @@ def invert_element(ring, el):
 def associator(a, b, c):
     """(a,b,c) = (ab)c - a(bc)."""
     return (a * b) * c - a * (b * c)
+
+
+def first_associator(span):
+    """First triple of ``span`` with nonzero associator, as (a, b, c, value), or None."""
+    for a in span:
+        for b in span:
+            ab = a * b
+            for c in span:
+                value = ab * c - a * (b * c)
+                if value:
+                    return a, b, c, value
+    return None
 
 
 def commutator(a, b):

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .maps import classify_multiplicativity
 from .poly import LAURENT, SkewPoly, add_term, poly_mul
-from .rings import associator
+from .rings import associator, first_associator
 from .series import TruncatedSeries, times_monomial
 
 SIDES = ("left", "middle", "right")
@@ -279,15 +279,8 @@ def nucleus_membership(query):
 
 def associativity_certificate(config, degree_bound):
     """Exhaust all associator triples of basis monomials up to the bound."""
-    span = config.spanning_set(degree_bound)
-    for a in span:
-        for b in span:
-            ab = a * b
-            for c in span:
-                value = ab * c - a * (b * c)
-                if value:
-                    return CheckOutcome(False, (a, b, c, value))
-    return CheckOutcome(True)
+    witness = first_associator(config.spanning_set(degree_bound))
+    return CheckOutcome(witness is None, witness)
 
 
 def associativity_prediction(config):

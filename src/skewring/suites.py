@@ -19,21 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from . import maps, parsing, poly, rings, series, structure
+from . import maps, poly, rings, series, structure
 from .errors import ConstructionError, ReductionError, SkewringError
-
-SUITE_NAMES = (
-    "nuclei",
-    "laurent-axioms",
-    "associativity",
-    "simplicity",
-    "finite-order-ideals",
-    "hilbert-reduction",
-    "series",
-    "jordan",
-    "quantum-torus",
-    "d-structure",
-)
 
 
 @dataclass
@@ -86,6 +73,12 @@ def cfg_octonion_conj():
 
 
 @lru_cache(maxsize=None)
+def cfg_rational_laurent():
+    q = rings.rationals()
+    return poly.RingConfig(q, maps.make_twist(q, "identity"), None, "X", poly.LAURENT)
+
+
+@lru_cache(maxsize=None)
 def ring_poly_rational():
     q = rings.rationals()
     return poly.RingConfig(q, maps.make_twist(q, "identity"), None, "Y", poly.ORE)
@@ -129,23 +122,21 @@ def _rng(check_id):
     return random.Random(zlib.crc32(check_id.encode()))
 
 
-def _cfg_label(config):
-    return config.describe()
-
-
-def _fmt(value):
-    if isinstance(value, poly.SkewPoly):
-        return parsing.format_poly(value)
-    if isinstance(value, series.TruncatedSeries):
-        return parsing.format_series(value)
-    return parsing.format_element(value)
+def _draws(count, draw):
+    """Yield the first ``count`` draws that are not None or zero."""
+    done = 0
+    while done < count:
+        value = draw()
+        if value:
+            done += 1
+            yield value
 
 
 def _triple_payload(witness):
     a, b, c, value = witness
     return {
-        "triple": [_fmt(a), _fmt(b), _fmt(c)],
-        "associator": _fmt(value),
+        "triple": [repr(a), repr(b), repr(c)],
+        "associator": repr(value),
     }
 
 
@@ -168,22 +159,18 @@ ANCHOR_RING_LAWS = "twisted products are biadditive and unital with bounded degr
 
 
 def _pi_families():
-    qy = ring_poly_rational()
-    weyl = (
-        "weyl",
-        qy,
-        maps.PiFamily(maps.make_twist(qy, "identity"), maps.make_twist(qy, "derivative")),
-    )
+    weyl = cfg_weyl()
+    weyl_fam = ("weyl", weyl.coefficients, maps.PiFamily(weyl.sigma, weyl.delta))
     o = rings.octonions()
     oct_fam = (
         "octonion",
         o,
         maps.PiFamily(
-            maps.make_twist(o, "conjugation"),
+            cfg_octonion_conj().sigma,
             maps.standard_derivation(o.basis_element(1), o.basis_element(2)),
         ),
     )
-    return [weyl, oct_fam]
+    return [weyl_fam, oct_fam]
 
 
 def _check_pi_word_sum():
@@ -257,7 +244,7 @@ def _check_variable_coefficient_pass(configs):
 def _check_variable_associators(configs):
     ore_extra = [cfg_weyl(), cfg_gaussian_ore_q2()]
     for config in list(configs) + ore_extra:
-        rng = _rng(f"ns3-{_cfg_label(config)}")
+        rng = _rng(f"ns3-{config.describe()}")
         x = config.gen
         for _ in range(20):
             p = config.random_element(rng, max_degree=4)
@@ -273,7 +260,7 @@ def _check_variable_associators(configs):
 
 def _check_ring_laws(configs):
     for config in configs:
-        rng = _rng(f"laws-{_cfg_label(config)}")
+        rng = _rng(f"laws-{config.describe()}")
         one = config.one
         for _ in range(50):
             p = config.random_element(rng)
@@ -412,7 +399,7 @@ def _nuclei_suite(configs=None):
     roster = configs or _laurent_roster()
     checks = []
     for config in roster:
-        label = _cfg_label(config)
+        label = config.describe()
         for n in range(-4, 5):
             for side in ("middle", "right"):
                 checks.append((
@@ -429,7 +416,7 @@ def _nuclei_suite(configs=None):
     for config in inverse_roster:
         if config.shape != poly.LAURENT:
             continue
-        label = _cfg_label(config)
+        label = config.describe()
         for element_key in ("X", "X^2", "unit"):
             for hypothesis in ("lm", "full", "mr"):
                 checks.append((
@@ -452,7 +439,8 @@ ANCHOR_ANTI = (
 )
 
 
-def _check_associativity(config, expect_pass):
+def _check_associativity(config, expect_pass=None):
+    """Certificate against prediction; ``expect_pass`` None accepts either verdict."""
     def run():
         outcome = structure.associativity_certificate(config, 3)
         predicted = structure.associativity_prediction(config)
@@ -462,27 +450,20 @@ def _check_associativity(config, expect_pass):
         )
         if expect_pass:
             _require(outcome.passed, "expected an associative ring")
+        elif expect_pass is not None:
+            _require(not outcome.passed, "expected a non-associativity witness")
+        if outcome.passed:
             return "pass", None
-        _require(not outcome.passed, "expected a non-associativity witness")
         return "witness", _triple_payload(outcome.witness)
     return run
 
 
 def _associativity_suite(configs=None):
     if configs:
-        checks = []
-        for config in configs:
-            label = _cfg_label(config)
-            def run(config=config):
-                outcome = structure.associativity_certificate(config, 3)
-                predicted = structure.associativity_prediction(config)
-                _require(outcome.passed == predicted,
-                         "certificate disagrees with the classification criterion")
-                if outcome.passed:
-                    return "pass", None
-                return "witness", _triple_payload(outcome.witness)
-            checks.append((f"assoc/{label}", ANCHOR_ASSOC, run))
-        return checks
+        return [
+            (f"assoc/{config.describe()}", ANCHOR_ASSOC, _check_associativity(config))
+            for config in configs
+        ]
     checks = []
     for q in (1, -1):
         checks.append((
@@ -509,9 +490,7 @@ def _associativity_suite(configs=None):
 
     def run_classification():
         for q, expected in ((1, True), (-1, True), (2, False), (Fraction(3, 5), False)):
-            g = rings.gaussian()
-            tm = maps.make_twist(g, "q_twist", q=q)
-            tags = maps.classify_multiplicativity(tm)
+            tags = maps.classify_multiplicativity(cfg_gaussian_q(q).sigma)
             _require(("automorphism" in tags) == expected,
                      f"q={q} classification wrong")
         swap_tags = maps.classify_multiplicativity(cfg_matrix_swap().sigma)
@@ -558,18 +537,12 @@ def _check_probe_random():
     reason = maps.infinite_order_reason(config.sigma)
     _require(reason is not None, "q=2 twist must certify infinite order")
     rng = _rng("probe-random")
-    ring = config.coefficients
-    count = 0
-    while count < 25:
-        terms = {}
-        for e in rng.sample(range(0, 5), k=rng.randint(1, 3)):
-            c = ring.random_element(rng)
-            if c:
-                terms[e] = c
-        p = config.from_terms(terms)
-        if not p:
-            continue
-        count += 1
+
+    def draw():
+        exps = rng.sample(range(0, 5), k=rng.randint(1, 3))
+        return config.from_terms(poly.random_terms(config.coefficients, rng, exps))
+
+    for p in _draws(25, draw):
         budget = p.degree + 1
         probe = structure.simplicity_probe(config, p, budget)
         _require(probe.reached_unit, "probe must reach a unit")
@@ -604,7 +577,7 @@ def _check_probe_hypotheses():
     raise AssertionError("non-commutative coefficients must be rejected")
 
 
-def _simplicity_suite(configs=None):
+def _simplicity_suite():
     return [
         ("simplicity/shrink-example", ANCHOR_SIMPLE, _check_shrink_example),
         ("simplicity/random-probes", ANCHOR_SIMPLE, _check_probe_random),
@@ -645,12 +618,7 @@ def _check_multiples_vanish(config_fn, label, count):
         config = config_fn()
         generator = config.one + config.variable_power(4)
         rng = _rng(f"ideal-{label}")
-        done = 0
-        while done < count:
-            q = config.random_element(rng, max_degree=4)
-            if not q:
-                continue
-            done += 1
+        for q in _draws(count, lambda: config.random_element(rng, max_degree=4)):
             product = poly.poly_mul(q, generator)
             _require(
                 not structure.central_reduction(product, 2),
@@ -682,7 +650,7 @@ def _check_order_hypothesis_guard():
     raise AssertionError("central reduction must reject infinite-order twists")
 
 
-def _finite_order_suite(configs=None):
+def _finite_order_suite():
     return [
         ("ideal/finite-order-detected", ANCHOR_NONSIMPLE, _check_finite_order_detected),
         ("ideal/generator-nuclear", ANCHOR_NONSIMPLE, _check_generator_nuclear),
@@ -715,7 +683,7 @@ def _right_form_configs():
 
 def _check_right_form_round_trip():
     for config in _right_form_configs():
-        rng = _rng(f"right-form-{_cfg_label(config)}")
+        rng = _rng(f"right-form-{config.describe()}")
         for _ in range(25):
             p = config.random_element(rng, max_degree=8)
             pairs = poly.to_right_form(p)
@@ -726,11 +694,7 @@ def _check_right_form_round_trip():
                 range(0 if config.shape == poly.ORE else -4, 5),
                 k=rng.randint(1, 3),
             )
-            pairs = []
-            for e in sorted(exps):
-                c = config.coefficients.random_element(rng)
-                if c:
-                    pairs.append((e, c))
+            pairs = list(poly.random_terms(config.coefficients, rng, sorted(exps)).items())
             rebuilt = poly.to_right_form(poly.from_right_form(config, pairs))
             _require(rebuilt == pairs, "right-form pairs round trip failed")
     return "pass", None
@@ -753,13 +717,13 @@ def _check_monic_left_random(config_fn, label):
     def run():
         config = config_fn()
         rng = _rng(f"monic-{label}")
-        done = 0
-        while done < 50:
+
+        def draw():
             p = config.random_element(rng, max_degree=3)
             f = config.random_element(rng, max_degree=6)
-            if not p:
-                continue
-            done += 1
+            return (p, f) if p else None
+
+        for p, f in _draws(50, draw):
             result = structure.monic_left_reduce(f, p)
             if result.remainder:
                 _require(result.remainder.degree < p.degree,
@@ -789,8 +753,8 @@ def _check_right_reduce_poly():
              "a generator must reduce to zero in one step")
 
     rng = _rng("right-reduce-random")
-    done = 0
-    while done < 25:
+
+    def draw():
         gen_count = rng.randint(1, 2)
         generators = []
         for _ in range(gen_count):
@@ -798,9 +762,9 @@ def _check_right_reduce_poly():
             if g:
                 generators.append(g)
         f = config.random_element(rng, max_degree=6)
-        if not generators:
-            continue
-        done += 1
+        return (generators, f) if generators else None
+
+    for generators, f in _draws(25, draw):
         gset = structure.GeneratorSet(config, generators, "right")
         result = structure.right_reduce(f, gset)
         min_deg = min(g.degree for g in generators)
@@ -831,7 +795,7 @@ def _check_right_reduce_irreducible():
 
 def _check_right_reduce_series():
     q = rings.rationals()
-    config = poly.RingConfig(q, maps.make_twist(q, "identity"), None, "X", poly.LAURENT)
+    config = cfg_rational_laurent()
     one = series.series(config, {0: q.one}, 5)
     gen = series.series(config, {0: q.one, 1: -q.one}, 5)
     gset = structure.GeneratorSet(config, [gen], "right")
@@ -845,26 +809,18 @@ def _check_right_reduce_series():
     _require(series.equal_to_precision(replay, one), "series replay must rebuild 1")
 
     g = rings.gaussian()
-    config2 = poly.RingConfig(g, maps.make_twist(g, "conjugation"), None, "X", poly.LAURENT)
+    config2 = cfg_gaussian_conj()
     rng = _rng("series-reduce-random")
-    done = 0
-    while done < 15:
+
+    def draw():
         lead = g.random_element(rng)
         if not lead:
-            continue
-        gen_terms = {0: lead}
-        for e in range(1, 4):
-            c = g.random_element(rng)
-            if c:
-                gen_terms[e] = c
-        f_terms = {}
-        for e in range(0, 5):
-            c = g.random_element(rng)
-            if c:
-                f_terms[e] = c
-        if not f_terms:
-            continue
-        done += 1
+            return None
+        gen_terms = {0: lead, **poly.random_terms(g, rng, range(1, 4))}
+        f_terms = poly.random_terms(g, rng, range(0, 5))
+        return (gen_terms, f_terms) if f_terms else None
+
+    for gen_terms, f_terms in _draws(15, draw):
         gset2 = structure.GeneratorSet(
             config2, [series.series(config2, gen_terms, 6)], "right"
         )
@@ -876,7 +832,7 @@ def _check_right_reduce_series():
     return "pass", None
 
 
-def _hilbert_suite(configs=None):
+def _hilbert_suite():
     return [
         ("hilbert/right-form-round-trip", ANCHOR_RIGHT_FORM, _check_right_form_round_trip),
         ("hilbert/monic-left-example", ANCHOR_MONIC, _check_monic_left_example),
@@ -940,17 +896,12 @@ def _check_series_two_sided_roundtrip():
     config = cfg_gaussian_conj()
     g = rings.gaussian()
     rng = _rng("series-two-sided")
-    done = 0
-    while done < 50:
+
+    def draw():
         lead = g.random_element(rng)
-        if not lead:
-            continue
-        terms = {0: lead}
-        for e in range(1, 5):
-            c = g.random_element(rng)
-            if c:
-                terms[e] = c
-        done += 1
+        return {0: lead, **poly.random_terms(g, rng, range(1, 5))} if lead else None
+
+    for terms in _draws(50, draw):
         a = series.series(config, terms, 6)
         b = series.series_invert(a, side="both")
         _require(series.equal_to_precision(a * b, series.series_one(config, 6)),
@@ -964,21 +915,18 @@ def _check_series_order_additivity():
     config = cfg_gaussian_q(2)
     g = rings.gaussian()
     rng = _rng("series-order-add")
-    done = 0
-    while done < 50:
-        def random_series():
-            start = rng.randint(-3, 2)
-            terms = {}
-            for e in range(start, start + 3):
-                c = g.random_element(rng)
-                if c:
-                    terms[e] = c
-            return series.series(config, terms, start + 6) if terms else None
+
+    def random_series():
+        start = rng.randint(-3, 2)
+        terms = poly.random_terms(g, rng, range(start, start + 3))
+        return series.series(config, terms, start + 6) if terms else None
+
+    def draw():
         a = random_series()
         b = random_series()
-        if a is None or b is None:
-            continue
-        done += 1
+        return None if a is None or b is None else (a, b)
+
+    for a, b in _draws(50, draw):
         product = a * b
         _require(product.order == a.order + b.order,
                  "order must be additive over division coefficients")
@@ -1003,7 +951,7 @@ def _check_series_poly_oracle():
 
 def _check_series_values():
     q = rings.rationals()
-    config = poly.RingConfig(q, maps.make_twist(q, "identity"), None, "X", poly.LAURENT)
+    config = cfg_rational_laurent()
     geo = series.series_invert(series.series(config, {0: q.one, 1: -q.one}, 4))
     _require(geo == series.series(config, {e: q.one for e in range(5)}, 4),
              "the geometric series inverse must be 1 + X + ... + X^4")
@@ -1027,7 +975,7 @@ def _check_series_values():
     raise AssertionError("the zero window has no order")
 
 
-def _series_suite(configs=None):
+def _series_suite():
     return [
         ("series/frozen-inverse", ANCHOR_SERIES, _check_series_frozen_inverse),
         ("series/one-sided-asymmetry", ANCHOR_SERIES, _check_series_one_sided),
@@ -1133,7 +1081,7 @@ def _check_jordan_twisted_ring():
     return "pass", None
 
 
-def _jordan_suite(configs=None):
+def _jordan_suite():
     return [
         ("jordan/worked-values", ANCHOR_JORDAN, _check_jordan_values),
         ("jordan/identity", ANCHOR_JORDAN, _check_jordan_identity),
@@ -1247,7 +1195,7 @@ def _check_torus_iterated_guard():
     raise AssertionError("non-commuting twists must be rejected")
 
 
-def _torus_suite(configs=None):
+def _torus_suite():
     return [
         ("torus/defining-relation", ANCHOR_TORUS, _check_torus_relation),
         ("torus/coefficients-commute", ANCHOR_TORUS, _check_torus_coefficients_commute),
@@ -1270,7 +1218,7 @@ ANCHOR_DSTRUCT = (
 def _check_laurent_family(config):
     def run():
         family = poly.laurent_d_structure(config.sigma)
-        rng = _rng(f"dstruct-{_cfg_label(config)}")
+        rng = _rng(f"dstruct-{config.describe()}")
         elements = [config.coefficients.random_element(rng) for _ in range(5)]
         report = poly.validate_d_structure(family, list(range(-4, 5)), elements)
         _require(report.ok, f"laurent family fails: {report.entries}")
@@ -1279,16 +1227,14 @@ def _check_laurent_family(config):
 
 
 def _ore_families():
-    qy = ring_poly_rational()
+    weyl = cfg_weyl()
     g = rings.gaussian()
     o = rings.octonions()
     return [
-        ("weyl", qy,
-         maps.make_twist(qy, "identity"), maps.make_twist(qy, "derivative"), 5),
-        ("gaussian", g,
-         maps.make_twist(g, "q_twist", q=2), maps.make_twist(g, "zero"), 5),
+        ("weyl", weyl.coefficients, weyl.sigma, weyl.delta, 5),
+        ("gaussian", g, cfg_gaussian_q(2).sigma, maps.make_twist(g, "zero"), 5),
         ("octonion", o,
-         maps.make_twist(o, "conjugation"),
+         cfg_octonion_conj().sigma,
          maps.standard_derivation(o.basis_element(1), o.basis_element(2)), 5),
     ]
 
@@ -1317,10 +1263,9 @@ def _check_corrupted_family():
 
 
 def _check_d4_is_pi_composition():
-    qy = ring_poly_rational()
-    sigma = maps.make_twist(qy, "identity")
-    delta = maps.make_twist(qy, "derivative")
-    fam = maps.PiFamily(sigma, delta)
+    weyl = cfg_weyl()
+    qy = weyl.coefficients
+    fam = maps.PiFamily(weyl.sigma, weyl.delta)
     rng = _rng("d4-pi")
     elements = [qy.random_element(rng) for _ in range(5)]
     for a in range(0, 4):
@@ -1346,7 +1291,7 @@ def _d_structure_suite(configs=None):
         if config.shape != poly.LAURENT:
             continue
         checks.append((
-            f"dstruct/laurent/{_cfg_label(config)}",
+            f"dstruct/laurent/{config.describe()}",
             ANCHOR_DSTRUCT,
             _check_laurent_family(config),
         ))
@@ -1378,6 +1323,8 @@ _SUITE_BUILDERS = {
     "d-structure": _d_structure_suite,
 }
 
+SUITE_NAMES = tuple(_SUITE_BUILDERS)
+
 # suites whose checks can target a user-provided configuration
 CONFIGURABLE_SUITES = ("nuclei", "laurent-axioms", "associativity", "d-structure")
 
@@ -1391,14 +1338,11 @@ def run_suite(name, cli_config=None):
     else:
         raise ConstructionError(f"unknown suite name: {name}")
 
-    configs = None
-    if cli_config is not None:
-        configs = [cli_config.ring_config]
     checks = []
     for suite_name in names:
         builder = _SUITE_BUILDERS[suite_name]
-        if configs is not None and suite_name in CONFIGURABLE_SUITES:
-            checks.extend(builder(configs))
+        if cli_config is not None and suite_name in CONFIGURABLE_SUITES:
+            checks.extend(builder([cli_config.ring_config]))
         else:
             checks.extend(builder())
 

@@ -186,6 +186,14 @@ def test_classify_command(runner, tmp_path):
     assert doc["sigma"]["multiplicativity"] == []
     assert doc["sigma"]["finite_order"] is None
     assert doc["sigma"]["infinite_order_reason"]
+    swap = write(tmp_path, "swap.json", {
+        "ring": {"kind": "matrix", "base": {"kind": "rationals"}, "n": 2},
+        "twist": {"kind": "diag_swap"},
+    })
+    result = runner.invoke(cli.main, ["classify", "--config", swap])
+    assert result.exit_code == 0
+    axioms = {a["axiom"]: a for a in json.loads(result.output)["sigma"]["axioms"]}
+    assert axioms["respects_one"]["detail"] == "sigma(1) = [1,0,0,1]"
 
 
 def test_verify_suite_exit_codes(runner, tmp_path):
@@ -236,6 +244,7 @@ def test_reports_have_unique_check_ids():
     ids = [c.id for c in report.checks]
     assert len(ids) == len(set(ids))
     assert all(c.anchor for c in report.checks)
+    assert report.ok
 
 
 BAD_CONFIGS = {
@@ -258,6 +267,18 @@ BAD_CONFIGS = {
         },
         twist={"kind": "identity"},
     ),
+    "matrix-twist-moves-one": dict(
+        GAUSS_Q2, twist={"kind": "matrix", "matrix": [[2, 0], [0, 1]]}
+    ),
+    "delta-keeps-one": dict(
+        GAUSS_Q2,
+        shape="ore",
+        twist={"kind": "identity"},
+        delta={"kind": "matrix", "matrix": [[1, 0], [0, 1]]},
+    ),
+    "precision-negative": dict(GAUSS_Q2, precision=-3),
+    "precision-string": dict(GAUSS_Q2, precision="5"),
+    "precision-bool": dict(GAUSS_Q2, precision=True),
 }
 
 

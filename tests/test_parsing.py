@@ -127,8 +127,9 @@ def test_round_trip_random_polys():
             assert repr(p) == text
             assert parsing.parse_poly(repr(p), cfg) == p
             for c in p.terms.values():
-                if isinstance(c, rings.AlgebraElement):
+                if isinstance(c, (rings.AlgebraElement, rings.MatrixElement)):
                     assert repr(c) == parsing.format_element(c)
+                    assert parsing.parse_poly(repr(c), cfg) == cfg.constant(c)
 
 
 def test_round_trip_random_series():
