@@ -18,8 +18,9 @@ strings or integers (a JSON float is rejected, as it is binary, not an
 exact rational), elements are flat coordinate vectors.
 
 Documents are checked at this boundary: a missing field, a value of the
-wrong JSON type, a malformed rational or a ``precision`` that is not a
-non-negative integer raises ``ConstructionError``, never a bare
+wrong JSON type, a malformed rational, a ``variable`` that is not one
+identifier token of the expression grammar or a ``precision`` that is
+not a non-negative integer raises ``ConstructionError``, never a bare
 ``KeyError``/``ValueError`` from deeper down. The sigma/delta axioms
 (sigma fixes 1 and is bijective, delta kills 1, no delta on a laurent
 shape) are checked in one place, ``poly.RingConfig``, which every
@@ -32,7 +33,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from . import maps, poly, rings
+from . import maps, parsing, poly, rings
 from .errors import ConstructionError
 
 SHAPES = ("ore", "laurent", "power_series", "laurent_series")
@@ -100,11 +101,15 @@ def _twisted_ring(ring, doc, shape, default_variable):
     delta = doc.get("delta")
     if delta is not None:
         delta = twist_from_descriptor(ring, delta)
+    variable = doc.get("variable", default_variable)
+    token = parsing._TOKEN.fullmatch(variable) if isinstance(variable, str) else None
+    if token is None or token.lastgroup != "ident":
+        raise ConstructionError(f"variable must be one identifier, got {variable!r}")
     return poly.RingConfig(
         coefficients=ring,
         sigma=sigma,
         delta=delta,
-        variable=doc.get("variable", default_variable),
+        variable=variable,
         shape=shape,
     )
 

@@ -16,6 +16,7 @@ that reconstructs the input exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import (
     ConstructionError,
@@ -114,8 +115,7 @@ class _ScaledOps:
             elif scalar == 1:
                 cached = (1, self._canon(el))
             else:
-                normalized = self._canon(el.scale(1 / scalar))
-                cached = (1 if scalar == 1 else scalar, normalized)
+                cached = (scalar, self._canon(el.scale(1 / scalar)))
             self._norm[el] = cached
         return cached
 
@@ -178,6 +178,15 @@ def _laurent_nucleus_scan(query):
     powers; biadditivity makes accumulating over the element's terms
     exactly the polynomial product. A witness found here is rebuilt and
     re-verified through the generic polynomial arithmetic.
+
+    With u = a·X^m in the first slot, the middle and right identities
+    both read (a·E1)·E2 = a·E3 for every coefficient a, where E1, E2
+    and E3 do not depend on a. The verdict over all a is memoised for
+    the length of one scan. The memo is exact: products are Q-bilinear,
+    so with Ei = si·ni the identity is (s1·s2/s3)·(a·n1)·n2 = a·n3; the
+    normalised parts ni are interned, one object per value, so their
+    ids and the ratio determine which a fail. A zero scalar bypasses
+    the memo.
     """
     x = query.element
     config = x.config
@@ -188,6 +197,8 @@ def _laurent_nucleus_scan(query):
     x_terms = [(k, ops.split(t)) for k, t in sorted(x.terms.items())]
     split_coeffs = [ops.split(c) for c in coeffs]
     equal = _ScaledOps.equal
+    mul = ops.mul
+    twist = ops.twist
 
     def report(a, m, b, n):
         # rebuild and re-verify the candidate through the generic
@@ -205,48 +216,65 @@ def _laurent_nucleus_scan(query):
             raise AssertionError("monomial scan disagreed with the generic product")
         return CheckOutcome(False, (*triple, value))
 
+    verdicts = {}
+
+    def first_failure(e1, e2, e3):
+        """The first a with (a·e1)·e2 != a·e3, or None."""
+        (s1, n1), (s2, n2), (s3, n3) = e1, e2, e3
+        key = None
+        if s1 and s2 and s3:
+            key = (id(n1), id(n2), id(n3), Fraction(s1 * s2) / s3)
+            if key in verdicts:
+                return verdicts[key]
+        failing = next(
+            (a for a in split_coeffs if not equal(mul(mul(a, e1), e2), mul(a, e3))),
+            None,
+        )
+        if key is not None:
+            verdicts[key] = failing
+        return failing
+
     # Distinct x-term exponents land on distinct result exponents, so the
     # accumulated associator vanishes iff every term's contribution does.
-    if side in ("left", "middle"):
-        # Both sides' coefficients are independent of the second
-        # monomial's exponent (it only shifts the result), so one verdict
-        # per (m, a, b) covers the whole exponent range of v.
+    # In the left and middle slots the coefficients are independent of the
+    # second monomial's exponent (it only shifts the result), so v is
+    # checked at exponent 0 and that covers its whole exponent range.
+    if side == "left":
         for m in exps:
             for a in split_coeffs:
-                ta = [
-                    (ops.twist(k, a) if side == "left" else ops.mul(a, ops.twist(m, t)),
-                     k, t)
-                    for k, t in x_terms
-                ]
+                ta = [(twist(k, a), k, t) for k, t in x_terms]
                 for b in split_coeffs:
                     for pre, k, t in ta:
-                        if side == "left":
-                            lhs = ops.mul(ops.mul(t, pre), ops.twist(k + m, b))
-                            rhs = ops.mul(t, ops.twist(k, ops.mul(a, ops.twist(m, b))))
-                        else:
-                            lhs = ops.mul(pre, ops.twist(m + k, b))
-                            rhs = ops.mul(a, ops.twist(m, ops.mul(t, ops.twist(k, b))))
+                        lhs = mul(mul(t, pre), twist(k + m, b))
+                        rhs = mul(t, twist(k, mul(a, twist(m, b))))
                         if not equal(lhs, rhs):
                             return report(a, m, b, 0)
         return CheckOutcome(True)
 
-    # right slot: (u v) x vs u (v x); the exponent of v enters through
-    # the twist powers applied to x's coefficients, so hoist per (b, n, m)
-    mul = ops.mul
-    twist = ops.twist
+    if side == "middle":
+        # (u x) v vs u (x v): E1 = sigma^m(t), E2 = sigma^(m+k)(b),
+        # E3 = sigma^m(t·sigma^k(b))
+        for m in exps:
+            for b in split_coeffs:
+                for k, t in x_terms:
+                    a = first_failure(
+                        twist(m, t), twist(m + k, b), twist(m, mul(t, twist(k, b)))
+                    )
+                    if a is not None:
+                        return report(a, m, b, 0)
+        return CheckOutcome(True)
+
+    # right slot: (u v) x vs u (v x): E1 = sigma^m(b), E2 = sigma^(m+n)(t),
+    # E3 = sigma^m(b·sigma^n(t)); the exponent of v enters through the
+    # twist powers applied to x's coefficients, so hoist per (b, n, m)
     for k, t in x_terms:
         for b in split_coeffs:
             for n in exps:
                 bt = mul(b, twist(n, t))
                 for m in exps:
-                    tbm = twist(m, bt)
-                    tmb = twist(m, b)
-                    tw_mn = twist(m + n, t)
-                    for a in split_coeffs:
-                        lhs = mul(mul(a, tmb), tw_mn)
-                        rhs = mul(a, tbm)
-                        if not equal(lhs, rhs):
-                            return report(a, m, b, n)
+                    a = first_failure(twist(m, b), twist(m + n, t), twist(m, bt))
+                    if a is not None:
+                        return report(a, m, b, n)
     return CheckOutcome(True)
 
 

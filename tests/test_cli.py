@@ -227,6 +227,16 @@ def test_verify_with_config(runner, tmp_path):
     assert doc["summary"]["witnesses"] >= 1  # q = 2 is not associative
 
 
+def test_verify_nuclei_with_ore_config(runner, tmp_path):
+    # an ore config has no negative powers of X to check
+    path = write(tmp_path, "ore.json", dict(GAUSS_Q2, shape="ore"))
+    result = runner.invoke(cli.main, ["verify", "--suite", "nuclei", "--config", path])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["summary"]["failed"] == 0
+    assert all(c["status"] != "fail" for c in doc["checks"])
+
+
 def test_report_determinism():
     def stripped(report):
         doc = json.loads(suites.emit_report(report))
@@ -279,6 +289,8 @@ BAD_CONFIGS = {
     "precision-negative": dict(GAUSS_Q2, precision=-3),
     "precision-string": dict(GAUSS_Q2, precision="5"),
     "precision-bool": dict(GAUSS_Q2, precision=True),
+    "variable-number": dict(GAUSS_Q2, variable=5),
+    "variable-empty": dict(GAUSS_Q2, variable=""),
 }
 
 

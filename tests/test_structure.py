@@ -23,6 +23,11 @@ def cfg_octonion():
     return poly.RingConfig(O, maps.make_twist(O, "conjugation"), None, "X", poly.LAURENT)
 
 
+def cfg_matrix_swap():
+    m2 = rings.matrix_algebra(Q, 2)
+    return poly.RingConfig(m2, maps.make_twist(m2, "diag_swap"), None, "X", poly.LAURENT)
+
+
 # -- nucleus membership -------------------------------------------------------
 
 
@@ -77,6 +82,52 @@ def test_query_validates_bound():
         structure.NucleusQuery(config.one, "sideways", 3)
 
 
+def _exhaustive_membership(x, side, bound):
+    """The generic scan: every associator over the spanning set, no shortcuts."""
+    span = x.config.spanning_set(bound)
+    for u in span:
+        for v in span:
+            triple = {"left": (x, u, v), "middle": (u, x, v), "right": (u, v, x)}[side]
+            if rings.associator(*triple):
+                return False
+    return True
+
+
+def _oracle_elements(config, powers, rng):
+    """X^n for the given n, two non-unit basis constants, two random elements."""
+    ring = config.coefficients
+    yield from (config.variable_power(n) for n in powers)
+    yield from (config.constant(c) for c in ring.spanning_set(0)[1:3])
+    bound = max(map(abs, powers))
+    for _ in range(2):
+        exps = rng.sample(range(-bound, bound + 1), rng.randint(2, 3))
+        yield poly.SkewPoly(config, poly.random_terms(ring, rng, exps))
+
+
+@pytest.mark.parametrize("name, make_config, bound, powers", [
+    ("gaussian-q2", cfg_q2, 2, (-2, -1, 1, 2)),
+    ("matrix-swap", cfg_matrix_swap, 2, (2,)),
+    ("octonion-conj", cfg_octonion, 2, (-1,)),
+    ("octonion-torus", lambda: poly.quantum_torus(O, 2), 1, (1,)),
+])
+def test_laurent_scan_matches_exhaustive_oracle(name, make_config, bound, powers):
+    """The memoised monomial scan against the plain spanning-set scan, all sides."""
+    config = make_config()
+    rng = random.Random(f"oracle-{name}")
+    verdicts = set()
+    for x in _oracle_elements(config, powers, rng):
+        for side in structure.SIDES:
+            outcome = structure.nucleus_membership(structure.NucleusQuery(x, side, bound))
+            assert outcome.passed == _exhaustive_membership(x, side, bound), (x, side)
+            verdicts.add((side, outcome.passed))
+            if not outcome.passed:
+                a, b, c, value = outcome.witness
+                assert rings.associator(a, b, c) == value
+                assert value
+    # both verdicts occur in both memoised slots
+    assert {(s, v) for s in ("middle", "right") for v in (True, False)} <= verdicts
+
+
 # -- associativity ---------------------------------------------------------------
 
 
@@ -94,8 +145,7 @@ def test_associativity_dichotomy():
 
 
 def test_associativity_witness_matrix_and_octonion():
-    m2 = rings.matrix_algebra(Q, 2)
-    swap_cfg = poly.RingConfig(m2, maps.make_twist(m2, "diag_swap"), None, "X", poly.LAURENT)
+    swap_cfg = cfg_matrix_swap()
     assert not structure.associativity_certificate(swap_cfg, 3).passed
     assert not structure.associativity_prediction(swap_cfg)
     assert not structure.associativity_certificate(cfg_octonion(), 3).passed
