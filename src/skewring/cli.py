@@ -26,10 +26,14 @@ from .errors import SkewringError
 
 
 def parse_expr(text, cli_config):
-    """Parse an expression under a CLI configuration (series need O(X^N))."""
+    """Parse an expression under a CLI configuration.
+
+    A series needs its O(X^N) marker, with N at most the config's precision.
+    """
     if cli_config.is_series:
         return parsing.parse_series(
-            text, cli_config.ring_config, power=cli_config.is_power_series
+            text, cli_config.ring_config, power=cli_config.is_power_series,
+            max_precision=cli_config.precision,
         )
     return parsing.parse_poly(text, cli_config.ring_config)
 

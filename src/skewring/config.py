@@ -19,12 +19,18 @@ exact rational), elements are flat coordinate vectors.
 
 Documents are checked at this boundary: a missing field, a value of the
 wrong JSON type, a malformed rational, a ``variable`` that is not one
-identifier token of the expression grammar or a ``precision`` that is
-not a non-negative integer raises ``ConstructionError``, never a bare
-``KeyError``/``ValueError`` from deeper down. The sigma/delta axioms
-(sigma fixes 1 and is bijective, delta kills 1, no delta on a laurent
-shape) are checked in one place, ``poly.RingConfig``, which every
-config document and ``polynomial`` ring descriptor is built through.
+identifier token of the expression grammar or that is a basis name of
+the coefficient ring (``"i"`` over Q(i), ``"e1"`` over O), or a
+``precision`` that is not a non-negative integer raises
+``ConstructionError``, never a bare ``KeyError``/``ValueError`` from
+deeper down. The sigma/delta axioms (sigma fixes 1 and is bijective,
+delta kills 1, no delta on a laurent shape) are checked in one place,
+``poly.RingConfig``, which every config document and ``polynomial``
+ring descriptor is built through.
+
+A series expression under the config may carry a precision ``O(X^N)``
+up to the config's ``precision``; the CLI refuses a larger N with exit
+status 2 and names both precisions.
 """
 
 from __future__ import annotations
@@ -105,6 +111,10 @@ def _twisted_ring(ring, doc, shape, default_variable):
     token = parsing._TOKEN.fullmatch(variable) if isinstance(variable, str) else None
     if token is None or token.lastgroup != "ident":
         raise ConstructionError(f"variable must be one identifier, got {variable!r}")
+    if variable in getattr(ring, "basis_labels", ()):
+        # the printer writes that basis element by its name, which would
+        # then parse back as the variable
+        raise ConstructionError(f"variable {variable!r} is a basis name of {ring.describe()}")
     return poly.RingConfig(
         coefficients=ring,
         sigma=sigma,

@@ -14,12 +14,21 @@ back to reduced fractions once per application (see
 :mod:`skewring.linalg`). Powers of a map, with their compiled columns,
 are cached on the map object, which keeps the degree-bounded exhaustive
 checks in :mod:`skewring.structure` cheap.
+
+The Ore product X^m·s = sum_i pi_i^m(s)·X^i needs the operator sums
+pi_i^m, each the sum of all words in i sigmas and m-i deltas. One
+dynamic-programming sweep, :func:`pi_row`, builds the whole row
+pi_0^m(s), ..., pi_m^m(s). A :class:`PiFamily` caches its rows keyed by
+the value of (m, s), for as long as the family lives, so
+:func:`pi_apply` is a row lookup. The word enumeration
+(:func:`pi_word_sum`) applies the twists itself and stays as the
+oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -444,39 +453,56 @@ def apply_power(tm, m, el):
 
 @dataclass(frozen=True)
 class PiFamily:
-    """A sigma/delta pair driving the Ore product's operator sums."""
+    """A sigma/delta pair driving the Ore product's operator sums.
+
+    The row cache is keyed by the value of (m, s), takes no part in
+    equality or hashing, and lives exactly as long as the family.
+    """
 
     sigma: TwistMap
     delta: TwistMap | None = None
+    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def row(self, m, s):
+        """``pi_row(self, m, s)``, computed once per (m, s) value."""
+        key = (m, s)
+        cached = self._rows.get(key)
+        if cached is None:
+            cached = self._rows[key] = pi_row(self, m, s)
+        return cached
+
+
+def pi_row(fam, m, s):
+    """(pi_0^m(s), ..., pi_m^m(s)) by one dynamic-programming sweep, uncached.
+
+    Row k comes from row k-1 by pi(i,k) = sigma∘pi(i-1,k-1) + delta∘pi(i,k-1).
+    """
+    row = [s]
+    for k in range(1, m + 1):
+        nxt = []
+        for i in range(k + 1):
+            value = None
+            if i >= 1:
+                value = fam.sigma(row[i - 1])
+            if fam.delta is not None and i <= k - 1:
+                dpart = fam.delta(row[i])
+                value = dpart if value is None else value + dpart
+            nxt.append(value if value is not None else s.ring.zero)
+        row = nxt
+    return tuple(row)
 
 
 def pi_apply(fam, i, m, s):
     """Sum of all compositions of i sigmas and m-i deltas, applied to s.
 
-    Computed by the recursion pi(i,m) = sigma∘pi(i-1,m-1) + delta∘pi(i,m-1)
-    with pi(0,0) = id; zero whenever i > m or i < 0. Agrees with the
-    explicit word enumeration (see pi_word_sum), which stays around as
-    the test oracle.
+    Zero whenever i lies outside 0..m; otherwise entry i of the family's
+    cached row ``fam.row(m, s)``. Agrees with the explicit word
+    enumeration (see pi_word_sum), which never reads the cache and stays
+    around as the test oracle.
     """
-    zero = s.ring.zero
     if i < 0 or i > m:
-        return zero
-    memo = {}
-
-    def rec(ii, mm):
-        if ii < 0 or ii > mm:
-            return zero
-        if mm == 0:
-            return s
-        key = (ii, mm)
-        if key not in memo:
-            value = fam.sigma(rec(ii - 1, mm - 1))
-            if fam.delta is not None:
-                value = value + fam.delta(rec(ii, mm - 1))
-            memo[key] = value
-        return memo[key]
-
-    return rec(i, m)
+        return s.ring.zero
+    return fam.row(m, s)[i]
 
 
 def pi_words(i, m):

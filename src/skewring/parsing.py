@@ -249,8 +249,11 @@ def parse_poly(text, config):
     return result
 
 
-def parse_series(text, config, power=False):
-    """Parse series text; the trailing O(V^N) marker fixes the precision."""
+def parse_series(text, config, power=False, max_precision=None):
+    """Parse series text; the trailing O(V^N) marker fixes the precision.
+
+    With ``max_precision`` given, an N above it is a ``ParseError``.
+    """
     parser = _Parser(text)
     body, found = parser.parse_sum(config, stop_at_order_marker=True)
     if not found:
@@ -261,7 +264,13 @@ def parse_series(text, config, power=False):
     if kind != "ident" or name != config.variable:
         raise ParseError(f"expected variable {config.variable!r}", column=col)
     parser.expect("^")
+    col = parser.peek()[2]
     precision = parser.parse_int()
+    if max_precision is not None and precision > max_precision:
+        raise ParseError(
+            f"expression precision {precision} exceeds the config precision {max_precision}",
+            column=col,
+        )
     parser.expect(")")
     if not parser.at_end():
         _, tok, col = parser.peek()

@@ -26,7 +26,7 @@ from .errors import (
     RingMismatchError,
     ZeroElementError,
 )
-from .maps import PiFamily, PolyTwist, make_twist, pi_apply
+from .maps import PiFamily, PolyTwist, make_twist, pi_apply, pi_row
 from .rings import first_associator
 
 ORE = "ore"
@@ -404,25 +404,15 @@ def random_terms(ring, rng, exps):
     return terms
 
 
-def _pi_row(fam, m, s):
-    """[pi_0^m(s), ..., pi_m^m(s)] by one dynamic-programming sweep."""
-    row = [s]
-    for k in range(1, m + 1):
-        nxt = []
-        for i in range(k + 1):
-            value = None
-            if i >= 1:
-                value = fam.sigma(row[i - 1])
-            if fam.delta is not None and i <= k - 1:
-                dpart = fam.delta(row[i])
-                value = dpart if value is None else value + dpart
-            nxt.append(value if value is not None else s.ring.zero)
-        row = nxt
-    return row
-
-
 def poly_mul(p, q):
-    """Biadditive extension of the twisted monomial rules."""
+    """Biadditive extension of the twisted monomial rules.
+
+    The ore branch takes each pi row from the uncached ``pi_row``, and no
+    row cache is kept on the config: one product never asks for the same
+    (m, s) twice, operands drawn afresh would only grow such a cache, and
+    a config shared for a whole run would carry it from one run into
+    the next.
+    """
     config = p.config
     if config != q.config:
         raise RingMismatchError("incompatible rings")
@@ -437,7 +427,7 @@ def poly_mul(p, q):
     fam = PiFamily(config.sigma, config.delta)
     for m, r in p.terms.items():
         for n, s in q.terms.items():
-            row = _pi_row(fam, m, s)
+            row = pi_row(fam, m, s)
             for i, t in enumerate(row):
                 if t:
                     add_term(out, i + n, r * t)

@@ -49,9 +49,9 @@ class SuiteReport:
 
 
 @lru_cache(maxsize=None)
-def cfg_gaussian_q(q):
+def cfg_gaussian_q(q, shape=poly.LAURENT):
     g = rings.gaussian()
-    return poly.RingConfig(g, maps.make_twist(g, "q_twist", q=q), None, "X", poly.LAURENT)
+    return poly.RingConfig(g, maps.make_twist(g, "q_twist", q=q), None, "X", shape)
 
 
 @lru_cache(maxsize=None)
@@ -94,12 +94,6 @@ def cfg_weyl():
         "X",
         poly.ORE,
     )
-
-
-@lru_cache(maxsize=None)
-def cfg_gaussian_ore_q2():
-    g = rings.gaussian()
-    return poly.RingConfig(g, maps.make_twist(g, "q_twist", q=2), None, "X", poly.ORE)
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +236,7 @@ def _check_variable_coefficient_pass(configs):
 
 
 def _check_variable_associators(configs):
-    ore_extra = [cfg_weyl(), cfg_gaussian_ore_q2()]
+    ore_extra = [cfg_weyl(), cfg_gaussian_q(2, poly.ORE)]
     for config in list(configs) + ore_extra:
         rng = _rng(f"ns3-{config.describe()}")
         x = config.gen
@@ -678,7 +672,7 @@ ANCHOR_RIGHT_REDUCE = (
 
 
 def _right_form_configs():
-    return [cfg_gaussian_q(2), cfg_octonion_conj(), cfg_weyl(), cfg_gaussian_ore_q2()]
+    return [cfg_gaussian_q(2), cfg_octonion_conj(), cfg_weyl(), cfg_gaussian_q(2, poly.ORE)]
 
 
 def _check_right_form_round_trip():
@@ -738,7 +732,7 @@ def _check_monic_left_random(config_fn, label):
 
 
 def _check_right_reduce_poly():
-    config = cfg_gaussian_ore_q2()
+    config = cfg_gaussian_q(2, poly.ORE)
     i = rings.gaussian().basis_element(1)
     gens = structure.GeneratorSet(config, [config.gen - config.constant(i)], "right")
     f = config.variable_power(2)
@@ -839,7 +833,7 @@ def _hilbert_suite():
         ("hilbert/monic-left-octonion", ANCHOR_MONIC,
          _check_monic_left_random(cfg_octonion_ore_id, "octonion")),
         ("hilbert/monic-left-gaussian", ANCHOR_MONIC,
-         _check_monic_left_random(cfg_gaussian_ore_q2, "gaussian")),
+         _check_monic_left_random(lambda: cfg_gaussian_q(2, poly.ORE), "gaussian")),
         ("hilbert/right-reduce-polynomials", ANCHOR_RIGHT_REDUCE, _check_right_reduce_poly),
         ("hilbert/right-reduce-irreducible", ANCHOR_RIGHT_REDUCE,
          _check_right_reduce_irreducible),

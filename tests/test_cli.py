@@ -118,6 +118,18 @@ def test_mul_series(runner, tmp_path):
     assert result.output.strip().endswith("+ O(X^4)")
 
 
+def test_mul_series_precision_bound(runner, tmp_path):
+    path = write(tmp_path, "series.json", SERIES_Q2)
+    result = runner.invoke(cli.main, ["mul", "--config", path, "1 + X + O(X^9)", "1 + O(X^9)"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "expression precision 9 exceeds the config precision 4" in result.stderr
+    assert "Traceback" not in result.stderr
+    result = runner.invoke(cli.main, ["mul", "--config", path, "1 + X + O(X^4)", "1 + O(X^3)"])
+    assert result.exit_code == 0
+    assert result.stdout.strip() == "1 + X + O(X^3)"
+
+
 def test_mul_parse_error_exit_2(runner, tmp_path):
     ore = dict(GAUSS_Q2, shape="ore")
     path = write(tmp_path, "ore.json", ore)
@@ -291,6 +303,11 @@ BAD_CONFIGS = {
     "precision-bool": dict(GAUSS_Q2, precision=True),
     "variable-number": dict(GAUSS_Q2, variable=5),
     "variable-empty": dict(GAUSS_Q2, variable=""),
+    # a basis name would print as the variable: [0,1] prints as i
+    "variable-gaussian-basis-name": dict(GAUSS_Q2, variable="i"),
+    "variable-octonion-basis-name": dict(
+        GAUSS_Q2, ring={"kind": "octonions"}, twist={"kind": "identity"}, variable="e1"
+    ),
 }
 
 

@@ -183,6 +183,64 @@ def test_pi_recursion_matches_enumeration():
                 assert maps.pi_apply(fam, i, m, s) == maps.pi_word_sum(fam, i, m, s)
 
 
+def pi_families():
+    qy = poly_ring()
+    weyl = maps.PiFamily(maps.make_twist(qy, "identity"), maps.make_twist(qy, "derivative"))
+    octonion = maps.PiFamily(
+        maps.make_twist(O, "conjugation"),
+        maps.standard_derivation(O.basis_element(1), O.basis_element(2)),
+    )
+    return [(qy, weyl), (O, octonion)]
+
+
+def test_pi_cached_rows_match_enumeration():
+    for ring, fam in pi_families():
+        rng = random.Random(12)
+        elements = [ring.random_element(rng) for _ in range(3)]
+        for m in range(7):
+            for s in elements:
+                assert (m, s) not in fam._rows
+                cold = [maps.pi_apply(fam, i, m, s) for i in range(m + 1)]
+                assert (m, s) in fam._rows
+                cached = [maps.pi_apply(fam, i, m, s) for i in range(m + 1)]
+                oracle = [maps.pi_word_sum(fam, i, m, s) for i in range(m + 1)]
+                assert cold == oracle
+                assert cached == oracle
+
+
+def test_pi_cache_is_keyed_by_value():
+    _, fam = pi_families()[1]
+    coords = [1, Fraction(-2, 3), 0, 5, 0, 0, Fraction(1, 2), 7]
+    s1, s2 = O.element(coords), O.element(list(coords))
+    assert s1 is not s2
+    first = maps.pi_apply(fam, 1, 3, s1)
+    assert maps.pi_apply(fam, 1, 3, s2) == first
+    assert list(fam._rows) == [(3, s1)]
+    # the cache takes no part in equality or hashing
+    fresh = maps.PiFamily(fam.sigma, fam.delta)
+    assert fresh == fam
+    assert hash(fresh) == hash(fam)
+
+
+def test_poly_mul_keeps_no_pi_cache_on_its_config():
+    qy = poly_ring()
+    config = poly.RingConfig(
+        qy, maps.make_twist(qy, "identity"), maps.make_twist(qy, "derivative"), "X", poly.ORE
+    )
+    holders = (config, config.sigma, config.delta)
+
+    def state():
+        return [{k: (dict(v) if isinstance(v, dict) else v) for k, v in vars(h).items()}
+                for h in holders]
+
+    rng = random.Random(13)
+    before = state()
+    for _ in range(5):
+        config.random_element(rng) * config.random_element(rng)
+    assert state() == before
+    assert not any(isinstance(v, maps.PiFamily) for v in vars(config).values())
+
+
 def test_pi_out_of_range_is_zero():
     qy = poly_ring()
     fam = maps.PiFamily(

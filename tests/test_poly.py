@@ -251,6 +251,42 @@ def test_d_structure_ore_family():
     assert report.ok
 
 
+class CountingTwist(maps.TwistMap):
+    """Delegates to another twist and counts its applications."""
+
+    def __init__(self, inner, counter):
+        self.inner = inner
+        self.ring = inner.ring
+        self.kind = inner.kind
+        self.counter = counter
+
+    def __call__(self, el):
+        self.counter[0] += 1
+        return self.inner(el)
+
+
+def test_d_structure_ore_octonion_twist_budget():
+    # with the pi rows cached on the family this takes 5,170 sigma/delta
+    # applications; rebuilt on every pi_apply call it took 47,550. The
+    # count is deterministic, so a dropped cache fails here without any
+    # timing noise.
+    sigma = maps.make_twist(O, "conjugation")
+    delta = maps.standard_derivation(O.basis_element(1), O.basis_element(2))
+    counts = []
+    for _ in range(2):
+        counter = [0]
+        family = poly.ore_d_structure(
+            CountingTwist(sigma, counter), CountingTwist(delta, counter)
+        )
+        rng = random.Random(41)
+        elements = [O.random_element(rng) for _ in range(3)]
+        report = poly.validate_d_structure(family, range(0, 6), elements)
+        assert report.ok
+        counts.append(counter[0])
+    # the cache lives with its family, so a fresh family starts cold
+    assert counts == [5170, 5170]
+
+
 def test_d_structure_corruption_fails_d1():
     cfg = laurent_q2()
     family = poly.corrupted_d_structure(poly.laurent_d_structure(cfg.sigma))
