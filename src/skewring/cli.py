@@ -17,11 +17,12 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import click
 
 from . import maps, parsing, structure, suites
-from .config import load_config_file
+from .config import load_config_file, load_json_file
 from .errors import SkewringError
 
 
@@ -105,8 +106,9 @@ def reduce(config_path, gens_path, side, max_steps, expr):
     """Reduce an expression against generators; prints a replayable record."""
     try:
         cli_config = load_config_file(config_path)
-        with open(gens_path, encoding="utf-8") as fh:
-            gen_texts = json.load(fh)
+        gen_texts = load_json_file(gens_path, "generators file")
+        if not isinstance(gen_texts, list) or not all(isinstance(t, str) for t in gen_texts):
+            raise SkewringError("generators file must be a JSON list of expression strings")
         generators = [parse_expr(text, cli_config) for text in gen_texts]
         target = parse_expr(expr, cli_config)
         if side == "left":
@@ -164,7 +166,6 @@ def classify(config_path):
     try:
         cli_config = load_config_file(config_path)
         config = cli_config.ring_config
-        sigma_report = maps.validate_twist_axioms(config.sigma, "sigma")
         tags = sorted(maps.classify_multiplicativity(config.sigma))
         order = maps.detect_finite_order(config.sigma, 12)
         reason = maps.infinite_order_reason(config.sigma)
@@ -172,23 +173,16 @@ def classify(config_path):
             "ring": config.describe(),
             "sigma": {
                 "kind": config.sigma.kind,
-                "axioms": [
-                    {"axiom": c.axiom, "passed": c.passed, "detail": c.detail}
-                    for c in sigma_report.checks
-                ],
+                "axioms": [asdict(c) for c in config.sigma_report.checks],
                 "multiplicativity": tags,
                 "finite_order": order,
                 "infinite_order_reason": reason,
             },
         }
         if config.delta is not None:
-            delta_report = maps.validate_twist_axioms(config.delta, "delta")
             doc["delta"] = {
                 "kind": config.delta.kind,
-                "axioms": [
-                    {"axiom": c.axiom, "passed": c.passed, "detail": c.detail}
-                    for c in delta_report.checks
-                ],
+                "axioms": [asdict(c) for c in config.delta_report.checks],
             }
     except SkewringError as exc:
         _fail_config(exc)

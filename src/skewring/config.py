@@ -17,14 +17,16 @@ twist, delta), algebra (an explicit structure-constant document as in
 strings or integers (a JSON float is rejected, as it is binary, not an
 exact rational), elements are flat coordinate vectors.
 
-Documents are checked at this boundary: a missing field, a value of the
-wrong JSON type, a malformed rational, a ``variable`` that is not one
-identifier token of the expression grammar or that is a basis name of
-the coefficient ring (``"i"`` over Q(i), ``"e1"`` over O), or a
-``precision`` that is not a non-negative integer raises
-``ConstructionError``, never a bare ``KeyError``/``ValueError`` from
-deeper down. The sigma/delta axioms (sigma fixes 1 and is bijective,
-delta kills 1, no delta on a laurent shape) are checked in one place,
+Documents are checked at this boundary: a file that is not JSON, a
+missing field, a value of the wrong JSON type, a malformed rational, a
+``variable`` that is not one identifier token of the expression grammar
+or that is a basis name of the coefficient ring (``"i"`` over Q(i),
+``"e1"`` over O), a ``precision`` that is not a non-negative integer, a
+matrix ``n`` that is not a JSON integer, or an algebra ``division``
+that is not a JSON boolean raises ``ConstructionError`` (exit status 2
+in the CLI), never a bare ``KeyError``/``ValueError`` from deeper down.
+The sigma/delta axioms (sigma fixes 1 and is bijective, delta kills 1,
+no delta on a laurent shape) are checked in one place,
 ``poly.RingConfig``, which every config document and ``polynomial``
 ring descriptor is built through.
 
@@ -83,10 +85,9 @@ def ring_from_descriptor(doc):
         return rings.jordan_algebra(ring_from_descriptor(_field(doc, "base", "jordan ring")))
     if kind == "matrix":
         n = _field(doc, "n", "matrix ring")
-        try:
-            n = int(n)
-        except (TypeError, ValueError):
-            raise ConstructionError(f"matrix size must be an integer, got {n!r}") from None
+        if type(n) is not int:
+            # bool is a subclass of int, so `true` needs the exact type test
+            raise ConstructionError(f"matrix size must be an integer, got {n!r}")
         return rings.matrix_algebra(ring_from_descriptor(_field(doc, "base", "matrix ring")), n)
     if kind == "algebra":
         spec = _field(doc, "spec", "algebra ring")
@@ -94,7 +95,10 @@ def ring_from_descriptor(doc):
             raise ConstructionError("algebra spec must be a JSON object")
         for key in ("name", "basis", "table", "unit"):
             _field(spec, key, "algebra spec")
-        return rings.algebra_from_json(spec, division=bool(doc.get("division")))
+        division = doc.get("division", False)
+        if not isinstance(division, bool):
+            raise ConstructionError(f"algebra division must be true or false, got {division!r}")
+        return rings.algebra_from_json(spec, division=division)
     if kind == "polynomial":
         base = ring_from_descriptor(_field(doc, "base", "polynomial ring"))
         return _twisted_ring(base, doc, doc.get("shape", poly.LAURENT), "Y")
@@ -197,6 +201,14 @@ def load_config(doc):
     )
 
 
-def load_config_file(path):
+def load_json_file(path, what):
+    """The JSON document in a file; ``ConstructionError`` if it is not JSON."""
     with open(path, encoding="utf-8") as fh:
-        return load_config(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ConstructionError(f"{what} is not valid JSON: {exc}") from None
+
+
+def load_config_file(path):
+    return load_config(load_json_file(path, "config file"))

@@ -2,10 +2,12 @@
 
 A twist map is a Q-linear endomorphism of a ring. Skew multiplication
 needs two of them: a bijection sigma with sigma(1) = 1 and a map delta
-with delta(1) = 0. Maps on finite-dimensional rings are stored as exact
-rational matrices on the flattened coordinate space; maps on polynomial
-coefficient rings are stored structurally (coefficient-wise action plus
-a variable scaling, or the formal derivative).
+with delta(1) = 0; ``poly.RingConfig`` checks these axioms, whatever
+kind of map plays each role. Maps on finite-dimensional rings are
+stored as exact rational matrices on the flattened coordinate space;
+maps on polynomial coefficient rings are stored structurally
+(coefficient-wise action plus a variable scaling, or the formal
+derivative).
 
 A matrix map is applied through its compiled form, sparse integer
 columns over one denominator: the argument's coordinates become integer
@@ -323,9 +325,9 @@ def make_twist(ring, kind, **params):
     """Build one of the named twist maps on the given ring.
 
     Finite-dimensional kinds compile to an exact matrix; polynomial-ring
-    kinds stay structural. Construction validates the defining
-    requirements of each kind (bijectivity of scalings, invertibility of
-    the conjugating unit, sigma(1) = 1 for the sigma-role kinds).
+    kinds stay structural. Construction checks only what a kind needs to
+    exist (a nonzero scaling, an invertible conjugating unit); the
+    sigma/delta axioms belong to a role and ``poly.RingConfig`` checks them.
     """
     if kind == "identity":
         if _is_poly_ring(ring):
@@ -349,16 +351,14 @@ def make_twist(ring, kind, **params):
             )
             for j in range(ring.qdim)
         ]
-        tm = LinearTwist(ring, images, kind="q_twist", params={"q": str(q)})
-        return _require_respects_one(tm)
+        return LinearTwist(ring, images, kind="q_twist", params={"q": str(q)})
 
     if kind == "conjugation":
         if getattr(ring, "involution", None) is None:
             raise ConstructionError("not a *-algebra")
-        tm = LinearTwist.from_function(
+        return LinearTwist.from_function(
             ring, lambda el: el.conjugate(), kind="conjugation"
         )
-        return _require_respects_one(tm)
 
     if kind == "transpose":
         def fn(el):
@@ -366,7 +366,7 @@ def make_twist(ring, kind, **params):
             return el.ring.element(
                 tuple(tuple(el.entries[j][i] for j in range(n)) for i in range(n))
             )
-        return _require_respects_one(LinearTwist.from_function(ring, fn, kind="transpose"))
+        return LinearTwist.from_function(ring, fn, kind="transpose")
 
     if kind == "diag_swap":
         if ring.n != 2:
@@ -374,15 +374,13 @@ def make_twist(ring, kind, **params):
         def fn(el):
             e = el.entries
             return el.ring.element(((e[1][1], e[0][1]), (e[1][0], e[0][0])))
-        return _require_respects_one(LinearTwist.from_function(ring, fn, kind="diag_swap"))
+        return LinearTwist.from_function(ring, fn, kind="diag_swap")
 
     if kind == "conj_transpose":
         if getattr(ring.base, "involution", None) is None:
             raise ConstructionError("not a *-algebra")
-        return _require_respects_one(
-            LinearTwist.from_function(
-                ring, lambda el: el.conjugate_transpose(), kind="conj_transpose"
-            )
+        return LinearTwist.from_function(
+            ring, lambda el: el.conjugate_transpose(), kind="conj_transpose"
         )
 
     if kind == "inner":
@@ -391,13 +389,12 @@ def make_twist(ring, kind, **params):
             u_inv = u.ring.invert(u)
         except NotInvertibleError:
             raise ConstructionError("inner automorphism requires unit") from None
-        tm = LinearTwist.from_function(
+        return LinearTwist.from_function(
             ring,
             lambda el: (u * el) * u_inv,
             kind="inner",
             params={"u": [str(v) for v in ring.flatten(u)]},
         )
-        return _require_respects_one(tm)
 
     if kind == "matrix":
         matrix = [[Fraction(v) for v in row] for row in params["matrix"]]
@@ -411,15 +408,10 @@ def make_twist(ring, kind, **params):
         )
 
     if kind == "coefficientwise":
-        base = params["base"]
-        return _require_respects_one(
-            PolyTwist(ring, base, 1, kind="coefficientwise")
-        )
+        return PolyTwist(ring, params["base"], 1, kind="coefficientwise")
 
     if kind == "y_scale":
-        q = Fraction(params["q"])
-        if q == 0:
-            raise ConstructionError("not bijective")
+        q = Fraction(params["q"])  # PolyTwist refuses q = 0
         return PolyTwist(ring, None, q, kind="y_scale", params={"q": str(q)})
 
     if kind == "y_coeff_scale":
@@ -432,13 +424,6 @@ def make_twist(ring, kind, **params):
         return ZeroMap(ring)
 
     raise ConstructionError(f"unknown twist kind: {kind}")
-
-
-def _require_respects_one(tm):
-    one = tm.ring.one
-    if tm(one) != one:
-        raise ConstructionError("does not respect one")
-    return tm
 
 
 def apply_power(tm, m, el):
@@ -647,6 +632,13 @@ class AxiomCheck:
     detail: str = ""
 
 
+_AXIOM_ERRORS = {
+    "respects_one": "does not respect one",
+    "bijective": "sigma must be bijective",
+    "kills_one": "delta must kill one",
+}
+
+
 @dataclass
 class TwistReport:
     role: str
@@ -655,6 +647,13 @@ class TwistReport:
     @property
     def ok(self):
         return all(c.passed for c in self.checks)
+
+    def require(self):
+        """This report, or ``ConstructionError`` naming the first failed axiom."""
+        for c in self.checks:
+            if not c.passed:
+                raise ConstructionError(_AXIOM_ERRORS[c.axiom])
+        return self
 
 
 def validate_twist_axioms(tm, role):

@@ -26,7 +26,7 @@ from .errors import (
     RingMismatchError,
     ZeroElementError,
 )
-from .maps import PiFamily, PolyTwist, make_twist, pi_apply, pi_row
+from .maps import PiFamily, PolyTwist, make_twist, pi_apply, pi_row, validate_twist_axioms
 from .rings import first_associator
 
 ORE = "ore"
@@ -39,15 +39,13 @@ class RingConfig:
     def __init__(self, coefficients, sigma, delta=None, variable="X", shape=ORE):
         if shape not in (ORE, LAURENT):
             raise ConstructionError(f"unknown shape: {shape}")
-        one = coefficients.one
-        if sigma(one) != one:
-            raise ConstructionError("does not respect one")
-        if sigma.inverse() is None:
-            raise ConstructionError("sigma must be bijective")
-        if shape == LAURENT and delta is not None:
-            raise ConstructionError("laurent shape admits no delta")
-        if delta is not None and delta(one):
-            raise ConstructionError("delta must kill one")
+        # the one sigma/delta axiom check; `classify` prints these reports
+        self.sigma_report = validate_twist_axioms(sigma, "sigma").require()
+        self.delta_report = None
+        if delta is not None:
+            if shape == LAURENT:
+                raise ConstructionError("laurent shape admits no delta")
+            self.delta_report = validate_twist_axioms(delta, "delta").require()
         self.coefficients = coefficients
         self.sigma = sigma
         self.delta = delta
@@ -95,22 +93,24 @@ class RingConfig:
 
     # -- ring protocol ---------------------------------------------------
 
+    def exponent_window(self, bound):
+        """The exponents e with |e| <= bound (and e >= 0 in the ore shape)."""
+        return range(-bound if self.shape == LAURENT else 0, bound + 1)
+
     def spanning_set(self, bound):
-        """Basis monomials c·V^e with coefficient spanning c and |e| <= bound."""
+        """Basis monomials c·V^e with coefficient spanning c and e in the window."""
         cached = self._span_cache.get(bound)
         if cached is None:
-            lo = -bound if self.shape == LAURENT else 0
             cached = [
                 self.monomial(c, e)
-                for e in range(lo, bound + 1)
+                for e in self.exponent_window(bound)
                 for c in self.coefficients.spanning_set(bound)
             ]
             self._span_cache[bound] = cached
         return list(cached)
 
     def random_element(self, rng, max_degree=4, max_terms=3):
-        lo = -max_degree if self.shape == LAURENT else 0
-        exps = rng.sample(range(lo, max_degree + 1), k=rng.randint(1, max_terms))
+        exps = rng.sample(self.exponent_window(max_degree), k=rng.randint(1, max_terms))
         return SkewPoly(self, random_terms(self.coefficients, rng, exps))
 
     @property
@@ -404,6 +404,20 @@ def random_terms(ring, rng, exps):
     return terms
 
 
+def laurent_terms(sigma, left, right, top=None):
+    """The sparse product sum of (r·V^m)(s·V^n) = (r·sigma^m(s))·V^(m+n).
+
+    Shared by delta-free polynomials and series; a series passes its
+    precision as ``top``, and products above it are skipped.
+    """
+    out = {}
+    for m, r in left.items():
+        for n, s in right.items():
+            if top is None or m + n <= top:
+                add_term(out, m + n, r * sigma.power_apply(m, s))
+    return out
+
+
 def poly_mul(p, q):
     """Biadditive extension of the twisted monomial rules.
 
@@ -416,14 +430,10 @@ def poly_mul(p, q):
     config = p.config
     if config != q.config:
         raise RingMismatchError("incompatible rings")
-    out = {}
-    if config.shape == LAURENT or config.delta is None:
-        sigma = config.sigma
-        for m, r in p.terms.items():
-            for n, s in q.terms.items():
-                add_term(out, m + n, r * sigma.power_apply(m, s))
-        return SkewPoly(config, out)
+    if config.delta is None:
+        return SkewPoly(config, laurent_terms(config.sigma, p.terms, q.terms))
 
+    out = {}
     fam = PiFamily(config.sigma, config.delta)
     for m, r in p.terms.items():
         for n, s in q.terms.items():
@@ -643,19 +653,15 @@ def validate_d_structure(d, exponents, elements):
 def iterated_extend(base_config, variable, twist_spec):
     """Adjoin a fresh Laurent variable over an already twisted ring.
 
-    ``twist_spec`` is a twist descriptor dict ({"kind": "y_scale", "q": q}
-    or {"kind": "coefficientwise", "base": map-on-coefficients}) or a
-    ready-made map on ``base_config``. The lifted twist acts
-    coefficient-wise and fixes (or uniformly scales) the inner variable;
-    it exists exactly when the coefficient-level twists commute, which
-    is checked on basis elements.
+    ``twist_spec`` holds a ``"kind"`` and the ``make_twist`` parameters of
+    the twist on ``base_config``: {"kind": "y_scale", "q": q} or {"kind":
+    "coefficientwise", "base": map-on-coefficients}. The lifted twist
+    acts coefficient-wise and fixes (or uniformly scales) the inner
+    variable; it exists exactly when the coefficient-level twists
+    commute, which is checked on basis elements.
     """
-    if isinstance(twist_spec, dict):
-        spec = dict(twist_spec)
-        kind = spec.pop("kind")
-        lifted = make_twist(base_config, kind, **spec)
-    else:
-        lifted = twist_spec
+    spec = dict(twist_spec)
+    lifted = make_twist(base_config, spec.pop("kind"), **spec)
     if isinstance(lifted, PolyTwist) and lifted.coeff_map is not None:
         inner_sigma = base_config.sigma
         coeff_map = lifted.coeff_map
@@ -673,16 +679,13 @@ def iterated_extend(base_config, variable, twist_spec):
     )
 
 
-def quantum_torus(coefficients, q, inner_variable="Y", outer_variable="X"):
-    """R[Y±][X±; Y -> qY]: the twisted ring with X·Y = q·Y·X."""
-    q = Fraction(q)
-    if q == 0:
-        raise ConstructionError("not bijective")
+def quantum_torus(coefficients, q):
+    """R[Y±][X±; Y -> qY], in the variables Y and X: the ring with X·Y = q·Y·X."""
     inner = RingConfig(
         coefficients=coefficients,
         sigma=make_twist(coefficients, "identity"),
         delta=None,
-        variable=inner_variable,
+        variable="Y",
         shape=LAURENT,
     )
-    return iterated_extend(inner, outer_variable, {"kind": "y_scale", "q": q})
+    return iterated_extend(inner, "X", {"kind": "y_scale", "q": q})

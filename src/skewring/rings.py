@@ -75,7 +75,7 @@ class AlgebraSpec:
     """
 
     def __init__(self, name, basis_labels, table, unit, involution=None,
-                 division=False, check=True):
+                 division=False):
         self.name = name
         self.basis_labels = tuple(basis_labels)
         dim = len(self.basis_labels)
@@ -116,10 +116,9 @@ class AlgebraSpec:
         self._involution_map = (
             linalg.compile_columns(self.involution) if self.involution is not None else None
         )
-        if check:
-            self._check_unit()
-            if self.involution is not None:
-                self._check_involution()
+        self._check_unit()
+        if self.involution is not None:
+            self._check_involution()
 
     # -- construction-time checks ------------------------------------
 
@@ -267,9 +266,6 @@ class AlgebraSpec:
         if self.involution is not None:
             doc["involution"] = [[str(v) for v in row] for row in self.involution]
         return doc
-
-    def dumps(self):
-        return json.dumps(self.to_json(), indent=2)
 
     def __eq__(self, other):
         if self is other:

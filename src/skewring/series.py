@@ -21,7 +21,7 @@ from .errors import (
     RingMismatchError,
     ZeroElementError,
 )
-from .poly import add_term
+from .poly import add_term, laurent_terms
 
 
 def _check_series_config(config):
@@ -162,23 +162,13 @@ def series_mul(a, b):
         raise RingMismatchError("incompatible rings")
     precision = min(a.precision + b.window_start, b.precision + a.window_start)
     window = a.window_start + b.window_start
-    sigma = a.config.sigma
-    out = {}
-    for m, r in a.coeffs.items():
-        for n, s in b.coeffs.items():
-            if m + n <= precision:
-                add_term(out, m + n, r * sigma.power_apply(m, s))
+    out = laurent_terms(a.config.sigma, a.coeffs, b.coeffs, precision)
     return TruncatedSeries(a.config, out, precision, window)
 
 
 def times_monomial(a, coeff, exp):
     """a·(coeff·X^exp) with an exact (untruncated) monomial."""
-    sigma = a.config.sigma
-    out = {}
-    for m, r in a.coeffs.items():
-        value = r * sigma.power_apply(m, coeff)
-        if value:
-            out[m + exp] = value
+    out = laurent_terms(a.config.sigma, a.coeffs, {exp: coeff})
     return TruncatedSeries(
         a.config, out, a.precision + exp, a.window_start + exp
     )

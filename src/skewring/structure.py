@@ -160,12 +160,13 @@ class _ScaledOps:
         return ls == rs and (le is re or le == re)
 
 
-def _coefficient_exponent_span(config, bound):
-    if not hasattr(config.coefficients, "spanning_set"):
-        raise UnsupportedRingError("unsupported coefficient ring")
-    lo = -bound if config.shape == LAURENT else 0
-    coeffs = config.coefficients.spanning_set(bound)
-    return coeffs, range(lo, bound + 1)
+def _slot_triple(side, x, u, v):
+    """The associator triple with x in the given slot and u, v around it."""
+    if side == "left":
+        return (x, u, v)
+    if side == "middle":
+        return (u, x, v)
+    return (u, v, x)
 
 
 def _laurent_nucleus_scan(query):
@@ -192,8 +193,10 @@ def _laurent_nucleus_scan(query):
     config = x.config
     side = query.side
     ops = _ScaledOps(config.sigma)
-    coeffs, exps = _coefficient_exponent_span(config, query.degree_bound)
-    exps = list(exps)
+    if not hasattr(config.coefficients, "spanning_set"):
+        raise UnsupportedRingError("unsupported coefficient ring")
+    coeffs = config.coefficients.spanning_set(query.degree_bound)
+    exps = list(config.exponent_window(query.degree_bound))
     x_terms = [(k, ops.split(t)) for k, t in sorted(x.terms.items())]
     split_coeffs = [ops.split(c) for c in coeffs]
     equal = _ScaledOps.equal
@@ -205,12 +208,7 @@ def _laurent_nucleus_scan(query):
         # polynomial arithmetic before reporting it
         u = config.monomial(a[1].scale(a[0]), m)
         v = config.monomial(b[1].scale(b[0]), n)
-        if side == "left":
-            triple = (x, u, v)
-        elif side == "middle":
-            triple = (u, x, v)
-        else:
-            triple = (u, v, x)
+        triple = _slot_triple(side, x, u, v)
         value = associator(*triple)
         if not value:
             raise AssertionError("monomial scan disagreed with the generic product")
@@ -290,15 +288,9 @@ def nucleus_membership(query):
     if config.shape == LAURENT:
         return _laurent_nucleus_scan(query)
     span = config.spanning_set(query.degree_bound)
-    side = query.side
     for u in span:
         for v in span:
-            if side == "left":
-                triple = (x, u, v)
-            elif side == "middle":
-                triple = (u, x, v)
-            else:
-                triple = (u, v, x)
+            triple = _slot_triple(query.side, x, u, v)
             value = associator(*triple)
             if value:
                 return CheckOutcome(False, (*triple, value))

@@ -206,6 +206,15 @@ def test_classify_command(runner, tmp_path):
     assert result.exit_code == 0
     axioms = {a["axiom"]: a for a in json.loads(result.output)["sigma"]["axioms"]}
     assert axioms["respects_one"]["detail"] == "sigma(1) = [1,0,0,1]"
+    weyl = write(tmp_path, "weyl.json", WEYL)
+    result = runner.invoke(cli.main, ["classify", "--config", weyl])
+    assert result.exit_code == 0
+    delta = json.loads(result.output)["delta"]
+    assert delta["kind"] == "derivative"
+    assert delta["axioms"] == [
+        {"axiom": "additive", "passed": True, "detail": "exact linear representation"},
+        {"axiom": "kills_one", "passed": True, "detail": "delta(1) = 0"},
+    ]
 
 
 def test_verify_suite_exit_codes(runner, tmp_path):
@@ -308,6 +317,20 @@ BAD_CONFIGS = {
     "variable-octonion-basis-name": dict(
         GAUSS_Q2, ring={"kind": "octonions"}, twist={"kind": "identity"}, variable="e1"
     ),
+    # a matrix size is a JSON integer: 2.5 is not truncated, true is not 1
+    "matrix-n-float": dict(
+        GAUSS_Q2, ring={"kind": "matrix", "base": "rationals", "n": 2.5}, twist="identity"
+    ),
+    "matrix-n-bool": dict(
+        GAUSS_Q2, ring={"kind": "matrix", "base": "rationals", "n": True}, twist="identity"
+    ),
+    # any non-empty string would be truthy
+    "division-string": dict(
+        GAUSS_Q2,
+        ring={"kind": "algebra", "spec": {"name": "Q", "basis": ["1"], "table": [[["1"]]],
+                                          "unit": ["1"]}, "division": "no"},
+        twist="identity",
+    ),
 }
 
 
@@ -323,6 +346,35 @@ def test_malformed_config_exit_2(runner, tmp_path, command, name):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["mul", "--config", "{path}", "X", "1"],
+    ["reduce", "--config", "{path}", "--gens", "{gens}", "X"],
+    ["verify", "--suite", "associativity", "--config", "{path}"],
+    ["classify", "--config", "{path}"],
+])
+def test_non_json_config_exit_2(runner, tmp_path, args):
+    path = tmp_path / "bad.json"
+    path.write_text('{"ring": "gaussian",')
+    gens = write(tmp_path, "gens.json", ["X - i"])
+    result = runner.invoke(cli.main, [a.format(path=path, gens=gens) for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: config file is not valid JSON")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("gens_text", ["[5]", '{"a": 1}', '["X - i"'])
+def test_reduce_bad_gens_file_exit_2(runner, tmp_path, gens_text):
+    cfg = write(tmp_path, "ore.json", dict(GAUSS_Q2, shape="ore"))
+    gens = tmp_path / "gens.json"
+    gens.write_text(gens_text)
+    result = runner.invoke(cli.main, ["reduce", "--config", cfg, "--gens", str(gens), "X"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: generators file ")
     assert "Traceback" not in result.stderr
 
 

@@ -51,6 +51,23 @@ def test_config_validation():
         )
 
 
+def test_axioms_checked_by_role_not_by_kind():
+    inner = poly.RingConfig(G, maps.make_twist(G, "identity"), None, "Y", poly.LAURENT)
+    doubles = maps.make_twist(G, "matrix", matrix=[[2, 0], [0, 1]])
+    with pytest.raises(ConstructionError, match="does not respect one"):
+        poly.RingConfig(
+            inner, maps.make_twist(inner, "coefficientwise", base=doubles), None, "X", poly.ORE
+        )
+    # the lift of the zero map kills 1, so it is a valid delta
+    zero_lift = maps.make_twist(inner, "coefficientwise", base=maps.make_twist(G, "zero"))
+    config = poly.RingConfig(inner, maps.make_twist(inner, "identity"), zero_lift, "X", poly.ORE)
+    assert config.delta_report.ok
+    y = inner.gen
+    i_y = inner.monomial(G.basis_element(1), 1)
+    product = config.monomial(y, 1) * config.constant(i_y)
+    assert product == config.monomial(inner.monomial(G.basis_element(1), 2), 1)
+
+
 def test_weyl_relation():
     w = weyl()
     x = w.gen
