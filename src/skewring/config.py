@@ -176,8 +176,6 @@ class CliConfig:
 
 def load_config(doc):
     """Build a CliConfig from a parsed JSON document."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     if not isinstance(doc, dict):
         raise ConstructionError("config must be a JSON object")
     shape = doc.get("shape", "laurent")

@@ -39,7 +39,6 @@ for the result (see :mod:`skewring.linalg`).
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -288,8 +287,6 @@ class AlgebraSpec:
 
 
 def algebra_from_json(doc, division=False):
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     return AlgebraSpec(
         name=doc["name"],
         basis_labels=doc["basis"],
@@ -415,14 +412,6 @@ def cayley_dickson_double(spec, name=None, labels=None):
         labels = tuple(f"e{i}" for i in range(dim2))
     if name is None:
         name = f"CD({spec.name})"
-
-    def half(coords, which):
-        # embed a base coordinate vector into the first or second slot
-        out = [_ZERO] * dim2
-        for i, v in enumerate(coords):
-            out[i + which * d] = v
-        return out
-
     zero = (_ZERO,) * d
 
     def pair_mul(a, b, c, dd):
@@ -449,21 +438,21 @@ def cayley_dickson_double(spec, name=None, labels=None):
         for q in range(dim2):
             c, dd = (spec._basis_coords(q), zero) if q < d else (zero, spec._basis_coords(q - d))
             first, second = pair_mul(a, b, c, dd)
-            row.append(tuple(half(first, 0)[i] + half(second, 1)[i] for i in range(dim2)))
+            row.append(first + second)
         table.append(tuple(row))
 
     involution = []
     for p in range(dim2):
         if p < d:
-            involution.append(tuple(half(spec.involve_coords(spec._basis_coords(p)), 0)))
+            involution.append(spec.involve_coords(spec._basis_coords(p)) + zero)
         else:
-            involution.append(tuple(-v for v in half(spec._basis_coords(p - d), 1)))
+            involution.append(zero + tuple(-v for v in spec._basis_coords(p - d)))
 
     return AlgebraSpec(
         name=name,
         basis_labels=labels,
         table=tuple(table),
-        unit=tuple(half(spec.unit, 0)),
+        unit=spec.unit + zero,
         involution=tuple(involution),
         division=spec.is_division and dim2 <= 8,
     )

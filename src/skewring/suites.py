@@ -1,11 +1,14 @@
 """Named verification suites.
 
-Each suite is an ordered list of checks; a check returns a status
-("pass", or "witness" when its success consists of exhibiting a
-concrete counterexample) together with an optional payload, or raises,
-which the runner records as "fail". Reports are deterministic: every
-randomized check seeds its own generator from its check id, and output
-ordering follows declaration order, never timing.
+Each suite is an ordered list of ``(id, anchor, check)`` entries. A
+check is a plain function whose inputs the suite binds with
+``functools.partial``: it passes by returning nothing and fails by
+raising, which the runner records as "fail" with the error text. A check
+with something to show returns ``(status, payload)`` instead: "witness"
+when its success consists of exhibiting a concrete counterexample, or
+"pass" with a note. Reports are deterministic: every randomized check
+seeds its own generator from its check id, and output ordering follows
+declaration order, never timing.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import maps, poly, rings, series, structure
 from .errors import ConstructionError, ReductionError, SkewringError
@@ -190,7 +193,6 @@ def _check_pi_word_sum():
             ("delta", "sigma", "delta"),
             ("delta", "delta", "sigma"),
         ], "unexpected word enumeration for pi(1,3)")
-    return "pass", None
 
 
 def _check_pi_recursion_enumeration():
@@ -206,7 +208,6 @@ def _check_pi_recursion_enumeration():
                     )
         zero_above = ring.random_element(rng)
         _require(not maps.pi_apply(fam, 3, 2, zero_above), "pi must vanish for i > m")
-    return "pass", None
 
 
 def _check_weyl_relation():
@@ -215,7 +216,6 @@ def _check_weyl_relation():
     y = weyl.constant(ring_poly_rational().gen)
     _require(x * y - y * x == weyl.one, "Weyl relation fails")
     _require(x * y == weyl.one + y * x, "X·Y != 1 + YX")
-    return "pass", None
 
 
 def _laurent_roster():
@@ -241,7 +241,6 @@ def _check_variable_coefficient_pass(configs):
         for b in config.coefficients.spanning_set(2):
             expected = config.constant(delta(b)) + config.monomial(sigma(b), 1)
             _require(x * config.constant(b) == expected, "X·r != delta(r) + sigma(r)·X")
-    return "pass", None
 
 
 def _check_variable_associators(configs):
@@ -258,7 +257,6 @@ def _check_variable_associators(configs):
             _require(
                 not rings.associator(p, x, q), "(p,X,q) != 0"
             )
-    return "pass", None
 
 
 def _check_ring_laws(configs):
@@ -272,7 +270,6 @@ def _check_ring_laws(configs):
             _require((p + q) * r == p * r + q * r, "left biadditivity fails")
             _require(p * (q + r) == p * q + p * r, "right biadditivity fails")
             _require(one * p == p and p * one == p, "unit law fails")
-    return "pass", None
 
 
 def _check_degree_growth():
@@ -301,7 +298,6 @@ def _check_degree_growth():
                 prod.degree <= p.degree + q.degree,
                 "degree exceeded the sum bound",
             )
-    return "pass", None
 
 
 def _check_canonical_form(configs):
@@ -315,7 +311,6 @@ def _check_canonical_form(configs):
             not config.from_terms({1: config.coefficients.zero}).terms,
             "zero coefficients must not be stored",
         )
-    return "pass", None
 
 
 def _laurent_axioms_suite(configs=None):
@@ -325,13 +320,11 @@ def _laurent_axioms_suite(configs=None):
         ("axioms/pi-recursion-vs-enumeration", ANCHOR_PI, _check_pi_recursion_enumeration),
         ("axioms/weyl-relation", ANCHOR_WEYL, _check_weyl_relation),
         ("axioms/variable-coefficient-pass", ANCHOR_NS,
-         lambda: _check_variable_coefficient_pass(roster)),
-        ("axioms/variable-associators", ANCHOR_NS,
-         lambda: _check_variable_associators(roster)),
-        ("axioms/ring-laws", ANCHOR_RING_LAWS, lambda: _check_ring_laws(roster)),
+         partial(_check_variable_coefficient_pass, roster)),
+        ("axioms/variable-associators", ANCHOR_NS, partial(_check_variable_associators, roster)),
+        ("axioms/ring-laws", ANCHOR_RING_LAWS, partial(_check_ring_laws, roster)),
         ("axioms/degree-growth", ANCHOR_RING_LAWS, _check_degree_growth),
-        ("axioms/canonical-form", ANCHOR_RING_LAWS,
-         lambda: _check_canonical_form(roster)),
+        ("axioms/canonical-form", ANCHOR_RING_LAWS, partial(_check_canonical_form, roster)),
     ]
 
 
@@ -347,27 +340,22 @@ ANCHOR_NUCLEAR_INV = (
 )
 
 
-def _check_power_nuclear(config, n, side, bound=4):
-    def run():
-        query = structure.NucleusQuery(config.variable_power(n), side, bound)
-        outcome = structure.nucleus_membership(query)
-        _require(outcome.passed, f"X^{n} must be {side}-nuclear")
-        return "pass", None
-    return run
+def _check_power_nuclear(config, n, side):
+    query = structure.NucleusQuery(config.variable_power(n), side, 4)
+    outcome = structure.nucleus_membership(query)
+    _require(outcome.passed, f"X^{n} must be {side}-nuclear")
 
 
 def _check_left_witness(config):
-    def run():
-        tags = maps.classify_multiplicativity(config.sigma)
-        outcome = structure.nucleus_membership(
-            structure.NucleusQuery(config.gen, "left", 4)
-        )
-        if "automorphism" in tags:
-            _require(outcome.passed, "automorphism twist must put X in N_l")
-            return "pass", None
-        _require(not outcome.passed, "non-automorphism twist must exclude X from N_l")
-        return "witness", _triple_payload(outcome.witness)
-    return run
+    tags = maps.classify_multiplicativity(config.sigma)
+    outcome = structure.nucleus_membership(
+        structure.NucleusQuery(config.gen, "left", 4)
+    )
+    if "automorphism" in tags:
+        _require(outcome.passed, "automorphism twist must put X in N_l")
+        return
+    _require(not outcome.passed, "non-automorphism twist must exclude X from N_l")
+    return "witness", _triple_payload(outcome.witness)
 
 
 def _unit_for(config):
@@ -378,24 +366,21 @@ def _unit_for(config):
 
 
 def _check_nuclear_inverse(config, element_key, hypothesis):
-    def run():
-        if element_key == "X":
-            x = config.gen
-        elif element_key == "X^2":
-            x = config.variable_power(2)
-        else:
-            x = config.constant(_unit_for(config))
-        report = structure.nuclear_inverse_check(x, hypothesis, 3)
-        _require(report.ok, f"nuclear inverse clause {hypothesis} violated")
-        payload = None
-        if not report.hypothesis_satisfied:
-            failing = [
-                side for side, outcome in report.hypothesis_checks.items()
-                if not outcome.passed
-            ]
-            payload = {"hypothesis": "not satisfied", "failing_sides": failing}
-        return "pass", payload
-    return run
+    if element_key == "X":
+        x = config.gen
+    elif element_key == "X^2":
+        x = config.variable_power(2)
+    else:
+        x = config.constant(_unit_for(config))
+    report = structure.nuclear_inverse_check(x, hypothesis, 3)
+    _require(report.ok, f"nuclear inverse clause {hypothesis} violated")
+    if report.hypothesis_satisfied:
+        return
+    failing = [
+        side for side, outcome in report.hypothesis_checks.items()
+        if not outcome.passed
+    ]
+    return "pass", {"hypothesis": "not satisfied", "failing_sides": failing}
 
 
 def _nuclei_suite(configs=None):
@@ -408,12 +393,12 @@ def _nuclei_suite(configs=None):
                 checks.append((
                     f"nuclei/{label}/X^{n}/{side}",
                     ANCHOR_NUCLEI,
-                    _check_power_nuclear(config, n, side),
+                    partial(_check_power_nuclear, config, n, side),
                 ))
         checks.append((
             f"nuclei/{label}/X/left",
             ANCHOR_LEFT,
-            _check_left_witness(config),
+            partial(_check_left_witness, config),
         ))
     inverse_roster = configs or (_laurent_roster() + [cfg_gaussian_q(-1)])
     for config in inverse_roster:
@@ -425,7 +410,7 @@ def _nuclei_suite(configs=None):
                 checks.append((
                     f"nuclei/inverse/{label}/{element_key}/{hypothesis}",
                     ANCHOR_NUCLEAR_INV,
-                    _check_nuclear_inverse(config, element_key, hypothesis),
+                    partial(_check_nuclear_inverse, config, element_key, hypothesis),
                 ))
     return checks
 
@@ -444,73 +429,54 @@ ANCHOR_ANTI = (
 
 def _check_associativity(config, expect_pass=None):
     """Certificate against prediction; ``expect_pass`` None accepts either verdict."""
-    def run():
-        outcome = structure.associativity_certificate(config, 3)
-        predicted = structure.associativity_prediction(config)
-        _require(
-            outcome.passed == predicted,
-            "certificate disagrees with the classification criterion",
-        )
-        if expect_pass:
-            _require(outcome.passed, "expected an associative ring")
-        elif expect_pass is not None:
-            _require(not outcome.passed, "expected a non-associativity witness")
-        if outcome.passed:
-            return "pass", None
+    outcome = structure.associativity_certificate(config, 3)
+    predicted = structure.associativity_prediction(config)
+    _require(
+        outcome.passed == predicted,
+        "certificate disagrees with the classification criterion",
+    )
+    if expect_pass:
+        _require(outcome.passed, "expected an associative ring")
+    elif expect_pass is not None:
+        _require(not outcome.passed, "expected a non-associativity witness")
+    if not outcome.passed:
         return "witness", _triple_payload(outcome.witness)
-    return run
+
+
+def _check_twist_classification():
+    for q, expected in ((1, True), (-1, True), (2, False), (Fraction(3, 5), False)):
+        tags = maps.classify_multiplicativity(cfg_gaussian_q(q).sigma)
+        _require(("automorphism" in tags) == expected,
+                 f"q={q} classification wrong")
+    swap_tags = maps.classify_multiplicativity(cfg_matrix_swap().sigma)
+    _require("automorphism" not in swap_tags, "diag swap is not multiplicative")
+    _require("antiautomorphism" in swap_tags and "involution" in swap_tags,
+             "diag swap is an involutive antiautomorphism")
+    conj_tags = maps.classify_multiplicativity(cfg_octonion_conj().sigma)
+    _require("automorphism" not in conj_tags and "involution" in conj_tags,
+             "octonion conjugation is an involution, not an automorphism")
 
 
 def _associativity_suite(configs=None):
     if configs:
         return [
-            (f"assoc/{config.describe()}", ANCHOR_ASSOC, _check_associativity(config))
+            (f"assoc/{config.describe()}", ANCHOR_ASSOC, partial(_check_associativity, config))
             for config in configs
         ]
-    checks = []
-    for q in (1, -1):
-        checks.append((
-            f"assoc/gaussian-q{q}",
-            ANCHOR_ASSOC,
-            _check_associativity(cfg_gaussian_q(q), expect_pass=True),
-        ))
-    for q in (2, Fraction(1, 2), 3):
-        checks.append((
-            f"assoc/gaussian-q{q}",
-            ANCHOR_ASSOC,
-            _check_associativity(cfg_gaussian_q(q), expect_pass=False),
-        ))
-    checks.append((
-        "assoc/matrix-diag-swap",
-        ANCHOR_ANTI,
-        _check_associativity(cfg_matrix_swap(), expect_pass=False),
-    ))
-    checks.append((
-        "assoc/octonion-conjugation",
-        ANCHOR_ANTI,
-        _check_associativity(cfg_octonion_conj(), expect_pass=False),
-    ))
-
-    def run_classification():
-        for q, expected in ((1, True), (-1, True), (2, False), (Fraction(3, 5), False)):
-            tags = maps.classify_multiplicativity(cfg_gaussian_q(q).sigma)
-            _require(("automorphism" in tags) == expected,
-                     f"q={q} classification wrong")
-        swap_tags = maps.classify_multiplicativity(cfg_matrix_swap().sigma)
-        _require("automorphism" not in swap_tags, "diag swap is not multiplicative")
-        _require("antiautomorphism" in swap_tags and "involution" in swap_tags,
-                 "diag swap is an involutive antiautomorphism")
-        conj_tags = maps.classify_multiplicativity(cfg_octonion_conj().sigma)
-        _require("automorphism" not in conj_tags and "involution" in conj_tags,
-                 "octonion conjugation is an involution, not an automorphism")
-        return "pass", None
-
-    checks.append((
-        "assoc/twist-classification",
-        "the q-scaling twist is an automorphism iff q = ±1; conjugations are involutions",
-        run_classification,
-    ))
-    return checks
+    return [
+        *(
+            (f"assoc/gaussian-q{q}", ANCHOR_ASSOC,
+             partial(_check_associativity, cfg_gaussian_q(q), expect_pass=q in (1, -1)))
+            for q in (1, -1, 2, Fraction(1, 2), 3)
+        ),
+        ("assoc/matrix-diag-swap", ANCHOR_ANTI,
+         partial(_check_associativity, cfg_matrix_swap(), expect_pass=False)),
+        ("assoc/octonion-conjugation", ANCHOR_ANTI,
+         partial(_check_associativity, cfg_octonion_conj(), expect_pass=False)),
+        ("assoc/twist-classification",
+         "the q-scaling twist is an automorphism iff q = ±1; conjugations are involutions",
+         _check_twist_classification),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +498,6 @@ def _check_shrink_example():
     probe = structure.simplicity_probe(config, p, 3)
     _require(probe.reached_unit and len(probe.steps) == 1, "X+1 must shrink in one step")
     _require(probe.unit == -i, "unit certificate must be -i")
-    return "pass", None
 
 
 def _check_probe_random():
@@ -550,7 +515,6 @@ def _check_probe_random():
         probe = structure.simplicity_probe(config, p, budget)
         _require(probe.reached_unit, "probe must reach a unit")
         _require(len(probe.steps) <= budget, "probe exceeded deg(p)+1 shrink steps")
-    return "pass", None
 
 
 def _check_probe_inconclusive():
@@ -561,14 +525,12 @@ def _check_probe_inconclusive():
     probe = structure.simplicity_probe(config, p, 8)
     _require(probe.status == "inconclusive", "probe must be inconclusive")
     _require(probe.note == "all shrinks vanish", "probe note must report vanishing shrinks")
-    return "pass", None
 
 
 def _check_probe_constant():
     config = cfg_gaussian_q(2)
     probe = structure.simplicity_probe(config, config.scalar(5), 3)
     _require(probe.reached_unit and not probe.steps, "constants are already units")
-    return "pass", None
 
 
 def _check_probe_hypotheses():
@@ -576,7 +538,6 @@ def _check_probe_hypotheses():
                           structure.shrink, cfg_octonion_conj().one,
                           rings.octonions().basis_element(1))
     _require("commutative division ring" in str(exc), "wrong rejection message")
-    return "pass", None
 
 
 def _simplicity_suite():
@@ -601,7 +562,6 @@ def _check_finite_order_detected():
              "diag swap must have order 2")
     _require(maps.detect_finite_order(cfg_gaussian_q(2).sigma, 8) is None,
              "q=2 twist has no finite order")
-    return "pass", None
 
 
 def _check_generator_nuclear():
@@ -612,24 +572,19 @@ def _check_generator_nuclear():
                 structure.NucleusQuery(element, side, 4)
             )
             _require(outcome.passed, f"{side} nuclearity of the ideal generator fails")
-    return "pass", None
 
 
-def _check_multiples_vanish(config_fn, label, count):
-    def run():
-        config = config_fn()
-        generator = config.one + config.variable_power(4)
-        rng = _rng(f"ideal-{label}")
-        for q in _draws(count, lambda: config.random_element(rng, max_degree=4)):
-            product = poly.poly_mul(q, generator)
-            _require(
-                not structure.central_reduction(product, 2),
-                "multiples of 1 + X^4 must reduce to zero",
-            )
-        one_image = structure.central_reduction(config.one, 2)
-        _require(one_image == config.one, "1 must reduce to itself (proper ideal)")
-        return "pass", None
-    return run
+def _check_multiples_vanish(config, label, count):
+    generator = config.one + config.variable_power(4)
+    rng = _rng(f"ideal-{label}")
+    for q in _draws(count, lambda: config.random_element(rng, max_degree=4)):
+        product = poly.poly_mul(q, generator)
+        _require(
+            not structure.central_reduction(product, 2),
+            "multiples of 1 + X^4 must reduce to zero",
+        )
+    one_image = structure.central_reduction(config.one, 2)
+    _require(one_image == config.one, "1 must reduce to itself (proper ideal)")
 
 
 def _check_reduction_values():
@@ -640,14 +595,12 @@ def _check_reduction_values():
              "the generator must reduce to zero")
     _require(structure.central_reduction(config.variable_power(-1), 2)
              == -config.variable_power(3), "X^-1 must reduce to -X^3")
-    return "pass", None
 
 
 def _check_order_hypothesis_guard():
     exc = _require_raises(ReductionError, "central reduction must reject infinite-order twists",
                           structure.central_reduction, cfg_gaussian_q(2).one, 2)
     _require(str(exc) == "finite order hypothesis fails", "wrong guard message")
-    return "pass", None
 
 
 def _finite_order_suite():
@@ -655,11 +608,11 @@ def _finite_order_suite():
         ("ideal/finite-order-detected", ANCHOR_NONSIMPLE, _check_finite_order_detected),
         ("ideal/generator-nuclear", ANCHOR_NONSIMPLE, _check_generator_nuclear),
         ("ideal/gaussian-multiples-vanish", ANCHOR_NONSIMPLE,
-         _check_multiples_vanish(cfg_gaussian_conj, "gaussian", 50)),
+         partial(_check_multiples_vanish, cfg_gaussian_conj(), "gaussian", 50)),
         ("ideal/matrix-multiples-vanish", ANCHOR_NONSIMPLE,
-         _check_multiples_vanish(cfg_matrix_swap, "matrix", 20)),
+         partial(_check_multiples_vanish, cfg_matrix_swap(), "matrix", 20)),
         ("ideal/octonion-multiples-vanish", ANCHOR_NONSIMPLE,
-         _check_multiples_vanish(cfg_octonion_conj, "octonion", 20)),
+         partial(_check_multiples_vanish, cfg_octonion_conj(), "octonion", 20)),
         ("ideal/reduction-values", ANCHOR_NONSIMPLE, _check_reduction_values),
         ("ideal/order-hypothesis-guard", ANCHOR_NONSIMPLE, _check_order_hypothesis_guard),
     ]
@@ -694,7 +647,6 @@ def _check_right_form_round_trip():
             pairs = list(poly.random_terms(config.coefficients, rng, sorted(exps)).items())
             rebuilt = poly.to_right_form(poly.from_right_form(config, pairs))
             _require(rebuilt == pairs, "right-form pairs round trip failed")
-    return "pass", None
 
 
 def _check_monic_left_example():
@@ -707,31 +659,26 @@ def _check_monic_left_example():
     _require([(s.coeff, s.exponent) for s in result.steps]
              == [(e1, 1), (rings.octonions().one, 0)], "unexpected quotient record")
     _require(structure.replay_reduction(result, [p]) == f, "replay must rebuild f")
-    return "pass", None
 
 
-def _check_monic_left_random(config_fn, label):
-    def run():
-        config = config_fn()
-        rng = _rng(f"monic-{label}")
+def _check_monic_left_random(config, label):
+    rng = _rng(f"monic-{label}")
 
-        def draw():
-            p = config.random_element(rng, max_degree=3)
-            f = config.random_element(rng, max_degree=6)
-            return (p, f) if p else None
+    def draw():
+        p = config.random_element(rng, max_degree=3)
+        f = config.random_element(rng, max_degree=6)
+        return (p, f) if p else None
 
-        for p, f in _draws(50, draw):
-            result = structure.monic_left_reduce(f, p)
-            if result.remainder:
-                _require(result.remainder.degree < p.degree,
-                         "remainder degree must drop below deg p")
-            _require(structure.replay_reduction(result, [p]) == f,
-                     "replay must rebuild the input")
-            again = structure.monic_left_reduce(result.remainder, p)
-            _require(again.remainder == result.remainder and not again.steps,
-                     "reducing the remainder must be idempotent")
-        return "pass", None
-    return run
+    for p, f in _draws(50, draw):
+        result = structure.monic_left_reduce(f, p)
+        if result.remainder:
+            _require(result.remainder.degree < p.degree,
+                     "remainder degree must drop below deg p")
+        _require(structure.replay_reduction(result, [p]) == f,
+                 "replay must rebuild the input")
+        again = structure.monic_left_reduce(result.remainder, p)
+        _require(again.remainder == result.remainder and not again.steps,
+                 "reducing the remainder must be idempotent")
 
 
 def _check_right_reduce_poly():
@@ -770,7 +717,6 @@ def _check_right_reduce_poly():
                      "remainder must fall below the least generator degree")
         _require(structure.replay_reduction(result, gset) == f,
                  "replay must rebuild the input")
-    return "pass", None
 
 
 def _check_right_reduce_irreducible():
@@ -787,7 +733,6 @@ def _check_right_reduce_irreducible():
     result2 = structure.right_reduce(f2, gset)
     _require(structure.replay_reduction(result2, gset) == f2,
              "solvable single-step match must replay")
-    return "pass", None
 
 
 def _check_right_reduce_series():
@@ -826,7 +771,6 @@ def _check_right_reduce_series():
         replay = structure.replay_reduction(result, gset2)
         _require(series.equal_to_precision(replay, f, result.remainder.precision),
                  "series replay must rebuild the input within precision")
-    return "pass", None
 
 
 def _hilbert_suite():
@@ -834,9 +778,9 @@ def _hilbert_suite():
         ("hilbert/right-form-round-trip", ANCHOR_RIGHT_FORM, _check_right_form_round_trip),
         ("hilbert/monic-left-example", ANCHOR_MONIC, _check_monic_left_example),
         ("hilbert/monic-left-octonion", ANCHOR_MONIC,
-         _check_monic_left_random(cfg_octonion_ore_id, "octonion")),
+         partial(_check_monic_left_random, cfg_octonion_ore_id(), "octonion")),
         ("hilbert/monic-left-gaussian", ANCHOR_MONIC,
-         _check_monic_left_random(lambda: cfg_gaussian_q(2, poly.ORE), "gaussian")),
+         partial(_check_monic_left_random, cfg_gaussian_q(2, poly.ORE), "gaussian")),
         ("hilbert/right-reduce-polynomials", ANCHOR_RIGHT_REDUCE, _check_right_reduce_poly),
         ("hilbert/right-reduce-irreducible", ANCHOR_RIGHT_REDUCE,
          _check_right_reduce_irreducible),
@@ -869,7 +813,6 @@ def _check_series_frozen_inverse():
     product = a * b
     _require(series.equal_to_precision(product, series.series_one(config, 4)),
              "multiply-back must give 1 through X^4")
-    return "pass", None
 
 
 def _check_series_one_sided():
@@ -884,7 +827,6 @@ def _check_series_one_sided():
              "left inverse differs from the right inverse at X^3")
     _require_raises(SkewringError, "two-sided inversion must fail for this series",
                     series.series_invert, a, "both")
-    return "pass", None
 
 
 def _check_series_two_sided_roundtrip():
@@ -903,7 +845,6 @@ def _check_series_two_sided_roundtrip():
                  "a·a⁻¹ must be 1")
         _require(series.equal_to_precision(b * a, series.series_one(config, 6)),
                  "a⁻¹·a must be 1")
-    return "pass", None
 
 
 def _check_series_order_additivity():
@@ -925,7 +866,6 @@ def _check_series_order_additivity():
         product = a * b
         _require(product.order == a.order + b.order,
                  "order must be additive over division coefficients")
-    return "pass", None
 
 
 def _check_series_poly_oracle():
@@ -941,7 +881,6 @@ def _check_series_poly_oracle():
         for e in range(product.window_start, product.precision + 1):
             _require(product.coefficient(e) == expected.coefficient(e),
                      "series product must match the polynomial product")
-    return "pass", None
 
 
 def _check_series_values():
@@ -965,7 +904,6 @@ def _check_series_values():
     exc = _require_raises(SkewringError, "the zero window has no order",
                           series.series_order_leading, series.series(config2, {}, 4))
     _require(str(exc) == "order undefined at this precision", "wrong error")
-    return "pass", None
 
 
 def _series_suite():
@@ -1003,7 +941,6 @@ def _check_jordan_values():
     _require(i * i == -hp.one, "{i,i} must be -1")
     _require(hp.is_commutative, "the plus algebra is commutative")
     _require(not hp.is_associative, "H+ is not associative")
-    return "pass", None
 
 
 def _jordan_identity_holds(a, b):
@@ -1023,7 +960,6 @@ def _check_jordan_identity():
         a = hp.random_element(rng)
         b = hp.random_element(rng)
         _require(_jordan_identity_holds(a, b), "Jordan identity fails on random pair")
-    return "pass", None
 
 
 def _check_jordan_guard():
@@ -1031,7 +967,6 @@ def _check_jordan_guard():
                           rings.jordan_algebra, rings.octonions())
     _require(str(exc) == "Jordan construction requires associative input",
              "wrong guard message")
-    return "pass", None
 
 
 def _check_derivations():
@@ -1051,7 +986,6 @@ def _check_derivations():
     a = o.random_element(rng)
     same = maps.standard_derivation(a, a)
     _require(all(not same(x) for x in basis), "delta_{a,a} must vanish")
-    return "pass", None
 
 
 def _check_jordan_twisted_ring():
@@ -1069,7 +1003,6 @@ def _check_jordan_twisted_ring():
         pairs = poly.to_right_form(p)
         _require(poly.from_right_form(config, pairs) == p,
                  "right form round trip over H+ fails")
-    return "pass", None
 
 
 def _jordan_suite():
@@ -1102,7 +1035,6 @@ def _check_torus_relation():
     _require(xt * yt == yt * xt, "q = 1 variables must commute")
     _require_raises(ConstructionError, "q = 0 must be rejected",
                     poly.quantum_torus, rings.rationals(), 0)
-    return "pass", None
 
 
 def _check_torus_coefficients_commute():
@@ -1114,7 +1046,6 @@ def _check_torus_coefficients_commute():
         cb = torus.constant(inner.constant(b))
         _require(cb * x == x * cb, "octonion coefficients must commute with X")
         _require(cb * y == y * cb, "octonion coefficients must commute with Y")
-    return "pass", None
 
 
 def _check_torus_monomial_rule():
@@ -1143,7 +1074,6 @@ def _check_torus_monomial_rule():
     span = torus.spanning_set(1)
     _require(len(span) == len(set(span)) == 8 * 3 * 3,
              "rank-eight spanning monomials must be distinct")
-    return "pass", None
 
 
 def _check_torus_nuclearity():
@@ -1159,7 +1089,6 @@ def _check_torus_nuclearity():
                     structure.NucleusQuery(element, side, 3)
                 )
                 _require(outcome.passed, f"{name} must be {side}-nuclear")
-    return "pass", None
 
 
 def _check_torus_iterated_guard():
@@ -1176,7 +1105,6 @@ def _check_torus_iterated_guard():
                           poly.iterated_extend, inner_ring, "X",
                           {"kind": "coefficientwise", "base": second})
     _require("commuting" in str(exc), "wrong guard message")
-    return "pass", None
 
 
 def _torus_suite():
@@ -1200,14 +1128,11 @@ ANCHOR_DSTRUCT = (
 
 
 def _check_laurent_family(config):
-    def run():
-        family = poly.laurent_d_structure(config.sigma)
-        rng = _rng(f"dstruct-{config.describe()}")
-        elements = [config.coefficients.random_element(rng) for _ in range(5)]
-        report = poly.validate_d_structure(family, list(range(-4, 5)), elements)
-        _require(report.ok, f"laurent family fails: {report.entries}")
-        return "pass", None
-    return run
+    family = poly.laurent_d_structure(config.sigma)
+    rng = _rng(f"dstruct-{config.describe()}")
+    elements = [config.coefficients.random_element(rng) for _ in range(5)]
+    report = poly.validate_d_structure(family, list(range(-4, 5)), elements)
+    _require(report.ok, f"laurent family fails: {report.entries}")
 
 
 def _ore_families():
@@ -1215,23 +1140,20 @@ def _ore_families():
     g = rings.gaussian()
     o = rings.octonions()
     return [
-        ("weyl", weyl.coefficients, weyl.sigma, weyl.delta, 5),
-        ("gaussian", g, cfg_gaussian_q(2).sigma, maps.make_twist(g, "zero"), 5),
+        ("weyl", weyl.coefficients, weyl.sigma, weyl.delta),
+        ("gaussian", g, cfg_gaussian_q(2).sigma, maps.make_twist(g, "zero")),
         ("octonion", o,
          cfg_octonion_conj().sigma,
-         maps.standard_derivation(o.basis_element(1), o.basis_element(2)), 5),
+         maps.standard_derivation(o.basis_element(1), o.basis_element(2))),
     ]
 
 
-def _check_ore_family(label, ring, sigma, delta, bound):
-    def run():
-        family = poly.ore_d_structure(sigma, delta)
-        rng = _rng(f"dstruct-ore-{label}")
-        elements = [ring.random_element(rng) for _ in range(3)]
-        report = poly.validate_d_structure(family, list(range(0, bound + 1)), elements)
-        _require(report.ok, f"ore family fails: {report.entries}")
-        return "pass", None
-    return run
+def _check_ore_family(label, ring, sigma, delta):
+    family = poly.ore_d_structure(sigma, delta)
+    rng = _rng(f"dstruct-ore-{label}")
+    elements = [ring.random_element(rng) for _ in range(3)]
+    report = poly.validate_d_structure(family, list(range(0, 6)), elements)
+    _require(report.ok, f"ore family fails: {report.entries}")
 
 
 def _check_corrupted_family():
@@ -1243,7 +1165,6 @@ def _check_corrupted_family():
     _require(not report.ok, "the corrupted family must fail")
     failed = [axiom for axiom, passed, _ in report.entries if not passed]
     _require("D1" in failed, "the corruption must surface as a D1 failure")
-    return "pass", None
 
 
 def _check_d4_is_pi_composition():
@@ -1265,29 +1186,24 @@ def _check_d4_is_pi_composition():
                             )
                     _require(total == maps.pi_word_sum(fam, c, a + b, r),
                              "D4 must match the enumeration oracle")
-    return "pass", None
 
 
 def _d_structure_suite(configs=None):
     roster = configs or _laurent_roster()
-    checks = []
-    for config in roster:
-        if config.shape != poly.LAURENT:
-            continue
-        checks.append((
-            f"dstruct/laurent/{config.describe()}",
-            ANCHOR_DSTRUCT,
-            _check_laurent_family(config),
-        ))
-    for label, ring, sigma, delta, bound in _ore_families():
-        checks.append((
-            f"dstruct/ore/{label}",
-            ANCHOR_DSTRUCT,
-            _check_ore_family(label, ring, sigma, delta, bound),
-        ))
-    checks.append(("dstruct/corrupted-d1", ANCHOR_DSTRUCT, _check_corrupted_family))
-    checks.append(("dstruct/d4-pi-composition", ANCHOR_DSTRUCT, _check_d4_is_pi_composition))
-    return checks
+    return [
+        *(
+            (f"dstruct/laurent/{config.describe()}", ANCHOR_DSTRUCT,
+             partial(_check_laurent_family, config))
+            for config in roster if config.shape == poly.LAURENT
+        ),
+        *(
+            (f"dstruct/ore/{label}", ANCHOR_DSTRUCT,
+             partial(_check_ore_family, label, ring, sigma, delta))
+            for label, ring, sigma, delta in _ore_families()
+        ),
+        ("dstruct/corrupted-d1", ANCHOR_DSTRUCT, _check_corrupted_family),
+        ("dstruct/d4-pi-composition", ANCHOR_DSTRUCT, _check_d4_is_pi_composition),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1342,7 +1258,7 @@ def run_suite(name, cli_config=None):
     for check_id, anchor, fn in checks:
         start = time.perf_counter()
         try:
-            status, witness = fn()
+            status, witness = fn() or ("pass", None)
         except (SkewringError, AssertionError) as exc:
             status, witness = "fail", {"error": str(exc)}
         except Exception as exc:

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
 from skewring import cli, config, suites
+from skewring.errors import ConstructionError
 
 
 GAUSS_Q2 = {
@@ -64,6 +66,9 @@ def test_load_config_validates():
         config.load_config(dict(GAUSS_Q2, shape="power_series"))  # no precision
     with pytest.raises(Exception):
         config.load_config(dict(GAUSS_Q2, shape="spiral"))
+    # a JSON text is not a parsed document
+    with pytest.raises(ConstructionError, match="config must be a JSON object"):
+        config.load_config('{"ring": ')
 
 
 def test_load_config_matrix_and_jordan():
@@ -270,12 +275,22 @@ def test_report_determinism():
     assert first == second
 
 
+# sha256 of the full `run_suite("all")` JSON report with each `elapsed`
+# dropped: any drift in an id, anchor, status or witness changes it
+ALL_REPORT_DIGEST = "9e7c5c94dc295f6f6084eb81a42e3f0ffdb8cd03bfd001c064cbd66b9b3f23fc"
+
+
 def test_reports_have_unique_check_ids():
     report = suites.run_suite("all")
     ids = [c.id for c in report.checks]
     assert len(ids) == len(set(ids))
     assert all(c.anchor for c in report.checks)
     assert report.ok
+    doc = json.loads(suites.emit_report(report))
+    for check in doc["checks"]:
+        check.pop("elapsed")
+    canonical = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(canonical).hexdigest() == ALL_REPORT_DIGEST
 
 
 BAD_CONFIGS = {
