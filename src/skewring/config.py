@@ -131,8 +131,8 @@ def _twisted_ring(ring, doc, shape, default_variable):
 def twist_from_descriptor(ring, doc):
     doc = _descriptor(doc, "twist descriptor")
     kind = doc.get("kind")
-    if kind not in maps.TWIST_KINDS:
-        raise ConstructionError(f"unknown twist kind: {kind}")
+    # before the parameters: a coefficientwise twist reads ring.coefficients
+    maps.check_twist_kind(ring, kind)
     what = f"twist {kind!r}"
     params = {}
     if kind in ("q_twist", "y_scale", "y_coeff_scale"):

@@ -39,14 +39,10 @@ from .errors import (
     NotInvertibleError,
     UnsupportedRingError,
 )
-from .rings import associator, commutator
+from .rings import MatrixRing, associator, commutator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _is_poly_ring(ring):
-    return hasattr(ring, "shape") and hasattr(ring, "coefficients")
 
 
 class TwistMap:
@@ -319,18 +315,37 @@ TWIST_KINDS = (
     "conj_transpose", "inner", "matrix", "coefficientwise", "y_scale",
     "y_coeff_scale", "derivative", "zero",
 )
+FINITE_TWIST_KINDS = ("q_twist", "conjugation", "inner", "matrix")
+MATRIX_TWIST_KINDS = ("transpose", "diag_swap", "conj_transpose")
+POLY_TWIST_KINDS = ("coefficientwise", "y_scale", "y_coeff_scale", "derivative")
+
+
+def check_twist_kind(ring, kind):
+    """Raise ``ConstructionError`` unless ``kind`` is a twist kind that fits ``ring``."""
+    if kind not in TWIST_KINDS:
+        raise ConstructionError(f"unknown twist kind: {kind}")
+    if kind in FINITE_TWIST_KINDS and not ring.is_finite_dimensional:
+        raise ConstructionError(
+            f"twist {kind!r} needs a finite-dimensional ring, not {ring.describe()}"
+        )
+    if kind in MATRIX_TWIST_KINDS and not isinstance(ring, MatrixRing):
+        raise ConstructionError(f"twist {kind!r} needs a matrix ring, not {ring.describe()}")
+    if kind in POLY_TWIST_KINDS and ring.is_finite_dimensional:
+        raise ConstructionError(f"twist {kind!r} needs a polynomial ring, not {ring.describe()}")
 
 
 def make_twist(ring, kind, **params):
     """Build one of the named twist maps on the given ring.
 
     Finite-dimensional kinds compile to an exact matrix; polynomial-ring
-    kinds stay structural. Construction checks only what a kind needs to
-    exist (a nonzero scaling, an invertible conjugating unit); the
-    sigma/delta axioms belong to a role and ``poly.RingConfig`` checks them.
+    kinds stay structural. Construction checks only that the kind fits
+    the ring (``check_twist_kind``) and what a kind needs to exist (a
+    nonzero scaling, an invertible conjugating unit); the sigma/delta
+    axioms belong to a role and ``poly.RingConfig`` checks them.
     """
+    check_twist_kind(ring, kind)
     if kind == "identity":
-        if _is_poly_ring(ring):
+        if not ring.is_finite_dimensional:
             return PolyTwist(ring, None, 1, kind="identity")
         return LinearTwist(
             ring, linalg.identity_matrix(ring.qdim), kind="identity"
@@ -420,10 +435,7 @@ def make_twist(ring, kind, **params):
     if kind == "derivative":
         return DerivativeMap(ring)
 
-    if kind == "zero":
-        return ZeroMap(ring)
-
-    raise ConstructionError(f"unknown twist kind: {kind}")
+    return ZeroMap(ring)  # "zero", the one kind left
 
 
 def apply_power(tm, m, el):

@@ -27,7 +27,7 @@ from .errors import (
     ZeroElementError,
 )
 from .maps import PiFamily, PolyTwist, make_twist, pi_apply, pi_row, validate_twist_axioms
-from .rings import first_associator
+from .rings import AlgebraElement, first_associator
 
 ORE = "ore"
 LAURENT = "laurent"
@@ -299,8 +299,7 @@ class SkewPoly:
             raise RingMismatchError("incompatible rings")
         if isinstance(other, (int, Fraction)):
             return self.config.scalar(other)
-        if type(other).__name__ in ("AlgebraElement", "MatrixElement") and \
-                other.ring == self.config.coefficients:
+        if isinstance(other, AlgebraElement) and other.ring == self.config.coefficients:
             return self.config.constant(other)
         return None
 

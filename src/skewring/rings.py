@@ -6,33 +6,38 @@ Two concrete ring shapes live here:
   constants on a named basis (the rationals, the Gaussian rationals,
   rational quaternions and octonions, their Jordan plus-algebras, and
   anything a user supplies as JSON).
-* ``MatrixRing`` -- n x n matrices over such an algebra.
+* ``MatrixRing`` -- n x n matrices over such an algebra, or over another
+  matrix ring. M_n(A) is M_n(Q) (x) A, itself a structure-constant
+  algebra: (E_ij (x) a)(E_jl (x) b) = E_il (x) ab.
 
-Both expose the informal ring protocol the rest of the library relies
-on: ``zero``/``one``, ``qdim``, ``flatten``/``unflatten`` (coordinates
-over Q), ``basis_elements``, ``spanning_set(bound)``,
-``random_element(rng)``, ``invert``, ``solve_left_mul(c, r)`` and
-``solve_right_mul(c, r)`` (a u with c·u = r, resp. u·c = r, or None),
-and the cached structural predicates ``is_associative``/
-``is_commutative``. Both shapes invert and solve through one routine:
-``operator_matrix`` builds the matrix of left or right multiplication
-by c on the flat coordinates, and :func:`skewring.linalg.solve` solves
-it exactly. Twisted polynomial rings implement the same protocol in
-:mod:`skewring.poly`; there ``RingConfig.solve_left_mul`` and
-``solve_right_mul`` are exact long division in a commutative ring and,
-in any other ring, multiply by the inverse of c when c is a unit
-monomial and check the result.
+Both are ``CompiledAlgebra``s and expose the informal ring protocol the
+rest of the library relies on: ``zero``/``one``, ``qdim``,
+``flatten``/``unflatten`` (coordinates over Q), ``basis_elements``,
+``spanning_set(bound)``, ``random_element(rng)``, ``invert``,
+``solve_left_mul(c, r)`` and ``solve_right_mul(c, r)`` (a u with
+c·u = r, resp. u·c = r, or None), and the cached structural predicates
+``is_associative``/``is_commutative``. Both shapes invert and solve
+through one routine: ``operator_matrix`` builds the matrix of left or
+right multiplication by c on the flat coordinates, and
+:func:`skewring.linalg.solve` solves it exactly. Twisted polynomial
+rings implement the same protocol in :mod:`skewring.poly`; there
+``RingConfig.solve_left_mul`` and ``solve_right_mul`` are exact long
+division in a commutative ring and, in any other ring, multiply by the
+inverse of c when c is a unit monomial and check the result.
 
 All arithmetic is exact; equality is coordinate-wise equality of
 reduced fractions. Elements are immutable values and every operation is
 a pure function, so everything here is safe to share across threads.
 
 Coordinates are tuples of reduced ``Fraction``s, but products and the
-involution run on integers: each ``AlgebraSpec`` compiles its structure
-constants once into sparse integer entries over a single table
-denominator (a Cayley-Dickson table is a signed permutation, so the
-octonions keep 64 of their 512 constants). A product scales both
-operands to integer numerators over their common denominators,
+involution run on integers. Each ring compiles its multiplication once
+into sparse integer rows over a single table denominator: an
+``AlgebraSpec`` from its structure constants (a Cayley-Dickson table is
+a signed permutation, so the octonions keep 64 of their 512 constants),
+a ``MatrixRing`` from its base's rows. A matrix is therefore a flat
+coordinate vector (row-major entries, base coordinates inside each
+entry) and multiplies through the same loop, ``mul_coords``: it scales
+both operands to integer numerators over their common denominators,
 accumulates the entries, and converts back to reduced fractions only
 for the result (see :mod:`skewring.linalg`).
 """
@@ -64,7 +69,80 @@ def _frac(value) -> Fraction:
     raise ConstructionError(f"not an exact rational: {value!r}")
 
 
-class AlgebraSpec:
+class CompiledAlgebra:
+    """A finite-dimensional algebra over Q with a compiled product.
+
+    A subclass sets ``dimension``, ``unit`` (the coordinates of 1) and
+    the compiled table: row p of ``_mul_rows`` lists (q, i, c) where
+    basis_p * basis_q has coordinate c / ``_mul_den`` at basis_i, with
+    zero entries dropped. It also defines ``unflatten``, which picks the
+    element class.
+    """
+
+    _basis_cache = None
+
+    def _basis_coords(self, p):
+        return tuple(_ONE if i == p else _ZERO for i in range(self.dimension))
+
+    def mul_coords(self, a, b):
+        na, da = linalg.integer_vector(a)
+        nb, db = linalg.integer_vector(b)
+        acc = [0] * self.dimension
+        for x, row in zip(na, self._mul_rows):
+            if x:
+                for q, i, c in row:
+                    y = nb[q]
+                    if y:
+                        acc[i] += c * x * y
+        return linalg.fraction_vector(acc, da * db * self._mul_den)
+
+    @property
+    def qdim(self):
+        return self.dimension
+
+    @property
+    def zero(self):
+        return self.unflatten((_ZERO,) * self.dimension)
+
+    @property
+    def one(self):
+        return self.unflatten(self.unit)
+
+    def scalar(self, value):
+        return self.one.scale(_frac(value))
+
+    def basis_element(self, p):
+        return self.unflatten(self._basis_coords(p))
+
+    def basis_elements(self):
+        if self._basis_cache is None:
+            self._basis_cache = [self.basis_element(p) for p in range(self.dimension)]
+        return list(self._basis_cache)
+
+    def spanning_set(self, bound=0):
+        return self.basis_elements()
+
+    def flatten(self, el):
+        return el.coords
+
+    def random_element(self, rng, max_num=6, max_den=3):
+        return self.unflatten(tuple(
+            Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+            for _ in range(self.dimension)
+        ))
+
+    @property
+    def is_finite_dimensional(self):
+        return True
+
+    def solve_left_mul(self, c, r):
+        return solve_mul(self, c, r, "left")
+
+    def solve_right_mul(self, c, r):
+        return solve_mul(self, c, r, "right")
+
+
+class AlgebraSpec(CompiledAlgebra):
     """A finite-dimensional algebra over Q given by structure constants.
 
     ``table[p][q]`` is the coordinate vector of ``basis_p * basis_q``.
@@ -92,7 +170,6 @@ class AlgebraSpec:
         self.is_division = division
         self._assoc = None
         self._comm = None
-        self._basis_cache = None
         if len(self.table) != dim or any(len(row) != dim for row in self.table):
             raise ConstructionError("structure-constant table must be dim x dim")
         if any(len(cell) != dim for row in self.table for cell in row):
@@ -103,8 +180,6 @@ class AlgebraSpec:
             len(self.involution) != dim or any(len(row) != dim for row in self.involution)
         ):
             raise ConstructionError("involution must be dim x dim")
-        # row p of the compiled table lists (q, i, c): basis_p * basis_q has
-        # coordinate c / _mul_den at basis_i; zero entries are dropped
         cells, self._mul_den = linalg.compile_columns(
             [cell for row in self.table for cell in row]
         )
@@ -144,41 +219,12 @@ class AlgebraSpec:
                         f"({self.basis_labels[p]}, {self.basis_labels[q]})"
                     )
 
-    # -- coordinate arithmetic ---------------------------------------
-
-    def _basis_coords(self, p):
-        return tuple(_ONE if i == p else _ZERO for i in range(self.dimension))
-
-    def mul_coords(self, a, b):
-        na, da = linalg.integer_vector(a)
-        nb, db = linalg.integer_vector(b)
-        acc = [0] * self.dimension
-        for x, row in zip(na, self._mul_rows):
-            if x:
-                for q, i, c in row:
-                    y = nb[q]
-                    if y:
-                        acc[i] += c * x * y
-        return linalg.fraction_vector(acc, da * db * self._mul_den)
-
     def involve_coords(self, a):
         if self._involution_map is None:
             raise ConstructionError(f"{self.name} is not a *-algebra")
         return linalg.apply_columns(self._involution_map, a)
 
     # -- ring protocol -------------------------------------------------
-
-    @property
-    def qdim(self):
-        return self.dimension
-
-    @property
-    def zero(self):
-        return AlgebraElement(self, (_ZERO,) * self.dimension)
-
-    @property
-    def one(self):
-        return AlgebraElement(self, self.unit)
 
     def element(self, coords):
         coords = tuple(_frac(v) for v in coords)
@@ -188,36 +234,8 @@ class AlgebraSpec:
             )
         return AlgebraElement(self, coords)
 
-    def scalar(self, value):
-        return self.one.scale(_frac(value))
-
-    def basis_element(self, p):
-        return AlgebraElement(self, self._basis_coords(p))
-
-    def basis_elements(self):
-        if self._basis_cache is None:
-            self._basis_cache = [self.basis_element(p) for p in range(self.dimension)]
-        return list(self._basis_cache)
-
-    def spanning_set(self, bound=0):
-        return self.basis_elements()
-
-    def flatten(self, el):
-        return el.coords
-
     def unflatten(self, coords):
         return AlgebraElement(self, tuple(coords))
-
-    def random_element(self, rng, max_num=6, max_den=3):
-        coords = tuple(
-            Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-            for _ in range(self.dimension)
-        )
-        return AlgebraElement(self, coords)
-
-    @property
-    def is_finite_dimensional(self):
-        return True
 
     @property
     def is_associative(self):
@@ -241,12 +259,6 @@ class AlgebraSpec:
 
     def invert(self, el):
         return invert_element(self, el)
-
-    def solve_left_mul(self, c, r):
-        return solve_mul(self, c, r, "left")
-
-    def solve_right_mul(self, c, r):
-        return solve_mul(self, c, r, "right")
 
     def describe(self):
         return self.name
@@ -298,7 +310,7 @@ def algebra_from_json(doc, division=False):
 
 
 class AlgebraElement:
-    """An exact element of an ``AlgebraSpec``: a coordinate vector."""
+    """An exact element of a ``CompiledAlgebra``: a coordinate vector."""
 
     __slots__ = ("ring", "coords", "_hash")
 
@@ -320,7 +332,7 @@ class AlgebraElement:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return AlgebraElement(
+        return type(self)(
             self.ring, tuple(a + b for a, b in zip(self.coords, other.coords))
         )
 
@@ -330,7 +342,7 @@ class AlgebraElement:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return AlgebraElement(
+        return type(self)(
             self.ring, tuple(a - b for a, b in zip(self.coords, other.coords))
         )
 
@@ -341,13 +353,13 @@ class AlgebraElement:
         return other - self
 
     def __neg__(self):
-        return AlgebraElement(self.ring, tuple(-a for a in self.coords))
+        return type(self)(self.ring, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return AlgebraElement(self.ring, self.ring.mul_coords(self.coords, other.coords))
+        return type(self)(self.ring, self.ring.mul_coords(self.coords, other.coords))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -356,10 +368,10 @@ class AlgebraElement:
 
     def scale(self, q):
         q = _frac(q)
-        return AlgebraElement(self.ring, tuple(q * a for a in self.coords))
+        return type(self)(self.ring, tuple(q * a for a in self.coords))
 
     def conjugate(self):
-        return AlgebraElement(self.ring, self.ring.involve_coords(self.coords))
+        return type(self)(self.ring, self.ring.involve_coords(self.coords))
 
     def inverse(self):
         return self.ring.invert(self)
@@ -486,6 +498,10 @@ def sedenions():
 
 def jordan_algebra(spec, name=None):
     """The plus-algebra of an associative algebra: {a,b} = (ab + ba)/2."""
+    if not isinstance(spec, AlgebraSpec):
+        raise ConstructionError(
+            f"Jordan construction needs a structure-constant algebra, not {spec.describe()}"
+        )
     if not spec.is_associative:
         raise ConstructionError("Jordan construction requires associative input")
     half = Fraction(1, 2)
@@ -516,106 +532,59 @@ def jordan_algebra(spec, name=None):
 # ---------------------------------------------------------------------------
 
 
-class MatrixRing:
-    """n x n matrices over a finite-dimensional coefficient algebra."""
+class MatrixRing(CompiledAlgebra):
+    """n x n matrices over an ``AlgebraSpec`` or another ``MatrixRing``.
+
+    E_ij (x) e_a has flat index (i·n + j)·d + a, d the base dimension.
+    Since (E_ij (x) e_a)(E_jl (x) e_q) = E_il (x) e_a·e_q, the product
+    compiles from the base's rows, over the base's denominator.
+    """
 
     def __init__(self, base, n):
+        if not isinstance(base, CompiledAlgebra):
+            raise ConstructionError(
+                f"matrix entries need a finite-dimensional algebra, not {base.describe()}"
+            )
         if n < 1:
             raise ConstructionError("matrix size must be at least 1")
         self.base = base
         self.n = n
-        self._basis_cache = None
-
-    @property
-    def qdim(self):
-        return self.n * self.n * self.base.qdim
-
-    @property
-    def zero(self):
-        z = self.base.zero
-        return MatrixElement(self, tuple(tuple(z for _ in range(self.n)) for _ in range(self.n)))
-
-    @property
-    def one(self):
-        z, u = self.base.zero, self.base.one
-        return MatrixElement(
-            self,
-            tuple(tuple(u if r == c else z for c in range(self.n)) for r in range(self.n)),
+        d = base.dimension
+        self.dimension = n * n * d
+        self.unit = tuple(
+            v for i in range(n) for j in range(n)
+            for v in (base.unit if i == j else (_ZERO,) * d)
+        )
+        self._mul_den = base._mul_den
+        self._mul_rows = tuple(
+            tuple(
+                ((j * n + l) * d + q, (i * n + l) * d + k, c)
+                for l in range(n) for q, k, c in base._mul_rows[a]
+            )
+            for i in range(n) for j in range(n) for a in range(d)
         )
 
     def element(self, entries):
-        rows = []
-        for row in entries:
-            cells = []
-            for v in row:
-                if isinstance(v, AlgebraElement):
-                    cells.append(v)
-                else:
-                    cells.append(self.base.scalar(v))
-            rows.append(tuple(cells))
+        """The matrix with the given rows of base elements or rationals."""
+        rows = [tuple(row) for row in entries]
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise ConstructionError(f"expected a {self.n}x{self.n} matrix")
-        return MatrixElement(self, tuple(rows))
-
-    def scalar(self, value):
-        return self.one.scale(_frac(value))
-
-    def unit_matrix(self, r, c, coeff=None):
-        """E_rc with the given base coefficient (default 1); 1-based-free: r, c from 0."""
-        coeff = self.base.one if coeff is None else coeff
-        z = self.base.zero
-        return MatrixElement(
-            self,
-            tuple(
-                tuple(coeff if (i, j) == (r, c) else z for j in range(self.n))
-                for i in range(self.n)
-            ),
-        )
-
-    def basis_elements(self):
-        if self._basis_cache is None:
-            self._basis_cache = [
-                self.unit_matrix(r, c, b)
-                for r in range(self.n)
-                for c in range(self.n)
-                for b in self.base.basis_elements()
-            ]
-        return list(self._basis_cache)
-
-    def spanning_set(self, bound=0):
-        return self.basis_elements()
-
-    def flatten(self, el):
-        flat = []
-        for row in el.entries:
-            for cell in row:
-                flat.extend(cell.coords)
-        return tuple(flat)
+        cells = [v if isinstance(v, AlgebraElement) else self.base.scalar(v)
+                 for row in rows for v in row]
+        if any(cell.ring != self.base for cell in cells):
+            raise RingMismatchError("matrix entries must lie in the base ring")
+        return MatrixElement(self, tuple(v for cell in cells for v in cell.coords))
 
     def unflatten(self, coords):
-        d = self.base.qdim
-        rows = []
-        idx = 0
-        for _ in range(self.n):
-            row = []
-            for _ in range(self.n):
-                row.append(self.base.unflatten(tuple(coords[idx:idx + d])))
-                idx += d
-            rows.append(tuple(row))
-        return MatrixElement(self, tuple(rows))
+        return MatrixElement(self, tuple(coords))
 
-    def random_element(self, rng, max_num=6, max_den=3):
-        return MatrixElement(
-            self,
-            tuple(
-                tuple(self.base.random_element(rng, max_num, max_den) for _ in range(self.n))
-                for _ in range(self.n)
-            ),
+    def unit_matrix(self, r, c, coeff=None):
+        """E_rc with the given base coefficient (default 1); r and c count from 0."""
+        coeff = self.base.one if coeff is None else coeff
+        return self.element(
+            tuple(tuple(coeff if (i, j) == (r, c) else 0 for j in range(self.n))
+                  for i in range(self.n))
         )
-
-    @property
-    def is_finite_dimensional(self):
-        return True
 
     @property
     def is_associative(self):
@@ -633,12 +602,6 @@ class MatrixRing:
     def invert(self, el):
         return invert_element(self, el)
 
-    def solve_left_mul(self, c, r):
-        return solve_mul(self, c, r, "left")
-
-    def solve_right_mul(self, c, r):
-        return solve_mul(self, c, r, "right")
-
     def describe(self):
         return f"M{self.n}({self.base.describe()})"
 
@@ -654,105 +617,25 @@ class MatrixRing:
         return self.describe()
 
 
-class MatrixElement:
-    """An n x n matrix of coefficient-algebra elements."""
+class MatrixElement(AlgebraElement):
+    """An element of a ``MatrixRing``, stored as its flat coordinates."""
 
-    __slots__ = ("ring", "entries", "_hash")
+    __slots__ = ()
 
-    def __init__(self, ring, entries):
-        self.ring = ring
-        self.entries = entries
-        self._hash = None
-
-    def _check(self, other):
-        if isinstance(other, MatrixElement):
-            if other.ring == self.ring:
-                return other
-            raise RingMismatchError("incompatible rings")
-        if isinstance(other, (int, Fraction)):
-            return self.ring.scalar(other)
-        return None
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return MatrixElement(
-            self.ring,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return MatrixElement(
-            self.ring, tuple(tuple(-a for a in row) for row in self.entries)
-        )
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        n = self.ring.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.ring.base.zero
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return MatrixElement(self.ring, tuple(rows))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, q):
-        q = _frac(q)
-        return MatrixElement(
-            self.ring, tuple(tuple(a.scale(q) for a in row) for row in self.entries)
-        )
+    @property
+    def entries(self):
+        """The n x n tuple of base-ring entries."""
+        ring = self.ring
+        n, d = ring.n, ring.base.dimension
+        cells = [ring.base.unflatten(self.coords[k:k + d])
+                 for k in range(0, ring.dimension, d)]
+        return tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n))
 
     def conjugate_transpose(self):
-        n = self.ring.n
-        return MatrixElement(
-            self.ring,
-            tuple(tuple(self.entries[j][i].conjugate() for j in range(n)) for i in range(n)),
+        e, n = self.entries, self.ring.n
+        return self.ring.element(
+            tuple(tuple(e[j][i].conjugate() for j in range(n)) for i in range(n))
         )
-
-    def inverse(self):
-        return self.ring.invert(self)
-
-    def __bool__(self):
-        return any(any(cell for cell in row) for row in self.entries)
-
-    def __eq__(self, other):
-        if isinstance(other, MatrixElement):
-            return self.ring == other.ring and self.entries == other.entries
-        if isinstance(other, (int, Fraction)):
-            return self == self.ring.scalar(other)
-        return NotImplemented
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.entries)
-        return self._hash
-
-    def __repr__(self):
-        from .parsing import format_element
-        return format_element(self)
 
 
 def matrix_algebra(base, n):

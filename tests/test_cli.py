@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -104,6 +105,29 @@ def test_mul_command(runner, tmp_path):
     result = runner.invoke(cli.main, ["mul", "--config", path, "iX", "iX^-1"])
     assert result.exit_code == 0
     assert result.output.strip() == "-2"
+
+
+def test_mul_matrix_over_matrix(runner, tmp_path):
+    doc = dict(GAUSS_Q2, ring={"kind": "matrix", "n": 2,
+                               "base": {"kind": "matrix", "base": "rationals", "n": 2}},
+               twist="identity")
+    path = write(tmp_path, "m2m2.json", doc)
+    # M2(M2(Q)) is M4(Q) in 2x2 blocks: outer entry (I, J), inner entry
+    # (i, j) has flat index (2I + J)·4 + 2i + j and is M4 entry (2I + i, 2J + j)
+    index = {(2 * big_i + i, 2 * big_j + j): (2 * big_i + big_j) * 4 + 2 * i + j
+             for big_i in range(2) for big_j in range(2) for i in range(2) for j in range(2)}
+    x = [Fraction(k + 1, 1 + k % 3) for k in range(16)]
+    y = [Fraction(7 - k) for k in range(16)]
+    expected = [None] * 16
+    for (r, c), k in index.items():
+        expected[k] = sum(x[index[r, m]] * y[index[m, c]] for m in range(4))
+
+    def text(v):
+        return "[" + ",".join(str(q) for q in v) + "]"
+
+    result = runner.invoke(cli.main, ["mul", "--config", path, text(x), text(y)])
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == text(expected)
 
 
 def test_mul_weyl(runner, tmp_path):
@@ -344,6 +368,50 @@ BAD_CONFIGS = {
         GAUSS_Q2,
         ring={"kind": "algebra", "spec": {"name": "Q", "basis": ["1"], "table": [[["1"]]],
                                           "unit": ["1"]}, "division": "no"},
+        twist="identity",
+    ),
+    # a twist kind that does not fit the ring
+    "transpose-not-matrix": dict(GAUSS_Q2, twist="transpose"),
+    "diag-swap-not-matrix": dict(GAUSS_Q2, twist="diag_swap"),
+    "conj-transpose-not-matrix": dict(GAUSS_Q2, twist="conj_transpose"),
+    "coefficientwise-not-polynomial": dict(
+        GAUSS_Q2, twist={"kind": "coefficientwise", "base": "identity"}
+    ),
+    "y-scale-not-polynomial": dict(GAUSS_Q2, twist={"kind": "y_scale", "q": 2}),
+    "y-coeff-scale-not-polynomial": dict(GAUSS_Q2, twist={"kind": "y_coeff_scale", "q": 2}),
+    "derivative-not-polynomial": dict(GAUSS_Q2, twist="derivative"),
+    "y-scale-over-matrix": dict(
+        GAUSS_Q2, ring={"kind": "matrix", "base": "rationals", "n": 3},
+        twist={"kind": "y_scale", "q": 2},
+    ),
+    "derivative-over-matrix": dict(
+        GAUSS_Q2, ring={"kind": "matrix", "base": "rationals", "n": 3}, twist="derivative"
+    ),
+    "q-twist-over-polynomial": dict(
+        GAUSS_Q2, ring={"kind": "polynomial", "base": "rationals"},
+        twist={"kind": "q_twist", "q": 2},
+    ),
+    "inner-over-polynomial": dict(
+        GAUSS_Q2, ring={"kind": "polynomial", "base": "rationals"},
+        twist={"kind": "inner", "u": ["1"]},
+    ),
+    "matrix-twist-over-polynomial": dict(
+        GAUSS_Q2, ring={"kind": "polynomial", "base": "rationals"},
+        twist={"kind": "matrix", "matrix": [[1]]},
+    ),
+    # ring descriptors whose base has no structure constants
+    "jordan-over-matrix": dict(
+        GAUSS_Q2, ring={"kind": "jordan", "base": {"kind": "matrix", "base": "rationals",
+                                                   "n": 2}},
+        twist="identity",
+    ),
+    "jordan-over-polynomial": dict(
+        GAUSS_Q2, ring={"kind": "jordan", "base": {"kind": "polynomial", "base": "rationals"}},
+        twist="identity",
+    ),
+    "matrix-over-polynomial": dict(
+        GAUSS_Q2,
+        ring={"kind": "matrix", "base": {"kind": "polynomial", "base": "rationals"}, "n": 2},
         twist="identity",
     ),
 }

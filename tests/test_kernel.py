@@ -7,6 +7,7 @@ fractions and reduced row echelon form are unique, so the kernel must
 agree with them exactly, coordinate for coordinate.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -173,25 +174,59 @@ def test_involution_matches_fraction_oracle(case):
     assert_fractions(out)
 
 
-M2 = rings.matrix_algebra(rings.gaussian(), 2)
-
-
-@settings(max_examples=30, deadline=None)
-@given(vectors(M2.qdim), vectors(M2.qdim))
-def test_matrix_product_matches_fraction_oracle(x, y):
-    a, b = M2.unflatten(x), M2.unflatten(y)
-    base = M2.base
-    expected = []
-    for i in range(2):
-        for j in range(2):
-            acc = (ZERO,) * base.dimension
-            for k in range(2):
-                term = oracle_mul_coords(base, a.entries[i][k].coords, b.entries[k][j].coords)
+def oracle_matrix_mul(ring, a, b):
+    """Flat coordinates of a·b by the entry sum over k, recursing into matrix entries."""
+    if not isinstance(ring, rings.MatrixRing):
+        return oracle_mul_coords(ring, a.coords, b.coords)
+    n, base = ring.n, ring.base
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = (ZERO,) * base.qdim
+            for k in range(n):
+                term = oracle_matrix_mul(base, a.entries[i][k], b.entries[k][j])
                 acc = tuple(u + v for u, v in zip(acc, term))
-            expected.extend(acc)
-    out = M2.flatten(a * b)
-    assert out == tuple(expected)
+            out.extend(acc)
+    return tuple(out)
+
+
+MATRIX_RINGS = {
+    "M2-gaussian": rings.matrix_algebra(rings.gaussian(), 2),
+    "M2-octonions": rings.matrix_algebra(rings.octonions(), 2),  # non-associative entries
+    "M3-rationals": rings.matrix_algebra(rings.rationals(), 3),
+    "M2-M2-rationals": rings.matrix_algebra(rings.matrix_algebra(rings.rationals(), 2), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_RINGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_matrix_product_matches_fraction_oracle(name, data):
+    ring = MATRIX_RINGS[name]
+    x, y = data.draw(vectors(ring.qdim)), data.draw(vectors(ring.qdim))
+    a, b = ring.unflatten(x), ring.unflatten(y)
+    out = ring.flatten(a * b)
+    assert out == oracle_matrix_mul(ring, a, b)
     assert_fractions(out)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_RINGS))
+def test_matrix_basis_and_random_match_entrywise(name):
+    ring = MATRIX_RINGS[name]
+    n, base = ring.n, ring.base
+    basis = ring.basis_elements()
+    assert basis == [ring.unit_matrix(r, c, e) for r in range(n) for c in range(n)
+                     for e in base.basis_elements()]
+    # flat order: row-major entries, base coordinates inside each entry
+    assert [ring.flatten(e) for e in basis] == [tuple(row) for row in
+                                                linalg.identity_matrix(ring.qdim)]
+    for seed in range(5):
+        flat, entrywise = random.Random(seed), random.Random(seed)
+        el = ring.random_element(flat)
+        assert el == ring.element(
+            [[base.random_element(entrywise) for _ in range(n)] for _ in range(n)]
+        )
+        assert ring.element(el.entries) == el
 
 
 # ---------------------------------------------------------------------------
