@@ -80,6 +80,7 @@ class CompiledAlgebra:
     """
 
     _basis_cache = None
+    _involution_map = None
 
     def _basis_coords(self, p):
         return tuple(_ONE if i == p else _ZERO for i in range(self.dimension))
@@ -121,6 +122,11 @@ class CompiledAlgebra:
 
     def spanning_set(self, bound=0):
         return self.basis_elements()
+
+    def involve_coords(self, a):
+        if self._involution_map is None:
+            raise ConstructionError(f"{self.describe()} is not a *-algebra")
+        return linalg.apply_columns(self._involution_map, a)
 
     def flatten(self, el):
         return el.coords
@@ -218,11 +224,6 @@ class AlgebraSpec(CompiledAlgebra):
                         "involution fails (rs)* = s*r* on basis pair "
                         f"({self.basis_labels[p]}, {self.basis_labels[q]})"
                     )
-
-    def involve_coords(self, a):
-        if self._involution_map is None:
-            raise ConstructionError(f"{self.name} is not a *-algebra")
-        return linalg.apply_columns(self._involution_map, a)
 
     # -- ring protocol -------------------------------------------------
 
@@ -537,7 +538,9 @@ class MatrixRing(CompiledAlgebra):
 
     E_ij (x) e_a has flat index (i·n + j)·d + a, d the base dimension.
     Since (E_ij (x) e_a)(E_jl (x) e_q) = E_il (x) e_a·e_q, the product
-    compiles from the base's rows, over the base's denominator.
+    compiles from the base's rows, over the base's denominator. When the
+    base has an involution, (E_ij (x) e_a)* = E_ji (x) e_a* compiles the
+    conjugate transpose the same way.
     """
 
     def __init__(self, base, n):
@@ -563,6 +566,12 @@ class MatrixRing(CompiledAlgebra):
             )
             for i in range(n) for j in range(n) for a in range(d)
         )
+        if base._involution_map is not None:
+            cols, den = base._involution_map
+            self._involution_map = tuple(
+                tuple(((j * n + i) * d + k, c) for k, c in cols[a])
+                for i in range(n) for j in range(n) for a in range(d)
+            ), den
 
     def element(self, entries):
         """The matrix with the given rows of base elements or rationals."""
@@ -631,11 +640,7 @@ class MatrixElement(AlgebraElement):
                  for k in range(0, ring.dimension, d)]
         return tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n))
 
-    def conjugate_transpose(self):
-        e, n = self.entries, self.ring.n
-        return self.ring.element(
-            tuple(tuple(e[j][i].conjugate() for j in range(n)) for i in range(n))
-        )
+    conjugate_transpose = AlgebraElement.conjugate
 
 
 def matrix_algebra(base, n):

@@ -169,7 +169,7 @@ def _slot_triple(side, x, u, v):
     return (u, v, x)
 
 
-def _laurent_nucleus_scan(query):
+def _laurent_nucleus_scan(query, memo):
     """Monomial-level exhaustion of the sided associator identities.
 
     The twisted monomial rule (r·X^m)(s·X^n) = (r·sigma^m(s))·X^(m+n)
@@ -182,19 +182,32 @@ def _laurent_nucleus_scan(query):
 
     With u = a·X^m in the first slot, the middle and right identities
     both read (a·E1)·E2 = a·E3 for every coefficient a, where E1, E2
-    and E3 do not depend on a. The verdict over all a is memoised for
-    the length of one scan. The memo is exact: products are Q-bilinear,
-    so with Ei = si·ni the identity is (s1·s2/s3)·(a·n1)·n2 = a·n3; the
-    normalised parts ni are interned, one object per value, so their
-    ids and the ratio determine which a fail. A zero scalar bypasses
-    the memo.
+    and E3 do not depend on a. The verdict over all a is memoised. The
+    memo is exact: products are Q-bilinear, so with Ei = si·ni the
+    identity is (s1·s2/s3)·(a·n1)·n2 = a·n3; the normalised parts ni
+    are interned, one object per value, so their ids and the ratio
+    determine which a fail. A zero scalar bypasses the memo.
+
+    ``memo`` maps ``(config, degree_bound)`` to the ``_ScaledOps`` and
+    the verdict dict of that pair. Neither depends on the queried
+    element or slot: the products, twist powers and interned parts
+    depend on the config alone, and a verdict names the first failing
+    a of the coefficient spanning set at that bound. The ids in the
+    verdict keys stay valid because the entry's ``_ScaledOps`` keeps
+    every part it interned. So every scan of one config and bound may
+    share one entry and get the verdicts and witnesses of a fresh scan.
+    The caller owns the memo and drops it after its check; nothing here
+    outlives it.
     """
     x = query.element
     config = x.config
     side = query.side
-    ops = _ScaledOps(config.sigma)
     if not hasattr(config.coefficients, "spanning_set"):
         raise UnsupportedRingError("unsupported coefficient ring")
+    key = (config, query.degree_bound)
+    if key not in memo:
+        memo[key] = (_ScaledOps(config.sigma), {})
+    ops, verdicts = memo[key]
     coeffs = config.coefficients.spanning_set(query.degree_bound)
     exps = list(config.exponent_window(query.degree_bound))
     x_terms = [(k, ops.split(t)) for k, t in sorted(x.terms.items())]
@@ -213,8 +226,6 @@ def _laurent_nucleus_scan(query):
         if not value:
             raise AssertionError("monomial scan disagreed with the generic product")
         return CheckOutcome(False, (*triple, value))
-
-    verdicts = {}
 
     def first_failure(e1, e2, e3):
         """The first a with (a·e1)·e2 != a·e3, or None."""
@@ -276,17 +287,23 @@ def _laurent_nucleus_scan(query):
     return CheckOutcome(True)
 
 
-def nucleus_membership(query):
+def nucleus_membership(query, memo=None):
     """Exhaust (.,.,.)-identities with the element in the given slot.
 
     A pass means the associator vanishes with the element inserted in
     the queried slot against every pair of basis monomials up to the
     degree bound, hence (by biadditivity) against the whole span.
+
+    ``memo`` is a dict owned by the caller. Scans of laurent configs
+    that are passed the same dict share their coefficient products and
+    slot verdicts, per config and degree bound, and return exactly what
+    fresh scans return. ``None`` gives the scan a fresh memo. Keep a
+    memo for one check at most: it holds every product it has seen.
     """
     x = query.element
     config = x.config
     if config.shape == LAURENT:
-        return _laurent_nucleus_scan(query)
+        return _laurent_nucleus_scan(query, {} if memo is None else memo)
     span = config.spanning_set(query.degree_bound)
     for u in span:
         for v in span:
@@ -361,14 +378,15 @@ def nuclear_inverse_check(x, hypothesis, degree_bound):
         x_inv = x.config.invert(x)
     except NotInvertibleError:
         raise ReductionError("inverse not representable") from None
+    memo = {}
     checks = {
-        side: nucleus_membership(NucleusQuery(x, side, degree_bound))
+        side: nucleus_membership(NucleusQuery(x, side, degree_bound), memo)
         for side in hyp_sides
     }
     report = NuclearInverseReport(hypothesis, checks, conclusion_side, None)
     if report.hypothesis_satisfied:
         report.conclusion = nucleus_membership(
-            NucleusQuery(x_inv, conclusion_side, degree_bound)
+            NucleusQuery(x_inv, conclusion_side, degree_bound), memo
         )
     return report
 

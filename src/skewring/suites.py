@@ -566,10 +566,11 @@ def _check_finite_order_detected():
 
 def _check_generator_nuclear():
     config = cfg_gaussian_conj()
+    memo = {}
     for element in (config.variable_power(4), config.one + config.variable_power(4)):
         for side in ("left", "middle", "right"):
             outcome = structure.nucleus_membership(
-                structure.NucleusQuery(element, side, 4)
+                structure.NucleusQuery(element, side, 4), memo
             )
             _require(outcome.passed, f"{side} nuclearity of the ideal generator fails")
 
@@ -1079,6 +1080,7 @@ def _check_torus_monomial_rule():
 def _check_torus_nuclearity():
     torus = cfg_torus_octonion()
     inner = torus.coefficients
+    memo = {}
     for n in (1, 2, 3):
         for element, name in (
             (torus.variable_power(n), f"X^{n}"),
@@ -1086,7 +1088,7 @@ def _check_torus_nuclearity():
         ):
             for side in ("middle", "right"):
                 outcome = structure.nucleus_membership(
-                    structure.NucleusQuery(element, side, 3)
+                    structure.NucleusQuery(element, side, 3), memo
                 )
                 _require(outcome.passed, f"{name} must be {side}-nuclear")
 

@@ -374,6 +374,10 @@ BAD_CONFIGS = {
     "transpose-not-matrix": dict(GAUSS_Q2, twist="transpose"),
     "diag-swap-not-matrix": dict(GAUSS_Q2, twist="diag_swap"),
     "conj-transpose-not-matrix": dict(GAUSS_Q2, twist="conj_transpose"),
+    # a matrix ring is conjugated by conj_transpose, not by conjugation
+    "conjugation-over-matrix": dict(
+        GAUSS_Q2, ring={"kind": "matrix", "base": "gaussian", "n": 2}, twist="conjugation"
+    ),
     "coefficientwise-not-polynomial": dict(
         GAUSS_Q2, twist={"kind": "coefficientwise", "base": "identity"}
     ),

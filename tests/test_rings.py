@@ -178,6 +178,98 @@ def test_matrix_solve_left_right():
     assert m2.solve_left_mul(m2.unit_matrix(0, 1), m2.one) is None
 
 
+def _entrywise_conjugate_transpose(m):
+    e, n = m.entries, m.ring.n
+    return m.ring.element(
+        tuple(tuple(e[j][i].conjugate() for j in range(n)) for i in range(n))
+    )
+
+
+def test_matrix_conjugate_is_entrywise_conjugate_transpose():
+    rng = random.Random(11)
+    m2g = rings.matrix_algebra(G, 2)
+    m2m2 = rings.matrix_algebra(rings.matrix_algebra(rings.rationals(), 2), 2)
+    for ring in (m2g, m2m2):
+        assert ring.one.conjugate() == ring.one
+        elements = ring.basis_elements() + [ring.random_element(rng) for _ in range(5)]
+        for a in elements:
+            assert a.conjugate() == _entrywise_conjugate_transpose(a)
+            assert a.conjugate_transpose() == a.conjugate()
+            assert a.conjugate().conjugate() == a
+        for a, b in zip(elements, reversed(elements)):
+            assert (a * b).conjugate() == b.conjugate() * a.conjugate()
+    i = G.basis_element(1)
+    e12 = m2g.unit_matrix(0, 1, i)
+    assert e12.conjugate() == m2g.unit_matrix(1, 0, -i)
+
+
+def test_matrix_conjugate_needs_base_involution():
+    bare = rings.AlgebraSpec(
+        name="bare",
+        basis_labels=("1",),
+        table=(((Fraction(1),),),),
+        unit=(Fraction(1),),
+    )
+    m2 = rings.matrix_algebra(bare, 2)
+    assert not hasattr(m2, "involution")
+    with pytest.raises(ConstructionError, match="not a \\*-algebra"):
+        m2.one.conjugate()
+    with pytest.raises(ConstructionError, match="not a \\*-algebra"):
+        m2.one.conjugate_transpose()
+
+
+# -- identity oracles: laws of the coefficient algebras, checked on values ----
+# (Baez, "The Octonions", Bull. AMS 39 (2002); Schafer, "An Introduction to
+# Nonassociative Algebras" (1966)); none of them reads a structure table
+
+
+def _octonion_samples():
+    rng = random.Random(12)
+    basis = O.basis_elements()
+    return basis[1:4] + [basis[1] + basis[6]] + [O.random_element(rng) for _ in range(6)]
+
+
+def test_octonion_moufang_identities():
+    samples = _octonion_samples()
+    for x in samples:
+        for y in samples[::2]:
+            for z in samples[1::2]:
+                assert z * (x * (z * y)) == ((z * x) * z) * y
+                assert x * (z * (y * z)) == ((x * z) * y) * z
+                assert (z * x) * (y * z) == (z * (x * y)) * z
+
+
+def test_octonion_norm_is_multiplicative():
+    def norm(a):
+        value = a * a.conjugate()
+        assert value == O.scalar(sum(c * c for c in a.coords))
+        return sum(c * c for c in a.coords)
+
+    samples = _octonion_samples()
+    for a in samples:
+        for b in samples:
+            assert norm(a * b) == norm(a) * norm(b)
+
+
+def test_sedenions_have_zero_divisors():
+    s = rings.sedenions().basis_elements()
+    a, b = s[3] + s[10], s[6] - s[15]
+    assert a and b
+    assert not a * b
+
+
+def test_jordan_identity_in_quaternion_plus_algebra():
+    hp = rings.jordan_algebra(H)
+    rng = random.Random(13)
+    samples = hp.basis_elements() + [hp.random_element(rng) for _ in range(6)]
+    for a in samples:
+        a2 = a * a
+        for b in samples:
+            assert (a2 * b) * a == a2 * (b * a)
+    i, j = hp.basis_element(1), hp.basis_element(2)
+    assert rings.associator(i, i, j)  # the plus-algebra is not associative
+
+
 def test_jordan_values():
     hp = rings.jordan_algebra(H)
     i, j = hp.basis_element(1), hp.basis_element(2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewring import maps, poly, rings, series, structure
+from skewring import maps, poly, rings, series, structure, suites
 from skewring.errors import ConstructionError, ReductionError
 
 G = rings.gaussian()
@@ -126,6 +126,75 @@ def test_laurent_scan_matches_exhaustive_oracle(name, make_config, bound, powers
                 assert value
     # both verdicts occur in both memoised slots
     assert {(s, v) for s in ("middle", "right") for v in (True, False)} <= verdicts
+
+
+def _mixed_queries(config, rng):
+    """X^n, constants and random elements in every slot, at bounds 2 and 1 in turn."""
+    ring = config.coefficients
+    elements = [config.variable_power(n) for n in (-1, 1)]
+    elements += [config.constant(c) for c in ring.spanning_set(0)[1:3]]
+    elements += [
+        poly.SkewPoly(config, poly.random_terms(ring, rng, rng.sample(range(-1, 2), 2)))
+        for _ in range(2)
+    ]
+    return [
+        structure.NucleusQuery(x, side, bound)
+        for x in elements for bound in (2, 1) for side in structure.SIDES
+    ]
+
+
+@pytest.mark.parametrize("name, make_config", [
+    ("gaussian-q2", cfg_q2),
+    ("matrix-swap", cfg_matrix_swap),
+    ("octonion-conj", cfg_octonion),
+    ("octonion-torus", lambda: poly.quantum_torus(O, 2)),
+])
+def test_shared_scan_memo_matches_fresh_scans(name, make_config):
+    """Scans sharing one memo return the verdicts and witnesses of fresh scans."""
+    config = make_config()
+    queries = _mixed_queries(config, random.Random(f"memo-{name}"))
+    memo = {}
+    shared = [structure.nucleus_membership(q, memo) for q in queries]
+    # a verdict is the first failing coefficient of one bound's spanning
+    # set, so each bound keeps its own entry; on these rings no verdict
+    # shared across bounds has been seen to differ, so the comparisons
+    # below alone would not catch a key without the bound
+    assert set(memo) == {(config, 1), (config, 2)}
+    failures = 0
+    for query, outcome in zip(queries, shared):
+        fresh = structure.nucleus_membership(query)
+        assert outcome.passed == fresh.passed, query
+        assert outcome.witness == fresh.witness, query
+        failures += not outcome.passed
+    assert 0 < failures < len(queries)
+
+
+def test_torus_nuclearity_product_budget(monkeypatch):
+    """The torus check's coefficient products, pinned; a memo lives for one call."""
+    suites.cfg_torus_octonion()  # build the cached config outside the count
+    products = 0
+    scans = 0
+    skew_mul = poly.SkewPoly.__mul__
+    scan = structure.nucleus_membership
+
+    def counted_mul(self, other):
+        nonlocal products
+        products += 1
+        return skew_mul(self, other)
+
+    def counted_scan(*args, **kwargs):
+        nonlocal scans
+        scans += 1
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(poly.SkewPoly, "__mul__", counted_mul)
+    monkeypatch.setattr(structure, "nucleus_membership", counted_scan)
+    for _ in range(2):
+        products = scans = 0
+        suites._check_torus_nuclearity()
+        # 45,088 with one memo per scan
+        assert products == 5920
+        assert scans == 12
 
 
 # -- associativity ---------------------------------------------------------------
