@@ -196,10 +196,7 @@ class PolyTwist(TwistMap):
             if self.coeff_map is not None:
                 coeff = self.coeff_map.power_apply(m, coeff)
             factor = self.var_scale ** (m * exp)
-            if factor != 1:
-                coeff = coeff.scale(factor)
-            if coeff:
-                terms[exp] = coeff
+            terms[exp] = coeff if factor == 1 else coeff.scale(factor)
         return self.ring.from_terms(terms)
 
     def inverse(self):
@@ -234,14 +231,9 @@ class DerivativeMap(TwistMap):
         self.ring = ring
 
     def __call__(self, el):
-        terms = {}
-        for exp, coeff in el.terms.items():
-            if exp == 0:
-                continue
-            scaled = coeff.scale(exp)
-            if scaled:
-                terms[exp - 1] = scaled
-        return self.ring.from_terms(terms)
+        return self.ring.from_terms(
+            {exp - 1: coeff.scale(exp) for exp, coeff in el.terms.items() if exp}
+        )
 
     def __eq__(self, other):
         if not isinstance(other, DerivativeMap):
@@ -267,11 +259,7 @@ class YCoeffScale(TwistMap):
     def __call__(self, el):
         terms = dict(el.terms)
         if 1 in terms:
-            scaled = terms[1].scale(self.q)
-            if scaled:
-                terms[1] = scaled
-            else:
-                del terms[1]
+            terms[1] = terms[1].scale(self.q)
         return self.ring.from_terms(terms)
 
     def inverse(self):
@@ -392,8 +380,6 @@ def make_twist(ring, kind, **params):
         return LinearTwist.from_function(ring, fn, kind="diag_swap")
 
     if kind == "conj_transpose":
-        if getattr(ring.base, "involution", None) is None:
-            raise ConstructionError("not a *-algebra")
         return LinearTwist.from_function(
             ring, lambda el: el.conjugate_transpose(), kind="conj_transpose"
         )

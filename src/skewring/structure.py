@@ -6,17 +6,20 @@ exhausting associator identities over basis monomials c·V^e with
 of those monomials, and a failure hands back a concrete witness triple.
 
 The reduction algorithms (central quotient rewriting, shrink-based
-simplicity probing, monic left division, right reduction for
-polynomials and series) mirror the constructive steps of the
-Hilbert-style and simplicity proofs; each produces a replayable record:
-generators combined with single-monomial cofactors plus a remainder
-that reconstructs the input exactly.
+simplicity probing, monic left division, right reduction) mirror the
+constructive steps of the Hilbert-style and simplicity proofs. Right
+reduction is one leading-term loop for polynomials and series; only the
+leading exponent (degree or order) depends on the type. Each reduction
+produces a replayable record: generators combined with single-monomial
+cofactors plus a remainder that reconstructs the input exactly; replay
+rebuilds each step with the cofactor product the reduction subtracted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import (
     ConstructionError,
@@ -544,6 +547,16 @@ class GeneratorSet:
                 raise RingMismatchError("incompatible rings")
 
 
+def _cofactor_product(g, side, u, k):
+    """g·(u·V^k) for a right step, (u·V^k)·g for a left step."""
+    if isinstance(g, TruncatedSeries):
+        if side != "right":
+            raise ConstructionError("series replay supports right cofactors")
+        return times_monomial(g, u, k)
+    mono = g.config.monomial(u, k)
+    return poly_mul(mono, g) if side == "left" else poly_mul(g, mono)
+
+
 def monic_left_reduce(f, p):
     """Left-divide f by p over division-ring coefficients.
 
@@ -572,111 +585,69 @@ def monic_left_reduce(f, p):
         if t is None:
             raise ReductionError("left division requires division ring")
         steps.append(CofactorStep(0, "left", t, n - m))
-        rem = rem - poly_mul(config.monomial(t, n - m), p)
+        rem = rem - _cofactor_product(p, "left", t, n - m)
     return ReductionResult(steps, rem)
 
 
 def right_reduce(f, gens, max_steps=None):
     """Reduce f against a right generator set, recording replayable steps.
 
-    Polynomial case: repeatedly cancel the leading term by subtracting
-    g·(u·V^(n-m_g)) where u = sigma^(-m_g)(w) and w solves
-    (lead g)·w = lead f; stops below the least generator degree or flags
-    the remainder irreducible when no single-step match exists (always
-    solvable over division-ring coefficients). Series case: the same
-    order-raising step, run until the remainder window is exhausted or
-    ``max_steps`` iterations have been taken.
+    One leading-term loop for polynomials and series. The leading
+    exponent n is the degree of a polynomial and the order of a series.
+    Each step cancels the leading coefficient by subtracting
+    g·(u·V^(n-m_g)), where m_g is g's leading exponent,
+    u = sigma^(-m_g)(w) and w solves (lead g)·w = lead f; the first
+    generator with m_g <= n whose solve succeeds is used (one always
+    does over division-ring coefficients). A series step raises the
+    order, so the loop ends when the remainder's window is exhausted.
+    When no generator has m_g <= n, a polynomial remainder is a true
+    remainder, but a series is flagged ``irreducible``; so is any
+    remainder whose leading coefficient no single eligible generator
+    matches. At most ``max_steps`` steps are taken.
     """
     if gens.side != "right":
         raise ConstructionError("right_reduce needs a right generator set")
-    if isinstance(f, TruncatedSeries):
-        return _right_reduce_series(f, gens, max_steps)
-    return _right_reduce_poly(f, gens, max_steps)
-
-
-def _right_reduce_poly(f, gens, max_steps):
     config = f.config
     if gens.config != config:
         raise RingMismatchError("incompatible rings")
-    sigma = config.sigma
-    ring = config.coefficients
-    min_deg = min(g.degree for g in gens.generators)
-    rem = f
-    steps = []
-    irreducible = False
-    while rem and rem.degree >= min_deg:
-        if max_steps is not None and len(steps) >= max_steps:
-            break
-        n = rem.degree
-        r = rem.leading_coefficient
-        matched = False
-        for idx, g in enumerate(gens.generators):
-            mg = g.degree
-            if mg > n:
-                continue
-            w = ring.solve_left_mul(g.leading_coefficient, r)
-            if w is None:
-                continue
-            u = sigma.power_apply(-mg, w)
-            steps.append(CofactorStep(idx, "right", u, n - mg))
-            rem = rem - poly_mul(g, config.monomial(u, n - mg))
-            matched = True
-            break
-        if not matched:
-            irreducible = True
-            break
-    return ReductionResult(steps, rem, irreducible)
-
-
-def _right_reduce_series(f, gens, max_steps):
-    config = f.config
-    if gens.config != config:
-        raise RingMismatchError("incompatible rings")
+    is_series = isinstance(f, TruncatedSeries)
+    lead_exp = attrgetter("order" if is_series else "degree")
     sigma = config.sigma
     ring = config.coefficients
     rem = f
     steps = []
     irreducible = False
-    while rem.coeffs:
+    while rem:
         if max_steps is not None and len(steps) >= max_steps:
             break
-        order = rem.order
-        matched = False
-        for idx, g in enumerate(gens.generators):
-            og = g.order
-            if og > order:
-                continue
+        n = lead_exp(rem)
+        eligible = [(i, g) for i, g in enumerate(gens.generators) if lead_exp(g) <= n]
+        if not eligible and not is_series:
+            break
+        for idx, g in eligible:
             w = ring.solve_left_mul(g.leading_coefficient, rem.leading_coefficient)
-            if w is None:
-                continue
-            u = sigma.power_apply(-og, w)
-            steps.append(CofactorStep(idx, "right", u, order - og))
-            rem = rem - times_monomial(g, u, order - og)
-            matched = True
-            break
-        if not matched:
+            if w is not None:
+                break
+        else:
             irreducible = True
             break
+        mg = lead_exp(g)
+        u = sigma.power_apply(-mg, w)
+        steps.append(CofactorStep(idx, "right", u, n - mg))
+        rem = rem - _cofactor_product(g, "right", u, n - mg)
     return ReductionResult(steps, rem, irreducible)
 
 
 def replay_reduction(result, gens):
-    """Rebuild the reduced input from the recorded steps plus remainder."""
+    """Rebuild the reduced input from the recorded steps plus remainder.
+
+    Each step is rebuilt with the same cofactor product the reduction
+    subtracted; a left step on a series raises ``ConstructionError``.
+    """
     generators = gens.generators if isinstance(gens, GeneratorSet) else list(gens)
-    remainder = result.remainder
-    if isinstance(remainder, TruncatedSeries):
-        total = remainder
-        for step in result.steps:
-            g = generators[step.generator]
-            if step.side != "right":
-                raise ConstructionError("series replay supports right cofactors")
-            total = total + times_monomial(g, step.coeff, step.exponent)
-        return total
-    config = remainder.config
-    total = remainder
+    total = result.remainder
     for step in result.steps:
-        g = generators[step.generator]
-        mono = config.monomial(step.coeff, step.exponent)
-        piece = poly_mul(mono, g) if step.side == "left" else poly_mul(g, mono)
-        total = total + piece
+        total = total + _cofactor_product(
+            generators[step.generator], step.side, step.coeff, step.exponent
+        )
     return total

@@ -107,27 +107,39 @@ def test_mul_command(runner, tmp_path):
     assert result.output.strip() == "-2"
 
 
+M2M2 = {"kind": "matrix", "n": 2, "base": {"kind": "matrix", "base": "rationals", "n": 2}}
+# M2(M2(Q)) is M4(Q) in 2x2 blocks: outer entry (I, J), inner entry
+# (i, j) has flat index (2I + J)·4 + 2i + j and is M4 entry (2I + i, 2J + j)
+M2M2_INDEX = {(2 * big_i + i, 2 * big_j + j): (2 * big_i + big_j) * 4 + 2 * i + j
+              for big_i in range(2) for big_j in range(2) for i in range(2) for j in range(2)}
+
+
+def vector_text(v):
+    return "[" + ",".join(str(q) for q in v) + "]"
+
+
 def test_mul_matrix_over_matrix(runner, tmp_path):
-    doc = dict(GAUSS_Q2, ring={"kind": "matrix", "n": 2,
-                               "base": {"kind": "matrix", "base": "rationals", "n": 2}},
-               twist="identity")
-    path = write(tmp_path, "m2m2.json", doc)
-    # M2(M2(Q)) is M4(Q) in 2x2 blocks: outer entry (I, J), inner entry
-    # (i, j) has flat index (2I + J)·4 + 2i + j and is M4 entry (2I + i, 2J + j)
-    index = {(2 * big_i + i, 2 * big_j + j): (2 * big_i + big_j) * 4 + 2 * i + j
-             for big_i in range(2) for big_j in range(2) for i in range(2) for j in range(2)}
+    path = write(tmp_path, "m2m2.json", dict(GAUSS_Q2, ring=M2M2, twist="identity"))
     x = [Fraction(k + 1, 1 + k % 3) for k in range(16)]
     y = [Fraction(7 - k) for k in range(16)]
     expected = [None] * 16
-    for (r, c), k in index.items():
-        expected[k] = sum(x[index[r, m]] * y[index[m, c]] for m in range(4))
-
-    def text(v):
-        return "[" + ",".join(str(q) for q in v) + "]"
-
-    result = runner.invoke(cli.main, ["mul", "--config", path, text(x), text(y)])
+    for (r, c), k in M2M2_INDEX.items():
+        expected[k] = sum(x[M2M2_INDEX[r, m]] * y[M2M2_INDEX[m, c]] for m in range(4))
+    result = runner.invoke(cli.main, ["mul", "--config", path, vector_text(x), vector_text(y)])
     assert result.exit_code == 0, result.output
-    assert result.output.strip() == text(expected)
+    assert result.output.strip() == vector_text(expected)
+
+
+def test_mul_conj_transpose_over_matrix_of_matrix(runner, tmp_path):
+    path = write(tmp_path, "m2m2.json", dict(GAUSS_Q2, ring=M2M2, twist="conj_transpose"))
+    # X·a = a*·X, and a* on M2(M2(Q)) is the M4(Q) transpose
+    a = list(range(1, 17))
+    star = [None] * 16
+    for (r, c), k in M2M2_INDEX.items():
+        star[k] = a[M2M2_INDEX[c, r]]
+    result = runner.invoke(cli.main, ["mul", "--config", path, "X", vector_text(a)])
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == vector_text(star) + "X"
 
 
 def test_mul_weyl(runner, tmp_path):
@@ -374,6 +386,12 @@ BAD_CONFIGS = {
     "transpose-not-matrix": dict(GAUSS_Q2, twist="transpose"),
     "diag-swap-not-matrix": dict(GAUSS_Q2, twist="diag_swap"),
     "conj-transpose-not-matrix": dict(GAUSS_Q2, twist="conj_transpose"),
+    "conj-transpose-over-involution-free-base": dict(
+        GAUSS_Q2,
+        ring={"kind": "matrix", "n": 2, "base": {"kind": "algebra", "spec": {
+            "name": "A", "basis": ["1"], "table": [[["1"]]], "unit": ["1"]}}},
+        twist="conj_transpose",
+    ),
     # a matrix ring is conjugated by conj_transpose, not by conjugation
     "conjugation-over-matrix": dict(
         GAUSS_Q2, ring={"kind": "matrix", "base": "gaussian", "n": 2}, twist="conjugation"

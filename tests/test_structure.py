@@ -429,18 +429,52 @@ def test_right_reduce_member():
     assert len(result.steps) == 1
 
 
-def test_right_reduce_irreducible_flag():
+def _weyl_unmatched_coefficient():
+    # X against Y·X in the Weyl algebra: Y does not left-divide 1
     qy = poly.RingConfig(Q, maps.make_twist(Q, "identity"), None, "Y", poly.ORE)
     weyl = poly.RingConfig(
         qy, maps.make_twist(qy, "identity"), maps.make_twist(qy, "derivative"),
         "X", poly.ORE,
     )
-    gen = weyl.monomial(qy.gen, 1)
-    gens = structure.GeneratorSet(weyl, [gen], "right")
-    result = structure.right_reduce(weyl.gen, gens)
-    assert result.irreducible
-    assert result.remainder == weyl.gen
+    return weyl.gen, [weyl.monomial(qy.gen, 1)]
+
+
+def _series_against_higher_order():
+    # 1 + O(X^4) against X + O(X^4) over Q[X^±]
+    config = poly.RingConfig(Q, maps.make_twist(Q, "identity"), None, "X", poly.LAURENT)
+    return series.series(config, {0: Q.one}, 4), [series.series(config, {1: Q.one}, 4)]
+
+
+def _poly_against_higher_degree():
+    # X against X² over Q(i)[X; q=2]
+    config = cfg_q2(poly.ORE)
+    return config.gen, [config.variable_power(2)]
+
+
+@pytest.mark.parametrize("case, irreducible", [
+    (_weyl_unmatched_coefficient, True),
+    (_series_against_higher_order, True),
+    (_poly_against_higher_degree, False),
+], ids=["weyl-unmatched-coefficient", "series-below-every-order",
+        "polynomial-below-every-degree"])
+def test_right_reduce_irreducible_flag(case, irreducible):
+    """No step is taken; only a polynomial below every generator's degree
+    is a true remainder."""
+    f, gens = case()
+    result = structure.right_reduce(f, structure.GeneratorSet(f.config, gens, "right"))
+    assert result.irreducible is irreducible
     assert not result.steps
+    assert result.remainder == f
+
+
+def test_replay_rejects_left_step_on_series():
+    config = poly.RingConfig(Q, maps.make_twist(Q, "identity"), None, "X", poly.LAURENT)
+    gen = series.series(config, {0: Q.one, 1: -Q.one}, 5)
+    record = structure.ReductionResult(
+        [structure.CofactorStep(0, "left", Q.one, 1)], series.series(config, {}, 5)
+    )
+    with pytest.raises(ConstructionError, match="series replay supports right cofactors"):
+        structure.replay_reduction(record, [gen])
 
 
 def test_right_reduce_poly_coefficient_match():
