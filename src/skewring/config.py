@@ -112,13 +112,7 @@ def _twisted_ring(ring, doc, shape, default_variable):
     if delta is not None:
         delta = twist_from_descriptor(ring, delta)
     variable = doc.get("variable", default_variable)
-    token = parsing._TOKEN.fullmatch(variable) if isinstance(variable, str) else None
-    if token is None or token.lastgroup != "ident":
-        raise ConstructionError(f"variable must be one identifier, got {variable!r}")
-    if variable in getattr(ring, "basis_labels", ()):
-        # the printer writes that basis element by its name, which would
-        # then parse back as the variable
-        raise ConstructionError(f"variable {variable!r} is a basis name of {ring.describe()}")
+    parsing._check_variable(variable, ring)
     return poly.RingConfig(
         coefficients=ring,
         sigma=sigma,

@@ -163,7 +163,7 @@ class LinearTwist(TwistMap):
         return self.ring == other.ring and self.images == other.images
 
     def __hash__(self):
-        return hash((self.kind, self.images))
+        return hash((self.ring, self.images))
 
 
 class PolyTwist(TwistMap):
@@ -219,7 +219,7 @@ class PolyTwist(TwistMap):
         )
 
     def __hash__(self):
-        return hash((self.kind, self.var_scale))
+        return hash((self.ring, self.coeff_map, self.var_scale))
 
 
 class DerivativeMap(TwistMap):
@@ -528,15 +528,15 @@ def _spanning(ring, bound):
     return ring.spanning_set(bound)
 
 
-def classify_multiplicativity(tm, bound=2):
+def classify_multiplicativity(tm):
     """Which of automorphism / antiautomorphism / involution hold.
 
     Decided exhaustively on the ring's spanning set (the basis for
-    finite-dimensional rings; basis monomials of bounded exponent for
-    polynomial rings, where the structural maps act monomial-wise so the
-    bounded check spans every product shape that occurs).
+    finite-dimensional rings; basis monomials with exponents in [-2, 2]
+    for polynomial rings, where the structural maps act monomial-wise so
+    the bounded check spans every product shape that occurs).
     """
-    span = _spanning(tm.ring, bound)
+    span = _spanning(tm.ring, 2)
     bijective = tm.inverse() is not None
     auto = True
     anti = True

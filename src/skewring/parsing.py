@@ -14,8 +14,14 @@ Grammar (whitespace insignificant):
 Coordinate vectors live in the coefficient ring's flat basis; named
 aliases (i, j, k, e0..e7, an inner variable like Y) are accepted for
 the built-in rings. Negative exponents parse only in the laurent shape.
-The trailing O(V^N) marker is mandatory for series and fixes the
-precision at N (coefficients with exponents up to N are stored).
+
+An identifier that ends in the variable, such as ``iX`` or ``YX``, is
+read as two tokens, the coefficient name and the variable, each taking
+its own exponent: ``YX^2`` is Y·X^2. An identifier that is itself a
+coefficient name (a basis label ``ab`` over the variable ``b``) stays
+whole. A sum ends before an ``O(`` marker where a term could begin; the
+trailing O(V^N) marker is mandatory for series and fixes the precision
+at N (coefficients with exponents up to N are stored).
 
 ``parse(format(p)) == p`` holds exactly on canonical forms.
 """
@@ -52,6 +58,27 @@ def _tokenize(text):
     return tokens
 
 
+def _check_variable(variable, ring):
+    """Raise ``ConstructionError`` unless ``variable`` can name the variable over ``ring``.
+
+    It must be one identifier, and not a basis label of ``ring``: the
+    printer writes that basis element by its label, which would then
+    parse back as the variable.
+    """
+    match = _TOKEN.fullmatch(variable) if isinstance(variable, str) else None
+    if match is None or match.lastgroup != "ident":
+        raise ConstructionError(f"variable must be one identifier, got {variable!r}")
+    if variable in getattr(ring, "basis_labels", ()):
+        raise ConstructionError(f"variable {variable!r} is a basis name of {ring.describe()}")
+
+
+def _names_coefficient(ring, name):
+    """Whether an identifier names an element of ``ring``: a basis label or its variable."""
+    if isinstance(ring, RingConfig):
+        return name == ring.variable
+    return name in getattr(ring, "basis_labels", ())
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
@@ -75,44 +102,50 @@ class _Parser:
         if text != value:
             raise ParseError(f"expected {value!r}, found {text!r}", column=col)
 
-    def at_end(self):
-        return self.pos >= len(self.tokens)
+    def expect_end(self):
+        if self.pos < len(self.tokens):
+            _, text, col = self.peek()
+            raise ParseError(f"trailing input {text!r}", column=col)
+
+    def at_order_marker(self):
+        """At an ``O(`` where a term could begin: first, or right after a sign."""
+        return (
+            self.peek()[1] == "O"
+            and self.peek(1)[1] == "("
+            and (self.pos == 0 or self.tokens[self.pos - 1][1] in ("+", "-"))
+        )
 
     # -- literals -----------------------------------------------------------
 
-    def parse_rational(self):
-        sign = 1
-        kind, text, col = self.peek()
-        if text in ("-", "+"):
-            self.advance()
-            sign = -1 if text == "-" else 1
-            kind, text, col = self.peek()
-        if kind != "num":
-            raise ParseError(f"expected a rational, found {text!r}", column=col)
-        self.advance()
-        numerator = int(text)
-        if self.peek()[1] == "/":
-            self.advance()
-            kind, dtext, col = self.advance()
-            if kind != "num":
-                raise ParseError("expected a denominator", column=col)
-            denominator = int(dtext)
-            if denominator == 0:
-                raise ParseError("zero denominator", column=col)
-            return Fraction(sign * numerator, denominator)
-        return Fraction(sign * numerator)
-
     def parse_int(self):
+        """A signed integer: an exponent, a precision or a numerator."""
+        kind, text, col = self.advance()
         sign = 1
-        kind, text, col = self.peek()
         if text in ("-", "+"):
-            self.advance()
             sign = -1 if text == "-" else 1
-            kind, text, col = self.peek()
+            kind, text, col = self.advance()
         if kind != "num":
-            raise ParseError(f"expected an integer, found {text!r}", column=col)
-        self.advance()
+            raise ParseError(f"expected a number, found {text!r}", column=col)
         return sign * int(text)
+
+    def parse_rational(self):
+        numerator = self.parse_int()
+        if self.peek()[1] != "/":
+            return Fraction(numerator)
+        self.advance()
+        kind, text, col = self.advance()
+        if kind != "num":
+            raise ParseError("expected a denominator", column=col)
+        if int(text) == 0:
+            raise ParseError("zero denominator", column=col)
+        return Fraction(numerator, int(text))
+
+    def parse_exponent(self):
+        """The exponent after a variable: "^" INT, or 1 when there is no "^"."""
+        if self.peek()[1] != "^":
+            return 1
+        self.advance()
+        return self.parse_int()
 
     # -- coefficients ---------------------------------------------------------
 
@@ -137,105 +170,63 @@ class _Parser:
             )
         return ring.unflatten(tuple(coords))
 
-    def _alias(self, config, name):
-        """Resolve an identifier as a coefficient: basis label or inner variable."""
-        ring = config.coefficients
-        labels = getattr(ring, "basis_labels", ())
-        if name in labels:
-            return ring.basis_element(labels.index(name))
-        if isinstance(ring, RingConfig) and name == ring.variable:
-            exp = 1
-            if self.peek()[1] == "^":
-                self.advance()
-                exp = self.parse_int()
-            try:
-                return ring.variable_power(exp)
-            except ConstructionError as exc:
-                raise ParseError(str(exc), column=self.peek()[2]) from None
-        return None
-
     # -- terms ------------------------------------------------------------------
 
     def parse_term(self, config):
-        coeff = None
-        pending_var = False
+        var = config.variable
+        ring = config.coefficients
         kind, text, col = self.peek()
+        # iX, YX: split off the variable, so that each name reads its own exponent
+        if (kind == "ident" and text != var and text.endswith(var)
+                and not _names_coefficient(ring, text)):
+            cut = len(text) - len(var)
+            text = text[:cut]
+            self.tokens[self.pos:self.pos + 1] = [(kind, text, col), (kind, var, col + cut)]
 
+        coeff = ring.one
         if kind == "num":
-            value = self.parse_rational()
-            coeff = config.coefficients.scalar(value)
+            coeff = ring.scalar(self.parse_rational())
         elif text == "[":
             coeff = self.parse_vector(config)
         elif text == "(":
-            inner = config.coefficients
-            if not isinstance(inner, RingConfig):
+            if not isinstance(ring, RingConfig):
                 raise ParseError(
                     "parenthesized coefficients need an iterated ring", column=col
                 )
             self.advance()
-            coeff = self.parse_sum(inner)
+            coeff = self.parse_sum(ring)
             self.expect(")")
-        elif kind == "ident" and text != config.variable:
-            resolved = None
-            if text.endswith(config.variable) and text != config.variable:
-                prefix = text[: -len(config.variable)]
-                self.advance()
-                resolved = self._alias(config, prefix)
-                if resolved is None:
-                    raise ParseError(f"unknown identifier {text!r}", column=col)
-                coeff = resolved
-                pending_var = True
+        elif kind == "ident" and text != var:
+            if not _names_coefficient(ring, text):
+                raise ParseError(f"unknown identifier {text!r}", column=col)
+            if isinstance(ring, RingConfig):
+                coeff = self.parse_term(ring)
             else:
                 self.advance()
-                resolved = self._alias(config, text)
-                if resolved is None:
-                    raise ParseError(f"unknown identifier {text!r}", column=col)
-                coeff = resolved
-
-        exp = None
-        if pending_var:
-            exp = 1
-            if self.peek()[1] == "^":
-                self.advance()
-                exp = self.parse_int()
-        elif self.peek()[0] == "ident" and self.peek()[1] == config.variable:
-            self.advance()
-            exp = 1
-            if self.peek()[1] == "^":
-                self.advance()
-                exp = self.parse_int()
-
-        if coeff is None and exp is None:
+                coeff = ring.basis_element(ring.basis_labels.index(text))
+        elif kind != "ident":
             raise ParseError(f"expected a term, found {text!r}", column=col)
-        if coeff is None:
-            coeff = config.coefficients.one
+
+        exp = 0
+        if self.peek()[:2] == ("ident", var):
+            self.advance()
+            exp = self.parse_exponent()
         try:
-            return config.monomial(coeff, exp or 0)
+            return config.monomial(coeff, exp)
         except ConstructionError as exc:
             raise ParseError(str(exc), column=col) from None
 
-    def parse_sum(self, config, stop_at_order_marker=False):
+    def parse_sum(self, config):
+        """Signed terms, up to a token that is not a sign or up to an O( marker."""
         total = config.zero
-        sign = 1
-        if self.peek()[1] == "-":
-            self.advance()
-            sign = -1
-        while True:
-            if stop_at_order_marker and self.peek()[1] == "O" and self.peek(1)[1] == "(":
-                return total, True
+        sign = self.advance()[1] if self.peek()[1] == "-" else "+"
+        while not self.at_order_marker():
             term = self.parse_term(config)
-            total = total + (term if sign == 1 else -term)
-            nxt = self.peek()[1]
-            if nxt == "+":
-                self.advance()
-                sign = 1
-            elif nxt == "-":
-                self.advance()
-                sign = -1
-            else:
+            total = total - term if sign == "-" else total + term
+            sign = self.peek()[1]
+            if sign not in ("+", "-"):
                 break
-        if stop_at_order_marker:
-            return total, False
+            self.advance()
         return total
 
 
@@ -243,9 +234,7 @@ def parse_poly(text, config):
     """Parse polynomial text in the given ring configuration."""
     parser = _Parser(text)
     result = parser.parse_sum(config)
-    if not parser.at_end():
-        _, tok, col = parser.peek()
-        raise ParseError(f"trailing input {tok!r}", column=col)
+    parser.expect_end()
     return result
 
 
@@ -255,13 +244,13 @@ def parse_series(text, config, power=False, max_precision=None):
     With ``max_precision`` given, an N above it is a ``ParseError``.
     """
     parser = _Parser(text)
-    body, found = parser.parse_sum(config, stop_at_order_marker=True)
-    if not found:
+    body = parser.parse_sum(config)
+    if not parser.at_order_marker():
         raise ParseError("missing O(X^N)", column=parser.peek()[2])
     parser.expect("O")
     parser.expect("(")
     kind, name, col = parser.advance()
-    if kind != "ident" or name != config.variable:
+    if (kind, name) != ("ident", config.variable):
         raise ParseError(f"expected variable {config.variable!r}", column=col)
     parser.expect("^")
     col = parser.peek()[2]
@@ -272,13 +261,10 @@ def parse_series(text, config, power=False, max_precision=None):
             column=col,
         )
     parser.expect(")")
-    if not parser.at_end():
-        _, tok, col = parser.peek()
-        raise ParseError(f"trailing input {tok!r}", column=col)
-    if power and body.terms and min(body.terms) < 0:
+    parser.expect_end()
+    if power and min(body.terms, default=0) < 0:
         raise ParseError("negative exponent")
-    window = 0 if power else min([0, *body.terms]) if body.terms else 0
-    return TruncatedSeries(config, dict(body.terms), precision, window)
+    return TruncatedSeries(config, body.terms, precision)
 
 
 # ---------------------------------------------------------------------------

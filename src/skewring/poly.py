@@ -109,8 +109,8 @@ class RingConfig:
             self._span_cache[bound] = cached
         return list(cached)
 
-    def random_element(self, rng, max_degree=4, max_terms=3):
-        exps = rng.sample(self.exponent_window(max_degree), k=rng.randint(1, max_terms))
+    def random_element(self, rng, max_degree=4):
+        exps = rng.sample(self.exponent_window(max_degree), k=rng.randint(1, 3))
         return SkewPoly(self, random_terms(self.coefficients, rng, exps))
 
     @property

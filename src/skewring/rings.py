@@ -131,9 +131,9 @@ class CompiledAlgebra:
     def flatten(self, el):
         return el.coords
 
-    def random_element(self, rng, max_num=6, max_den=3):
+    def random_element(self, rng):
         return self.unflatten(tuple(
-            Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+            Fraction(rng.randint(-6, 6), rng.randint(1, 3))
             for _ in range(self.dimension)
         ))
 

@@ -142,6 +142,35 @@ def test_mul_conj_transpose_over_matrix_of_matrix(runner, tmp_path):
     assert result.output.strip() == vector_text(star) + "X"
 
 
+TORUS_Q2 = {
+    "ring": {"kind": "polynomial", "base": "rationals", "variable": "Y", "shape": "laurent"},
+    "twist": {"kind": "y_scale", "q": "2"},
+    "shape": "laurent",
+}
+
+# Q(i) with i relabelled "ab", over the variable b
+LABELLED_GAUSS = {
+    "ring": {"kind": "algebra", "division": True, "spec": {
+        "name": "Qab", "basis": ["1", "ab"], "unit": ["1", "0"],
+        "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["-1", "0"]]]}},
+    "twist": "identity",
+    "shape": "laurent",
+    "variable": "b",
+}
+
+
+@pytest.mark.parametrize("doc, expr, expected", [
+    (TORUS_Q2, "YX^2", "(Y)X^2"),
+    (TORUS_Q2, "YX^-1", "(Y)X^-1"),
+    (LABELLED_GAUSS, "ab", "ab"),
+], ids=["torus-square", "torus-inverse", "label-ending-in-variable"])
+def test_mul_identifier_ending_in_variable(runner, tmp_path, doc, expr, expected):
+    path = write(tmp_path, "cfg.json", doc)
+    result = runner.invoke(cli.main, ["mul", "--config", path, expr, "1"])
+    assert result.exit_code == 0
+    assert result.output.strip() == expected
+
+
 def test_mul_weyl(runner, tmp_path):
     path = write(tmp_path, "weyl.json", WEYL)
     result = runner.invoke(cli.main, ["mul", "--config", path, "X", "(Y)"])

@@ -322,3 +322,16 @@ def test_coefficientwise_lift():
     p = inner.monomial(i, 3)
     assert lifted(p) == inner.monomial(-i, 3)
     assert maps.detect_finite_order(lifted, 4) == 2
+
+
+def test_equal_twists_hash_equal():
+    q = rings.rationals()
+    laurent = poly.RingConfig(q, maps.make_twist(q, "identity"), None, "Y", poly.LAURENT)
+    pairs = [
+        (maps.make_twist(q, "identity"), maps.make_twist(q, "matrix", matrix=[[1]])),
+        (maps.make_twist(laurent, "identity"), maps.make_twist(laurent, "y_scale", q=1)),
+    ]
+    for a, b in pairs:
+        assert a.kind != b.kind and a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1

@@ -96,6 +96,45 @@ def test_iterated_coefficients():
     assert parsing.parse_poly(repr(p), torus) == p
 
 
+def torus_q2():
+    return poly.quantum_torus(Q, 2)
+
+
+def weyl():
+    inner = poly.RingConfig(Q, maps.make_twist(Q, "identity"), None, "Y", poly.ORE)
+    return poly.RingConfig(
+        inner, maps.make_twist(inner, "identity"), maps.make_twist(inner, "derivative"),
+        "X", poly.ORE,
+    )
+
+
+@pytest.mark.parametrize("cfg", [torus_q2(), weyl()], ids=["torus", "weyl"])
+def test_inner_variable_before_variable(cfg):
+    # in YX^b the exponent belongs to X, whether or not Y and X are juxtaposed
+    inner = cfg.coefficients
+    low = -2 if cfg.shape == poly.LAURENT else 0
+    for b in range(low, 4):
+        for a in range(low, 3):
+            expected = cfg.monomial(inner.variable_power(a), b)
+            assert parsing.parse_poly(f"Y^{a}X^{b}", cfg) == expected
+        assert parsing.parse_poly(f"YX^{b}", cfg) == cfg.monomial(inner.gen, b)
+    assert parsing.parse_poly("-YX^2 + 1", cfg) == cfg.one - cfg.monomial(inner.gen, 2)
+
+
+def test_label_ending_in_variable_stays_whole():
+    # Q(i) with i relabelled "ab", over the variable b: "ab" is the label,
+    # "abb" is ab·b
+    ring = rings.algebra_from_json(dict(G.to_json(), basis=["1", "ab"]), division=True)
+    cfg = poly.RingConfig(ring, maps.make_twist(ring, "identity"), None, "b", poly.LAURENT)
+    ab = ring.basis_element(1)
+    assert parsing.parse_poly("ab", cfg) == cfg.constant(ab)
+    assert parsing.format_poly(cfg.monomial(ab, 1)) == "abb"
+    for exp in range(-2, 3):
+        for c in (ab, -ab, ab.scale(3), ring.one + ab):
+            p = cfg.monomial(c, exp) + cfg.one
+            assert parsing.parse_poly(parsing.format_poly(p), cfg) == p
+
+
 def test_format_zero():
     cfg = cfg_laurent()
     assert parsing.format_poly(cfg.zero) == "0"
