@@ -19,12 +19,17 @@ exact rational), elements are flat coordinate vectors.
 
 Documents are checked at this boundary: a file that is not JSON, a
 missing field, a value of the wrong JSON type, a malformed rational, a
-``variable`` that is not one identifier token of the expression grammar
-or that is a basis name of the coefficient ring (``"i"`` over Q(i),
-``"e1"`` over O), a ``precision`` that is not a non-negative integer, a
-matrix ``n`` that is not a JSON integer, or an algebra ``division``
-that is not a JSON boolean raises ``ConstructionError`` (exit status 2
-in the CLI), never a bare ``KeyError``/``ValueError`` from deeper down.
+``variable`` that is not one identifier token of the expression grammar,
+that is a basis name of the coefficient ring (``"i"`` over Q(i),
+``"e1"`` over O) or that joins one basis name to another (``"b"`` over
+the names ``a`` and ``ab``), a ``precision`` that is not a non-negative
+integer, a matrix ``n`` that is not a JSON integer, an algebra spec
+whose ``name`` is not a string, ``basis`` not a list of strings, or
+``unit``/``table``/``involution`` not lists of rationals nested 1/3/2
+deep, an algebra ``division`` that is not a JSON boolean, or a
+``matrix`` twist that is not d rows of d rationals over a ring of
+dimension d raises ``ConstructionError`` (exit status 2 in the CLI),
+never a bare ``KeyError``, ``TypeError`` or ``ValueError`` from deeper down.
 The sigma/delta axioms (sigma fixes 1 and is bijective, delta kills 1,
 no delta on a laurent shape) are checked in one place,
 ``poly.RingConfig``, which every config document and ``polynomial``
@@ -70,10 +75,17 @@ def _field(doc, key, what):
     return doc[key]
 
 
-def _rationals(values, what):
-    if not isinstance(values, list):
-        raise ConstructionError(f"{what} must be a list of rationals")
-    return [rings._frac(v) for v in values]
+def _rationals(values, what, depth=1):
+    """``values`` as exact rationals in lists nested ``depth`` deep."""
+    def read(value, level):
+        if level == 0:
+            return rings._frac(value)
+        if not isinstance(value, list):
+            raise ConstructionError(
+                f"{what} must be a list of {'lists of ' * (depth - 1)}rationals"
+            )
+        return [read(v, level - 1) for v in value]
+    return read(values, depth)
 
 
 def ring_from_descriptor(doc):
@@ -93,12 +105,21 @@ def ring_from_descriptor(doc):
         spec = _field(doc, "spec", "algebra ring")
         if not isinstance(spec, dict):
             raise ConstructionError("algebra spec must be a JSON object")
-        for key in ("name", "basis", "table", "unit"):
-            _field(spec, key, "algebra spec")
+        what = "algebra spec"
+        name, basis = _field(spec, "name", what), _field(spec, "basis", what)
+        if not isinstance(name, str) or not (
+            isinstance(basis, list) and all(isinstance(label, str) for label in basis)
+        ):
+            raise ConstructionError(f"{what} needs a string name and a list of string basis names")
+        table = _rationals(_field(spec, "table", what), f"{what} field 'table'", 3)
+        unit = _rationals(_field(spec, "unit", what), f"{what} field 'unit'")
+        involution = spec.get("involution")
+        if involution is not None:
+            involution = _rationals(involution, f"{what} field 'involution'", 2)
         division = doc.get("division", False)
         if not isinstance(division, bool):
             raise ConstructionError(f"algebra division must be true or false, got {division!r}")
-        return rings.algebra_from_json(spec, division=division)
+        return rings.AlgebraSpec(name, basis, table, unit, involution, division)
     if kind == "polynomial":
         base = ring_from_descriptor(_field(doc, "base", "polynomial ring"))
         return _twisted_ring(base, doc, doc.get("shape", poly.LAURENT), "Y")
@@ -137,10 +158,7 @@ def twist_from_descriptor(ring, doc):
             raise ConstructionError(f"{what} field 'u' needs {ring.qdim} coordinates")
         params["u"] = ring.unflatten(tuple(u))
     elif kind == "matrix":
-        rows = _field(doc, "matrix", what)
-        if not isinstance(rows, list):
-            raise ConstructionError(f"{what} field 'matrix' must be a list of rows")
-        params["matrix"] = [_rationals(row, f"{what} field 'matrix'") for row in rows]
+        params["matrix"] = _rationals(_field(doc, "matrix", what), f"{what} field 'matrix'", 2)
     elif kind == "coefficientwise":
         params["base"] = twist_from_descriptor(ring.coefficients, _field(doc, "base", what))
     return maps.make_twist(ring, kind, **params)

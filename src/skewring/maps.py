@@ -399,12 +399,13 @@ def make_twist(ring, kind, **params):
 
     if kind == "matrix":
         matrix = [[Fraction(v) for v in row] for row in params["matrix"]]
-        images = [
-            tuple(matrix[i][j] for i in range(len(matrix)))
-            for j in range(len(matrix))
-        ]
+        d = ring.qdim
+        if len(matrix) != d or any(len(row) != d for row in matrix):
+            raise ConstructionError(
+                f"a matrix twist on {ring.describe()} needs {d} rows of {d} rationals"
+            )
         return LinearTwist(
-            ring, images, kind="matrix",
+            ring, list(zip(*matrix)), kind="matrix",
             params={"matrix": [[str(v) for v in row] for row in matrix]},
         )
 
@@ -522,12 +523,6 @@ def pi_word_sum(fam, i, m, s):
 # ---------------------------------------------------------------------------
 
 
-def _spanning(ring, bound):
-    if not hasattr(ring, "spanning_set"):
-        raise UnsupportedRingError("cannot decide by basis exhaustion")
-    return ring.spanning_set(bound)
-
-
 def classify_multiplicativity(tm):
     """Which of automorphism / antiautomorphism / involution hold.
 
@@ -536,7 +531,7 @@ def classify_multiplicativity(tm):
     for polynomial rings, where the structural maps act monomial-wise so
     the bounded check spans every product shape that occurs).
     """
-    span = _spanning(tm.ring, 2)
+    span = tm.ring.spanning_set(2)
     bijective = tm.inverse() is not None
     auto = True
     anti = True
@@ -570,10 +565,7 @@ def detect_finite_order(tm, bound=8):
     completely on finite-dimensional rings and monomial-wise structural
     maps on polynomial rings.
     """
-    try:
-        span = _spanning(tm.ring, 2)
-    except UnsupportedRingError:
-        raise UnsupportedRingError("order detection unsupported") from None
+    span = tm.ring.spanning_set(2)
     for m in range(1, bound + 1):
         if all(tm.power_apply(m, b) == b for b in span):
             return m

@@ -63,13 +63,22 @@ def _check_variable(variable, ring):
 
     It must be one identifier, and not a basis label of ``ring``: the
     printer writes that basis element by its label, which would then
-    parse back as the variable.
+    parse back as the variable. Nor may a label followed by the variable
+    be another label: with labels ``a`` and ``ab`` over ``b``, a·b and
+    the label ``ab`` would print alike.
     """
     match = _TOKEN.fullmatch(variable) if isinstance(variable, str) else None
     if match is None or match.lastgroup != "ident":
         raise ConstructionError(f"variable must be one identifier, got {variable!r}")
-    if variable in getattr(ring, "basis_labels", ()):
+    labels = getattr(ring, "basis_labels", ())
+    if variable in labels:
         raise ConstructionError(f"variable {variable!r} is a basis name of {ring.describe()}")
+    for label in labels:
+        if label + variable in labels:
+            raise ConstructionError(
+                f"basis name {label + variable!r} of {ring.describe()} would read as "
+                f"{label!r} times the variable {variable!r}"
+            )
 
 
 def _names_coefficient(ring, name):

@@ -17,8 +17,10 @@ quantum torus arise; configs are shareable read-only.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .errors import (
     ConstructionError,
@@ -489,24 +491,22 @@ def from_right_form(config, pairs):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class DStructure:
-    """A family of maps pi_b^a over a monoid, candidate Ore-monoid data."""
+    """A family of maps pi_b^a over a monoid, candidate Ore-monoid data.
 
-    def __init__(self, monoid, name, pi, support):
-        if monoid not in ("naturals", "integers"):
-            raise ConstructionError(f"unsupported monoid: {monoid}")
-        self.monoid = monoid
-        self.name = name
-        self._pi = pi
-        self._support = support
+    ``pi(a, b, s)`` is the value pi_b^a(s), and ``support(a)`` holds the
+    exponents b where pi_b^a may be nonzero.
+    """
 
-    def pi(self, a, b):
-        """The map pi_b^a as a callable on ring elements."""
-        return self._pi(a, b)
+    monoid: str
+    name: str
+    pi: Callable
+    support: Callable
 
-    def support(self, a):
-        """Exponents b where pi_b^a may be nonzero."""
-        return self._support(a)
+    def __post_init__(self):
+        if self.monoid not in ("naturals", "integers"):
+            raise ConstructionError(f"unsupported monoid: {self.monoid}")
 
     def in_monoid(self, a):
         return a >= 0 if self.monoid == "naturals" else True
@@ -514,37 +514,34 @@ class DStructure:
 
 def laurent_d_structure(sigma):
     """pi_b^a = sigma^a when a = b, else 0, over the integers."""
-    def pi(a, b):
-        if a == b:
-            return lambda s: sigma.power_apply(a, s)
-        return lambda s: s.ring.zero
-    return DStructure("integers", "laurent", pi, lambda a: (a,))
+    return DStructure(
+        "integers", "laurent",
+        lambda a, b, s: sigma.power_apply(a, s) if a == b else s.ring.zero,
+        lambda a: (a,),
+    )
 
 
 def ore_d_structure(sigma, delta):
     """The word-sum family of the Ore product, over the naturals."""
     fam = PiFamily(sigma, delta)
-    def pi(a, b):
-        return lambda s: pi_apply(fam, b, a, s)
-    return DStructure("naturals", "ore", pi, lambda a: tuple(range(a + 1)))
+    return DStructure(
+        "naturals", "ore", lambda a, b, s: pi_apply(fam, b, a, s), lambda a: range(a + 1)
+    )
 
 
 def corrupted_d_structure(base):
     """base with pi_e^e forced to zero; must fail axiom D1."""
-    def pi(a, b):
-        if a == 0 and b == 0:
-            return lambda s: s.ring.zero
-        return base.pi(a, b)
-    return DStructure(base.monoid, f"{base.name}-corrupted", pi, base.support)
+    return DStructure(
+        base.monoid, f"{base.name}-corrupted",
+        lambda a, b, s: s.ring.zero if a == b == 0 else base.pi(a, b, s),
+        base.support,
+    )
 
 
 @dataclass
 class DStructureReport:
     name: str
     entries: list = field(default_factory=list)
-
-    def add(self, axiom, passed, detail=""):
-        self.entries.append((axiom, passed, detail))
 
     @property
     def ok(self):
@@ -556,91 +553,52 @@ def validate_d_structure(d, exponents, elements):
 
     ``exponents`` bounds the monoid window: pairs and triples are drawn
     from it, and D0's finite-support check probes a margin beyond the
-    declared support inside the window.
+    declared support inside the window. Each axiom is a pass detail and
+    a lazy stream of failing samples; an axiom passes when its stream is
+    empty, and a failing one reports its first failing sample.
     """
     exps = [a for a in exponents if d.in_monoid(a)]
-    report = DStructureReport(name=d.name)
     one = elements[0].ring.one
     zero = elements[0].ring.zero
-
-    ok = True
-    detail = ""
+    pi = d.pi
     window = range(min(exps) - 2, max(exps) + 3)
-    for a in exps:
-        support = set(d.support(a))
-        for b in window:
-            if not d.in_monoid(b) or b in support:
-                continue
-            for r in elements:
-                if d.pi(a, b)(r):
-                    ok, detail = False, f"pi_{b}^{a} nonzero outside declared support"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("D0", ok, detail or "finite support on sampled window")
 
-    ok = all(d.pi(0, 0)(r) == r for r in elements)
-    for a in exps:
-        if a != 0 and any(d.pi(0, a)(r) for r in elements):
-            ok = False
-    report.add("D1", ok, "pi_e^e = id and pi_a^e = 0")
+    def d4_failures():
+        for a in exps:
+            for b in exps:
+                sa, sb = d.support(a), d.support(b)
+                for c in sorted({x + y for x in sa for y in sb}):
+                    for r in elements:
+                        total = sum((pi(a, x, pi(b, c - x, r)) for x in sa if c - x in sb), zero)
+                        if pi(a + b, c, r) != total:
+                            yield f"D4 fails at a={a}, b={b}, c={c}"
 
-    ok = True
-    for a in exps:
-        for b in exps:
-            expected = one if a == b else zero
-            if d.pi(a, b)(one) != expected:
-                ok = False
-                break
-        if not ok:
-            break
-    report.add("D2", ok, "pi_b^a(1) is the Kronecker delta")
-
-    ok = True
-    for a in exps:
-        for b in d.support(a):
-            pi_ab = d.pi(a, b)
-            for r in elements:
-                for s in elements:
-                    if pi_ab(r + s) != pi_ab(r) + pi_ab(s):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("D3", ok, "additivity on sampled pairs")
-
-    ok = True
-    detail = ""
-    for a in exps:
-        for b in exps:
-            ab = a + b
-            targets = set()
-            for dd in d.support(a):
-                for ee in d.support(b):
-                    targets.add(dd + ee)
-            for c in sorted(targets):
-                for r in elements:
-                    total = zero
-                    for dd in d.support(a):
-                        ee = c - dd
-                        if d.in_monoid(ee) and ee in set(d.support(b)):
-                            total = total + d.pi(a, dd)(d.pi(b, ee)(r))
-                    if d.pi(ab, c)(r) != total:
-                        ok, detail = False, f"D4 fails at a={a}, b={b}, c={c}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("D4", ok, detail or "composition identity on sampled triples")
+    axioms = (
+        ("D0", "finite support on sampled window", (
+            f"pi_{b}^{a} nonzero outside declared support"
+            for a in exps for b in window
+            if d.in_monoid(b) and b not in d.support(a)
+            for r in elements if pi(a, b, r)
+        )),
+        ("D1", "pi_e^e = id and pi_a^e = 0", chain(
+            ("pi_0^0 is not the identity" for r in elements if pi(0, 0, r) != r),
+            (f"pi_{a}^0 is nonzero" for a in exps if a != 0 for r in elements if pi(0, a, r)),
+        )),
+        ("D2", "pi_b^a(1) is the Kronecker delta", (
+            f"pi_{b}^{a}(1) is not the Kronecker delta"
+            for a in exps for b in exps if pi(a, b, one) != (one if a == b else zero)
+        )),
+        ("D3", "additivity on sampled pairs", (
+            f"pi_{b}^{a} is not additive"
+            for a in exps for b in d.support(a) for r in elements for s in elements
+            if pi(a, b, r + s) != pi(a, b, r) + pi(a, b, s)
+        )),
+        ("D4", "composition identity on sampled triples", d4_failures()),
+    )
+    report = DStructureReport(name=d.name)
+    for axiom, detail, failures in axioms:
+        failure = next(failures, None)
+        report.entries.append((axiom, failure is None, failure or detail))
     return report
 
 

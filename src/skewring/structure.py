@@ -26,7 +26,6 @@ from .errors import (
     NotInvertibleError,
     ReductionError,
     RingMismatchError,
-    UnsupportedRingError,
 )
 from .maps import classify_multiplicativity
 from .poly import LAURENT, SkewPoly, add_term, poly_mul
@@ -205,8 +204,6 @@ def _laurent_nucleus_scan(query, memo):
     x = query.element
     config = x.config
     side = query.side
-    if not hasattr(config.coefficients, "spanning_set"):
-        raise UnsupportedRingError("unsupported coefficient ring")
     key = (config, query.degree_bound)
     if key not in memo:
         memo[key] = (_ScaledOps(config.sigma), {})

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from skewring import cli, config, suites
+from skewring import cli, config, maps, rings, suites
 from skewring.errors import ConstructionError
 
 
@@ -169,6 +169,38 @@ def test_mul_identifier_ending_in_variable(runner, tmp_path, doc, expr, expected
     result = runner.invoke(cli.main, ["mul", "--config", path, expr, "1"])
     assert result.exit_code == 0
     assert result.output.strip() == expected
+
+
+INNER_H = {
+    "ring": "quaternions", "twist": {"kind": "inner", "u": ["1", "1", "0", "0"]},
+    "shape": "laurent",
+}
+
+# Q(i)[Y±; conjugation], twisted again by conjugating each coefficient
+CONJ_OVER_CONJ = {
+    "ring": {"kind": "polynomial", "base": "gaussian", "twist": "conjugation",
+             "variable": "Y", "shape": "laurent"},
+    "twist": {"kind": "coefficientwise", "base": "conjugation"},
+    "shape": "laurent",
+}
+
+
+@pytest.mark.parametrize("doc, left, right, expected", [
+    # u = 1 + i: u·j·u^-1 = k
+    (INNER_H, "X", "j", "kX"),
+    (CONJ_OVER_CONJ, "X", "(iY)", "(-iY)X"),
+], ids=["inner", "coefficientwise"])
+def test_mul_twist_descriptor(runner, tmp_path, doc, left, right, expected):
+    path = write(tmp_path, "cfg.json", doc)
+    result = runner.invoke(cli.main, ["mul", "--config", path, left, right])
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == expected
+
+
+def test_inner_descriptor_is_make_twist():
+    h = rings.quaternions()
+    sigma = config.load_config(INNER_H).ring_config.sigma
+    assert sigma == maps.make_twist(h, "inner", u=h.one + h.basis_element(1))
 
 
 def test_mul_weyl(runner, tmp_path):
@@ -464,6 +496,48 @@ BAD_CONFIGS = {
         GAUSS_Q2,
         ring={"kind": "matrix", "base": {"kind": "polynomial", "base": "rationals"}, "n": 2},
         twist="identity",
+    ),
+    # a·b and the label ab would both print as ab
+    "variable-joins-two-labels": dict(
+        GAUSS_Q2, ring={"kind": "algebra", "spec": {
+            "name": "T", "basis": ["1", "a", "ab"], "unit": ["1", "0", "0"],
+            "table": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                      [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+                      [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]]]}},
+        twist="identity", variable="b",
+    ),
+    # a matrix twist on Q(i) has 2 rows of 2
+    **{f"matrix-twist-{label}": dict(GAUSS_Q2, twist={"kind": "matrix", "matrix": rows})
+       for label, rows in [
+           ("ragged", [["1", "0"], ["0"]]),
+           ("empty", []),
+           ("1x1", [["1"]]),
+           ("2x3", [["1", "0", "0"], ["0", "1", "0"]]),
+           ("3x3", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+       ]},
+    # each field of an algebra spec has its JSON type
+    **{f"algebra-{label}": dict(
+        GAUSS_Q2, twist="identity", ring={"kind": "algebra", "spec": dict(
+            {"name": "A", "basis": ["1"], "table": [[["1"]]], "unit": ["1"]}, **field)})
+       for label, field in [
+           ("name-int", {"name": 5}),
+           ("basis-int", {"basis": 5}),
+           ("basis-label-int", {"basis": [5]}),
+           ("table-int", {"table": 5}),
+           ("table-cell-int", {"table": [[5]]}),
+           ("unit-int", {"unit": 5}),
+           ("involution-int", {"involution": 5}),
+       ]},
+    "inner-u-three-coordinates": dict(
+        GAUSS_Q2, ring="quaternions", twist={"kind": "inner", "u": ["1", "1", "0"]}
+    ),
+    "inner-u-zero": dict(
+        GAUSS_Q2, ring="quaternions", twist={"kind": "inner", "u": ["0", "0", "0", "0"]}
+    ),
+    "inner-u-not-list": dict(GAUSS_Q2, ring="quaternions", twist={"kind": "inner", "u": "1"}),
+    "coefficientwise-without-base": dict(
+        GAUSS_Q2, ring={"kind": "polynomial", "base": "gaussian"},
+        twist={"kind": "coefficientwise"},
     ),
 }
 

@@ -27,6 +27,14 @@ def test_q_twist_rejects_zero():
         maps.make_twist(G, "q_twist", q=0)
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 0], [0]], [], [[1]], [[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+], ids=["ragged", "empty", "1x1", "2x3", "3x3"])
+def test_matrix_twist_needs_qdim_square(rows):
+    with pytest.raises(ConstructionError, match="needs 2 rows of 2 rationals"):
+        maps.make_twist(G, "matrix", matrix=rows)
+
+
 def test_apply_power_negative():
     tm = maps.make_twist(G, "q_twist", q=2)
     i = G.basis_element(1)
@@ -87,16 +95,6 @@ def test_random_inner_maps_are_automorphisms():
         done += 1
         tm = maps.make_twist(H, "inner", u=u)
         assert "automorphism" in maps.classify_multiplicativity(tm)
-
-
-def test_order_detection_unsupported_ring():
-    class Bare:
-        pass
-
-    tm = maps.TwistMap()
-    tm.ring = Bare()
-    with pytest.raises(Exception, match="order detection unsupported"):
-        maps.detect_finite_order(tm, 3)
 
 
 def test_conjugation_tags():
