@@ -24,7 +24,6 @@ from .errors import (
 )
 from .maps import (
     PiFamily,
-    apply_power,
     classify_multiplicativity,
     detect_finite_order,
     infinite_order_reason,
@@ -52,13 +51,11 @@ from .poly import (
 )
 from .rings import (
     AlgebraSpec,
-    Rational,
     algebra_from_json,
     associator,
     cayley_dickson_double,
     commutator,
     gaussian,
-    invert,
     jordan_algebra,
     matrix_algebra,
     octonions,

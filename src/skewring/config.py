@@ -15,7 +15,8 @@ twist, delta), algebra (an explicit structure-constant document as in
 :mod:`skewring.rings`). Twist kinds are those of
 :func:`skewring.maps.make_twist`; rational parameters are "p/q"
 strings or integers (a JSON float is rejected, as it is binary, not an
-exact rational), elements are flat coordinate vectors.
+exact rational, and so is a JSON boolean, though bool is a subclass of
+int in Python), elements are flat coordinate vectors.
 
 Documents are checked at this boundary: a file that is not JSON, a
 missing field, a value of the wrong JSON type, a malformed rational, a

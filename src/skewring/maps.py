@@ -9,6 +9,14 @@ maps on polynomial coefficient rings are stored structurally
 (coefficient-wise action plus a variable scaling, or the formal
 derivative).
 
+A twist map is a value. ``TwistMap.power_apply`` is the one power rule:
+a loop for m > 0, ``inverse()`` or ``NotInvertibleError`` for m < 0. A
+matrix map replaces the loop by its cached matrix power, and
+``PolyTwist`` by its closed formula. Equality and hashing come from
+``_key()``, so equal maps of different kinds (the identity and the
+matrix [[1]]) are equal. ``describe()`` is the ``kind`` with an
+optional ``label``: the "2" of ``q_twist(2)``.
+
 A matrix map is applied through its compiled form, sparse integer
 columns over one denominator: the argument's coordinates become integer
 numerators over their common denominator, and the image is converted
@@ -46,10 +54,16 @@ _ONE = Fraction(1)
 
 
 class TwistMap:
-    """Base class; concrete maps implement __call__ and inverse()."""
+    """A Q-linear map on ``ring``; concrete maps implement __call__.
+
+    Two maps are equal when they are of one class with equal ``_key()``.
+    """
 
     kind = "twist"
-    params = {}
+    label = None
+
+    def __init__(self, ring):
+        self.ring = ring
 
     def __call__(self, el):
         raise NotImplementedError
@@ -60,22 +74,26 @@ class TwistMap:
 
     def power_apply(self, m, el):
         """Apply the m-fold composition (inverse composition for m < 0)."""
-        if m == 0:
-            return el
-        if m > 0:
-            for _ in range(m):
-                el = self(el)
-            return el
-        inv = self.inverse()
-        if inv is None:
-            raise NotInvertibleError("inverse unavailable")
-        return inv.power_apply(-m, el)
+        if m < 0:
+            inv = self.inverse()
+            if inv is None:
+                raise NotInvertibleError("inverse unavailable")
+            return inv.power_apply(-m, el)
+        for _ in range(m):
+            el = self(el)
+        return el
+
+    def _key(self):
+        return (self.ring,)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def describe(self):
-        scalars = [v for v in self.params.values() if isinstance(v, str)]
-        if scalars:
-            return f"{self.kind}({','.join(scalars)})"
-        return self.kind
+        return f"{self.kind}({self.label})" if self.label else self.kind
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.describe()} on {self.ring.describe()}>"
@@ -88,11 +106,11 @@ class LinearTwist(TwistMap):
     so application is a sparse linear combination of columns.
     """
 
-    def __init__(self, ring, images, kind="matrix", params=None):
-        self.ring = ring
+    def __init__(self, ring, images, kind, label=None):
+        super().__init__(ring)
         self.images = tuple(tuple(row) for row in images)
         self.kind = kind
-        self.params = params or {}
+        self.label = label
         self._columns = linalg.compile_columns(self.images)
         # m -> (images of the m-th power, their compiled columns)
         self._pow = {1: (self.images, self._columns)}
@@ -106,13 +124,13 @@ class LinearTwist(TwistMap):
         )
 
     @classmethod
-    def from_function(cls, ring, fn, kind="matrix", params=None):
+    def from_function(cls, ring, fn, kind):
         d = ring.qdim
         images = []
         for j in range(d):
             basis_vec = tuple(_ONE if i == j else _ZERO for i in range(d))
             images.append(ring.flatten(fn(ring.unflatten(basis_vec))))
-        return cls(ring, images, kind=kind, params=params)
+        return cls(ring, images, kind)
 
     def __call__(self, el):
         if self._identity:
@@ -130,40 +148,25 @@ class LinearTwist(TwistMap):
     def power_apply(self, m, el):
         if m == 0 or self._identity:
             return el
-        if m > 0:
-            coords = self.ring.flatten(el)
-            return self.ring.unflatten(linalg.apply_columns(self._images_power(m)[1], coords))
-        inv = self.inverse()
-        if inv is None:
-            raise NotInvertibleError("inverse unavailable")
-        return inv.power_apply(-m, el)
+        if m < 0:
+            return super().power_apply(m, el)
+        coords = self.ring.flatten(el)
+        return self.ring.unflatten(linalg.apply_columns(self._images_power(m)[1], coords))
 
     def inverse(self):
         if not self._inverse_known:
-            matrix = [[self.images[j][i] for j in range(len(self.images))]
-                      for i in range(len(self.images))]
-            inv = linalg.invert_matrix(matrix)
-            if inv is None:
-                self._inverse = None
-            else:
-                images = tuple(
-                    tuple(inv[i][j] for i in range(len(inv))) for j in range(len(inv))
-                )
-                self._inverse = LinearTwist(
-                    self.ring, images, kind=f"{self.kind}^-1", params=self.params
-                )
+            self._inverse_known = True
+            # the images are the rows of A^T, and (A^T)^-1 = (A^-1)^T, so
+            # the rows of the inverse are the inverse map's images
+            rows = linalg.invert_matrix(self.images)
+            if rows is not None:
+                self._inverse = LinearTwist(self.ring, rows, f"{self.kind}^-1", self.label)
                 self._inverse._inverse = self
                 self._inverse._inverse_known = True
-            self._inverse_known = True
         return self._inverse
 
-    def __eq__(self, other):
-        if not isinstance(other, LinearTwist):
-            return NotImplemented
-        return self.ring == other.ring and self.images == other.images
-
-    def __hash__(self):
-        return hash((self.ring, self.images))
+    def _key(self):
+        return (self.ring, self.images)
 
 
 class PolyTwist(TwistMap):
@@ -174,16 +177,14 @@ class PolyTwist(TwistMap):
     rational. Covers the identity, coefficient-wise lifts, and V -> qV.
     """
 
-    def __init__(self, ring, coeff_map=None, var_scale=_ONE, kind=None, params=None):
-        self.ring = ring
+    def __init__(self, ring, coeff_map, var_scale, kind, label=None):
+        super().__init__(ring)
         self.coeff_map = coeff_map
         self.var_scale = Fraction(var_scale)
         if self.var_scale == 0:
             raise ConstructionError("not bijective")
-        if kind is None:
-            kind = "identity" if coeff_map is None and self.var_scale == 1 else "poly_twist"
         self.kind = kind
-        self.params = params or {}
+        self.label = label
 
     def __call__(self, el):
         return self.power_apply(1, el)
@@ -205,21 +206,10 @@ class PolyTwist(TwistMap):
             inv_base = self.coeff_map.inverse()
             if inv_base is None:
                 return None
-        return PolyTwist(
-            self.ring, inv_base, 1 / self.var_scale, kind=f"{self.kind}^-1"
-        )
+        return PolyTwist(self.ring, inv_base, 1 / self.var_scale, f"{self.kind}^-1")
 
-    def __eq__(self, other):
-        if not isinstance(other, PolyTwist):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.coeff_map == other.coeff_map
-            and self.var_scale == other.var_scale
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.coeff_map, self.var_scale))
+    def _key(self):
+        return (self.ring, self.coeff_map, self.var_scale)
 
 
 class DerivativeMap(TwistMap):
@@ -227,21 +217,10 @@ class DerivativeMap(TwistMap):
 
     kind = "derivative"
 
-    def __init__(self, ring):
-        self.ring = ring
-
     def __call__(self, el):
         return self.ring.from_terms(
             {exp - 1: coeff.scale(exp) for exp, coeff in el.terms.items() if exp}
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, DerivativeMap):
-            return NotImplemented
-        return self.ring == other.ring
-
-    def __hash__(self):
-        return hash(("derivative",))
 
 
 class YCoeffScale(TwistMap):
@@ -250,11 +229,11 @@ class YCoeffScale(TwistMap):
     kind = "y_coeff_scale"
 
     def __init__(self, ring, q):
-        self.ring = ring
+        super().__init__(ring)
         self.q = Fraction(q)
         if self.q == 0:
             raise ConstructionError("not bijective")
-        self.params = {"q": str(self.q)}
+        self.label = str(self.q)
 
     def __call__(self, el):
         terms = dict(el.terms)
@@ -265,13 +244,8 @@ class YCoeffScale(TwistMap):
     def inverse(self):
         return YCoeffScale(self.ring, 1 / self.q)
 
-    def __eq__(self, other):
-        if not isinstance(other, YCoeffScale):
-            return NotImplemented
-        return self.ring == other.ring and self.q == other.q
-
-    def __hash__(self):
-        return hash(("y_coeff_scale", self.q))
+    def _key(self):
+        return (self.ring, self.q)
 
 
 class ZeroMap(TwistMap):
@@ -279,19 +253,8 @@ class ZeroMap(TwistMap):
 
     kind = "zero"
 
-    def __init__(self, ring):
-        self.ring = ring
-
     def __call__(self, el):
         return self.ring.zero
-
-    def __eq__(self, other):
-        if not isinstance(other, ZeroMap):
-            return NotImplemented
-        return self.ring == other.ring
-
-    def __hash__(self):
-        return hash(("zero",))
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +297,8 @@ def make_twist(ring, kind, **params):
     check_twist_kind(ring, kind)
     if kind == "identity":
         if not ring.is_finite_dimensional:
-            return PolyTwist(ring, None, 1, kind="identity")
-        return LinearTwist(
-            ring, linalg.identity_matrix(ring.qdim), kind="identity"
-        )
+            return PolyTwist(ring, None, 1, "identity")
+        return LinearTwist(ring, linalg.identity_matrix(ring.qdim), "identity")
 
     if kind == "q_twist":
         q = Fraction(params["q"])
@@ -354,14 +315,12 @@ def make_twist(ring, kind, **params):
             )
             for j in range(ring.qdim)
         ]
-        return LinearTwist(ring, images, kind="q_twist", params={"q": str(q)})
+        return LinearTwist(ring, images, "q_twist", str(q))
 
     if kind == "conjugation":
         if getattr(ring, "involution", None) is None:
             raise ConstructionError("not a *-algebra")
-        return LinearTwist.from_function(
-            ring, lambda el: el.conjugate(), kind="conjugation"
-        )
+        return LinearTwist.from_function(ring, lambda el: el.conjugate(), "conjugation")
 
     if kind == "transpose":
         def fn(el):
@@ -369,7 +328,7 @@ def make_twist(ring, kind, **params):
             return el.ring.element(
                 tuple(tuple(el.entries[j][i] for j in range(n)) for i in range(n))
             )
-        return LinearTwist.from_function(ring, fn, kind="transpose")
+        return LinearTwist.from_function(ring, fn, "transpose")
 
     if kind == "diag_swap":
         if ring.n != 2:
@@ -377,11 +336,11 @@ def make_twist(ring, kind, **params):
         def fn(el):
             e = el.entries
             return el.ring.element(((e[1][1], e[0][1]), (e[1][0], e[0][0])))
-        return LinearTwist.from_function(ring, fn, kind="diag_swap")
+        return LinearTwist.from_function(ring, fn, "diag_swap")
 
     if kind == "conj_transpose":
         return LinearTwist.from_function(
-            ring, lambda el: el.conjugate_transpose(), kind="conj_transpose"
+            ring, lambda el: el.conjugate_transpose(), "conj_transpose"
         )
 
     if kind == "inner":
@@ -390,12 +349,7 @@ def make_twist(ring, kind, **params):
             u_inv = u.ring.invert(u)
         except NotInvertibleError:
             raise ConstructionError("inner automorphism requires unit") from None
-        return LinearTwist.from_function(
-            ring,
-            lambda el: (u * el) * u_inv,
-            kind="inner",
-            params={"u": [str(v) for v in ring.flatten(u)]},
-        )
+        return LinearTwist.from_function(ring, lambda el: (u * el) * u_inv, "inner")
 
     if kind == "matrix":
         matrix = [[Fraction(v) for v in row] for row in params["matrix"]]
@@ -404,17 +358,14 @@ def make_twist(ring, kind, **params):
             raise ConstructionError(
                 f"a matrix twist on {ring.describe()} needs {d} rows of {d} rationals"
             )
-        return LinearTwist(
-            ring, list(zip(*matrix)), kind="matrix",
-            params={"matrix": [[str(v) for v in row] for row in matrix]},
-        )
+        return LinearTwist(ring, list(zip(*matrix)), "matrix")
 
     if kind == "coefficientwise":
-        return PolyTwist(ring, params["base"], 1, kind="coefficientwise")
+        return PolyTwist(ring, params["base"], 1, "coefficientwise")
 
     if kind == "y_scale":
         q = Fraction(params["q"])  # PolyTwist refuses q = 0
-        return PolyTwist(ring, None, q, kind="y_scale", params={"q": str(q)})
+        return PolyTwist(ring, None, q, "y_scale", str(q))
 
     if kind == "y_coeff_scale":
         return YCoeffScale(ring, params["q"])
@@ -423,11 +374,6 @@ def make_twist(ring, kind, **params):
         return DerivativeMap(ring)
 
     return ZeroMap(ring)  # "zero", the one kind left
-
-
-def apply_power(tm, m, el):
-    """sigma^m(el); negative m uses the inverse map."""
-    return tm.power_apply(m, el)
 
 
 # ---------------------------------------------------------------------------
@@ -558,18 +504,19 @@ def classify_multiplicativity(tm):
     return frozenset(tags)
 
 
-def detect_finite_order(tm, bound=8):
-    """Least m in [1, bound] with sigma^m = id, or None.
+def _power_is_identity(tm, m):
+    """Whether tm^m = id.
 
     The check runs on the spanning set, which determines a linear map
     completely on finite-dimensional rings and monomial-wise structural
     maps on polynomial rings.
     """
-    span = tm.ring.spanning_set(2)
-    for m in range(1, bound + 1):
-        if all(tm.power_apply(m, b) == b for b in span):
-            return m
-    return None
+    return all(tm.power_apply(m, b) == b for b in tm.ring.spanning_set(2))
+
+
+def detect_finite_order(tm, bound=8):
+    """Least m in [1, bound] with sigma^m = id, or None."""
+    return next((m for m in range(1, bound + 1) if _power_is_identity(tm, m)), None)
 
 
 def infinite_order_reason(tm):
@@ -612,7 +559,7 @@ def standard_derivation(a, b):
     def fn(c):
         return commutator(bracket, c) - associator(a, b, c).scale(3)
 
-    return LinearTwist.from_function(ring, fn, kind="standard_derivation")
+    return LinearTwist.from_function(ring, fn, "standard_derivation")
 
 
 @dataclass

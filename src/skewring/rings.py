@@ -50,8 +50,6 @@ from functools import lru_cache
 from . import linalg
 from .errors import ConstructionError, NotInvertibleError, RingMismatchError
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -59,7 +57,8 @@ _ONE = Fraction(1)
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
+        # bool is a subclass of int, so JSON `true` needs the exact type test
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -497,7 +496,7 @@ def sedenions():
     )
 
 
-def jordan_algebra(spec, name=None):
+def jordan_algebra(spec):
     """The plus-algebra of an associative algebra: {a,b} = (ab + ba)/2."""
     if not isinstance(spec, AlgebraSpec):
         raise ConstructionError(
@@ -519,7 +518,7 @@ def jordan_algebra(spec, name=None):
     # not operator-sense division even over H: {i, j} = 0 makes the
     # multiplication operators singular, so reductions cannot solve there
     return AlgebraSpec(
-        name=name or f"{spec.name}+",
+        name=f"{spec.name}+",
         basis_labels=spec.basis_labels,
         table=table,
         unit=spec.unit,
@@ -712,8 +711,3 @@ def first_associator(span):
 def commutator(a, b):
     """[a,b] = ab - ba."""
     return a * b - b * a
-
-
-def invert(a):
-    """Two-sided inverse of a ring element; raises NotInvertibleError."""
-    return a.ring.invert(a)

@@ -27,7 +27,7 @@ from .errors import (
     ReductionError,
     RingMismatchError,
 )
-from .maps import classify_multiplicativity
+from .maps import _power_is_identity, classify_multiplicativity
 from .poly import LAURENT, SkewPoly, add_term, poly_mul
 from .rings import associator, first_associator
 from .series import TruncatedSeries, times_monomial
@@ -410,11 +410,7 @@ def central_reduction(p, m):
     config = p.config
     if config.shape != LAURENT:
         raise ConstructionError("central reduction needs the laurent shape")
-    sigma = config.sigma
-    if not all(
-        sigma.power_apply(m, b) == b
-        for b in config.coefficients.spanning_set(2)
-    ):
+    if not _power_is_identity(config.sigma, m):
         raise ReductionError("finite order hypothesis fails")
     modulus = m * m
     out = {}

@@ -59,6 +59,12 @@ def test_load_config_builds_rings():
     assert x * y - y * x == weyl.ring_config.one
 
 
+def test_equal_configs_are_equal_values():
+    a, b = config.load_config(WEYL).ring_config, config.load_config(WEYL).ring_config
+    assert a.delta.kind == "derivative" and a is not b
+    assert a == b and hash(a) == hash(b)
+
+
 def test_load_config_validates():
     bad = dict(GAUSS_Q2, twist={"kind": "q_twist", "q": "0"})
     with pytest.raises(Exception):
@@ -538,6 +544,22 @@ BAD_CONFIGS = {
     "coefficientwise-without-base": dict(
         GAUSS_Q2, ring={"kind": "polynomial", "base": "gaussian"},
         twist={"kind": "coefficientwise"},
+    ),
+    # a JSON boolean is not a rational: true is not 1
+    "q-bool": dict(GAUSS_Q2, twist={"kind": "q_twist", "q": True}),
+    "matrix-twist-bool": dict(
+        GAUSS_Q2, twist={"kind": "matrix", "matrix": [[True, False], [False, True]]}
+    ),
+    "inner-u-bool": dict(
+        GAUSS_Q2, ring="quaternions", twist={"kind": "inner", "u": [True, False, False, False]}
+    ),
+    "y-scale-q-bool": dict(
+        GAUSS_Q2, ring={"kind": "polynomial", "base": "rationals"},
+        twist={"kind": "y_scale", "q": True},
+    ),
+    "algebra-bool": dict(
+        GAUSS_Q2, twist="identity", ring={"kind": "algebra", "spec": {
+            "name": "A", "basis": ["1"], "table": [[[True]]], "unit": [True]}},
     ),
 }
 

@@ -38,9 +38,9 @@ def test_matrix_twist_needs_qdim_square(rows):
 def test_apply_power_negative():
     tm = maps.make_twist(G, "q_twist", q=2)
     i = G.basis_element(1)
-    assert maps.apply_power(tm, -2, i) == i.scale(Fraction(1, 4))
-    assert maps.apply_power(tm, 0, i) == i
-    assert maps.apply_power(tm, 3, i) == i.scale(8)
+    assert tm.power_apply(-2, i) == i.scale(Fraction(1, 4))
+    assert tm.power_apply(0, i) == i
+    assert tm.power_apply(3, i) == i.scale(8)
 
 
 def test_apply_power_composes():
@@ -50,16 +50,14 @@ def test_apply_power_composes():
         r = G.random_element(rng)
         for m in range(-4, 5):
             for n in range(-4, 5):
-                assert maps.apply_power(tm, m + n, r) == maps.apply_power(
-                    tm, m, maps.apply_power(tm, n, r)
-                )
+                assert tm.power_apply(m + n, r) == tm.power_apply(m, tm.power_apply(n, r))
 
 
 def test_apply_power_without_inverse():
     qy = poly_ring()
     der = maps.make_twist(qy, "derivative")
     with pytest.raises(NotInvertibleError, match="inverse unavailable"):
-        maps.apply_power(der, -1, qy.gen)
+        der.power_apply(-1, qy.gen)
 
 
 def test_diag_swap_has_order_two():
@@ -68,7 +66,7 @@ def test_diag_swap_has_order_two():
     rng = random.Random(4)
     for _ in range(10):
         r = m2.random_element(rng)
-        assert maps.apply_power(swap, 2, r) == r
+        assert swap.power_apply(2, r) == r
     assert maps.detect_finite_order(swap, 8) == 2
 
 
@@ -254,7 +252,7 @@ def test_pi_without_delta_collapses():
     s = G.random_element(rng)
     for m in range(5):
         for i in range(m + 1):
-            expected = maps.apply_power(tm, m, s) if i == m else G.zero
+            expected = tm.power_apply(m, s) if i == m else G.zero
             assert maps.pi_apply(fam, i, m, s) == expected
 
 
@@ -333,3 +331,9 @@ def test_equal_twists_hash_equal():
         assert a.kind != b.kind and a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+def test_twists_of_one_kind_differ_by_value():
+    qy = poly_ring()
+    assert maps.make_twist(qy, "y_coeff_scale", q=2) != maps.make_twist(qy, "y_coeff_scale", q=3)
+    assert maps.make_twist(G, "zero") != maps.make_twist(rings.rationals(), "zero")
