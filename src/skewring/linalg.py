@@ -1,17 +1,18 @@
 """Exact linear algebra over the rationals on an integer kernel.
 
-Values enter and leave as reduced ``Fraction``s, but the arithmetic in
-between runs on Python integers: a rational vector is carried as
-integer numerators over one common denominator (``integer_vector``),
-and only the final result is turned back into reduced fractions
-(``fraction_vector``). Linear maps are compiled once into sparse integer
-columns over a single denominator (``compile_columns``) and applied
-with ``apply_columns``.
+A rational vector is carried as its canonical pair ``(nums, den)``: a
+tuple of integer numerators over one positive denominator, with no
+factor common to all of them, so zero is ``((0, ..., 0), 1)``. The form
+is unique, so pairs compare and hash exactly. ``integer_vector`` reads
+the pair of ``Fraction`` values, ``canonical`` restores the form after
+integer arithmetic, and ``fraction_vector`` gives the ``Fraction`` view
+back. A linear map is compiled once into sparse integer columns over one
+denominator (``compile_columns``) and applied to pairs (``apply_columns``).
 
-``solve`` and ``invert_matrix`` share one fraction-free Gauss-Jordan
-elimination: every row is scaled to a primitive integer vector, rows
-are combined by integer cross-multiplication and divided by the gcd of
-their entries, and a solution is read off the reduced rows as
+``solve`` and ``invert_matrix`` take and return ``Fraction``s and share
+one fraction-free Gauss-Jordan elimination: rows are scaled to primitive
+integer vectors, combined by integer cross-multiplication and divided by
+the gcd of their entries, and a solution is read off as
 ``Fraction(rhs, pivot)``. Reduced row echelon form is unique, so the
 results equal those of elimination over ``Fraction`` rows.
 """
@@ -29,16 +30,22 @@ def identity_matrix(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def integer_vector(values):
-    """(numerators, denominator) with values[i] == numerators[i] / denominator.
+def canonical(nums, den):
+    """The canonical pair of the vector nums / den, for den > 0."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(v // g for v in nums), den // g
 
-    The denominator is the least common multiple of the denominators of
-    the values (ints and Fractions alike), so it is positive.
+
+def integer_vector(values):
+    """The canonical pair of a vector of ints and reduced Fractions.
+
+    Its denominator is the least common multiple of the values'
+    denominators, which leaves no factor common to all numerators.
     """
     den = lcm(*[v.denominator for v in values])
-    if den == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def fraction_vector(numerators, den):
@@ -47,31 +54,29 @@ def fraction_vector(numerators, den):
 
 
 def compile_columns(columns):
-    """Sparse integer form of a linear map given by its column vectors.
+    """Sparse integer form of a linear map given by the pairs of its columns.
 
-    ``columns[j]`` is the image of the j-th basis vector. Returns
-    ``(cols, den)``: ``cols[j]`` lists the ``(i, c)`` with
-    ``columns[j][i] == c / den`` and ``c != 0``.
+    ``columns[j]`` is the pair of the image of the j-th basis vector.
+    Returns ``(cols, den)``: ``cols[j]`` lists the ``(i, c)`` with
+    coordinate i of column j equal to ``c / den`` and ``c != 0``.
     """
-    dim = len(columns[0]) if columns else 0
-    nums, den = integer_vector([v for col in columns for v in col])
+    den = lcm(*[d for _, d in columns])
     cols = tuple(
-        tuple((i, c) for i, c in enumerate(nums[j * dim:(j + 1) * dim]) if c)
-        for j in range(len(columns))
+        tuple((i, c * (den // d)) for i, c in enumerate(nums) if c) for nums, d in columns
     )
     return cols, den
 
 
-def apply_columns(compiled, coords):
-    """Image of a coordinate vector under a square compiled map."""
+def apply_columns(compiled, pair):
+    """The pair of the image of a vector's pair under a square compiled map."""
     cols, den = compiled
-    nums, d = integer_vector(coords)
+    nums, d = pair
     acc = [0] * len(nums)
     for j, x in enumerate(nums):
         if x:
             for i, c in cols[j]:
                 acc[i] += c * x
-    return fraction_vector(acc, d * den)
+    return canonical(acc, d * den)
 
 
 def _primitive_row(values):

@@ -18,12 +18,10 @@ matrix [[1]]) are equal. ``describe()`` is the ``kind`` with an
 optional ``label``: the "2" of ``q_twist(2)``.
 
 A matrix map is applied through its compiled form, sparse integer
-columns over one denominator: the argument's coordinates become integer
-numerators over their common denominator, and the image is converted
-back to reduced fractions once per application (see
-:mod:`skewring.linalg`). Powers of a map, with their compiled columns,
-are cached on the map object, which keeps the degree-bounded exhaustive
-checks in :mod:`skewring.structure` cheap.
+columns over one denominator, straight to the argument's canonical
+integer pair (see :mod:`skewring.linalg`). Powers of a map, with their
+compiled columns, are cached on the map object, which keeps the
+degree-bounded exhaustive checks in :mod:`skewring.structure` cheap.
 
 The Ore product X^m·s = sum_i pi_i^m(s)·X^i needs the operator sums
 pi_i^m, each the sum of all words in i sigmas and m-i deltas. One
@@ -48,9 +46,6 @@ from .errors import (
     UnsupportedRingError,
 )
 from .rings import MatrixRing, associator, commutator
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class TwistMap:
@@ -111,9 +106,10 @@ class LinearTwist(TwistMap):
         self.images = tuple(tuple(row) for row in images)
         self.kind = kind
         self.label = label
-        self._columns = linalg.compile_columns(self.images)
-        # m -> (images of the m-th power, their compiled columns)
-        self._pow = {1: (self.images, self._columns)}
+        pairs = tuple(linalg.integer_vector(col) for col in self.images)
+        self._columns = linalg.compile_columns(pairs)
+        # m -> (pairs of the images of the m-th power, their compiled columns)
+        self._pow = {1: (pairs, self._columns)}
         self._inverse = None
         self._inverse_known = False
         d = len(self.images)
@@ -125,18 +121,10 @@ class LinearTwist(TwistMap):
 
     @classmethod
     def from_function(cls, ring, fn, kind):
-        d = ring.qdim
-        images = []
-        for j in range(d):
-            basis_vec = tuple(_ONE if i == j else _ZERO for i in range(d))
-            images.append(ring.flatten(fn(ring.unflatten(basis_vec))))
-        return cls(ring, images, kind)
+        return cls(ring, [ring.flatten(fn(b)) for b in ring.basis_elements()], kind)
 
     def __call__(self, el):
-        if self._identity:
-            return el
-        coords = self.ring.flatten(el)
-        return self.ring.unflatten(linalg.apply_columns(self._columns, coords))
+        return self.power_apply(1, el)
 
     def _images_power(self, m):
         if m not in self._pow:
@@ -150,8 +138,7 @@ class LinearTwist(TwistMap):
             return el
         if m < 0:
             return super().power_apply(m, el)
-        coords = self.ring.flatten(el)
-        return self.ring.unflatten(linalg.apply_columns(self._images_power(m)[1], coords))
+        return self.ring.from_pair(linalg.apply_columns(self._images_power(m)[1], el.pair))
 
     def inverse(self):
         if not self._inverse_known:
@@ -309,11 +296,8 @@ def make_twist(ring, kind, **params):
             raise UnsupportedRingError("q_twist needs the unit as a basis direction")
         pivot = next(i for i, v in enumerate(unit) if v)
         images = [
-            tuple(
-                (v if j == pivot else q * v)
-                for v in (tuple(_ONE if i == j else _ZERO for i in range(ring.qdim)))
-            )
-            for j in range(ring.qdim)
+            tuple(v if j == pivot else q * v for v in row)
+            for j, row in enumerate(linalg.identity_matrix(ring.qdim))
         ]
         return LinearTwist(ring, images, "q_twist", str(q))
 

@@ -41,6 +41,12 @@ class RingConfig:
     def __init__(self, coefficients, sigma, delta=None, variable="X", shape=ORE):
         if shape not in (ORE, LAURENT):
             raise ConstructionError(f"unknown shape: {shape}")
+        for role, tm in (("sigma", sigma), ("delta", delta)):
+            if tm is not None and tm.ring is not coefficients and tm.ring != coefficients:
+                raise ConstructionError(
+                    f"{role} acts on {tm.ring.describe()}, "
+                    f"not on the coefficient ring {coefficients.describe()}"
+                )
         # the one sigma/delta axiom check; `classify` prints these reports
         self.sigma_report = validate_twist_axioms(sigma, "sigma").require()
         self.delta_report = None

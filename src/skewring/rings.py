@@ -1,6 +1,6 @@
 """Exact non-associative coefficient rings over the rationals.
 
-Two concrete ring shapes live here:
+Two concrete ring shapes live here, both ``CompiledAlgebra``s:
 
 * ``AlgebraSpec`` -- a finite-dimensional algebra given by structure
   constants on a named basis (the rationals, the Gaussian rationals,
@@ -10,36 +10,25 @@ Two concrete ring shapes live here:
   matrix ring. M_n(A) is M_n(Q) (x) A, itself a structure-constant
   algebra: (E_ij (x) a)(E_jl (x) b) = E_il (x) ab.
 
-Both are ``CompiledAlgebra``s and expose the informal ring protocol the
-rest of the library relies on: ``zero``/``one``, ``qdim``,
-``flatten``/``unflatten`` (coordinates over Q), ``basis_elements``,
-``spanning_set(bound)``, ``random_element(rng)``, ``invert``,
-``solve_left_mul(c, r)`` and ``solve_right_mul(c, r)`` (a u with
-c·u = r, resp. u·c = r, or None), and the cached structural predicates
-``is_associative``/``is_commutative``. Both shapes invert and solve
-through one routine: ``operator_matrix`` builds the matrix of left or
-right multiplication by c on the flat coordinates, and
-:func:`skewring.linalg.solve` solves it exactly. Twisted polynomial
-rings implement the same protocol in :mod:`skewring.poly`; there
-``RingConfig.solve_left_mul`` and ``solve_right_mul`` are exact long
-division in a commutative ring and, in any other ring, multiply by the
-inverse of c when c is a unit monomial and check the result.
+They expose the informal ring protocol the rest of the library relies
+on: ``zero``/``one``, ``qdim``, ``flatten``/``unflatten`` (``Fraction``
+coordinates over Q), ``basis_elements``, ``spanning_set(bound)``,
+``random_element(rng)``, ``invert``, ``solve_left_mul(c, r)`` and
+``solve_right_mul(c, r)`` (a u with c·u = r, resp. u·c = r, or None),
+and the cached predicates ``is_associative``/``is_commutative``. Both
+invert and solve through ``operator_matrix``, the matrix of left or right
+multiplication by c, and :func:`skewring.linalg.solve`. Twisted
+polynomial rings implement the same protocol in :mod:`skewring.poly`.
 
-All arithmetic is exact; equality is coordinate-wise equality of
-reduced fractions. Elements are immutable values and every operation is
-a pure function, so everything here is safe to share across threads.
-
-Coordinates are tuples of reduced ``Fraction``s, but products and the
-involution run on integers. Each ring compiles its multiplication once
-into sparse integer rows over a single table denominator: an
-``AlgebraSpec`` from its structure constants (a Cayley-Dickson table is
-a signed permutation, so the octonions keep 64 of their 512 constants),
-a ``MatrixRing`` from its base's rows. A matrix is therefore a flat
-coordinate vector (row-major entries, base coordinates inside each
-entry) and multiplies through the same loop, ``mul_coords``: it scales
-both operands to integer numerators over their common denominators,
-accumulates the entries, and converts back to reduced fractions only
-for the result (see :mod:`skewring.linalg`).
+An element stores its coordinates as the canonical pair ``(nums, den)``
+of :mod:`skewring.linalg`, so equality and hashing compare the pair, and
+sums, scalings, products and the involution run on integers alone; the
+``Fraction`` view ``coords`` is built only when asked for. Each ring
+compiles its product once into sparse integer rows over one table
+denominator (the octonions keep 64 of their 512 constants), and a
+matrix, a flat coordinate vector of row-major entries, multiplies
+through the same loop, ``mul_pairs``. Elements are immutable values, so
+everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -74,19 +63,16 @@ class CompiledAlgebra:
     A subclass sets ``dimension``, ``unit`` (the coordinates of 1) and
     the compiled table: row p of ``_mul_rows`` lists (q, i, c) where
     basis_p * basis_q has coordinate c / ``_mul_den`` at basis_i, with
-    zero entries dropped. It also defines ``unflatten``, which picks the
-    element class.
+    zero entries dropped. It also defines ``from_pair(pair)``, which
+    picks the element class.
     """
 
     _basis_cache = None
     _involution_map = None
 
-    def _basis_coords(self, p):
-        return tuple(_ONE if i == p else _ZERO for i in range(self.dimension))
-
-    def mul_coords(self, a, b):
-        na, da = linalg.integer_vector(a)
-        nb, db = linalg.integer_vector(b)
+    def mul_pairs(self, a, b):
+        """The canonical pair of a·b, from the pairs of a and b."""
+        (na, da), (nb, db) = a, b
         acc = [0] * self.dimension
         for x, row in zip(na, self._mul_rows):
             if x:
@@ -94,15 +80,23 @@ class CompiledAlgebra:
                     y = nb[q]
                     if y:
                         acc[i] += c * x * y
-        return linalg.fraction_vector(acc, da * db * self._mul_den)
+        return linalg.canonical(acc, da * db * self._mul_den)
+
+    def mul_coords(self, a, b):
+        """``mul_pairs`` on ``Fraction`` coordinate tuples."""
+        pair = self.mul_pairs(linalg.integer_vector(a), linalg.integer_vector(b))
+        return linalg.fraction_vector(*pair)
 
     @property
     def qdim(self):
         return self.dimension
 
+    def unflatten(self, coords):
+        return self.from_pair(linalg.integer_vector(coords))
+
     @property
     def zero(self):
-        return self.unflatten((_ZERO,) * self.dimension)
+        return self.from_pair(((0,) * self.dimension, 1))
 
     @property
     def one(self):
@@ -112,7 +106,7 @@ class CompiledAlgebra:
         return self.one.scale(_frac(value))
 
     def basis_element(self, p):
-        return self.unflatten(self._basis_coords(p))
+        return self.from_pair((tuple(int(i == p) for i in range(self.dimension)), 1))
 
     def basis_elements(self):
         if self._basis_cache is None:
@@ -122,10 +116,15 @@ class CompiledAlgebra:
     def spanning_set(self, bound=0):
         return self.basis_elements()
 
-    def involve_coords(self, a):
+    def involve_pair(self, a):
+        """The canonical pair of a*, from the pair of a."""
         if self._involution_map is None:
             raise ConstructionError(f"{self.describe()} is not a *-algebra")
         return linalg.apply_columns(self._involution_map, a)
+
+    def involve_coords(self, a):
+        """``involve_pair`` on a ``Fraction`` coordinate tuple."""
+        return linalg.fraction_vector(*self.involve_pair(linalg.integer_vector(a)))
 
     def flatten(self, el):
         return el.coords
@@ -186,14 +185,15 @@ class AlgebraSpec(CompiledAlgebra):
         ):
             raise ConstructionError("involution must be dim x dim")
         cells, self._mul_den = linalg.compile_columns(
-            [cell for row in self.table for cell in row]
+            [linalg.integer_vector(cell) for row in self.table for cell in row]
         )
         self._mul_rows = tuple(
             tuple((q, i, c) for q in range(dim) for i, c in cells[p * dim + q])
             for p in range(dim)
         )
         self._involution_map = (
-            linalg.compile_columns(self.involution) if self.involution is not None else None
+            linalg.compile_columns([linalg.integer_vector(row) for row in self.involution])
+            if self.involution is not None else None
         )
         self._check_unit()
         if self.involution is not None:
@@ -202,22 +202,21 @@ class AlgebraSpec(CompiledAlgebra):
     # -- construction-time checks ------------------------------------
 
     def _check_unit(self):
-        for p in range(self.dimension):
-            e = self._basis_coords(p)
-            if self.mul_coords(self.unit, e) != e or self.mul_coords(e, self.unit) != e:
+        unit = linalg.integer_vector(self.unit)
+        for p, e in enumerate(self.basis_elements()):
+            if self.mul_pairs(unit, e.pair) != e.pair or self.mul_pairs(e.pair, unit) != e.pair:
                 raise ConstructionError(
                     f"unit vector is not a two-sided identity (fails on basis {self.basis_labels[p]})"
                 )
 
     def _check_involution(self):
-        for p in range(self.dimension):
-            ep = self._basis_coords(p)
-            if self.involve_coords(self.involve_coords(ep)) != ep:
+        basis = [e.pair for e in self.basis_elements()]
+        for p, ep in enumerate(basis):
+            if self.involve_pair(self.involve_pair(ep)) != ep:
                 raise ConstructionError("involution is not self-inverse")
-            for q in range(self.dimension):
-                eq = self._basis_coords(q)
-                lhs = self.involve_coords(self.mul_coords(ep, eq))
-                rhs = self.mul_coords(self.involve_coords(eq), self.involve_coords(ep))
+            for q, eq in enumerate(basis):
+                lhs = self.involve_pair(self.mul_pairs(ep, eq))
+                rhs = self.mul_pairs(self.involve_pair(eq), self.involve_pair(ep))
                 if lhs != rhs:
                     raise ConstructionError(
                         "involution fails (rs)* = s*r* on basis pair "
@@ -232,10 +231,10 @@ class AlgebraSpec(CompiledAlgebra):
             raise ConstructionError(
                 f"expected {self.dimension} coordinates, got {len(coords)}"
             )
-        return AlgebraElement(self, coords)
+        return self.unflatten(coords)
 
-    def unflatten(self, coords):
-        return AlgebraElement(self, tuple(coords))
+    def from_pair(self, pair):
+        return AlgebraElement(self, pair)
 
     @property
     def is_associative(self):
@@ -310,14 +309,19 @@ def algebra_from_json(doc, division=False):
 
 
 class AlgebraElement:
-    """An exact element of a ``CompiledAlgebra``: a coordinate vector."""
+    """An exact element of a ``CompiledAlgebra``: the canonical pair of its coordinates."""
 
-    __slots__ = ("ring", "coords", "_hash")
+    __slots__ = ("ring", "pair", "_hash")
 
-    def __init__(self, ring, coords):
+    def __init__(self, ring, pair):
         self.ring = ring
-        self.coords = coords
+        self.pair = pair
         self._hash = None
+
+    @property
+    def coords(self):
+        """The coordinates as a tuple of reduced ``Fraction``s."""
+        return linalg.fraction_vector(*self.pair)
 
     def _check(self, other):
         if isinstance(other, AlgebraElement):
@@ -328,23 +332,26 @@ class AlgebraElement:
             return self.ring.scalar(other)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign·other, for sign 1 or -1, with the operators' coercion."""
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return type(self)(
-            self.ring, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        (na, da), (nb, db) = self.pair, other.pair
+        if da == db:
+            nums = [x + sign * y for x, y in zip(na, nb)]
+        else:
+            nums = [x * db + sign * y * da for x, y in zip(na, nb)]
+            da *= db
+        return type(self)(self.ring, linalg.canonical(nums, da))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return type(self)(
-            self.ring, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         other = self._check(other)
@@ -353,13 +360,14 @@ class AlgebraElement:
         return other - self
 
     def __neg__(self):
-        return type(self)(self.ring, tuple(-a for a in self.coords))
+        nums, den = self.pair
+        return type(self)(self.ring, (tuple(-v for v in nums), den))
 
     def __mul__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return type(self)(self.ring, self.ring.mul_coords(self.coords, other.coords))
+        return type(self)(self.ring, self.ring.mul_pairs(self.pair, other.pair))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -368,27 +376,29 @@ class AlgebraElement:
 
     def scale(self, q):
         q = _frac(q)
-        return type(self)(self.ring, tuple(q * a for a in self.coords))
+        nums, den = self.pair
+        p = q.numerator
+        return type(self)(self.ring, linalg.canonical([p * v for v in nums], den * q.denominator))
 
     def conjugate(self):
-        return type(self)(self.ring, self.ring.involve_coords(self.coords))
+        return type(self)(self.ring, self.ring.involve_pair(self.pair))
 
     def inverse(self):
         return self.ring.invert(self)
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.pair[0])
 
     def __eq__(self, other):
         if isinstance(other, AlgebraElement):
-            return self.ring == other.ring and self.coords == other.coords
+            return self.ring == other.ring and self.pair == other.pair
         if isinstance(other, (int, Fraction)):
             return self == self.ring.scalar(other)
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.coords)
+            self._hash = hash(self.pair)
         return self._hash
 
     def __repr__(self):
@@ -425,6 +435,7 @@ def cayley_dickson_double(spec, name=None, labels=None):
     if name is None:
         name = f"CD({spec.name})"
     zero = (_ZERO,) * d
+    basis = [e.coords for e in spec.basis_elements()]
 
     def pair_mul(a, b, c, dd):
         first = tuple(
@@ -445,10 +456,10 @@ def cayley_dickson_double(spec, name=None, labels=None):
 
     table = []
     for p in range(dim2):
-        a, b = (spec._basis_coords(p), zero) if p < d else (zero, spec._basis_coords(p - d))
+        a, b = (basis[p], zero) if p < d else (zero, basis[p - d])
         row = []
         for q in range(dim2):
-            c, dd = (spec._basis_coords(q), zero) if q < d else (zero, spec._basis_coords(q - d))
+            c, dd = (basis[q], zero) if q < d else (zero, basis[q - d])
             first, second = pair_mul(a, b, c, dd)
             row.append(first + second)
         table.append(tuple(row))
@@ -456,9 +467,9 @@ def cayley_dickson_double(spec, name=None, labels=None):
     involution = []
     for p in range(dim2):
         if p < d:
-            involution.append(spec.involve_coords(spec._basis_coords(p)) + zero)
+            involution.append(spec.involve_coords(basis[p]) + zero)
         else:
-            involution.append(zero + tuple(-v for v in spec._basis_coords(p - d)))
+            involution.append(zero + tuple(-v for v in basis[p - d]))
 
     return AlgebraSpec(
         name=name,
@@ -581,10 +592,10 @@ class MatrixRing(CompiledAlgebra):
                  for row in rows for v in row]
         if any(cell.ring != self.base for cell in cells):
             raise RingMismatchError("matrix entries must lie in the base ring")
-        return MatrixElement(self, tuple(v for cell in cells for v in cell.coords))
+        return self.unflatten(tuple(v for cell in cells for v in cell.coords))
 
-    def unflatten(self, coords):
-        return MatrixElement(self, tuple(coords))
+    def from_pair(self, pair):
+        return MatrixElement(self, pair)
 
     def unit_matrix(self, r, c, coeff=None):
         """E_rc with the given base coefficient (default 1); r and c count from 0."""
@@ -635,7 +646,8 @@ class MatrixElement(AlgebraElement):
         """The n x n tuple of base-ring entries."""
         ring = self.ring
         n, d = ring.n, ring.base.dimension
-        cells = [ring.base.unflatten(self.coords[k:k + d])
+        nums, den = self.pair
+        cells = [ring.base.from_pair(linalg.canonical(nums[k:k + d], den))
                  for k in range(0, ring.dimension, d)]
         return tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n))
 
@@ -658,11 +670,7 @@ def operator_matrix(ring, c, side):
     Column j is the flattened product of c with the j-th flat basis
     vector, so the matrix acts on the coordinates of ``ring.flatten``.
     """
-    d = ring.qdim
-    columns = []
-    for j in range(d):
-        b = ring.unflatten(tuple(_ONE if i == j else _ZERO for i in range(d)))
-        columns.append(ring.flatten(c * b if side == "left" else b * c))
+    columns = [ring.flatten(c * b if side == "left" else b * c) for b in ring.basis_elements()]
     return list(zip(*columns))
 
 

@@ -90,14 +90,12 @@ class _ScaledOps:
 
     @staticmethod
     def _first_scalar(el):
-        while True:
-            if hasattr(el, "terms"):
-                if not el.terms:
-                    return None
-                el = el.terms[min(el.terms)]
-                continue
-            flat = el.ring.flatten(el)
-            return next((v for v in flat if v), None)
+        while hasattr(el, "terms"):
+            if not el.terms:
+                return None
+            el = el.terms[min(el.terms)]
+        nums, den = el.pair
+        return next((Fraction(v, den) for v in nums if v), None)
 
     def _canon(self, el):
         """One structurally-equal representative per value, so caches can

@@ -7,6 +7,7 @@ fractions and reduced row echelon form are unique, so the kernel must
 agree with them exactly, coordinate for coordinate.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -374,3 +375,65 @@ def test_jordan_table_denominators():
     # ij + ji = 0 in H, so the halves cancel; E12 E21 + E21 E12 = E11 + E22
     assert JORDAN_H._mul_den == 1
     assert JORDAN_M2._mul_den == 2
+
+
+# ---------------------------------------------------------------------------
+# canonical pairs
+# ---------------------------------------------------------------------------
+
+G = rings.gaussian()
+SS = rings.sedenions()
+M2G = MATRIX_RINGS["M2-gaussian"]
+# each ring with a linear twist whose powers the test applies
+CANONICAL_CASES = {
+    "QQ": maps.make_twist(rings.rationals(), "matrix", matrix=[["-2/3"]]),
+    "QQ(i)": maps.make_twist(G, "q_twist", q="-7/3"),
+    "OO": maps.make_twist(rings.octonions(), "conjugation"),
+    "SS": maps.make_twist(SS, "conjugation"),
+    "M2(QQ(i))": maps.make_twist(M2G, "conj_transpose"),
+}
+nonzero_rationals = st.builds(Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 12))
+
+
+def assert_canonical(el):
+    """The stored pair: int numerators over a positive int denominator, no common factor."""
+    nums, den = el.pair
+    assert type(nums) is tuple and len(nums) == el.ring.qdim
+    assert all(type(v) is int for v in nums) and type(den) is int
+    assert den > 0 and math.gcd(den, *nums) == 1
+    assert el.coords == linalg.fraction_vector(nums, den)
+    assert bool(el) == any(el.coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CANONICAL_CASES)), st.data(), nonzero_rationals,
+       nonzero_rationals, st.integers(-3, 4))
+def test_every_operation_leaves_a_canonical_pair(name, data, q, r, m):
+    tm = CANONICAL_CASES[name]
+    ring = tm.ring
+    x, y = data.draw(vectors(ring.qdim)), data.draw(vectors(ring.qdim))
+    a, b = ring.unflatten(x), ring.unflatten(y)
+    neg_q = -abs(q)
+    expected = {
+        "a + b": (a + b, tuple(u + v for u, v in zip(x, y))),
+        "a - b": (a - b, tuple(u - v for u, v in zip(x, y))),
+        "-a": (-a, tuple(-u for u in x)),
+        "a.scale(-q)": (a.scale(neg_q), tuple(neg_q * u for u in x)),
+        "a.scale(0)": (a.scale(0), (ZERO,) * ring.qdim),
+        "a - a": (a - a, (ZERO,) * ring.qdim),
+    }
+    for label, (value, coords) in expected.items():
+        assert_canonical(value)
+        assert value.coords == coords, label
+    for value in (a * b, a.conjugate(), tm(a), tm.power_apply(m, a)):
+        assert_canonical(value)
+    # the sedenion zero-divisor pair, scaled so that the product cancels
+    # over a denominator before it reduces to ((0, ..., 0), 1)
+    s = SS.basis_elements()
+    product = (s[3] + s[10]).scale(q) * (s[6] - s[15]).scale(r)
+    assert_canonical(product)
+    assert product.pair == ((0,) * 16, 1) and product == SS.zero
+    # one value reached two ways is one pair: equal and hashing equal
+    for u, v in ((ring.unflatten(ring.flatten(a)), a), ((a + b) - b, a),
+                 (a.scale(q).scale(1 / q), a), (a - a, ring.zero)):
+        assert u == v and hash(u) == hash(v) and u.pair == v.pair

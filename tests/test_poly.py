@@ -51,6 +51,23 @@ def test_config_validation():
         )
 
 
+def test_twists_must_act_on_the_coefficient_ring():
+    m2 = rings.matrix_algebra(Q, 2)
+    message = r"sigma acts on HH, not on the coefficient ring M2\(QQ\)"
+    with pytest.raises(ConstructionError, match=message):
+        poly.RingConfig(m2, maps.make_twist(rings.quaternions(), "conjugation"), None, "X",
+                        poly.LAURENT)
+    qy = rational_poly_ring()
+    with pytest.raises(ConstructionError, match=r"delta acts on QQ, not on the coefficient ring"):
+        poly.RingConfig(qy, maps.make_twist(qy, "identity"), maps.make_twist(Q, "zero"), "X",
+                        poly.ORE)
+    # a twist on an equal ring built again acts on the coefficients: X·E11 = E22·X
+    config = poly.RingConfig(rings.matrix_algebra(Q, 2), maps.make_twist(m2, "diag_swap"), None,
+                             "X", poly.LAURENT)
+    e11, e22 = m2.unit_matrix(0, 0), m2.unit_matrix(1, 1)
+    assert config.gen * config.constant(e11) == config.monomial(e22, 1)
+
+
 def test_axioms_checked_by_role_not_by_kind():
     inner = poly.RingConfig(G, maps.make_twist(G, "identity"), None, "Y", poly.LAURENT)
     doubles = maps.make_twist(G, "matrix", matrix=[[2, 0], [0, 1]])
