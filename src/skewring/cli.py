@@ -9,7 +9,7 @@ Commands:
 * ``classify --config FILE``
 
 Exit status: 0 when everything passes, 1 when a verification check
-fails, 2 on configuration or parse errors.
+fails, 2 on configuration or parse errors and on an unwritable ``--out``.
 """
 
 from __future__ import annotations
@@ -67,8 +67,11 @@ def verify(suite_name, config_path, fmt, out_path):
     except SkewringError as exc:
         _fail_config(exc)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(rendered + "\n")
+        except OSError as exc:
+            _fail_config(exc)
     else:
         click.echo(rendered)
     sys.exit(0 if report.ok else 1)

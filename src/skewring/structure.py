@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from operator import attrgetter
 
 from .errors import (
@@ -68,17 +69,32 @@ class CheckOutcome:
         return self.passed
 
 
+def _ratio(num, den):
+    """The reduced integer pair of num / den, with den > 0."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+_ZERO = (0, 1)
+_ONE = (1, 1)
+
+
 class _ScaledOps:
     """Memoized coefficient operations in scalar-split form.
 
     Elements are carried as (scalar, normalized element) pairs, where
     the normalized representative has its deterministically chosen first
-    coordinate equal to one. Products and twist powers are Q-bilinear /
-    Q-linear by construction (structure constants, biadditive monomial
-    rules), so scalars factor out; the exhaustive scans then hit only a
-    few distinct normalized operands, each computed once. Two
-    scalar-split values are equal iff their scalars match and their
-    normalized parts are the same cached representative.
+    coordinate equal to one and the scalar is a reduced integer pair
+    (num, den) with den > 0, so zero is ``_ZERO`` and one ``_ONE``.
+    Products and twist powers are Q-bilinear / Q-linear by construction
+    (structure constants, biadditive monomial rules), so scalars factor
+    out; the exhaustive scans then hit only a few distinct normalized
+    operands, each computed once. Scalars multiply and compare as ints;
+    a ``Fraction`` is built only when ``split`` normalizes an element it
+    has not seen. Two scalar-split values are equal iff their scalars
+    match and their normalized parts are the same cached representative.
     """
 
     def __init__(self, sigma):
@@ -92,10 +108,10 @@ class _ScaledOps:
     def _first_scalar(el):
         while hasattr(el, "terms"):
             if not el.terms:
-                return None
+                return _ZERO
             el = el.terms[min(el.terms)]
         nums, den = el.pair
-        return next((Fraction(v, den) for v in nums if v), None)
+        return next((_ratio(v, den) for v in nums if v), _ZERO)
 
     def _canon(self, el):
         """One structurally-equal representative per value, so caches can
@@ -110,18 +126,16 @@ class _ScaledOps:
         cached = self._norm.get(el)
         if cached is None:
             scalar = self._first_scalar(el)
-            if scalar is None:
-                cached = (0, self._canon(el))
-            elif scalar == 1:
-                cached = (1, self._canon(el))
+            if scalar in (_ZERO, _ONE):
+                cached = (scalar, self._canon(el))
             else:
-                cached = (scalar, self._canon(el.scale(1 / scalar)))
+                cached = (scalar, self._canon(el.scale(Fraction(scalar[1], scalar[0]))))
             self._norm[el] = cached
         return cached
 
     def twist(self, p, value):
         scalar, el = value
-        if p == 0 or scalar == 0:
+        if p == 0 or not scalar[0]:
             return value
         key = (p, id(el))
         cached = self._powers.get(key)
@@ -129,16 +143,16 @@ class _ScaledOps:
             cached = self.split(self.sigma.power_apply(p, el))
             self._powers[key] = cached
         cs, ce = cached
-        if cs == 1:
+        if cs == _ONE:
             return (scalar, ce)
-        return (scalar * cs, ce)
+        return (_ratio(scalar[0] * cs[0], scalar[1] * cs[1]), ce)
 
     def mul(self, left, right):
         ls, le = left
         rs, re = right
-        if ls == 0:
+        if not ls[0]:
             return left
-        if rs == 0:
+        if not rs[0]:
             return right
         key = (id(le), id(re))
         cached = self._products.get(key)
@@ -146,16 +160,15 @@ class _ScaledOps:
             cached = self.split(le * re)
             self._products[key] = cached
         cs, ce = cached
-        scalar = ls if rs == 1 else (rs if ls == 1 else ls * rs)
-        if cs != 1:
-            scalar = scalar * cs
-        return (scalar, ce)
+        if rs == _ONE and cs == _ONE:
+            return (ls, ce)
+        return (_ratio(ls[0] * rs[0] * cs[0], ls[1] * rs[1] * cs[1]), ce)
 
     @staticmethod
     def equal(left, right):
         ls, le = left
         rs, re = right
-        if ls == 0 and rs == 0:
+        if not ls[0] and not rs[0]:
             return True
         return ls == rs and (le is re or le == re)
 
@@ -186,7 +199,9 @@ def _laurent_nucleus_scan(query, memo):
     memo is exact: products are Q-bilinear, so with Ei = si·ni the
     identity is (s1·s2/s3)·(a·n1)·n2 = a·n3; the normalised parts ni
     are interned, one object per value, so their ids and the ratio
-    determine which a fail. A zero scalar bypasses the memo.
+    determine which a fail. The ratio is keyed as the reduced integer
+    pair of (p1·p2·q3)/(q1·q2·p3) for si = pi/qi, so equal ratios share
+    one key. A zero scalar bypasses the memo.
 
     ``memo`` maps ``(config, degree_bound)`` to the ``_ScaledOps`` and
     the verdict dict of that pair. Neither depends on the queried
@@ -217,8 +232,8 @@ def _laurent_nucleus_scan(query, memo):
     def report(a, m, b, n):
         # rebuild and re-verify the candidate through the generic
         # polynomial arithmetic before reporting it
-        u = config.monomial(a[1].scale(a[0]), m)
-        v = config.monomial(b[1].scale(b[0]), n)
+        u = config.monomial(a[1].scale(Fraction(*a[0])), m)
+        v = config.monomial(b[1].scale(Fraction(*b[0])), n)
         triple = _slot_triple(side, x, u, v)
         value = associator(*triple)
         if not value:
@@ -229,8 +244,9 @@ def _laurent_nucleus_scan(query, memo):
         """The first a with (a·e1)·e2 != a·e3, or None."""
         (s1, n1), (s2, n2), (s3, n3) = e1, e2, e3
         key = None
-        if s1 and s2 and s3:
-            key = (id(n1), id(n2), id(n3), Fraction(s1 * s2) / s3)
+        if s1[0] and s2[0] and s3[0]:
+            key = (id(n1), id(n2), id(n3),
+                   _ratio(s1[0] * s2[0] * s3[1], s1[1] * s2[1] * s3[0]))
             if key in verdicts:
                 return verdicts[key]
         failing = next(

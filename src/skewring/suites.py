@@ -360,6 +360,11 @@ def _check_left_witness(config):
 
 def _unit_for(config):
     ring = config.coefficients
+    if isinstance(ring, poly.RingConfig):
+        # Y is a unit of R[Y±]; the units of R[Y] are R's units
+        if ring.shape == poly.LAURENT:
+            return ring.gen
+        return ring.constant(_unit_for(ring))
     if isinstance(ring, rings.MatrixRing):
         return ring.unit_matrix(0, 1) + ring.unit_matrix(1, 0)
     return ring.basis_element(min(1, ring.qdim - 1))

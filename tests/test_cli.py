@@ -366,6 +366,35 @@ def test_verify_nuclei_with_ore_config(runner, tmp_path):
     assert all(c["status"] != "fail" for c in doc["checks"])
 
 
+@pytest.mark.parametrize("inner_shape", ["laurent", "ore"])
+def test_verify_nuclei_with_polynomial_coefficients(runner, tmp_path, inner_shape):
+    # the unit checks need a unit of the coefficient ring: Y in QQ[Y±],
+    # a constant in QQ[Y], where Y has no inverse
+    torus = {
+        "ring": {"kind": "polynomial", "base": "rationals", "variable": "Y",
+                 "shape": inner_shape},
+        "twist": {"kind": "y_scale", "q": "2"},
+        "shape": "laurent",
+    }
+    path = write(tmp_path, "torus.json", torus)
+    result = runner.invoke(cli.main, ["verify", "--suite", "nuclei", "--config", path])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    inverse = [c for c in doc["checks"] if c["id"].startswith("nuclei/inverse/")]
+    assert len(inverse) == 9
+    assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+def test_verify_unwritable_out_exit_2(runner, tmp_path):
+    out = tmp_path / "missing" / "r.json"
+    result = runner.invoke(
+        cli.main, ["verify", "--suite", "simplicity", "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert "error:" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_report_determinism():
     def stripped(report):
         doc = json.loads(suites.emit_report(report))

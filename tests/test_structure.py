@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -195,6 +196,97 @@ def test_torus_nuclearity_product_budget(monkeypatch):
         # 45,088 with one memo per scan
         assert products == 5920
         assert scans == 12
+
+
+def _reduced(scalar):
+    num, den = scalar
+    return type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
+
+
+def test_torus_nuclearity_verdict_memo(monkeypatch):
+    """Equal ratios share one verdict key; a non-canonical key adds entries."""
+    memos = []
+    scan = structure.nucleus_membership
+
+    def capturing_scan(query, memo=None):
+        memos.append(memo)
+        return scan(query, memo)
+
+    monkeypatch.setattr(structure, "nucleus_membership", capturing_scan)
+    suites._check_torus_nuclearity()
+    assert all(memo is memos[0] for memo in memos)
+    ((ops, verdicts),) = memos[0].values()
+    assert len(verdicts) == 432
+    assert len(ops._intern) == 128
+    assert all(_reduced(key[3]) for key in verdicts)
+
+
+def _scalar_configs():
+    h = rings.quaternions()
+    return [
+        cfg_q2(),
+        poly.RingConfig(h, maps.make_twist(h, "conjugation"), None, "X", poly.LAURENT),
+        cfg_octonion(),
+        cfg_matrix_swap(),
+        suites.cfg_torus_octonion(),
+    ]
+
+
+@pytest.mark.parametrize(
+    "config", _scalar_configs(), ids=["gaussian", "quaternions", "octonions", "m2q", "torus"]
+)
+def test_scaled_ops_scalars_are_reduced_pairs(config):
+    rng = random.Random(16)
+    ring = config.coefficients
+    sigma = config.sigma
+    ops = structure._ScaledOps(sigma)
+    values = [
+        ring.random_element(rng).scale(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        for _ in range(6)
+    ] + [ring.zero]
+    split = {id(el): ops.split(el) for el in values}
+    for el in values:
+        scalar, part = split[id(el)]
+        assert _reduced(scalar)
+        assert part.scale(Fraction(*scalar)) == el
+    for a in values:
+        for b in values:
+            product = ops.mul(split[id(a)], split[id(b)])
+            assert _reduced(product[0])
+            assert ops.equal(product, ops.split(a * b))
+        for p in (-2, -1, 1, 3):
+            image = ops.twist(p, split[id(a)])
+            assert _reduced(image[0])
+            assert ops.equal(image, ops.split(sigma.power_apply(p, a)))
+    # the verdict key's ratio s1·s2/s3 against the Fraction oracle
+    scalars = [s for s, _ in split.values() if s[0]]
+    for s1 in scalars:
+        for s2 in scalars:
+            for s3 in scalars:
+                oracle = Fraction(*s1) * Fraction(*s2) / Fraction(*s3)
+                key = structure._ratio(s1[0] * s2[0] * s3[1], s1[1] * s2[1] * s3[0])
+                assert key == (oracle.numerator, oracle.denominator)
+                for k in (-3, -1, 2):
+                    assert structure._ratio(k * key[0], k * key[1]) == key
+
+
+def test_warm_scan_builds_no_fraction(monkeypatch):
+    """Once split has seen every operand, a scan multiplies scalars as ints."""
+    memo = {}
+    queries = [
+        structure.NucleusQuery(config.variable_power(2), side, 3)
+        for config in (cfg_q2(), cfg_octonion(), suites.cfg_torus_octonion())
+        for side in ("middle", "right")
+    ]
+    for query in queries:
+        assert structure.nucleus_membership(query, memo).passed
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction built on the scan's hot path")
+
+    monkeypatch.setattr(structure, "Fraction", no_fraction)
+    for query in queries:
+        assert structure.nucleus_membership(query, memo).passed
 
 
 # -- associativity ---------------------------------------------------------------
