@@ -9,7 +9,12 @@ Commands:
 * ``classify --config FILE``
 
 Exit status: 0 when everything passes, 1 when a verification check
-fails, 2 on configuration or parse errors and on an unwritable ``--out``.
+fails, 2 on configuration or parse errors, on a negative ``--steps`` and
+on an unwritable ``--out``.
+
+Each command imports only the modules it runs: ``verify`` loads
+:mod:`skewring.suites` and ``reduce`` loads :mod:`skewring.structure` when
+they start, so ``mul``, ``pi`` and ``classify`` load neither.
 """
 
 from __future__ import annotations
@@ -21,9 +26,14 @@ from dataclasses import asdict
 
 import click
 
-from . import maps, parsing, structure, suites
+from . import maps, parsing
 from .config import load_config_file, load_json_file
 from .errors import SkewringError
+
+# the names of suites.SUITE_NAMES, spelled out so that --help needs no suites import
+SUITE_NAMES = ("nuclei", "laurent-axioms", "associativity", "simplicity",
+               "finite-order-ideals", "hilbert-reduction", "series", "jordan",
+               "quantum-torus", "d-structure")
 
 
 def parse_expr(text, cli_config):
@@ -51,7 +61,7 @@ def main():
 
 @main.command()
 @click.option("--suite", "suite_name", required=True,
-              help="one of: " + ", ".join(suites.SUITE_NAMES) + ", all")
+              help="one of: " + ", ".join(SUITE_NAMES) + ", all")
 @click.option("--config", "config_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="run the configurable checks against this ring instead")
@@ -60,6 +70,8 @@ def main():
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 def verify(suite_name, config_path, fmt, out_path):
     """Run a named verification suite and emit its report."""
+    from . import suites
+
     try:
         cli_config = load_config_file(config_path) if config_path else None
         report = suites.run_suite(suite_name, cli_config)
@@ -102,11 +114,13 @@ def mul(config_path, left, right):
               help="JSON list of generator expressions")
 @click.option("--side", type=click.Choice(["left", "right"]), default="right",
               show_default=True)
-@click.option("--steps", "max_steps", type=int, default=None,
+@click.option("--steps", "max_steps", type=click.IntRange(min=0), default=None,
               help="iteration cap (series reductions)")
 @click.argument("expr")
 def reduce(config_path, gens_path, side, max_steps, expr):
     """Reduce an expression against generators; prints a replayable record."""
+    from . import structure
+
     try:
         cli_config = load_config_file(config_path)
         gen_texts = load_json_file(gens_path, "generators file")

@@ -43,7 +43,6 @@ status 2 and names both precisions.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -183,6 +182,8 @@ class CliConfig:
         return self.shape == "power_series"
 
     def digest(self):
+        import hashlib
+
         canonical = json.dumps(self.source, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 

@@ -33,7 +33,6 @@ from fractions import Fraction
 
 from .errors import ConstructionError, ParseError
 from .poly import RingConfig, SkewPoly
-from .series import TruncatedSeries
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
@@ -252,6 +251,8 @@ def parse_series(text, config, power=False, max_precision=None):
 
     With ``max_precision`` given, an N above it is a ``ParseError``.
     """
+    from .series import TruncatedSeries
+
     parser = _Parser(text)
     body = parser.parse_sum(config)
     if not parser.at_order_marker():

@@ -367,7 +367,10 @@ def _unit_for(config):
         return ring.constant(_unit_for(ring))
     if isinstance(ring, rings.MatrixRing):
         return ring.unit_matrix(0, 1) + ring.unit_matrix(1, 0)
-    return ring.basis_element(min(1, ring.qdim - 1))
+    if ring.qdim == 1:
+        # Q's units are its nonzero scalars; 2 exercises the inverse, 1 would not
+        return ring.scalar(2)
+    return ring.basis_element(1)
 
 
 def _check_nuclear_inverse(config, element_key, hypothesis):

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -284,6 +288,18 @@ def test_reduce_left(runner, tmp_path):
     assert all(step["side"] == "left" for step in doc["steps"])
 
 
+def test_reduce_negative_steps_exit_2(runner, tmp_path):
+    cfg_path = write(tmp_path, "cfg.json", dict(GAUSS_Q2, shape="ore"))
+    gens_path = write(tmp_path, "gens.json", ["X - i"])
+    args = ["reduce", "--config", cfg_path, "--gens", gens_path, "--steps"]
+    result = runner.invoke(cli.main, [*args, "-1", "X^2"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    zero = runner.invoke(cli.main, [*args, "0", "X^2"])
+    assert zero.exit_code == 0
+    assert json.loads(zero.stdout) == {"remainder": "X^2", "irreducible": False, "steps": []}
+
+
 def test_pi_command(runner):
     result = runner.invoke(cli.main, ["pi", "--i", "1", "--m", "3", "--emit-words"])
     assert result.exit_code == 0
@@ -383,6 +399,23 @@ def test_verify_nuclei_with_polynomial_coefficients(runner, tmp_path, inner_shap
     inverse = [c for c in doc["checks"] if c["id"].startswith("nuclei/inverse/")]
     assert len(inverse) == 9
     assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+@pytest.mark.parametrize("doc", [
+    {"ring": {"kind": "rationals"}, "twist": {"kind": "identity"}, "shape": "laurent"},
+    {"ring": {"kind": "polynomial", "base": "rationals", "variable": "Y", "shape": "ore"},
+     "twist": {"kind": "y_scale", "q": "2"}, "shape": "laurent"},
+], ids=["rationals", "torus-ore"])
+def test_nuclei_unit_over_rational_constants(runner, tmp_path, doc):
+    # over Q and Q[Y] the unit checks need a unit other than ±1 to certify anything
+    ring_config = config.load_config(doc).ring_config
+    unit = ring_config.constant(suites._unit_for(ring_config))
+    assert unit not in (ring_config.one, -ring_config.one)
+    path = write(tmp_path, "cfg.json", doc)
+    result = runner.invoke(cli.main, ["verify", "--suite", "nuclei", "--config", path])
+    assert result.exit_code == 0, result.output
+    units = [c for c in json.loads(result.output)["checks"] if "/unit/" in c["id"]]
+    assert len(units) == 3 and all(c["status"] == "pass" for c in units)
 
 
 def test_verify_unwritable_out_exit_2(runner, tmp_path):
@@ -656,3 +689,53 @@ def test_run_suite_records_unexpected_errors(monkeypatch):
     assert first.witness == {"error": "ZeroDivisionError: division by zero"}
     assert len(rest) == len(builder()) - 1 > 0
     assert all(c.status in ("pass", "witness") for c in rest)
+
+
+def test_cli_suite_names_match_builders():
+    assert cli.SUITE_NAMES == suites.SUITE_NAMES == tuple(suites._SUITE_BUILDERS)
+
+
+# run in a fresh interpreter: which heavy modules each command has loaded
+IMPORT_DIET = """
+import json, sys
+from skewring import cli
+
+laurent, series, ore, gens = sys.argv[1:]
+WATCHED = ("skewring.suites", "skewring.structure", "hashlib")
+loaded = {}
+
+def run(label, *args):
+    code = 0
+    try:
+        cli.main(list(args), standalone_mode=False)
+    except SystemExit as exc:
+        code = exc.code
+    loaded[label] = [code, [name for name in WATCHED if name in sys.modules]]
+
+loaded["import"] = [0, [name for name in WATCHED if name in sys.modules]]
+run("mul", "mul", "--config", laurent, "iX^-1 + 2", "X^2")
+run("mul-series", "mul", "--config", series, "1 + X + O(X^4)", "iX + O(X^4)")
+run("mul-malformed", "mul", "--config", laurent, "X^^2", "i")
+run("pi", "pi", "--i", "1", "--m", "3", "--emit-words")
+run("classify", "classify", "--config", laurent)
+run("reduce", "reduce", "--config", ore, "--gens", gens, "X^3")
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_commands_import_only_what_they_run(tmp_path):
+    paths = [write(tmp_path, "laurent.json", GAUSS_Q2),
+             write(tmp_path, "series.json", SERIES_Q2),
+             write(tmp_path, "ore.json", dict(GAUSS_Q2, shape="ore")),
+             write(tmp_path, "gens.json", ["X - i"])]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_DIET, *paths], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    # each entry is [exit code, watched modules loaded so far]
+    assert loaded == {
+        "import": [0, []], "mul": [0, []], "mul-series": [0, []],
+        "mul-malformed": [2, []], "pi": [0, []], "classify": [0, []],
+        "reduce": [0, ["skewring.structure"]],
+    }
