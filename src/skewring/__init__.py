@@ -29,12 +29,12 @@ _MODULE_OF = {
         "maps": "PiFamily classify_multiplicativity detect_finite_order "
                 "infinite_order_reason make_twist pi_apply pi_word_sum pi_words "
                 "standard_derivation validate_twist_axioms",
-        "poly": "DStructure RingConfig SkewPoly corrupted_d_structure degree_order_leading "
-                "from_right_form iterated_extend laurent_d_structure ore_d_structure "
-                "poly_mul quantum_torus to_right_form validate_d_structure",
-        "rings": "AlgebraSpec algebra_from_json associator cayley_dickson_double "
-                 "commutator gaussian jordan_algebra matrix_algebra octonions "
-                 "quaternions rationals sedenions",
+        "poly": "DStructure RingConfig SkewPoly corrupted_d_structure from_right_form "
+                "iterated_extend laurent_d_structure ore_d_structure poly_mul "
+                "quantum_torus to_right_form validate_d_structure",
+        "rings": "AlgebraSpec associator cayley_dickson_double commutator gaussian "
+                 "jordan_algebra matrix_algebra octonions quaternions rationals "
+                 "sedenions",
         "series": "TruncatedSeries equal_to_precision from_poly series_invert "
                   "series_mul series_order_leading",
         "structure": "GeneratorSet NucleusQuery ReductionResult associativity_certificate "

@@ -9,8 +9,8 @@ Commands:
 * ``classify --config FILE``
 
 Exit status: 0 when everything passes, 1 when a verification check
-fails, 2 on configuration or parse errors, on a negative ``--steps`` and
-on an unwritable ``--out``.
+fails, 2 on configuration or parse errors, on a negative ``--steps``, on
+``--steps`` with ``--side left`` and on an unwritable ``--out``.
 
 Each command imports only the modules it runs: ``verify`` loads
 :mod:`skewring.suites` and ``reduce`` loads :mod:`skewring.structure` when
@@ -115,7 +115,8 @@ def mul(config_path, left, right):
 @click.option("--side", type=click.Choice(["left", "right"]), default="right",
               show_default=True)
 @click.option("--steps", "max_steps", type=click.IntRange(min=0), default=None,
-              help="iteration cap (series reductions)")
+              help="step cap of a right reduction (polynomial or series); "
+                   "left reduction always ends and takes no cap")
 @click.argument("expr")
 def reduce(config_path, gens_path, side, max_steps, expr):
     """Reduce an expression against generators; prints a replayable record."""
@@ -129,6 +130,8 @@ def reduce(config_path, gens_path, side, max_steps, expr):
         generators = [parse_expr(text, cli_config) for text in gen_texts]
         target = parse_expr(expr, cli_config)
         if side == "left":
+            if max_steps is not None:
+                raise SkewringError("--steps caps right reduction; left reduction always ends")
             if len(generators) != 1:
                 raise SkewringError("left reduction takes exactly one generator")
             result = structure.monic_left_reduce(target, generators[0])

@@ -36,6 +36,10 @@ no delta on a laurent shape) are checked in one place,
 ``poly.RingConfig``, which every config document and ``polynomial``
 ring descriptor is built through.
 
+``load_config`` is the one way from a document to a ring: a CLI
+``--config`` file and every built-in ring of the verification suites
+(the documents of ``suites.ROSTER``) are built through it alike.
+
 A series expression under the config may carry a precision ``O(X^N)``
 up to the config's ``precision``; the CLI refuses a larger N with exit
 status 2 and names both precisions.

@@ -451,11 +451,6 @@ def poly_mul(p, q):
     return SkewPoly(config, out)
 
 
-def degree_order_leading(p):
-    """(degree, order, leading coefficient) of a nonzero polynomial."""
-    return (p.degree, p.order, p.leading_coefficient)
-
-
 # ---------------------------------------------------------------------------
 # right-form conversion (coefficients on the right of the variable)
 # ---------------------------------------------------------------------------

@@ -297,17 +297,6 @@ class AlgebraSpec(CompiledAlgebra):
         return f"AlgebraSpec({self.name}, dim={self.dimension})"
 
 
-def algebra_from_json(doc, division=False):
-    return AlgebraSpec(
-        name=doc["name"],
-        basis_labels=doc["basis"],
-        table=doc["table"],
-        unit=doc["unit"],
-        involution=doc.get("involution"),
-        division=division,
-    )
-
-
 class AlgebraElement:
     """An exact element of a ``CompiledAlgebra``: the canonical pair of its coordinates."""
 

@@ -9,6 +9,10 @@ when its success consists of exhibiting a concrete counterexample, or
 "pass" with a note. Reports are deterministic: every randomized check
 seeds its own generator from its check id, and output ordering follows
 declaration order, never timing.
+
+The suites' built-in rings are the config documents of ``ROSTER``, built
+through ``config.load_config`` as every CLI ``--config`` is, so each one
+can be written to a file and re-checked with ``skewring classify``.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import maps, poly, rings, series, structure
+from .config import load_config
 from .errors import ConstructionError, ReductionError, SkewringError
 
 
@@ -47,72 +52,42 @@ class SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# standard configurations
+# built-in configurations
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def cfg_gaussian_q(q, shape=poly.LAURENT):
-    g = rings.gaussian()
-    return poly.RingConfig(g, maps.make_twist(g, "q_twist", q=q), None, "X", shape)
+def _gaussian_q(q, shape=poly.LAURENT):
+    """The document of Q(i)[X; x -> qx], one ring of the q-twist family."""
+    return {"ring": "gaussian", "twist": {"kind": "q_twist", "q": q}, "shape": shape}
+
+
+# every built-in ring as a config document, keyed by name
+ROSTER = {
+    **{f"gaussian-q{q}": _gaussian_q(q) for q in ("1", "-1", "2", "1/2", "3", "3/5")},
+    "gaussian-q2-ore": _gaussian_q("2", poly.ORE),
+    "gaussian-conj": {"ring": "gaussian", "twist": "conjugation"},
+    "matrix-swap": {"ring": {"kind": "matrix", "base": "rationals", "n": 2},
+                    "twist": "diag_swap"},
+    "octonion-conj": {"ring": "octonions", "twist": "conjugation"},
+    "rational-laurent": {"ring": "rationals", "twist": "identity"},
+    "weyl": {"ring": {"kind": "polynomial", "base": "rationals", "shape": "ore"},
+             "twist": "identity", "delta": "derivative", "shape": "ore"},
+    "octonion-ore": {"ring": "octonions", "twist": "identity", "shape": "ore"},
+    "torus-octonion": {"ring": {"kind": "polynomial", "base": "octonions"},
+                       "twist": {"kind": "y_scale", "q": "2"}},
+    "torus-rational": {"ring": {"kind": "polynomial", "base": "rationals"},
+                       "twist": {"kind": "y_scale", "q": "1"}},
+}
 
 
 @lru_cache(maxsize=None)
-def cfg_gaussian_conj():
-    g = rings.gaussian()
-    return poly.RingConfig(g, maps.make_twist(g, "conjugation"), None, "X", poly.LAURENT)
+def _load(text):
+    return load_config(json.loads(text)).ring_config
 
 
-@lru_cache(maxsize=None)
-def cfg_matrix_swap():
-    m2 = rings.matrix_algebra(rings.rationals(), 2)
-    return poly.RingConfig(m2, maps.make_twist(m2, "diag_swap"), None, "X", poly.LAURENT)
-
-
-@lru_cache(maxsize=None)
-def cfg_octonion_conj():
-    o = rings.octonions()
-    return poly.RingConfig(o, maps.make_twist(o, "conjugation"), None, "X", poly.LAURENT)
-
-
-@lru_cache(maxsize=None)
-def cfg_rational_laurent():
-    q = rings.rationals()
-    return poly.RingConfig(q, maps.make_twist(q, "identity"), None, "X", poly.LAURENT)
-
-
-@lru_cache(maxsize=None)
-def ring_poly_rational():
-    q = rings.rationals()
-    return poly.RingConfig(q, maps.make_twist(q, "identity"), None, "Y", poly.ORE)
-
-
-@lru_cache(maxsize=None)
-def cfg_weyl():
-    qy = ring_poly_rational()
-    return poly.RingConfig(
-        qy,
-        maps.make_twist(qy, "identity"),
-        maps.make_twist(qy, "derivative"),
-        "X",
-        poly.ORE,
-    )
-
-
-@lru_cache(maxsize=None)
-def cfg_octonion_ore_id():
-    o = rings.octonions()
-    return poly.RingConfig(o, maps.make_twist(o, "identity"), None, "X", poly.ORE)
-
-
-@lru_cache(maxsize=None)
-def cfg_torus_octonion():
-    return poly.quantum_torus(rings.octonions(), 2)
-
-
-@lru_cache(maxsize=None)
-def cfg_torus_rational(q=1):
-    return poly.quantum_torus(rings.rationals(), q)
+def builtin(name):
+    """The ring config of ``ROSTER[name]``, built once per process."""
+    return _load(json.dumps(ROSTER[name], sort_keys=True))
 
 
 def _rng(check_id):
@@ -165,14 +140,14 @@ ANCHOR_RING_LAWS = "twisted products are biadditive and unital with bounded degr
 
 
 def _pi_families():
-    weyl = cfg_weyl()
+    weyl = builtin("weyl")
     weyl_fam = ("weyl", weyl.coefficients, maps.PiFamily(weyl.sigma, weyl.delta))
     o = rings.octonions()
     oct_fam = (
         "octonion",
         o,
         maps.PiFamily(
-            cfg_octonion_conj().sigma,
+            builtin("octonion-conj").sigma,
             maps.standard_derivation(o.basis_element(1), o.basis_element(2)),
         ),
     )
@@ -211,15 +186,15 @@ def _check_pi_recursion_enumeration():
 
 
 def _check_weyl_relation():
-    weyl = cfg_weyl()
+    weyl = builtin("weyl")
     x = weyl.gen
-    y = weyl.constant(ring_poly_rational().gen)
+    y = weyl.constant(weyl.coefficients.gen)
     _require(x * y - y * x == weyl.one, "Weyl relation fails")
     _require(x * y == weyl.one + y * x, "X·Y != 1 + YX")
 
 
 def _laurent_roster():
-    return [cfg_gaussian_q(2), cfg_matrix_swap(), cfg_octonion_conj()]
+    return [builtin("gaussian-q2"), builtin("matrix-swap"), builtin("octonion-conj")]
 
 
 def _check_variable_coefficient_pass(configs):
@@ -235,7 +210,7 @@ def _check_variable_coefficient_pass(configs):
                 bc * x == poly.poly_mul(x, config.constant(sigma.power_apply(-1, b))),
                 "r·X != X·sigma^{-1}(r)",
             )
-    for config in (cfg_weyl(),):
+    for config in (builtin("weyl"),):
         sigma, delta = config.sigma, config.delta
         x = config.gen
         for b in config.coefficients.spanning_set(2):
@@ -244,7 +219,7 @@ def _check_variable_coefficient_pass(configs):
 
 
 def _check_variable_associators(configs):
-    ore_extra = [cfg_weyl(), cfg_gaussian_q(2, poly.ORE)]
+    ore_extra = [builtin("weyl"), builtin("gaussian-q2-ore")]
     for config in list(configs) + ore_extra:
         rng = _rng(f"ns3-{config.describe()}")
         x = config.gen
@@ -273,7 +248,7 @@ def _check_ring_laws(configs):
 
 
 def _check_degree_growth():
-    division_cfg = cfg_gaussian_q(2)
+    division_cfg = builtin("gaussian-q2")
     rng = _rng("degree-growth")
     for _ in range(40):
         p = division_cfg.random_element(rng)
@@ -286,7 +261,7 @@ def _check_degree_growth():
             prod.degree == p.degree + q.degree,
             "degree must be additive over division coefficients",
         )
-    zero_div_cfg = cfg_matrix_swap()
+    zero_div_cfg = builtin("matrix-swap")
     for _ in range(40):
         p = zero_div_cfg.random_element(rng)
         q = zero_div_cfg.random_element(rng)
@@ -408,7 +383,7 @@ def _nuclei_suite(configs=None):
             ANCHOR_LEFT,
             partial(_check_left_witness, config),
         ))
-    inverse_roster = configs or (_laurent_roster() + [cfg_gaussian_q(-1)])
+    inverse_roster = configs or (_laurent_roster() + [builtin("gaussian-q-1")])
     for config in inverse_roster:
         if config.shape != poly.LAURENT:
             continue
@@ -453,14 +428,14 @@ def _check_associativity(config, expect_pass=None):
 
 def _check_twist_classification():
     for q, expected in ((1, True), (-1, True), (2, False), (Fraction(3, 5), False)):
-        tags = maps.classify_multiplicativity(cfg_gaussian_q(q).sigma)
+        tags = maps.classify_multiplicativity(builtin(f"gaussian-q{q}").sigma)
         _require(("automorphism" in tags) == expected,
                  f"q={q} classification wrong")
-    swap_tags = maps.classify_multiplicativity(cfg_matrix_swap().sigma)
+    swap_tags = maps.classify_multiplicativity(builtin("matrix-swap").sigma)
     _require("automorphism" not in swap_tags, "diag swap is not multiplicative")
     _require("antiautomorphism" in swap_tags and "involution" in swap_tags,
              "diag swap is an involutive antiautomorphism")
-    conj_tags = maps.classify_multiplicativity(cfg_octonion_conj().sigma)
+    conj_tags = maps.classify_multiplicativity(builtin("octonion-conj").sigma)
     _require("automorphism" not in conj_tags and "involution" in conj_tags,
              "octonion conjugation is an involution, not an automorphism")
 
@@ -474,13 +449,13 @@ def _associativity_suite(configs=None):
     return [
         *(
             (f"assoc/gaussian-q{q}", ANCHOR_ASSOC,
-             partial(_check_associativity, cfg_gaussian_q(q), expect_pass=q in (1, -1)))
+             partial(_check_associativity, builtin(f"gaussian-q{q}"), expect_pass=q in (1, -1)))
             for q in (1, -1, 2, Fraction(1, 2), 3)
         ),
         ("assoc/matrix-diag-swap", ANCHOR_ANTI,
-         partial(_check_associativity, cfg_matrix_swap(), expect_pass=False)),
+         partial(_check_associativity, builtin("matrix-swap"), expect_pass=False)),
         ("assoc/octonion-conjugation", ANCHOR_ANTI,
-         partial(_check_associativity, cfg_octonion_conj(), expect_pass=False)),
+         partial(_check_associativity, builtin("octonion-conj"), expect_pass=False)),
         ("assoc/twist-classification",
          "the q-scaling twist is an automorphism iff q = ±1; conjugations are involutions",
          _check_twist_classification),
@@ -498,7 +473,7 @@ ANCHOR_NONSIMPLE = "finite twist order yields the proper nonzero ideal of 1 + X^
 
 
 def _check_shrink_example():
-    config = cfg_gaussian_q(2)
+    config = builtin("gaussian-q2")
     i = rings.gaussian().basis_element(1)
     p = config.gen + config.one
     result = structure.shrink(p, i)
@@ -509,7 +484,7 @@ def _check_shrink_example():
 
 
 def _check_probe_random():
-    config = cfg_gaussian_q(2)
+    config = builtin("gaussian-q2")
     reason = maps.infinite_order_reason(config.sigma)
     _require(reason is not None, "q=2 twist must certify infinite order")
     rng = _rng("probe-random")
@@ -526,7 +501,7 @@ def _check_probe_random():
 
 
 def _check_probe_inconclusive():
-    config = cfg_gaussian_conj()
+    config = builtin("gaussian-conj")
     p = config.one + config.variable_power(4)
     for d in config.coefficients.basis_elements():
         _require(not structure.shrink(p, d), "all shrinks of 1+X^4 must vanish")
@@ -536,14 +511,14 @@ def _check_probe_inconclusive():
 
 
 def _check_probe_constant():
-    config = cfg_gaussian_q(2)
+    config = builtin("gaussian-q2")
     probe = structure.simplicity_probe(config, config.scalar(5), 3)
     _require(probe.reached_unit and not probe.steps, "constants are already units")
 
 
 def _check_probe_hypotheses():
     exc = _require_raises(ReductionError, "non-commutative coefficients must be rejected",
-                          structure.shrink, cfg_octonion_conj().one,
+                          structure.shrink, builtin("octonion-conj").one,
                           rings.octonions().basis_element(1))
     _require("commutative division ring" in str(exc), "wrong rejection message")
 
@@ -564,16 +539,16 @@ def _simplicity_suite():
 
 
 def _check_finite_order_detected():
-    _require(maps.detect_finite_order(cfg_gaussian_conj().sigma, 8) == 2,
+    _require(maps.detect_finite_order(builtin("gaussian-conj").sigma, 8) == 2,
              "conjugation must have order 2")
-    _require(maps.detect_finite_order(cfg_matrix_swap().sigma, 8) == 2,
+    _require(maps.detect_finite_order(builtin("matrix-swap").sigma, 8) == 2,
              "diag swap must have order 2")
-    _require(maps.detect_finite_order(cfg_gaussian_q(2).sigma, 8) is None,
+    _require(maps.detect_finite_order(builtin("gaussian-q2").sigma, 8) is None,
              "q=2 twist has no finite order")
 
 
 def _check_generator_nuclear():
-    config = cfg_gaussian_conj()
+    config = builtin("gaussian-conj")
     memo = {}
     for element in (config.variable_power(4), config.one + config.variable_power(4)):
         for side in ("left", "middle", "right"):
@@ -597,7 +572,7 @@ def _check_multiples_vanish(config, label, count):
 
 
 def _check_reduction_values():
-    config = cfg_gaussian_conj()
+    config = builtin("gaussian-conj")
     _require(structure.central_reduction(config.variable_power(8), 2) == config.one,
              "X^8 must reduce to 1")
     _require(not structure.central_reduction(config.one + config.variable_power(4), 2),
@@ -608,7 +583,7 @@ def _check_reduction_values():
 
 def _check_order_hypothesis_guard():
     exc = _require_raises(ReductionError, "central reduction must reject infinite-order twists",
-                          structure.central_reduction, cfg_gaussian_q(2).one, 2)
+                          structure.central_reduction, builtin("gaussian-q2").one, 2)
     _require(str(exc) == "finite order hypothesis fails", "wrong guard message")
 
 
@@ -617,11 +592,11 @@ def _finite_order_suite():
         ("ideal/finite-order-detected", ANCHOR_NONSIMPLE, _check_finite_order_detected),
         ("ideal/generator-nuclear", ANCHOR_NONSIMPLE, _check_generator_nuclear),
         ("ideal/gaussian-multiples-vanish", ANCHOR_NONSIMPLE,
-         partial(_check_multiples_vanish, cfg_gaussian_conj(), "gaussian", 50)),
+         partial(_check_multiples_vanish, builtin("gaussian-conj"), "gaussian", 50)),
         ("ideal/matrix-multiples-vanish", ANCHOR_NONSIMPLE,
-         partial(_check_multiples_vanish, cfg_matrix_swap(), "matrix", 20)),
+         partial(_check_multiples_vanish, builtin("matrix-swap"), "matrix", 20)),
         ("ideal/octonion-multiples-vanish", ANCHOR_NONSIMPLE,
-         partial(_check_multiples_vanish, cfg_octonion_conj(), "octonion", 20)),
+         partial(_check_multiples_vanish, builtin("octonion-conj"), "octonion", 20)),
         ("ideal/reduction-values", ANCHOR_NONSIMPLE, _check_reduction_values),
         ("ideal/order-hypothesis-guard", ANCHOR_NONSIMPLE, _check_order_hypothesis_guard),
     ]
@@ -640,7 +615,7 @@ ANCHOR_RIGHT_REDUCE = (
 
 
 def _right_form_configs():
-    return [cfg_gaussian_q(2), cfg_octonion_conj(), cfg_weyl(), cfg_gaussian_q(2, poly.ORE)]
+    return [builtin(name) for name in ("gaussian-q2", "octonion-conj", "weyl", "gaussian-q2-ore")]
 
 
 def _check_right_form_round_trip():
@@ -659,7 +634,7 @@ def _check_right_form_round_trip():
 
 
 def _check_monic_left_example():
-    config = cfg_octonion_ore_id()
+    config = builtin("octonion-ore")
     e1 = rings.octonions().basis_element(1)
     p = config.variable_power(2) + config.monomial(e1, 1)
     f = config.monomial(e1, 3)
@@ -691,7 +666,7 @@ def _check_monic_left_random(config, label):
 
 
 def _check_right_reduce_poly():
-    config = cfg_gaussian_q(2, poly.ORE)
+    config = builtin("gaussian-q2-ore")
     i = rings.gaussian().basis_element(1)
     gens = structure.GeneratorSet(config, [config.gen - config.constant(i)], "right")
     f = config.variable_power(2)
@@ -729,8 +704,8 @@ def _check_right_reduce_poly():
 
 
 def _check_right_reduce_irreducible():
-    weyl = cfg_weyl()
-    y = ring_poly_rational().gen
+    weyl = builtin("weyl")
+    y = weyl.coefficients.gen
     gen = weyl.monomial(y, 1)
     gset = structure.GeneratorSet(weyl, [gen], "right")
     f = weyl.gen
@@ -746,7 +721,7 @@ def _check_right_reduce_irreducible():
 
 def _check_right_reduce_series():
     q = rings.rationals()
-    config = cfg_rational_laurent()
+    config = builtin("rational-laurent")
     one = series.series(config, {0: q.one}, 5)
     gen = series.series(config, {0: q.one, 1: -q.one}, 5)
     gset = structure.GeneratorSet(config, [gen], "right")
@@ -760,7 +735,7 @@ def _check_right_reduce_series():
     _require(series.equal_to_precision(replay, one), "series replay must rebuild 1")
 
     g = rings.gaussian()
-    config2 = cfg_gaussian_conj()
+    config2 = builtin("gaussian-conj")
     rng = _rng("series-reduce-random")
 
     def draw():
@@ -787,9 +762,9 @@ def _hilbert_suite():
         ("hilbert/right-form-round-trip", ANCHOR_RIGHT_FORM, _check_right_form_round_trip),
         ("hilbert/monic-left-example", ANCHOR_MONIC, _check_monic_left_example),
         ("hilbert/monic-left-octonion", ANCHOR_MONIC,
-         partial(_check_monic_left_random, cfg_octonion_ore_id(), "octonion")),
+         partial(_check_monic_left_random, builtin("octonion-ore"), "octonion")),
         ("hilbert/monic-left-gaussian", ANCHOR_MONIC,
-         partial(_check_monic_left_random, cfg_gaussian_q(2, poly.ORE), "gaussian")),
+         partial(_check_monic_left_random, builtin("gaussian-q2-ore"), "gaussian")),
         ("hilbert/right-reduce-polynomials", ANCHOR_RIGHT_REDUCE, _check_right_reduce_poly),
         ("hilbert/right-reduce-irreducible", ANCHOR_RIGHT_REDUCE,
          _check_right_reduce_irreducible),
@@ -809,7 +784,7 @@ ANCHOR_SERIES = (
 
 def _check_series_frozen_inverse():
     g = rings.gaussian()
-    config = cfg_gaussian_q(2)
+    config = builtin("gaussian-q2")
     i = g.basis_element(1)
     a = series.series(config, {0: g.one, 1: -i}, 4)
     b = series.series_invert(a)
@@ -826,7 +801,7 @@ def _check_series_frozen_inverse():
 
 def _check_series_one_sided():
     g = rings.gaussian()
-    config = cfg_gaussian_q(2)
+    config = builtin("gaussian-q2")
     i = g.basis_element(1)
     a = series.series(config, {0: g.one, 1: -i}, 4)
     left = series.series_invert(a, side="left")
@@ -839,7 +814,7 @@ def _check_series_one_sided():
 
 
 def _check_series_two_sided_roundtrip():
-    config = cfg_gaussian_conj()
+    config = builtin("gaussian-conj")
     g = rings.gaussian()
     rng = _rng("series-two-sided")
 
@@ -857,7 +832,7 @@ def _check_series_two_sided_roundtrip():
 
 
 def _check_series_order_additivity():
-    config = cfg_gaussian_q(2)
+    config = builtin("gaussian-q2")
     g = rings.gaussian()
     rng = _rng("series-order-add")
 
@@ -878,7 +853,7 @@ def _check_series_order_additivity():
 
 
 def _check_series_poly_oracle():
-    config = cfg_gaussian_q(2)
+    config = builtin("gaussian-q2")
     rng = _rng("series-poly-oracle")
     for _ in range(25):
         p = config.random_element(rng, max_degree=3)
@@ -894,12 +869,12 @@ def _check_series_poly_oracle():
 
 def _check_series_values():
     q = rings.rationals()
-    config = cfg_rational_laurent()
+    config = builtin("rational-laurent")
     geo = series.series_invert(series.series(config, {0: q.one, 1: -q.one}, 4))
     _require(geo == series.series(config, {e: q.one for e in range(5)}, 4),
              "the geometric series inverse must be 1 + X + ... + X^4")
     g = rings.gaussian()
-    config2 = cfg_gaussian_q(2)
+    config2 = builtin("gaussian-q2")
     i = g.basis_element(1)
     prod = series.series(config2, {1: i}, 4) * series.series(config2, {1: i}, 4)
     _require(prod.coefficient(2) == g.scalar(-2), "(iX)(iX) must be -2X²")
@@ -1035,11 +1010,11 @@ ANCHOR_TORUS = (
 
 
 def _check_torus_relation():
-    torus = cfg_torus_octonion()
+    torus = builtin("torus-octonion")
     x = torus.gen
     y = torus.constant(torus.coefficients.gen)
     _require(x * y == (y * x).scale(2), "X·Y must equal 2·Y·X")
-    trivial = cfg_torus_rational(1)
+    trivial = builtin("torus-rational")
     xt, yt = trivial.gen, trivial.constant(trivial.coefficients.gen)
     _require(xt * yt == yt * xt, "q = 1 variables must commute")
     _require_raises(ConstructionError, "q = 0 must be rejected",
@@ -1047,7 +1022,7 @@ def _check_torus_relation():
 
 
 def _check_torus_coefficients_commute():
-    torus = cfg_torus_octonion()
+    torus = builtin("torus-octonion")
     inner = torus.coefficients
     x = torus.gen
     y = torus.constant(inner.gen)
@@ -1058,7 +1033,7 @@ def _check_torus_coefficients_commute():
 
 
 def _check_torus_monomial_rule():
-    torus = cfg_torus_octonion()
+    torus = builtin("torus-octonion")
     inner = torus.coefficients
     o = rings.octonions()
     rng = _rng("torus-monomials")
@@ -1086,7 +1061,7 @@ def _check_torus_monomial_rule():
 
 
 def _check_torus_nuclearity():
-    torus = cfg_torus_octonion()
+    torus = builtin("torus-octonion")
     inner = torus.coefficients
     memo = {}
     for n in (1, 2, 3):
@@ -1146,14 +1121,14 @@ def _check_laurent_family(config):
 
 
 def _ore_families():
-    weyl = cfg_weyl()
+    weyl = builtin("weyl")
     g = rings.gaussian()
     o = rings.octonions()
     return [
         ("weyl", weyl.coefficients, weyl.sigma, weyl.delta),
-        ("gaussian", g, cfg_gaussian_q(2).sigma, maps.make_twist(g, "zero")),
+        ("gaussian", g, builtin("gaussian-q2").sigma, maps.make_twist(g, "zero")),
         ("octonion", o,
-         cfg_octonion_conj().sigma,
+         builtin("octonion-conj").sigma,
          maps.standard_derivation(o.basis_element(1), o.basis_element(2))),
     ]
 
@@ -1167,7 +1142,7 @@ def _check_ore_family(label, ring, sigma, delta):
 
 
 def _check_corrupted_family():
-    config = cfg_gaussian_q(2)
+    config = builtin("gaussian-q2")
     family = poly.corrupted_d_structure(poly.laurent_d_structure(config.sigma))
     rng = _rng("dstruct-corrupt")
     elements = [config.coefficients.random_element(rng) for _ in range(4)]
@@ -1178,7 +1153,7 @@ def _check_corrupted_family():
 
 
 def _check_d4_is_pi_composition():
-    weyl = cfg_weyl()
+    weyl = builtin("weyl")
     qy = weyl.coefficients
     fam = maps.PiFamily(weyl.sigma, weyl.delta)
     rng = _rng("d4-pi")

@@ -288,6 +288,20 @@ def test_reduce_left(runner, tmp_path):
     assert all(step["side"] == "left" for step in doc["steps"])
 
 
+def test_reduce_left_rejects_steps(runner, tmp_path):
+    # left division always ends, so a step cap there would be ignored
+    cfg_path = write(tmp_path, "cfg.json", dict(GAUSS_Q2, shape="ore"))
+    gens_path = write(tmp_path, "gens.json", ["X^2 + iX"])
+    result = runner.invoke(
+        cli.main,
+        ["reduce", "--config", cfg_path, "--gens", gens_path, "--side", "left",
+         "--steps", "0", "iX^3"],
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: --steps")
+
+
 def test_reduce_negative_steps_exit_2(runner, tmp_path):
     cfg_path = write(tmp_path, "cfg.json", dict(GAUSS_Q2, shape="ore"))
     gens_path = write(tmp_path, "gens.json", ["X - i"])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewring import maps, parsing, poly, rings, series
+from skewring import config, maps, parsing, poly, rings, series
 from skewring.errors import ParseError
 
 G = rings.gaussian()
@@ -124,7 +124,8 @@ def test_inner_variable_before_variable(cfg):
 def test_label_ending_in_variable_stays_whole():
     # Q(i) with i relabelled "ab", over the variable b: "ab" is the label,
     # "abb" is ab·b
-    ring = rings.algebra_from_json(dict(G.to_json(), basis=["1", "ab"]), division=True)
+    spec = dict(G.to_json(), basis=["1", "ab"])
+    ring = config.ring_from_descriptor({"kind": "algebra", "spec": spec, "division": True})
     cfg = poly.RingConfig(ring, maps.make_twist(ring, "identity"), None, "b", poly.LAURENT)
     ab = ring.basis_element(1)
     assert parsing.parse_poly("ab", cfg) == cfg.constant(ab)

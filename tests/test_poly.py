@@ -110,12 +110,13 @@ def test_degree_order_leading():
     cfg = laurent_q2()
     i = G.basis_element(1)
     p = cfg.monomial(G.scalar(2), 3) + cfg.monomial(i, 1)
-    assert poly.degree_order_leading(p) == (3, 1, G.scalar(2))
+    assert (p.degree, p.order, p.leading_coefficient) == (3, 1, G.scalar(2))
     q = cfg.variable_power(-2) + cfg.variable_power(5)
-    assert poly.degree_order_leading(q) == (5, -2, G.one)
-    assert poly.degree_order_leading(cfg.scalar(7)) == (0, 0, G.scalar(7))
+    assert (q.degree, q.order, q.leading_coefficient) == (5, -2, G.one)
+    seven = cfg.scalar(7)
+    assert (seven.degree, seven.order, seven.leading_coefficient) == (0, 0, G.scalar(7))
     with pytest.raises(ZeroElementError, match="zero polynomial has no degree"):
-        poly.degree_order_leading(cfg.zero)
+        cfg.zero.degree
 
 
 def test_config_mismatch():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewring import rings
+from skewring import config, rings
 from skewring.errors import ConstructionError, NotInvertibleError, RingMismatchError
 
 
@@ -295,7 +295,7 @@ def test_jordan_rejects_non_associative():
 def test_json_round_trip():
     for spec in (G, H, O):
         doc = spec.to_json()
-        rebuilt = rings.algebra_from_json(doc)
+        rebuilt = config.ring_from_descriptor({"kind": "algebra", "spec": doc})
         assert rebuilt == spec
         # serialized tables are plain rational strings
         assert isinstance(doc["table"][0][0][0], str)
@@ -305,7 +305,7 @@ def test_json_validation_catches_bad_unit():
     doc = G.to_json()
     doc["unit"] = ["0", "1"]
     with pytest.raises(ConstructionError):
-        rings.algebra_from_json(doc)
+        config.ring_from_descriptor({"kind": "algebra", "spec": doc})
 
 
 small_rationals = st.fractions(

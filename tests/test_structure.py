@@ -170,9 +170,41 @@ def test_shared_scan_memo_matches_fresh_scans(name, make_config):
     assert 0 < failures < len(queries)
 
 
+def test_builtin_roster_matches_direct_construction():
+    """Each roster document builds, through load_config, the ring built directly."""
+    qy = poly.RingConfig(Q, maps.make_twist(Q, "identity"), None, "Y", poly.ORE)
+
+    def laurent(ring, kind, **params):
+        return poly.RingConfig(ring, maps.make_twist(ring, kind, **params), None, "X",
+                               poly.LAURENT)
+
+    direct = {
+        **{f"gaussian-q{q}": laurent(G, "q_twist", q=Fraction(q))
+           for q in ("1", "-1", "2", "1/2", "3", "3/5")},
+        "gaussian-q2-ore": cfg_q2(poly.ORE),
+        "gaussian-conj": cfg_conj(),
+        "matrix-swap": cfg_matrix_swap(),
+        "octonion-conj": cfg_octonion(),
+        "rational-laurent": laurent(Q, "identity"),
+        "weyl": poly.RingConfig(qy, maps.make_twist(qy, "identity"),
+                                maps.make_twist(qy, "derivative"), "X", poly.ORE),
+        "octonion-ore": poly.RingConfig(O, maps.make_twist(O, "identity"), None, "X",
+                                        poly.ORE),
+        "torus-octonion": poly.quantum_torus(O, 2),
+        "torus-rational": poly.quantum_torus(Q, 1),
+    }
+    assert set(suites.ROSTER) == set(direct)
+    for name, expected in direct.items():
+        built = suites.builtin(name)
+        assert built == expected, name
+        assert built.describe() == expected.describe(), name
+        assert suites.builtin(name) is built  # built once per process
+    assert suites.builtin("gaussian-q2") != suites.builtin("gaussian-q3")
+
+
 def test_torus_nuclearity_product_budget(monkeypatch):
     """The torus check's coefficient products, pinned; a memo lives for one call."""
-    suites.cfg_torus_octonion()  # build the cached config outside the count
+    suites.builtin("torus-octonion")  # build the cached config outside the count
     products = 0
     scans = 0
     skew_mul = poly.SkewPoly.__mul__
@@ -228,7 +260,7 @@ def _scalar_configs():
         poly.RingConfig(h, maps.make_twist(h, "conjugation"), None, "X", poly.LAURENT),
         cfg_octonion(),
         cfg_matrix_swap(),
-        suites.cfg_torus_octonion(),
+        suites.builtin("torus-octonion"),
     ]
 
 
@@ -275,7 +307,7 @@ def test_warm_scan_builds_no_fraction(monkeypatch):
     memo = {}
     queries = [
         structure.NucleusQuery(config.variable_power(2), side, 3)
-        for config in (cfg_q2(), cfg_octonion(), suites.cfg_torus_octonion())
+        for config in (cfg_q2(), cfg_octonion(), suites.builtin("torus-octonion"))
         for side in ("middle", "right")
     ]
     for query in queries:
