@@ -9,12 +9,17 @@ integer arithmetic, and ``fraction_vector`` gives the ``Fraction`` view
 back. A linear map is compiled once into sparse integer columns over one
 denominator (``compile_columns``) and applied to pairs (``apply_columns``).
 
-``solve`` and ``invert_matrix`` take and return ``Fraction``s and share
-one fraction-free Gauss-Jordan elimination: rows are scaled to primitive
-integer vectors, combined by integer cross-multiplication and divided by
-the gcd of their entries, and a solution is read off as
-``Fraction(rhs, pivot)``. Reduced row echelon form is unique, so the
-results equal those of elimination over ``Fraction`` rows.
+A linear system is factored once and solved for any number of
+right-hand sides: ``factor`` runs one fraction-free Gauss-Jordan
+elimination of ``[M | I]`` on integer rows (rows are combined by integer
+cross-multiplication and divided by the gcd of their entries, which
+bounds entry growth like Bareiss's division does), and ``solve_pair``
+applies the recorded row operations to a right-hand side's pair, one
+integer matrix-vector product and one ``canonical`` per solve. A
+solution sets the free variables to 0, so it is the one that reduced
+row echelon form gives, and reduced row echelon form is unique: the
+results equal those of elimination over ``Fraction`` rows. ``solve``
+and ``invert_matrix`` are the same path on ``Fraction`` matrices.
 """
 
 from __future__ import annotations
@@ -79,13 +84,6 @@ def apply_columns(compiled, pair):
     return canonical(acc, d * den)
 
 
-def _primitive_row(values):
-    """The values scaled to integers with no common factor."""
-    nums, _ = integer_vector(values)
-    g = gcd(*nums)
-    return [v // g for v in nums] if g > 1 else nums
-
-
 def _eliminate(rows, n_cols):
     """Fraction-free Gauss-Jordan on integer rows, in place.
 
@@ -121,26 +119,78 @@ def _eliminate(rows, n_cols):
     return pivot_cols
 
 
+def factor(columns):
+    """The factorisation of the matrix whose j-th column has the pair ``columns[j]``.
+
+    There is at least one column; the pairs need not be canonical, and
+    all have one length, the number of rows. Eliminating ``[M | I]`` leaves rows ``[R | T]`` with
+    ``T·M`` equal to R up to the scale of M's columns. Returns
+    ``(pivot_cols, solution_rows, null_rows, scale, n_cols)`` for
+    ``solve_pair``: the pivot variable of pivot row r of a solution of
+    M·x = b is ``solution_rows[r]·b / scale`` (the T part rescaled so
+    that every pivot row shares ``scale``), and the null rows, the T
+    parts of R's zero rows, span the left null space of M, which must
+    annihilate a consistent b.
+    """
+    n_cols = len(columns)
+    n_rows = len(columns[0][0]) if columns else 0
+    den = lcm(*[d for _, d in columns])
+    cols = [[v * (den // d) for v in nums] for nums, d in columns]
+    # the unit entry keeps every initial row primitive
+    rows = [[col[i] for col in cols] + [int(k == i) for k in range(n_rows)]
+            for i in range(n_rows)]
+    pivot_cols = _eliminate(rows, n_cols)
+    rank = len(pivot_cols)
+    pivots = [row[c] for row, c in zip(rows, pivot_cols)]
+    # M = cols / den, so a pivot variable is den·(T·b) / pivot; bring the
+    # pivots to one positive denominator and cancel what den shares with it
+    common = lcm(*pivots)
+    g = gcd(common, den)
+    solution_rows = tuple(
+        tuple(v * (den // g) * (common // p) for v in row[n_cols:])
+        for row, p in zip(rows, pivots)
+    )
+    scale = common // g
+    null_rows = tuple(tuple(row[n_cols:]) for row in rows[rank:])
+    return pivot_cols, solution_rows, null_rows, scale, n_cols
+
+
+def solve_pair(factored, pair):
+    """The canonical pair of a solution x of M·x = b, or None if there is none.
+
+    ``factored`` is ``factor``'s result for M and ``pair`` the pair of b;
+    free variables are set to 0.
+    """
+    pivot_cols, solution_rows, null_rows, scale, n_cols = factored
+    nums, den = pair
+    support = [(k, v) for k, v in enumerate(nums) if v]
+    for row in null_rows:
+        if sum(row[k] * v for k, v in support):
+            return None
+    x = [0] * n_cols
+    for c, row in zip(pivot_cols, solution_rows):
+        x[c] = sum(row[k] * v for k, v in support)
+    return canonical(x, den * scale)
+
+
 def solve(matrix, rhs):
     """Solve matrix·x = rhs exactly; return a solution or None if inconsistent.
 
     The system may be rectangular or singular; free variables are set to 0.
     """
-    n_cols = len(matrix[0]) if matrix else 0
-    rows = [_primitive_row([*row, b]) for row, b in zip(matrix, rhs)]
-    pivot_cols = _eliminate(rows, n_cols)
-    if any(row[n_cols] for row in rows[len(pivot_cols):]):
-        return None
-    solution = [ZERO] * n_cols
-    for row, c in zip(rows, pivot_cols):
-        solution[c] = Fraction(row[n_cols], row[c])
-    return solution
+    if not matrix or not matrix[0]:  # no unknowns: factor needs a column
+        return None if any(rhs) else []
+    factored = factor([integer_vector(col) for col in zip(*matrix)])
+    solution = solve_pair(factored, integer_vector(rhs))
+    return None if solution is None else list(fraction_vector(*solution))
 
 
 def invert_matrix(matrix):
     """Exact inverse of a square matrix, or None if singular."""
-    n = len(matrix)
-    rows = [_primitive_row([*row, *unit]) for row, unit in zip(matrix, identity_matrix(n))]
-    if len(_eliminate(rows, n)) < n:
+    pivot_cols, solution_rows, _null, scale, _n = factor(
+        [integer_vector(col) for col in zip(*matrix)]
+    )
+    if len(pivot_cols) < len(matrix):
         return None
-    return [[Fraction(v, row[c]) for v in row[n:]] for c, row in enumerate(rows)]
+    # full rank: pivot row i solves for x_i, so it is row i of the inverse
+    return [list(fraction_vector(row, scale)) for row in solution_rows]

@@ -177,51 +177,62 @@ class RingConfig:
                 return inverse
         raise NotInvertibleError("not invertible")
 
-    def solve_left_mul(self, c, r):
-        """u with c·u = r, or None.
+    def dot(self, products):
+        """The sum of a·b over the (a, b) pairs of ``products``."""
+        if len(products) == 1:
+            ((a, b),) = products
+            return a * b
+        return sum((a * b for a, b in products), self.zero)
+
+    def solver(self, c, side):
+        """The function r -> u with c·u = r (side "left") or u·c = r ("right"), or None.
 
         A commutative config divides exactly (see ``_divide``); any other
-        config inverts c, which succeeds for a unit monomial, and keeps
-        c⁻¹·r only if it solves the equation.
+        config inverts c once, which succeeds for a unit monomial, and
+        keeps c⁻¹·r (r·c⁻¹ on the right) only if it solves the equation.
         """
         if self.is_commutative:
-            return self._divide(c, r)
+            return lambda r: self._divide(c, r)
         try:
-            u = poly_mul(self.invert(c), r)
+            inverse = self.invert(c)
         except NotInvertibleError:
-            return None
-        return u if poly_mul(c, u) == r else None
+            return lambda r: None
+
+        def solve(r):
+            if side == "left":
+                u = poly_mul(inverse, r)
+                return u if poly_mul(c, u) == r else None
+            u = poly_mul(r, inverse)
+            return u if poly_mul(u, c) == r else None
+
+        return solve
+
+    def solve_left_mul(self, c, r):
+        return self.solver(c, "left")(r)
 
     def solve_right_mul(self, c, r):
-        """u with u·c = r, or None; the mirror of ``solve_left_mul``."""
-        if self.is_commutative:
-            return self._divide(c, r)
-        try:
-            u = poly_mul(r, self.invert(c))
-        except NotInvertibleError:
-            return None
-        return u if poly_mul(u, c) == r else None
+        return self.solver(c, "right")(r)
 
     def _divide(self, c, r):
         """u with c·u = r by exact long division in a commutative config.
 
         Each step cancels the top term of the remainder through a solve in
-        the coefficient ring. Quotient exponents run down to 0 in the ore
+        the coefficient ring by c's leading coefficient, whose solver is
+        built once per call. Quotient exponents run down to 0 in the ore
         shape and to ord r - ord c in the laurent shape, where a quotient
         ends when the coefficients have no zero divisors.
         """
         if not c:
             return None
         low = 0 if self.shape == ORE or not r else r.order - c.order
+        solve = self.coefficients.solver(c.leading_coefficient, "left")
         quotient = {}
         rem = r
         while rem:
             e = rem.degree - c.degree
             if e < low:
                 return None
-            lead = self.coefficients.solve_left_mul(
-                c.leading_coefficient, rem.leading_coefficient
-            )
+            lead = solve(rem.leading_coefficient)
             if not lead:
                 return None
             quotient[e] = lead
@@ -372,7 +383,8 @@ class SkewPoly:
     def __eq__(self, other):
         if isinstance(other, SkewPoly):
             return self.config == other.config and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        # a bool is not a rational, so it compares unequal
+        if type(other) is int or isinstance(other, Fraction):
             return self == self.config.scalar(other)
         return NotImplemented
 
@@ -411,44 +423,61 @@ def random_terms(ring, rng, exps):
     return terms
 
 
-def laurent_terms(sigma, left, right, top=None):
+def _dot_terms(ring, groups):
+    """The sparse map of ``ring.dot`` over each exponent's products, zeros dropped.
+
+    ``groups`` maps an exponent to the list of (a, b) pairs whose
+    products add up to its coefficient.
+    """
+    out = {}
+    for e, products in groups.items():
+        value = ring.dot(products)
+        if value:
+            out[e] = value
+    return out
+
+
+def laurent_terms(config, left, right, top=None):
     """The sparse product sum of (r·V^m)(s·V^n) = (r·sigma^m(s))·V^(m+n).
 
     Shared by delta-free polynomials and series; a series passes its
-    precision as ``top``, and products above it are skipped.
+    precision as ``top``, and products above it are skipped. The
+    products are collected per output exponent, and each exponent's
+    coefficient is one ``dot`` of the coefficient ring.
     """
-    out = {}
+    sigma = config.sigma
+    groups = {}
     for m, r in left.items():
         for n, s in right.items():
             if top is None or m + n <= top:
-                add_term(out, m + n, r * sigma.power_apply(m, s))
-    return out
+                groups.setdefault(m + n, []).append((r, sigma.power_apply(m, s)))
+    return _dot_terms(config.coefficients, groups)
 
 
 def poly_mul(p, q):
     """Biadditive extension of the twisted monomial rules.
 
-    The ore branch takes each pi row from the uncached ``pi_row``, and no
-    row cache is kept on the config: one product never asks for the same
-    (m, s) twice, operands drawn afresh would only grow such a cache, and
-    a config shared for a whole run would carry it from one run into
-    the next.
+    Both branches collect the products of one output exponent and sum
+    them with one ``dot`` of the coefficient ring. The ore branch takes
+    each pi row from the uncached ``pi_row``, and no row cache is kept on
+    the config: one product never asks for the same (m, s) twice,
+    operands drawn afresh would only grow such a cache, and a config
+    shared for a whole run would carry it from one run into the next.
     """
     config = p.config
     if config != q.config:
         raise RingMismatchError("incompatible rings")
     if config.delta is None:
-        return SkewPoly(config, laurent_terms(config.sigma, p.terms, q.terms))
+        return SkewPoly(config, laurent_terms(config, p.terms, q.terms))
 
-    out = {}
+    groups = {}
     fam = PiFamily(config.sigma, config.delta)
     for m, r in p.terms.items():
         for n, s in q.terms.items():
-            row = pi_row(fam, m, s)
-            for i, t in enumerate(row):
+            for i, t in enumerate(pi_row(fam, m, s)):
                 if t:
-                    add_term(out, i + n, r * t)
-    return SkewPoly(config, out)
+                    groups.setdefault(i + n, []).append((r, t))
+    return SkewPoly(config, _dot_terms(config.coefficients, groups))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,24 @@ Two concrete ring shapes live here, both ``CompiledAlgebra``s:
 They expose the informal ring protocol the rest of the library relies
 on: ``zero``/``one``, ``qdim``, ``flatten``/``unflatten`` (``Fraction``
 coordinates over Q), ``basis_elements``, ``spanning_set(bound)``,
-``random_element(rng)``, ``invert``, ``solve_left_mul(c, r)`` and
-``solve_right_mul(c, r)`` (a u with c·u = r, resp. u·c = r, or None),
-and the cached predicates ``is_associative``/``is_commutative``. Both
-invert and solve through ``operator_matrix``, the matrix of left or right
-multiplication by c, and :func:`skewring.linalg.solve`. Twisted
-polynomial rings implement the same protocol in :mod:`skewring.poly`.
+``random_element(rng)``, ``invert``, ``dot(products)`` (the sum of
+a·b over a list of (a, b) pairs), ``solver(c, side)`` (the function
+r -> u with c·u = r for side "left", u·c = r for side "right", or
+None), its single uses ``solve_left_mul(c, r)`` and
+``solve_right_mul(c, r)``, and the cached predicates
+``is_associative``/``is_commutative``. Twisted polynomial rings
+implement the same protocol in :mod:`skewring.poly`, and ``Divisors``
+keeps one call's solvers by divisor.
+
+``dot`` accumulates every product's numerators into one integer vector
+over the least common multiple of their denominators and canonicalises
+once, so a product sum builds no partial sums. ``solver`` builds the
+multiplication operator of c from ``mul_pairs`` on basis pairs and
+factors it once with :func:`skewring.linalg.factor`; each solve is then
+one :func:`skewring.linalg.solve_pair` on the right-hand side's pair, so
+a loop that divides by one coefficient many times eliminates once.
+``invert`` solves on the same path, the stacked left/right system only
+when the left one does not decide.
 
 An element stores its coordinates as the canonical pair ``(nums, den)``
 of :mod:`skewring.linalg`, so equality and hashing compare the pair, and
@@ -35,6 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import linalg
 from .errors import ConstructionError, NotInvertibleError, RingMismatchError
@@ -81,6 +94,32 @@ class CompiledAlgebra:
                     if y:
                         acc[i] += c * x * y
         return linalg.canonical(acc, da * db * self._mul_den)
+
+    def _own(self, el):
+        """The pair of el, an element of this ring; raises RingMismatchError otherwise."""
+        if isinstance(el, AlgebraElement) and (el.ring is self or el.ring == self):
+            return el.pair
+        raise RingMismatchError("incompatible rings")
+
+    def dot(self, products):
+        """The sum of a·b over the (a, b) pairs of ``products``, canonicalised once."""
+        if len(products) == 1:
+            ((a, b),) = products
+            return self.from_pair(self.mul_pairs(self._own(a), self._own(b)))
+        pairs = [(self._own(a), self._own(b)) for a, b in products]
+        den = lcm(*[da * db for (_, da), (_, db) in pairs])
+        acc = [0] * self.dimension
+        rows = self._mul_rows
+        for (na, da), (nb, db) in pairs:
+            f = den // (da * db)
+            for x, row in zip(na, rows):
+                if x:
+                    x *= f
+                    for q, i, c in row:
+                        y = nb[q]
+                        if y:
+                            acc[i] += c * x * y
+        return self.from_pair(linalg.canonical(acc, den * self._mul_den))
 
     def mul_coords(self, a, b):
         """``mul_pairs`` on ``Fraction`` coordinate tuples."""
@@ -139,11 +178,46 @@ class CompiledAlgebra:
     def is_finite_dimensional(self):
         return True
 
+    def _operator_columns(self, c, sides):
+        """The columns of u -> c·u (side "left") and u -> u·c ("right"), stacked.
+
+        Column j holds the coordinates of the products of c with the j-th
+        basis vector, one block per entry of ``sides``, as a pair. Every
+        such product has a denominator dividing den(c)·``_mul_den``, so
+        the blocks share that one.
+        """
+        pair = self._own(c)
+        den = pair[1] * self._mul_den
+        columns = []
+        for e in self.basis_elements():
+            column = []
+            for side in sides:
+                if side == "left":
+                    nums, d = self.mul_pairs(pair, e.pair)
+                else:
+                    nums, d = self.mul_pairs(e.pair, pair)
+                column.extend(v * (den // d) for v in nums)
+            columns.append((column, den))
+        return columns
+
+    def solver(self, c, side):
+        """The function r -> u with c·u = r (side "left") or u·c = r ("right"), or None.
+
+        c's operator is factored once; each call solves on r's pair.
+        """
+        factored = linalg.factor(self._operator_columns(c, (side,)))
+
+        def solve(r):
+            pair = linalg.solve_pair(factored, self._own(r))
+            return None if pair is None else self.from_pair(pair)
+
+        return solve
+
     def solve_left_mul(self, c, r):
-        return solve_mul(self, c, r, "left")
+        return self.solver(c, "left")(r)
 
     def solve_right_mul(self, c, r):
-        return solve_mul(self, c, r, "right")
+        return self.solver(c, "right")(r)
 
 
 class AlgebraSpec(CompiledAlgebra):
@@ -381,7 +455,8 @@ class AlgebraElement:
     def __eq__(self, other):
         if isinstance(other, AlgebraElement):
             return self.ring == other.ring and self.pair == other.pair
-        if isinstance(other, (int, Fraction)):
+        # a bool is not a rational (see _frac), so it compares unequal
+        if type(other) is int or isinstance(other, Fraction):
             return self == self.ring.scalar(other)
         return NotImplemented
 
@@ -649,38 +724,50 @@ def matrix_algebra(base, n):
 
 
 # ---------------------------------------------------------------------------
-# multiplication operators
+# divisions
 # ---------------------------------------------------------------------------
 
 
-def operator_matrix(ring, c, side):
-    """Matrix of u -> c·u (side "left") or u -> u·c (side "right").
-
-    Column j is the flattened product of c with the j-th flat basis
-    vector, so the matrix acts on the coordinates of ``ring.flatten``.
-    """
-    columns = [ring.flatten(c * b if side == "left" else b * c) for b in ring.basis_elements()]
-    return list(zip(*columns))
-
-
-def solve_mul(ring, c, r, side):
-    """u with c·u = r (side "left") or u·c = r (side "right"), or None."""
-    solution = linalg.solve(operator_matrix(ring, c, side), ring.flatten(r))
-    return None if solution is None else ring.unflatten(tuple(solution))
-
-
 def invert_element(ring, el):
-    """Two-sided inverse: el·x = 1 and x·el = 1 solved as one exact system."""
-    if el.ring is not ring and el.ring != ring:
-        raise RingMismatchError("incompatible rings")
-    if not el:
+    """Two-sided inverse: el·x = 1 and x·el = 1 solved as one exact system.
+
+    The left system alone decides most elements: it has no solution, or
+    its solution x (free variables 0) also has x·el = 1, and then x is
+    the stacked system's solution too, since every free variable of the
+    stacked system is free in the left one. Only otherwise is the stacked
+    system factored.
+    """
+    one = ring.one
+    x = ring.solver(el, "left")(one)
+    if x is None:
         raise NotInvertibleError("not invertible")
-    one = ring.flatten(ring.one)
-    stacked = operator_matrix(ring, el, "left") + operator_matrix(ring, el, "right")
-    solution = linalg.solve(stacked, one + one)
+    if ring.mul_pairs(x.pair, el.pair) == one.pair:
+        return x
+    nums, den = one.pair
+    factored = linalg.factor(ring._operator_columns(el, ("left", "right")))
+    solution = linalg.solve_pair(factored, (nums + nums, den))
     if solution is None:
         raise NotInvertibleError("not invertible")
-    return ring.unflatten(tuple(solution))
+    return ring.from_pair(solution)
+
+
+class Divisors(dict):
+    """The solvers ``ring.solver(c, side)`` of one call, each built on first use.
+
+    Keyed by the divisor's value, so a loop that divides by equal
+    coefficients (one generator's lead, or the powers of a finite-order
+    twist applied to one lead) factors each of them once. The call that
+    makes it owns it and drops it on return.
+    """
+
+    def __init__(self, ring, side):
+        super().__init__()
+        self.ring = ring
+        self.side = side
+
+    def __missing__(self, c):
+        solve = self[c] = self.ring.solver(c, self.side)
+        return solve
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import (
     ZeroElementError,
 )
 from .poly import add_term, laurent_terms
+from .rings import Divisors
 
 
 def _check_series_config(config):
@@ -162,13 +163,13 @@ def series_mul(a, b):
         raise RingMismatchError("incompatible rings")
     precision = min(a.precision + b.window_start, b.precision + a.window_start)
     window = a.window_start + b.window_start
-    out = laurent_terms(a.config.sigma, a.coeffs, b.coeffs, precision)
+    out = laurent_terms(a.config, a.coeffs, b.coeffs, precision)
     return TruncatedSeries(a.config, out, precision, window)
 
 
 def times_monomial(a, coeff, exp):
     """a·(coeff·X^exp) with an exact (untruncated) monomial."""
-    out = laurent_terms(a.config.sigma, a.coeffs, {exp: coeff})
+    out = laurent_terms(a.config, a.coeffs, {exp: coeff})
     return TruncatedSeries(
         a.config, out, a.precision + exp, a.window_start + exp
     )
@@ -201,6 +202,11 @@ def series_invert(a, side="right"):
     otherwise (the one-sided inverses of 1 - iX under the q=2 scaling
     twist differ from degree three on). The inverse of a series of
     order w known to precision N is known to precision N - 2w.
+
+    Each step sums its products with one ``dot`` of the coefficient
+    ring. The right recurrence divides by the lead every step, so it
+    factors the lead once; the left one divides by sigma^n(lead), and
+    factors each distinct value once.
     """
     config = a.config
     ring = config.coefficients
@@ -219,32 +225,24 @@ def series_invert(a, side="right"):
     left = {}
     one = ring.one
     zero = ring.zero
+    if side in ("right", "both"):
+        solve_right = ring.solver(lead, "left")
+    left_divisors = Divisors(ring, "right")
     for e in range(0, a.precision - w + 1):
         n = e - w
-        target = one if e == 0 else zero
         if side in ("right", "both"):
             # a·b = 1: sum_m a_m sigma^m(b_{e-m}) = [e == 0]
-            acc = target
-            for m, am in a.coeffs.items():
-                if m == w:
-                    continue
-                prev = right.get(e - m)
-                if prev is not None:
-                    acc = acc - am * sigma.power_apply(m, prev)
-            u = ring.solve_left_mul(lead, acc)
+            acc = ring.dot([(am, sigma.power_apply(m, right[e - m]))
+                            for m, am in a.coeffs.items() if m != w and e - m in right])
+            u = solve_right(one - acc if e == 0 else -acc)
             if u is None:
                 raise NotInvertibleError("series is not a unit")
             right[n] = sigma.power_apply(-w, u)
         if side in ("left", "both"):
             # b·a = 1: sum_m b_{e-m} sigma^(e-m)(a_m) = [e == 0]
-            acc = target
-            for m, am in a.coeffs.items():
-                if m == w:
-                    continue
-                prev = left.get(e - m)
-                if prev is not None:
-                    acc = acc - prev * sigma.power_apply(e - m, am)
-            u = ring.solve_right_mul(sigma.power_apply(n, lead), acc)
+            acc = ring.dot([(left[e - m], sigma.power_apply(e - m, am))
+                            for m, am in a.coeffs.items() if m != w and e - m in left])
+            u = left_divisors[sigma.power_apply(n, lead)](one - acc if e == 0 else -acc)
             if u is None:
                 raise NotInvertibleError("series is not a unit")
             left[n] = u

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .maps import _power_is_identity, classify_multiplicativity
 from .poly import LAURENT, SkewPoly, add_term, poly_mul
-from .rings import associator, first_associator
+from .rings import Divisors, associator, first_associator
 from .series import TruncatedSeries, times_monomial
 
 SIDES = ("left", "middle", "right")
@@ -569,7 +569,8 @@ def monic_left_reduce(f, p):
 
     Each step subtracts (t·V^(n-m))·p where t solves
     t·sigma^(n-m)(lead p) = lead f, cancelling the top term; the proof's
-    preliminary monic normalization is folded into that solve. The
+    preliminary monic normalization is folded into that solve, and each
+    distinct value of sigma^(n-m)(lead p) is factored once per call. The
     remainder ends with degree < deg p and the recorded steps replay to
     f exactly.
     """
@@ -583,12 +584,12 @@ def monic_left_reduce(f, p):
     m = p.degree
     c = p.leading_coefficient
     sigma = config.sigma
+    divisors = Divisors(config.coefficients, "right")
     steps = []
     rem = f
     while rem and rem.degree >= m:
         n = rem.degree
-        t = config.coefficients.solve_right_mul(sigma.power_apply(n - m, c),
-                                                rem.leading_coefficient)
+        t = divisors[sigma.power_apply(n - m, c)](rem.leading_coefficient)
         if t is None:
             raise ReductionError("left division requires division ring")
         steps.append(CofactorStep(0, "left", t, n - m))
@@ -605,8 +606,10 @@ def right_reduce(f, gens, max_steps=None):
     g·(u·V^(n-m_g)), where m_g is g's leading exponent,
     u = sigma^(-m_g)(w) and w solves (lead g)·w = lead f; the first
     generator with m_g <= n whose solve succeeds is used (one always
-    does over division-ring coefficients). A series step raises the
-    order, so the loop ends when the remainder's window is exhausted.
+    does over division-ring coefficients), and a generator's leading
+    coefficient is factored once per call, on its first use. A series
+    step raises the order, so the loop ends when the remainder's window
+    is exhausted.
     When no generator has m_g <= n, a polynomial remainder is a true
     remainder, but a series is flagged ``irreducible``; so is any
     remainder whose leading coefficient no single eligible generator
@@ -620,7 +623,7 @@ def right_reduce(f, gens, max_steps=None):
     is_series = isinstance(f, TruncatedSeries)
     lead_exp = attrgetter("order" if is_series else "degree")
     sigma = config.sigma
-    ring = config.coefficients
+    divisors = Divisors(config.coefficients, "left")
     rem = f
     steps = []
     irreducible = False
@@ -632,7 +635,7 @@ def right_reduce(f, gens, max_steps=None):
         if not eligible and not is_series:
             break
         for idx, g in eligible:
-            w = ring.solve_left_mul(g.leading_coefficient, rem.leading_coefficient)
+            w = divisors[g.leading_coefficient](rem.leading_coefficient)
             if w is not None:
                 break
         else:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewring import linalg, maps, rings
+from skewring.errors import NotInvertibleError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -332,6 +333,9 @@ def test_solve_free_variables_and_inconsistency():
     assert linalg.solve([[ONE, 2 * ONE], [half, ONE]], [3 * ONE, ONE]) is None
     # a zero column leaves its variable free
     assert linalg.solve([[ZERO, Fraction(2, 3)]], [Fraction(4, 9)]) == [0, Fraction(2, 3)]
+    # no unknowns: consistent exactly when the right-hand side is zero
+    assert linalg.solve([[], []], [ZERO, ONE]) is None
+    assert linalg.solve([[], []], [ZERO, ZERO]) == []
 
 
 @settings(max_examples=50, deadline=None)
@@ -348,6 +352,35 @@ def test_invert_matrix_matches_fraction_oracle(matrix):
 def test_invert_matrix_singular():
     assert linalg.invert_matrix([[ONE, 2 * ONE], [Fraction(1, 2), ONE]]) is None
     assert linalg.invert_matrix([[ZERO]]) is None
+
+
+@st.composite
+def systems_with_right_hand_sides(draw):
+    """One system and several right-hand sides, consistent and not."""
+    matrix, rhs = draw(systems())
+    n_cols = len(matrix[0])
+    sides = [rhs]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            x0 = draw(st.lists(rationals, min_size=n_cols, max_size=n_cols))
+            sides.append([sum((a * x for a, x in zip(row, x0)), ZERO) for row in matrix])
+        else:
+            sides.append(draw(st.lists(rationals, min_size=len(matrix), max_size=len(matrix))))
+    return matrix, sides
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_with_right_hand_sides())
+def test_one_factorisation_solves_every_right_hand_side(case):
+    matrix, sides = case
+    factored = linalg.factor([linalg.integer_vector(col) for col in zip(*matrix)])
+    for rhs in sides:
+        out = linalg.solve_pair(factored, linalg.integer_vector(rhs))
+        expected = oracle_solve(matrix, rhs)
+        if expected is None:
+            assert out is None
+        else:
+            assert out == linalg.integer_vector(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +470,134 @@ def test_every_operation_leaves_a_canonical_pair(name, data, q, r, m):
     for u, v in ((ring.unflatten(ring.flatten(a)), a), ((a + b) - b, a),
                  (a.scale(q).scale(1 / q), a), (a - a, ring.zero)):
         assert u == v and hash(u) == hash(v) and u.pair == v.pair
+
+
+# ---------------------------------------------------------------------------
+# product sums and reused solvers
+# ---------------------------------------------------------------------------
+
+# table denominators: 1 for the Cayley-Dickson chain, 2 for the Jordan algebra
+DOT_RINGS = {
+    "QQ": rings.rationals(),
+    "QQ(i)": G,
+    "OO": rings.octonions(),
+    "SS": SS,
+    "M2(QQ(i))": M2G,
+    "M2(QQ)+": JORDAN_M2,
+}
+
+
+def oracle_product(ring, a, b):
+    if isinstance(ring, rings.MatrixRing):
+        return oracle_matrix_mul(ring, a, b)
+    return oracle_mul_coords(ring, a.coords, b.coords)
+
+
+@pytest.mark.parametrize("name", sorted(DOT_RINGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_dot_matches_sequential_sum(name, data):
+    ring = DOT_RINGS[name]
+    n = data.draw(st.integers(1, 4))
+    products = [
+        (ring.unflatten(data.draw(vectors(ring.qdim))), ring.unflatten(data.draw(vectors(ring.qdim))))
+        for _ in range(n)
+    ]
+    out = ring.dot(products)
+    assert_canonical(out)
+    sequential = ring.zero
+    coords = (ZERO,) * ring.qdim
+    for a, b in products:
+        sequential = sequential + a * b
+        coords = tuple(u + v for u, v in zip(coords, oracle_product(ring, a, b)))
+    assert out == sequential and out.pair == sequential.pair
+    assert out.coords == coords
+    # the same products again with one factor negated cancel to zero
+    cancelled = ring.dot(products + [(-a, b) for a, b in products])
+    assert_canonical(cancelled)
+    assert cancelled.pair == ((0,) * ring.qdim, 1)
+    assert ring.dot(products[:1]) == products[0][0] * products[0][1]
+
+
+def test_dot_of_nothing_is_zero():
+    for ring in DOT_RINGS.values():
+        assert ring.dot([]).pair == ((0,) * ring.qdim, 1)
+
+
+def oracle_operator(ring, c, side):
+    """The Fraction matrix of u -> c·u (side "left") or u -> u·c ("right")."""
+    columns = [
+        oracle_product(ring, c, e) if side == "left" else oracle_product(ring, e, c)
+        for e in ring.basis_elements()
+    ]
+    return [list(row) for row in zip(*columns)]
+
+
+_S = SS.basis_elements()
+_E = matrix_units().basis_elements()
+# singular operators: a sedenion zero divisor, a matrix unit and a
+# Jordan element whose products with j and k vanish
+SINGULAR_DIVISORS = {
+    "SS-zero-divisor": (SS, (_S[3] + _S[10]).scale(Fraction(3, 2))),
+    "M2(QQ)-E11": (_E[0].ring, _E[0]),
+    "M2(QQ)-E12": (_E[0].ring, _E[1]),
+    "HH+-i": (JORDAN_H, JORDAN_H.basis_element(1)),
+    "M2(QQ)+-E12": (JORDAN_M2, JORDAN_M2.basis_element(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_DIVISORS))
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_reused_solver_matches_oracle_on_singular_operators(name, side):
+    ring, c = SINGULAR_DIVISORS[name]
+    matrix = oracle_operator(ring, c, side)
+    assert oracle_invert_matrix(matrix) is None  # the operator is singular
+    solve = ring.solver(c, side)
+    rng = random.Random(name)
+    consistent = inconsistent = 0
+    for k in range(12):
+        x = ring.random_element(rng)
+        r = (c * x if side == "left" else x * c) if k % 2 else ring.random_element(rng)
+        expected = oracle_solve(matrix, list(r.coords))
+        out = solve(r)
+        if expected is None:
+            inconsistent += 1
+            assert out is None
+        else:
+            consistent += 1
+            assert out.coords == tuple(expected)  # free variables are 0
+            assert (c * out if side == "left" else out * c) == r
+    assert consistent and inconsistent
+
+
+def oracle_inverse(ring, el):
+    """The stacked left/right system el·x = 1, x·el = 1 over Fractions."""
+    one = list(ring.one.coords)
+    matrix = oracle_operator(ring, el, "left") + oracle_operator(ring, el, "right")
+    return oracle_solve(matrix, one + one)
+
+
+M2O = MATRIX_RINGS["M2-octonions"]
+# the left system of this M2(O) element is consistent, but its solution
+# is no right inverse, so the stacked system decides
+M2O_LEFT_ONLY = M2O.unflatten(tuple(
+    {1: Fraction(-2, 3), 12: Fraction(-1, 2), 27: -ONE}.get(k, ZERO) for k in range(32)
+))
+
+
+@pytest.mark.parametrize("ring, el", [
+    *[(ring, c) for ring, c in SINGULAR_DIVISORS.values()],
+    (SS, _S[3] + _S[10] + _S[0]),
+    (M2O, M2O_LEFT_ONLY),
+    (M2O, M2O.one + M2O_LEFT_ONLY),
+], ids=[*sorted(SINGULAR_DIVISORS), "SS-unit-shift", "M2(OO)-left-only", "M2(OO)-shift"])
+def test_invert_matches_stacked_oracle(ring, el):
+    expected = oracle_inverse(ring, el)
+    if el is M2O_LEFT_ONLY:
+        assert oracle_solve(oracle_operator(ring, el, "left"), list(ring.one.coords))
+        assert expected is None
+    try:
+        out = ring.invert(el).coords
+    except NotInvertibleError:
+        out = None
+    assert out == (None if expected is None else tuple(expected))

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from skewring import maps, poly, rings
+from skewring import linalg, maps, poly, rings
 from skewring.errors import (
     ConstructionError,
     NotInvertibleError,
@@ -369,3 +370,44 @@ def test_ring_config_solves():
     assert lq.solve_left_mul(x, x * u3) == u3
     assert lq.solve_right_mul(x, u3 * x) == u3
     assert lq.solve_left_mul(x + lq.one, x * u3) is None
+
+
+def test_bool_compares_unequal_without_raising():
+    for cfg in (laurent_q2(), rational_poly_ring(), weyl()):
+        for el in (cfg.one, cfg.zero, cfg.gen):
+            assert el != True and el != False  # noqa: E712
+            assert el not in [True, False]
+        assert cfg.one == 1 and cfg.zero == 0
+
+
+def test_laurent_product_canonicalises_once_per_exponent(monkeypatch):
+    """A 21x21 product over Q(i) with q=2 sums each output exponent once."""
+    config = laurent_q2()
+    rng = random.Random(19)
+    p, q = (
+        config.from_terms({
+            e: G.element([Fraction(rng.randint(1, 99), rng.randint(1, 9)),
+                          Fraction(rng.randint(-99, -1), rng.randint(1, 9))])
+            for e in range(-10, 11)
+        })
+        for _ in range(2)
+    )
+    expected = sum(
+        (config.monomial(r, m) * config.monomial(s, n)
+         for m, r in p.terms.items() for n, s in q.terms.items()),
+        config.zero,
+    )
+    calls = 0
+
+    def counted(nums, den):
+        nonlocal calls
+        calls += 1
+        return linalg.canonical(nums, den)
+
+    # the twist powers canonicalise in maps; only the coefficient ring's
+    # products and sums are counted
+    monkeypatch.setattr(rings, "linalg", SimpleNamespace(**{**vars(linalg), "canonical": counted}))
+    product = poly.poly_mul(p, q)
+    assert calls == 41 == len(product.terms)
+    monkeypatch.undo()
+    assert product == expected

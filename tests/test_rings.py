@@ -357,3 +357,29 @@ def test_distributivity_exhaustive_on_basis():
                 for c in basis:
                     assert ab_sum * c == a * c + b * c
                     assert c * ab_sum == c * a + c * b
+
+
+def test_solves_and_dot_reject_foreign_rings():
+    i = G.basis_element(1)
+    h = H.element([1, 2, 3, 4])
+    o = O.element([1, 2, 3, 4, 5, 6, 7, 8])
+    for ring, c, r in ((G, i, h), (H, h, o), (G, h, i)):
+        with pytest.raises(RingMismatchError):
+            ring.solve_left_mul(c, r)
+        with pytest.raises(RingMismatchError):
+            ring.solve_right_mul(c, r)
+    solve = H.solver(h, "left")
+    assert h * solve(H.one) == H.one and solve(h) == H.one
+    with pytest.raises(RingMismatchError):
+        solve(o)
+    for products in ([(i, h)], [(i, i), (h, h)], [(i, i), (i, G.one), (h, i)]):
+        with pytest.raises(RingMismatchError):
+            G.dot(products)
+
+
+def test_bool_compares_unequal_without_raising():
+    for el in (G.one, G.zero, H.one, rings.matrix_algebra(G, 2).one):
+        assert el != True and el != False  # noqa: E712
+        assert not el == True  # noqa: E712
+        assert el not in [True, False]
+    assert G.one == 1 and G.zero == 0 and G.one == Fraction(1)

@@ -226,3 +226,29 @@ def test_invert_with_polynomial_coefficients():
     assert inv_c.coefficient(0) == inner.variable_power(-1)
     with pytest.raises(NotInvertibleError):
         series.series_invert(series.series(qcfg, {0: inner.gen + inner.one}, 4))
+
+
+@pytest.mark.parametrize("make_config, side, factorisations", [
+    (cfg_q2, "right", 1),
+    # sigma^n(lead) is the lead or its conjugate: two values, each factored once
+    (cfg_conj, "left", 2),
+    (cfg_conj, "both", 3),
+], ids=["q2-right", "conj-left", "conj-both"])
+def test_series_invert_factors_each_divisor_once(monkeypatch, factor_count, make_config,
+                                                 side, factorisations):
+    """A precision-30 inverse divides by its lead 31 times and factors it once."""
+    config = make_config()
+    rng = random.Random(30)
+    coeffs = {e: G.element([Fraction(rng.randint(1, 9), rng.randint(1, 5)),
+                            Fraction(rng.randint(1, 9), rng.randint(1, 5))])
+              for e in range(31)}
+    a = series.series(config, coeffs, 30)
+    factor_count["calls"] = 0  # building the config inverts its twist
+    inv = series.series_invert(a, side=side)
+    assert factor_count["calls"] == factorisations
+    monkeypatch.undo()
+    one = series.series_one(config, 30)
+    if side != "left":
+        assert series.equal_to_precision(a * inv, one)
+    if side != "right":
+        assert series.equal_to_precision(inv * a, one)

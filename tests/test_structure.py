@@ -662,6 +662,37 @@ def test_right_reduce_series_strictly_raises_order():
     )
 
 
+def _dense_octonion_poly(config, rng, degree):
+    return config.from_terms({
+        e: O.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(8)])
+        for e in range(degree + 1)
+    })
+
+
+def test_reductions_factor_each_divisor_once(monkeypatch, factor_count):
+    """A generator's lead is factored on first use, not once per step."""
+    config = poly.RingConfig(O, maps.make_twist(O, "conjugation"), None, "X", poly.ORE)
+    rng = random.Random(19)
+    f = _dense_octonion_poly(config, rng, 12)
+    gens = structure.GeneratorSet(
+        config, [_dense_octonion_poly(config, rng, 3), _dense_octonion_poly(config, rng, 2)],
+        "right",
+    )
+    factor_count["calls"] = 0  # building the config inverts its twist
+    result = structure.right_reduce(f, gens)
+    used = {step.generator for step in result.steps}
+    assert used == {0, 1} and len(result.steps) == 11
+    assert factor_count["calls"] == 2
+    # left division by p solves against sigma^k(lead p), which conjugation
+    # takes to two values
+    factor_count["calls"] = 0
+    left = structure.monic_left_reduce(f, gens.generators[0])
+    assert len(left.steps) == 10 and factor_count["calls"] == 2
+    monkeypatch.undo()
+    assert structure.replay_reduction(result, gens) == f
+    assert structure.replay_reduction(left, [gens.generators[0]]) == f
+
+
 def test_generator_set_validation():
     config = cfg_q2(poly.ORE)
     with pytest.raises(ConstructionError, match="nonzero"):
