@@ -25,9 +25,11 @@ degree-bounded exhaustive checks in :mod:`skewring.structure` cheap.
 
 The Ore product X^m·s = sum_i pi_i^m(s)·X^i needs the operator sums
 pi_i^m, each the sum of all words in i sigmas and m-i deltas. One
-dynamic-programming sweep, :func:`pi_row`, builds the whole row
-pi_0^m(s), ..., pi_m^m(s). A :class:`PiFamily` caches its rows keyed by
-the value of (m, s), for as long as the family lives, so
+dynamic-programming sweep, :func:`pi_rows`, yields every row
+pi_0^k(s), ..., pi_k^k(s) for k = 0..m, so a product reads all the
+rows one right-hand coefficient needs from a single sweep;
+:func:`pi_row` is its last row. A :class:`PiFamily` caches its rows
+keyed by the value of (m, s), for as long as the family lives, so
 :func:`pi_apply` is a row lookup. The word enumeration
 (:func:`pi_word_sum`) applies the twists itself and stays as the
 oracle.
@@ -386,12 +388,14 @@ class PiFamily:
         return cached
 
 
-def pi_row(fam, m, s):
-    """(pi_0^m(s), ..., pi_m^m(s)) by one dynamic-programming sweep, uncached.
+def pi_rows(fam, m, s):
+    """The rows k = 0..m of the pi table of s, (pi_0^k(s), ..., pi_k^k(s)), in one sweep.
 
-    Row k comes from row k-1 by pi(i,k) = sigma∘pi(i-1,k-1) + delta∘pi(i,k-1).
+    Row k comes from row k-1 by pi(i,k) = sigma∘pi(i-1,k-1) + delta∘pi(i,k-1),
+    so row k applies sigma k times and delta (when there is one) k times.
     """
-    row = [s]
+    row = (s,)
+    yield row
     for k in range(1, m + 1):
         nxt = []
         for i in range(k + 1):
@@ -402,8 +406,15 @@ def pi_row(fam, m, s):
                 dpart = fam.delta(row[i])
                 value = dpart if value is None else value + dpart
             nxt.append(value if value is not None else s.ring.zero)
-        row = nxt
-    return tuple(row)
+        row = tuple(nxt)
+        yield row
+
+
+def pi_row(fam, m, s):
+    """(pi_0^m(s), ..., pi_m^m(s)): the last row of ``pi_rows``, uncached."""
+    for row in pi_rows(fam, m, s):
+        pass
+    return row
 
 
 def pi_apply(fam, i, m, s):

@@ -28,7 +28,7 @@ from .errors import (
     RingMismatchError,
     ZeroElementError,
 )
-from .maps import PiFamily, PolyTwist, make_twist, pi_apply, pi_row, validate_twist_axioms
+from .maps import PiFamily, PolyTwist, make_twist, pi_apply, pi_rows, validate_twist_axioms
 from .rings import AlgebraElement, first_associator
 
 ORE = "ore"
@@ -177,22 +177,35 @@ class RingConfig:
                 return inverse
         raise NotInvertibleError("not invertible")
 
+    def _own(self, el):
+        """The terms of el, a polynomial of this config; raises RingMismatchError otherwise."""
+        if isinstance(el, SkewPoly) and (el.config is self or el.config == self):
+            return el.terms
+        raise RingMismatchError("incompatible rings")
+
     def dot(self, products):
-        """The sum of a·b over the (a, b) pairs of ``products``."""
-        if len(products) == 1:
-            ((a, b),) = products
-            return a * b
-        return sum((a * b for a, b in products), self.zero)
+        """The sum of a·b over the (a, b) pairs of ``products``.
+
+        Every pair's term products go into one ``product_terms`` grouping,
+        so the coefficient ring's ``dot`` runs once per output exponent and
+        no partial sum is built.
+        """
+        pairs = [(self._own(a), self._own(b)) for a, b in products]
+        return SkewPoly(self, product_terms(self, pairs))
 
     def solver(self, c, side):
         """The function r -> u with c·u = r (side "left") or u·c = r ("right"), or None.
 
-        A commutative config divides exactly (see ``_divide``); any other
-        config inverts c once, which succeeds for a unit monomial, and
-        keeps c⁻¹·r (r·c⁻¹ on the right) only if it solves the equation.
+        A commutative config divides exactly (see ``_divide``) through one
+        solver of c's leading coefficient; any other config inverts c once,
+        which succeeds for a unit monomial, and keeps c⁻¹·r (r·c⁻¹ on the
+        right) only if it solves the equation.
         """
         if self.is_commutative:
-            return lambda r: self._divide(c, r)
+            if not c:
+                return lambda r: None
+            solve = self.coefficients.solver(c.leading_coefficient, "left")
+            return lambda r: self._divide(c, solve, r)
         try:
             inverse = self.invert(c)
         except NotInvertibleError:
@@ -213,19 +226,16 @@ class RingConfig:
     def solve_right_mul(self, c, r):
         return self.solver(c, "right")(r)
 
-    def _divide(self, c, r):
-        """u with c·u = r by exact long division in a commutative config.
+    def _divide(self, c, solve, r):
+        """u with c·u = r by exact long division in a commutative config, or None.
 
-        Each step cancels the top term of the remainder through a solve in
-        the coefficient ring by c's leading coefficient, whose solver is
-        built once per call. Quotient exponents run down to 0 in the ore
-        shape and to ord r - ord c in the laurent shape, where a quotient
-        ends when the coefficients have no zero divisors.
+        Each step cancels the top term of the remainder by ``solve``, the
+        coefficient ring's solver of c's leading coefficient. Quotient
+        exponents run down to 0 in the ore shape and to ord r - ord c in
+        the laurent shape, where a quotient ends when the coefficients
+        have no zero divisors.
         """
-        if not c:
-            return None
         low = 0 if self.shape == ORE or not r else r.order - c.order
-        solve = self.coefficients.solver(c.leading_coefficient, "left")
         quotient = {}
         rem = r
         while rem:
@@ -423,12 +433,38 @@ def random_terms(ring, rng, exps):
     return terms
 
 
-def _dot_terms(ring, groups):
-    """The sparse map of ``ring.dot`` over each exponent's products, zeros dropped.
+def product_terms(config, pairs, top=None):
+    """The sparse map of the sum of left·right over the (left, right) term maps in pairs.
 
-    ``groups`` maps an exponent to the list of (a, b) pairs whose
-    products add up to its coefficient.
+    The one product-sum kernel: every coefficient product is grouped by
+    its output exponent, and each exponent's coefficient is one ``dot``
+    of the coefficient ring, zeros dropped. A series passes its precision
+    as ``top``, and products above it are skipped. Without a delta the
+    monomial rule is (r·V^m)(s·V^n) = (r·sigma^m(s))·V^(m+n). With a delta
+    it is sum_i (r·pi_i^m(s))·V^(i+n), and each right-hand coefficient s
+    takes one ``pi_rows`` sweep up to the left degree, read at the rows m
+    where the left side has a term; no row is rebuilt, and no row cache
+    outlives the call.
     """
+    groups = {}
+    if config.delta is None:
+        sigma = config.sigma
+        for left, right in pairs:
+            for m, r in left.items():
+                for n, s in right.items():
+                    if top is None or m + n <= top:
+                        groups.setdefault(m + n, []).append((r, sigma.power_apply(m, s)))
+    else:
+        fam = PiFamily(config.sigma, config.delta)
+        for left, right in pairs:
+            for n, s in right.items():
+                for m, row in enumerate(pi_rows(fam, max(left, default=0), s)):
+                    r = left.get(m)
+                    if r is not None:
+                        for i, t in enumerate(row):
+                            if t:
+                                groups.setdefault(i + n, []).append((r, t))
+    ring = config.coefficients
     out = {}
     for e, products in groups.items():
         value = ring.dot(products)
@@ -437,47 +473,16 @@ def _dot_terms(ring, groups):
     return out
 
 
-def laurent_terms(config, left, right, top=None):
-    """The sparse product sum of (r·V^m)(s·V^n) = (r·sigma^m(s))·V^(m+n).
-
-    Shared by delta-free polynomials and series; a series passes its
-    precision as ``top``, and products above it are skipped. The
-    products are collected per output exponent, and each exponent's
-    coefficient is one ``dot`` of the coefficient ring.
-    """
-    sigma = config.sigma
-    groups = {}
-    for m, r in left.items():
-        for n, s in right.items():
-            if top is None or m + n <= top:
-                groups.setdefault(m + n, []).append((r, sigma.power_apply(m, s)))
-    return _dot_terms(config.coefficients, groups)
-
-
 def poly_mul(p, q):
-    """Biadditive extension of the twisted monomial rules.
+    """Biadditive extension of the twisted monomial rules: one ``product_terms`` call.
 
-    Both branches collect the products of one output exponent and sum
-    them with one ``dot`` of the coefficient ring. The ore branch takes
-    each pi row from the uncached ``pi_row``, and no row cache is kept on
-    the config: one product never asks for the same (m, s) twice,
-    operands drawn afresh would only grow such a cache, and a config
-    shared for a whole run would carry it from one run into the next.
+    With a delta, each term of q takes one pi sweep up to deg p, read at
+    every exponent of p, so no pi row of the product is built twice.
     """
     config = p.config
     if config != q.config:
         raise RingMismatchError("incompatible rings")
-    if config.delta is None:
-        return SkewPoly(config, laurent_terms(config, p.terms, q.terms))
-
-    groups = {}
-    fam = PiFamily(config.sigma, config.delta)
-    for m, r in p.terms.items():
-        for n, s in q.terms.items():
-            for i, t in enumerate(pi_row(fam, m, s)):
-                if t:
-                    groups.setdefault(i + n, []).append((r, t))
-    return SkewPoly(config, _dot_terms(config.coefficients, groups))
+    return SkewPoly(config, product_terms(config, [(p.terms, q.terms)]))
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +514,8 @@ def to_right_form(p):
 
 
 def from_right_form(config, pairs):
-    """Rebuild sum V^e · c_e as a left-form polynomial."""
-    total = config.zero
-    for e, c in pairs:
-        total = total + poly_mul(config.variable_power(e), config.constant(c))
-    return total
+    """Rebuild sum V^e · c_e as a left-form polynomial, one ``dot`` of the config."""
+    return config.dot([(config.variable_power(e), config.constant(c)) for e, c in pairs])
 
 
 # ---------------------------------------------------------------------------

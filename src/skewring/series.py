@@ -21,7 +21,7 @@ from .errors import (
     RingMismatchError,
     ZeroElementError,
 )
-from .poly import add_term, laurent_terms
+from .poly import add_term, product_terms
 from .rings import Divisors
 
 
@@ -163,13 +163,13 @@ def series_mul(a, b):
         raise RingMismatchError("incompatible rings")
     precision = min(a.precision + b.window_start, b.precision + a.window_start)
     window = a.window_start + b.window_start
-    out = laurent_terms(a.config, a.coeffs, b.coeffs, precision)
+    out = product_terms(a.config, [(a.coeffs, b.coeffs)], precision)
     return TruncatedSeries(a.config, out, precision, window)
 
 
 def times_monomial(a, coeff, exp):
     """a·(coeff·X^exp) with an exact (untruncated) monomial."""
-    out = laurent_terms(a.config, a.coeffs, {exp: coeff})
+    out = product_terms(a.config, [(a.coeffs, {exp: coeff})])
     return TruncatedSeries(
         a.config, out, a.precision + exp, a.window_start + exp
     )

@@ -554,14 +554,19 @@ class GeneratorSet:
                 raise RingMismatchError("incompatible rings")
 
 
+def _cofactor_factors(g, side, u, k):
+    """The polynomial factors (g, u·V^k) of a right step, (u·V^k, g) of a left step."""
+    mono = g.config.monomial(u, k)
+    return (mono, g) if side == "left" else (g, mono)
+
+
 def _cofactor_product(g, side, u, k):
     """g·(u·V^k) for a right step, (u·V^k)·g for a left step."""
     if isinstance(g, TruncatedSeries):
         if side != "right":
             raise ConstructionError("series replay supports right cofactors")
         return times_monomial(g, u, k)
-    mono = g.config.monomial(u, k)
-    return poly_mul(mono, g) if side == "left" else poly_mul(g, mono)
+    return poly_mul(*_cofactor_factors(g, side, u, k))
 
 
 def monic_left_reduce(f, p):
@@ -651,13 +656,15 @@ def right_reduce(f, gens, max_steps=None):
 def replay_reduction(result, gens):
     """Rebuild the reduced input from the recorded steps plus remainder.
 
-    Each step is rebuilt with the same cofactor product the reduction
-    subtracted; a left step on a series raises ``ConstructionError``.
+    A polynomial's cofactor products, the ones the reduction subtracted,
+    are summed by one ``dot`` of its config, so each output coefficient
+    is one sum. A series adds each step's ``times_monomial`` product at
+    its own precision; a left step on a series raises ``ConstructionError``.
     """
     generators = gens.generators if isinstance(gens, GeneratorSet) else list(gens)
     total = result.remainder
-    for step in result.steps:
-        total = total + _cofactor_product(
-            generators[step.generator], step.side, step.coeff, step.exponent
-        )
-    return total
+    steps = [(generators[step.generator], step.side, step.coeff, step.exponent)
+             for step in result.steps]
+    if isinstance(total, TruncatedSeries):
+        return sum((_cofactor_product(*step) for step in steps), total)
+    return total + total.config.dot([_cofactor_factors(*step) for step in steps])

@@ -337,3 +337,24 @@ def test_twists_of_one_kind_differ_by_value():
     qy = poly_ring()
     assert maps.make_twist(qy, "y_coeff_scale", q=2) != maps.make_twist(qy, "y_coeff_scale", q=3)
     assert maps.make_twist(G, "zero") != maps.make_twist(rings.rationals(), "zero")
+
+
+def nested_ore_family():
+    """sigma: Z -> 2Z and delta = d/dZ on the Weyl algebra Q[Y][Z; id, d/dY]."""
+    qy = poly_ring()
+    a1 = poly.RingConfig(qy, maps.make_twist(qy, "identity"), maps.make_twist(qy, "derivative"),
+                         "Z", poly.ORE)
+    return a1, maps.PiFamily(maps.make_twist(a1, "y_scale", q=2),
+                             maps.make_twist(a1, "derivative"))
+
+
+def test_pi_row_is_the_last_row_of_the_sweep():
+    """Row k of one pi_rows sweep is pi_row(fam, k, s), entry by entry pi_word_sum."""
+    for ring, fam in [*pi_families(), nested_ore_family()]:
+        rng = random.Random(20)
+        for s in [ring.random_element(rng) for _ in range(3)]:
+            rows = list(maps.pi_rows(fam, 5, s))
+            assert len(rows) == 6
+            for m, row in enumerate(rows):
+                assert maps.pi_row(fam, m, s) == row
+                assert list(row) == [maps.pi_word_sum(fam, i, m, s) for i in range(m + 1)]

@@ -411,3 +411,128 @@ def test_laurent_product_canonicalises_once_per_exponent(monkeypatch):
     assert calls == 41 == len(product.terms)
     monkeypatch.undo()
     assert product == expected
+
+
+def _oracle_mul(a, b):
+    """a·b from sum_i (r·pi_i^m(s))·V^(i+n) with ``pi_word_sum``, recursing into coefficients.
+
+    Only monomials, ``+`` and the word enumeration build a polynomial
+    product, so no level runs the pi sweep or a ``dot``.
+    """
+    if not isinstance(a, poly.SkewPoly):
+        return a * b
+    config = a.config
+    fam = maps.PiFamily(config.sigma, config.delta)
+    total = config.zero
+    for m, r in a.terms.items():
+        for n, s in b.terms.items():
+            for i in range(m + 1):
+                total = total + config.monomial(_oracle_mul(r, maps.pi_word_sum(fam, i, m, s)),
+                                                i + n)
+    return total
+
+
+def nested_weyl():
+    """A1[X; Z -> 2Z, d/dZ] over the Weyl algebra A1 = Q[Y][Z; id, d/dY]."""
+    qy = rational_poly_ring()
+    a1 = poly.RingConfig(qy, maps.make_twist(qy, "identity"), maps.make_twist(qy, "derivative"),
+                         "Z", poly.ORE)
+    return poly.RingConfig(a1, maps.make_twist(a1, "y_scale", q=2),
+                           maps.make_twist(a1, "derivative"), "X", poly.ORE)
+
+
+@pytest.mark.parametrize("make", [
+    weyl,
+    lambda: poly.RingConfig(O, maps.make_twist(O, "conjugation"), None, "X", poly.ORE),
+    lambda: poly.RingConfig(O, maps.make_twist(O, "conjugation"),
+                            maps.standard_derivation(O.basis_element(1), O.basis_element(2)),
+                            "X", poly.ORE),
+    nested_weyl,
+], ids=["weyl", "octonion-conj", "octonion-conj-derivation", "nested-weyl"])
+def test_ore_product_matches_word_enumeration(make):
+    config = make()
+    rng = random.Random(20)
+    for _ in range(6):
+        p, q = (config.random_element(rng, max_degree=3) for _ in range(2))
+        assert poly.poly_mul(p, q) == _oracle_mul(p, q)
+
+
+@pytest.mark.parametrize("make", [
+    rational_poly_ring,
+    lambda: poly.quantum_torus(O, 2).coefficients,
+    lambda: poly.quantum_torus(O, 2),
+    weyl,
+], ids=["QY", "OY", "torus", "weyl"])
+def test_config_dot_matches_sequential_sum(make):
+    config = make()
+    rng = random.Random(22)
+    products = [tuple(config.random_element(rng, max_degree=2) for _ in range(2))
+                for _ in range(5)]
+    expected = sum((a * b for a, b in products), config.zero)
+    assert config.dot(products) == expected
+    assert config.dot([]) == config.zero and not config.dot([]).terms
+    (a, b), (c, d) = products[:2]
+    assert config.dot([(a, b)]) == a * b
+    assert not config.dot(products + [(-x, y) for x, y in products]).terms
+    partial = config.dot([(a, b), (-a, b), (c, d)])
+    assert partial == c * d and all(partial.terms.values())
+    foreign = laurent_q2().gen
+    for pair in ((a, foreign), (foreign, b), (a, config.coefficients.one)):
+        with pytest.raises(RingMismatchError):
+            config.dot([pair])
+
+
+def test_weyl_product_sweeps_pi_once_per_right_term(monkeypatch):
+    """A dense degree-6 by degree-6 Weyl product: one pi sweep per term of the right factor."""
+    config = weyl()
+    qy = config.coefficients
+    rng = random.Random(20)
+    p, q = (
+        config.from_terms({
+            e: qy.from_terms({k: Q.scalar(Fraction(rng.randint(1, 99), rng.randint(1, 9)))
+                              for k in range(7)})
+            for e in range(7)
+        })
+        for _ in range(2)
+    )
+    expected = _oracle_mul(p, q)
+    counts = {"twist": 0, "canonical": 0}
+
+    def counted_twist(call):
+        def wrapper(self, el):
+            counts["twist"] += 1
+            return call(self, el)
+        return wrapper
+
+    def counted_canonical(nums, den):
+        counts["canonical"] += 1
+        return linalg.canonical(nums, den)
+
+    for cls in (maps.PolyTwist, maps.DerivativeMap):
+        monkeypatch.setattr(cls, "__call__", counted_twist(cls.__call__))
+    monkeypatch.setattr(rings, "linalg",
+                        SimpleNamespace(**{**vars(linalg), "canonical": counted_canonical}))
+    product = poly.poly_mul(p, q)
+    monkeypatch.undo()
+    # 7 right-hand terms, each sigma and delta 2k times in row k = 1..6:
+    # 7 * 42 (one pi_row per left exponent: 7 * 112 = 784)
+    assert counts["twist"] == 294
+    # 169 output sums, one per (X, Y) exponent; the rest scale and add
+    # inside the sweep (7,230 with a partial sum per inner product)
+    assert counts["canonical"] == 1296
+    assert product == expected
+
+
+def test_commutative_solver_factors_its_lead_once(factor_count):
+    """One Q[Y] solver, several right-hand sides, one factorisation of the lead."""
+    qy = rational_poly_ring()
+    y = qy.gen
+    c = y.scale(2) + qy.one
+    rng = random.Random(21)
+    cofactors = [qy.random_element(rng) for _ in range(3)]
+    rhs = [c * u for u in cofactors] + [y * y + qy.scalar(2), qy.zero]
+    factor_count["calls"] = 0
+    solve = qy.solver(c, "left")
+    assert [solve(r) for r in rhs] == [*cofactors, None, qy.zero]
+    assert factor_count["calls"] == 1
+    assert qy.solver(qy.zero, "left")(qy.one) is None
