@@ -336,9 +336,7 @@ def format_poly(p):
 
 def format_series(s):
     """Canonical text of a truncated series, with its precision marker."""
-    var = s.config.variable
-    body = _format_terms(s.coeffs, var) if s.coeffs else "0"
-    return f"{body} + O({var}^{s.precision})"
+    return f"{format_poly(s)} + O({s.config.variable}^{s.precision})"
 
 
 def format_monomial(config, coeff, exp):

@@ -153,9 +153,10 @@ class RingConfig:
         can differ, in which case no two-sided inverse exists. Both
         candidates are tried and verified on both sides.
         """
-        if len(el.terms) != 1:
+        terms = self._own(el)
+        if len(terms) != 1:
             raise NotInvertibleError("not invertible")
-        (exp, coeff), = el.terms.items()
+        (exp, coeff), = terms.items()
         if self.shape == ORE and exp != 0:
             raise NotInvertibleError("not invertible")
         candidates = []
@@ -179,7 +180,7 @@ class RingConfig:
 
     def _own(self, el):
         """The terms of el, a polynomial of this config; raises RingMismatchError otherwise."""
-        if isinstance(el, SkewPoly) and (el.config is self or el.config == self):
+        if type(el) is SkewPoly and (el.config is self or el.config == self):
             return el.terms
         raise RingMismatchError("incompatible rings")
 
@@ -278,9 +279,15 @@ class RingConfig:
 
 
 class SkewPoly:
-    """Sparse exponent-to-coefficient map over a ``RingConfig``."""
+    """Sparse exponent-to-coefficient map over a ``RingConfig``.
+
+    A truncated series (``series.TruncatedSeries``) is a subclass with a
+    precision: it rebuilds its results through ``_like`` and multiplies
+    through ``_product``, and the two kinds never mix in one operation.
+    """
 
     __slots__ = ("config", "terms", "_hash")
+    _zero_message = "zero polynomial has no degree"
 
     def __init__(self, config, terms):
         self.config = config
@@ -291,11 +298,15 @@ class SkewPoly:
     def ring(self):
         return self.config
 
+    def _like(self, terms, other=None):
+        """An element of this kind holding terms: a result of self and other, or a constant."""
+        return SkewPoly(self.config, terms)
+
     # -- structure --------------------------------------------------------
 
     def _nonzero_or_raise(self):
         if not self.terms:
-            raise ZeroElementError("zero polynomial has no degree")
+            raise ZeroElementError(self._zero_message)
 
     @property
     def degree(self):
@@ -308,8 +319,13 @@ class SkewPoly:
         return min(self.terms)
 
     @property
+    def leading_exponent(self):
+        """The exponent a reduction cancels first: the degree of a polynomial."""
+        return self.degree
+
+    @property
     def leading_coefficient(self):
-        return self.terms[self.degree]
+        return self.terms[self.leading_exponent]
 
     def coefficient(self, exp):
         if exp in self.terms:
@@ -322,15 +338,18 @@ class SkewPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other):
+        """other as an element of this kind and config, a scalar or coefficient as a constant."""
         if isinstance(other, SkewPoly):
+            if type(other) is not type(self):
+                return None
             if other.config is self.config or other.config == self.config:
                 return other
             raise RingMismatchError("incompatible rings")
         if isinstance(other, (int, Fraction)):
-            return self.config.scalar(other)
-        if isinstance(other, AlgebraElement) and other.ring == self.config.coefficients:
-            return self.config.constant(other)
-        return None
+            other = self.config.coefficients.scalar(other)
+        elif not (isinstance(other, AlgebraElement) and other.ring == self.config.coefficients):
+            return None
+        return self._like({0: other} if other else {})
 
     def __add__(self, other):
         other = self._check(other)
@@ -339,7 +358,7 @@ class SkewPoly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             add_term(terms, e, c)
-        return SkewPoly(self.config, terms)
+        return self._like(terms, other)
 
     __radd__ = __add__
 
@@ -356,33 +375,34 @@ class SkewPoly:
         return other + (-self)
 
     def __neg__(self):
-        return SkewPoly(self.config, {e: -c for e, c in self.terms.items()})
+        return self._like({e: -c for e, c in self.terms.items()}, self)
+
+    def _product(self, other):
+        return poly_mul(self, other)
 
     def __mul__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return poly_mul(self, other)
+        return self._product(other)
 
     def __rmul__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return poly_mul(other, self)
+        return other._product(self)
 
     def __pow__(self, n):
         if n < 0:
             raise NotInvertibleError("use config.invert for negative powers")
-        out = self.config.one
-        for _ in range(n):
+        out = self if n else self._check(1)
+        for _ in range(n - 1):
             out = out * self
         return out
 
     def scale(self, q):
         q = Fraction(q)
-        return self.config.from_terms(
-            {e: c.scale(q) for e, c in self.terms.items()}
-        )
+        return self._like({e: c.scale(q) for e, c in self.terms.items()} if q else {}, self)
 
     def inverse(self):
         return self.config.invert(self)
@@ -391,11 +411,11 @@ class SkewPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, SkewPoly):
+        if type(other) is type(self):
             return self.config == other.config and self.terms == other.terms
         # a bool is not a rational, so it compares unequal
         if type(other) is int or isinstance(other, Fraction):
-            return self == self.config.scalar(other)
+            return self == self._check(other)
         return NotImplemented
 
     def __hash__(self):
@@ -480,7 +500,7 @@ def poly_mul(p, q):
     every exponent of p, so no pi row of the product is built twice.
     """
     config = p.config
-    if config != q.config:
+    if type(p) is not SkewPoly or type(q) is not SkewPoly or config != q.config:
         raise RingMismatchError("incompatible rings")
     return SkewPoly(config, product_terms(config, [(p.terms, q.terms)]))
 

@@ -1,142 +1,74 @@
 """Truncated skew power series and skew Laurent series.
 
-A ``TruncatedSeries`` stores exact coefficients for exponents in a
-window [window_start, precision] of a twisted ring R[[X; sigma]] or
-R((X; sigma)); everything above the precision is unknown (O(X^(N+1))),
-everything below the window start is known to be zero. The monomial
-rule is the Laurent one, (r·X^m)(s·X^n) = (r·sigma^m(s))·X^(m+n), so
-the underlying config must be delta-free with bijective sigma.
-
-Precision propagates pessimistically through products:
-N(a·b) = min(N_a + w_b, N_b + w_a), w(a·b) = w_a + w_b.
+A ``TruncatedSeries`` is a ``SkewPoly`` of a delta-free config with a
+precision N and a window start w: ``terms`` holds the exact coefficients
+on the window [w, N] of R[[X; sigma]] or R((X; sigma)), everything above
+N is unknown (O(X^(N+1))) and everything below w is known to be zero.
+It shares the polynomial's coercion, ``+``, ``-``, coefficients and
+order, and keeps only its own rules: construction drops the terms above
+N, N(a+b) = min(N_a, N_b), the product is ``series_mul``, equality
+includes the precision, and the leading exponent is the order. The
+monomial rule is the Laurent one, (r·X^m)(s·X^n) = (r·sigma^m(s))·X^(m+n),
+so sigma must be bijective, and precision propagates pessimistically
+through products: N(a·b) = min(N_a + w_b, N_b + w_a), w(a·b) = w_a + w_b.
+A series and a polynomial never mix in one operation.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import (
-    ConstructionError,
-    NotInvertibleError,
-    RingMismatchError,
-    ZeroElementError,
-)
-from .poly import add_term, product_terms
+from .errors import ConstructionError, NotInvertibleError, RingMismatchError
+from .poly import SkewPoly, product_terms
 from .rings import Divisors
 
 
-def _check_series_config(config):
-    if config.delta is not None:
-        raise ConstructionError("series take a delta-free config")
-    return config
-
-
-class TruncatedSeries:
+class TruncatedSeries(SkewPoly):
     """Exact coefficients on a finite exponent window with explicit precision."""
 
-    __slots__ = ("config", "window_start", "precision", "coeffs")
+    __slots__ = ("precision", "window_start")
+    _zero_message = "order undefined at this precision"
 
     def __init__(self, config, coeffs, precision, window_start=None):
-        _check_series_config(config)
+        if config.delta is not None:
+            raise ConstructionError("series take a delta-free config")
         clean = {e: c for e, c in coeffs.items() if c}
         if window_start is None:
-            window_start = min([0, *clean]) if clean else 0
+            window_start = min([0, *clean])
         if clean and min(clean) < window_start:
             raise ConstructionError("coefficient below the window start")
         if clean and max(clean) > precision:
             clean = {e: c for e, c in clean.items() if e <= precision}
         if window_start > precision + 1:
             raise ConstructionError("empty series window")
-        self.config = config
-        self.coeffs = clean
+        super().__init__(config, clean)
         self.precision = precision
         self.window_start = window_start
 
     @property
-    def ring(self):
-        return self.config
+    def coeffs(self):
+        return self.terms
 
-    # -- structure --------------------------------------------------------
-
-    @property
-    def order(self):
-        if not self.coeffs:
-            raise ZeroElementError("order undefined at this precision")
-        return min(self.coeffs)
-
-    @property
-    def leading_coefficient(self):
-        return self.coeffs[self.order]
-
-    def coefficient(self, exp):
-        if exp in self.coeffs:
-            return self.coeffs[exp]
-        return self.config.coefficients.zero
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check(self, other):
-        if isinstance(other, TruncatedSeries):
-            if other.config == self.config:
-                return other
-            raise RingMismatchError("incompatible rings")
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(
-                self.config,
-                {0: self.config.coefficients.scalar(other)},
-                self.precision,
-                window_start=min(0, self.window_start),
-            )
-        return None
-
-    def __add__(self, other):
-        other = self._check(other)
+    def _like(self, terms, other=None):
+        """A sum with other at their common precision, or a constant at this precision."""
         if other is None:
-            return NotImplemented
-        precision = min(self.precision, other.precision)
-        window = min(self.window_start, other.window_start)
-        coeffs = {e: c for e, c in self.coeffs.items() if e <= precision}
-        for e, c in other.coeffs.items():
-            if e <= precision:
-                add_term(coeffs, e, c)
-        return TruncatedSeries(self.config, coeffs, precision, window)
+            return TruncatedSeries(self.config, terms, self.precision, min(0, self.window_start))
+        return TruncatedSeries(self.config, terms, min(self.precision, other.precision),
+                               min(self.window_start, other.window_start))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TruncatedSeries(
-            self.config,
-            {e: -c for e, c in self.coeffs.items()},
-            self.precision,
-            self.window_start,
-        )
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
+    def _product(self, other):
         return series_mul(self, other)
 
-    def __bool__(self):
-        return bool(self.coeffs)
+    @property
+    def leading_exponent(self):
+        """The order: a series is reduced from its lowest term up."""
+        return self.order
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
-            return (
-                self.config == other.config
-                and self.precision == other.precision
-                and self.coeffs == other.coeffs
-            )
+            return self.precision == other.precision and super().__eq__(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.precision, frozenset(self.coeffs.items())))
+        return hash((self.precision, super().__hash__()))
 
     def __repr__(self):
         from .parsing import format_series
@@ -159,20 +91,18 @@ def series_one(config, precision):
 
 def series_mul(a, b):
     """Twisted Cauchy product, truncated with pessimistic precision."""
-    if a.config != b.config:
+    if type(a) is not TruncatedSeries or type(b) is not TruncatedSeries or a.config != b.config:
         raise RingMismatchError("incompatible rings")
     precision = min(a.precision + b.window_start, b.precision + a.window_start)
     window = a.window_start + b.window_start
-    out = product_terms(a.config, [(a.coeffs, b.coeffs)], precision)
+    out = product_terms(a.config, [(a.terms, b.terms)], precision)
     return TruncatedSeries(a.config, out, precision, window)
 
 
 def times_monomial(a, coeff, exp):
     """a·(coeff·X^exp) with an exact (untruncated) monomial."""
-    out = product_terms(a.config, [(a.coeffs, {exp: coeff})])
-    return TruncatedSeries(
-        a.config, out, a.precision + exp, a.window_start + exp
-    )
+    out = product_terms(a.config, [(a.terms, {exp: coeff})])
+    return TruncatedSeries(a.config, out, a.precision + exp, a.window_start + exp)
 
 
 def series_order_leading(a):
@@ -184,7 +114,7 @@ def equal_to_precision(a, b, precision=None):
     """Coefficient-wise equality up to the given (or common) precision."""
     if precision is None:
         precision = min(a.precision, b.precision)
-    exps = set(a.coeffs) | set(b.coeffs)
+    exps = set(a.terms) | set(b.terms)
     return all(
         a.coefficient(e) == b.coefficient(e) for e in exps if e <= precision
     )
@@ -213,10 +143,10 @@ def series_invert(a, side="right"):
     sigma = config.sigma
     if side not in ("right", "left", "both"):
         raise ConstructionError(f"unknown inverse side: {side}")
-    if not a.coeffs:
+    if not a:
         raise NotInvertibleError("series is not a unit")
     w = a.order
-    lead = a.coeffs[w]
+    lead = a.terms[w]
     out_precision = a.precision - 2 * w
     if out_precision < -w:
         raise NotInvertibleError("series is not a unit")
@@ -233,7 +163,7 @@ def series_invert(a, side="right"):
         if side in ("right", "both"):
             # a·b = 1: sum_m a_m sigma^m(b_{e-m}) = [e == 0]
             acc = ring.dot([(am, sigma.power_apply(m, right[e - m]))
-                            for m, am in a.coeffs.items() if m != w and e - m in right])
+                            for m, am in a.terms.items() if m != w and e - m in right])
             u = solve_right(one - acc if e == 0 else -acc)
             if u is None:
                 raise NotInvertibleError("series is not a unit")
@@ -241,7 +171,7 @@ def series_invert(a, side="right"):
         if side in ("left", "both"):
             # b·a = 1: sum_m b_{e-m} sigma^(e-m)(a_m) = [e == 0]
             acc = ring.dot([(left[e - m], sigma.power_apply(e - m, am))
-                            for m, am in a.coeffs.items() if m != w and e - m in left])
+                            for m, am in a.terms.items() if m != w and e - m in left])
             u = left_divisors[sigma.power_apply(n, lead)](one - acc if e == 0 else -acc)
             if u is None:
                 raise NotInvertibleError("series is not a unit")

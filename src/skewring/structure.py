@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import attrgetter
 
 from .errors import (
     ConstructionError,
@@ -605,9 +604,9 @@ def monic_left_reduce(f, p):
 def right_reduce(f, gens, max_steps=None):
     """Reduce f against a right generator set, recording replayable steps.
 
-    One leading-term loop for polynomials and series. The leading
-    exponent n is the degree of a polynomial and the order of a series.
-    Each step cancels the leading coefficient by subtracting
+    One leading-term loop for polynomials and series: n is the element's
+    ``leading_exponent``, the degree of a polynomial and the order of a
+    series. Each step cancels the leading coefficient by subtracting
     g·(u·V^(n-m_g)), where m_g is g's leading exponent,
     u = sigma^(-m_g)(w) and w solves (lead g)·w = lead f; the first
     generator with m_g <= n whose solve succeeds is used (one always
@@ -626,7 +625,6 @@ def right_reduce(f, gens, max_steps=None):
     if gens.config != config:
         raise RingMismatchError("incompatible rings")
     is_series = isinstance(f, TruncatedSeries)
-    lead_exp = attrgetter("order" if is_series else "degree")
     sigma = config.sigma
     divisors = Divisors(config.coefficients, "left")
     rem = f
@@ -635,8 +633,8 @@ def right_reduce(f, gens, max_steps=None):
     while rem:
         if max_steps is not None and len(steps) >= max_steps:
             break
-        n = lead_exp(rem)
-        eligible = [(i, g) for i, g in enumerate(gens.generators) if lead_exp(g) <= n]
+        n = rem.leading_exponent
+        eligible = [(i, g) for i, g in enumerate(gens.generators) if g.leading_exponent <= n]
         if not eligible and not is_series:
             break
         for idx, g in eligible:
@@ -646,7 +644,7 @@ def right_reduce(f, gens, max_steps=None):
         else:
             irreducible = True
             break
-        mg = lead_exp(g)
+        mg = g.leading_exponent
         u = sigma.power_apply(-mg, w)
         steps.append(CofactorStep(idx, "right", u, n - mg))
         rem = rem - _cofactor_product(g, "right", u, n - mg)
@@ -654,12 +652,14 @@ def right_reduce(f, gens, max_steps=None):
 
 
 def replay_reduction(result, gens):
-    """Rebuild the reduced input from the recorded steps plus remainder.
+    """Rebuild the reduced input: the remainder plus every recorded cofactor product.
 
-    A polynomial's cofactor products, the ones the reduction subtracted,
-    are summed by one ``dot`` of its config, so each output coefficient
-    is one sum. A series adds each step's ``times_monomial`` product at
-    its own precision; a left step on a series raises ``ConstructionError``.
+    Polynomials and series share this replay up to the one rule where a
+    series differs: its cofactor product is a ``times_monomial`` shift
+    with its own precision, so the shifts are added one at a time and the
+    sum keeps the least precision, and a left step raises
+    ``ConstructionError``. A polynomial's cofactor products are summed by
+    one ``dot`` of its config, so each output coefficient is one sum.
     """
     generators = gens.generators if isinstance(gens, GeneratorSet) else list(gens)
     total = result.remainder

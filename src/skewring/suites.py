@@ -727,7 +727,7 @@ def _check_right_reduce_series():
     gset = structure.GeneratorSet(config, [gen], "right")
     result = structure.right_reduce(one, gset)
     _require(len(result.steps) == 6, "the geometric reduction takes six steps")
-    _require(not result.remainder.coeffs,
+    _require(not result.remainder,
              "remainder order must exceed the precision window")
     _require([s.exponent for s in result.steps] == list(range(6)),
              "partial sums record expected")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from skewring import maps, poly, rings, series
-from skewring.errors import NotInvertibleError, ZeroElementError
+from skewring.errors import NotInvertibleError, RingMismatchError, ZeroElementError
 
 G = rings.gaussian()
 Q = rings.rationals()
@@ -252,3 +252,78 @@ def test_series_invert_factors_each_divisor_once(monkeypatch, factor_count, make
         assert series.equal_to_precision(a * inv, one)
     if side != "right":
         assert series.equal_to_precision(inv * a, one)
+
+
+def _mixed_operands():
+    """A Laurent series s and a polynomial p of one config, and a coefficient c."""
+    cfg = cfg_q2()
+    i = G.basis_element(1)
+    return series.series(cfg, {-1: i, 0: G.one, 1: i}, 4), cfg.gen + cfg.one, i
+
+
+# the operators on a series, a polynomial, a scalar and a coefficient: an
+# exception type, a truth value, or the canonical text of a series result.
+# Series and polynomials never mix; a scalar or coefficient is a constant
+# series known to the series' precision, on either side.
+MIXED_OPERANDS = [
+    ("s+p", lambda s, p, c: s + p, TypeError),
+    ("p+s", lambda s, p, c: p + s, TypeError),
+    ("s-p", lambda s, p, c: s - p, TypeError),
+    ("p-s", lambda s, p, c: p - s, TypeError),
+    ("s*p", lambda s, p, c: s * p, TypeError),
+    ("p*s", lambda s, p, c: p * s, TypeError),
+    ("s==p", lambda s, p, c: s == p, False),
+    ("p==s", lambda s, p, c: p == s, False),
+    ("s==2", lambda s, p, c: s == 2, False),
+    ("s*2", lambda s, p, c: s * 2, "[0,2]X^-1 + 2 + [0,2]X + O(X^3)"),
+    ("2*s", lambda s, p, c: 2 * s, "[0,2]X^-1 + 2 + [0,2]X + O(X^3)"),
+    ("s+2", lambda s, p, c: s + 2, "iX^-1 + 3 + iX + O(X^4)"),
+    ("2+s", lambda s, p, c: 2 + s, "iX^-1 + 3 + iX + O(X^4)"),
+    ("s-2", lambda s, p, c: s - 2, "iX^-1 - 1 + iX + O(X^4)"),
+    ("2-s", lambda s, p, c: 2 - s, "-iX^-1 + 1 - iX + O(X^4)"),
+    ("s+c", lambda s, p, c: s + c, "iX^-1 + [1,1] + iX + O(X^4)"),
+    ("c+s", lambda s, p, c: c + s, "iX^-1 + [1,1] + iX + O(X^4)"),
+    ("s*c", lambda s, p, c: s * c, "-1/2X^-1 + i - 2X + O(X^3)"),
+    ("c*s", lambda s, p, c: c * s, "-X^-1 + i - X + O(X^3)"),
+    ("s**0", lambda s, p, c: s ** 0, "1 + O(X^4)"),
+    ("s**2", lambda s, p, c: s ** 2, "-1/2X^-2 + [0,2]X^-1 - 3/2 + [0,2]X - 2X^2 + O(X^3)"),
+]
+
+
+@pytest.mark.parametrize("expr, expected", [cell[1:] for cell in MIXED_OPERANDS],
+                         ids=[cell[0] for cell in MIXED_OPERANDS])
+def test_mixed_operand_table(expr, expected):
+    s, p, c = _mixed_operands()
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            expr(s, p, c)
+        return
+    result = expr(s, p, c)
+    if isinstance(expected, bool):
+        assert result is expected
+        return
+    assert type(result) is series.TruncatedSeries
+    assert repr(result) == expected
+
+
+def test_series_power_is_repeated_product():
+    s, _, _ = _mixed_operands()
+    assert s ** 3 == s * s * s
+    assert (s ** 3).window_start == -3
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, p: series.series_mul(s, p),
+    lambda s, p: series.series_mul(p, s),
+    lambda s, p: series.series_mul(p, p),
+    lambda s, p: poly.poly_mul(p, s),
+    lambda s, p: poly.poly_mul(s, p),
+    lambda s, p: poly.poly_mul(s, s),
+    lambda s, p: p.config.dot([(p, s)]),
+    lambda s, p: p.config.invert(s),
+], ids=["series_mul(s,p)", "series_mul(p,s)", "series_mul(p,p)", "poly_mul(p,s)",
+        "poly_mul(s,p)", "poly_mul(s,s)", "config.dot", "config.invert"])
+def test_mixed_kind_products_raise_ring_mismatch(call):
+    s, p, _ = _mixed_operands()
+    with pytest.raises(RingMismatchError, match="incompatible rings"):
+        call(s, p)
