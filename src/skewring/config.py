@@ -218,12 +218,14 @@ def load_config(doc):
 
 
 def load_json_file(path, what):
-    """The JSON document in a file; ``ConstructionError`` if it is not JSON."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """The JSON document in a file; ``ConstructionError`` if it cannot be read or is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise ConstructionError(f"{what} is not valid JSON: {exc}") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConstructionError(f"cannot read {what} {path!r}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConstructionError(f"{what} is not valid JSON: {exc}") from None
 
 
 def load_config_file(path):

@@ -11,6 +11,7 @@ includes the precision, and the leading exponent is the order. The
 monomial rule is the Laurent one, (r·X^m)(s·X^n) = (r·sigma^m(s))·X^(m+n),
 so sigma must be bijective, and precision propagates pessimistically
 through products: N(a·b) = min(N_a + w_b, N_b + w_a), w(a·b) = w_a + w_b.
+A scalar or coefficient is exact, so a product with one keeps N and w.
 A series and a polynomial never mix in one operation.
 """
 
@@ -56,6 +57,25 @@ class TruncatedSeries(SkewPoly):
 
     def _product(self, other):
         return series_mul(self, other)
+
+    def _times_constant(self, other, left):
+        """c·self (left) or self·c for a scalar or coefficient c: c is exact, so N and w stay."""
+        c = self._check(other)
+        if c is None:
+            return NotImplemented
+        pair = (c.terms, self.terms) if left else (self.terms, c.terms)
+        return TruncatedSeries(self.config, product_terms(self.config, [pair]),
+                               self.precision, self.window_start)
+
+    def __mul__(self, other):
+        if isinstance(other, SkewPoly):
+            return super().__mul__(other)
+        return self._times_constant(other, left=False)
+
+    def __rmul__(self, other):
+        if isinstance(other, SkewPoly):
+            return super().__rmul__(other)
+        return self._times_constant(other, left=True)
 
     @property
     def leading_exponent(self):

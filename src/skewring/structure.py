@@ -546,10 +546,11 @@ class GeneratorSet:
             raise ConstructionError(f"unknown generator side: {self.side}")
         if not self.generators:
             raise ConstructionError("generator set must be nonempty")
+        kind = type(self.generators[0])
         for g in self.generators:
             if not g:
                 raise ConstructionError("generators must be nonzero")
-            if g.config != self.config:
+            if g.config != self.config or type(g) is not kind:
                 raise RingMismatchError("incompatible rings")
 
 
@@ -622,7 +623,7 @@ def right_reduce(f, gens, max_steps=None):
     if gens.side != "right":
         raise ConstructionError("right_reduce needs a right generator set")
     config = f.config
-    if gens.config != config:
+    if gens.config != config or type(f) is not type(gens.generators[0]):
         raise RingMismatchError("incompatible rings")
     is_series = isinstance(f, TruncatedSeries)
     sigma = config.sigma

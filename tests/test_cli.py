@@ -1,13 +1,15 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from skewring import cli, config, maps, rings, suites
 from skewring.errors import ConstructionError
@@ -42,9 +44,22 @@ SERIES_Q2 = {
 }
 
 
+def invoke(main, args):
+    """Run main(args) in this process and catch its SystemExit.
+
+    ``output`` is stdout followed by stderr; ``exception`` is the SystemExit.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr), pytest.raises(SystemExit) as exit_:
+        main(list(args))
+    out, err = stdout.getvalue(), stderr.getvalue()
+    return SimpleNamespace(exit_code=exit_.value.code or 0, stdout=out, stderr=err,
+                           output=out + err, exception=exit_.value)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return SimpleNamespace(invoke=invoke)
 
 
 def write(tmp_path, name, doc):
@@ -80,6 +95,14 @@ def test_load_config_validates():
     # a JSON text is not a parsed document
     with pytest.raises(ConstructionError, match="config must be a JSON object"):
         config.load_config('{"ring": ')
+
+
+def test_load_config_file_unreadable_path(tmp_path):
+    # a missing file or a directory is a config error, not a bare OSError
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(ConstructionError, match="cannot read config file") as info:
+            config.load_config_file(str(path))
+        assert str(path) in str(info.value)
 
 
 def test_load_config_matrix_and_jordan():
@@ -684,6 +707,67 @@ def test_reduce_bad_gens_file_exit_2(runner, tmp_path, gens_text):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["mul", "--config", "{missing}", "X", "1"],
+    ["mul", "--config", "{folder}", "X", "1"],
+    ["verify", "--suite", "associativity", "--config", "{missing}"],
+    ["classify", "--config", "{folder}"],
+    ["reduce", "--config", "{cfg}", "--gens", "{missing}", "X"],
+    ["reduce", "--config", "{cfg}", "--gens", "{folder}", "X"],
+], ids=["mul-missing", "mul-directory", "verify-missing", "classify-directory",
+        "gens-missing", "gens-directory"])
+def test_unreadable_config_or_gens_exit_2(runner, tmp_path, args):
+    cfg = write(tmp_path, "ore.json", dict(GAUSS_Q2, shape="ore"))
+    paths = {"missing": tmp_path / "missing.json", "folder": tmp_path, "cfg": cfg}
+    result = runner.invoke(cli.main, [a.format(**paths) for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: cannot read ")
+    assert "Traceback" not in result.stderr
+
+
+# argument errors: argparse's usage errors and the commands' own range checks
+ARGUMENT_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["frobnicate"],
+    "mul-without-config": ["mul", "X", "1"],
+    "format-xml": ["verify", "--suite", "jordan", "--format", "xml"],
+    "side-up": ["reduce", "--config", "{cfg}", "--gens", "{gens}", "--side", "up", "X"],
+    "steps-negative": ["reduce", "--config", "{cfg}", "--gens", "{gens}", "--steps", "-1", "X"],
+    "steps-not-int": ["reduce", "--config", "{cfg}", "--gens", "{gens}", "--steps", "x", "X"],
+    "pi-i-not-int": ["pi", "--i", "x", "--m", "2"],
+    "pi-i-negative": ["pi", "--i", "-1", "--m", "2"],
+}
+
+
+@pytest.mark.parametrize("name", ARGUMENT_ERRORS)
+def test_argument_errors_exit_2(runner, tmp_path, name):
+    paths = {"cfg": write(tmp_path, "ore.json", dict(GAUSS_Q2, shape="ore")),
+             "gens": write(tmp_path, "gens.json", ["X - i"])}
+    result = runner.invoke(cli.main, [a.format(**paths) for a in ARGUMENT_ERRORS[name]])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("args", [["--help"], ["mul", "--help"]], ids=["top", "mul"])
+def test_help_exit_0(runner, args):
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 0
+    assert result.stdout.startswith("usage: skewring")
+
+
+def test_module_entry_point_usage_error_exit_2():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "skewring.cli", "mul", "X", "1"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--config" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_run_suite_records_unexpected_errors(monkeypatch):
     builder = suites._SUITE_BUILDERS["jordan"]
 
@@ -712,28 +796,37 @@ def test_cli_suite_names_match_builders():
 # run in a fresh interpreter: which heavy modules each command has loaded
 IMPORT_DIET = """
 import json, sys
+BEFORE = set(sys.modules)
 from skewring import cli
 
 laurent, series, ore, gens = sys.argv[1:]
 WATCHED = ("skewring.suites", "skewring.structure", "hashlib")
 loaded = {}
+foreign = {}
+
+def note(label, code):
+    loaded[label] = [code, [name for name in WATCHED if name in sys.modules]]
+    # modules loaded since start-up that are neither the standard library nor skewring
+    foreign[label] = sorted(name for name in set(sys.modules) - BEFORE
+                            if name.partition(".")[0] not in sys.stdlib_module_names
+                            and name.partition(".")[0] != "skewring")
 
 def run(label, *args):
     code = 0
     try:
-        cli.main(list(args), standalone_mode=False)
+        cli.main(list(args))
     except SystemExit as exc:
         code = exc.code
-    loaded[label] = [code, [name for name in WATCHED if name in sys.modules]]
+    note(label, code)
 
-loaded["import"] = [0, [name for name in WATCHED if name in sys.modules]]
+note("import", 0)
 run("mul", "mul", "--config", laurent, "iX^-1 + 2", "X^2")
 run("mul-series", "mul", "--config", series, "1 + X + O(X^4)", "iX + O(X^4)")
 run("mul-malformed", "mul", "--config", laurent, "X^^2", "i")
 run("pi", "pi", "--i", "1", "--m", "3", "--emit-words")
 run("classify", "classify", "--config", laurent)
 run("reduce", "reduce", "--config", ore, "--gens", gens, "X^3")
-print(json.dumps(loaded))
+print(json.dumps({"loaded": loaded, "foreign": foreign}))
 """
 
 
@@ -746,10 +839,13 @@ def test_cli_commands_import_only_what_they_run(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", IMPORT_DIET, *paths], env=env,
                           capture_output=True, text=True, check=True)
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(proc.stdout.splitlines()[-1])
+    loaded = result["loaded"]
     # each entry is [exit code, watched modules loaded so far]
     assert loaded == {
         "import": [0, []], "mul": [0, []], "mul-series": [0, []],
         "mul-malformed": [2, []], "pi": [0, []], "classify": [0, []],
         "reduce": [0, ["skewring.structure"]],
     }
+    # the CLI runs on the standard library alone
+    assert result["foreign"] == {label: [] for label in loaded}

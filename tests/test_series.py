@@ -264,7 +264,8 @@ def _mixed_operands():
 # the operators on a series, a polynomial, a scalar and a coefficient: an
 # exception type, a truth value, or the canonical text of a series result.
 # Series and polynomials never mix; a scalar or coefficient is a constant
-# series known to the series' precision, on either side.
+# series known to the series' precision, on either side, and a product with
+# one keeps the series' precision and window.
 MIXED_OPERANDS = [
     ("s+p", lambda s, p, c: s + p, TypeError),
     ("p+s", lambda s, p, c: p + s, TypeError),
@@ -275,16 +276,16 @@ MIXED_OPERANDS = [
     ("s==p", lambda s, p, c: s == p, False),
     ("p==s", lambda s, p, c: p == s, False),
     ("s==2", lambda s, p, c: s == 2, False),
-    ("s*2", lambda s, p, c: s * 2, "[0,2]X^-1 + 2 + [0,2]X + O(X^3)"),
-    ("2*s", lambda s, p, c: 2 * s, "[0,2]X^-1 + 2 + [0,2]X + O(X^3)"),
+    ("s*2", lambda s, p, c: s * 2, "[0,2]X^-1 + 2 + [0,2]X + O(X^4)"),
+    ("2*s", lambda s, p, c: 2 * s, "[0,2]X^-1 + 2 + [0,2]X + O(X^4)"),
     ("s+2", lambda s, p, c: s + 2, "iX^-1 + 3 + iX + O(X^4)"),
     ("2+s", lambda s, p, c: 2 + s, "iX^-1 + 3 + iX + O(X^4)"),
     ("s-2", lambda s, p, c: s - 2, "iX^-1 - 1 + iX + O(X^4)"),
     ("2-s", lambda s, p, c: 2 - s, "-iX^-1 + 1 - iX + O(X^4)"),
     ("s+c", lambda s, p, c: s + c, "iX^-1 + [1,1] + iX + O(X^4)"),
     ("c+s", lambda s, p, c: c + s, "iX^-1 + [1,1] + iX + O(X^4)"),
-    ("s*c", lambda s, p, c: s * c, "-1/2X^-1 + i - 2X + O(X^3)"),
-    ("c*s", lambda s, p, c: c * s, "-X^-1 + i - X + O(X^3)"),
+    ("s*c", lambda s, p, c: s * c, "-1/2X^-1 + i - 2X + O(X^4)"),
+    ("c*s", lambda s, p, c: c * s, "-X^-1 + i - X + O(X^4)"),
     ("s**0", lambda s, p, c: s ** 0, "1 + O(X^4)"),
     ("s**2", lambda s, p, c: s ** 2, "-1/2X^-2 + [0,2]X^-1 - 3/2 + [0,2]X - 2X^2 + O(X^3)"),
 ]

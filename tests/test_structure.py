@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from skewring import maps, poly, rings, series, structure, suites
-from skewring.errors import ConstructionError, ReductionError
+from skewring.errors import ConstructionError, ReductionError, RingMismatchError
 
 G = rings.gaussian()
 O = rings.octonions()
@@ -701,3 +701,16 @@ def test_generator_set_validation():
         structure.GeneratorSet(config, [], "right")
     with pytest.raises(ConstructionError, match="side"):
         structure.GeneratorSet(config, [config.one], "up")
+
+
+def test_reduction_rejects_the_other_kind():
+    # a polynomial and a series of one config never meet in a reduction step
+    config = cfg_q2()
+    p = config.gen * config.gen
+    s = series.series(config, {1: G.one}, 4)
+    with pytest.raises(RingMismatchError):
+        structure.GeneratorSet(config, [config.gen, s], "right")
+    with pytest.raises(RingMismatchError):
+        structure.right_reduce(p, structure.GeneratorSet(config, [s], "right"))
+    with pytest.raises(RingMismatchError):
+        structure.right_reduce(s, structure.GeneratorSet(config, [config.gen], "right"))
