@@ -14,9 +14,12 @@ error a command raises: a configuration or parse error, a missing or
 unreadable ``--config`` or ``--gens``, a negative ``--steps``,
 ``--steps`` with ``--side left`` and an unwritable ``--out``.
 
-Each command imports only the modules it runs: ``verify`` loads
-:mod:`skewring.suites` and ``reduce`` loads :mod:`skewring.structure` when
-they start, so ``mul``, ``pi`` and ``classify`` load neither.
+Each command imports only the modules it runs, when it starts. ``pi``
+runs on :mod:`skewring.maps` alone; the other commands add
+:mod:`skewring.config`, and with it :mod:`skewring.parsing` and
+:mod:`skewring.poly`. ``verify`` loads :mod:`skewring.suites` and
+``reduce`` loads :mod:`skewring.structure`, so ``mul``, ``pi`` and
+``classify`` load neither.
 """
 
 from __future__ import annotations
@@ -25,10 +28,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 
-from . import maps, parsing
-from .config import load_config_file, load_json_file
+from . import maps
 from .errors import SkewringError
 
 # the names of suites.SUITE_NAMES, spelled out so that --help needs no suites import
@@ -42,6 +43,8 @@ def parse_expr(text, cli_config):
 
     A series needs its O(X^N) marker, with N at most the config's precision.
     """
+    from . import parsing
+
     if cli_config.is_series:
         return parsing.parse_series(
             text, cli_config.ring_config, power=cli_config.is_power_series,
@@ -53,6 +56,7 @@ def parse_expr(text, cli_config):
 def verify(suite_name, config_path, fmt, out_path):
     """Run a named verification suite and emit its report."""
     from . import suites
+    from .config import load_config_file
 
     cli_config = load_config_file(config_path) if config_path else None
     report = suites.run_suite(suite_name, cli_config)
@@ -70,6 +74,8 @@ def verify(suite_name, config_path, fmt, out_path):
 
 def mul(config_path, left, right):
     """Multiply two expressions in the configured ring."""
+    from .config import load_config_file
+
     cli_config = load_config_file(config_path)
     product = parse_expr(left, cli_config) * parse_expr(right, cli_config)
     print(repr(product))
@@ -77,7 +83,8 @@ def mul(config_path, left, right):
 
 def reduce(config_path, gens_path, side, max_steps, expr):
     """Reduce an expression against generators; prints a replayable record."""
-    from . import structure
+    from . import parsing, structure
+    from .config import load_config_file, load_json_file
 
     if max_steps is not None and max_steps < 0:
         raise SkewringError("--steps must be non-negative")
@@ -127,8 +134,14 @@ def pi(i_value, m_value, emit_words):
             print("∘".join(word))
 
 
+def _axioms(report):
+    return [{"axiom": c.axiom, "passed": c.passed, "detail": c.detail} for c in report.checks]
+
+
 def classify(config_path):
     """Report the twist's axioms, multiplicativity, and order."""
+    from .config import load_config_file
+
     config = load_config_file(config_path).ring_config
     tags = sorted(maps.classify_multiplicativity(config.sigma))
     order = maps.detect_finite_order(config.sigma, 12)
@@ -137,7 +150,7 @@ def classify(config_path):
         "ring": config.describe(),
         "sigma": {
             "kind": config.sigma.kind,
-            "axioms": [asdict(c) for c in config.sigma_report.checks],
+            "axioms": _axioms(config.sigma_report),
             "multiplicativity": tags,
             "finite_order": order,
             "infinite_order_reason": reason,
@@ -146,7 +159,7 @@ def classify(config_path):
     if config.delta is not None:
         doc["delta"] = {
             "kind": config.delta.kind,
-            "axioms": [asdict(c) for c in config.delta_report.checks],
+            "axioms": _axioms(config.delta_report),
         }
     print(json.dumps(doc, indent=2))
 

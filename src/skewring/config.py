@@ -48,7 +48,6 @@ status 2 and names both precisions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import maps, parsing, poly, rings
 from .errors import ConstructionError
@@ -168,14 +167,12 @@ def twist_from_descriptor(ring, doc):
     return maps.make_twist(ring, kind, **params)
 
 
-@dataclass
 class CliConfig:
     """A fully built configuration plus its source document."""
 
-    ring_config: poly.RingConfig
-    shape: str
-    precision: int | None
-    source: dict
+    def __init__(self, ring_config, shape, precision, source):
+        self.ring_config, self.shape, self.precision, self.source = (
+            ring_config, shape, precision, source)
 
     @property
     def is_series(self):

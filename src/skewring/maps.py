@@ -38,7 +38,6 @@ oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -50,11 +49,18 @@ from .errors import (
 from .rings import MatrixRing, associator, commutator
 
 
-class TwistMap:
-    """A Q-linear map on ``ring``; concrete maps implement __call__.
+class Keyed:
+    """Value equality and hashing: equal when of one class with equal ``_key()``."""
 
-    Two maps are equal when they are of one class with equal ``_key()``.
-    """
+    def __eq__(self, other):
+        return type(self) is type(other) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class TwistMap(Keyed):
+    """A Q-linear map on ``ring``; concrete maps implement __call__."""
 
     kind = "twist"
     label = None
@@ -82,12 +88,6 @@ class TwistMap:
 
     def _key(self):
         return (self.ring,)
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def describe(self):
         return f"{self.kind}({self.label})" if self.label else self.kind
@@ -367,17 +367,18 @@ def make_twist(ring, kind, **params):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiFamily:
+class PiFamily(Keyed):
     """A sigma/delta pair driving the Ore product's operator sums.
 
     The row cache is keyed by the value of (m, s), takes no part in
     equality or hashing, and lives exactly as long as the family.
     """
 
-    sigma: TwistMap
-    delta: TwistMap | None = None
-    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    def __init__(self, sigma, delta=None):
+        self.sigma, self.delta, self._rows = sigma, delta, {}
+
+    def _key(self):
+        return (self.sigma, self.delta)
 
     def row(self, m, s):
         """``pi_row(self, m, s)``, computed once per (m, s) value."""
@@ -557,11 +558,9 @@ def standard_derivation(a, b):
     return LinearTwist.from_function(ring, fn, "standard_derivation")
 
 
-@dataclass
 class AxiomCheck:
-    axiom: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, axiom, passed, detail=""):
+        self.axiom, self.passed, self.detail = axiom, passed, detail
 
 
 _AXIOM_ERRORS = {
@@ -571,10 +570,9 @@ _AXIOM_ERRORS = {
 }
 
 
-@dataclass
 class TwistReport:
-    role: str
-    checks: list
+    def __init__(self, role, checks):
+        self.role, self.checks = role, checks
 
     @property
     def ok(self):

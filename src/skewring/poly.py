@@ -17,8 +17,6 @@ quantum torus arise; configs are shareable read-only.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -28,7 +26,7 @@ from .errors import (
     RingMismatchError,
     ZeroElementError,
 )
-from .maps import PiFamily, PolyTwist, make_twist, pi_apply, pi_rows, validate_twist_axioms
+from .maps import Keyed, PiFamily, PolyTwist, make_twist, pi_apply, pi_rows, validate_twist_axioms
 from .rings import AlgebraElement, first_associator
 
 ORE = "ore"
@@ -543,22 +541,20 @@ def from_right_form(config, pairs):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DStructure:
+class DStructure(Keyed):
     """A family of maps pi_b^a over a monoid, candidate Ore-monoid data.
 
     ``pi(a, b, s)`` is the value pi_b^a(s), and ``support(a)`` holds the
     exponents b where pi_b^a may be nonzero.
     """
 
-    monoid: str
-    name: str
-    pi: Callable
-    support: Callable
+    def __init__(self, monoid, name, pi, support):
+        if monoid not in ("naturals", "integers"):
+            raise ConstructionError(f"unsupported monoid: {monoid}")
+        self.monoid, self.name, self.pi, self.support = monoid, name, pi, support
 
-    def __post_init__(self):
-        if self.monoid not in ("naturals", "integers"):
-            raise ConstructionError(f"unsupported monoid: {self.monoid}")
+    def _key(self):
+        return (self.monoid, self.name, self.pi, self.support)
 
     def in_monoid(self, a):
         return a >= 0 if self.monoid == "naturals" else True
@@ -590,10 +586,10 @@ def corrupted_d_structure(base):
     )
 
 
-@dataclass
 class DStructureReport:
-    name: str
-    entries: list = field(default_factory=list)
+    def __init__(self, name, entries=None):
+        self.name = name
+        self.entries = [] if entries is None else entries
 
     @property
     def ok(self):

@@ -17,7 +17,6 @@ rebuilds each step with the cofactor product the reduction subtracted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -27,7 +26,7 @@ from .errors import (
     ReductionError,
     RingMismatchError,
 )
-from .maps import _power_is_identity, classify_multiplicativity
+from .maps import Keyed, _power_is_identity, classify_multiplicativity
 from .poly import LAURENT, SkewPoly, add_term, poly_mul
 from .rings import Divisors, associator, first_associator
 from .series import TruncatedSeries, times_monomial
@@ -40,29 +39,23 @@ SIDES = ("left", "middle", "right")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NucleusQuery:
-    element: SkewPoly
-    side: str
-    degree_bound: int
+class NucleusQuery(Keyed):
+    def __init__(self, element, side, degree_bound):
+        if side not in SIDES:
+            raise ConstructionError(f"unknown nucleus side: {side}")
+        if element and degree_bound < max(abs(element.degree), abs(element.order)):
+            raise ConstructionError("degree_bound must cover the element's support")
+        self.element, self.side, self.degree_bound = element, side, degree_bound
 
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ConstructionError(f"unknown nucleus side: {self.side}")
-        if self.element:
-            spread = max(abs(self.element.degree), abs(self.element.order))
-            if self.degree_bound < spread:
-                raise ConstructionError(
-                    "degree_bound must cover the element's support"
-                )
+    def _key(self):
+        return (self.element, self.side, self.degree_bound)
 
 
-@dataclass
 class CheckOutcome:
     """pass/witness result of a degree-bounded associator exhaustion."""
 
-    passed: bool
-    witness: tuple | None = None  # (a, b, c, associator value)
+    def __init__(self, passed, witness=None):
+        self.passed, self.witness = passed, witness  # witness: (a, b, c, associator value)
 
     def __bool__(self):
         return self.passed
@@ -357,12 +350,10 @@ _HYPOTHESES = {
 }
 
 
-@dataclass
 class NuclearInverseReport:
-    hypothesis: str
-    hypothesis_checks: dict
-    conclusion_side: str
-    conclusion: CheckOutcome | None
+    def __init__(self, hypothesis, hypothesis_checks, conclusion_side, conclusion):
+        self.hypothesis, self.hypothesis_checks = hypothesis, hypothesis_checks
+        self.conclusion_side, self.conclusion = conclusion_side, conclusion  # CheckOutcome | None
 
     @property
     def hypothesis_satisfied(self):
@@ -465,12 +456,10 @@ def shrink(p, d):
     return poly_mul(p, d_const) - poly_mul(twisted, p)
 
 
-@dataclass
 class SimplicityResult:
-    status: str  # "unit" | "inconclusive"
-    unit: object | None
-    steps: list = field(default_factory=list)
-    note: str = ""
+    def __init__(self, status, unit, steps=None, note=""):
+        self.status, self.unit, self.note = status, unit, note  # status: "unit" | "inconclusive"
+        self.steps = [] if steps is None else steps
 
     @property
     def reached_unit(self):
@@ -518,40 +507,35 @@ def simplicity_probe(config, p, budget):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CofactorStep:
+class CofactorStep(Keyed):
     """One reduction step: generator index and a single monomial cofactor."""
 
-    generator: int
-    side: str  # "left" | "right"
-    coeff: object
-    exponent: int
+    def __init__(self, generator, side, coeff, exponent):
+        self.generator, self.side = generator, side  # side: "left" | "right"
+        self.coeff, self.exponent = coeff, exponent
+
+    def _key(self):
+        return (self.generator, self.side, self.coeff, self.exponent)
 
 
-@dataclass
 class ReductionResult:
-    steps: list
-    remainder: object
-    irreducible: bool = False
+    def __init__(self, steps, remainder, irreducible=False):
+        self.steps, self.remainder, self.irreducible = steps, remainder, irreducible
 
 
-@dataclass
 class GeneratorSet:
-    config: object
-    generators: list
-    side: str
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ConstructionError(f"unknown generator side: {self.side}")
-        if not self.generators:
+    def __init__(self, config, generators, side):
+        if side not in ("left", "right"):
+            raise ConstructionError(f"unknown generator side: {side}")
+        if not generators:
             raise ConstructionError("generator set must be nonempty")
-        kind = type(self.generators[0])
-        for g in self.generators:
+        kind = type(generators[0])
+        for g in generators:
             if not g:
                 raise ConstructionError("generators must be nonzero")
-            if g.config != self.config or type(g) is not kind:
+            if g.config != config or type(g) is not kind:
                 raise RingMismatchError("incompatible rings")
+        self.config, self.generators, self.side = config, generators, side
 
 
 def _cofactor_factors(g, side, u, k):

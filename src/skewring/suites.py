@@ -22,7 +22,6 @@ import json
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -31,20 +30,16 @@ from .config import load_config
 from .errors import ConstructionError, ReductionError, SkewringError
 
 
-@dataclass
 class CheckRecord:
-    id: str
-    anchor: str
-    status: str  # pass | fail | witness
-    witness: dict | None = None
-    elapsed: float = 0.0
+    def __init__(self, id, anchor, status, witness=None, elapsed=0.0):
+        self.id, self.anchor, self.status = id, anchor, status  # status: pass | fail | witness
+        self.witness, self.elapsed = witness, elapsed
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    config_digest: str
-    checks: list = field(default_factory=list)
+    def __init__(self, suite, config_digest, checks=None):
+        self.suite, self.config_digest = suite, config_digest
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self):

@@ -365,7 +365,10 @@ def test_classify_command(runner, tmp_path):
     })
     result = runner.invoke(cli.main, ["classify", "--config", swap])
     assert result.exit_code == 0
-    axioms = {a["axiom"]: a for a in json.loads(result.output)["sigma"]["axioms"]}
+    sigma_axioms = json.loads(result.output)["sigma"]["axioms"]
+    # each axiom prints its keys in one order, so classify's stdout is stable
+    assert all(list(a) == ["axiom", "passed", "detail"] for a in sigma_axioms)
+    axioms = {a["axiom"]: a for a in sigma_axioms}
     assert axioms["respects_one"]["detail"] == "sigma(1) = [1,0,0,1]"
     weyl = write(tmp_path, "weyl.json", WEYL)
     result = runner.invoke(cli.main, ["classify", "--config", weyl])
@@ -376,6 +379,7 @@ def test_classify_command(runner, tmp_path):
         {"axiom": "additive", "passed": True, "detail": "exact linear representation"},
         {"axiom": "kills_one", "passed": True, "detail": "delta(1) = 0"},
     ]
+    assert all(list(a) == ["axiom", "passed", "detail"] for a in delta["axioms"])
 
 
 def test_verify_suite_exit_codes(runner, tmp_path):
@@ -800,7 +804,8 @@ BEFORE = set(sys.modules)
 from skewring import cli
 
 laurent, series, ore, gens = sys.argv[1:]
-WATCHED = ("skewring.suites", "skewring.structure", "hashlib")
+WATCHED = ("skewring.suites", "skewring.structure", "hashlib", "dataclasses", "inspect",
+           "skewring.config", "skewring.parsing", "skewring.poly")
 loaded = {}
 foreign = {}
 
@@ -820,12 +825,13 @@ def run(label, *args):
     note(label, code)
 
 note("import", 0)
+run("pi", "pi", "--i", "1", "--m", "3", "--emit-words")
 run("mul", "mul", "--config", laurent, "iX^-1 + 2", "X^2")
 run("mul-series", "mul", "--config", series, "1 + X + O(X^4)", "iX + O(X^4)")
 run("mul-malformed", "mul", "--config", laurent, "X^^2", "i")
-run("pi", "pi", "--i", "1", "--m", "3", "--emit-words")
 run("classify", "classify", "--config", laurent)
 run("reduce", "reduce", "--config", ore, "--gens", gens, "X^3")
+run("verify", "verify", "--suite", "simplicity")
 print(json.dumps({"loaded": loaded, "foreign": foreign}))
 """
 
@@ -841,11 +847,14 @@ def test_cli_commands_import_only_what_they_run(tmp_path):
                           capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     loaded = result["loaded"]
-    # each entry is [exit code, watched modules loaded so far]
+    # each entry is [exit code, watched modules loaded so far]; pi runs first
+    # and needs no config or parser, and no command loads dataclasses or inspect
+    config = ["skewring.config", "skewring.parsing", "skewring.poly"]
     assert loaded == {
-        "import": [0, []], "mul": [0, []], "mul-series": [0, []],
-        "mul-malformed": [2, []], "pi": [0, []], "classify": [0, []],
-        "reduce": [0, ["skewring.structure"]],
+        "import": [0, []], "pi": [0, []], "mul": [0, config], "mul-series": [0, config],
+        "mul-malformed": [2, config], "classify": [0, config],
+        "reduce": [0, ["skewring.structure", *config]],
+        "verify": [0, ["skewring.suites", "skewring.structure", "hashlib", *config]],
     }
     # the CLI runs on the standard library alone
     assert result["foreign"] == {label: [] for label in loaded}

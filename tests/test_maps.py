@@ -297,6 +297,9 @@ def test_validate_twist_axioms():
     failed = [c.axiom for c in report.checks if not c.passed]
     assert failed == ["kills_one"]
 
+    with pytest.raises(ConstructionError, match="unknown twist role: tau"):
+        maps.validate_twist_axioms(q3, "tau")
+
 
 def test_y_coeff_scale_is_additive_bijection_not_multiplicative():
     qy = poly_ring()

@@ -323,6 +323,11 @@ def test_d_structure_ore_octonion_twist_budget():
     assert counts == [5170, 5170]
 
 
+def test_d_structure_rejects_unknown_monoid():
+    with pytest.raises(ConstructionError, match="unsupported monoid: reals"):
+        poly.DStructure("reals", "bad", lambda a, b, s: s, lambda a: (a,))
+
+
 def test_d_structure_corruption_fails_d1():
     cfg = laurent_q2()
     family = poly.corrupted_d_structure(poly.laurent_d_structure(cfg.sigma))

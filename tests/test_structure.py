@@ -83,6 +83,23 @@ def test_query_validates_bound():
         structure.NucleusQuery(config.one, "sideways", 3)
 
 
+def test_query_and_step_compare_by_value():
+    config = cfg_q2()
+    pairs = [
+        (structure.NucleusQuery(config.variable_power(2), "left", 3),
+         structure.NucleusQuery(config.variable_power(2), "left", 3)),
+        (structure.CofactorStep(1, "right", G.element([1, 2]), 3),
+         structure.CofactorStep(1, "right", G.element([1, 2]), 3)),
+    ]
+    for a, b in pairs:
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert pairs[0][0] != structure.NucleusQuery(config.variable_power(2), "right", 3)
+    assert pairs[1][0] != structure.CofactorStep(1, "left", G.element([1, 2]), 3)
+
+
 def _exhaustive_membership(x, side, bound):
     """The generic scan: every associator over the spanning set, no shortcuts."""
     span = x.config.spanning_set(bound)
