@@ -35,8 +35,7 @@ _MODULE_OF = {
         "rings": "AlgebraSpec associator cayley_dickson_double commutator gaussian "
                  "jordan_algebra matrix_algebra octonions quaternions rationals "
                  "sedenions",
-        "series": "TruncatedSeries equal_to_precision from_poly series_invert "
-                  "series_mul series_order_leading",
+        "series": "TruncatedSeries equal_to_precision series_invert series_mul",
         "structure": "GeneratorSet NucleusQuery ReductionResult associativity_certificate "
                      "associativity_prediction central_reduction monic_left_reduce "
                      "nuclear_inverse_check nucleus_membership replay_reduction "

@@ -12,7 +12,8 @@ Exit status: 0 when everything passes, 1 when a verification check
 fails, 2 on usage errors (``argparse`` prints them) and on every library
 error a command raises: a configuration or parse error, a missing or
 unreadable ``--config`` or ``--gens``, a negative ``--steps``,
-``--steps`` with ``--side left`` and an unwritable ``--out``.
+``--steps`` with ``--side left``, ``--side left`` on a series config
+and an unwritable ``--out``.
 
 Each command imports only the modules it runs, when it starts. ``pi``
 runs on :mod:`skewring.maps` alone; the other commands add
@@ -89,14 +90,17 @@ def reduce(config_path, gens_path, side, max_steps, expr):
     if max_steps is not None and max_steps < 0:
         raise SkewringError("--steps must be non-negative")
     cli_config = load_config_file(config_path)
+    if side == "left":
+        if max_steps is not None:
+            raise SkewringError("--steps caps right reduction; left reduction always ends")
+        if cli_config.is_series:
+            raise SkewringError("left reduction takes polynomials, not series")
     gen_texts = load_json_file(gens_path, "generators file")
     if not isinstance(gen_texts, list) or not all(isinstance(t, str) for t in gen_texts):
         raise SkewringError("generators file must be a JSON list of expression strings")
     generators = [parse_expr(text, cli_config) for text in gen_texts]
     target = parse_expr(expr, cli_config)
     if side == "left":
-        if max_steps is not None:
-            raise SkewringError("--steps caps right reduction; left reduction always ends")
         if len(generators) != 1:
             raise SkewringError("left reduction takes exactly one generator")
         result = structure.monic_left_reduce(target, generators[0])

@@ -182,12 +182,6 @@ class CliConfig:
     def is_power_series(self):
         return self.shape == "power_series"
 
-    def digest(self):
-        import hashlib
-
-        canonical = json.dumps(self.source, sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
 
 def load_config(doc):
     """Build a CliConfig from a parsed JSON document."""

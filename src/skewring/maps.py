@@ -27,12 +27,11 @@ The Ore product X^m·s = sum_i pi_i^m(s)·X^i needs the operator sums
 pi_i^m, each the sum of all words in i sigmas and m-i deltas. One
 dynamic-programming sweep, :func:`pi_rows`, yields every row
 pi_0^k(s), ..., pi_k^k(s) for k = 0..m, so a product reads all the
-rows one right-hand coefficient needs from a single sweep;
-:func:`pi_row` is its last row. A :class:`PiFamily` caches its rows
-keyed by the value of (m, s), for as long as the family lives, so
-:func:`pi_apply` is a row lookup. The word enumeration
-(:func:`pi_word_sum`) applies the twists itself and stays as the
-oracle.
+rows one right-hand coefficient needs from a single sweep. A
+:class:`PiFamily` caches the last row of a sweep, keyed by the value of
+(m, s), for as long as the family lives, so :func:`pi_apply` is a row
+lookup. The word enumeration (:func:`pi_word_sum`) applies the twists
+itself and stays as the oracle.
 """
 
 from __future__ import annotations
@@ -381,11 +380,13 @@ class PiFamily(Keyed):
         return (self.sigma, self.delta)
 
     def row(self, m, s):
-        """``pi_row(self, m, s)``, computed once per (m, s) value."""
+        """(pi_0^m(s), ..., pi_m^m(s)): the last row of ``pi_rows``, once per (m, s) value."""
         key = (m, s)
         cached = self._rows.get(key)
         if cached is None:
-            cached = self._rows[key] = pi_row(self, m, s)
+            for cached in pi_rows(self, m, s):
+                pass
+            self._rows[key] = cached
         return cached
 
 
@@ -409,13 +410,6 @@ def pi_rows(fam, m, s):
             nxt.append(value if value is not None else s.ring.zero)
         row = tuple(nxt)
         yield row
-
-
-def pi_row(fam, m, s):
-    """(pi_0^m(s), ..., pi_m^m(s)): the last row of ``pi_rows``, uncached."""
-    for row in pi_rows(fam, m, s):
-        pass
-    return row
 
 
 def pi_apply(fam, i, m, s):

@@ -219,12 +219,6 @@ class RingConfig:
 
         return solve
 
-    def solve_left_mul(self, c, r):
-        return self.solver(c, "left")(r)
-
-    def solve_right_mul(self, c, r):
-        return self.solver(c, "right")(r)
-
     def _divide(self, c, solve, r):
         """u with c·u = r by exact long division in a commutative config, or None.
 
@@ -329,9 +323,6 @@ class SkewPoly:
         if exp in self.terms:
             return self.terms[exp]
         return self.config.coefficients.zero
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -516,10 +507,9 @@ def to_right_form(p):
     lowers the degree (the delta spill-over lands below m).
     """
     config = p.config
+    terms = config._own(p)
     if config.shape == LAURENT:
-        return [
-            (e, config.sigma.power_apply(-e, c)) for e, c in p.sorted_terms()
-        ]
+        return [(e, config.sigma.power_apply(-e, c)) for e, c in sorted(terms.items())]
     out = []
     rem = p
     while rem:

@@ -16,9 +16,8 @@ coordinates over Q), ``basis_elements``, ``spanning_set(bound)``,
 ``random_element(rng)``, ``invert``, ``dot(products)`` (the sum of
 a·b over a list of (a, b) pairs), ``solver(c, side)`` (the function
 r -> u with c·u = r for side "left", u·c = r for side "right", or
-None), its single uses ``solve_left_mul(c, r)`` and
-``solve_right_mul(c, r)``, and the cached predicates
-``is_associative``/``is_commutative``. Twisted polynomial rings
+None; a single solve is ``solver(c, side)(r)``), and the cached
+predicates ``is_associative``/``is_commutative``. Twisted polynomial rings
 implement the same protocol in :mod:`skewring.poly`, and ``Divisors``
 keeps one call's solvers by divisor.
 
@@ -121,11 +120,6 @@ class CompiledAlgebra:
                             acc[i] += c * x * y
         return self.from_pair(linalg.canonical(acc, den * self._mul_den))
 
-    def mul_coords(self, a, b):
-        """``mul_pairs`` on ``Fraction`` coordinate tuples."""
-        pair = self.mul_pairs(linalg.integer_vector(a), linalg.integer_vector(b))
-        return linalg.fraction_vector(*pair)
-
     @property
     def qdim(self):
         return self.dimension
@@ -160,10 +154,6 @@ class CompiledAlgebra:
         if self._involution_map is None:
             raise ConstructionError(f"{self.describe()} is not a *-algebra")
         return linalg.apply_columns(self._involution_map, a)
-
-    def involve_coords(self, a):
-        """``involve_pair`` on a ``Fraction`` coordinate tuple."""
-        return linalg.fraction_vector(*self.involve_pair(linalg.integer_vector(a)))
 
     def flatten(self, el):
         return el.coords
@@ -212,12 +202,6 @@ class CompiledAlgebra:
             return None if pair is None else self.from_pair(pair)
 
         return solve
-
-    def solve_left_mul(self, c, r):
-        return self.solver(c, "left")(r)
-
-    def solve_right_mul(self, c, r):
-        return self.solver(c, "right")(r)
 
 
 class AlgebraSpec(CompiledAlgebra):
@@ -313,7 +297,7 @@ class AlgebraSpec(CompiledAlgebra):
     @property
     def is_associative(self):
         if self._assoc is None:
-            self._assoc = self.associativity_witness() is None
+            self._assoc = first_associator(self.basis_elements()) is None
         return self._assoc
 
     @property
@@ -325,10 +309,6 @@ class AlgebraSpec(CompiledAlgebra):
                 for q in range(self.dimension)
             )
         return self._comm
-
-    def associativity_witness(self):
-        """First basis triple with nonzero associator, as (a, b, c, value), or None."""
-        return first_associator(self.basis_elements())
 
     def invert(self, el):
         return invert_element(self, el)
@@ -492,55 +472,25 @@ def cayley_dickson_double(spec, name=None, labels=None):
     """Double a *-algebra: (a,b)(c,d) = (ac - d*b, da + bc*), (a,b)* = (a*,-b)."""
     if spec.involution is None:
         raise ConstructionError("not a *-algebra")
-    d = spec.dimension
-    dim2 = 2 * d
+    dim2 = 2 * spec.dimension
     if labels is None:
         labels = tuple(f"e{i}" for i in range(dim2))
     if name is None:
         name = f"CD({spec.name})"
-    zero = (_ZERO,) * d
-    basis = [e.coords for e in spec.basis_elements()]
-
-    def pair_mul(a, b, c, dd):
-        first = tuple(
-            x - y
-            for x, y in zip(
-                spec.mul_coords(a, c),
-                spec.mul_coords(spec.involve_coords(dd), b),
-            )
-        )
-        second = tuple(
-            x + y
-            for x, y in zip(
-                spec.mul_coords(dd, a),
-                spec.mul_coords(b, spec.involve_coords(c)),
-            )
-        )
-        return first, second
-
-    table = []
-    for p in range(dim2):
-        a, b = (basis[p], zero) if p < d else (zero, basis[p - d])
-        row = []
-        for q in range(dim2):
-            c, dd = (basis[q], zero) if q < d else (zero, basis[q - d])
-            first, second = pair_mul(a, b, c, dd)
-            row.append(first + second)
-        table.append(tuple(row))
-
-    involution = []
-    for p in range(dim2):
-        if p < d:
-            involution.append(spec.involve_coords(basis[p]) + zero)
-        else:
-            involution.append(zero + tuple(-v for v in basis[p - d]))
-
+    zero = spec.zero
+    basis = spec.basis_elements()
+    halves = [(e, zero) for e in basis] + [(zero, e) for e in basis]
+    table = tuple(
+        tuple((a * c - dd.conjugate() * b).coords + (dd * a + b * c.conjugate()).coords
+              for c, dd in halves)
+        for a, b in halves
+    )
     return AlgebraSpec(
         name=name,
         basis_labels=labels,
-        table=tuple(table),
-        unit=spec.unit + zero,
-        involution=tuple(involution),
+        table=table,
+        unit=spec.unit + zero.coords,
+        involution=tuple(a.conjugate().coords + (-b).coords for a, b in halves),
         division=spec.is_division and dim2 <= 8,
     )
 

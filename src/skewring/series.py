@@ -63,9 +63,7 @@ class TruncatedSeries(SkewPoly):
         c = self._check(other)
         if c is None:
             return NotImplemented
-        pair = (c.terms, self.terms) if left else (self.terms, c.terms)
-        return TruncatedSeries(self.config, product_terms(self.config, [pair]),
-                               self.precision, self.window_start)
+        return times_monomial(self, c.coefficient(0), 0, left)
 
     def __mul__(self, other):
         if isinstance(other, SkewPoly):
@@ -100,11 +98,6 @@ def series(config, terms, precision, window_start=None):
     return TruncatedSeries(config, dict(terms), precision, window_start)
 
 
-def from_poly(p, precision, window_start=None):
-    """Embed a delta-free polynomial as a truncated series."""
-    return TruncatedSeries(p.config, dict(p.terms), precision, window_start)
-
-
 def series_one(config, precision):
     return TruncatedSeries(config, {0: config.coefficients.one}, precision, 0)
 
@@ -119,15 +112,11 @@ def series_mul(a, b):
     return TruncatedSeries(a.config, out, precision, window)
 
 
-def times_monomial(a, coeff, exp):
-    """a·(coeff·X^exp) with an exact (untruncated) monomial."""
-    out = product_terms(a.config, [(a.terms, {exp: coeff})])
+def times_monomial(a, coeff, exp, left=False):
+    """a·(coeff·X^exp), or (coeff·X^exp)·a when left, with an exact (untruncated) monomial."""
+    pair = ({exp: coeff}, a.terms) if left else (a.terms, {exp: coeff})
+    out = product_terms(a.config, [pair])
     return TruncatedSeries(a.config, out, a.precision + exp, a.window_start + exp)
-
-
-def series_order_leading(a):
-    """(order, leading coefficient) of a series with a visible coefficient."""
-    return (a.order, a.leading_coefficient)
 
 
 def equal_to_precision(a, b, precision=None):
@@ -145,8 +134,9 @@ def series_invert(a, side="right"):
 
     ``side="right"`` returns b with a·b = 1, ``side="left"`` returns b
     with b·a = 1, each by its own triangular recurrence whose steps are
-    the coefficient ring's exact ``solve_left_mul``/``solve_right_mul``
-    (no associativity assumed). ``side="both"`` solves both recurrences and
+    exact solves of the coefficient ring, ``solver(c, "left")`` for the
+    right inverse and ``solver(c, "right")`` for the left one (no
+    associativity assumed). ``side="both"`` solves both recurrences and
     insists they agree -- that is the genuinely two-sided inverse, which
     exists whenever the twist is an automorphism but can fail to exist
     otherwise (the one-sided inverses of 1 - iX under the q=2 scaling

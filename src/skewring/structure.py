@@ -43,6 +43,7 @@ class NucleusQuery(Keyed):
     def __init__(self, element, side, degree_bound):
         if side not in SIDES:
             raise ConstructionError(f"unknown nucleus side: {side}")
+        element.config._own(element)
         if element and degree_bound < max(abs(element.degree), abs(element.order)):
             raise ConstructionError("degree_bound must cover the element's support")
         self.element, self.side, self.degree_bound = element, side, degree_bound
@@ -412,13 +413,14 @@ def central_reduction(p, m):
     if m <= 0:
         raise ConstructionError("order must be a positive integer")
     config = p.config
+    terms = config._own(p)
     if config.shape != LAURENT:
         raise ConstructionError("central reduction needs the laurent shape")
     if not _power_is_identity(config.sigma, m):
         raise ReductionError("finite order hypothesis fails")
     modulus = m * m
     out = {}
-    for e, c in p.terms.items():
+    for e, c in terms.items():
         add_term(out, e % modulus, -c if (e // modulus) % 2 else c)
     return SkewPoly(config, out)
 
@@ -446,6 +448,7 @@ def shrink(p, d):
     constant term survives exactly when sigma^(deg p)(d) differs from d.
     """
     config = p.config
+    config._own(p)
     _require_commutative_division(config)
     ord_p = p.order
     if ord_p != 0:
@@ -466,15 +469,18 @@ class SimplicityResult:
         return self.status == "unit"
 
 
-def simplicity_probe(config, p, budget):
+def simplicity_probe(p, budget):
     """Iterate shrink steps until the ideal generated by p exhibits a unit.
 
-    Scans coefficient basis elements in fixed order and takes the first
-    one whose shrink is nonzero (its degree is then strictly smaller).
+    The ring is p's config, and p must be one of its polynomials. Scans
+    coefficient basis elements in fixed order and takes the first one
+    whose shrink is nonzero (its degree is then strictly smaller).
     Reaching a nonzero constant certifies that the two-sided ideal
     generated by p is the whole ring. Returns inconclusive when every
     shrink vanishes (finite-order twists) or the budget runs out.
     """
+    config = p.config
+    config._own(p)
     _require_commutative_division(config)
     if not p:
         raise ReductionError("simplicity probe needs a nonzero element")
@@ -564,8 +570,8 @@ def monic_left_reduce(f, p):
     f exactly.
     """
     config = f.config
-    if p.config != config:
-        raise RingMismatchError("incompatible rings")
+    config._own(f)
+    config._own(p)
     if not p:
         raise ReductionError("cannot divide by zero")
     if not config.coefficients.is_division:

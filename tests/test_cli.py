@@ -71,7 +71,6 @@ def write(tmp_path, name, doc):
 def test_load_config_builds_rings():
     cfg = config.load_config(GAUSS_Q2)
     assert cfg.ring_config.shape == "laurent"
-    assert cfg.digest() == config.load_config(GAUSS_Q2).digest()
     weyl = config.load_config(WEYL)
     x = weyl.ring_config.gen
     y = weyl.ring_config.constant(weyl.ring_config.coefficients.gen)
@@ -323,6 +322,20 @@ def test_reduce_left_rejects_steps(runner, tmp_path):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: --steps")
+
+
+def test_reduce_left_rejects_a_series_config(runner, tmp_path):
+    # refused before any expression is parsed: left division is for polynomials
+    cfg_path = write(tmp_path, "cfg.json", SERIES_Q2)
+    gens_path = write(tmp_path, "gens.json", ["1 + X + O(X^4)"])
+    result = runner.invoke(
+        cli.main,
+        ["reduce", "--config", cfg_path, "--gens", gens_path, "--side", "left",
+         "X^2 + O(X^4)"],
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: left reduction takes polynomials, not series\n"
 
 
 def test_reduce_negative_steps_exit_2(runner, tmp_path):

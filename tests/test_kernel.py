@@ -27,7 +27,7 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 
 
-def oracle_mul_coords(spec, a, b):
+def oracle_table_mul(spec, a, b):
     acc = [ZERO] * spec.dimension
     for p, ap in enumerate(a):
         if not ap:
@@ -160,10 +160,11 @@ def algebra_and_pair(names):
 
 @settings(max_examples=80, deadline=None)
 @given(algebra_and_pair(sorted(ALGEBRAS)))
-def test_mul_coords_matches_fraction_oracle(case):
+def test_mul_pairs_matches_fraction_oracle(case):
     spec, a, b = case
-    out = spec.mul_coords(a, b)
-    assert out == oracle_mul_coords(spec, a, b)
+    out = linalg.fraction_vector(*spec.mul_pairs(linalg.integer_vector(a),
+                                                 linalg.integer_vector(b)))
+    assert out == oracle_table_mul(spec, a, b)
     assert_fractions(out)
 
 
@@ -171,15 +172,51 @@ def test_mul_coords_matches_fraction_oracle(case):
 @given(algebra_and_pair(["QQ", "QQ(i)", "HH", "OO", "SS"]))
 def test_involution_matches_fraction_oracle(case):
     spec, a, _ = case
-    out = spec.involve_coords(a)
+    out = linalg.fraction_vector(*spec.involve_pair(linalg.integer_vector(a)))
     assert out == oracle_apply(spec.involution, a)
     assert_fractions(out)
+
+
+def oracle_cayley_dickson(spec):
+    """The doubled table, involution and unit of spec, from Fraction coordinate arithmetic."""
+    zero = (ZERO,) * spec.dimension
+    basis = [tuple(Fraction(int(i == p)) for i in range(spec.dimension))
+             for p in range(spec.dimension)]
+    halves = [(e, zero) for e in basis] + [(zero, e) for e in basis]
+
+    def star(v):
+        return oracle_apply(spec.involution, v)
+
+    def mul(x, y):
+        return oracle_table_mul(spec, x, y)
+
+    # (a,b)(c,d) = (ac - d*b, da + bc*) and (a,b)* = (a*,-b)
+    table = tuple(
+        tuple(
+            tuple(x - y for x, y in zip(mul(a, c), mul(star(d), b)))
+            + tuple(x + y for x, y in zip(mul(d, a), mul(b, star(c))))
+            for c, d in halves
+        )
+        for a, b in halves
+    )
+    involution = tuple(star(a) + tuple(-v for v in b) for a, b in halves)
+    return table, involution, spec.unit + zero
+
+
+@pytest.mark.parametrize("name", ["QQ", "QQ(i)", "HH", "OO"])
+def test_cayley_dickson_double_matches_fraction_oracle(name):
+    spec = ALGEBRAS[name]
+    doubled = rings.cayley_dickson_double(spec)
+    table, involution, unit = oracle_cayley_dickson(spec)
+    assert doubled.table == table
+    assert doubled.involution == involution
+    assert doubled.unit == unit
 
 
 def oracle_matrix_mul(ring, a, b):
     """Flat coordinates of a·b by the entry sum over k, recursing into matrix entries."""
     if not isinstance(ring, rings.MatrixRing):
-        return oracle_mul_coords(ring, a.coords, b.coords)
+        return oracle_table_mul(ring, a.coords, b.coords)
     n, base = ring.n, ring.base
     out = []
     for i in range(n):
@@ -490,7 +527,7 @@ DOT_RINGS = {
 def oracle_product(ring, a, b):
     if isinstance(ring, rings.MatrixRing):
         return oracle_matrix_mul(ring, a, b)
-    return oracle_mul_coords(ring, a.coords, b.coords)
+    return oracle_table_mul(ring, a.coords, b.coords)
 
 
 @pytest.mark.parametrize("name", sorted(DOT_RINGS))

@@ -352,12 +352,12 @@ def nested_ore_family():
 
 
 def test_pi_row_is_the_last_row_of_the_sweep():
-    """Row k of one pi_rows sweep is pi_row(fam, k, s), entry by entry pi_word_sum."""
+    """Row k of one pi_rows sweep is the family's cached row (k, s), entry by entry pi_word_sum."""
     for ring, fam in [*pi_families(), nested_ore_family()]:
         rng = random.Random(20)
         for s in [ring.random_element(rng) for _ in range(3)]:
             rows = list(maps.pi_rows(fam, 5, s))
             assert len(rows) == 6
             for m, row in enumerate(rows):
-                assert maps.pi_row(fam, m, s) == row
+                assert fam.row(m, s) == row
                 assert list(row) == [maps.pi_word_sum(fam, i, m, s) for i in range(m + 1)]

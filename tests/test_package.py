@@ -42,3 +42,18 @@ def test_import_loads_only_errors():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert json.loads(out) == ["skewring", "skewring.errors"]
+
+
+def test_readme_library_tour_runs():
+    """The README's python block runs, and its canonical-text comments are what the lines give."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    checked = set()
+    for line in block.splitlines():
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        if code in ("(e[1] + e[2]).inverse()", "series.series_invert(s)"):
+            assert repr(eval(code, namespace)) == comment.removeprefix("exact: ")
+            checked.add(code)
+    assert len(checked) == 2

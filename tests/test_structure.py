@@ -354,7 +354,7 @@ def test_associativity_dichotomy():
             assert rings.associator(a, b, c) == value
 
 
-def test_associativity_witness_matrix_and_octonion():
+def test_associativity_certificate_witnesses_matrix_and_octonion():
     swap_cfg = cfg_matrix_swap()
     assert not structure.associativity_certificate(swap_cfg, 3).passed
     assert not structure.associativity_prediction(swap_cfg)
@@ -460,7 +460,7 @@ def test_shrink_rejects_non_commutative():
 
 def test_simplicity_probe_reaches_unit():
     config = cfg_q2()
-    probe = structure.simplicity_probe(config, config.gen + config.one, 3)
+    probe = structure.simplicity_probe(config.gen + config.one, 3)
     assert probe.reached_unit
     assert probe.unit == -G.basis_element(1)
     assert len(probe.steps) == 1
@@ -480,7 +480,7 @@ def test_simplicity_probe_random():
         if not p:
             continue
         done += 1
-        probe = structure.simplicity_probe(config, p, p.degree + 1)
+        probe = structure.simplicity_probe(p, p.degree + 1)
         assert probe.reached_unit
         assert len(probe.steps) <= p.degree + 1
 
@@ -488,14 +488,30 @@ def test_simplicity_probe_random():
 def test_simplicity_probe_inconclusive():
     config = cfg_conj()
     p = config.one + config.variable_power(4)
-    probe = structure.simplicity_probe(config, p, 10)
+    probe = structure.simplicity_probe(p, 10)
     assert probe.status == "inconclusive"
     assert probe.note == "all shrinks vanish"
 
 
 def test_simplicity_probe_constant():
-    probe = structure.simplicity_probe(cfg_q2(), cfg_q2().scalar(5), 2)
+    probe = structure.simplicity_probe(cfg_q2().scalar(5), 2)
     assert probe.reached_unit and not probe.steps
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: structure.NucleusQuery(s, "middle", 6),
+    lambda s: structure.central_reduction(s, 2),
+    lambda s: structure.shrink(s, G.basis_element(1)),
+    lambda s: structure.simplicity_probe(s, 3),
+    lambda s: poly.to_right_form(s),
+    lambda s: structure.monic_left_reduce(s, s),
+], ids=["nucleus-query", "central-reduction", "shrink", "simplicity-probe",
+        "to-right-form", "monic-left-reduce"])
+def test_polynomial_algorithms_reject_a_series(call):
+    # a series is a SkewPoly with a precision, so only the operand check keeps it out
+    s = series.series(cfg_conj(), {0: G.one, 4: G.one}, 6)
+    with pytest.raises(RingMismatchError):
+        call(s)
 
 
 # -- monic left division -----------------------------------------------------------
