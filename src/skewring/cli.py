@@ -12,8 +12,9 @@ Exit status: 0 when everything passes, 1 when a verification check
 fails, 2 on usage errors (``argparse`` prints them) and on every library
 error a command raises: a configuration or parse error, a missing or
 unreadable ``--config`` or ``--gens``, a negative ``--steps``,
-``--steps`` with ``--side left``, ``--side left`` on a series config
-and an unwritable ``--out``.
+``--steps`` with ``--side left``, ``--side left`` on a series config,
+a series config for a configurable ``verify`` suite and an unwritable
+``--out``.
 
 Each command imports only the modules it runs, when it starts. ``pi``
 runs on :mod:`skewring.maps` alone; the other commands add

@@ -4,6 +4,9 @@ Degree-bounded certificates (nucleus membership, associativity) work by
 exhausting associator identities over basis monomials c·V^e with
 |e| <= bound; by biadditivity a pass certifies the identity on the span
 of those monomials, and a failure hands back a concrete witness triple.
+A laurent associativity certificate is decided by the left-slot monomial
+scan of every basis monomial; the generic triple search runs only to
+name the witness of a failure.
 
 The reduction algorithms (central quotient rewriting, shrink-based
 simplicity probing, monic left division, right reduction) mirror the
@@ -140,6 +143,15 @@ class _ScaledOps:
             return (scalar, ce)
         return (_ratio(scalar[0] * cs[0], scalar[1] * cs[1]), ce)
 
+    def part_mul(self, le, re):
+        """The split product of two normalised parts, computed once per pair."""
+        key = (id(le), id(re))
+        cached = self._products.get(key)
+        if cached is None:
+            cached = self.split(le * re)
+            self._products[key] = cached
+        return cached
+
     def mul(self, left, right):
         ls, le = left
         rs, re = right
@@ -147,12 +159,7 @@ class _ScaledOps:
             return left
         if not rs[0]:
             return right
-        key = (id(le), id(re))
-        cached = self._products.get(key)
-        if cached is None:
-            cached = self.split(le * re)
-            self._products[key] = cached
-        cs, ce = cached
+        cs, ce = self.part_mul(le, re)
         if rs == _ONE and cs == _ONE:
             return (ls, ce)
         return (_ratio(ls[0] * rs[0] * cs[0], ls[1] * rs[1] * cs[1]), ce)
@@ -194,7 +201,13 @@ def _laurent_nucleus_scan(query, memo):
     are interned, one object per value, so their ids and the ratio
     determine which a fail. The ratio is keyed as the reduced integer
     pair of (p1·p2·q3)/(q1·q2·p3) for si = pi/qi, so equal ratios share
-    one key. A zero scalar bypasses the memo.
+    one key. A zero scalar bypasses the memo. On a miss each a is
+    decided on the parts alone: with a·n1 = c1·m1, m1·n2 = c2·m2 and
+    a·n3 = c3·m3 from the product cache, a passes iff both sides vanish,
+    or m2 is m3 and c1·c2·r = c3 for r = s1·s2/s3, compared by
+    cross-multiplying integers. a's own scalar cancels from both sides.
+    m1·n2 is formed only when c1 is nonzero, as a split product would be,
+    so the product cache fills exactly as with split values.
 
     ``memo`` maps ``(config, degree_bound)`` to the ``_ScaledOps`` and
     the verdict dict of that pair. Neither depends on the queried
@@ -221,6 +234,7 @@ def _laurent_nucleus_scan(query, memo):
     equal = _ScaledOps.equal
     mul = ops.mul
     twist = ops.twist
+    part_mul = ops.part_mul
 
     def report(a, m, b, n):
         # rebuild and re-verify the candidate through the generic
@@ -236,18 +250,30 @@ def _laurent_nucleus_scan(query, memo):
     def first_failure(e1, e2, e3):
         """The first a with (a·e1)·e2 != a·e3, or None."""
         (s1, n1), (s2, n2), (s3, n3) = e1, e2, e3
-        key = None
-        if s1[0] and s2[0] and s3[0]:
-            key = (id(n1), id(n2), id(n3),
-                   _ratio(s1[0] * s2[0] * s3[1], s1[1] * s2[1] * s3[0]))
-            if key in verdicts:
-                return verdicts[key]
-        failing = next(
-            (a for a in split_coeffs if not equal(mul(mul(a, e1), e2), mul(a, e3))),
-            None,
-        )
-        if key is not None:
-            verdicts[key] = failing
+        if not (s1[0] and s2[0] and s3[0]):
+            return next(
+                (a for a in split_coeffs if not equal(mul(mul(a, e1), e2), mul(a, e3))),
+                None,
+            )
+        ratio = _ratio(s1[0] * s2[0] * s3[1], s1[1] * s2[1] * s3[0])
+        key = (id(n1), id(n2), id(n3), ratio)
+        if key in verdicts:
+            return verdicts[key]
+        rn, rd = ratio
+        failing = None
+        for a in split_coeffs:
+            na = a[1]
+            (c1n, c1d), m1 = part_mul(na, n1)
+            if c1n:
+                (c2n, c2d), m2 = part_mul(m1, n2)
+            else:
+                c2n = 0
+            (c3n, c3d), m3 = part_mul(na, n3)
+            if (c2n or c3n) and not (c2n and c3n and m2 is m3
+                                     and c1n * c2n * rn * c3d == c3n * c1d * c2d * rd):
+                failing = a
+                break
+        verdicts[key] = failing
         return failing
 
     # Distinct x-term exponents land on distinct result exponents, so the
@@ -322,8 +348,24 @@ def nucleus_membership(query, memo=None):
 
 
 def associativity_certificate(config, degree_bound):
-    """Exhaust all associator triples of basis monomials up to the bound."""
-    witness = first_associator(config.spanning_set(degree_bound))
+    """Exhaust all associator triples of basis monomials up to the bound.
+
+    A laurent config is decided by the left-slot monomial scan of every
+    basis monomial u, all scans sharing one memo. That is exact: for
+    u = t·X^k, v = a·X^m and w = b·X^n,
+    (uv)w - u(vw) = [(t·sigma^k(a))·sigma^(k+m)(b) - t·sigma^k(a·sigma^m(b))]·X^(k+m+n),
+    and the coefficient does not depend on n, so the scan's check of w at
+    exponent 0 covers every triple of the span. Only when a scan fails
+    does the generic triple search run, to name the first witness triple
+    in span order, as it does for an ore config.
+    """
+    span = config.spanning_set(degree_bound)
+    if config.shape == LAURENT:
+        memo = {}
+        if all(_laurent_nucleus_scan(NucleusQuery(u, "left", degree_bound), memo)
+               for u in span):
+            return CheckOutcome(True)
+    witness = first_associator(span)
     return CheckOutcome(witness is None, witness)
 
 

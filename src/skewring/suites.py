@@ -1206,13 +1206,24 @@ CONFIGURABLE_SUITES = ("nuclei", "laurent-axioms", "associativity", "d-structure
 
 
 def run_suite(name, cli_config=None):
-    """Execute one named suite (or "all") and return its report."""
+    """Execute one named suite (or "all") and return its report.
+
+    The configurable suites check a laurent or ore ring; a series config
+    raises ``ConstructionError`` before any check runs.
+    """
     if name == "all":
         names = SUITE_NAMES
     elif name in _SUITE_BUILDERS:
         names = (name,)
     else:
         raise ConstructionError(f"unknown suite name: {name}")
+    if cli_config is not None and cli_config.is_series:
+        configured = [n for n in names if n in CONFIGURABLE_SUITES]
+        if configured:
+            raise ConstructionError(
+                f"the configurable suites ({', '.join(configured)}) take a laurent "
+                f"or ore config, not a {cli_config.shape} one"
+            )
 
     checks = []
     for suite_name in names:

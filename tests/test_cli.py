@@ -338,6 +338,27 @@ def test_reduce_left_rejects_a_series_config(runner, tmp_path):
     assert result.stderr == "error: left reduction takes polynomials, not series\n"
 
 
+@pytest.mark.parametrize("suite", ["nuclei", "associativity", "laurent-axioms",
+                                   "d-structure", "all"])
+@pytest.mark.parametrize("shape", ["power_series", "laurent_series"])
+def test_configurable_suites_reject_a_series_config(runner, tmp_path, suite, shape):
+    # the suites would otherwise check the underlying laurent polynomial ring
+    cfg_path = write(tmp_path, "cfg.json", dict(SERIES_Q2, shape=shape))
+    result = runner.invoke(cli.main, ["verify", "--suite", suite, "--config", cfg_path])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: the configurable suites (")
+    assert result.stderr.endswith(f"take a laurent or ore config, not a {shape} one\n")
+    assert "Traceback" not in result.stderr
+
+
+def test_series_suite_ignores_a_series_config(runner, tmp_path):
+    # only the configurable suites read --config; the others keep their rings
+    cfg_path = write(tmp_path, "cfg.json", SERIES_Q2)
+    result = runner.invoke(cli.main, ["verify", "--suite", "series", "--config", cfg_path])
+    assert result.exit_code == 0
+
+
 def test_reduce_negative_steps_exit_2(runner, tmp_path):
     cfg_path = write(tmp_path, "cfg.json", dict(GAUSS_Q2, shape="ore"))
     gens_path = write(tmp_path, "gens.json", ["X - i"])

@@ -270,6 +270,34 @@ def test_torus_nuclearity_verdict_memo(monkeypatch):
     assert all(_reduced(key[3]) for key in verdicts)
 
 
+@pytest.mark.parametrize("name, make_config", [
+    ("gaussian-q2", cfg_q2),
+    ("matrix-swap", cfg_matrix_swap),
+    ("octonion-conj", cfg_octonion),
+    ("torus", lambda: suites.builtin("torus-octonion")),
+])
+def test_scan_verdicts_match_plain_arithmetic(name, make_config):
+    """Each memoised verdict is the first a with (a·(r·n1))·n2 != a·n3 in plain products."""
+    config = make_config()
+    memo = {}
+    for query in _mixed_queries(config, random.Random(f"verdicts-{name}")):
+        structure.nucleus_membership(query, memo)
+    checked = 0
+    for (_, bound), (ops, verdicts) in memo.items():
+        parts = {id(part): part for part in ops._intern.values()}
+        coeffs = config.coefficients.spanning_set(bound)
+        for (i1, i2, i3, ratio), failing in verdicts.items():
+            e1 = parts[i1].scale(Fraction(*ratio))
+            n2, n3 = parts[i2], parts[i3]
+            first = next((a for a in coeffs if (a * e1) * n2 != a * n3), None)
+            if failing is None:
+                assert first is None
+            else:
+                assert failing[1].scale(Fraction(*failing[0])) == first
+            checked += 1
+    assert checked
+
+
 def _scalar_configs():
     h = rings.quaternions()
     return [
@@ -359,6 +387,100 @@ def test_associativity_certificate_witnesses_matrix_and_octonion():
     assert not structure.associativity_certificate(swap_cfg, 3).passed
     assert not structure.associativity_prediction(swap_cfg)
     assert not structure.associativity_certificate(cfg_octonion(), 3).passed
+
+
+def _assert_certificate_matches_generic(config, bound):
+    """The scan-decided certificate against the plain triple search on its span."""
+    outcome = structure.associativity_certificate(config, bound)
+    witness = rings.first_associator(config.spanning_set(bound))
+    assert outcome.passed == (witness is None), (config.describe(), bound)
+    assert outcome.witness == witness, (config.describe(), bound)
+    return outcome.passed
+
+
+_LAURENT_ROSTER = [
+    (name, bound)
+    for name, doc in suites.ROSTER.items()
+    if doc.get("shape", poly.LAURENT) == poly.LAURENT
+    # the generic search over O[Y^±] takes about 10 s at bound 3 (witness)
+    # and over Q[Y^±] about 4 s (pass), against 0.6 s at bounds 1 and 2
+    for bound in {"torus-octonion": (1,), "torus-rational": (1, 2)}.get(name, (1, 2, 3))
+]
+
+
+@pytest.mark.parametrize("name, bound", _LAURENT_ROSTER)
+def test_associativity_certificate_matches_generic_search_on_roster(name, bound):
+    _assert_certificate_matches_generic(suites.builtin(name), bound)
+
+
+def _random_linear_config(ring, rng):
+    """R[X^±; sigma] for a random invertible rational matrix sigma fixing 1."""
+    d = ring.qdim
+    while True:
+        rows = [
+            [int(i == 0) if j == 0 else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+             for j in range(d)]
+            for i in range(d)
+        ]
+        try:
+            return poly.RingConfig(ring, maps.make_twist(ring, "matrix", matrix=rows),
+                                   None, "X", poly.LAURENT)
+        except ConstructionError:  # singular
+            pass
+
+
+def test_associativity_certificate_matches_generic_search_on_random_twists():
+    rng = random.Random(25)
+    H = rings.quaternions()
+    configs = [
+        poly.RingConfig(G, maps.make_twist(G, "q_twist", q=q), None, "X", poly.LAURENT)
+        for q in [1, -1] + [Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 5))
+                            for _ in range(4)]
+    ]
+    configs += [_random_linear_config(ring, rng) for ring in (G, G, H, H)]
+    # inner automorphisms of H are linear twists fixing 1 that pass
+    configs += [
+        poly.RingConfig(H, maps.make_twist(H, "inner", u=H.random_element(rng) + H.one),
+                        None, "X", poly.LAURENT)
+        for _ in range(2)
+    ]
+    verdicts = {_assert_certificate_matches_generic(config, bound)
+                for config in configs for bound in (1, 2)}
+    assert verdicts == {True, False}
+
+
+def test_associativity_certificate_product_budget(monkeypatch):
+    """A passing laurent certificate's coefficient products, pinned; no generic search."""
+    config = suites.builtin("gaussian-q1")
+    config.spanning_set(3)  # build the cached span outside the count
+    products = 0
+    skew_products = 0
+    ring_mul = rings.AlgebraElement.__mul__
+    skew_mul = poly.SkewPoly.__mul__
+
+    def counted_mul(self, other):
+        nonlocal products
+        products += 1
+        return ring_mul(self, other)
+
+    def counted_skew_mul(self, other):
+        nonlocal skew_products
+        skew_products += 1
+        return skew_mul(self, other)
+
+    def no_generic_search(span):
+        raise AssertionError("a passing certificate ran the generic triple search")
+
+    monkeypatch.setattr(rings.AlgebraElement, "__mul__", counted_mul)
+    monkeypatch.setattr(poly.SkewPoly, "__mul__", counted_skew_mul)
+    monkeypatch.setattr(structure, "first_associator", no_generic_search)
+    for _ in range(2):
+        products = skew_products = 0
+        assert structure.associativity_certificate(config, 3).passed
+        # the products of the parts 1 and i; the generic search made
+        # 8,428 SkewPoly products
+        assert products == 4
+        assert skew_products == 0
 
 
 # -- nuclear inverse lemma ----------------------------------------------------------
