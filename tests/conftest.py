@@ -1,6 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from skewring import linalg
+
+# Tier-1 runs a small, derandomized budget, so every run checks the same
+# examples; `pytest --hypothesis-profile=fuzz` (a CI step of its own) runs
+# a larger random one. A test's own @settings(max_examples=...) wins over both.
+settings.register_profile("tier1", max_examples=25, derandomize=True, deadline=None,
+                          database=None)
+settings.register_profile("fuzz", max_examples=1000, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -1,0 +1,227 @@
+"""Exit-code fuzz of the CLI: whatever the input, ``mul``, ``classify`` and
+``reduce`` exit 0 or 2 and never end in a traceback.
+
+Expressions are printed elements of the config's ring, strings of the
+expression grammar that may not fit the ring, and token soup; configs are
+the documents of ``suites.ROSTER`` (and two series documents), some with a
+few keys deleted or overwritten. Exponents stay within |e| <= 60: a number
+token is always a whole token, so no two of them join into a larger one.
+Every command runs in process through ``cli.main(argv)``; an exception that
+escapes ``main`` is what a process would print as a traceback and exit 1
+with, so it is recorded as exactly that.
+
+The example budget comes from the Hypothesis profile (``tests/conftest.py``):
+small and derandomized by default, larger under ``--hypothesis-profile=fuzz``.
+"""
+
+import copy
+import io
+import json
+import random
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from skewring import cli, config, poly, suites
+from skewring.errors import SkewringError
+
+SERIES_DOCS = [
+    {"ring": "gaussian", "twist": "conjugation", "shape": "power_series", "precision": 8},
+    {"ring": "quaternions", "twist": "identity", "shape": "laurent_series", "precision": 6},
+]
+DOCS = [*suites.ROSTER.values(), *SERIES_DOCS]
+
+EXPONENTS = st.integers(-60, 60)
+NAMES = ["X", "Y", "Z", "i", "j", "k", "e1", "e7", "O", "iX", "YX", "a", "_"]
+OPS = ["+", "-", "^", "/", "(", ")", "[", "]", ",", "O(", ".", "*", "é", "\t"]
+
+
+def _rational():
+    return st.builds(lambda p, q: f"{p}/{q}" if q != 1 else str(p),
+                     st.integers(-9, 9), st.integers(0, 5))
+
+
+def _term(inner):
+    coeff = st.one_of(
+        st.just(""),
+        _rational(),
+        st.lists(_rational(), max_size=9).map(lambda cs: "[" + ", ".join(cs) + "]"),
+        inner.map(lambda p: f"({p})"),
+        st.sampled_from(NAMES),
+    )
+    var = st.one_of(
+        st.just(""),
+        st.sampled_from(["X", "Y"]),
+        st.builds(lambda v, e: f"{v}^{e}", st.sampled_from(["X", "Y", "Z"]), EXPONENTS),
+    )
+    return st.builds(lambda c, v: f"{c}{v}", coeff, var)
+
+
+def _poly(inner):
+    return st.builds(
+        lambda sign, terms, ops: sign + "".join(
+            (f" {op} " if k else "") + t for k, (t, op) in enumerate(zip(terms, ops))
+        ),
+        st.sampled_from(["", "-"]),
+        st.lists(_term(inner), min_size=1, max_size=3),
+        st.lists(st.sampled_from(["+", "-"]), min_size=3, max_size=3),
+    )
+
+
+GRAMMAR = st.builds(
+    lambda p, marker: p + marker,
+    _poly(_poly(st.sampled_from(["Y", "1", "i"]))),
+    st.one_of(st.just(""), st.builds(lambda n: f" + O(X^{n})", st.integers(-2, 12))),
+)
+SOUP = st.lists(
+    st.one_of(st.sampled_from(NAMES + OPS), st.integers(0, 60).map(str)), max_size=12,
+).map(" ".join)
+
+
+def expressions(doc):
+    """Expressions for ``doc``.
+
+    Two draws in three are sums of up to three monomials of its ring, printed
+    in the canonical grammar (with the config's O(X^N) marker on a series
+    ring), so a pair of them is often a valid input; the rest are grammar
+    strings or token soup, and so is every draw when ``doc`` builds no ring.
+    """
+    try:
+        cli_config = config.load_config(doc)
+    except SkewringError:
+        return st.one_of(GRAMMAR, SOUP)
+    ring = cli_config.ring_config
+    low = 0 if ring.shape == poly.ORE or cli_config.is_power_series else -60
+    high = cli_config.precision if cli_config.is_series else 60
+    monomials = st.builds(
+        lambda seed, e: ring.monomial(ring.coefficients.random_element(random.Random(seed)), e),
+        st.integers(0, 2**16), st.integers(low, high),
+    )
+    printed = st.lists(monomials, min_size=1, max_size=3).map(lambda ms: repr(sum(ms, ring.zero)))
+    if cli_config.is_series:
+        printed = printed.map(lambda text: f"{text} + O({ring.variable}^{cli_config.precision})")
+    return st.one_of(printed, printed, st.one_of(GRAMMAR, SOUP))
+
+
+KEYS = ["ring", "twist", "delta", "shape", "variable", "precision",
+        "kind", "base", "n", "q", "u", "matrix", "spec"]
+VALUES = st.one_of(
+    st.sampled_from([
+        "rationals", "gaussian", "quaternions", "octonions", "sedenions", "jordan",
+        "matrix", "polynomial", "algebra", "identity", "q_twist", "conjugation",
+        "transpose", "diag_swap", "conj_transpose", "inner", "coefficientwise",
+        "y_scale", "y_coeff_scale", "derivative", "zero", "ore", "laurent",
+        "power_series", "laurent_series", "0", "1/0", "-1", "2/3", "Y", "X", "i", "",
+        {"kind": "matrix", "base": "gaussian", "n": 2},
+        {"kind": "polynomial", "base": "gaussian"},
+        {"kind": "q_twist", "q": "3"},
+        [["1", "0"], ["0", "-1"]],
+    ]),
+    st.none(), st.booleans(), st.integers(-1, 3), st.floats(-2, 2), st.text(max_size=4),
+    st.lists(st.sampled_from(["1", "0", 2, "i"]), max_size=4),
+)
+
+
+@st.composite
+def mutated_docs(draw):
+    """A roster or series document with up to three keys deleted or overwritten."""
+    doc = copy.deepcopy(draw(st.sampled_from(DOCS)))
+    for _ in range(draw(st.integers(0, 3))):
+        holders = [doc] + [v for v in doc.values() if isinstance(v, dict)]
+        holder = draw(st.sampled_from(holders))
+        key = draw(st.sampled_from(sorted(set(KEYS) | set(holder))))
+        if key in holder and draw(st.booleans()):
+            del holder[key]
+        else:
+            # a copy: a later mutation may edit this value, which VALUES shares across examples
+            holder[key] = copy.deepcopy(draw(VALUES))
+    return doc
+
+
+def run_cli(argv):
+    """(exit status, stderr) of ``cli.main(argv)`` as a process would end it."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            cli.main(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:  # what an uncaught exception does to a process
+            code = 1
+            stderr.write(traceback.format_exc())
+    return code or 0, stderr.getvalue()
+
+
+def assert_contract(argv):
+    code, err = run_cli(argv)
+    event(f"exit {code}")
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Paths of one config file and one generators file, rewritten by each example."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    return tmp / "config.json", tmp / "gens.json"
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+FUZZ = settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+def _with_expressions(docs, count):
+    return docs.flatmap(lambda doc: st.tuples(st.just(doc), *[expressions(doc)] * count))
+
+
+@FUZZ
+@given(case=_with_expressions(st.sampled_from(DOCS), 2))
+def test_mul_expressions_keep_the_exit_contract(files, case):
+    doc, left, right = case
+    assert_contract(["mul", "--config", _write(files[0], doc), left, right])
+
+
+@FUZZ
+@given(case=_with_expressions(mutated_docs(), 2))
+def test_mul_on_mutated_configs_keeps_the_exit_contract(files, case):
+    doc, left, right = case
+    assert_contract(["mul", "--config", _write(files[0], doc), left, right])
+
+
+@FUZZ
+@given(doc=mutated_docs())
+def test_classify_on_mutated_configs_keeps_the_exit_contract(files, doc):
+    assert_contract(["classify", "--config", _write(files[0], doc)])
+
+
+@FUZZ
+@given(
+    case=_with_expressions(st.one_of(st.sampled_from(DOCS), mutated_docs()), 3),
+    gens_count=st.sampled_from([1, 1, 2, None]),
+    junk=VALUES,
+    side=st.sampled_from([[], ["--side", "left"], ["--side", "right"]]),
+    steps=st.one_of(st.just([]), st.integers(-1, 6).map(lambda n: ["--steps", str(n)])),
+)
+def test_reduce_keeps_the_exit_contract(files, case, gens_count, junk, side, steps):
+    """The generators file is one or two expressions, or a JSON value that is not such a list."""
+    doc, expr, *gens = case
+    gens = junk if gens_count is None else gens[:gens_count]
+    config, gens_path = _write(files[0], doc), _write(files[1], gens)
+    assert_contract(["reduce", "--config", config, "--gens", gens_path, expr, *side, *steps])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP items 6 and 9: under Q(i) conjugation, X^5000 builds sigma's powers by "
+    "recursion in LinearTwist._images_power and ends in RecursionError (exit 1)"))
+def test_deep_power_under_conjugation_keeps_the_exit_contract(files):
+    code, _ = run_cli(["mul", "--config", _write(files[0], suites.ROSTER["gaussian-conj"]),
+                       "X^5000", "i"])
+    assert code in (0, 2)

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from skewring import maps, poly, rings
+from skewring import maps, poly, rings, suites
 from skewring.errors import ConstructionError, NotInvertibleError
 
 G = rings.gaussian()
@@ -361,3 +363,152 @@ def test_pi_row_is_the_last_row_of_the_sweep():
             for m, row in enumerate(rows):
                 assert fam.row(m, s) == row
                 assert list(row) == [maps.pi_word_sum(fam, i, m, s) for i in range(m + 1)]
+
+
+class DroppedDeltaFamily(maps.PiFamily):
+    """A mutant whose row ``m`` keeps only the sigma term of entry ``i``."""
+
+    def __init__(self, sigma, delta, i, m):
+        super().__init__(sigma, delta)
+        self.entry = (i, m)
+
+    def row(self, m, s):
+        rows = list(maps.pi_rows(self, m, s))
+        row = list(rows[m])
+        i, mutated = self.entry
+        if m == mutated:
+            row[i] = self.sigma(rows[m - 1][i - 1]) if i else s.ring.zero
+        return tuple(row)
+
+
+def _families(label, mutant=None):
+    """``suites._pi_families()`` narrowed to one label, its family optionally a mutant."""
+    (_, ring, fam), = [entry for entry in suites._pi_families() if entry[0] == label]
+    if mutant is not None:
+        fam = DroppedDeltaFamily(fam.sigma, fam.delta, *mutant)
+    return [(label, ring, fam)]
+
+
+def _random_verdict(families):
+    """The sampled check the basis check replaced: 25 random s per family."""
+    for label, ring, fam in families:
+        rng = suites._rng(f"pi-enum-{label}")
+        elements = [ring.random_element(rng) for _ in range(25)]
+        for m in range(7):
+            for i in range(m + 1):
+                if any(maps.pi_apply(fam, i, m, s) != maps.pi_word_sum(fam, i, m, s)
+                       for s in elements):
+                    return False
+    return True
+
+
+MUTANTS = [(0, 1), (1, 3), (2, 4), (5, 6)]
+
+
+@pytest.mark.parametrize("mutant", [None, *MUTANTS],
+                         ids=["sound", *(f"drop-delta-pi{i}-{m}" for i, m in MUTANTS)])
+@pytest.mark.parametrize("label", ["weyl", "octonion"])
+def test_pi_basis_check_kills_mutants_and_matches_the_sampled_check(monkeypatch, label, mutant):
+    """A family whose row drops the delta term of one entry fails the basis check at that
+    entry; on the family and on every mutant, the verdict equals the 25-sample check's."""
+    sampled = _random_verdict(_families(label, mutant))
+    families = _families(label, mutant)
+    monkeypatch.setattr(suites, "_pi_families", lambda: families)
+    failure = None
+    try:
+        suites._check_pi_recursion_enumeration()
+    except AssertionError as exc:
+        failure = str(exc)
+    if mutant is None:
+        assert failure is None
+    else:
+        i, m = mutant
+        assert failure == f"pi({i},{m}) recursion != enumeration over {label}"
+    assert sampled == (failure is None)
+
+
+def test_pi_check_word_budget(monkeypatch):
+    """One pi check applies the 127 words of m <= 6 to each of 8 + 7 basis elements.
+
+    The sampled check it replaced applied them to 25 random s per family: 6,350 words.
+    """
+    suites._pi_families()  # build the cached configs outside the count
+    words = 0
+    word_apply = maps.pi_word_apply
+
+    def counted(fam, word, s):
+        nonlocal words
+        words += 1
+        return word_apply(fam, word, s)
+
+    monkeypatch.setattr(maps, "pi_word_apply", counted)
+    for _ in range(2):
+        words = 0
+        suites._check_pi_recursion_enumeration()
+        assert words == 1905
+
+
+def _poly_elements(ring, coefficients):
+    exponents = st.integers(min(ring.exponent_window(3)), 3)
+    return st.dictionaries(exponents, coefficients, max_size=4).map(ring.from_terms)
+
+
+def _flat_elements(ring):
+    return st.lists(RATIONALS, min_size=ring.qdim, max_size=ring.qdim).map(
+        lambda coords: ring.unflatten(tuple(coords))
+    )
+
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+def _linear_cases():
+    """(name, twist, elements) for each twist class and construction the pi checks rely on."""
+    qy = poly_ring()
+    g_laurent = poly.RingConfig(G, maps.make_twist(G, "identity"), None, "Y", poly.LAURENT)
+    o_laurent = poly.RingConfig(O, maps.make_twist(O, "identity"), None, "Y", poly.LAURENT)
+    rational_coeffs = _flat_elements(rings.rationals())
+    shear = [[1, 0, 0, 0], [0, 1, 2, 0], [0, 0, 1, 0], [0, 3, 0, 1]]
+    return [
+        ("linear-conjugation", maps.make_twist(O, "conjugation"), _flat_elements(O)),
+        ("linear-q_twist", maps.make_twist(G, "q_twist", q="3/2"), _flat_elements(G)),
+        ("linear-matrix", maps.make_twist(H, "matrix", matrix=shear), _flat_elements(H)),
+        ("poly-identity", maps.make_twist(qy, "identity"), _poly_elements(qy, rational_coeffs)),
+        ("poly-coefficientwise",
+         maps.make_twist(g_laurent, "coefficientwise", base=maps.make_twist(G, "conjugation")),
+         _poly_elements(g_laurent, _flat_elements(G))),
+        ("poly-y_scale", maps.make_twist(o_laurent, "y_scale", q=2),
+         _poly_elements(o_laurent, _flat_elements(O))),
+        ("derivative", maps.make_twist(qy, "derivative"), _poly_elements(qy, rational_coeffs)),
+        ("y_coeff_scale", maps.make_twist(qy, "y_coeff_scale", q=3),
+         _poly_elements(qy, rational_coeffs)),
+        ("zero", maps.make_twist(G, "zero"), _flat_elements(G)),
+        ("standard_derivation",
+         maps.standard_derivation(O.basis_element(1), O.basis_element(2)), _flat_elements(O)),
+    ]
+
+
+LINEAR_CASES = _linear_cases()
+
+
+@pytest.mark.parametrize("name, twist, elements", LINEAR_CASES,
+                         ids=[case[0] for case in LINEAR_CASES])
+@seed(26)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_twists_are_linear(name, twist, elements, data):
+    """f(a·r + b·s) = a·f(r) + b·f(s): the premise that lets the pi checks run on a basis."""
+    r, s = data.draw(elements), data.draw(elements)
+    a, b = data.draw(RATIONALS), data.draw(RATIONALS)
+    assert twist(r.scale(a) + s.scale(b)) == twist(r).scale(a) + twist(s).scale(b)
+    # the pi checks reach every power through power_apply
+    assert twist.power_apply(2, r.scale(a) + s.scale(b)) \
+        == twist.power_apply(2, r).scale(a) + twist.power_apply(2, s).scale(b)
+
+
+def test_pi_zero_above_clause_tests_the_oracle(monkeypatch):
+    """An enumeration that counts min(i, m) sigmas is nonzero for i > m, and the check says so."""
+    words = maps.pi_words
+    monkeypatch.setattr(maps, "pi_words", lambda i, m: words(min(i, m), m))
+    with pytest.raises(AssertionError, match="pi must vanish for i > m"):
+        suites._check_pi_recursion_enumeration()
