@@ -104,7 +104,8 @@ class RingConfig:
         return range(-bound if self.shape == LAURENT else 0, bound + 1)
 
     def spanning_set(self, bound):
-        """Basis monomials c·V^e with coefficient spanning c and e in the window."""
+        """Basis monomials c·V^e with coefficient spanning c and e in the window,
+        exponent-major from the lowest e; certificate witness order rests on this."""
         cached = self._span_cache.get(bound)
         if cached is None:
             cached = [
@@ -139,7 +140,8 @@ class RingConfig:
     @property
     def is_associative(self):
         if self._assoc is None:
-            self._assoc = first_associator(self.spanning_set(2)) is None
+            span = self.spanning_set(2)
+            self._assoc = first_associator(span, span, span) is None
         return self._assoc
 
     def invert(self, el):

@@ -297,7 +297,8 @@ class AlgebraSpec(CompiledAlgebra):
     @property
     def is_associative(self):
         if self._assoc is None:
-            self._assoc = first_associator(self.basis_elements()) is None
+            basis = self.basis_elements()
+            self._assoc = first_associator(basis, basis, basis) is None
         return self._assoc
 
     @property
@@ -730,12 +731,12 @@ def associator(a, b, c):
     return (a * b) * c - a * (b * c)
 
 
-def first_associator(span):
-    """First triple of ``span`` with nonzero associator, as (a, b, c, value), or None."""
-    for a in span:
-        for b in span:
+def first_associator(firsts, seconds, thirds):
+    """The first (a, b, c, value) of firsts × seconds × thirds with value != 0, or None."""
+    for a in firsts:
+        for b in seconds:
             ab = a * b
-            for c in span:
+            for c in thirds:
                 value = ab * c - a * (b * c)
                 if value:
                     return a, b, c, value

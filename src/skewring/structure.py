@@ -4,9 +4,10 @@ Degree-bounded certificates (nucleus membership, associativity) work by
 exhausting associator identities over basis monomials c·V^e with
 |e| <= bound; by biadditivity a pass certifies the identity on the span
 of those monomials, and a failure hands back a concrete witness triple.
-A laurent associativity certificate is decided by the left-slot monomial
-scan of every basis monomial; the generic triple search runs only to
-name the witness of a failure.
+The shift lemma: p·(c·V^n) = (p·c)·V^n, by sigma^m(1) = 1 (laurent) or
+axiom D2, pi_i^m(1) = delta_im (ore). So whether (u, v, c·V^n) vanishes
+never depends on n, and a search over the exponent-major span whose last
+slot is cut to the first block (lowest exponent) finds the first witness.
 
 The reduction algorithms (central quotient rewriting, shrink-based
 simplicity probing, monic left division, right reduction) mirror the
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .maps import Keyed, _power_is_identity, classify_multiplicativity
 from .poly import LAURENT, SkewPoly, add_term, poly_mul
-from .rings import Divisors, associator, first_associator
+from .rings import Divisors, first_associator
 from .series import TruncatedSeries, times_monomial
 
 SIDES = ("left", "middle", "right")
@@ -42,10 +43,20 @@ SIDES = ("left", "middle", "right")
 # ---------------------------------------------------------------------------
 
 
+def _span_and_block(config, bound):
+    """The spanning set at the bound and its first block (see the shift lemma)."""
+    if bound < 0:
+        raise ConstructionError("degree_bound must be non-negative")
+    span = config.spanning_set(bound)
+    return span, span[:len(config.coefficients.spanning_set(bound))]
+
+
 class NucleusQuery(Keyed):
     def __init__(self, element, side, degree_bound):
         if side not in SIDES:
             raise ConstructionError(f"unknown nucleus side: {side}")
+        if degree_bound < 0:
+            raise ConstructionError("degree_bound must be non-negative")
         element.config._own(element)
         if element and degree_bound < max(abs(element.degree), abs(element.order)):
             raise ConstructionError("degree_bound must cover the element's support")
@@ -237,15 +248,12 @@ def _laurent_nucleus_scan(query, memo):
     part_mul = ops.part_mul
 
     def report(a, m, b, n):
-        # rebuild and re-verify the candidate through the generic
-        # polynomial arithmetic before reporting it
         u = config.monomial(a[1].scale(Fraction(*a[0])), m)
         v = config.monomial(b[1].scale(Fraction(*b[0])), n)
-        triple = _slot_triple(side, x, u, v)
-        value = associator(*triple)
-        if not value:
+        witness = first_associator(*_slot_triple(side, [x], [u], [v]))
+        if witness is None:
             raise AssertionError("monomial scan disagreed with the generic product")
-        return CheckOutcome(False, (*triple, value))
+        return CheckOutcome(False, witness)
 
     def first_failure(e1, e2, e3):
         """The first a with (a·e1)·e2 != a·e3, or None."""
@@ -278,8 +286,7 @@ def _laurent_nucleus_scan(query, memo):
 
     # Distinct x-term exponents land on distinct result exponents, so the
     # accumulated associator vanishes iff every term's contribution does.
-    # In the left and middle slots the coefficients are independent of the
-    # second monomial's exponent (it only shifts the result), so v is
+    # In the left and middle slots v is last, so by the shift lemma it is
     # checked at exponent 0 and that covers its whole exponent range.
     if side == "left":
         for m in exps:
@@ -337,35 +344,30 @@ def nucleus_membership(query, memo=None):
     config = x.config
     if config.shape == LAURENT:
         return _laurent_nucleus_scan(query, {} if memo is None else memo)
-    span = config.spanning_set(query.degree_bound)
-    for u in span:
-        for v in span:
-            triple = _slot_triple(query.side, x, u, v)
-            value = associator(*triple)
-            if value:
-                return CheckOutcome(False, (*triple, value))
-    return CheckOutcome(True)
+    span, block = _span_and_block(config, query.degree_bound)
+    last = span if query.side == "right" else block
+    witness = first_associator(*_slot_triple(query.side, [x], span, last))
+    return CheckOutcome(witness is None, witness)
 
 
 def associativity_certificate(config, degree_bound):
     """Exhaust all associator triples of basis monomials up to the bound.
 
-    A laurent config is decided by the left-slot monomial scan of every
-    basis monomial u, all scans sharing one memo. That is exact: for
-    u = t·X^k, v = a·X^m and w = b·X^n,
-    (uv)w - u(vw) = [(t·sigma^k(a))·sigma^(k+m)(b) - t·sigma^k(a·sigma^m(b))]·X^(k+m+n),
-    and the coefficient does not depend on n, so the scan's check of w at
-    exponent 0 covers every triple of the span. Only when a scan fails
-    does the generic triple search run, to name the first witness triple
-    in span order, as it does for an ore config.
+    The witness is the first failing triple in span order, found with the
+    last slot cut to the first block (the module's shift lemma). A laurent
+    config runs the left-slot monomial scan of each basis monomial, sharing
+    one memo, up to the first that fails; a pass needs no triple search.
     """
-    span = config.spanning_set(degree_bound)
+    span, block = _span_and_block(config, degree_bound)
+    firsts = span
     if config.shape == LAURENT:
         memo = {}
-        if all(_laurent_nucleus_scan(NucleusQuery(u, "left", degree_bound), memo)
-               for u in span):
+        u = next((u for u in span if not _laurent_nucleus_scan(
+            NucleusQuery(u, "left", degree_bound), memo)), None)
+        if u is None:
             return CheckOutcome(True)
-    witness = first_associator(span)
+        firsts = [u]
+    witness = first_associator(firsts, span, block)
     return CheckOutcome(witness is None, witness)
 
 

@@ -107,6 +107,17 @@ def test_negative_exponent_rejected_in_ore():
         cfg.monomial(G.one, -1)
 
 
+def test_spanning_set_is_exponent_major_from_the_lowest_exponent():
+    """Certificate witnesses are first in this order, so the searches cut
+    their last slot to the first block, the monomials at the lowest exponent."""
+    one, i = G.basis_elements()
+    cfg = laurent_q2()
+    assert cfg.spanning_set(1) == [cfg.monomial(c, e) for e in (-1, 0, 1) for c in (one, i)]
+    w = weyl()
+    powers_of_y = [rational_poly_ring().variable_power(e) for e in (0, 1)]
+    assert w.spanning_set(1) == [w.monomial(c, e) for e in (0, 1) for c in powers_of_y]
+
+
 def test_degree_order_leading():
     cfg = laurent_q2()
     i = G.basis_element(1)

@@ -64,7 +64,8 @@ def test_cayley_dickson_chain_structure():
     assert G.is_commutative and G.is_associative
     assert H.is_associative and not H.is_commutative
     assert not O.is_associative
-    assert rings.first_associator(O.basis_elements()) is not None
+    basis = O.basis_elements()
+    assert rings.first_associator(basis, basis, basis) is not None
     assert rings.sedenions().dimension == 16
     assert not rings.sedenions().is_division
 

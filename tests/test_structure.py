@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from skewring import maps, poly, rings, series, structure, suites
+from skewring import maps, parsing, poly, rings, series, structure, suites
 from skewring.errors import ConstructionError, ReductionError, RingMismatchError
 
 G = rings.gaussian()
@@ -101,14 +101,10 @@ def test_query_and_step_compare_by_value():
 
 
 def _exhaustive_membership(x, side, bound):
-    """The generic scan: every associator over the spanning set, no shortcuts."""
+    """The whole-span search's first witness, or None: no scan and no cut slot."""
     span = x.config.spanning_set(bound)
-    for u in span:
-        for v in span:
-            triple = {"left": (x, u, v), "middle": (u, x, v), "right": (u, v, x)}[side]
-            if rings.associator(*triple):
-                return False
-    return True
+    slots = {"left": ([x], span, span), "middle": (span, [x], span), "right": (span, span, [x])}
+    return rings.first_associator(*slots[side])
 
 
 def _oracle_elements(config, powers, rng):
@@ -116,9 +112,9 @@ def _oracle_elements(config, powers, rng):
     ring = config.coefficients
     yield from (config.variable_power(n) for n in powers)
     yield from (config.constant(c) for c in ring.spanning_set(0)[1:3])
-    bound = max(map(abs, powers))
+    window = config.exponent_window(max(map(abs, powers)))
     for _ in range(2):
-        exps = rng.sample(range(-bound, bound + 1), rng.randint(2, 3))
+        exps = rng.sample(window, min(rng.randint(2, 3), len(window)))
         yield poly.SkewPoly(config, poly.random_terms(ring, rng, exps))
 
 
@@ -127,23 +123,36 @@ def _oracle_elements(config, powers, rng):
     ("matrix-swap", cfg_matrix_swap, 2, (2,)),
     ("octonion-conj", cfg_octonion, 2, (-1,)),
     ("octonion-torus", lambda: poly.quantum_torus(O, 2), 1, (1,)),
+    ("weyl", lambda: suites.builtin("weyl"), 2, (1, 2)),
+    ("octonion-ore", lambda: suites.builtin("octonion-ore"), 2, (1, 2)),
+    ("gaussian-q2-ore", lambda: suites.builtin("gaussian-q2-ore"), 2, (1, 2)),
 ])
-def test_laurent_scan_matches_exhaustive_oracle(name, make_config, bound, powers):
-    """The memoised monomial scan against the plain spanning-set scan, all sides."""
+def test_nucleus_scan_matches_exhaustive_oracle(name, make_config, bound, powers):
+    """Each nucleus query against the uncut whole-span search, in every slot.
+
+    An ore query is that search with its last slot cut to the first block
+    (the shift lemma), so it names the same witness; the laurent monomial
+    scan names the first failure in its own loop order.
+    """
     config = make_config()
     rng = random.Random(f"oracle-{name}")
     verdicts = set()
     for x in _oracle_elements(config, powers, rng):
         for side in structure.SIDES:
             outcome = structure.nucleus_membership(structure.NucleusQuery(x, side, bound))
-            assert outcome.passed == _exhaustive_membership(x, side, bound), (x, side)
+            witness = _exhaustive_membership(x, side, bound)
+            assert outcome.passed == (witness is None), (x, side)
             verdicts.add((side, outcome.passed))
-            if not outcome.passed:
+            if config.shape == poly.ORE:
+                assert outcome.witness == witness, (x, side)
+            elif not outcome.passed:
                 a, b, c, value = outcome.witness
                 assert rings.associator(a, b, c) == value
                 assert value
-    # both verdicts occur in both memoised slots
-    assert {(s, v) for s in ("middle", "right") for v in (True, False)} <= verdicts
+    # both verdicts occur in the middle and right slots (the memoised
+    # slots of the laurent scan); the Weyl algebra is associative
+    expected = {True} if name == "weyl" else {True, False}
+    assert {(s, v) for s in ("middle", "right") for v in expected} <= verdicts
 
 
 def _mixed_queries(config, rng):
@@ -390,25 +399,27 @@ def test_associativity_certificate_witnesses_matrix_and_octonion():
 
 
 def _assert_certificate_matches_generic(config, bound):
-    """The scan-decided certificate against the plain triple search on its span."""
+    """The certificate against the uncut triple search on its span."""
     outcome = structure.associativity_certificate(config, bound)
-    witness = rings.first_associator(config.spanning_set(bound))
+    span = config.spanning_set(bound)
+    witness = rings.first_associator(span, span, span)
     assert outcome.passed == (witness is None), (config.describe(), bound)
     assert outcome.witness == witness, (config.describe(), bound)
     return outcome.passed
 
 
-_LAURENT_ROSTER = [
+_ROSTER_BOUNDS = [
     (name, bound)
-    for name, doc in suites.ROSTER.items()
-    if doc.get("shape", poly.LAURENT) == poly.LAURENT
+    for name in suites.ROSTER
     # the generic search over O[Y^±] takes about 10 s at bound 3 (witness)
-    # and over Q[Y^±] about 4 s (pass), against 0.6 s at bounds 1 and 2
-    for bound in {"torus-octonion": (1,), "torus-rational": (1, 2)}.get(name, (1, 2, 3))
+    # and over Q[Y^±] about 4 s (pass), against 0.6 s at bounds 1 and 2;
+    # over the Weyl ring it takes about 1 s at bound 3 (pass)
+    for bound in {"torus-octonion": (1,), "torus-rational": (1, 2),
+                  "weyl": (1, 2)}.get(name, (1, 2, 3))
 ]
 
 
-@pytest.mark.parametrize("name, bound", _LAURENT_ROSTER)
+@pytest.mark.parametrize("name, bound", _ROSTER_BOUNDS)
 def test_associativity_certificate_matches_generic_search_on_roster(name, bound):
     _assert_certificate_matches_generic(suites.builtin(name), bound)
 
@@ -449,6 +460,95 @@ def test_associativity_certificate_matches_generic_search_on_random_twists():
     assert verdicts == {True, False}
 
 
+def test_ore_searches_match_generic_search_on_random_configs():
+    """R[X; sigma, delta] over H and O with a standard derivation as delta:
+    certificates and nucleus queries against the uncut search."""
+    rng = random.Random(27)
+    configs = [
+        poly.RingConfig(ring, maps.make_twist(ring, kind),
+                        maps.standard_derivation(ring.random_element(rng),
+                                                 ring.random_element(rng)),
+                        "X", poly.ORE)
+        for ring in (rings.quaternions(), O) for kind in ("identity", "conjugation")
+    ]
+    verdicts = {_assert_certificate_matches_generic(config, 2) for config in configs}
+    assert verdicts == {True, False}
+    # over O the right slot's middle monomial needs its whole exponent range
+    for config in configs:
+        for x in _oracle_elements(config, (1,), rng):
+            for side in structure.SIDES:
+                outcome = structure.nucleus_membership(structure.NucleusQuery(x, side, 1))
+                assert outcome.witness == _exhaustive_membership(x, side, 1), (x, side)
+
+
+def test_last_slot_exponent_is_a_shift():
+    """(u, v, c·X^n) = (u, v, c)·X^n: the shift lemma the cut searches rest on."""
+    rng = random.Random("shift")
+    checked = set()
+    for name in suites.ROSTER:
+        config = suites.builtin(name)
+        ring = config.coefficients
+        for _ in range(3):
+            u, v = (config.random_element(rng, 2) for _ in range(2))
+            c = ring.random_element(rng)
+            n = rng.choice(config.exponent_window(3))
+            lhs = rings.associator(u, v, config.monomial(c, n))
+            assert lhs == rings.associator(u, v, config.constant(c)) * config.variable_power(n)
+            checked.add(bool(lhs))
+    assert checked == {True, False}
+
+
+def _count_skew_products(monkeypatch):
+    """Count SkewPoly products from here on; read the count from the returned list."""
+    count = [0]
+    skew_mul = poly.SkewPoly.__mul__
+
+    def counted_mul(self, other):
+        count[0] += 1
+        return skew_mul(self, other)
+
+    monkeypatch.setattr(poly.SkewPoly, "__mul__", counted_mul)
+    return count
+
+
+def test_failing_certificate_witness_search_budget(monkeypatch):
+    """The torus witness search's products, pinned; the uncut search made 468,310."""
+    config = suites.builtin("torus-octonion")
+    config.spanning_set(3)  # build the cached span outside the count
+    count = _count_skew_products(monkeypatch)
+    outcome = structure.associativity_certificate(config, 3)
+    assert count[0] == 4910
+    assert [parsing.format_poly(p) for p in outcome.witness] == [
+        "(e1Y^-3)X^-3", "(e2Y^-3)X^-3", "(e4Y^-3)X^-3",
+        "([0,0,0,0,0,0,0,268435456]Y^-9)X^-9",
+    ]
+
+
+@pytest.mark.parametrize("run, products", [
+    # the uncut searches made 2,500 and 12,544 products
+    (lambda weyl: structure.nucleus_membership(
+        structure.NucleusQuery(weyl.variable_power(4), "middle", 4)), 400),
+    (lambda weyl: structure.associativity_certificate(weyl, 3), 3328),
+], ids=["middle-scan", "certificate"])
+def test_weyl_search_budget(monkeypatch, run, products):
+    """Ore searches cut their last slot to the first block: in the Weyl ring
+    the first 5 of 25 monomials at bound 4, and 4 of 16 at bound 3."""
+    weyl = suites.builtin("weyl")
+    for bound in (3, 4):
+        weyl.spanning_set(bound)  # build the cached spans outside the count
+    count = _count_skew_products(monkeypatch)
+    assert run(weyl).passed
+    assert count[0] == products
+
+
+def test_negative_degree_bound_is_rejected():
+    for name in ("octonion-ore", "gaussian-q2"):
+        with pytest.raises(ConstructionError, match="degree_bound must be non-negative"):
+            structure.associativity_certificate(suites.builtin(name), -1)
+    with pytest.raises(ConstructionError, match="degree_bound must be non-negative"):
+        structure.NucleusQuery(cfg_q2().zero, "left", -2)
+
+
 def test_associativity_certificate_product_budget(monkeypatch):
     """A passing laurent certificate's coefficient products, pinned; no generic search."""
     config = suites.builtin("gaussian-q1")
@@ -468,7 +568,7 @@ def test_associativity_certificate_product_budget(monkeypatch):
         skew_products += 1
         return skew_mul(self, other)
 
-    def no_generic_search(span):
+    def no_generic_search(*lists):
         raise AssertionError("a passing certificate ran the generic triple search")
 
     monkeypatch.setattr(rings.AlgebraElement, "__mul__", counted_mul)
