@@ -137,11 +137,18 @@ class RingConfig:
             )
         return self._comm
 
+    def span_and_block(self, bound):
+        """The span at the bound and its first block, the last slot of a cut triple search."""
+        if bound < 0:
+            raise ConstructionError("degree_bound must be non-negative")
+        span = self.spanning_set(bound)
+        return span, span[:len(self.coefficients.spanning_set(bound))]
+
     @property
     def is_associative(self):
         if self._assoc is None:
-            span = self.spanning_set(2)
-            self._assoc = first_associator(span, span, span) is None
+            span, block = self.span_and_block(2)
+            self._assoc = first_associator(span, span, block) is None
         return self._assoc
 
     def invert(self, el):

@@ -43,14 +43,6 @@ SIDES = ("left", "middle", "right")
 # ---------------------------------------------------------------------------
 
 
-def _span_and_block(config, bound):
-    """The spanning set at the bound and its first block (see the shift lemma)."""
-    if bound < 0:
-        raise ConstructionError("degree_bound must be non-negative")
-    span = config.spanning_set(bound)
-    return span, span[:len(config.coefficients.spanning_set(bound))]
-
-
 class NucleusQuery(Keyed):
     def __init__(self, element, side, degree_bound):
         if side not in SIDES:
@@ -344,7 +336,7 @@ def nucleus_membership(query, memo=None):
     config = x.config
     if config.shape == LAURENT:
         return _laurent_nucleus_scan(query, {} if memo is None else memo)
-    span, block = _span_and_block(config, query.degree_bound)
+    span, block = config.span_and_block(query.degree_bound)
     last = span if query.side == "right" else block
     witness = first_associator(*_slot_triple(query.side, [x], span, last))
     return CheckOutcome(witness is None, witness)
@@ -358,7 +350,7 @@ def associativity_certificate(config, degree_bound):
     config runs the left-slot monomial scan of each basis monomial, sharing
     one memo, up to the first that fails; a pass needs no triple search.
     """
-    span, block = _span_and_block(config, degree_bound)
+    span, block = config.span_and_block(degree_bound)
     firsts = span
     if config.shape == LAURENT:
         memo = {}

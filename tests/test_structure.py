@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from skewring import maps, parsing, poly, rings, series, structure, suites
+from skewring.config import load_config
 from skewring.errors import ConstructionError, ReductionError, RingMismatchError
 
 G = rings.gaussian()
@@ -228,32 +229,47 @@ def test_builtin_roster_matches_direct_construction():
     assert suites.builtin("gaussian-q2") != suites.builtin("gaussian-q3")
 
 
-def test_torus_nuclearity_product_budget(monkeypatch):
-    """The torus check's coefficient products, pinned; a memo lives for one call."""
+def _torus_bound3_scans():
+    """The middle and right scans of X^n and Y^n, n = 1, 2, 3, at bound 3 with one
+    memo: the oracle that ``torus/variable-nuclearity``'s lemma replaces."""
+    torus = suites.builtin("torus-octonion")
+    inner = torus.coefficients
+    memo = {}
+    for n in (1, 2, 3):
+        for element in (torus.variable_power(n), torus.constant(inner.variable_power(n))):
+            for side in ("middle", "right"):
+                query = structure.NucleusQuery(element, side, 3)
+                assert structure.nucleus_membership(query, memo).passed
+
+
+def _assert_torus_budget(monkeypatch, run, products, scans):
     suites.builtin("torus-octonion")  # build the cached config outside the count
-    products = 0
-    scans = 0
-    skew_mul = poly.SkewPoly.__mul__
+    count = _count_skew_products(monkeypatch)
+    scanned = 0
     scan = structure.nucleus_membership
 
-    def counted_mul(self, other):
-        nonlocal products
-        products += 1
-        return skew_mul(self, other)
-
     def counted_scan(*args, **kwargs):
-        nonlocal scans
-        scans += 1
+        nonlocal scanned
+        scanned += 1
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(poly.SkewPoly, "__mul__", counted_mul)
     monkeypatch.setattr(structure, "nucleus_membership", counted_scan)
-    for _ in range(2):
-        products = scans = 0
-        suites._check_torus_nuclearity()
-        # 45,088 with one memo per scan
-        assert products == 5920
-        assert scans == 12
+    for _ in range(2):  # a memo lives for one call
+        count[0] = scanned = 0
+        run()
+        assert count[0] == products
+        assert scanned == scans
+
+
+def test_torus_nuclearity_product_budget(monkeypatch):
+    """The bound-3 torus scans' coefficient products, pinned; 45,088 with one
+    memo per scan."""
+    _assert_torus_budget(monkeypatch, _torus_bound3_scans, 5920, 12)
+
+
+def test_torus_nuclearity_check_budget(monkeypatch):
+    """The torus check's products: 832 check P2, the rest are four bound-1 scans."""
+    _assert_torus_budget(monkeypatch, suites._check_torus_nuclearity, 1808, 4)
 
 
 def _reduced(scalar):
@@ -271,12 +287,105 @@ def test_torus_nuclearity_verdict_memo(monkeypatch):
         return scan(query, memo)
 
     monkeypatch.setattr(structure, "nucleus_membership", capturing_scan)
-    suites._check_torus_nuclearity()
+    _torus_bound3_scans()
     assert all(memo is memos[0] for memo in memos)
     ((ops, verdicts),) = memos[0].values()
     assert len(verdicts) == 432
     assert len(ops._intern) == 128
     assert all(_reduced(key[3]) for key in verdicts)
+
+
+def _torus_monomial(torus, e, i, j):
+    """e·Y^i·X^j in the quantum torus over O."""
+    return torus.monomial(torus.coefficients.monomial(e, i), j)
+
+
+def _torus_lemma(torus, *monomials):
+    """The associator of three torus monomials by the bicharacter lemma:
+    q^(j1·i2 + (j1+j2)·i3) times the O-associator of their coefficients."""
+    parts = []
+    for m in monomials:
+        ((j, c),) = m.terms.items()
+        ((i, e),) = c.terms.items()
+        parts.append((e, i, j))
+    (e1, i1, j1), (e2, i2, j2), (e3, i3, j3) = parts
+    scalar = torus.sigma.var_scale ** (j1 * i2 + (j1 + j2) * i3)
+    return _torus_monomial(torus, rings.associator(e1, e2, e3).scale(scalar),
+                           i1 + i2 + i3, j1 + j2 + j3)
+
+
+def test_torus_associator_is_the_bicharacter_lemma():
+    """The lemma behind ``torus/variable-nuclearity``, beyond its |e| <= 6 window."""
+    torus = suites.builtin("torus-octonion")
+    rng = random.Random("torus-lemma")
+    basis = O.basis_elements()
+    nonzero = 0
+    for _ in range(60):
+        triple = [
+            _torus_monomial(torus, rng.choice([rng.choice(basis), O.random_element(rng)]),
+                            rng.randint(-8, 8), rng.randint(-8, 8))
+            for _ in range(3)
+        ]
+        expected = _torus_lemma(torus, *triple)
+        assert rings.associator(*triple) == expected
+        nonzero += bool(expected)
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize("n", [7, -9])
+def test_torus_variable_powers_are_nuclear_beyond_the_window(n):
+    torus = suites.builtin("torus-octonion")
+    rng = random.Random(f"torus-powers-{n}")
+    for x in (torus.variable_power(n), torus.constant(torus.coefficients.variable_power(n))):
+        for _ in range(8):
+            u, v = (_torus_monomial(torus, O.random_element(rng),
+                                    rng.randint(-10, 10), rng.randint(-10, 10))
+                    for _ in range(2))
+            for triple in ((x, u, v), (u, x, v), (u, v, x)):
+                assert not rings.associator(*triple)
+
+
+def test_torus_lemma_names_non_nuclear_monomials():
+    """e1·Y·X is not middle-nuclear: (e2, e1, e4)_O != 0, and the scan's witness
+    is the lemma's associator."""
+    torus = suites.builtin("torus-octonion")
+    x = _torus_monomial(torus, O.basis_element(1), 1, 1)
+    e2, e4 = O.basis_element(2), O.basis_element(4)
+    triple = (_torus_monomial(torus, e2, 0, 0), x, _torus_monomial(torus, e4, 0, 0))
+    assert _torus_lemma(torus, *triple)
+    assert rings.associator(*triple) == _torus_lemma(torus, *triple)
+    outcome = structure.nucleus_membership(structure.NucleusQuery(x, "middle", 1))
+    assert not outcome.passed
+    a, b, c, value = outcome.witness
+    assert b == x
+    assert value and value == _torus_lemma(torus, a, b, c)
+
+
+def test_torus_check_fails_p1_when_sigma_drops_its_scalar(monkeypatch):
+    sigma = suites.builtin("torus-octonion").sigma
+    power = sigma.power_apply
+
+    def dropped(m, el):
+        """sigma^5 forgets q^(5i) on Y^-4 alone, out of reach of bound-1 scans."""
+        return el if m == 5 and set(el.terms) == {-4} else power(m, el)
+
+    monkeypatch.setattr(sigma, "power_apply", dropped)
+    with pytest.raises(AssertionError, match="P1"):
+        suites._check_torus_nuclearity()
+
+
+def test_torus_check_fails_p2_on_one_perturbed_product(monkeypatch):
+    inner = suites.builtin("torus-octonion").coefficients
+    left, right = inner.monomial(O.basis_element(3), -5), inner.constant(O.basis_element(6))
+    skew_mul = poly.SkewPoly.__mul__
+
+    def perturbed(self, other):
+        product = skew_mul(self, other)
+        return product + inner.one if (self, other) == (left, right) else product
+
+    monkeypatch.setattr(poly.SkewPoly, "__mul__", perturbed)
+    with pytest.raises(AssertionError, match="P2"):
+        suites._check_torus_nuclearity()
 
 
 @pytest.mark.parametrize("name, make_config", [
@@ -547,6 +656,36 @@ def test_negative_degree_bound_is_rejected():
             structure.associativity_certificate(suites.builtin(name), -1)
     with pytest.raises(ConstructionError, match="degree_bound must be non-negative"):
         structure.NucleusQuery(cfg_q2().zero, "left", -2)
+
+
+def _fresh(name):
+    """A roster config built anew, so its cached verdicts are not yet computed."""
+    return load_config(suites.ROSTER[name]).ring_config
+
+
+@pytest.mark.parametrize("name", [
+    # the uncut search over O[Y^±] takes about 2 s; every other one under 0.5 s
+    name for name in suites.ROSTER if name != "torus-octonion"
+])
+def test_is_associative_matches_the_uncut_search(name):
+    config = _fresh(name)
+    span, block = config.span_and_block(2)
+    witness = rings.first_associator(span, span, span)
+    assert rings.first_associator(span, span, block) == witness
+    assert config.is_associative == (witness is None)
+
+
+@pytest.mark.parametrize("name, products, associative", [
+    # the uncut searches made 47,500 and 121,418 products
+    ("torus-rational", 10000, True),
+    ("torus-octonion", 24458, False),
+])
+def test_is_associative_search_budget(monkeypatch, name, products, associative):
+    config = _fresh(name)
+    config.spanning_set(2)  # build the cached span outside the count
+    count = _count_skew_products(monkeypatch)
+    assert config.is_associative is associative
+    assert count[0] == products
 
 
 def test_associativity_certificate_product_budget(monkeypatch):
