@@ -426,12 +426,9 @@ def pi_apply(fam, i, m, s):
 
 
 def pi_words(i, m):
-    """All length-m words over {sigma, delta} with exactly i sigmas."""
-    words = []
+    """Yield, one at a time, each length-m word over {sigma, delta} with i sigmas."""
     for positions in itertools.combinations(range(m), i):
-        word = tuple("sigma" if p in positions else "delta" for p in range(m))
-        words.append(word)
-    return words
+        yield tuple("sigma" if p in positions else "delta" for p in range(m))
 
 
 def pi_word_apply(fam, word, s):

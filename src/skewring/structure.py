@@ -8,6 +8,10 @@ The shift lemma: p·(c·V^n) = (p·c)·V^n, by sigma^m(1) = 1 (laurent) or
 axiom D2, pi_i^m(1) = delta_im (ore). So whether (u, v, c·V^n) vanishes
 never depends on n, and a search over the exponent-major span whose last
 slot is cut to the first block (lowest exponent) finds the first witness.
+Its right-slot corollary: (u, v, c·V^k) = (u, v, c)·V^k, so with the
+queried element c·V^k in the right slot the first failing (u, v) depends
+on c alone (up to c's rational scalar, which cancels), and a scan
+records it once per coefficient.
 
 The reduction algorithms (central quotient rewriting, shrink-based
 simplicity probing, monic left division, right reduction) mirror the
@@ -185,7 +189,15 @@ def _slot_triple(side, x, u, v):
     return (u, v, x)
 
 
-def _laurent_nucleus_scan(query, memo):
+def _memo_entry(memo, config, degree_bound):
+    """The memo's (ops, verdicts, right-slot records, outcomes) of one config and bound."""
+    key = (config, degree_bound)
+    if key not in memo:
+        memo[key] = (_ScaledOps(config.sigma), {}, {}, {})
+    return memo[key]
+
+
+def _laurent_nucleus_scan(query, entry):
     """Monomial-level exhaustion of the sided associator identities.
 
     The twisted monomial rule (r·X^m)(s·X^n) = (r·sigma^m(s))·X^(m+n)
@@ -212,24 +224,25 @@ def _laurent_nucleus_scan(query, memo):
     m1·n2 is formed only when c1 is nonzero, as a split product would be,
     so the product cache fills exactly as with split values.
 
-    ``memo`` maps ``(config, degree_bound)`` to the ``_ScaledOps`` and
-    the verdict dict of that pair. Neither depends on the queried
-    element or slot: the products, twist powers and interned parts
-    depend on the config alone, and a verdict names the first failing
-    a of the coefficient spanning set at that bound. The ids in the
-    verdict keys stay valid because the entry's ``_ScaledOps`` keeps
-    every part it interned. So every scan of one config and bound may
-    share one entry and get the verdicts and witnesses of a fresh scan.
-    The caller owns the memo and drops it after its check; nothing here
-    outlives it.
+    In the right slot the term exponent k never enters (the module's
+    right-slot corollary) and the term's scalar cancels from the ratio,
+    so a term's first failing (a, m, b, n) is recorded under its interned
+    normalised part; ``report`` rebuilds the witness from x itself.
+
+    ``entry`` is the memo entry of ``(config, degree_bound)``: the
+    ``_ScaledOps``, the verdict dict and the right-slot records. None
+    depends on the queried element or slot: the products, twist powers
+    and interned parts depend on the config alone, and a verdict or
+    record names the first failure in the coefficient spanning set at
+    that bound. The ids in their keys stay valid because the entry's
+    ``_ScaledOps`` keeps every part it interned. So every scan of one
+    config and bound may share one entry and get the verdicts and
+    witnesses of a fresh scan.
     """
     x = query.element
     config = x.config
     side = query.side
-    key = (config, query.degree_bound)
-    if key not in memo:
-        memo[key] = (_ScaledOps(config.sigma), {})
-    ops, verdicts = memo[key]
+    ops, verdicts, rights, _ = entry
     coeffs = config.coefficients.spanning_set(query.degree_bound)
     exps = list(config.exponent_window(query.degree_bound))
     x_terms = [(k, ops.split(t)) for k, t in sorted(x.terms.items())]
@@ -308,14 +321,21 @@ def _laurent_nucleus_scan(query, memo):
     # right slot: (u v) x vs u (v x): E1 = sigma^m(b), E2 = sigma^(m+n)(t),
     # E3 = sigma^m(b·sigma^n(t)); the exponent of v enters through the
     # twist powers applied to x's coefficients, so hoist per (b, n, m)
-    for k, t in x_terms:
+    def right_failure(t):
         for b in split_coeffs:
             for n in exps:
                 bt = mul(b, twist(n, t))
                 for m in exps:
                     a = first_failure(twist(m, b), twist(m + n, t), twist(m, bt))
                     if a is not None:
-                        return report(a, m, b, n)
+                        return a, m, b, n
+        return None
+
+    for _, (_, part) in x_terms:
+        if id(part) not in rights:
+            rights[id(part)] = right_failure((_ONE, part))
+        if rights[id(part)] is not None:
+            return report(*rights[id(part)])
     return CheckOutcome(True)
 
 
@@ -326,20 +346,38 @@ def nucleus_membership(query, memo=None):
     the queried slot against every pair of basis monomials up to the
     degree bound, hence (by biadditivity) against the whole span.
 
-    ``memo`` is a dict owned by the caller. Scans of laurent configs
-    that are passed the same dict share their coefficient products and
-    slot verdicts, per config and degree bound, and return exactly what
-    fresh scans return. ``None`` gives the scan a fresh memo. Keep a
-    memo for one check at most: it holds every product it has seen.
+    ``memo`` is a dict owned by the caller, keyed by ``(config,
+    degree_bound)``. Queries that share it share their outcomes (a query
+    asked again returns its recorded ``CheckOutcome``), right-slot
+    records and, on laurent configs, coefficient products and slot
+    verdicts, and return exactly what fresh queries return. ``None``
+    gives the query a fresh memo. Keep one memo per suite run, not
+    longer: it holds every product it has seen. An ore right-slot query
+    of c·V^k searches span × span once per c (the module's right-slot
+    corollary) and rebuilds each witness from the recorded pair.
     """
     x = query.element
     config = x.config
+    entry = _memo_entry({} if memo is None else memo, config, query.degree_bound)
+    _, _, rights, outcomes = entry
+    if query in outcomes:
+        return outcomes[query]
     if config.shape == LAURENT:
-        return _laurent_nucleus_scan(query, {} if memo is None else memo)
-    span, block = config.span_and_block(query.degree_bound)
-    last = span if query.side == "right" else block
-    witness = first_associator(*_slot_triple(query.side, [x], span, last))
-    return CheckOutcome(witness is None, witness)
+        outcome = _laurent_nucleus_scan(query, entry)
+    else:
+        span, block = config.span_and_block(query.degree_bound)
+        if query.side == "right" and len(x.terms) == 1:
+            (c,) = x.terms.values()
+            if c not in rights:
+                found = first_associator(span, span, [config.monomial(c, 0)])
+                rights[c] = ([found[0]], [found[1]]) if found else ([], [])
+            witness = first_associator(*rights[c], [x])
+        else:
+            last = span if query.side == "right" else block
+            witness = first_associator(*_slot_triple(query.side, [x], span, last))
+        outcome = CheckOutcome(witness is None, witness)
+    outcomes[query] = outcome
+    return outcome
 
 
 def associativity_certificate(config, degree_bound):
@@ -353,9 +391,9 @@ def associativity_certificate(config, degree_bound):
     span, block = config.span_and_block(degree_bound)
     firsts = span
     if config.shape == LAURENT:
-        memo = {}
+        entry = _memo_entry({}, config, degree_bound)
         u = next((u for u in span if not _laurent_nucleus_scan(
-            NucleusQuery(u, "left", degree_bound), memo)), None)
+            NucleusQuery(u, "left", degree_bound), entry)), None)
         if u is None:
             return CheckOutcome(True)
         firsts = [u]
@@ -404,13 +442,14 @@ class NuclearInverseReport:
         return self.conclusion is not None and self.conclusion.passed
 
 
-def nuclear_inverse_check(x, hypothesis, degree_bound):
+def nuclear_inverse_check(x, hypothesis, degree_bound, memo=None):
     """Check one clause of the nuclear-inverse lemma on basis monomials.
 
     hypothesis "lm": x in N_l∩N_m implies x⁻¹ in N_l; "full": x in N
     implies x⁻¹ in N_m; "mr": x in N_m∩N_r implies x⁻¹ in N_r. If the
     hypothesis fails on x the clause holds vacuously and the report says
-    so; otherwise the concluded side is checked for x⁻¹.
+    so; otherwise the concluded side is checked for x⁻¹. ``memo`` is
+    passed to every query, as in ``nucleus_membership``.
     """
     if hypothesis not in _HYPOTHESES:
         raise ConstructionError(f"unknown hypothesis: {hypothesis}")
@@ -419,7 +458,7 @@ def nuclear_inverse_check(x, hypothesis, degree_bound):
         x_inv = x.config.invert(x)
     except NotInvertibleError:
         raise ReductionError("inverse not representable") from None
-    memo = {}
+    memo = {} if memo is None else memo
     checks = {
         side: nucleus_membership(NucleusQuery(x, side, degree_bound), memo)
         for side in hyp_sides

@@ -168,7 +168,7 @@ def _check_pi_word_sum():
             by_recursion = maps.pi_apply(fam, 1, 3, s)
             by_words = maps.pi_word_sum(fam, 1, 3, s)
             _require(by_recursion == by_words, f"pi(1,3) mismatch over {label}")
-        words = maps.pi_words(1, 3)
+        words = list(maps.pi_words(1, 3))
         _require(words == [
             ("sigma", "delta", "delta"),
             ("delta", "sigma", "delta"),
@@ -327,16 +327,16 @@ ANCHOR_NUCLEAR_INV = (
 )
 
 
-def _check_power_nuclear(config, n, side):
+def _check_power_nuclear(config, n, side, memo):
     query = structure.NucleusQuery(config.variable_power(n), side, 4)
-    outcome = structure.nucleus_membership(query)
+    outcome = structure.nucleus_membership(query, memo)
     _require(outcome.passed, f"X^{n} must be {side}-nuclear")
 
 
-def _check_left_witness(config):
+def _check_left_witness(config, memo):
     tags = maps.classify_multiplicativity(config.sigma)
     outcome = structure.nucleus_membership(
-        structure.NucleusQuery(config.gen, "left", 4)
+        structure.NucleusQuery(config.gen, "left", 4), memo
     )
     if "automorphism" in tags:
         _require(outcome.passed, "automorphism twist must put X in N_l")
@@ -360,14 +360,14 @@ def _unit_for(config):
     return ring.basis_element(1)
 
 
-def _check_nuclear_inverse(config, element_key, hypothesis):
+def _check_nuclear_inverse(config, element_key, hypothesis, memo):
     if element_key == "X":
         x = config.gen
     elif element_key == "X^2":
         x = config.variable_power(2)
     else:
         x = config.constant(_unit_for(config))
-    report = structure.nuclear_inverse_check(x, hypothesis, 3)
+    report = structure.nuclear_inverse_check(x, hypothesis, 3, memo)
     _require(report.ok, f"nuclear inverse clause {hypothesis} violated")
     if report.hypothesis_satisfied:
         return
@@ -379,7 +379,9 @@ def _check_nuclear_inverse(config, element_key, hypothesis):
 
 
 def _nuclei_suite(configs=None):
+    """Every check shares one nucleus memo, made here, so once per suite run."""
     roster = configs or _laurent_roster()
+    memo = {}
     checks = []
     for config in roster:
         label = config.describe()
@@ -388,12 +390,12 @@ def _nuclei_suite(configs=None):
                 checks.append((
                     f"nuclei/{label}/X^{n}/{side}",
                     ANCHOR_NUCLEI,
-                    partial(_check_power_nuclear, config, n, side),
+                    partial(_check_power_nuclear, config, n, side, memo),
                 ))
         checks.append((
             f"nuclei/{label}/X/left",
             ANCHOR_LEFT,
-            partial(_check_left_witness, config),
+            partial(_check_left_witness, config, memo),
         ))
     inverse_roster = configs or (_laurent_roster() + [builtin("gaussian-q-1")])
     for config in inverse_roster:
@@ -405,7 +407,7 @@ def _nuclei_suite(configs=None):
                 checks.append((
                     f"nuclei/inverse/{label}/{element_key}/{hypothesis}",
                     ANCHOR_NUCLEAR_INV,
-                    partial(_check_nuclear_inverse, config, element_key, hypothesis),
+                    partial(_check_nuclear_inverse, config, element_key, hypothesis, memo),
                 ))
     return checks
 

@@ -1,5 +1,5 @@
-"""Exit-code fuzz of the CLI: whatever the input, ``mul``, ``classify`` and
-``reduce`` exit 0 or 2 and never end in a traceback.
+"""Exit-code fuzz of the CLI: whatever the input, ``mul``, ``classify``,
+``reduce`` and ``pi`` exit 0 or 2 and never end in a traceback.
 
 Expressions are printed elements of the config's ring, strings of the
 expression grammar that may not fit the ring, and token soup; configs are
@@ -17,6 +17,7 @@ small and derandomized by default, larger under ``--hypothesis-profile=fuzz``.
 import copy
 import io
 import json
+import math
 import random
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
@@ -142,7 +143,7 @@ def mutated_docs(draw):
 
 
 def run_cli(argv):
-    """(exit status, stderr) of ``cli.main(argv)`` as a process would end it."""
+    """(exit status, stdout, stderr) of ``cli.main(argv)`` as a process would end it."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         try:
@@ -153,14 +154,16 @@ def run_cli(argv):
         except Exception:  # what an uncaught exception does to a process
             code = 1
             stderr.write(traceback.format_exc())
-    return code or 0, stderr.getvalue()
+    return code or 0, stdout.getvalue(), stderr.getvalue()
 
 
 def assert_contract(argv):
-    code, err = run_cli(argv)
+    """Assert the exit contract; return the exit status and stdout."""
+    code, out, err = run_cli(argv)
     event(f"exit {code}")
     assert code in (0, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    return code, out
 
 
 @pytest.fixture(scope="module")
@@ -218,10 +221,29 @@ def test_reduce_keeps_the_exit_contract(files, case, gens_count, junk, side, ste
     assert_contract(["reduce", "--config", config, "--gens", gens_path, expr, *side, *steps])
 
 
+@FUZZ
+@given(args=st.one_of(
+    st.tuples(st.integers(-5, 60), st.integers(-5, 60), st.just(False)),
+    # C(10, 5) = 252 words at most
+    st.tuples(st.integers(-5, 60), st.integers(-5, 10), st.just(True)),
+))
+def test_pi_keeps_the_exit_contract(args):
+    """A negative i or m exits 2; otherwise one header line, then with
+    ``--emit-words`` C(m, i) distinct words with i sigmas each."""
+    i, m, emit_words = args
+    code, out = assert_contract(["pi", "--i", str(i), "--m", str(m)]
+                                + ["--emit-words"] * emit_words)
+    assert code == (2 if min(i, m) < 0 else 0)
+    words = out.splitlines()[1:]
+    expected = math.comb(m, i) if emit_words and 0 <= i <= m else 0
+    assert len(set(words)) == len(words) == expected
+    assert all(word.split("∘").count("sigma") == i for word in words)
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP items 6 and 9: under Q(i) conjugation, X^5000 builds sigma's powers by "
     "recursion in LinearTwist._images_power and ends in RecursionError (exit 1)"))
 def test_deep_power_under_conjugation_keeps_the_exit_contract(files):
-    code, _ = run_cli(["mul", "--config", _write(files[0], suites.ROSTER["gaussian-conj"]),
+    code, _, _ = run_cli(["mul", "--config", _write(files[0], suites.ROSTER["gaussian-conj"]),
                        "X^5000", "i"])
     assert code in (0, 2)

@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, seed, settings
@@ -160,12 +162,27 @@ def test_infinite_order_for_variable_scaling():
 
 
 def test_pi_word_enumeration():
-    assert maps.pi_words(1, 3) == [
+    assert list(maps.pi_words(1, 3)) == [
         ("sigma", "delta", "delta"),
         ("delta", "sigma", "delta"),
         ("delta", "delta", "sigma"),
     ]
-    assert len(maps.pi_words(2, 5)) == 10
+    assert len(list(maps.pi_words(2, 5))) == 10
+
+
+def test_pi_words_stream(monkeypatch):
+    """The first of C(60, 30) ≈ 1.2e17 words comes without building the rest.
+
+    Positions past the first raise, so an enumeration that builds its whole
+    list fails here instead of filling memory.
+    """
+    def first_only(pool, r):
+        combinations = itertools.combinations(pool, r)
+        yield next(combinations)
+        raise AssertionError("pi_words read past the word it was asked for")
+
+    monkeypatch.setattr(maps, "itertools", SimpleNamespace(combinations=first_only))
+    assert next(iter(maps.pi_words(30, 60))) == ("sigma",) * 30 + ("delta",) * 30
 
 
 def test_pi_recursion_matches_enumeration():

@@ -197,6 +197,66 @@ def test_shared_scan_memo_matches_fresh_scans(name, make_config):
     assert 0 < failures < len(queries)
 
 
+def _repeated_coefficient_elements(config, rng, bound):
+    """Seeded elements of up to three terms at distinct exponents, drawn from
+    two coefficients, their rational multiples and 1, so one coefficient
+    recurs at different exponents and one exponent carries different
+    coefficients across elements."""
+    ring = config.coefficients
+    pool = [ring.one] + [ring.random_element(rng) for _ in range(2)]
+    window = list(config.exponent_window(bound))
+    for _ in range(12):
+        exps = rng.sample(window, rng.randint(1, min(3, len(window))))
+        base = rng.choice(pool)
+        terms = {e: rng.choice([base, base.scale(Fraction(rng.randint(-3, 3) or 2, 3)),
+                                rng.choice(pool)])
+                 for e in exps}
+        yield poly.SkewPoly(config, {e: c for e, c in terms.items() if c})
+
+
+@pytest.mark.parametrize("name", [
+    name for name, doc in suites.ROSTER.items() if doc.get("shape") != poly.ORE
+])
+def test_right_slot_records_match_fresh_scans(name):
+    """Right-slot scans sharing one memo, so sharing the first failure recorded
+    per coefficient, return the verdicts and witnesses of fresh scans."""
+    config = suites.builtin(name)
+    bound = 1 if name.startswith("torus") else 2
+    memo = {}
+    failures = total = 0
+    for x in _repeated_coefficient_elements(config, random.Random(f"right-{name}"), bound):
+        query = structure.NucleusQuery(x, "right", bound)
+        shared = structure.nucleus_membership(query, memo)
+        fresh = structure.nucleus_membership(query)
+        assert shared.passed == fresh.passed, x
+        assert shared.witness == fresh.witness, x
+        failures += not shared.passed
+        total += 1
+    if not config.is_associative:
+        assert 0 < failures < total
+
+
+@pytest.mark.parametrize("name", ["weyl", "octonion-ore"])
+def test_ore_right_slot_records_match_the_span_search(name):
+    """c·X^k in the right slot, with one memo: each witness is the first of
+    the whole span × span search, whatever k the record was made at."""
+    config = suites.builtin(name)
+    ring = config.coefficients
+    rng = random.Random(f"ore-right-{name}")
+    span = config.spanning_set(2)
+    coeffs = ring.spanning_set(1) + [ring.random_element(rng) for _ in range(2)]
+    memo = {}
+    failures = 0
+    for k in (2, 0, 1):
+        for c in coeffs:
+            x = config.monomial(c, k)
+            outcome = structure.nucleus_membership(structure.NucleusQuery(x, "right", 2), memo)
+            assert outcome.witness == rings.first_associator(span, span, [x]), x
+            assert outcome.passed == (outcome.witness is None)
+            failures += not outcome.passed
+    assert (failures > 0) == (not config.is_associative)
+
+
 def test_builtin_roster_matches_direct_construction():
     """Each roster document builds, through load_config, the ring built directly."""
     qy = poly.RingConfig(Q, maps.make_twist(Q, "identity"), None, "Y", poly.ORE)
@@ -289,7 +349,7 @@ def test_torus_nuclearity_verdict_memo(monkeypatch):
     monkeypatch.setattr(structure, "nucleus_membership", capturing_scan)
     _torus_bound3_scans()
     assert all(memo is memos[0] for memo in memos)
-    ((ops, verdicts),) = memos[0].values()
+    ((ops, verdicts, _, _),) = memos[0].values()
     assert len(verdicts) == 432
     assert len(ops._intern) == 128
     assert all(_reduced(key[3]) for key in verdicts)
@@ -401,7 +461,7 @@ def test_scan_verdicts_match_plain_arithmetic(name, make_config):
     for query in _mixed_queries(config, random.Random(f"verdicts-{name}")):
         structure.nucleus_membership(query, memo)
     checked = 0
-    for (_, bound), (ops, verdicts) in memo.items():
+    for (_, bound), (ops, verdicts, _, _) in memo.items():
         parts = {id(part): part for part in ops._intern.values()}
         coeffs = config.coefficients.spanning_set(bound)
         for (i1, i2, i3, ratio), failing in verdicts.items():
@@ -720,6 +780,53 @@ def test_associativity_certificate_product_budget(monkeypatch):
         # 8,428 SkewPoly products
         assert products == 4
         assert skew_products == 0
+
+
+def test_nuclei_suite_operation_budget(monkeypatch):
+    """One nuclei run's coefficient products, polynomial products and scans,
+    pinned; with one memo per check the suite made 2,561, 112 and 160. The
+    second run repeats the count, so no memo outlives its run."""
+    for config in suites._laurent_roster() + [suites.builtin("gaussian-q-1")]:
+        for bound in (3, 4):  # build the cached spans outside the count
+            config.coefficients.spanning_set(bound)
+    count = _count_skew_products(monkeypatch)
+    products = scans = 0
+    ring_mul = rings.AlgebraElement.__mul__
+    scan = structure._laurent_nucleus_scan
+
+    def counted_mul(self, other):
+        nonlocal products
+        products += 1
+        return ring_mul(self, other)
+
+    def counted_scan(*args):
+        nonlocal scans
+        scans += 1
+        return scan(*args)
+
+    monkeypatch.setattr(rings.AlgebraElement, "__mul__", counted_mul)
+    monkeypatch.setattr(structure, "_laurent_nucleus_scan", counted_scan)
+    for _ in range(2):
+        count[0] = products = scans = 0
+        assert suites.run_suite("nuclei").ok
+        assert (products, count[0], scans) == (378, 56, 112)
+
+
+@pytest.mark.parametrize("name", [None, "weyl", "octonion-ore"])
+def test_nuclei_suite_shared_memo_matches_fresh_memos(monkeypatch, name):
+    """The nuclei suite with one memo per run against a fresh memo per query:
+    the same statuses and witnesses, on the built-in roster and on configs."""
+    cli_config = None if name is None else load_config(suites.ROSTER[name])
+
+    def records():
+        return [(c.id, c.status, c.witness) for c in suites.run_suite("nuclei", cli_config).checks]
+
+    shared = records()
+    scan, inverse = structure.nucleus_membership, structure.nuclear_inverse_check
+    monkeypatch.setattr(structure, "nucleus_membership", lambda query, memo=None: scan(query))
+    monkeypatch.setattr(structure, "nuclear_inverse_check",
+                        lambda x, hypothesis, bound, memo=None: inverse(x, hypothesis, bound))
+    assert records() == shared
 
 
 # -- nuclear inverse lemma ----------------------------------------------------------
