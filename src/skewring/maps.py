@@ -28,10 +28,12 @@ pi_i^m, each the sum of all words in i sigmas and m-i deltas. One
 dynamic-programming sweep, :func:`pi_rows`, yields every row
 pi_0^k(s), ..., pi_k^k(s) for k = 0..m, so a product reads all the
 rows one right-hand coefficient needs from a single sweep. A
-:class:`PiFamily` caches the last row of a sweep, keyed by the value of
+:class:`PiFamily` caches each requested row, keyed by the value of
 (m, s), for as long as the family lives, so :func:`pi_apply` is a row
-lookup. The word enumeration (:func:`pi_word_sum`) applies the twists
-itself and stays as the oracle.
+lookup. A miss resumes the sweep of s from the furthest row it has
+reached, so asking for m = 0, 1, 2, ... in turn costs one sweep. The
+word enumeration (:func:`pi_word_sum`) applies the twists itself and
+stays as the oracle.
 """
 
 from __future__ import annotations
@@ -369,36 +371,46 @@ def make_twist(ring, kind, **params):
 class PiFamily(Keyed):
     """A sigma/delta pair driving the Ore product's operator sums.
 
-    The row cache is keyed by the value of (m, s), takes no part in
-    equality or hashing, and lives exactly as long as the family.
+    The row cache is keyed by the value of (m, s) and holds only the
+    requested rows; ``_front`` maps each s to the furthest m swept. Both
+    take no part in equality or hashing and live exactly as long as the
+    family.
     """
 
     def __init__(self, sigma, delta=None):
-        self.sigma, self.delta, self._rows = sigma, delta, {}
+        self.sigma, self.delta, self._rows, self._front = sigma, delta, {}, {}
 
     def _key(self):
         return (self.sigma, self.delta)
 
     def row(self, m, s):
-        """(pi_0^m(s), ..., pi_m^m(s)): the last row of ``pi_rows``, once per (m, s) value."""
+        """(pi_0^m(s), ..., pi_m^m(s)), swept once per (m, s) value.
+
+        A miss at m at or past the front of s resumes from the front row;
+        a miss below it sweeps again from row 0.
+        """
         key = (m, s)
         cached = self._rows.get(key)
         if cached is None:
-            for cached in pi_rows(self, m, s):
+            k = self._front.get(s, -1)
+            start = (k, self._rows[k, s]) if 0 <= k <= m else None
+            for cached in pi_rows(self, m, s, start):
                 pass
             self._rows[key] = cached
+            self._front[s] = max(k, m)
         return cached
 
 
-def pi_rows(fam, m, s):
+def pi_rows(fam, m, s, start=None):
     """The rows k = 0..m of the pi table of s, (pi_0^k(s), ..., pi_k^k(s)), in one sweep.
 
     Row k comes from row k-1 by pi(i,k) = sigma∘pi(i-1,k-1) + delta∘pi(i,k-1),
     so row k applies sigma k times and delta (when there is one) k times.
+    A ``start`` pair (k0, row k0) begins the sweep there, at row k0.
     """
-    row = (s,)
+    k0, row = start or (0, (s,))
     yield row
-    for k in range(1, m + 1):
+    for k in range(k0 + 1, m + 1):
         nxt = []
         for i in range(k + 1):
             value = None

@@ -18,6 +18,7 @@ quantum torus arise; configs are shareable read-only.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 from .errors import (
@@ -602,12 +603,14 @@ def validate_d_structure(d, exponents, elements):
     from it, and D0's finite-support check probes a margin beyond the
     declared support inside the window. Each axiom is a pass detail and
     a lazy stream of failing samples; an axiom passes when its stream is
-    empty, and a failing one reports its first failing sample.
+    empty, and a failing one reports its first failing sample. A memo
+    local to the call evaluates ``d.pi`` once per (a, b, r) value, which
+    D3 and D4 revisit.
     """
     exps = [a for a in exponents if d.in_monoid(a)]
     one = elements[0].ring.one
     zero = elements[0].ring.zero
-    pi = d.pi
+    pi = lru_cache(maxsize=None)(d.pi)
     window = range(min(exps) - 2, max(exps) + 3)
 
     def d4_failures():

@@ -159,9 +159,9 @@ class CompiledAlgebra:
         return el.coords
 
     def random_element(self, rng):
-        return self.unflatten(tuple(
-            Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-            for _ in range(self.dimension)
+        """Coordinates n/d with n in -6..6 and d in 1..3, drawn n then d, over 6."""
+        return self.from_pair(linalg.canonical(
+            [rng.randint(-6, 6) * (6 // rng.randint(1, 3)) for _ in range(self.dimension)], 6
         ))
 
     @property

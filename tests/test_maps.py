@@ -382,6 +382,54 @@ def test_pi_row_is_the_last_row_of_the_sweep():
                 assert list(row) == [maps.pi_word_sum(fam, i, m, s) for i in range(m + 1)]
 
 
+_ROW_ORDERS = {
+    "ascending": list(range(7)),
+    "descending": list(range(6, -1, -1)),
+    "interleaved": [3, 0, 5, 1, 6, 2, 4],
+}
+
+
+@pytest.mark.parametrize("order", list(_ROW_ORDERS))
+def test_resumed_rows_match_fresh_sweeps(order):
+    """Rows asked for in any order, for two elements in turn, equal a fresh sweep and the words."""
+    requests = _ROW_ORDERS[order]
+    for ring, fam in [*pi_families(), nested_ore_family()]:
+        rng = random.Random(21)
+        elements = [ring.random_element(rng) for _ in range(2)]
+        for m in requests:
+            for s in elements:
+                row = fam.row(m, s)
+                assert row == list(maps.pi_rows(fam, m, s))[-1]
+                assert list(row) == [maps.pi_word_sum(fam, i, m, s) for i in range(m + 1)]
+        assert fam._front == {s: max(requests) for s in elements}
+
+
+def test_pi_sweeps_resume_at_the_front_and_keep_only_requested_rows():
+    qy = poly_ring()
+    calls = [0]
+
+    def counted(tm):
+        def apply(el):
+            calls[0] += 1
+            return tm(el)
+        return apply
+
+    fam = maps.PiFamily(counted(maps.make_twist(qy, "identity")),
+                        counted(maps.make_twist(qy, "derivative")))
+    s = qy.random_element(random.Random(22))
+    # row k applies sigma k times and delta k times
+    for m, first_row, rows, front in [
+        (200, 1, [200], 200),
+        (210, 201, [200, 210], 210),  # resumed at the front row
+        (5, 1, [200, 210, 5], 210),   # below the front: swept again from row 0
+    ]:
+        calls[0] = 0
+        maps.pi_apply(fam, 0, m, s)
+        assert calls[0] == sum(2 * k for k in range(first_row, m + 1))
+        assert list(fam._rows) == [(k, s) for k in rows]
+        assert fam._front == {s: front}
+
+
 class DroppedDeltaFamily(maps.PiFamily):
     """A mutant whose row ``m`` keeps only the sigma term of entry ``i``."""
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -313,10 +314,12 @@ class CountingTwist(maps.TwistMap):
 
 
 def test_d_structure_ore_octonion_twist_budget():
-    # with the pi rows cached on the family this takes 5,170 sigma/delta
-    # applications; rebuilt on every pi_apply call it took 47,550. The
-    # count is deterministic, so a dropped cache fails here without any
-    # timing noise.
+    # with the pi rows cached on the family, each sweep resumed from the
+    # furthest row of its coefficient, and each pi value evaluated once per
+    # validation, this takes 1,980 sigma/delta applications; with sweeps
+    # restarted at row 0 and no per-call memo it took 5,170, and rebuilt
+    # on every pi_apply call 47,550. The count is deterministic, so a
+    # dropped cache or memo fails here without any timing noise.
     sigma = maps.make_twist(O, "conjugation")
     delta = maps.standard_derivation(O.basis_element(1), O.basis_element(2))
     counts = []
@@ -331,7 +334,43 @@ def test_d_structure_ore_octonion_twist_budget():
         assert report.ok
         counts.append(counter[0])
     # the cache lives with its family, so a fresh family starts cold
-    assert counts == [5170, 5170]
+    assert counts == [1980, 1980]
+
+
+def test_d_structure_validation_evaluates_each_pi_value_once():
+    base = poly.ore_d_structure(
+        maps.make_twist(O, "conjugation"),
+        maps.standard_derivation(O.basis_element(1), O.basis_element(2)),
+    )
+    seen = Counter()
+
+    def pi(a, b, r):
+        seen[a, b, r] += 1
+        return base.pi(a, b, r)
+
+    family = poly.DStructure(base.monoid, base.name, pi, base.support)
+    rng = random.Random(41)
+    elements = [O.random_element(rng) for _ in range(3)]
+    assert poly.validate_d_structure(family, range(0, 6), elements).ok
+    assert seen and set(seen.values()) == {1}
+    # the memo dies with the call: a second validation evaluates everything again
+    assert poly.validate_d_structure(family, range(0, 6), elements).ok
+    assert set(seen.values()) == {2}
+
+
+def test_d_structure_non_additive_family_fails_d3():
+    base = poly.ore_d_structure(maps.make_twist(G, "conjugation"), maps.make_twist(G, "zero"))
+
+    def shifted(a, b, r):
+        """Non-additive at (a, b) = (3, 3) only: adds 1."""
+        value = base.pi(a, b, r)
+        return value + G.one if (a, b) == (3, 3) else value
+
+    rng = random.Random(37)
+    elements = [G.random_element(rng) for _ in range(3)]
+    family = poly.DStructure("naturals", "shifted", shifted, base.support)
+    report = poly.validate_d_structure(family, range(0, 5), elements)
+    assert any(axiom == "D3" and not passed for axiom, passed, _ in report.entries)
 
 
 def test_d_structure_rejects_unknown_monoid():

@@ -349,6 +349,19 @@ def test_random_additive_group_axioms():
             assert a + spec.zero == a
 
 
+def test_random_element_matches_fraction_draws():
+    """The integer draw gives the pair the Fraction draw did, from the same randint calls."""
+    for spec in (rings.rationals(), G, H, O, rings.sedenions(), rings.matrix_algebra(G, 2)):
+        fast, slow = random.Random(17), random.Random(17)
+        for _ in range(100):
+            drawn = spec.random_element(fast)
+            oracle = spec.unflatten(tuple(
+                Fraction(slow.randint(-6, 6), slow.randint(1, 3)) for _ in range(spec.dimension)
+            ))
+            assert drawn.pair == oracle.pair
+        assert fast.getstate() == slow.getstate()
+
+
 def test_distributivity_exhaustive_on_basis():
     for spec in (G, H, O):
         basis = spec.basis_elements()
