@@ -16,10 +16,11 @@ cross-multiplication and divided by the gcd of their entries, which
 bounds entry growth like Bareiss's division does), and ``solve_pair``
 applies the recorded row operations to a right-hand side's pair, one
 integer matrix-vector product and one ``canonical`` per solve. A
+one-off solve (``solve_columns``) eliminates ``[M | b]`` instead. A
 solution sets the free variables to 0, so it is the one that reduced
 row echelon form gives, and reduced row echelon form is unique: the
 results equal those of elimination over ``Fraction`` rows. ``solve``
-and ``invert_matrix`` are the same path on ``Fraction`` matrices.
+and ``invert_matrix`` are the same paths on ``Fraction`` matrices.
 """
 
 from __future__ import annotations
@@ -119,6 +120,13 @@ def _eliminate(rows, n_cols):
     return pivot_cols
 
 
+def _augmented(columns, blocks):
+    """The integer rows ``[C | blocks[i]]`` of ``[M | B]`` for M = C / den, and den."""
+    den = lcm(*[d for _, d in columns])
+    cols = [[v * (den // d) for v in nums] for nums, d in columns]
+    return [[col[i] for col in cols] + block for i, block in enumerate(blocks)], den
+
+
 def factor(columns):
     """The factorisation of the matrix whose j-th column has the pair ``columns[j]``.
 
@@ -134,11 +142,8 @@ def factor(columns):
     """
     n_cols = len(columns)
     n_rows = len(columns[0][0]) if columns else 0
-    den = lcm(*[d for _, d in columns])
-    cols = [[v * (den // d) for v in nums] for nums, d in columns]
     # the unit entry keeps every initial row primitive
-    rows = [[col[i] for col in cols] + [int(k == i) for k in range(n_rows)]
-            for i in range(n_rows)]
+    rows, den = _augmented(columns, [[int(k == i) for k in range(n_rows)] for i in range(n_rows)])
     pivot_cols = _eliminate(rows, n_cols)
     rank = len(pivot_cols)
     pivots = [row[c] for row, c in zip(rows, pivot_cols)]
@@ -173,15 +178,33 @@ def solve_pair(factored, pair):
     return canonical(x, den * scale)
 
 
+def solve_columns(columns, pair):
+    """``solve_pair(factor(columns), pair)`` by one elimination of ``[M | b]``, not ``[M | I]``.
+
+    As in ``factor``, a pivot variable is den·b_r / pivot, here over b's
+    denominator; free variables are 0, so the two solutions agree.
+    """
+    nums, d = pair
+    rows, den = _augmented(columns, [[v] for v in nums])
+    pivot_cols = _eliminate(rows, len(columns))
+    if any(row[-1] for row in rows[len(pivot_cols):]):
+        return None
+    pivots = [row[c] for row, c in zip(rows, pivot_cols)]
+    common = lcm(*pivots)
+    x = [0] * len(columns)
+    for row, c, p in zip(rows, pivot_cols, pivots):
+        x[c] = den * row[-1] * (common // p)
+    return canonical(x, common * d)
+
+
 def solve(matrix, rhs):
     """Solve matrix·x = rhs exactly; return a solution or None if inconsistent.
 
     The system may be rectangular or singular; free variables are set to 0.
     """
-    if not matrix or not matrix[0]:  # no unknowns: factor needs a column
+    if not matrix or not matrix[0]:  # no unknowns: no column to eliminate
         return None if any(rhs) else []
-    factored = factor([integer_vector(col) for col in zip(*matrix)])
-    solution = solve_pair(factored, integer_vector(rhs))
+    solution = solve_columns([integer_vector(col) for col in zip(*matrix)], integer_vector(rhs))
     return None if solution is None else list(fraction_vector(*solution))
 
 

@@ -686,20 +686,19 @@ def invert_element(ring, el):
     its solution x (free variables 0) also has x·el = 1, and then x is
     the stacked system's solution too, since every free variable of the
     stacked system is free in the left one. Only otherwise is the stacked
-    system factored.
+    system solved. Each system has one right-hand side, so each is one
+    elimination of ``[M | b]`` (``linalg.solve_columns``), with no factoring.
     """
-    one = ring.one
-    x = ring.solver(el, "left")(one)
+    one = ring.one.pair
+    x = linalg.solve_columns(ring._operator_columns(el, ("left",)), one)
     if x is None:
         raise NotInvertibleError("not invertible")
-    if ring.mul_pairs(x.pair, el.pair) == one.pair:
-        return x
-    nums, den = one.pair
-    factored = linalg.factor(ring._operator_columns(el, ("left", "right")))
-    solution = linalg.solve_pair(factored, (nums + nums, den))
-    if solution is None:
-        raise NotInvertibleError("not invertible")
-    return ring.from_pair(solution)
+    if ring.mul_pairs(x, el.pair) != one:
+        nums, den = one
+        x = linalg.solve_columns(ring._operator_columns(el, ("left", "right")), (nums + nums, den))
+        if x is None:
+            raise NotInvertibleError("not invertible")
+    return ring.from_pair(x)
 
 
 class Divisors(dict):

@@ -11,7 +11,15 @@ slot is cut to the first block (lowest exponent) finds the first witness.
 Its right-slot corollary: (u, v, c·V^k) = (u, v, c)·V^k, so with the
 queried element c·V^k in the right slot the first failing (u, v) depends
 on c alone (up to c's rational scalar, which cancels), and a scan
-records it once per coefficient.
+records it once per coefficient. If c = q·1 then (u, v, c) = q·(uv - uv)
+= 0, as 1 is a unit of S (sigma(1) = 1, delta(1) = 0): a right-slot query
+whose coefficients all lie in Q·1 passes with no scan (rational lemma).
+The left-slot corollary: with x = t·X^k, u = a·X^m and v = b, the laurent
+identity (t·sigma^k(a))·sigma^(k+m)(b) = t·sigma^k(a·sigma^m(b)) reads,
+for b' = sigma^m(b), (t·sigma^k(a))·sigma^k(b') = t·sigma^k(a·b'), free
+of m. sigma^m maps the span of the coefficient spanning set onto itself
+(a bijective linear sigma on a finite-dimensional R; the polynomial twists
+keep Y-degrees), so u is scanned at one exponent, the window's lowest.
 
 The reduction algorithms (central quotient rewriting, shrink-based
 simplicity probing, monic left division, right reduction) mirror the
@@ -190,7 +198,9 @@ def _slot_triple(side, x, u, v):
 
 
 def _memo_entry(memo, config, degree_bound):
-    """The memo's (ops, verdicts, right-slot records, outcomes) of one config and bound."""
+    """The memo's (ops, verdicts, right-slot records, outcomes) of one config and
+    bound; the outcomes also map each element x that ``nuclear_inverse_check``
+    inverted to x⁻¹, or None."""
     key = (config, degree_bound)
     if key not in memo:
         memo[key] = (_ScaledOps(config.sigma), {}, {}, {})
@@ -227,7 +237,9 @@ def _laurent_nucleus_scan(query, entry):
     In the right slot the term exponent k never enters (the module's
     right-slot corollary) and the term's scalar cancels from the ratio,
     so a term's first failing (a, m, b, n) is recorded under its interned
-    normalised part; ``report`` rebuilds the witness from x itself.
+    normalised part; ``report`` rebuilds the witness from x itself. The
+    left slot fails at some exponent m of u iff at the lowest (the module's
+    left-slot corollary), so it scans that one and finds the same witness.
 
     ``entry`` is the memo entry of ``(config, degree_bound)``: the
     ``_ScaledOps``, the verdict dict and the right-slot records. None
@@ -292,17 +304,18 @@ def _laurent_nucleus_scan(query, entry):
     # Distinct x-term exponents land on distinct result exponents, so the
     # accumulated associator vanishes iff every term's contribution does.
     # In the left and middle slots v is last, so by the shift lemma it is
-    # checked at exponent 0 and that covers its whole exponent range.
+    # checked at exponent 0 and that covers its whole exponent range; in
+    # the left slot u's exponent is fixed too (the left-slot corollary).
     if side == "left":
-        for m in exps:
-            for a in split_coeffs:
-                ta = [(twist(k, a), k, t) for k, t in x_terms]
-                for b in split_coeffs:
-                    for pre, k, t in ta:
-                        lhs = mul(mul(t, pre), twist(k + m, b))
-                        rhs = mul(t, twist(k, mul(a, twist(m, b))))
-                        if not equal(lhs, rhs):
-                            return report(a, m, b, 0)
+        m = exps[0]
+        for a in split_coeffs:
+            ta = [(twist(k, a), k, t) for k, t in x_terms]
+            for b in split_coeffs:
+                for pre, k, t in ta:
+                    lhs = mul(mul(t, pre), twist(k + m, b))
+                    rhs = mul(t, twist(k, mul(a, twist(m, b))))
+                    if not equal(lhs, rhs):
+                        return report(a, m, b, 0)
         return CheckOutcome(True)
 
     if side == "middle":
@@ -352,17 +365,22 @@ def nucleus_membership(query, memo=None):
     records and, on laurent configs, coefficient products and slot
     verdicts, and return exactly what fresh queries return. ``None``
     gives the query a fresh memo. Keep one memo per suite run, not
-    longer: it holds every product it has seen. An ore right-slot query
-    of c·V^k searches span × span once per c (the module's right-slot
-    corollary) and rebuilds each witness from the recorded pair.
+    longer: it holds every product it has seen. A right-slot query whose
+    coefficients all lie in Q·1 passes by the module's rational lemma,
+    with no scan. An ore right-slot query of c·V^k searches span × span
+    once per c (the module's right-slot corollary) and rebuilds each
+    witness from the recorded pair.
     """
     x = query.element
     config = x.config
     entry = _memo_entry({} if memo is None else memo, config, query.degree_bound)
-    _, _, rights, outcomes = entry
+    ops, _, rights, outcomes = entry
     if query in outcomes:
         return outcomes[query]
-    if config.shape == LAURENT:
+    one = ops.split(config.coefficients.one)[1]  # Q·1 is one normalised part
+    if query.side == "right" and all(ops.split(c)[1] is one for c in x.terms.values()):
+        outcome = CheckOutcome(True)
+    elif config.shape == LAURENT:
         outcome = _laurent_nucleus_scan(query, entry)
     else:
         span, block = config.span_and_block(query.degree_bound)
@@ -449,16 +467,22 @@ def nuclear_inverse_check(x, hypothesis, degree_bound, memo=None):
     implies x⁻¹ in N_m; "mr": x in N_m∩N_r implies x⁻¹ in N_r. If the
     hypothesis fails on x the clause holds vacuously and the report says
     so; otherwise the concluded side is checked for x⁻¹. ``memo`` is
-    passed to every query, as in ``nucleus_membership``.
+    passed to every query, as in ``nucleus_membership``, and x is inverted
+    once per memo.
     """
     if hypothesis not in _HYPOTHESES:
         raise ConstructionError(f"unknown hypothesis: {hypothesis}")
     hyp_sides, conclusion_side = _HYPOTHESES[hypothesis]
-    try:
-        x_inv = x.config.invert(x)
-    except NotInvertibleError:
-        raise ReductionError("inverse not representable") from None
     memo = {} if memo is None else memo
+    inverses = _memo_entry(memo, x.config, degree_bound)[3]
+    if x not in inverses:
+        try:
+            inverses[x] = x.config.invert(x)
+        except NotInvertibleError:
+            inverses[x] = None
+    x_inv = inverses[x]
+    if x_inv is None:
+        raise ReductionError("inverse not representable")
     checks = {
         side: nucleus_membership(NucleusQuery(x, side, degree_bound), memo)
         for side in hyp_sides

@@ -638,3 +638,42 @@ def test_invert_matches_stacked_oracle(ring, el):
     except NotInvertibleError:
         out = None
     assert out == (None if expected is None else tuple(expected))
+
+
+def _coefficient_systems(ring, rng):
+    """Seeded systems of ``ring``: the left and stacked operators of a random
+    element, of one, and of a singular divisor when ``ring`` has one, and the
+    singular commutator map u -> c·u - u·c (one is in its kernel)."""
+    c = ring.random_element(rng)
+    basis = ring.basis_elements()
+    singular = {"SS": _S[3] + _S[10], "M2(QQ)": _E[0]}.get(ring.describe())
+    for el in (c, ring.one) + ((singular,) if singular else ()):
+        yield ring._operator_columns(el, ("left",))
+        yield ring._operator_columns(el, ("left", "right"))
+    yield [(c * e - e * c).pair for e in basis]
+
+
+@pytest.mark.parametrize("ring", [rings.octonions(), SS, matrix_units().basis_elements()[0].ring],
+                         ids=["OO", "SS", "M2(QQ)"])
+def test_one_off_solve_matches_the_factored_solve(ring):
+    """``solve_columns`` eliminates [M | b] once; ``solve_pair`` applies the
+    factorisation of [M | I]. Both give reduced row echelon form's solution,
+    on consistent and inconsistent right-hand sides of square, stacked and
+    singular systems."""
+    rng = random.Random(f"solve-{ring.describe()}")
+    outcomes = set()
+    for columns in _coefficient_systems(ring, rng):
+        factored = linalg.factor(columns)
+        n_rows = len(columns[0][0])
+        weights = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in columns]
+        image = [sum((Fraction(nums[i], den) * w for (nums, den), w in zip(columns, weights)),
+                     ZERO) for i in range(n_rows)]
+        noise = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n_rows)]
+        unit = [ONE] + [ZERO] * (n_rows - 1)
+        for rhs in (image, noise, unit):
+            pair = linalg.integer_vector(rhs)
+            out = linalg.solve_columns(columns, pair)
+            assert out == linalg.solve_pair(factored, pair)
+            outcomes.add((len(factored[0]) < len(columns), out is None))
+    # singular systems, and right-hand sides with and without a solution
+    assert {(True, True), (True, False), (False, False)} <= outcomes

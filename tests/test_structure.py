@@ -156,6 +156,69 @@ def test_nucleus_scan_matches_exhaustive_oracle(name, make_config, bound, powers
     assert {(s, v) for s in ("middle", "right") for v in expected} <= verdicts
 
 
+def _full_window_left_scan(x, bound):
+    """The left-slot scan over every exponent m of u = a·X^m: the loop that the
+    one-exponent scan replaced, kept as its oracle. The first failing (m, a, b)
+    in that order, rebuilt by the generic search, or None."""
+    config = x.config
+    ops = structure._ScaledOps(config.sigma)
+    coeffs = config.coefficients.spanning_set(bound)
+    split = [ops.split(c) for c in coeffs]
+    x_terms = [(k, ops.split(t)) for k, t in sorted(x.terms.items())]
+    for m in config.exponent_window(bound):
+        for a, ca in zip(split, coeffs):
+            for b, cb in zip(split, coeffs):
+                for k, t in x_terms:
+                    lhs = ops.mul(ops.mul(t, ops.twist(k, a)), ops.twist(k + m, b))
+                    rhs = ops.mul(t, ops.twist(k, ops.mul(a, ops.twist(m, b))))
+                    if not ops.equal(lhs, rhs):
+                        u, v = config.monomial(ca, m), config.constant(cb)
+                        return rings.first_associator([x], [u], [v])
+    return None
+
+
+def _seeded_h_twist_config():
+    """H[X±; sigma] for a seeded matrix sigma that fixes 1 and is no automorphism."""
+    H = rings.quaternions()
+    rng = random.Random("h-matrix-twist")
+    while True:
+        rows = [[int(i == 0)] + [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
+                for i in range(4)]
+        try:
+            config = poly.RingConfig(H, maps.make_twist(H, "matrix", matrix=rows),
+                                     None, "X", poly.LAURENT)
+        except ConstructionError:  # not bijective: draw again
+            continue
+        assert "automorphism" not in maps.classify_multiplicativity(config.sigma)
+        return config
+
+
+@pytest.mark.parametrize("name", [
+    *(name for name, doc in suites.ROSTER.items() if doc.get("shape") != poly.ORE),
+    "H-matrix-twist",
+])
+def test_left_scan_at_one_exponent_matches_the_full_window(name):
+    """The left slot scanned at the lowest exponent against the full-window loop,
+    at bounds 1 to 4: the same verdict and the same witness."""
+    config = _seeded_h_twist_config() if name == "H-matrix-twist" else suites.builtin(name)
+    rng = random.Random(f"left-{name}")
+    failures = 0
+    for bound in (1, 2, 3, 4):
+        window = list(config.exponent_window(bound))
+        ring = config.coefficients
+        elements = [config.gen, config.variable_power(window[0]),
+                    poly.SkewPoly(config, poly.random_terms(ring, rng, rng.sample(window, 2)))]
+        elements += [config.constant(c) for c in ring.spanning_set(0)[1:2]]
+        for x in elements:
+            outcome = structure.nucleus_membership(structure.NucleusQuery(x, "left", bound))
+            witness = _full_window_left_scan(x, bound)
+            assert outcome.passed == (witness is None), (x, bound)
+            assert outcome.witness == witness, (x, bound)
+            failures += not outcome.passed
+    if not config.is_associative:
+        assert failures
+
+
 def _mixed_queries(config, rng):
     """X^n, constants and random elements in every slot, at bounds 2 and 1 in turn."""
     ring = config.coefficients
@@ -257,6 +320,30 @@ def test_ore_right_slot_records_match_the_span_search(name):
     assert (failures > 0) == (not config.is_associative)
 
 
+@pytest.mark.parametrize("name", sorted(suites.ROSTER))
+def test_rational_right_slot_lemma_matches_the_span_search(monkeypatch, name):
+    """A right-slot query whose coefficients lie in Q·1 passes with no scan and
+    no triple search, and the uncut span × span search finds no witness either,
+    at bounds 1 to 4; torus-octonion only at bound 1, where the search takes
+    0.3 s (about 22 s at bound 4)."""
+    config = suites.builtin(name)
+    one = config.coefficients.one
+
+    def no_search(*args):
+        raise AssertionError("the rational lemma ran a search")
+
+    for bound in (1,) if name == "torus-octonion" else (1, 2, 3, 4):
+        window = list(config.exponent_window(bound))
+        x = config.from_terms({window[0]: one.scale(Fraction(-1, 3)), window[-1]: one.scale(2)})
+        with monkeypatch.context() as patched:
+            patched.setattr(structure, "_laurent_nucleus_scan", no_search)
+            patched.setattr(structure, "first_associator", no_search)
+            outcome = structure.nucleus_membership(structure.NucleusQuery(x, "right", bound))
+        span = config.spanning_set(bound)
+        assert outcome.passed and outcome.witness is None
+        assert rings.first_associator(span, span, [x]) is None, (x, bound)
+
+
 def test_builtin_roster_matches_direct_construction():
     """Each roster document builds, through load_config, the ring built directly."""
     qy = poly.RingConfig(Q, maps.make_twist(Q, "identity"), None, "Y", poly.ORE)
@@ -323,13 +410,15 @@ def _assert_torus_budget(monkeypatch, run, products, scans):
 
 def test_torus_nuclearity_product_budget(monkeypatch):
     """The bound-3 torus scans' coefficient products, pinned; 45,088 with one
-    memo per scan."""
-    _assert_torus_budget(monkeypatch, _torus_bound3_scans, 5920, 12)
+    memo per scan, and 5,920 when X^n's right-slot queries were scans, not
+    the rational right-slot lemma."""
+    _assert_torus_budget(monkeypatch, _torus_bound3_scans, 5896, 12)
 
 
 def test_torus_nuclearity_check_budget(monkeypatch):
-    """The torus check's products: 832 check P2, the rest are four bound-1 scans."""
-    _assert_torus_budget(monkeypatch, suites._check_torus_nuclearity, 1808, 4)
+    """The torus check's products: 832 check P2, the rest are four bound-1
+    queries, three of them scans (1,808 when X's right-slot query was one)."""
+    _assert_torus_budget(monkeypatch, suites._check_torus_nuclearity, 1800, 4)
 
 
 def _reduced(scalar):
@@ -338,7 +427,9 @@ def _reduced(scalar):
 
 
 def test_torus_nuclearity_verdict_memo(monkeypatch):
-    """Equal ratios share one verdict key; a non-canonical key adds entries."""
+    """Equal ratios share one verdict key; a non-canonical key adds entries.
+    The right-slot queries of X^n pass by the rational lemma, so they add
+    none (432 when they were scans)."""
     memos = []
     scan = structure.nucleus_membership
 
@@ -350,7 +441,7 @@ def test_torus_nuclearity_verdict_memo(monkeypatch):
     _torus_bound3_scans()
     assert all(memo is memos[0] for memo in memos)
     ((ops, verdicts, _, _),) = memos[0].values()
-    assert len(verdicts) == 432
+    assert len(verdicts) == 380
     assert len(ops._intern) == 128
     assert all(_reduced(key[3]) for key in verdicts)
 
@@ -783,33 +874,38 @@ def test_associativity_certificate_product_budget(monkeypatch):
 
 
 def test_nuclei_suite_operation_budget(monkeypatch):
-    """One nuclei run's coefficient products, polynomial products and scans,
-    pinned; with one memo per check the suite made 2,561, 112 and 160. The
-    second run repeats the count, so no memo outlives its run."""
+    """One nuclei run's coefficient products, polynomial products, scans,
+    scaled products and inversions, pinned. With one memo per check the
+    suite made 2,561 coefficient products, 112 polynomial products and 160
+    scans. With left scans over the whole exponent window, right-slot scans
+    of X^n and an inversion per hypothesis it made 378, 56, 112, 7,728 and
+    36. The second run repeats the count, so no memo outlives its run."""
     for config in suites._laurent_roster() + [suites.builtin("gaussian-q-1")]:
         for bound in (3, 4):  # build the cached spans outside the count
             config.coefficients.spanning_set(bound)
     count = _count_skew_products(monkeypatch)
-    products = scans = 0
-    ring_mul = rings.AlgebraElement.__mul__
-    scan = structure._laurent_nucleus_scan
+    calls = {}
 
-    def counted_mul(self, other):
-        nonlocal products
-        products += 1
-        return ring_mul(self, other)
+    def counted(owner, name):
+        method = getattr(owner, name)
+        calls[name] = 0
 
-    def counted_scan(*args):
-        nonlocal scans
-        scans += 1
-        return scan(*args)
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
 
-    monkeypatch.setattr(rings.AlgebraElement, "__mul__", counted_mul)
-    monkeypatch.setattr(structure, "_laurent_nucleus_scan", counted_scan)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(rings.AlgebraElement, "__mul__")
+    counted(structure, "_laurent_nucleus_scan")
+    counted(structure._ScaledOps, "mul")
+    counted(poly.RingConfig, "invert")
     for _ in range(2):
-        count[0] = products = scans = 0
+        count[0] = 0
+        calls.update(dict.fromkeys(calls, 0))
         assert suites.run_suite("nuclei").ok
-        assert (products, count[0], scans) == (378, 56, 112)
+        assert count[0] == 56
+        assert calls == {"__mul__": 378, "_laurent_nucleus_scan": 69, "mul": 2594, "invert": 12}
 
 
 @pytest.mark.parametrize("name", [None, "weyl", "octonion-ore"])
@@ -859,6 +955,34 @@ def test_nuclear_inverse_requires_invertible():
     config = cfg_q2()
     with pytest.raises(ReductionError, match="inverse not representable"):
         structure.nuclear_inverse_check(config.one + config.gen, "lm", 3)
+
+
+def test_nuclear_inverse_inverts_each_element_once_per_memo(monkeypatch):
+    """Every hypothesis of one element shares one inversion per memo, and a
+    failed inversion too: each hypothesis still raises ``ReductionError``."""
+    config = cfg_octonion()
+    calls = {}
+    invert = poly.RingConfig.invert
+
+    def counted(self, el):
+        calls[el] = calls.get(el, 0) + 1
+        return invert(self, el)
+
+    monkeypatch.setattr(poly.RingConfig, "invert", counted)
+    units = [config.gen, config.variable_power(-2), config.constant(O.basis_element(1))]
+    singular = config.one + config.gen
+    for _ in range(2):  # a memo lives for one caller, so a second one inverts again
+        memo = {}
+        for hypothesis in ("lm", "full", "mr"):
+            for x in units:
+                fresh = structure.nuclear_inverse_check(x, hypothesis, 2)
+                shared = structure.nuclear_inverse_check(x, hypothesis, 2, memo)
+                assert shared.hypothesis_satisfied == fresh.hypothesis_satisfied
+                assert (shared.conclusion is None) == (fresh.conclusion is None)
+            with pytest.raises(ReductionError, match="inverse not representable"):
+                structure.nuclear_inverse_check(singular, hypothesis, 2, memo)
+    # two shared memos, and a fresh one for each of the three hypotheses
+    assert calls == {**{x: 2 + 2 * 3 for x in units}, singular: 2}
 
 
 # -- central reduction ------------------------------------------------------------
