@@ -10,10 +10,10 @@ never depends on n, and a search over the exponent-major span whose last
 slot is cut to the first block (lowest exponent) finds the first witness.
 Its right-slot corollary: (u, v, c·V^k) = (u, v, c)·V^k, so with the
 queried element c·V^k in the right slot the first failing (u, v) depends
-on c alone (up to c's rational scalar, which cancels), and a scan
-records it once per coefficient. If c = q·1 then (u, v, c) = q·(uv - uv)
-= 0, as 1 is a unit of S (sigma(1) = 1, delta(1) = 0): a right-slot query
-whose coefficients all lie in Q·1 passes with no scan (rational lemma).
+on c alone (up to c's rational scalar, which cancels). If c = q·1 then
+(u, v, c) = q·(uv - uv) = 0, as 1 is a unit of S (sigma(1) = 1,
+delta(1) = 0): a right-slot query whose coefficients all lie in Q·1
+passes with no scan (rational lemma).
 The left-slot corollary: with x = t·X^k, u = a·X^m and v = b, the laurent
 identity (t·sigma^k(a))·sigma^(k+m)(b) = t·sigma^k(a·sigma^m(b)) reads,
 for b' = sigma^m(b), (t·sigma^k(a))·sigma^k(b') = t·sigma^k(a·b'), free
@@ -93,7 +93,7 @@ _ONE = (1, 1)
 
 
 class _ScaledOps:
-    """Memoized coefficient operations in scalar-split form.
+    """One config's nucleus memo: coefficient operations in scalar-split form.
 
     Elements are carried as (scalar, normalized element) pairs, where
     the normalized representative has its deterministically chosen first
@@ -106,6 +106,11 @@ class _ScaledOps:
     a ``Fraction`` is built only when ``split`` normalizes an element it
     has not seen. Two scalar-split values are equal iff their scalars
     match and their normalized parts are the same cached representative.
+
+    Products, twist powers and interned parts serve every degree bound.
+    ``verdicts`` holds the laurent scan's slot verdicts, ``outcomes`` maps
+    each ``NucleusQuery`` to its ``CheckOutcome``, and ``inverses`` each
+    element ``nuclear_inverse_check`` inverted to x⁻¹, or None.
     """
 
     def __init__(self, sigma):
@@ -114,6 +119,9 @@ class _ScaledOps:
         self._intern = {}
         self._powers = {}
         self._products = {}
+        self.verdicts = {}
+        self.outcomes = {}
+        self.inverses = {}
 
     @staticmethod
     def _first_scalar(el):
@@ -197,17 +205,14 @@ def _slot_triple(side, x, u, v):
     return (u, v, x)
 
 
-def _memo_entry(memo, config, degree_bound):
-    """The memo's (ops, verdicts, right-slot records, outcomes) of one config and
-    bound; the outcomes also map each element x that ``nuclear_inverse_check``
-    inverted to x⁻¹, or None."""
-    key = (config, degree_bound)
-    if key not in memo:
-        memo[key] = (_ScaledOps(config.sigma), {}, {}, {})
-    return memo[key]
+def _ops(memo, config):
+    """The memo's ``_ScaledOps`` of config, made on first use."""
+    if config not in memo:
+        memo[config] = _ScaledOps(config.sigma)
+    return memo[config]
 
 
-def _laurent_nucleus_scan(query, entry):
+def _laurent_nucleus_scan(query, ops):
     """Monomial-level exhaustion of the sided associator identities.
 
     The twisted monomial rule (r·X^m)(s·X^n) = (r·sigma^m(s))·X^(m+n)
@@ -235,28 +240,24 @@ def _laurent_nucleus_scan(query, entry):
     so the product cache fills exactly as with split values.
 
     In the right slot the term exponent k never enters (the module's
-    right-slot corollary) and the term's scalar cancels from the ratio,
-    so a term's first failing (a, m, b, n) is recorded under its interned
-    normalised part; ``report`` rebuilds the witness from x itself. The
-    left slot fails at some exponent m of u iff at the lowest (the module's
-    left-slot corollary), so it scans that one and finds the same witness.
+    right-slot corollary), so each term is scanned at its normalised part
+    and ``report`` rebuilds the witness from x itself. The left slot fails
+    at some exponent m of u iff at the lowest (the module's left-slot
+    corollary), so it scans that one and finds the same witness.
 
-    ``entry`` is the memo entry of ``(config, degree_bound)``: the
-    ``_ScaledOps``, the verdict dict and the right-slot records. None
-    depends on the queried element or slot: the products, twist powers
-    and interned parts depend on the config alone, and a verdict or
-    record names the first failure in the coefficient spanning set at
-    that bound. The ids in their keys stay valid because the entry's
-    ``_ScaledOps`` keeps every part it interned. So every scan of one
-    config and bound may share one entry and get the verdicts and
-    witnesses of a fresh scan.
+    ``ops`` is the config's memo. Nothing in it depends on the queried
+    element or slot; a verdict's key carries the bound, as a polynomial
+    coefficient ring's spanning set depends on it, and the ids in the keys
+    stay valid because ``ops`` keeps every part it interned. So scans that
+    share one ``ops`` get the verdicts and witnesses of fresh scans.
     """
     x = query.element
     config = x.config
     side = query.side
-    ops, verdicts, rights, _ = entry
-    coeffs = config.coefficients.spanning_set(query.degree_bound)
-    exps = list(config.exponent_window(query.degree_bound))
+    bound = query.degree_bound
+    verdicts = ops.verdicts
+    coeffs = config.coefficients.spanning_set(bound)
+    exps = list(config.exponent_window(bound))
     x_terms = [(k, ops.split(t)) for k, t in sorted(x.terms.items())]
     split_coeffs = [ops.split(c) for c in coeffs]
     equal = _ScaledOps.equal
@@ -281,7 +282,7 @@ def _laurent_nucleus_scan(query, entry):
                 None,
             )
         ratio = _ratio(s1[0] * s2[0] * s3[1], s1[1] * s2[1] * s3[0])
-        key = (id(n1), id(n2), id(n3), ratio)
+        key = (bound, id(n1), id(n2), id(n3), ratio)
         if key in verdicts:
             return verdicts[key]
         rn, rd = ratio
@@ -334,21 +335,15 @@ def _laurent_nucleus_scan(query, entry):
     # right slot: (u v) x vs u (v x): E1 = sigma^m(b), E2 = sigma^(m+n)(t),
     # E3 = sigma^m(b·sigma^n(t)); the exponent of v enters through the
     # twist powers applied to x's coefficients, so hoist per (b, n, m)
-    def right_failure(t):
+    for _, (_, part) in x_terms:
+        t = (_ONE, part)
         for b in split_coeffs:
             for n in exps:
                 bt = mul(b, twist(n, t))
                 for m in exps:
                     a = first_failure(twist(m, b), twist(m + n, t), twist(m, bt))
                     if a is not None:
-                        return a, m, b, n
-        return None
-
-    for _, (_, part) in x_terms:
-        if id(part) not in rights:
-            rights[id(part)] = right_failure((_ONE, part))
-        if rights[id(part)] is not None:
-            return report(*rights[id(part)])
+                        return report(a, m, b, n)
     return CheckOutcome(True)
 
 
@@ -359,77 +354,76 @@ def nucleus_membership(query, memo=None):
     the queried slot against every pair of basis monomials up to the
     degree bound, hence (by biadditivity) against the whole span.
 
-    ``memo`` is a dict owned by the caller, keyed by ``(config,
-    degree_bound)``. Queries that share it share their outcomes (a query
-    asked again returns its recorded ``CheckOutcome``), right-slot
-    records and, on laurent configs, coefficient products and slot
-    verdicts, and return exactly what fresh queries return. ``None``
+    ``memo`` is a dict owned by the caller, from each config to its
+    ``_ScaledOps``. Queries that share it share their outcomes (a query
+    asked again returns its recorded ``CheckOutcome``) and, on laurent
+    configs, coefficient products, twist powers and slot verdicts across
+    degree bounds, and return exactly what fresh queries return. ``None``
     gives the query a fresh memo. Keep one memo per suite run, not
     longer: it holds every product it has seen. A right-slot query whose
     coefficients all lie in Q·1 passes by the module's rational lemma,
-    with no scan. An ore right-slot query of c·V^k searches span × span
-    once per c (the module's right-slot corollary) and rebuilds each
-    witness from the recorded pair.
+    with no scan.
     """
     x = query.element
     config = x.config
-    entry = _memo_entry({} if memo is None else memo, config, query.degree_bound)
-    ops, _, rights, outcomes = entry
-    if query in outcomes:
-        return outcomes[query]
+    ops = _ops({} if memo is None else memo, config)
+    if query in ops.outcomes:
+        return ops.outcomes[query]
     one = ops.split(config.coefficients.one)[1]  # Q·1 is one normalised part
     if query.side == "right" and all(ops.split(c)[1] is one for c in x.terms.values()):
         outcome = CheckOutcome(True)
     elif config.shape == LAURENT:
-        outcome = _laurent_nucleus_scan(query, entry)
+        outcome = _laurent_nucleus_scan(query, ops)
     else:
         span, block = config.span_and_block(query.degree_bound)
-        if query.side == "right" and len(x.terms) == 1:
-            (c,) = x.terms.values()
-            if c not in rights:
-                found = first_associator(span, span, [config.monomial(c, 0)])
-                rights[c] = ([found[0]], [found[1]]) if found else ([], [])
-            witness = first_associator(*rights[c], [x])
-        else:
-            last = span if query.side == "right" else block
-            witness = first_associator(*_slot_triple(query.side, [x], span, last))
+        last = span if query.side == "right" else block
+        witness = first_associator(*_slot_triple(query.side, [x], span, last))
         outcome = CheckOutcome(witness is None, witness)
-    outcomes[query] = outcome
+    ops.outcomes[query] = outcome
     return outcome
 
 
 def associativity_certificate(config, degree_bound):
     """Exhaust all associator triples of basis monomials up to the bound.
 
-    The witness is the first failing triple in span order, found with the
-    last slot cut to the first block (the module's shift lemma). A laurent
-    config runs the left-slot monomial scan of each basis monomial, sharing
-    one memo, up to the first that fails; a pass needs no triple search.
+    S is associative on the span iff each basis monomial u lies in its
+    left nucleus there, so the certificate asks the left-slot query of
+    each u in span order, sharing one memo, up to the first that fails; a
+    pass needs no triple search. The witness is the first failing triple
+    in span order, searched from that u with the last slot cut to the
+    first block (the module's shift lemma).
     """
     span, block = config.span_and_block(degree_bound)
-    firsts = span
-    if config.shape == LAURENT:
-        entry = _memo_entry({}, config, degree_bound)
-        u = next((u for u in span if not _laurent_nucleus_scan(
-            NucleusQuery(u, "left", degree_bound), entry)), None)
-        if u is None:
-            return CheckOutcome(True)
-        firsts = [u]
-    witness = first_associator(firsts, span, block)
-    return CheckOutcome(witness is None, witness)
+    memo = {}
+    for u in span:
+        if not nucleus_membership(NucleusQuery(u, "left", degree_bound), memo):
+            return CheckOutcome(False, first_associator([u], span, block))
+    return CheckOutcome(True)
+
+
+def variable_left_nuclear(config):
+    """Whether X lies in N_l(S): sigma is an automorphism and delta, if any,
+    a sigma-derivation, as (X, a, b) = (sigma(a)·sigma(b) - sigma(ab))·X
+    + sigma(a)·delta(b) + delta(a)·b - delta(ab). Decided on the coefficient
+    spanning set at bound 2, like ``classify_multiplicativity``."""
+    sigma, delta = config.sigma, config.delta
+    if "automorphism" not in classify_multiplicativity(sigma):
+        return False
+    span = config.coefficients.spanning_set(2)
+    return delta is None or all(
+        delta(a * b) == sigma(a) * delta(b) + delta(a) * b for a in span for b in span
+    )
 
 
 def associativity_prediction(config):
     """The classification side of the associativity criterion.
 
     Independently of any monomial exhaustion: the twisted ring is
-    associative iff the coefficient ring is associative and sigma is an
-    automorphism. Returned for cross-checking against the certificate.
+    associative iff the coefficient ring is associative and X is
+    left-nuclear (``variable_left_nuclear``). Returned for cross-checking
+    against the certificate.
     """
-    return (
-        config.coefficients.is_associative
-        and "automorphism" in classify_multiplicativity(config.sigma)
-    )
+    return config.coefficients.is_associative and variable_left_nuclear(config)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +468,7 @@ def nuclear_inverse_check(x, hypothesis, degree_bound, memo=None):
         raise ConstructionError(f"unknown hypothesis: {hypothesis}")
     hyp_sides, conclusion_side = _HYPOTHESES[hypothesis]
     memo = {} if memo is None else memo
-    inverses = _memo_entry(memo, x.config, degree_bound)[3]
+    inverses = _ops(memo, x.config).inverses
     if x not in inverses:
         try:
             inverses[x] = x.config.invert(x)
@@ -568,7 +562,7 @@ class SimplicityResult:
         return self.status == "unit"
 
 
-def simplicity_probe(p, budget):
+def simplicity_probe(p):
     """Iterate shrink steps until the ideal generated by p exhibits a unit.
 
     The ring is p's config, and p must be one of its polynomials. Scans
@@ -576,7 +570,8 @@ def simplicity_probe(p, budget):
     whose shrink is nonzero (its degree is then strictly smaller).
     Reaching a nonzero constant certifies that the two-sided ideal
     generated by p is the whole ring. Returns inconclusive when every
-    shrink vanishes (finite-order twists) or the budget runs out.
+    shrink vanishes (finite-order twists). Each step strictly lowers the
+    order-normalized degree, so the probe ends within deg p - ord p steps.
     """
     config = p.config
     config._own(p)
@@ -585,26 +580,20 @@ def simplicity_probe(p, budget):
         raise ReductionError("simplicity probe needs a nonzero element")
     current = p
     steps = []
-    for _ in range(budget + 1):
+    while True:
         ord_c = current.order
         if ord_c != 0:
             current = poly_mul(current, config.variable_power(-ord_c))
         if current.degree == 0:
             return SimplicityResult("unit", current.terms[0], steps, "reduced to a unit")
-        if len(steps) == budget:
-            break
-        candidate = None
-        chosen = None
         for d in config.coefficients.basis_elements():
-            result = shrink(current, d)
-            if result:
-                candidate, chosen = result, d
+            candidate = shrink(current, d)
+            if candidate:
                 break
-        if candidate is None:
+        else:
             return SimplicityResult("inconclusive", None, steps, "all shrinks vanish")
-        steps.append((chosen, candidate))
+        steps.append((d, candidate))
         current = candidate
-    return SimplicityResult("inconclusive", None, steps, "budget exhausted")
 
 
 # ---------------------------------------------------------------------------

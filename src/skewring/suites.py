@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 
 from . import maps, poly, rings, series, structure
 from .config import load_config
-from .errors import ConstructionError, ReductionError, SkewringError
+from .errors import ConstructionError, NotInvertibleError, ReductionError, SkewringError
 
 
 class CheckRecord:
@@ -333,30 +333,36 @@ def _check_power_nuclear(config, n, side, memo):
 
 
 def _check_left_witness(config, memo):
-    tags = maps.classify_multiplicativity(config.sigma)
     outcome = structure.nucleus_membership(
         structure.NucleusQuery(config.gen, "left", 4), memo
     )
-    if "automorphism" in tags:
-        _require(outcome.passed, "automorphism twist must put X in N_l")
+    if structure.variable_left_nuclear(config):
+        _require(outcome.passed, "an automorphism with a sigma-derivation must put X in N_l")
         return
-    _require(not outcome.passed, "non-automorphism twist must exclude X from N_l")
+    _require(not outcome.passed, "X lies in N_l only for an automorphism with a sigma-derivation")
     return "witness", _triple_payload(outcome.witness)
 
 
 def _unit_for(config):
+    """An invertible coefficient for the unit checks, not ±1 on any roster ring."""
     ring = config.coefficients
     if isinstance(ring, poly.RingConfig):
         # Y is a unit of R[Y±]; the units of R[Y] are R's units
         if ring.shape == poly.LAURENT:
             return ring.gen
         return ring.constant(_unit_for(ring))
-    if isinstance(ring, rings.MatrixRing):
-        return ring.unit_matrix(0, 1) + ring.unit_matrix(1, 0)
-    if ring.qdim == 1:
-        # Q's units are its nonzero scalars; 2 exercises the inverse, 1 would not
-        return ring.scalar(2)
-    return ring.basis_element(1)
+    # the swap matrix or e1 is a unit on every roster ring; a zero or nilpotent
+    # one (M1, the dual numbers) gives way to a later basis element, 1 + e_i,
+    # or 2, which is also Q's pick: 2 exercises the inverse, 1 would not
+    basis = ring.basis_elements()
+    swap = ([ring.unit_matrix(0, 1) + ring.unit_matrix(1, 0)]
+            if isinstance(ring, rings.MatrixRing) else [])
+    for candidate in (*swap, *basis[1:], *(ring.one + e for e in basis[1:]), ring.scalar(2)):
+        try:
+            ring.invert(candidate)
+        except NotInvertibleError:
+            continue
+        return candidate
 
 
 def _check_nuclear_inverse(config, element_key, hypothesis, memo):
@@ -491,7 +497,7 @@ def _check_shrink_example():
     p = config.gen + config.one
     result = structure.shrink(p, i)
     _require(result == config.constant(-i), "shrink(X+1, i) must equal -i")
-    probe = structure.simplicity_probe(p, 3)
+    probe = structure.simplicity_probe(p)
     _require(probe.reached_unit and len(probe.steps) == 1, "X+1 must shrink in one step")
     _require(probe.unit == -i, "unit certificate must be -i")
 
@@ -507,10 +513,9 @@ def _check_probe_random():
         return config.from_terms(poly.random_terms(config.coefficients, rng, exps))
 
     for p in _draws(25, draw):
-        budget = p.degree + 1
-        probe = structure.simplicity_probe(p, budget)
+        probe = structure.simplicity_probe(p)
         _require(probe.reached_unit, "probe must reach a unit")
-        _require(len(probe.steps) <= budget, "probe exceeded deg(p)+1 shrink steps")
+        _require(len(probe.steps) <= p.degree + 1, "probe exceeded deg(p)+1 shrink steps")
 
 
 def _check_probe_inconclusive():
@@ -518,14 +523,14 @@ def _check_probe_inconclusive():
     p = config.one + config.variable_power(4)
     for d in config.coefficients.basis_elements():
         _require(not structure.shrink(p, d), "all shrinks of 1+X^4 must vanish")
-    probe = structure.simplicity_probe(p, 8)
+    probe = structure.simplicity_probe(p)
     _require(probe.status == "inconclusive", "probe must be inconclusive")
     _require(probe.note == "all shrinks vanish", "probe note must report vanishing shrinks")
 
 
 def _check_probe_constant():
     config = builtin("gaussian-q2")
-    probe = structure.simplicity_probe(config.scalar(5), 3)
+    probe = structure.simplicity_probe(config.scalar(5))
     _require(probe.reached_unit and not probe.steps, "constants are already units")
 
 

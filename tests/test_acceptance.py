@@ -160,14 +160,14 @@ def test_criterion_6_simplicity():
         if not p:
             continue
         done += 1
-        probe = structure.simplicity_probe(p, p.degree + 1)
+        probe = structure.simplicity_probe(p)
         assert probe.reached_unit
         assert len(probe.steps) <= p.degree + 1
     conj = CFG_G_CONJ
     p = conj.one + conj.variable_power(4)
     for d in G.basis_elements():
         assert not structure.shrink(p, d)
-    probe = structure.simplicity_probe(p, 10)
+    probe = structure.simplicity_probe(p)
     assert probe.status == "inconclusive" and probe.note == "all shrinks vanish"
 
 

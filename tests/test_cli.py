@@ -480,12 +480,19 @@ def test_verify_nuclei_with_polynomial_coefficients(runner, tmp_path, inner_shap
     {"ring": {"kind": "rationals"}, "twist": {"kind": "identity"}, "shape": "laurent"},
     {"ring": {"kind": "polynomial", "base": "rationals", "variable": "Y", "shape": "ore"},
      "twist": {"kind": "y_scale", "q": "2"}, "shape": "laurent"},
-], ids=["rationals", "torus-ore"])
+    {"ring": {"kind": "algebra", "spec": {
+        "name": "E", "basis": ["1", "e"], "unit": ["1", "0"],
+        "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]}}, "twist": "identity"},
+    {"ring": {"kind": "matrix", "base": "gaussian", "n": 1}, "twist": "identity"},
+], ids=["rationals", "torus-ore", "dual-numbers", "m1-gaussian"])
 def test_nuclei_unit_over_rational_constants(runner, tmp_path, doc):
-    # over Q and Q[Y] the unit checks need a unit other than ±1 to certify anything
+    # over Q and Q[Y] the unit checks need a unit other than ±1 to certify
+    # anything; the dual numbers' e is nilpotent and M1's swap matrix is zero,
+    # so the unit is the next invertible candidate
     ring_config = config.load_config(doc).ring_config
     unit = ring_config.constant(suites._unit_for(ring_config))
     assert unit not in (ring_config.one, -ring_config.one)
+    assert ring_config.invert(unit) * unit == ring_config.one
     path = write(tmp_path, "cfg.json", doc)
     result = runner.invoke(cli.main, ["verify", "--suite", "nuclei", "--config", path])
     assert result.exit_code == 0, result.output

@@ -1,5 +1,6 @@
 """Exit-code fuzz of the CLI: whatever the input, ``mul``, ``classify``,
-``reduce`` and ``pi`` exit 0 or 2 and never end in a traceback.
+``reduce``, ``pi`` and ``verify --config`` exit 0 or 2 and never end in a
+traceback.
 
 Expressions are printed elements of the config's ring, strings of the
 expression grammar that may not fit the ring, and token soup; configs are
@@ -238,6 +239,42 @@ def test_pi_keeps_the_exit_contract(args):
     expected = math.comb(m, i) if emit_words and 0 <= i <= m else 0
     assert len(set(words)) == len(words) == expected
     assert all(word.split("∘").count("sigma") == i for word in words)
+
+
+# verify exits 1 when a check fails, that is when a theorem and its
+# certificate disagree; these documents once did: an Ore delta that is no
+# sigma-derivation, and coefficient rings whose default unit pick (the M1
+# swap matrix, the dual numbers' e) is not invertible
+VERIFY_DOCS = {
+    "q-scaled-weyl": {"ring": {"kind": "polynomial", "base": "rationals", "shape": "ore"},
+                      "twist": {"kind": "y_scale", "q": "2"}, "delta": "derivative",
+                      "shape": "ore"},
+    "gaussian-diag-delta": {"ring": "gaussian", "twist": "identity", "shape": "ore",
+                            "delta": {"kind": "matrix", "matrix": [["0", "0"], ["0", "1"]]}},
+    "dual-numbers": {"ring": {"kind": "algebra", "spec": {
+        "name": "E", "basis": ["1", "e"], "unit": ["1", "0"],
+        "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]}}, "twist": "identity"},
+    "m1-gaussian": {"ring": {"kind": "matrix", "base": "gaussian", "n": 1},
+                    "twist": "identity"},
+}
+
+
+@pytest.mark.parametrize("suite", ["associativity", "nuclei"])
+@pytest.mark.parametrize("name", sorted(VERIFY_DOCS))
+def test_verify_on_fixed_configs_fails_no_check(files, name, suite):
+    code, out, err = run_cli(
+        ["verify", "--suite", suite, "--config", _write(files[0], VERIFY_DOCS[name])])
+    assert code == 0, err
+    assert json.loads(out)["summary"]["failed"] == 0
+
+
+@pytest.mark.skipif(settings.get_current_profile_name() != "fuzz",
+                    reason="runs under the fuzz profile only")
+@FUZZ
+@given(doc=mutated_docs())
+def test_verify_on_mutated_configs_keeps_the_exit_contract(files, doc):
+    """Exit 1 would mean the associativity certificate disagrees with its criterion."""
+    assert_contract(["verify", "--suite", "associativity", "--config", _write(files[0], doc)])
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -246,11 +246,9 @@ def test_shared_scan_memo_matches_fresh_scans(name, make_config):
     queries = _mixed_queries(config, random.Random(f"memo-{name}"))
     memo = {}
     shared = [structure.nucleus_membership(q, memo) for q in queries]
-    # a verdict is the first failing coefficient of one bound's spanning
-    # set, so each bound keeps its own entry; on these rings no verdict
-    # shared across bounds has been seen to differ, so the comparisons
-    # below alone would not catch a key without the bound
-    assert set(memo) == {(config, 1), (config, 2)}
+    # one entry per config serves both bounds; the bound sits in each
+    # verdict's key (test_scan_verdicts_match_plain_arithmetic)
+    assert set(memo) == {config}
     failures = 0
     for query, outcome in zip(queries, shared):
         fresh = structure.nucleus_membership(query)
@@ -440,10 +438,10 @@ def test_torus_nuclearity_verdict_memo(monkeypatch):
     monkeypatch.setattr(structure, "nucleus_membership", capturing_scan)
     _torus_bound3_scans()
     assert all(memo is memos[0] for memo in memos)
-    ((ops, verdicts, _, _),) = memos[0].values()
-    assert len(verdicts) == 380
+    (ops,) = memos[0].values()
+    assert len(ops.verdicts) == 380
     assert len(ops._intern) == 128
-    assert all(_reduced(key[3]) for key in verdicts)
+    assert all(_reduced(key[-1]) for key in ops.verdicts)
 
 
 def _torus_monomial(torus, e, i, j):
@@ -546,24 +544,27 @@ def test_torus_check_fails_p2_on_one_perturbed_product(monkeypatch):
     ("torus", lambda: suites.builtin("torus-octonion")),
 ])
 def test_scan_verdicts_match_plain_arithmetic(name, make_config):
-    """Each memoised verdict is the first a with (a·(r·n1))·n2 != a·n3 in plain products."""
+    """Each memoised verdict is the first a with (a·(r·n1))·n2 != a·n3 in plain
+    products, a ranging over the spanning set at the bound in the verdict's key."""
     config = make_config()
     memo = {}
     for query in _mixed_queries(config, random.Random(f"verdicts-{name}")):
         structure.nucleus_membership(query, memo)
     checked = 0
-    for (_, bound), (ops, verdicts, _, _) in memo.items():
-        parts = {id(part): part for part in ops._intern.values()}
+    (ops,) = memo.values()
+    parts = {id(part): part for part in ops._intern.values()}
+    # the queries ask at bounds 2 and 1, so one memo holds verdicts of both
+    assert {key[0] for key in ops.verdicts} == {1, 2}
+    for (bound, i1, i2, i3, ratio), failing in ops.verdicts.items():
         coeffs = config.coefficients.spanning_set(bound)
-        for (i1, i2, i3, ratio), failing in verdicts.items():
-            e1 = parts[i1].scale(Fraction(*ratio))
-            n2, n3 = parts[i2], parts[i3]
-            first = next((a for a in coeffs if (a * e1) * n2 != a * n3), None)
-            if failing is None:
-                assert first is None
-            else:
-                assert failing[1].scale(Fraction(*failing[0])) == first
-            checked += 1
+        e1 = parts[i1].scale(Fraction(*ratio))
+        n2, n3 = parts[i2], parts[i3]
+        first = next((a for a in coeffs if (a * e1) * n2 != a * n3), None)
+        if failing is None:
+            assert first is None
+        else:
+            assert failing[1].scale(Fraction(*failing[0])) == first
+        checked += 1
     assert checked
 
 
@@ -656,6 +657,39 @@ def test_associativity_certificate_witnesses_matrix_and_octonion():
     assert not structure.associativity_certificate(swap_cfg, 3).passed
     assert not structure.associativity_prediction(swap_cfg)
     assert not structure.associativity_certificate(cfg_octonion(), 3).passed
+
+
+QY = {"kind": "polynomial", "base": "rationals", "shape": "ore"}
+# Ore documents whose delta is a sigma-derivation or not: delta(Y^2) = 2Y, but
+# sigma(Y)·delta(Y) + delta(Y)·Y = 3Y under Y -> 2Y; i -> i is no derivation
+# of Q(i), and c·(sigma - id) is a sigma-derivation of a commutative ring
+ORE_CRITERION_DOCS = {
+    "q-scaled-weyl": {"ring": QY, "twist": {"kind": "y_scale", "q": "2"},
+                      "delta": "derivative", "shape": "ore"},
+    "weyl": suites.ROSTER["weyl"],
+    "gaussian-diag-delta": {"ring": "gaussian", "twist": "identity", "shape": "ore",
+                            "delta": {"kind": "matrix", "matrix": [["0", "0"], ["0", "1"]]}},
+    "gaussian-conj-inner": {"ring": "gaussian", "twist": "conjugation", "shape": "ore",
+                            "delta": {"kind": "matrix", "matrix": [["0", "0"], ["0", "-2"]]}},
+    "qy-zero-delta": {"ring": QY, "twist": {"kind": "y_scale", "q": "3"},
+                      "delta": "zero", "shape": "ore"},
+    "qy-coeff-scale": {"ring": QY, "twist": {"kind": "y_coeff_scale", "q": "2"},
+                       "shape": "ore"},
+    "gaussian-q2-ore": suites.ROSTER["gaussian-q2-ore"],
+    "octonion-ore": suites.ROSTER["octonion-ore"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORE_CRITERION_DOCS))
+def test_ore_left_nuclear_criterion_matches_scan_and_certificate(name):
+    """X is left-nuclear iff sigma is an automorphism and delta a sigma-derivation:
+    the criterion against X's left-slot query at bound 3, and the associativity
+    prediction against the certificate at bound 2."""
+    config = load_config(ORE_CRITERION_DOCS[name]).ring_config
+    left = structure.nucleus_membership(structure.NucleusQuery(config.gen, "left", 3))
+    assert structure.variable_left_nuclear(config) == left.passed
+    certificate = structure.associativity_certificate(config, 2)
+    assert structure.associativity_prediction(config) == certificate.passed
 
 
 def _assert_certificate_matches_generic(config, bound):
@@ -879,7 +913,9 @@ def test_nuclei_suite_operation_budget(monkeypatch):
     suite made 2,561 coefficient products, 112 polynomial products and 160
     scans. With left scans over the whole exponent window, right-slot scans
     of X^n and an inversion per hypothesis it made 378, 56, 112, 7,728 and
-    36. The second run repeats the count, so no memo outlives its run."""
+    36; with one memo entry per (config, bound) and right-slot records,
+    378, 56, 69, 2,594 and 12. The second run repeats the count, so no
+    memo outlives its run."""
     for config in suites._laurent_roster() + [suites.builtin("gaussian-q-1")]:
         for bound in (3, 4):  # build the cached spans outside the count
             config.coefficients.spanning_set(bound)
@@ -905,7 +941,7 @@ def test_nuclei_suite_operation_budget(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert suites.run_suite("nuclei").ok
         assert count[0] == 56
-        assert calls == {"__mul__": 378, "_laurent_nucleus_scan": 69, "mul": 2594, "invert": 12}
+        assert calls == {"__mul__": 286, "_laurent_nucleus_scan": 69, "mul": 2608, "invert": 12}
 
 
 @pytest.mark.parametrize("name", [None, "weyl", "octonion-ore"])
@@ -1052,7 +1088,7 @@ def test_shrink_rejects_non_commutative():
 
 def test_simplicity_probe_reaches_unit():
     config = cfg_q2()
-    probe = structure.simplicity_probe(config.gen + config.one, 3)
+    probe = structure.simplicity_probe(config.gen + config.one)
     assert probe.reached_unit
     assert probe.unit == -G.basis_element(1)
     assert len(probe.steps) == 1
@@ -1072,7 +1108,7 @@ def test_simplicity_probe_random():
         if not p:
             continue
         done += 1
-        probe = structure.simplicity_probe(p, p.degree + 1)
+        probe = structure.simplicity_probe(p)
         assert probe.reached_unit
         assert len(probe.steps) <= p.degree + 1
 
@@ -1080,13 +1116,13 @@ def test_simplicity_probe_random():
 def test_simplicity_probe_inconclusive():
     config = cfg_conj()
     p = config.one + config.variable_power(4)
-    probe = structure.simplicity_probe(p, 10)
+    probe = structure.simplicity_probe(p)
     assert probe.status == "inconclusive"
     assert probe.note == "all shrinks vanish"
 
 
 def test_simplicity_probe_constant():
-    probe = structure.simplicity_probe(cfg_q2().scalar(5), 2)
+    probe = structure.simplicity_probe(cfg_q2().scalar(5))
     assert probe.reached_unit and not probe.steps
 
 
@@ -1094,7 +1130,7 @@ def test_simplicity_probe_constant():
     lambda s: structure.NucleusQuery(s, "middle", 6),
     lambda s: structure.central_reduction(s, 2),
     lambda s: structure.shrink(s, G.basis_element(1)),
-    lambda s: structure.simplicity_probe(s, 3),
+    lambda s: structure.simplicity_probe(s),
     lambda s: poly.to_right_form(s),
     lambda s: structure.monic_left_reduce(s, s),
 ], ids=["nucleus-query", "central-reduction", "shrink", "simplicity-probe",
