@@ -8,7 +8,9 @@ The shift lemma: p·(c·V^n) = (p·c)·V^n, by sigma^m(1) = 1 (laurent) or
 axiom D2, pi_i^m(1) = delta_im (ore). So whether (u, v, c·V^n) vanishes
 never depends on n, and a search over the exponent-major span whose last
 slot is cut to the first block (lowest exponent) finds the first witness.
-Its right-slot corollary: (u, v, c·V^k) = (u, v, c)·V^k, so with the
+A left- or middle-slot witness's last factor sits at that lowest exponent,
+so u's left-slot witness is ``first_associator([u], span, block)``.
+The right-slot corollary: (u, v, c·V^k) = (u, v, c)·V^k, so with the
 queried element c·V^k in the right slot the first failing (u, v) depends
 on c alone (up to c's rational scalar, which cancels). If c = q·1 then
 (u, v, c) = q·(uv - uv) = 0, as 1 is a unit of S (sigma(1) = 1,
@@ -81,7 +83,8 @@ class CheckOutcome:
 
 
 def _ratio(num, den):
-    """The reduced integer pair of num / den, with den > 0."""
+    """The reduced integer pair of num / den, with den > 0, or (±1, 0) for
+    den = 0, which in a verdict key stands for a zero right side."""
     g = gcd(num, den)
     if den < 0:
         g = -g
@@ -104,10 +107,14 @@ class _ScaledOps:
     out; the exhaustive scans then hit only a few distinct normalized
     operands, each computed once. Scalars multiply and compare as ints;
     a ``Fraction`` is built only when ``split`` normalizes an element it
-    has not seen. Two scalar-split values are equal iff their scalars
-    match and their normalized parts are the same cached representative.
+    has not seen. ``_norm`` is the one table of parts: ``split`` records
+    each normalized part under its own entry (``_ONE``, part), or
+    (``_ZERO``, part) for zero, so equal values share one part object (zero
+    is always ``_ZERO`` with the one zero part), and two scalar-split
+    values are equal iff their scalars match and their parts are the same
+    object.
 
-    Products, twist powers and interned parts serve every degree bound.
+    Products, twist powers and parts serve every degree bound.
     ``verdicts`` holds the laurent scan's slot verdicts, ``outcomes`` maps
     each ``NucleusQuery`` to its ``CheckOutcome``, and ``inverses`` each
     element ``nuclear_inverse_check`` inverted to x⁻¹, or None.
@@ -116,7 +123,6 @@ class _ScaledOps:
     def __init__(self, sigma):
         self.sigma = sigma
         self._norm = {}
-        self._intern = {}
         self._powers = {}
         self._products = {}
         self.verdicts = {}
@@ -132,23 +138,14 @@ class _ScaledOps:
         nums, den = el.pair
         return next((_ratio(v, den) for v in nums if v), _ZERO)
 
-    def _canon(self, el):
-        """One structurally-equal representative per value, so caches can
-        key on object identity afterwards."""
-        cached = self._intern.get(el)
-        if cached is None:
-            self._intern[el] = el
-            return el
-        return cached
-
     def split(self, el):
         cached = self._norm.get(el)
         if cached is None:
             scalar = self._first_scalar(el)
             if scalar in (_ZERO, _ONE):
-                cached = (scalar, self._canon(el))
+                cached = (scalar, el)
             else:
-                cached = (scalar, self._canon(el.scale(Fraction(scalar[1], scalar[0]))))
+                cached = (scalar, self.split(el.scale(Fraction(scalar[1], scalar[0])))[1])
             self._norm[el] = cached
         return cached
 
@@ -189,11 +186,7 @@ class _ScaledOps:
 
     @staticmethod
     def equal(left, right):
-        ls, le = left
-        rs, re = right
-        if not ls[0] and not rs[0]:
-            return True
-        return ls == rs and (le is re or le == re)
+        return left[0] == right[0] and left[1] is right[1]
 
 
 def _slot_triple(side, x, u, v):
@@ -228,10 +221,12 @@ def _laurent_nucleus_scan(query, ops):
     and E3 do not depend on a. The verdict over all a is memoised. The
     memo is exact: products are Q-bilinear, so with Ei = si·ni the
     identity is (s1·s2/s3)·(a·n1)·n2 = a·n3; the normalised parts ni
-    are interned, one object per value, so their ids and the ratio
-    determine which a fail. The ratio is keyed as the reduced integer
-    pair of (p1·p2·q3)/(q1·q2·p3) for si = pi/qi, so equal ratios share
-    one key. A zero scalar bypasses the memo. On a miss each a is
+    are one object per value, so their ids and the ratio determine which
+    a fail. The ratio is keyed as the reduced integer pair of
+    (p1·p2·q3)/(q1·q2·p3) for si = pi/qi, so equal ratios share one key.
+    E1 and E2 are never zero (sigma is bijective, and x's terms and the
+    spanning elements are nonzero); a zero E3 gives the ratio (±1, 0),
+    and then a fails iff (a·n1)·n2 != 0. On a miss each a is
     decided on the parts alone: with a·n1 = c1·m1, m1·n2 = c2·m2 and
     a·n3 = c3·m3 from the product cache, a passes iff both sides vanish,
     or m2 is m3 and c1·c2·r = c3 for r = s1·s2/s3, compared by
@@ -243,12 +238,13 @@ def _laurent_nucleus_scan(query, ops):
     right-slot corollary), so each term is scanned at its normalised part
     and ``report`` rebuilds the witness from x itself. The left slot fails
     at some exponent m of u iff at the lowest (the module's left-slot
-    corollary), so it scans that one and finds the same witness.
+    corollary), so it scans that one and finds the same witness. Its v, and
+    a middle-slot witness's, sits at the window's lowest exponent.
 
     ``ops`` is the config's memo. Nothing in it depends on the queried
     element or slot; a verdict's key carries the bound, as a polynomial
     coefficient ring's spanning set depends on it, and the ids in the keys
-    stay valid because ``ops`` keeps every part it interned. So scans that
+    stay valid because ``ops`` keeps every part in ``_norm``. So scans that
     share one ``ops`` get the verdicts and witnesses of fresh scans.
     """
     x = query.element
@@ -276,11 +272,6 @@ def _laurent_nucleus_scan(query, ops):
     def first_failure(e1, e2, e3):
         """The first a with (a·e1)·e2 != a·e3, or None."""
         (s1, n1), (s2, n2), (s3, n3) = e1, e2, e3
-        if not (s1[0] and s2[0] and s3[0]):
-            return next(
-                (a for a in split_coeffs if not equal(mul(mul(a, e1), e2), mul(a, e3))),
-                None,
-            )
         ratio = _ratio(s1[0] * s2[0] * s3[1], s1[1] * s2[1] * s3[0])
         key = (bound, id(n1), id(n2), id(n3), ratio)
         if key in verdicts:
@@ -305,7 +296,7 @@ def _laurent_nucleus_scan(query, ops):
     # Distinct x-term exponents land on distinct result exponents, so the
     # accumulated associator vanishes iff every term's contribution does.
     # In the left and middle slots v is last, so by the shift lemma it is
-    # checked at exponent 0 and that covers its whole exponent range; in
+    # checked at the lowest exponent and that covers its whole range; in
     # the left slot u's exponent is fixed too (the left-slot corollary).
     if side == "left":
         m = exps[0]
@@ -316,7 +307,7 @@ def _laurent_nucleus_scan(query, ops):
                     lhs = mul(mul(t, pre), twist(k + m, b))
                     rhs = mul(t, twist(k, mul(a, twist(m, b))))
                     if not equal(lhs, rhs):
-                        return report(a, m, b, 0)
+                        return report(a, m, b, exps[0])
         return CheckOutcome(True)
 
     if side == "middle":
@@ -329,7 +320,7 @@ def _laurent_nucleus_scan(query, ops):
                         twist(m, t), twist(m + k, b), twist(m, mul(t, twist(k, b)))
                     )
                     if a is not None:
-                        return report(a, m, b, 0)
+                        return report(a, m, b, exps[0])
         return CheckOutcome(True)
 
     # right slot: (u v) x vs u (v x): E1 = sigma^m(b), E2 = sigma^(m+n)(t),
@@ -388,16 +379,18 @@ def associativity_certificate(config, degree_bound):
 
     S is associative on the span iff each basis monomial u lies in its
     left nucleus there, so the certificate asks the left-slot query of
-    each u in span order, sharing one memo, up to the first that fails; a
-    pass needs no triple search. The witness is the first failing triple
-    in span order, searched from that u with the last slot cut to the
-    first block (the module's shift lemma).
+    each u in span order, sharing one memo, up to the first that fails,
+    and returns that query's outcome; a pass needs no triple search. Its
+    witness is the first failing triple in span order, as the query puts
+    the last factor at the window's lowest exponent (the module's shift
+    lemma).
     """
-    span, block = config.span_and_block(degree_bound)
+    span, _ = config.span_and_block(degree_bound)  # rejects a negative bound
     memo = {}
     for u in span:
-        if not nucleus_membership(NucleusQuery(u, "left", degree_bound), memo):
-            return CheckOutcome(False, first_associator([u], span, block))
+        outcome = nucleus_membership(NucleusQuery(u, "left", degree_bound), memo)
+        if not outcome:
+            return outcome
     return CheckOutcome(True)
 
 

@@ -365,13 +365,7 @@ def _unit_for(config):
         return candidate
 
 
-def _check_nuclear_inverse(config, element_key, hypothesis, memo):
-    if element_key == "X":
-        x = config.gen
-    elif element_key == "X^2":
-        x = config.variable_power(2)
-    else:
-        x = config.constant(_unit_for(config))
+def _check_nuclear_inverse(x, hypothesis, memo):
     report = structure.nuclear_inverse_check(x, hypothesis, 3, memo)
     _require(report.ok, f"nuclear inverse clause {hypothesis} violated")
     if report.hypothesis_satisfied:
@@ -407,12 +401,14 @@ def _nuclei_suite(configs=None):
         if config.shape != poly.LAURENT:
             continue
         label = config.describe()
-        for element_key in ("X", "X^2", "unit"):
+        elements = {"X": config.gen, "X^2": config.variable_power(2),
+                    "unit": config.constant(_unit_for(config))}
+        for element_key, x in elements.items():
             for hypothesis in ("lm", "full", "mr"):
                 checks.append((
                     f"nuclei/inverse/{label}/{element_key}/{hypothesis}",
                     ANCHOR_NUCLEAR_INV,
-                    partial(_check_nuclear_inverse, config, element_key, hypothesis, memo),
+                    partial(_check_nuclear_inverse, x, hypothesis, memo),
                 ))
     return checks
 

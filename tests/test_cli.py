@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from skewring import cli, config, maps, rings, suites
+from skewring import cli, config, maps, parsing, rings, suites
 from skewring.errors import ConstructionError
 
 
@@ -437,6 +437,40 @@ def test_verify_markdown_and_out(runner, tmp_path):
     assert "Config digest:" in text
 
 
+@pytest.mark.parametrize("name", list(suites.ROSTER))
+def test_witnesses_paste_back(runner, tmp_path, name):
+    """Every witness that nuclei and associativity print on a roster document
+    parses in that document's ring, and (a·b)·c - a·(b·c) is the printed
+    associator; an X/left witness's last factor sits at the window's lowest
+    exponent."""
+    doc = suites.ROSTER[name]
+    path = write(tmp_path, "cfg.json", doc)
+    ring = config.load_config(doc).ring_config
+    lowest = min(ring.exponent_window(4))
+    for suite in ("nuclei", "associativity"):
+        result = runner.invoke(cli.main, ["verify", "--suite", suite, "--config", path])
+        assert result.exit_code == 0, result.output
+        for check in json.loads(result.stdout)["checks"]:
+            if check["status"] != "witness":
+                continue
+            payload = check["witness"]
+            a, b, c = (parsing.parse_poly(text, ring) for text in payload["triple"])
+            assert (a * b) * c - a * (b * c) == parsing.parse_poly(payload["associator"], ring)
+            if check["id"].endswith("/X/left"):
+                assert c.degree == c.order == lowest, check["id"]
+
+
+def test_markdown_payloads_are_the_json_witnesses(runner):
+    args = ["verify", "--suite", "associativity"]
+    checks = json.loads(runner.invoke(cli.main, args).stdout)["checks"]
+    markdown = runner.invoke(cli.main, [*args, "--format", "markdown"]).stdout
+    prefix = "  - payload: `"
+    payloads = [json.loads(line[len(prefix):-1])
+                for line in markdown.splitlines() if line.startswith(prefix)]
+    assert payloads == [c["witness"] for c in checks if "witness" in c]
+    assert payloads
+
+
 def test_verify_with_config(runner, tmp_path):
     path = write(tmp_path, "cfg.json", GAUSS_Q2)
     result = runner.invoke(
@@ -524,7 +558,7 @@ def test_report_determinism():
 
 # sha256 of the full `run_suite("all")` JSON report with each `elapsed`
 # dropped: any drift in an id, anchor, status or witness changes it
-ALL_REPORT_DIGEST = "9e7c5c94dc295f6f6084eb81a42e3f0ffdb8cd03bfd001c064cbd66b9b3f23fc"
+ALL_REPORT_DIGEST = "bdb30fdb68668b53060fc5422e55e7eaafa7ca2adee5fe5550b9a3aef34d00b5"
 
 
 def test_reports_have_unique_check_ids():

@@ -4,9 +4,10 @@ traceback.
 
 Expressions are printed elements of the config's ring, strings of the
 expression grammar that may not fit the ring, and token soup; configs are
-the documents of ``suites.ROSTER`` (and two series documents), some with a
-few keys deleted or overwritten. Exponents stay within |e| <= 60: a number
-token is always a whole token, so no two of them join into a larger one.
+the documents of ``suites.ROSTER``, two series documents, the dual numbers
+and the q-scaled Weyl ring, some with a few keys deleted or overwritten.
+Exponents stay within |e| <= 60: a number token is always a whole token, so
+no two of them join into a larger one.
 Every command runs in process through ``cli.main(argv)``; an exception that
 escapes ``main`` is what a process would print as a traceback and exit 1
 with, so it is recorded as exactly that.
@@ -34,7 +35,37 @@ SERIES_DOCS = [
     {"ring": "gaussian", "twist": "conjugation", "shape": "power_series", "precision": 8},
     {"ring": "quaternions", "twist": "identity", "shape": "laurent_series", "precision": 6},
 ]
-DOCS = [*suites.ROSTER.values(), *SERIES_DOCS]
+
+# verify exits 1 when a check fails, that is when a theorem and its
+# certificate disagree; these documents once did: an Ore delta that is no
+# sigma-derivation, and coefficient rings whose default unit pick (the M1
+# swap matrix, the dual numbers' e) is not invertible
+VERIFY_DOCS = {
+    "q-scaled-weyl": {"ring": {"kind": "polynomial", "base": "rationals", "shape": "ore"},
+                      "twist": {"kind": "y_scale", "q": "2"}, "delta": "derivative",
+                      "shape": "ore"},
+    "gaussian-diag-delta": {"ring": "gaussian", "twist": "identity", "shape": "ore",
+                            "delta": {"kind": "matrix", "matrix": [["0", "0"], ["0", "1"]]}},
+    "dual-numbers": {"ring": {"kind": "algebra", "spec": {
+        "name": "E", "basis": ["1", "e"], "unit": ["1", "0"],
+        "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]}}, "twist": "identity"},
+    "m1-gaussian": {"ring": {"kind": "matrix", "base": "gaussian", "n": 1},
+                    "twist": "identity"},
+}
+
+# the dual numbers and the q-scaled Weyl ring, and in VALUES a delta matrix, a
+# polynomial twist and an algebra table, reach those defect classes from
+# mutated documents; each draw of one is an event, so the fuzz profile's
+# statistics show how often they are reached
+DOCS = [*suites.ROSTER.values(), *SERIES_DOCS,
+        VERIFY_DOCS["dual-numbers"], VERIFY_DOCS["q-scaled-weyl"]]
+TRACKED = {
+    "dual-numbers document": VERIFY_DOCS["dual-numbers"],
+    "q-scaled Weyl document": VERIFY_DOCS["q-scaled-weyl"],
+    "delta matrix": VERIFY_DOCS["gaussian-diag-delta"]["delta"],
+    "y_scale twist": VERIFY_DOCS["q-scaled-weyl"]["twist"],
+    "dual-number algebra": VERIFY_DOCS["dual-numbers"]["ring"],
+}
 
 EXPONENTS = st.integers(-60, 60)
 NAMES = ["X", "Y", "Z", "i", "j", "k", "e1", "e7", "O", "iX", "YX", "a", "_"]
@@ -121,16 +152,25 @@ VALUES = st.one_of(
         {"kind": "polynomial", "base": "gaussian"},
         {"kind": "q_twist", "q": "3"},
         [["1", "0"], ["0", "-1"]],
+        TRACKED["delta matrix"], TRACKED["y_scale twist"], TRACKED["dual-number algebra"],
     ]),
     st.none(), st.booleans(), st.integers(-1, 3), st.floats(-2, 2), st.text(max_size=4),
     st.lists(st.sampled_from(["1", "0", 2, "i"]), max_size=4),
 )
 
 
+def _tracked(value):
+    """``value``, with an event for each ``TRACKED`` value it equals."""
+    for label, tracked in TRACKED.items():
+        if value == tracked:
+            event(f"drew the {label}")
+    return value
+
+
 @st.composite
 def mutated_docs(draw):
-    """A roster or series document with up to three keys deleted or overwritten."""
-    doc = copy.deepcopy(draw(st.sampled_from(DOCS)))
+    """A document of ``DOCS`` with up to three keys deleted or overwritten."""
+    doc = copy.deepcopy(_tracked(draw(st.sampled_from(DOCS))))
     for _ in range(draw(st.integers(0, 3))):
         holders = [doc] + [v for v in doc.values() if isinstance(v, dict)]
         holder = draw(st.sampled_from(holders))
@@ -139,7 +179,7 @@ def mutated_docs(draw):
             del holder[key]
         else:
             # a copy: a later mutation may edit this value, which VALUES shares across examples
-            holder[key] = copy.deepcopy(draw(VALUES))
+            holder[key] = copy.deepcopy(_tracked(draw(VALUES)))
     return doc
 
 
@@ -239,24 +279,6 @@ def test_pi_keeps_the_exit_contract(args):
     expected = math.comb(m, i) if emit_words and 0 <= i <= m else 0
     assert len(set(words)) == len(words) == expected
     assert all(word.split("∘").count("sigma") == i for word in words)
-
-
-# verify exits 1 when a check fails, that is when a theorem and its
-# certificate disagree; these documents once did: an Ore delta that is no
-# sigma-derivation, and coefficient rings whose default unit pick (the M1
-# swap matrix, the dual numbers' e) is not invertible
-VERIFY_DOCS = {
-    "q-scaled-weyl": {"ring": {"kind": "polynomial", "base": "rationals", "shape": "ore"},
-                      "twist": {"kind": "y_scale", "q": "2"}, "delta": "derivative",
-                      "shape": "ore"},
-    "gaussian-diag-delta": {"ring": "gaussian", "twist": "identity", "shape": "ore",
-                            "delta": {"kind": "matrix", "matrix": [["0", "0"], ["0", "1"]]}},
-    "dual-numbers": {"ring": {"kind": "algebra", "spec": {
-        "name": "E", "basis": ["1", "e"], "unit": ["1", "0"],
-        "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]}}, "twist": "identity"},
-    "m1-gaussian": {"ring": {"kind": "matrix", "base": "gaussian", "n": 1},
-                    "twist": "identity"},
-}
 
 
 @pytest.mark.parametrize("suite", ["associativity", "nuclei"])

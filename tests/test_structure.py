@@ -159,20 +159,22 @@ def test_nucleus_scan_matches_exhaustive_oracle(name, make_config, bound, powers
 def _full_window_left_scan(x, bound):
     """The left-slot scan over every exponent m of u = a·X^m: the loop that the
     one-exponent scan replaced, kept as its oracle. The first failing (m, a, b)
-    in that order, rebuilt by the generic search, or None."""
+    in that order, rebuilt by the generic search with v = b·X^n at the window's
+    lowest exponent n, or None."""
     config = x.config
     ops = structure._ScaledOps(config.sigma)
     coeffs = config.coefficients.spanning_set(bound)
     split = [ops.split(c) for c in coeffs]
     x_terms = [(k, ops.split(t)) for k, t in sorted(x.terms.items())]
-    for m in config.exponent_window(bound):
+    window = list(config.exponent_window(bound))
+    for m in window:
         for a, ca in zip(split, coeffs):
             for b, cb in zip(split, coeffs):
                 for k, t in x_terms:
                     lhs = ops.mul(ops.mul(t, ops.twist(k, a)), ops.twist(k + m, b))
                     rhs = ops.mul(t, ops.twist(k, ops.mul(a, ops.twist(m, b))))
                     if not ops.equal(lhs, rhs):
-                        u, v = config.monomial(ca, m), config.constant(cb)
+                        u, v = config.monomial(ca, m), config.monomial(cb, window[0])
                         return rings.first_associator([x], [u], [v])
     return None
 
@@ -440,7 +442,7 @@ def test_torus_nuclearity_verdict_memo(monkeypatch):
     assert all(memo is memos[0] for memo in memos)
     (ops,) = memos[0].values()
     assert len(ops.verdicts) == 380
-    assert len(ops._intern) == 128
+    assert len({id(part) for _, part in ops._norm.values()}) == 128
     assert all(_reduced(key[-1]) for key in ops.verdicts)
 
 
@@ -544,22 +546,24 @@ def test_torus_check_fails_p2_on_one_perturbed_product(monkeypatch):
     ("torus", lambda: suites.builtin("torus-octonion")),
 ])
 def test_scan_verdicts_match_plain_arithmetic(name, make_config):
-    """Each memoised verdict is the first a with (a·(r·n1))·n2 != a·n3 in plain
-    products, a ranging over the spanning set at the bound in the verdict's key."""
+    """Each memoised verdict is the first a with ((a·n1)·n2)·rn != (a·n3)·rd in
+    plain products for the key's ratio rn/rd, rd = 0 standing for a zero right
+    side, a ranging over the spanning set at the bound in the verdict's key."""
     config = make_config()
     memo = {}
     for query in _mixed_queries(config, random.Random(f"verdicts-{name}")):
         structure.nucleus_membership(query, memo)
     checked = 0
     (ops,) = memo.values()
-    parts = {id(part): part for part in ops._intern.values()}
+    parts = {id(part): part for _, part in ops._norm.values()}
     # the queries ask at bounds 2 and 1, so one memo holds verdicts of both
     assert {key[0] for key in ops.verdicts} == {1, 2}
     for (bound, i1, i2, i3, ratio), failing in ops.verdicts.items():
         coeffs = config.coefficients.spanning_set(bound)
-        e1 = parts[i1].scale(Fraction(*ratio))
-        n2, n3 = parts[i2], parts[i3]
-        first = next((a for a in coeffs if (a * e1) * n2 != a * n3), None)
+        n1, n2, n3 = parts[i1], parts[i2], parts[i3]
+        rn, rd = ratio
+        first = next((a for a in coeffs if ((a * n1) * n2).scale(rn) != (a * n3).scale(rd)),
+                     None)
         if failing is None:
             assert first is None
         else:
@@ -806,12 +810,13 @@ def _count_skew_products(monkeypatch):
 
 
 def test_failing_certificate_witness_search_budget(monkeypatch):
-    """The torus witness search's products, pinned; the uncut search made 468,310."""
+    """The failing torus certificate's products, pinned. It returns its failing
+    query's witness; searching again from that u made 4,910, uncut 468,310."""
     config = suites.builtin("torus-octonion")
     config.spanning_set(3)  # build the cached span outside the count
     count = _count_skew_products(monkeypatch)
     outcome = structure.associativity_certificate(config, 3)
-    assert count[0] == 4910
+    assert count[0] == 4556
     assert [parsing.format_poly(p) for p in outcome.witness] == [
         "(e1Y^-3)X^-3", "(e2Y^-3)X^-3", "(e4Y^-3)X^-3",
         "([0,0,0,0,0,0,0,268435456]Y^-9)X^-9",
@@ -942,6 +947,27 @@ def test_nuclei_suite_operation_budget(monkeypatch):
         assert suites.run_suite("nuclei").ok
         assert count[0] == 56
         assert calls == {"__mul__": 286, "_laurent_nucleus_scan": 69, "mul": 2608, "invert": 12}
+
+
+def test_hilbert_suite_operation_budget(monkeypatch, factor_count):
+    """One hilbert-reduction run's polynomial and series term products (series
+    imports ``product_terms`` by name, so both modules are patched) and
+    factorisations, pinned; the second run repeats the count, so no cache
+    outlives its run."""
+    suites.run_suite("hilbert-reduction")  # build the cached configs outside the count
+    count = [0]
+    product_terms = poly.product_terms
+
+    def counted(*args):
+        count[0] += 1
+        return product_terms(*args)
+
+    monkeypatch.setattr(poly, "product_terms", counted)
+    monkeypatch.setattr(series, "product_terms", counted)
+    for _ in range(2):
+        count[0] = factor_count["calls"] = 0
+        assert suites.run_suite("hilbert-reduction").ok
+        assert (count[0], factor_count["calls"]) == (1597, 181)
 
 
 @pytest.mark.parametrize("name", [None, "weyl", "octonion-ore"])
