@@ -48,10 +48,7 @@ def parse_expr(text, cli_config):
     from . import parsing
 
     if cli_config.is_series:
-        return parsing.parse_series(
-            text, cli_config.ring_config, power=cli_config.is_power_series,
-            max_precision=cli_config.precision,
-        )
+        return parsing.parse_series(text, cli_config.ring_config, cli_config.precision)
     return parsing.parse_poly(text, cli_config.ring_config)
 
 

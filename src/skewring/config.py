@@ -36,6 +36,12 @@ no delta on a laurent shape) are checked in one place,
 ``poly.RingConfig``, which every config document and ``polynomial``
 ring descriptor is built through.
 
+A series document's ring is the polynomial ring its series truncate:
+``power_series`` builds the ore shape R[X; sigma] and ``laurent_series``
+the laurent shape R[X^±; sigma], so one exponent rule, the ring's own,
+holds for polynomials and series alike. A series document with a
+``delta`` is refused.
+
 ``load_config`` is the one way from a document to a ring: a CLI
 ``--config`` file and every built-in ring of the verification suites
 (the documents of ``suites.ROSTER``) are built through it alike.
@@ -52,7 +58,8 @@ import json
 from . import maps, parsing, poly, rings
 from .errors import ConstructionError
 
-SHAPES = ("ore", "laurent", "power_series", "laurent_series")
+SERIES_SHAPES = ("power_series", "laurent_series")
+SHAPES = ("ore", "laurent", *SERIES_SHAPES)
 
 _BUILTIN_RINGS = {
     "rationals": rings.rationals,
@@ -176,11 +183,7 @@ class CliConfig:
 
     @property
     def is_series(self):
-        return self.shape in ("power_series", "laurent_series")
-
-    @property
-    def is_power_series(self):
-        return self.shape == "power_series"
+        return self.shape in SERIES_SHAPES
 
 
 def load_config(doc):
@@ -192,13 +195,15 @@ def load_config(doc):
         raise ConstructionError(f"unknown shape: {shape}")
     precision = doc.get("precision")
     if precision is None:
-        if shape in ("power_series", "laurent_series"):
+        if shape in SERIES_SHAPES:
             raise ConstructionError("series shapes require a precision")
     elif type(precision) is not int or precision < 0:
         # bool is a subclass of int, so `true` needs the exact type test
         raise ConstructionError(f"precision must be a non-negative integer, got {precision!r}")
+    if shape in SERIES_SHAPES and doc.get("delta") is not None:
+        raise ConstructionError("series shapes admit no delta")
     ring = ring_from_descriptor(_field(doc, "ring", "config"))
-    base_shape = poly.ORE if shape == "ore" else poly.LAURENT
+    base_shape = poly.LAURENT if shape in ("laurent", "laurent_series") else poly.ORE
     config = _twisted_ring(ring, doc, base_shape, "X")
     return CliConfig(
         ring_config=config,

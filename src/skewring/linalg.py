@@ -19,8 +19,8 @@ integer matrix-vector product and one ``canonical`` per solve. A
 one-off solve (``solve_columns``) eliminates ``[M | b]`` instead. A
 solution sets the free variables to 0, so it is the one that reduced
 row echelon form gives, and reduced row echelon form is unique: the
-results equal those of elimination over ``Fraction`` rows. ``solve``
-and ``invert_matrix`` are the same paths on ``Fraction`` matrices.
+results equal those of elimination over ``Fraction`` rows.
+``invert_matrix`` is the same path on a ``Fraction`` matrix.
 """
 
 from __future__ import annotations
@@ -195,17 +195,6 @@ def solve_columns(columns, pair):
     for row, c, p in zip(rows, pivot_cols, pivots):
         x[c] = den * row[-1] * (common // p)
     return canonical(x, common * d)
-
-
-def solve(matrix, rhs):
-    """Solve matrix·x = rhs exactly; return a solution or None if inconsistent.
-
-    The system may be rectangular or singular; free variables are set to 0.
-    """
-    if not matrix or not matrix[0]:  # no unknowns: no column to eliminate
-        return None if any(rhs) else []
-    solution = solve_columns([integer_vector(col) for col in zip(*matrix)], integer_vector(rhs))
-    return None if solution is None else list(fraction_vector(*solution))
 
 
 def invert_matrix(matrix):

@@ -13,7 +13,9 @@ Grammar (whitespace insignificant):
 
 Coordinate vectors live in the coefficient ring's flat basis; named
 aliases (i, j, k, e0..e7, an inner variable like Y) are accepted for
-the built-in rings. Negative exponents parse only in the laurent shape.
+the built-in rings. Negative exponents parse only in the laurent shape,
+which ``laurent`` and ``laurent_series`` configs build; the config's
+``from_terms`` refuses them in the ore shape, polynomial or power series.
 
 An identifier that ends in the variable, such as ``iX`` or ``YX``, is
 read as two tokens, the coefficient name and the variable, each taking
@@ -246,7 +248,7 @@ def parse_poly(text, config):
     return result
 
 
-def parse_series(text, config, power=False, max_precision=None):
+def parse_series(text, config, max_precision=None):
     """Parse series text; the trailing O(V^N) marker fixes the precision.
 
     With ``max_precision`` given, an N above it is a ``ParseError``.
@@ -272,8 +274,6 @@ def parse_series(text, config, power=False, max_precision=None):
         )
     parser.expect(")")
     parser.expect_end()
-    if power and min(body.terms, default=0) < 0:
-        raise ParseError("negative exponent")
     return TruncatedSeries(config, body.terms, precision)
 
 

@@ -4,11 +4,14 @@ A ``TruncatedSeries`` is a ``SkewPoly`` of a delta-free config with a
 precision N and a window start w: ``terms`` holds the exact coefficients
 on the window [w, N] of R[[X; sigma]] or R((X; sigma)), everything above
 N is unknown (O(X^(N+1))) and everything below w is known to be zero.
+A power series truncates the ore shape R[X; sigma] and a Laurent series
+the laurent shape R[X^±; sigma], so the config's own exponent rule
+refuses a negative exponent in a power series.
 It shares the polynomial's coercion, ``+``, ``-``, coefficients and
 order, and keeps only its own rules: construction drops the terms above
 N, N(a+b) = min(N_a, N_b), the product is ``series_mul``, equality
 includes the precision, and the leading exponent is the order. The
-monomial rule is the Laurent one, (r·X^m)(s·X^n) = (r·sigma^m(s))·X^(m+n),
+monomial rule is the delta-free one, (r·X^m)(s·X^n) = (r·sigma^m(s))·X^(m+n),
 so sigma must be bijective, and precision propagates pessimistically
 through products: N(a·b) = min(N_a + w_b, N_b + w_a), w(a·b) = w_a + w_b.
 A scalar or coefficient is exact, so a product with one keeps N and w.
@@ -18,7 +21,7 @@ A series and a polynomial never mix in one operation.
 from __future__ import annotations
 
 from .errors import ConstructionError, NotInvertibleError, RingMismatchError
-from .poly import SkewPoly, product_terms
+from .poly import ORE, SkewPoly, product_terms
 from .rings import Divisors
 
 
@@ -141,7 +144,8 @@ def series_invert(a, side="right"):
     exists whenever the twist is an automorphism but can fail to exist
     otherwise (the one-sided inverses of 1 - iX under the q=2 scaling
     twist differ from degree three on). The inverse of a series of
-    order w known to precision N is known to precision N - 2w.
+    order w known to precision N is known to precision N - 2w. A power
+    series (the ore shape) is a unit only if its order is 0.
 
     Each step sums its products with one ``dot`` of the coefficient
     ring. The right recurrence divides by the lead every step, so it
@@ -158,7 +162,7 @@ def series_invert(a, side="right"):
     w = a.order
     lead = a.terms[w]
     out_precision = a.precision - 2 * w
-    if out_precision < -w:
+    if out_precision < -w or (w > 0 and config.shape == ORE):
         raise NotInvertibleError("series is not a unit")
 
     right = {}

@@ -416,6 +416,26 @@ def test_classify_command(runner, tmp_path):
     assert all(list(a) == ["axiom", "passed", "detail"] for a in delta["axioms"])
 
 
+@pytest.mark.parametrize("shape, ring", [("power_series", "QQ[X; identity]"),
+                                         ("laurent_series", "QQ[X^±; identity]")],
+                         ids=["power_series", "laurent_series"])
+def test_classify_names_the_ring_a_series_truncates(runner, tmp_path, shape, ring):
+    path = write(tmp_path, "cfg.json",
+                 {"ring": "rationals", "twist": "identity", "shape": shape, "precision": 4})
+    result = runner.invoke(cli.main, ["classify", "--config", path])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["ring"] == ring
+
+
+@pytest.mark.parametrize("shape", ["power_series", "laurent_series"])
+def test_series_config_with_delta_exit_2(runner, tmp_path, shape):
+    path = write(tmp_path, "cfg.json", dict(WEYL, shape=shape, precision=4))
+    result = runner.invoke(cli.main, ["mul", "--config", path, "X + O(X^4)", "1 + O(X^4)"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: series shapes admit no delta\n"
+
+
 def test_verify_suite_exit_codes(runner, tmp_path):
     result = runner.invoke(cli.main, ["verify", "--suite", "jordan"])
     assert result.exit_code == 0

@@ -5,7 +5,8 @@ traceback.
 Expressions are printed elements of the config's ring, strings of the
 expression grammar that may not fit the ring, and token soup; configs are
 the documents of ``suites.ROSTER``, two series documents, the dual numbers
-and the q-scaled Weyl ring, some with a few keys deleted or overwritten.
+and the q-scaled Weyl ring, some with a few keys deleted or overwritten and
+some with a tracked value set under the key it matters for (``KEYED``).
 Exponents stay within |e| <= 60: a number token is always a whole token, so
 no two of them join into a larger one.
 Every command runs in process through ``cli.main(argv)``; an exception that
@@ -127,7 +128,7 @@ def expressions(doc):
     except SkewringError:
         return st.one_of(GRAMMAR, SOUP)
     ring = cli_config.ring_config
-    low = 0 if ring.shape == poly.ORE or cli_config.is_power_series else -60
+    low = 0 if ring.shape == poly.ORE else -60
     high = cli_config.precision if cli_config.is_series else 60
     monomials = st.builds(
         lambda seed, e: ring.monomial(ring.coefficients.random_element(random.Random(seed)), e),
@@ -167,10 +168,26 @@ def _tracked(value):
     return value
 
 
+# a free draw lands a tracked value under the key it matters for in well
+# under 1% of examples, so a third of the documents first set one there; the
+# last pairing, a delta on a series document, is refused by load_config
+KEYED = [
+    ("the delta matrix under 'delta'", DOCS, "delta", TRACKED["delta matrix"]),
+    ("the y_scale twist under 'twist'", DOCS, "twist", TRACKED["y_scale twist"]),
+    ("the dual-number algebra under 'ring'", DOCS, "ring", TRACKED["dual-number algebra"]),
+    ("a delta on a series document", SERIES_DOCS, "delta", TRACKED["delta matrix"]),
+]
+
+
 @st.composite
 def mutated_docs(draw):
-    """A document of ``DOCS`` with up to three keys deleted or overwritten."""
-    doc = copy.deepcopy(_tracked(draw(st.sampled_from(DOCS))))
+    """A document of ``DOCS`` with up to three keys deleted or overwritten,
+    after setting, in a third of the draws, one ``KEYED`` value under its key."""
+    label, docs, key, value = draw(st.sampled_from([(None, DOCS, None, None)] * 8 + KEYED))
+    doc = copy.deepcopy(_tracked(draw(st.sampled_from(docs))))
+    if label is not None:
+        event(f"set {label}")
+        doc[key] = copy.deepcopy(value)
     for _ in range(draw(st.integers(0, 3))):
         holders = [doc] + [v for v in doc.values() if isinstance(v, dict)]
         holder = draw(st.sampled_from(holders))

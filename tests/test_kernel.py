@@ -350,29 +350,40 @@ def systems(draw):
     return matrix, rhs
 
 
+def column_pairs(matrix):
+    """The pairs of a Fraction matrix's columns, as ``solve_columns`` takes them."""
+    return [linalg.integer_vector(col) for col in zip(*matrix)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(systems())
 def test_solve_matches_fraction_oracle(system):
     matrix, rhs = system
-    out = linalg.solve(matrix, rhs)
+    out = linalg.solve_columns(column_pairs(matrix), linalg.integer_vector(rhs))
     expected = oracle_solve(matrix, rhs)
-    assert out == expected
-    if out is not None:
-        assert_fractions(out)
+    if expected is None:
+        assert out is None
+    else:
+        solution = linalg.fraction_vector(*out)
+        assert list(solution) == expected
+        assert_fractions(solution)
         for row, b in zip(matrix, rhs):
-            assert sum((a * x for a, x in zip(row, out)), ZERO) == b
+            assert sum((a * x for a, x in zip(row, solution)), ZERO) == b
 
 
 def test_solve_free_variables_and_inconsistency():
     half = Fraction(1, 2)
+    pair = linalg.integer_vector
     # x + 2y = 3 (y free, set to 0) and a duplicate of it
-    assert linalg.solve([[ONE, 2 * ONE], [half, ONE]], [3 * ONE, 3 * half]) == [3, 0]
-    assert linalg.solve([[ONE, 2 * ONE], [half, ONE]], [3 * ONE, ONE]) is None
+    duplicate = column_pairs([[ONE, 2 * ONE], [half, ONE]])
+    assert linalg.solve_columns(duplicate, pair([3 * ONE, 3 * half])) == pair([3, 0])
+    assert linalg.solve_columns(duplicate, pair([3 * ONE, ONE])) is None
     # a zero column leaves its variable free
-    assert linalg.solve([[ZERO, Fraction(2, 3)]], [Fraction(4, 9)]) == [0, Fraction(2, 3)]
+    zero_column = column_pairs([[ZERO, Fraction(2, 3)]])
+    assert linalg.solve_columns(zero_column, pair([Fraction(4, 9)])) == pair([0, Fraction(2, 3)])
     # no unknowns: consistent exactly when the right-hand side is zero
-    assert linalg.solve([[], []], [ZERO, ONE]) is None
-    assert linalg.solve([[], []], [ZERO, ZERO]) == []
+    assert linalg.solve_columns([], pair([ZERO, ONE])) is None
+    assert linalg.solve_columns([], pair([ZERO, ZERO])) == ((), 1)
 
 
 @settings(max_examples=50, deadline=None)

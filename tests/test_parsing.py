@@ -65,20 +65,31 @@ def test_zero_denominator_rejected():
     assert err.value.column == 6
 
 
+def series_cfg(shape):
+    """The ring of a Q(i) series document with the q=2 twist."""
+    doc = {"ring": "gaussian", "twist": {"kind": "q_twist", "q": "2"}, "shape": shape,
+           "precision": 4}
+    return config.load_config(doc).ring_config
+
+
 def test_series_marker_required():
-    cfg = cfg_laurent()
+    cfg = series_cfg("power_series")
     with pytest.raises(ParseError, match="missing O"):
         parsing.parse_series("1 - iX", cfg)
-    s = parsing.parse_series("1 - [0,1]X + O(X^4)", cfg, power=True)
+    s = parsing.parse_series("1 - [0,1]X + O(X^4)", cfg)
     assert s.precision == 4
     assert s.coefficient(1) == -G.basis_element(1)
 
 
 def test_series_power_shape_rejects_negative():
-    cfg = cfg_laurent()
+    # a power series lives over R[X; sigma], whose own exponent rule refuses X^-1
+    power = series_cfg("power_series")
     with pytest.raises(ParseError, match="negative exponent"):
-        parsing.parse_series("X^-1 + O(X^3)", cfg, power=True)
-    laurent = parsing.parse_series("X^-1 + O(X^3)", cfg, power=False)
+        parsing.parse_series("X^-1 + O(X^3)", power)
+    with pytest.raises(ParseError, match="negative exponent") as err:
+        parsing.parse_series("1 + X^-1 + O(X^3)", power)
+    assert err.value.column == 4
+    laurent = parsing.parse_series("X^-1 + O(X^3)", series_cfg("laurent_series"))
     assert laurent.window_start == -1
 
 

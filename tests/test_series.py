@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewring import maps, poly, rings, series
+from skewring import config, maps, parsing, poly, rings, series
 from skewring.errors import NotInvertibleError, RingMismatchError, ZeroElementError
 
 G = rings.gaussian()
@@ -134,6 +134,17 @@ def test_non_unit_rejected():
     cfg = cfg_rational()
     with pytest.raises(NotInvertibleError, match="series is not a unit"):
         series.series_invert(series.series(cfg, {}, 4))
+
+
+@pytest.mark.parametrize("shape", ["power_series", "laurent_series"])
+def test_positive_order_is_a_unit_only_in_a_laurent_series(shape):
+    doc = {"ring": "rationals", "twist": "identity", "shape": shape, "precision": 4}
+    x = parsing.parse_series("X + O(X^4)", config.load_config(doc).ring_config)
+    if shape == "power_series":
+        with pytest.raises(NotInvertibleError, match="series is not a unit"):
+            series.series_invert(x)
+    else:
+        assert repr(series.series_invert(x)) == "X^-1 + O(X^2)"
 
 
 def test_order_additivity():
