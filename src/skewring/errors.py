@@ -32,7 +32,6 @@ class ReductionError(SkewringError):
 class ParseError(SkewringError):
     """Expression text does not conform to the grammar."""
 
-    def __init__(self, message, line=1, column=0):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
+    def __init__(self, message, column):
+        super().__init__(f"{message} (line 1, column {column})")
         self.column = column

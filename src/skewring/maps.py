@@ -562,7 +562,7 @@ def standard_derivation(a, b):
 
 
 class AxiomCheck:
-    def __init__(self, axiom, passed, detail=""):
+    def __init__(self, axiom, passed, detail):
         self.axiom, self.passed, self.detail = axiom, passed, detail
 
 

@@ -249,7 +249,7 @@ class RingConfig:
             if not lead:
                 return None
             quotient[e] = lead
-            rem = rem - poly_mul(c, self.monomial(lead, e))
+            rem = rem - c.times_monomial(lead, e)
         return self.from_terms(quotient)
 
     def describe(self):
@@ -284,8 +284,9 @@ class SkewPoly:
     """Sparse exponent-to-coefficient map over a ``RingConfig``.
 
     A truncated series (``series.TruncatedSeries``) is a subclass with a
-    precision: it rebuilds its results through ``_like`` and multiplies
-    through ``_product``, and the two kinds never mix in one operation.
+    precision: it rebuilds its results through ``_like``, multiplies two
+    elements through ``_product`` and places an exact monomial product
+    through ``_shifted``, and the two kinds never mix in one operation.
     """
 
     __slots__ = ("config", "terms", "_hash")
@@ -302,6 +303,10 @@ class SkewPoly:
 
     def _like(self, terms, other=None):
         """An element of this kind holding terms: a result of self and other, or a constant."""
+        return SkewPoly(self.config, terms)
+
+    def _shifted(self, terms, exp):
+        """An element of this kind holding terms, self times a monomial of exponent exp."""
         return SkewPoly(self.config, terms)
 
     # -- structure --------------------------------------------------------
@@ -379,17 +384,27 @@ class SkewPoly:
     def _product(self, other):
         return poly_mul(self, other)
 
+    def times_monomial(self, coeff, exp, left=False):
+        """self·(coeff·V^exp), or (coeff·V^exp)·self when left: the one exact monomial product.
+
+        Every product by a scalar, a coefficient or a reduction cofactor
+        runs here; the monomial is exact, so a series keeps its precision
+        and window, shifted by exp.
+        """
+        pair = ({exp: coeff}, self.terms) if left else (self.terms, {exp: coeff})
+        return self._shifted(product_terms(self.config, [pair]), exp)
+
     def __mul__(self, other):
-        other = self._check(other)
-        if other is None:
+        c = self._check(other)
+        if c is None:
             return NotImplemented
-        return self._product(other)
+        return self._product(c) if c is other else self.times_monomial(c.coefficient(0), 0)
 
     def __rmul__(self, other):
-        other = self._check(other)
-        if other is None:
+        c = self._check(other)
+        if c is None:
             return NotImplemented
-        return other._product(self)
+        return c._product(self) if c is other else self.times_monomial(c.coefficient(0), 0, True)
 
     def __pow__(self, n):
         if n < 0:
@@ -587,9 +602,8 @@ def corrupted_d_structure(base):
 
 
 class DStructureReport:
-    def __init__(self, name, entries=None):
-        self.name = name
-        self.entries = [] if entries is None else entries
+    def __init__(self, name):
+        self.name, self.entries = name, []
 
     @property
     def ok(self):

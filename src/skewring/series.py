@@ -5,8 +5,9 @@ precision N and a window start w: ``terms`` holds the exact coefficients
 on the window [w, N] of R[[X; sigma]] or R((X; sigma)), everything above
 N is unknown (O(X^(N+1))) and everything below w is known to be zero.
 A power series truncates the ore shape R[X; sigma] and a Laurent series
-the laurent shape R[X^±; sigma], so the config's own exponent rule
-refuses a negative exponent in a power series.
+the laurent shape R[X^±; sigma]. Construction passes the terms through
+the config's ``from_terms``, so its exponent rule refuses a negative
+exponent in every power series, however it is built.
 It shares the polynomial's coercion, ``+``, ``-``, coefficients and
 order, and keeps only its own rules: construction drops the terms above
 N, N(a+b) = min(N_a, N_b), the product is ``series_mul``, equality
@@ -14,7 +15,8 @@ includes the precision, and the leading exponent is the order. The
 monomial rule is the delta-free one, (r·X^m)(s·X^n) = (r·sigma^m(s))·X^(m+n),
 so sigma must be bijective, and precision propagates pessimistically
 through products: N(a·b) = min(N_a + w_b, N_b + w_a), w(a·b) = w_a + w_b.
-A scalar or coefficient is exact, so a product with one keeps N and w.
+A monomial c·X^k is exact, so the shared ``times_monomial`` (a product
+with a scalar, a coefficient or a reduction cofactor) shifts N and w by k.
 A series and a polynomial never mix in one operation.
 """
 
@@ -34,7 +36,7 @@ class TruncatedSeries(SkewPoly):
     def __init__(self, config, coeffs, precision, window_start=None):
         if config.delta is not None:
             raise ConstructionError("series take a delta-free config")
-        clean = {e: c for e, c in coeffs.items() if c}
+        clean = config.from_terms(coeffs).terms
         if window_start is None:
             window_start = min([0, *clean])
         if clean and min(clean) < window_start:
@@ -61,22 +63,8 @@ class TruncatedSeries(SkewPoly):
     def _product(self, other):
         return series_mul(self, other)
 
-    def _times_constant(self, other, left):
-        """c·self (left) or self·c for a scalar or coefficient c: c is exact, so N and w stay."""
-        c = self._check(other)
-        if c is None:
-            return NotImplemented
-        return times_monomial(self, c.coefficient(0), 0, left)
-
-    def __mul__(self, other):
-        if isinstance(other, SkewPoly):
-            return super().__mul__(other)
-        return self._times_constant(other, left=False)
-
-    def __rmul__(self, other):
-        if isinstance(other, SkewPoly):
-            return super().__rmul__(other)
-        return self._times_constant(other, left=True)
+    def _shifted(self, terms, exp):
+        return TruncatedSeries(self.config, terms, self.precision + exp, self.window_start + exp)
 
     @property
     def leading_exponent(self):
@@ -113,13 +101,6 @@ def series_mul(a, b):
     window = a.window_start + b.window_start
     out = product_terms(a.config, [(a.terms, b.terms)], precision)
     return TruncatedSeries(a.config, out, precision, window)
-
-
-def times_monomial(a, coeff, exp, left=False):
-    """a·(coeff·X^exp), or (coeff·X^exp)·a when left, with an exact (untruncated) monomial."""
-    pair = ({exp: coeff}, a.terms) if left else (a.terms, {exp: coeff})
-    out = product_terms(a.config, [pair])
-    return TruncatedSeries(a.config, out, a.precision + exp, a.window_start + exp)
 
 
 def equal_to_precision(a, b, precision=None):

@@ -45,9 +45,9 @@ from .errors import (
     RingMismatchError,
 )
 from .maps import Keyed, _power_is_identity, classify_multiplicativity
-from .poly import LAURENT, SkewPoly, add_term, poly_mul
+from .poly import LAURENT, SkewPoly, add_term
 from .rings import Divisors, first_associator
-from .series import TruncatedSeries, times_monomial
+from .series import TruncatedSeries
 
 SIDES = ("left", "middle", "right")
 
@@ -538,17 +538,15 @@ def shrink(p, d):
     _require_commutative_division(config)
     ord_p = p.order
     if ord_p != 0:
-        p = poly_mul(p, config.variable_power(-ord_p))
-    m = p.degree
-    d_const = config.constant(d)
-    twisted = config.constant(config.sigma.power_apply(m, d))
-    return poly_mul(p, d_const) - poly_mul(twisted, p)
+        p = p.times_monomial(config.coefficients.one, -ord_p)
+    twisted = config.sigma.power_apply(p.degree, d)
+    return p.times_monomial(d, 0) - p.times_monomial(twisted, 0, left=True)
 
 
 class SimplicityResult:
-    def __init__(self, status, unit, steps=None, note=""):
+    def __init__(self, status, unit, steps, note):
         self.status, self.unit, self.note = status, unit, note  # status: "unit" | "inconclusive"
-        self.steps = [] if steps is None else steps
+        self.steps = steps
 
     @property
     def reached_unit(self):
@@ -576,7 +574,7 @@ def simplicity_probe(p):
     while True:
         ord_c = current.order
         if ord_c != 0:
-            current = poly_mul(current, config.variable_power(-ord_c))
+            current = current.times_monomial(config.coefficients.one, -ord_c)
         if current.degree == 0:
             return SimplicityResult("unit", current.terms[0], steps, "reduced to a unit")
         for d in config.coefficients.basis_elements():
@@ -631,15 +629,6 @@ def _cofactor_factors(g, side, u, k):
     return (mono, g) if side == "left" else (g, mono)
 
 
-def _cofactor_product(g, side, u, k):
-    """g·(u·V^k) for a right step, (u·V^k)·g for a left step."""
-    if isinstance(g, TruncatedSeries):
-        if side != "right":
-            raise ConstructionError("series replay supports right cofactors")
-        return times_monomial(g, u, k)
-    return poly_mul(*_cofactor_factors(g, side, u, k))
-
-
 def monic_left_reduce(f, p):
     """Left-divide f by p over division-ring coefficients.
 
@@ -669,7 +658,7 @@ def monic_left_reduce(f, p):
         if t is None:
             raise ReductionError("left division requires division ring")
         steps.append(CofactorStep(0, "left", t, n - m))
-        rem = rem - _cofactor_product(p, "left", t, n - m)
+        rem = rem - p.times_monomial(t, n - m, left=True)
     return ReductionResult(steps, rem)
 
 
@@ -719,7 +708,7 @@ def right_reduce(f, gens, max_steps=None):
         mg = g.leading_exponent
         u = sigma.power_apply(-mg, w)
         steps.append(CofactorStep(idx, "right", u, n - mg))
-        rem = rem - _cofactor_product(g, "right", u, n - mg)
+        rem = rem - g.times_monomial(u, n - mg)
     return ReductionResult(steps, rem, irreducible)
 
 
@@ -727,16 +716,19 @@ def replay_reduction(result, gens):
     """Rebuild the reduced input: the remainder plus every recorded cofactor product.
 
     Polynomials and series share this replay up to the one rule where a
-    series differs: its cofactor product is a ``times_monomial`` shift
-    with its own precision, so the shifts are added one at a time and the
-    sum keeps the least precision, and a left step raises
-    ``ConstructionError``. A polynomial's cofactor products are summed by
-    one ``dot`` of its config, so each output coefficient is one sum.
+    series differs: each cofactor product is the generator's
+    ``times_monomial`` shift with its own precision, so the shifts are
+    added one at a time and the sum keeps the least precision, and a left
+    step raises ``ConstructionError``. A polynomial's cofactor products
+    are summed by one ``dot`` of its config, so each output coefficient
+    is one sum.
     """
     generators = gens.generators if isinstance(gens, GeneratorSet) else list(gens)
     total = result.remainder
     steps = [(generators[step.generator], step.side, step.coeff, step.exponent)
              for step in result.steps]
     if isinstance(total, TruncatedSeries):
-        return sum((_cofactor_product(*step) for step in steps), total)
+        if any(side != "right" for _, side, _, _ in steps):
+            raise ConstructionError("series replay supports right cofactors")
+        return sum((g.times_monomial(u, k) for g, _, u, k in steps), total)
     return total + total.config.dot([_cofactor_factors(*step) for step in steps])

@@ -31,15 +31,14 @@ from .errors import ConstructionError, NotInvertibleError, ReductionError, Skewr
 
 
 class CheckRecord:
-    def __init__(self, id, anchor, status, witness=None, elapsed=0.0):
+    def __init__(self, id, anchor, status, witness, elapsed):
         self.id, self.anchor, self.status = id, anchor, status  # status: pass | fail | witness
         self.witness, self.elapsed = witness, elapsed
 
 
 class SuiteReport:
-    def __init__(self, suite, config_digest, checks=None):
-        self.suite, self.config_digest = suite, config_digest
-        self.checks = [] if checks is None else checks
+    def __init__(self, suite, config_digest):
+        self.suite, self.config_digest, self.checks = suite, config_digest, []
 
     @property
     def ok(self):

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from skewring import cli, config, maps, parsing, rings, suites
+from skewring import cli, config, maps, parsing, rings, series, structure, suites
 from skewring.errors import ConstructionError
 
 
@@ -336,6 +336,41 @@ def test_reduce_left_rejects_a_series_config(runner, tmp_path):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == "error: left reduction takes polynomials, not series\n"
+
+
+POWER_SERIES_Q = {"ring": "rationals", "twist": "identity", "shape": "power_series",
+                  "precision": 4}
+
+
+@pytest.mark.parametrize("doc, gens, target", [
+    (POWER_SERIES_Q, ["1 + X + O(X^4)"], "1 + O(X^4)"),
+    (dict(POWER_SERIES_Q, shape="laurent_series"), ["X^-1 + X + O(X^4)"], "X^-1 + 1 + O(X^4)"),
+], ids=["power_series", "laurent_series"])
+def test_reduce_right_on_a_series_config_replays(runner, tmp_path, doc, gens, target):
+    # each step subtracts a generator times an exact monomial cofactor, so the
+    # record parsed back replays to the target within its precision
+    cfg_path = write(tmp_path, "cfg.json", doc)
+    gens_path = write(tmp_path, "gens.json", gens)
+    result = runner.invoke(
+        cli.main,
+        ["reduce", "--config", cfg_path, "--gens", gens_path, "--side", "right", target],
+    )
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    record = json.loads(result.stdout)
+    assert record["remainder"] == "0 + O(X^4)"
+    assert record["irreducible"] is False
+    cli_config = config.load_config(doc)
+    ring = cli_config.ring_config
+    steps = []
+    for step in record["steps"]:
+        (exponent, coeff), = parsing.parse_poly(step["cofactor"], ring).terms.items()
+        steps.append(structure.CofactorStep(step["generator"], step["side"], coeff, exponent))
+    replayed = structure.replay_reduction(
+        structure.ReductionResult(steps, cli.parse_expr(record["remainder"], cli_config)),
+        [cli.parse_expr(text, cli_config) for text in gens],
+    )
+    assert series.equal_to_precision(replayed, cli.parse_expr(target, cli_config))
 
 
 @pytest.mark.parametrize("suite", ["nuclei", "associativity", "laurent-axioms",

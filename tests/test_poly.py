@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from skewring import linalg, maps, poly, rings
+from skewring import linalg, maps, poly, rings, suites
 from skewring.errors import (
     ConstructionError,
     NotInvertibleError,
@@ -135,6 +135,23 @@ def test_degree_order_leading():
 def test_config_mismatch():
     with pytest.raises(RingMismatchError, match="incompatible rings"):
         laurent_q2().one * weyl().one
+
+
+@pytest.mark.parametrize("name", sorted(suites.ROSTER))
+@pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+def test_times_monomial_matches_poly_mul(name, left):
+    # the one exact monomial product agrees with poly_mul of the monomial on
+    # that side, through the delta's pi sweep on the weyl ring too
+    config = suites.builtin(name)
+    rng = random.Random(f"times-monomial/{name}")
+    for _ in range(4):
+        p = config.random_element(rng, 3)
+        coeff = config.coefficients.random_element(rng)
+        exp = rng.choice(config.exponent_window(3))
+        mono = config.monomial(coeff, exp)
+        product = p.times_monomial(coeff, exp, left)
+        assert type(product) is poly.SkewPoly
+        assert product == (poly.poly_mul(mono, p) if left else poly.poly_mul(p, mono))
 
 
 def test_right_form_laurent():

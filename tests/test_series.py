@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from skewring import config, maps, parsing, poly, rings, series
-from skewring.errors import NotInvertibleError, RingMismatchError, ZeroElementError
+from skewring.errors import (
+    ConstructionError,
+    NotInvertibleError,
+    RingMismatchError,
+    ZeroElementError,
+)
 
 G = rings.gaussian()
 Q = rings.rationals()
@@ -198,10 +203,44 @@ def test_times_monomial():
     cfg = cfg_q2()
     i = G.basis_element(1)
     a = series.series(cfg, {0: G.one, 1: i}, 4)
-    shifted = series.times_monomial(a, i, 2)
+    shifted = a.times_monomial(i, 2)
     assert shifted.precision == 6
     assert shifted.coefficient(2) == i
     assert shifted.coefficient(3) == i * i.scale(2)
+
+
+@pytest.mark.parametrize("make_config", [cfg_q2, cfg_conj], ids=["q2", "conj"])
+@pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+def test_times_monomial_is_the_exact_series_product(make_config, left):
+    # the monomial is exact: N and w shift by its exponent, and the product
+    # equals series_mul with the monomial known far beyond a's precision
+    cfg = make_config()
+    rng = random.Random(35)
+    a = series.series(cfg, {-1: G.random_element(rng), 0: G.one, 3: G.random_element(rng)}, 5, -2)
+    coeff = G.one + G.basis_element(1)
+    for exp in (-2, 0, 3):
+        shifted = a.times_monomial(coeff, exp, left)
+        assert (shifted.precision, shifted.window_start) == (5 + exp, -2 + exp)
+        mono = series.series(cfg, {exp: coeff}, 20, exp)
+        expected = series.series_mul(mono, a) if left else series.series_mul(a, mono)
+        assert (expected.precision, expected.window_start) == (5 + exp, -2 + exp)
+        assert shifted == expected
+
+
+@pytest.mark.parametrize("build", [
+    lambda cfg: series.series(cfg, {-1: Q.one}, 4),
+    lambda cfg: series.TruncatedSeries(cfg, {-1: Q.one, 0: Q.one}, 4, -1),
+], ids=["series", "TruncatedSeries"])
+@pytest.mark.parametrize("shape", ["power_series", "laurent_series"])
+def test_exponent_rule_holds_at_construction(build, shape):
+    # a power series truncates R[X; sigma], so no constructor admits X^-1
+    doc = {"ring": "rationals", "twist": "identity", "shape": shape, "precision": 4}
+    cfg = config.load_config(doc).ring_config
+    if shape == "power_series":
+        with pytest.raises(ConstructionError, match="negative exponent"):
+            build(cfg)
+    else:
+        assert build(cfg).order == -1
 
 
 def test_invert_with_polynomial_coefficients():

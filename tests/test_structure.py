@@ -1340,7 +1340,7 @@ def test_right_reduce_series_strictly_raises_order():
     orders = []
     remainder = f
     for step in result.steps:
-        remainder = remainder - series.times_monomial(gen, step.coeff, step.exponent)
+        remainder = remainder - gen.times_monomial(step.coeff, step.exponent)
         if remainder.coeffs:
             orders.append(remainder.order)
     assert orders == sorted(set(orders))
