@@ -73,8 +73,9 @@ def compile_columns(columns):
     return cols, den
 
 
-def apply_columns(compiled, pair):
-    """The pair of the image of a vector's pair under a square compiled map."""
+def apply_columns(compiled, pair, reduce=True):
+    """The pair of the image of a vector's pair under a square compiled map, or
+    with ``reduce`` false its unreduced numerators and denominator, for a sum."""
     cols, den = compiled
     nums, d = pair
     acc = [0] * len(nums)
@@ -82,7 +83,7 @@ def apply_columns(compiled, pair):
         if x:
             for i, c in cols[j]:
                 acc[i] += c * x
-    return canonical(acc, d * den)
+    return canonical(acc, d * den) if reduce else (acc, d * den)
 
 
 def _eliminate(rows, n_cols):

@@ -21,7 +21,8 @@ A matrix map is applied through its compiled form, sparse integer
 columns over one denominator, straight to the argument's canonical
 integer pair (see :mod:`skewring.linalg`). Powers of a map, with their
 compiled columns, are cached on the map object, which keeps the
-degree-bounded exhaustive checks in :mod:`skewring.structure` cheap.
+degree-bounded exhaustive checks in :mod:`skewring.structure` cheap,
+and a coefficient ring's ``dot`` applies them itself (``power_columns``).
 
 The Ore product X^m·s = sum_i pi_i^m(s)·X^i needs the operator sums
 pi_i^m, each the sum of all words in i sigmas and m-i deltas. One
@@ -136,12 +137,21 @@ class LinearTwist(TwistMap):
             self._pow[m] = (images, linalg.compile_columns(images))
         return self._pow[m]
 
-    def power_apply(self, m, el):
+    def power_columns(self, m):
+        """The compiled columns of the m-th power (the inverse's for m < 0, which
+        raise NotInvertibleError without one), or None for an identity power."""
         if m == 0 or self._identity:
-            return el
-        if m < 0:
-            return super().power_apply(m, el)
-        return self.ring.from_pair(linalg.apply_columns(self._images_power(m)[1], el.pair))
+            return None
+        if m > 0:
+            return self._images_power(m)[1]
+        inv = self.inverse()
+        if inv is None:
+            raise NotInvertibleError("inverse unavailable")
+        return inv._images_power(-m)[1]
+
+    def power_apply(self, m, el):
+        columns = self.power_columns(m)
+        return el if columns is None else self.ring.from_pair(linalg.apply_columns(columns, el.pair))
 
     def inverse(self):
         if not self._inverse_known:

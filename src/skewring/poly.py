@@ -192,14 +192,15 @@ class RingConfig:
             return el.terms
         raise RingMismatchError("incompatible rings")
 
-    def dot(self, products):
-        """The sum of a·b over the (a, b) pairs of ``products``.
+    def dot(self, products, sigma=None):
+        """The sum of a·sigma^m(b) over the (a, m, b) items of ``products``.
 
-        Every pair's term products go into one ``product_terms`` grouping,
-        so the coefficient ring's ``dot`` runs once per output exponent and
-        no partial sum is built.
+        sigma is a twist of this config or None; sigma^m(b) is one ``power_apply``.
+        Every item's term products go into one ``product_terms`` grouping, so
+        the coefficient ring's ``dot`` runs once per output exponent.
         """
-        pairs = [(self._own(a), self._own(b)) for a, b in products]
+        pairs = [(self._own(a), self._own(b if sigma is None else sigma.power_apply(m, b)))
+                 for a, m, b in products]
         return SkewPoly(self, product_terms(self, pairs))
 
     def solver(self, c, side):
@@ -474,11 +475,12 @@ def product_terms(config, pairs, top=None):
     its output exponent, and each exponent's coefficient is one ``dot``
     of the coefficient ring, zeros dropped. A series passes its precision
     as ``top``, and products above it are skipped. Without a delta the
-    monomial rule is (r·V^m)(s·V^n) = (r·sigma^m(s))·V^(m+n). With a delta
-    it is sum_i (r·pi_i^m(s))·V^(i+n), and each right-hand coefficient s
-    takes one ``pi_rows`` sweep up to the left degree, read at the rows m
-    where the left side has a term; no row is rebuilt, and no row cache
-    outlives the call.
+    monomial rule is (r·V^m)(s·V^n) = (r·sigma^m(s))·V^(m+n), and the
+    item (r, m, s) leaves sigma^m to the coefficient ring's ``dot``. With a
+    delta it is sum_i (r·pi_i^m(s))·V^(i+n): each right-hand coefficient
+    s takes one ``pi_rows`` sweep up to the left degree, read at the rows
+    m where the left side has a term, each entry t an item (r, 0, t); no
+    row is rebuilt, and no row cache outlives the call.
     """
     groups = {}
     if config.delta is None:
@@ -487,8 +489,9 @@ def product_terms(config, pairs, top=None):
             for m, r in left.items():
                 for n, s in right.items():
                     if top is None or m + n <= top:
-                        groups.setdefault(m + n, []).append((r, sigma.power_apply(m, s)))
+                        groups.setdefault(m + n, []).append((r, m, s))
     else:
+        sigma = None
         fam = PiFamily(config.sigma, config.delta)
         for left, right in pairs:
             for n, s in right.items():
@@ -497,11 +500,11 @@ def product_terms(config, pairs, top=None):
                     if r is not None:
                         for i, t in enumerate(row):
                             if t:
-                                groups.setdefault(i + n, []).append((r, t))
+                                groups.setdefault(i + n, []).append((r, 0, t))
     ring = config.coefficients
     out = {}
     for e, products in groups.items():
-        value = ring.dot(products)
+        value = ring.dot(products, sigma)
         if value:
             out[e] = value
     return out
@@ -548,7 +551,7 @@ def to_right_form(p):
 
 def from_right_form(config, pairs):
     """Rebuild sum V^e · c_e as a left-form polynomial, one ``dot`` of the config."""
-    return config.dot([(config.variable_power(e), config.constant(c)) for e, c in pairs])
+    return config.dot([(config.variable_power(e), 0, config.constant(c)) for e, c in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ Two concrete ring shapes live here, both ``CompiledAlgebra``s:
 They expose the informal ring protocol the rest of the library relies
 on: ``zero``/``one``, ``qdim``, ``flatten``/``unflatten`` (``Fraction``
 coordinates over Q), ``basis_elements``, ``spanning_set(bound)``,
-``random_element(rng)``, ``invert``, ``dot(products)`` (the sum of
-a·b over a list of (a, b) pairs), ``solver(c, side)`` (the function
+``random_element(rng)``, ``invert``, ``dot(products, sigma)`` (the sum
+of a·sigma^m(b) over a list of (a, m, b) items, sigma a twist of the
+ring or None for the identity), ``solver(c, side)`` (the function
 r -> u with c·u = r for side "left", u·c = r for side "right", or
 None; a single solve is ``solver(c, side)(r)``), and the cached
 predicates ``is_associative``/``is_commutative``. Twisted polynomial rings
@@ -23,7 +24,9 @@ keeps one call's solvers by divisor.
 
 ``dot`` accumulates every product's numerators into one integer vector
 over the least common multiple of their denominators and canonicalises
-once, so a product sum builds no partial sums. ``solver`` builds the
+once, so a product sum builds no partial sums; it applies sigma^m's
+cached columns to b's numerators in the sum, building no twisted element,
+and an identity power applies nothing. ``solver`` builds the
 multiplication operator of c from ``mul_pairs`` on basis pairs and
 factors it once with :func:`skewring.linalg.factor`; each solve is then
 one :func:`skewring.linalg.solve_pair` on the right-hand side's pair, so
@@ -100,12 +103,19 @@ class CompiledAlgebra:
             return el.pair
         raise RingMismatchError("incompatible rings")
 
-    def dot(self, products):
-        """The sum of a·b over the (a, b) pairs of ``products``, canonicalised once."""
+    def _twisted(self, sigma, m, b):
+        """The unreduced pair of sigma^m(b); b's own pair when sigma^m is the identity."""
+        pair = self._own(b)
+        columns = None if sigma is None else sigma.power_columns(m)
+        return pair if columns is None else linalg.apply_columns(columns, pair, reduce=False)
+
+    def dot(self, products, sigma=None):
+        """The sum of a·sigma^m(b) over the (a, m, b) items of ``products``, canonicalised
+        once; sigma is a ``LinearTwist`` on this ring, or None for the identity."""
         if len(products) == 1:
-            ((a, b),) = products
-            return self.from_pair(self.mul_pairs(self._own(a), self._own(b)))
-        pairs = [(self._own(a), self._own(b)) for a, b in products]
+            ((a, m, b),) = products
+            return self.from_pair(self.mul_pairs(self._own(a), self._twisted(sigma, m, b)))
+        pairs = [(self._own(a), self._twisted(sigma, m, b)) for a, m, b in products]
         den = lcm(*[da * db for (_, da), (_, db) in pairs])
         acc = [0] * self.dimension
         rows = self._mul_rows
@@ -419,7 +429,8 @@ class AlgebraElement:
         return NotImplemented
 
     def scale(self, q):
-        q = _frac(q)
+        if type(q) is not int:  # an int is its own numerator over 1: no Fraction
+            q = _frac(q)
         nums, den = self.pair
         p = q.numerator
         return type(self)(self.ring, linalg.canonical([p * v for v in nums], den * q.denominator))

@@ -129,9 +129,10 @@ def series_invert(a, side="right"):
     series (the ore shape) is a unit only if its order is 0.
 
     Each step sums its products with one ``dot`` of the coefficient
-    ring. The right recurrence divides by the lead every step, so it
-    factors the lead once; the left one divides by sigma^n(lead), and
-    factors each distinct value once.
+    ring, which applies each product's power of sigma itself; a step's
+    one ``power_apply`` is sigma^(-w) of the right inverse's new term or
+    the left one's divisor sigma^n(lead). The right recurrence factors
+    the lead once; the left one each distinct sigma^n(lead) once.
     """
     config = a.config
     ring = config.coefficients
@@ -157,16 +158,16 @@ def series_invert(a, side="right"):
         n = e - w
         if side in ("right", "both"):
             # a·b = 1: sum_m a_m sigma^m(b_{e-m}) = [e == 0]
-            acc = ring.dot([(am, sigma.power_apply(m, right[e - m]))
-                            for m, am in a.terms.items() if m != w and e - m in right])
+            acc = ring.dot([(am, m, right[e - m])
+                            for m, am in a.terms.items() if m != w and e - m in right], sigma)
             u = solve_right(one - acc if e == 0 else -acc)
             if u is None:
                 raise NotInvertibleError("series is not a unit")
             right[n] = sigma.power_apply(-w, u)
         if side in ("left", "both"):
             # b·a = 1: sum_m b_{e-m} sigma^(e-m)(a_m) = [e == 0]
-            acc = ring.dot([(left[e - m], sigma.power_apply(e - m, am))
-                            for m, am in a.terms.items() if m != w and e - m in left])
+            acc = ring.dot([(left[e - m], e - m, am)
+                            for m, am in a.terms.items() if m != w and e - m in left], sigma)
             u = left_divisors[sigma.power_apply(n, lead)](one - acc if e == 0 else -acc)
             if u is None:
                 raise NotInvertibleError("series is not a unit")

@@ -624,9 +624,9 @@ class GeneratorSet:
 
 
 def _cofactor_factors(g, side, u, k):
-    """The polynomial factors (g, u·V^k) of a right step, (u·V^k, g) of a left step."""
+    """The untwisted ``dot`` item (g, 0, u·V^k) of a right step, (u·V^k, 0, g) of a left step."""
     mono = g.config.monomial(u, k)
-    return (mono, g) if side == "left" else (g, mono)
+    return (mono, 0, g) if side == "left" else (g, 0, mono)
 
 
 def monic_left_reduce(f, p):

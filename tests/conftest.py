@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from skewring import linalg
+from skewring import linalg, maps
 
 # Tier-1 runs a small, derandomized budget, so every run checks the same
 # examples; `pytest --hypothesis-profile=fuzz` (a CI step of its own) runs
@@ -23,4 +23,18 @@ def factor_count(monkeypatch):
         return factor(columns)
 
     monkeypatch.setattr(linalg, "factor", counted)
+    return counts
+
+
+@pytest.fixture
+def power_apply_count(monkeypatch):
+    """Counts ``LinearTwist.power_apply`` calls in ``["calls"]``; reset it before the call measured."""
+    counts = {"calls": 0}
+    power_apply = maps.LinearTwist.power_apply
+
+    def counted(self, m, el):
+        counts["calls"] += 1
+        return power_apply(self, m, el)
+
+    monkeypatch.setattr(maps.LinearTwist, "power_apply", counted)
     return counts

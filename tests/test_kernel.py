@@ -551,7 +551,8 @@ def test_dot_matches_sequential_sum(name, data):
         (ring.unflatten(data.draw(vectors(ring.qdim))), ring.unflatten(data.draw(vectors(ring.qdim))))
         for _ in range(n)
     ]
-    out = ring.dot(products)
+    items = [(a, 0, b) for a, b in products]
+    out = ring.dot(items)
     assert_canonical(out)
     sequential = ring.zero
     coords = (ZERO,) * ring.qdim
@@ -561,15 +562,74 @@ def test_dot_matches_sequential_sum(name, data):
     assert out == sequential and out.pair == sequential.pair
     assert out.coords == coords
     # the same products again with one factor negated cancel to zero
-    cancelled = ring.dot(products + [(-a, b) for a, b in products])
+    cancelled = ring.dot(items + [(-a, 0, b) for a, b in products])
     assert_canonical(cancelled)
     assert cancelled.pair == ((0,) * ring.qdim, 1)
-    assert ring.dot(products[:1]) == products[0][0] * products[0][1]
+    assert ring.dot(items[:1]) == products[0][0] * products[0][1]
 
 
 def test_dot_of_nothing_is_zero():
     for ring in DOT_RINGS.values():
         assert ring.dot([]).pair == ((0,) * ring.qdim, 1)
+
+
+def _invertible_matrix(n, rng):
+    """A random n x n integer matrix with entries in -2..2 and an inverse."""
+    while True:
+        matrix = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if linalg.invert_matrix([[Fraction(v) for v in row] for row in matrix]) is not None:
+            return matrix
+
+
+H = rings.quaternions()
+# sparse twists (diagonal or a signed permutation) and two dense ones: an
+# inner automorphism of H mixes i, j, k, and a random matrix mixes all of O
+TWISTED_DOT_CASES = {
+    "QQ(i)/q_twist(2)": maps.make_twist(G, "q_twist", q=2),
+    "QQ(i)/conjugation": maps.make_twist(G, "conjugation"),
+    "M2(QQ)/diag_swap": maps.make_twist(rings.matrix_algebra(rings.rationals(), 2), "diag_swap"),
+    "OO/conjugation": maps.make_twist(rings.octonions(), "conjugation"),
+    "SS/conjugation": maps.make_twist(SS, "conjugation"),
+    "HH/inner": maps.make_twist(H, "inner", u=H.element((1, 2, -1, 3))),
+    "OO/matrix": maps.make_twist(
+        rings.octonions(), "matrix",
+        matrix=_invertible_matrix(8, random.Random("dense octonion twist")),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_DOT_CASES))
+@given(data=st.data())
+def test_twisted_dot_matches_fraction_oracle(name, data):
+    """dot(items, sigma) is the sum of a·sigma^m(b), sigma^m's images applied by the oracle.
+
+    Budget from the Hypothesis profile, so the fuzz profile runs it at scale;
+    zero items give zero and one item takes the one-product path."""
+    tm = TWISTED_DOT_CASES[name]
+    ring = tm.ring
+    items = [
+        (ring.unflatten(data.draw(vectors(ring.qdim))), data.draw(st.integers(-3, 3)),
+         ring.unflatten(data.draw(vectors(ring.qdim))))
+        for _ in range(data.draw(st.integers(0, 4)))
+    ]
+    out = ring.dot(items, tm)
+    assert_canonical(out)
+    coords = (ZERO,) * ring.qdim
+    for a, m, b in items:
+        twisted = ring.unflatten(oracle_power(tm, m, b.coords))
+        coords = tuple(u + v for u, v in zip(coords, oracle_product(ring, a, twisted)))
+    assert out.coords == coords
+
+
+def test_twisted_dot_refuses_negative_powers_of_a_singular_twist():
+    singular = maps.make_twist(G, "matrix", matrix=[[1, 0], [0, 0]])
+    a, b = G.element((1, 2)), G.element((3, -1))
+    # a positive power needs no inverse
+    assert G.dot([(a, 2, b)], singular).coords == oracle_table_mul(
+        G, a.coords, oracle_power(singular, 2, b.coords))
+    for items in ([(a, -1, b)], [(a, 1, b), (b, -2, a)]):
+        with pytest.raises(NotInvertibleError, match="inverse unavailable"):
+            G.dot(items, singular)
 
 
 def oracle_operator(ring, c, side):

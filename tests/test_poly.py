@@ -541,17 +541,35 @@ def test_config_dot_matches_sequential_sum(make):
     products = [tuple(config.random_element(rng, max_degree=2) for _ in range(2))
                 for _ in range(5)]
     expected = sum((a * b for a, b in products), config.zero)
-    assert config.dot(products) == expected
+    items = [(a, 0, b) for a, b in products]
+    assert config.dot(items) == expected
     assert config.dot([]) == config.zero and not config.dot([]).terms
     (a, b), (c, d) = products[:2]
-    assert config.dot([(a, b)]) == a * b
-    assert not config.dot(products + [(-x, y) for x, y in products]).terms
-    partial = config.dot([(a, b), (-a, b), (c, d)])
+    assert config.dot([(a, 0, b)]) == a * b
+    assert not config.dot(items + [(-x, 0, y) for x, y in products]).terms
+    partial = config.dot([(a, 0, b), (-a, 0, b), (c, 0, d)])
     assert partial == c * d and all(partial.terms.values())
     foreign = laurent_q2().gen
-    for pair in ((a, foreign), (foreign, b), (a, config.coefficients.one)):
+    for x, y in ((a, foreign), (foreign, b), (a, config.coefficients.one)):
         with pytest.raises(RingMismatchError):
-            config.dot([pair])
+            config.dot([(x, 0, y)])
+
+
+def test_laurent_product_applies_sigma_inside_dot(power_apply_count):
+    """A 7-term by 7-term product over QQ(i)[X^±; q = 2] makes no ``power_apply``
+    call: each sigma^m runs inside the coefficient ring's ``dot`` on the
+    factor's numerators (70 calls when each twisted factor was an element)."""
+    config = laurent_q2()
+    rng = random.Random(7)
+    p, q = (config.from_terms({e: G.random_element(rng) for e in range(-3, 4)})
+            for _ in range(2))
+    expected = config.zero
+    for m, r in p.terms.items():
+        for n, s in q.terms.items():
+            expected = expected + config.monomial(r * config.sigma.power_apply(m, s), m + n)
+    power_apply_count["calls"] = 0
+    assert poly.poly_mul(p, q) == expected
+    assert power_apply_count["calls"] == 0
 
 
 def test_weyl_product_sweeps_pi_once_per_right_term(monkeypatch):

@@ -388,7 +388,22 @@ def test_solves_and_dot_reject_foreign_rings():
         solve(o)
     for products in ([(i, h)], [(i, i), (h, h)], [(i, i), (i, G.one), (h, i)]):
         with pytest.raises(RingMismatchError):
-            G.dot(products)
+            G.dot([(a, 0, b) for a, b in products])
+
+
+@pytest.mark.parametrize("ring", [G, H, O, rings.matrix_algebra(G, 2)],
+                         ids=["QQ(i)", "HH", "OO", "M2(QQ(i))"])
+def test_int_scale_matches_fraction_scale(ring):
+    """An int scales the numerators directly; the pair is the Fraction path's."""
+    rng = random.Random(f"int scale {ring.describe()}")
+    for el in [ring.random_element(rng) for _ in range(6)] + [ring.zero, ring.one]:
+        for q in (0, 1, -1, 2, -3, 12, -(1 << 70)):
+            out = el.scale(q)
+            expected = el.scale(Fraction(q))
+            assert type(out) is type(expected) and out.pair == expected.pair
+        # a bool is no rational, as in every other coercion
+        with pytest.raises(ConstructionError):
+            el.scale(True)
 
 
 def test_bool_compares_unequal_without_raising():

@@ -304,6 +304,22 @@ def test_series_invert_factors_each_divisor_once(monkeypatch, factor_count, make
         assert series.equal_to_precision(inv * a, one)
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_series_invert_applies_sigma_only_outside_its_sums(power_apply_count, side):
+    """A precision-10 inverse under q = 2 makes one ``power_apply`` call per step:
+    sigma^(-w) of the right inverse's new coefficient, or the left one's
+    divisor sigma^n(lead). The sums' own powers run inside ``dot`` (they
+    made 55 more calls when each twisted factor was built as an element)."""
+    config = cfg_q2()
+    rng = random.Random(10)
+    a = series.series(config, {e: G.random_element(rng) for e in range(11)}, 10)
+    power_apply_count["calls"] = 0
+    inv = series.series_invert(a, side=side)
+    assert power_apply_count["calls"] == 11
+    one = series.series_one(config, 10)
+    assert series.equal_to_precision(a * inv if side == "right" else inv * a, one)
+
+
 def _mixed_operands():
     """A Laurent series s and a polynomial p of one config, and a coefficient c."""
     cfg = cfg_q2()
@@ -370,7 +386,7 @@ def test_series_power_is_repeated_product():
     lambda s, p: poly.poly_mul(p, s),
     lambda s, p: poly.poly_mul(s, p),
     lambda s, p: poly.poly_mul(s, s),
-    lambda s, p: p.config.dot([(p, s)]),
+    lambda s, p: p.config.dot([(p, 0, s)]),
     lambda s, p: p.config.invert(s),
 ], ids=["series_mul(s,p)", "series_mul(p,s)", "series_mul(p,p)", "poly_mul(p,s)",
         "poly_mul(s,p)", "poly_mul(s,s)", "config.dot", "config.invert"])
