@@ -39,17 +39,18 @@ of :mod:`skewring.linalg`, so equality and hashing compare the pair, and
 sums, scalings, products and the involution run on integers alone; the
 ``Fraction`` view ``coords`` is built only when asked for. Each ring
 compiles its product once into sparse integer rows over one table
-denominator (the octonions keep 64 of their 512 constants), and a
-matrix, a flat coordinate vector of row-major entries, multiplies
-through the same loop, ``mul_pairs``. Elements are immutable values, so
+denominator (the octonions keep 64 of their 512 constants; a matrix ring
+builds its rows from its base's). A ring's first product generates
+straight-line Python from its rows: ``mul`` behind ``mul_pairs`` and
+``sum_products`` behind ``dot``. Elements are immutable values, so
 everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from . import linalg
 from .errors import ConstructionError, NotInvertibleError, RingMismatchError
@@ -72,6 +73,46 @@ def _frac(value) -> Fraction:
     raise ConstructionError(f"not an exact rational: {value!r}")
 
 
+# products per generated statement: CPython's compiler recurses once per
+# operator, and a sum of 5,000 products exceeds its recursion limit
+_TERMS_PER_STATEMENT = 256
+
+
+def _product_kernels(rows, dimension):
+    """Straight-line ``(mul, sum_products)`` for the compiled table ``rows``.
+
+    ``mul(na, nb)`` returns the numerators of a·b over the table
+    denominator, ``sum_products(items)`` those of the sum of f·a·b over
+    (f, na, nb) items: coordinate i sums c·a<p>·b<q> over row p's (q, i, c),
+    at most ``_TERMS_PER_STATEMENT`` products a statement. The source holds
+    int literals and fixed names alone, whatever document the table came from.
+    """
+    sums = [[] for _ in range(dimension)]
+    for p, row in enumerate(rows):
+        for q, i, c in row:
+            if not type(q) is type(i) is type(c) is int:
+                raise ConstructionError(f"structure constant is not an int: {c!r}")
+            coeff = "" if abs(c) == 1 else f"{abs(c)}*"
+            sums[i].append(f"{'+' if c > 0 else '-'} {coeff}a{p}*b{q}")
+    chunks = [[" ".join(terms[k:k + _TERMS_PER_STATEMENT]).removeprefix("+ ")
+               for k in range(0, len(terms), _TERMS_PER_STATEMENT)] for terms in sums]
+    unpack = [f"{''.join(f'{v}{p}, ' for p in range(dimension))}= n{v}" for v in "ab"]
+    names = ", ".join(f"s{i}" for i in range(dimension))
+    source = "\n".join([
+        "def mul(na, nb):", *("    " + line for line in unpack),
+        *(f"    s{i} {'+=' if k else '='} {chunk}"
+          for i, parts in enumerate(chunks) for k, chunk in enumerate(parts or ["0"])),
+        f"    return ({names},)",
+        "def sum_products(items):", f"    {' = '.join(f's{i}' for i in range(dimension))} = 0",
+        "    for f, na, nb in items:", *("        " + line for line in unpack),
+        *(f"        s{i} += f * ({chunk})" for i, parts in enumerate(chunks) for chunk in parts),
+        f"    return ({names},)",
+    ])
+    namespace = {"__builtins__": {}}
+    exec(source, namespace)
+    return namespace["mul"], namespace["sum_products"]
+
+
 class CompiledAlgebra:
     """A finite-dimensional algebra over Q with a compiled product.
 
@@ -80,22 +121,28 @@ class CompiledAlgebra:
     basis_p * basis_q has coordinate c / ``_mul_den`` at basis_i, with
     zero entries dropped. It also defines ``from_pair(pair)``, which
     picks the element class.
+
+    A ring's first product generates ``_kernels`` from the table, so no
+    product loops over it. The table holds ints alone, which the generator
+    checks, so no text of a user's document reaches its source. Pickling
+    leaves the kernels out; a copy generates its own.
     """
 
     _basis_cache = None
     _involution_map = None
 
+    @cached_property
+    def _kernels(self):
+        """The generated ``(mul, sum_products)`` of ``_mul_rows``, built on first use."""
+        return _product_kernels(self._mul_rows, self.dimension)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
+
     def mul_pairs(self, a, b):
         """The canonical pair of a·b, from the pairs of a and b."""
         (na, da), (nb, db) = a, b
-        acc = [0] * self.dimension
-        for x, row in zip(na, self._mul_rows):
-            if x:
-                for q, i, c in row:
-                    y = nb[q]
-                    if y:
-                        acc[i] += c * x * y
-        return linalg.canonical(acc, da * db * self._mul_den)
+        return linalg.canonical(self._kernels[0](na, nb), da * db * self._mul_den)
 
     def _own(self, el):
         """The pair of el, an element of this ring; raises RingMismatchError otherwise."""
@@ -117,17 +164,7 @@ class CompiledAlgebra:
             return self.from_pair(self.mul_pairs(self._own(a), self._twisted(sigma, m, b)))
         pairs = [(self._own(a), self._twisted(sigma, m, b)) for a, m, b in products]
         den = lcm(*[da * db for (_, da), (_, db) in pairs])
-        acc = [0] * self.dimension
-        rows = self._mul_rows
-        for (na, da), (nb, db) in pairs:
-            f = den // (da * db)
-            for x, row in zip(na, rows):
-                if x:
-                    x *= f
-                    for q, i, c in row:
-                        y = nb[q]
-                        if y:
-                            acc[i] += c * x * y
+        acc = self._kernels[1]([(den // (da * db), na, nb) for (na, da), (nb, db) in pairs])
         return self.from_pair(linalg.canonical(acc, den * self._mul_den))
 
     @property
@@ -429,9 +466,12 @@ class AlgebraElement:
         return NotImplemented
 
     def scale(self, q):
-        if type(q) is not int:  # an int is its own numerator over 1: no Fraction
-            q = _frac(q)
         nums, den = self.pair
+        if type(q) is int:  # the pair is reduced, so gcd(den, q·nums) = gcd(den, q)
+            g = gcd(den, q)
+            q //= g
+            return type(self)(self.ring, (tuple(q * v for v in nums), den // g))
+        q = _frac(q)
         p = q.numerator
         return type(self)(self.ring, linalg.canonical([p * v for v in nums], den * q.denominator))
 

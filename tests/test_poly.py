@@ -607,9 +607,10 @@ def test_weyl_product_sweeps_pi_once_per_right_term(monkeypatch):
     # 7 right-hand terms, each sigma and delta 2k times in row k = 1..6:
     # 7 * 42 (one pi row per left exponent: 7 * 112 = 784)
     assert counts["twist"] == 294
-    # 169 output sums, one per (X, Y) exponent; the rest scale and add
-    # inside the sweep (7,230 with a partial sum per inner product)
-    assert counts["canonical"] == 1296
+    # 169 output sums, one per (X, Y) exponent, and 490 adds inside the
+    # sweep (7,230 with a partial sum per inner product); scaling a term
+    # by an integer exponent reduces by one gcd, without canonical
+    assert counts["canonical"] == 659
     assert product == expected
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewring import config, rings
+from skewring import config, linalg, rings
 from skewring.errors import ConstructionError, NotInvertibleError, RingMismatchError
 
 
@@ -391,16 +391,23 @@ def test_solves_and_dot_reject_foreign_rings():
             G.dot([(a, 0, b) for a, b in products])
 
 
-@pytest.mark.parametrize("ring", [G, H, O, rings.matrix_algebra(G, 2)],
-                         ids=["QQ(i)", "HH", "OO", "M2(QQ(i))"])
+@pytest.mark.parametrize(
+    "ring",
+    [rings.rationals(), G, H, O, rings.sedenions(), rings.jordan_algebra(H),
+     rings.matrix_algebra(G, 2)],
+    ids=["QQ", "QQ(i)", "HH", "OO", "SS", "HH+", "M2(QQ(i))"],
+)
 def test_int_scale_matches_fraction_scale(ring):
-    """An int scales the numerators directly; the pair is the Fraction path's."""
+    """An int scales the numerators and divides by gcd(den, k) alone; the pair
+    is ``canonical``'s and the Fraction path's."""
     rng = random.Random(f"int scale {ring.describe()}")
     for el in [ring.random_element(rng) for _ in range(6)] + [ring.zero, ring.one]:
+        nums, den = el.pair
         for q in (0, 1, -1, 2, -3, 12, -(1 << 70)):
             out = el.scale(q)
             expected = el.scale(Fraction(q))
             assert type(out) is type(expected) and out.pair == expected.pair
+            assert out.pair == linalg.canonical([q * v for v in nums], den)
         # a bool is no rational, as in every other coercion
         with pytest.raises(ConstructionError):
             el.scale(True)
