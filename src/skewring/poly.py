@@ -28,7 +28,7 @@ from .errors import (
     ZeroElementError,
 )
 from .maps import Keyed, PiFamily, PolyTwist, make_twist, pi_apply, pi_rows, validate_twist_axioms
-from .rings import AlgebraElement, first_associator
+from .rings import AlgebraElement
 
 ORE = "ore"
 LAURENT = "laurent"
@@ -46,6 +46,13 @@ class RingConfig:
                     f"{role} acts on {tm.ring.describe()}, "
                     f"not on the coefficient ring {coefficients.describe()}"
                 )
+        # a coefficientwise sigma lifts to R[Y][X] only if it commutes with
+        # the inner twist, checked on basis elements
+        if isinstance(sigma, PolyTwist) and sigma.coeff_map is not None:
+            inner, lift = coefficients.sigma, sigma.coeff_map
+            if any(inner(lift(b)) != lift(inner(b))
+                   for b in coefficients.coefficients.spanning_set(2)):
+                raise ConstructionError("iterated construction requires commuting automorphisms")
         # the one sigma/delta axiom check; `classify` prints these reports
         self.sigma_report = validate_twist_axioms(sigma, "sigma").require()
         self.delta_report = None
@@ -138,18 +145,12 @@ class RingConfig:
             )
         return self._comm
 
-    def span_and_block(self, bound):
-        """The span at the bound and its first block, the last slot of a cut triple search."""
-        if bound < 0:
-            raise ConstructionError("degree_bound must be non-negative")
-        span = self.spanning_set(bound)
-        return span, span[:len(self.coefficients.spanning_set(bound))]
-
     @property
     def is_associative(self):
+        """Whether the associativity certificate passes at bound 2."""
         if self._assoc is None:
-            span, block = self.span_and_block(2)
-            self._assoc = first_associator(span, span, block) is None
+            from .structure import associativity_certificate  # structure imports this module
+            self._assoc = associativity_certificate(self, 2).passed
         return self._assoc
 
     def invert(self, el):
@@ -682,18 +683,10 @@ def iterated_extend(base_config, variable, twist_spec):
     "coefficientwise", "base": map-on-coefficients}. The lifted twist
     acts coefficient-wise and fixes (or uniformly scales) the inner
     variable; it exists exactly when the coefficient-level twists
-    commute, which is checked on basis elements.
+    commute, which ``RingConfig`` checks on basis elements.
     """
     spec = dict(twist_spec)
     lifted = make_twist(base_config, spec.pop("kind"), **spec)
-    if isinstance(lifted, PolyTwist) and lifted.coeff_map is not None:
-        inner_sigma = base_config.sigma
-        coeff_map = lifted.coeff_map
-        for b in base_config.coefficients.spanning_set(2):
-            if inner_sigma(coeff_map(b)) != coeff_map(inner_sigma(b)):
-                raise ConstructionError(
-                    "iterated construction requires commuting automorphisms"
-                )
     return RingConfig(
         coefficients=base_config,
         sigma=lifted,

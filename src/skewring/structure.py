@@ -23,6 +23,20 @@ of m. sigma^m maps the span of the coefficient spanning set onto itself
 (a bijective linear sigma on a finite-dimensional R; the polynomial twists
 keep Y-degrees), so u is scanned at one exponent, the window's lowest.
 
+The ore window [0, B] without a delta. With delta = 0 the ore monomial
+rule is the laurent one, (r·V^m)(s·V^n) = (r·sigma^m(s))·V^(m+n), on
+exponents m, n >= 0, so each step above holds on [0, B]:
+- shift lemma: (s·V^j)·(1·V^n) = s·sigma^j(1)·V^(j+n) = s·V^(j+n) as
+  sigma^j(1) = 1, so p·(c·V^n) = (p·c)·V^n for every n >= 0;
+- right-slot corollary: the shift lemma on (uv)·(c·V^k) and v·(c·V^k),
+  then on u·((vc)·V^k), gives (u, v, c·V^k) = (u, v, c)·V^k for k >= 0;
+- left-slot corollary: the identity and b' = sigma^m(b) are as above,
+  for m >= 0 only. sigma is bijective, so sigma^m maps the coefficient
+  span onto itself for every m >= 0, and u is scanned at exponent 0,
+  the window's lowest, where b' = b; no negative power of sigma enters.
+With a delta the rule is a sum over pi_i^m, and only the shift lemma
+(by D2) is used: those queries are the cut triple search.
+
 The reduction algorithms (central quotient rewriting, shrink-based
 simplicity probing, monic left division, right reduction) mirror the
 constructive steps of the Hilbert-style and simplicity proofs. Right
@@ -115,7 +129,7 @@ class _ScaledOps:
     object.
 
     Products, twist powers and parts serve every degree bound.
-    ``verdicts`` holds the laurent scan's slot verdicts, ``outcomes`` maps
+    ``verdicts`` holds the monomial scan's slot verdicts, ``outcomes`` maps
     each ``NucleusQuery`` to its ``CheckOutcome``, and ``inverses`` each
     element ``nuclear_inverse_check`` inverted to x⁻¹, or None.
     """
@@ -205,11 +219,11 @@ def _ops(memo, config):
     return memo[config]
 
 
-def _laurent_nucleus_scan(query, ops):
-    """Monomial-level exhaustion of the sided associator identities.
+def _monomial_scan(query, ops):
+    """Monomial-level exhaustion of the sided associator identities (delta = 0).
 
     The twisted monomial rule (r·X^m)(s·X^n) = (r·sigma^m(s))·X^(m+n)
-    closes laurent monomials under multiplication, so the associator of
+    closes monomials under multiplication, so the associator of
     monomial pairs against each term of the queried element is a sum of
     monomials computed from cached coefficient products and twist
     powers; biadditivity makes accumulating over the element's terms
@@ -232,14 +246,17 @@ def _laurent_nucleus_scan(query, ops):
     or m2 is m3 and c1·c2·r = c3 for r = s1·s2/s3, compared by
     cross-multiplying integers. a's own scalar cancels from both sides.
     m1·n2 is formed only when c1 is nonzero, as a split product would be,
-    so the product cache fills exactly as with split values.
+    so the product cache fills exactly as with split values. A verdict is
+    the spanning-set index of the first failing a, or None.
 
     In the right slot the term exponent k never enters (the module's
     right-slot corollary), so each term is scanned at its normalised part
     and ``report`` rebuilds the witness from x itself. The left slot fails
     at some exponent m of u iff at the lowest (the module's left-slot
-    corollary), so it scans that one and finds the same witness. Its v, and
-    a middle-slot witness's, sits at the window's lowest exponent.
+    corollary), so it scans that one. Its v, and a middle-slot witness's,
+    sits at the window's lowest exponent. The middle and right slots stop
+    at the first m with a failure and take the least (a, n, b) there, so
+    every witness is the span search's first, u and v exponent-major.
 
     ``ops`` is the config's memo. Nothing in it depends on the queried
     element or slot; a verdict's key carries the bound, as a polynomial
@@ -261,16 +278,15 @@ def _laurent_nucleus_scan(query, ops):
     twist = ops.twist
     part_mul = ops.part_mul
 
-    def report(a, m, b, n):
-        u = config.monomial(a[1].scale(Fraction(*a[0])), m)
-        v = config.monomial(b[1].scale(Fraction(*b[0])), n)
+    def report(i, m, j, n):
+        u, v = config.monomial(coeffs[i], m), config.monomial(coeffs[j], n)
         witness = first_associator(*_slot_triple(side, [x], [u], [v]))
         if witness is None:
             raise AssertionError("monomial scan disagreed with the generic product")
         return CheckOutcome(False, witness)
 
     def first_failure(e1, e2, e3):
-        """The first a with (a·e1)·e2 != a·e3, or None."""
+        """The index of the first a with (a·e1)·e2 != a·e3, or None."""
         (s1, n1), (s2, n2), (s3, n3) = e1, e2, e3
         ratio = _ratio(s1[0] * s2[0] * s3[1], s1[1] * s2[1] * s3[0])
         key = (bound, id(n1), id(n2), id(n3), ratio)
@@ -278,8 +294,7 @@ def _laurent_nucleus_scan(query, ops):
             return verdicts[key]
         rn, rd = ratio
         failing = None
-        for a in split_coeffs:
-            na = a[1]
+        for i, (_, na) in enumerate(split_coeffs):
             (c1n, c1d), m1 = part_mul(na, n1)
             if c1n:
                 (c2n, c2d), m2 = part_mul(m1, n2)
@@ -288,7 +303,7 @@ def _laurent_nucleus_scan(query, ops):
             (c3n, c3d), m3 = part_mul(na, n3)
             if (c2n or c3n) and not (c2n and c3n and m2 is m3
                                      and c1n * c2n * rn * c3d == c3n * c1d * c2d * rd):
-                failing = a
+                failing = i
                 break
         verdicts[key] = failing
         return failing
@@ -298,43 +313,39 @@ def _laurent_nucleus_scan(query, ops):
     # In the left and middle slots v is last, so by the shift lemma it is
     # checked at the lowest exponent and that covers its whole range; in
     # the left slot u's exponent is fixed too (the left-slot corollary).
+    low = exps[0]
     if side == "left":
-        m = exps[0]
-        for a in split_coeffs:
+        for i, a in enumerate(split_coeffs):
             ta = [(twist(k, a), k, t) for k, t in x_terms]
-            for b in split_coeffs:
+            for j, b in enumerate(split_coeffs):
                 for pre, k, t in ta:
-                    lhs = mul(mul(t, pre), twist(k + m, b))
-                    rhs = mul(t, twist(k, mul(a, twist(m, b))))
+                    lhs = mul(mul(t, pre), twist(k + low, b))
+                    rhs = mul(t, twist(k, mul(a, twist(low, b))))
                     if not equal(lhs, rhs):
-                        return report(a, m, b, exps[0])
+                        return report(i, low, j, low)
         return CheckOutcome(True)
 
+    # With u = a·X^m, both identities read E1 = sigma^m(p), E2 =
+    # sigma^(m+s)(q), E3 = sigma^m(p·sigma^s(q)) for a cell (p, s, q) free
+    # of m, so p·sigma^s(q) is formed once per cell. (u x) v vs u (x v):
+    # p = t, s = k, q = b for each term t·X^k of x, v = b at the lowest
+    # exponent; (u v) x vs u (v x): p = b, s = n, q = t for v = b·X^n and
+    # each term's part t. A failure is ranked by (a, n, b), v = b·X^n.
     if side == "middle":
-        # (u x) v vs u (x v): E1 = sigma^m(t), E2 = sigma^(m+k)(b),
-        # E3 = sigma^m(t·sigma^k(b))
-        for m in exps:
-            for b in split_coeffs:
-                for k, t in x_terms:
-                    a = first_failure(
-                        twist(m, t), twist(m + k, b), twist(m, mul(t, twist(k, b)))
-                    )
-                    if a is not None:
-                        return report(a, m, b, exps[0])
-        return CheckOutcome(True)
-
-    # right slot: (u v) x vs u (v x): E1 = sigma^m(b), E2 = sigma^(m+n)(t),
-    # E3 = sigma^m(b·sigma^n(t)); the exponent of v enters through the
-    # twist powers applied to x's coefficients, so hoist per (b, n, m)
-    for _, (_, part) in x_terms:
-        t = (_ONE, part)
-        for b in split_coeffs:
-            for n in exps:
-                bt = mul(b, twist(n, t))
-                for m in exps:
-                    a = first_failure(twist(m, b), twist(m + n, t), twist(m, bt))
-                    if a is not None:
-                        return report(a, m, b, n)
+        cells = [(j, low, t, k, b) for j, b in enumerate(split_coeffs) for k, t in x_terms]
+    else:
+        cells = [(j, n, b, n, (_ONE, part)) for _, (_, part) in x_terms
+                 for j, b in enumerate(split_coeffs) for n in exps]
+    cells = [(j, n, p, s, q, mul(p, twist(s, q))) for j, n, p, s, q in cells]
+    for m in exps:
+        failures = []
+        for j, n, p, s, q, pq in cells:
+            i = first_failure(twist(m, p), twist(m + s, q), twist(m, pq))
+            if i is not None:
+                failures.append((i, n, j))
+        if failures:
+            i, n, j = min(failures)
+            return report(i, m, j, n)
     return CheckOutcome(True)
 
 
@@ -343,11 +354,15 @@ def nucleus_membership(query, memo=None):
 
     A pass means the associator vanishes with the element inserted in
     the queried slot against every pair of basis monomials up to the
-    degree bound, hence (by biadditivity) against the whole span.
+    degree bound, hence (by biadditivity) against the whole span. A
+    delta-free config, laurent or ore, is scanned; with a delta the rule
+    is a sum over pi_i^m, so the query is the triple search with its last
+    slot cut to the first block. Either way a witness is the span search's
+    first failing triple.
 
     ``memo`` is a dict owned by the caller, from each config to its
     ``_ScaledOps``. Queries that share it share their outcomes (a query
-    asked again returns its recorded ``CheckOutcome``) and, on laurent
+    asked again returns its recorded ``CheckOutcome``) and, on delta-free
     configs, coefficient products, twist powers and slot verdicts across
     degree bounds, and return exactly what fresh queries return. ``None``
     gives the query a fresh memo. Keep one memo per suite run, not
@@ -363,10 +378,12 @@ def nucleus_membership(query, memo=None):
     one = ops.split(config.coefficients.one)[1]  # Q·1 is one normalised part
     if query.side == "right" and all(ops.split(c)[1] is one for c in x.terms.values()):
         outcome = CheckOutcome(True)
-    elif config.shape == LAURENT:
-        outcome = _laurent_nucleus_scan(query, ops)
+    elif config.delta is None:
+        outcome = _monomial_scan(query, ops)
     else:
-        span, block = config.span_and_block(query.degree_bound)
+        bound = query.degree_bound
+        span = config.spanning_set(bound)
+        block = span[:len(config.coefficients.spanning_set(bound))]
         last = span if query.side == "right" else block
         witness = first_associator(*_slot_triple(query.side, [x], span, last))
         outcome = CheckOutcome(witness is None, witness)
@@ -385,9 +402,10 @@ def associativity_certificate(config, degree_bound):
     the last factor at the window's lowest exponent (the module's shift
     lemma).
     """
-    span, _ = config.span_and_block(degree_bound)  # rejects a negative bound
+    if degree_bound < 0:
+        raise ConstructionError("degree_bound must be non-negative")
     memo = {}
-    for u in span:
+    for u in config.spanning_set(degree_bound):
         outcome = nucleus_membership(NucleusQuery(u, "left", degree_bound), memo)
         if not outcome:
             return outcome

@@ -5,7 +5,9 @@ from skewring import linalg, maps
 
 # Tier-1 runs a small, derandomized budget, so every run checks the same
 # examples; `pytest --hypothesis-profile=fuzz` (a CI step of its own) runs
-# a larger random one. A test's own @settings(max_examples=...) wins over both.
+# a larger random one. A test's own @settings(max_examples=...) wins over both,
+# so a test that sets a Tier-1 budget and must still fuzz at the profile's
+# size states it as tier1_budget(n) (tests/test_kernel.py).
 settings.register_profile("tier1", max_examples=25, derandomize=True, deadline=None,
                           database=None)
 settings.register_profile("fuzz", max_examples=1000, deadline=None)

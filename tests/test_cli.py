@@ -774,6 +774,12 @@ BAD_CONFIGS = {
         GAUSS_Q2, ring="quaternions", twist={"kind": "inner", "u": ["0", "0", "0", "0"]}
     ),
     "inner-u-not-list": dict(GAUSS_Q2, ring="quaternions", twist={"kind": "inner", "u": "1"}),
+    # a coefficientwise sigma that does not commute with the inner twist of H[Y^±]
+    "coefficientwise-not-commuting": dict(
+        GAUSS_Q2, ring={"kind": "polynomial", "base": "quaternions",
+                        "twist": {"kind": "inner", "u": [1, 1, 0, 0]}},
+        twist={"kind": "coefficientwise", "base": {"kind": "inner", "u": [1, 0, 1, 0]}},
+    ),
     "coefficientwise-without-base": dict(
         GAUSS_Q2, ring={"kind": "polynomial", "base": "gaussian"},
         twist={"kind": "coefficientwise"},

@@ -23,6 +23,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def tier1_budget(examples):
+    """``examples`` on the tier1 profile, the loaded profile's own budget on any
+    other, so a kernel test with a Tier-1 budget still fuzzes at full size."""
+    if settings.get_current_profile_name() == "tier1":
+        return examples
+    return settings.default.max_examples
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
@@ -175,7 +183,7 @@ def algebra_and_pair(names):
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=tier1_budget(12), deadline=None)
 @given(data=st.data())
 def test_mul_pairs_matches_fraction_oracle(name, data):
     """Each algebra on its own budget: one derandomized draw over all of them
@@ -258,7 +266,7 @@ MATRIX_RINGS = {
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX_RINGS))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=tier1_budget(30), deadline=None)
 @given(data=st.data())
 def test_matrix_product_matches_fraction_oracle(name, data):
     ring = MATRIX_RINGS[name]
@@ -607,7 +615,6 @@ def oracle_product(ring, a, b):
 
 
 @pytest.mark.parametrize("name", sorted(DOT_RINGS))
-@settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_dot_matches_sequential_sum(name, data):
     ring = DOT_RINGS[name]

@@ -284,6 +284,10 @@ def test_iterated_extend_requires_commuting():
     base = poly.RingConfig(h, first, None, "Y", poly.LAURENT)
     with pytest.raises(ConstructionError, match="commuting automorphisms"):
         poly.iterated_extend(base, "X", {"kind": "coefficientwise", "base": second})
+    # the rule lives in RingConfig, so a config built directly obeys it too
+    with pytest.raises(ConstructionError, match="commuting automorphisms"):
+        poly.RingConfig(base, maps.make_twist(base, "coefficientwise", base=second),
+                        None, "X", poly.LAURENT)
     lifted = poly.iterated_extend(base, "X", {"kind": "coefficientwise", "base": first})
     assert lifted.coefficients is base
 

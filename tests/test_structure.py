@@ -108,6 +108,17 @@ def _exhaustive_membership(x, side, bound):
     return rings.first_associator(*slots[side])
 
 
+def _sedenion_ore():
+    S = rings.sedenions()
+    return poly.RingConfig(S, maps.make_twist(S, "conjugation"), None, "X", poly.ORE)
+
+
+def _octonion_laurent_y2_ore():
+    """O[Y^±][X; Y -> 2Y]: a polynomial coefficient ring under a delta-free ore twist."""
+    inner = poly.RingConfig(O, maps.make_twist(O, "identity"), None, "Y", poly.LAURENT)
+    return poly.RingConfig(inner, maps.make_twist(inner, "y_scale", q=2), None, "X", poly.ORE)
+
+
 def _oracle_elements(config, powers, rng):
     """X^n for the given n, two non-unit basis constants, two random elements."""
     ring = config.coefficients
@@ -127,13 +138,16 @@ def _oracle_elements(config, powers, rng):
     ("weyl", lambda: suites.builtin("weyl"), 2, (1, 2)),
     ("octonion-ore", lambda: suites.builtin("octonion-ore"), 2, (1, 2)),
     ("gaussian-q2-ore", lambda: suites.builtin("gaussian-q2-ore"), 2, (1, 2)),
+    ("sedenion-conj-ore", _sedenion_ore, 2, (1, 2)),
+    ("octonion-laurent-y2-ore", _octonion_laurent_y2_ore, 1, (1,)),
 ])
 def test_nucleus_scan_matches_exhaustive_oracle(name, make_config, bound, powers):
-    """Each nucleus query against the uncut whole-span search, in every slot.
+    """Each nucleus query against the uncut whole-span search, in every slot:
+    the same verdict and the same witness, the search's first failing triple.
 
-    An ore query is that search with its last slot cut to the first block
-    (the shift lemma), so it names the same witness; the laurent monomial
-    scan names the first failure in its own loop order.
+    A delta-free query, laurent or ore, is the monomial scan; a query on
+    the Weyl ring is the search with its last slot cut to the first block
+    (the shift lemma).
     """
     config = make_config()
     rng = random.Random(f"oracle-{name}")
@@ -143,15 +157,10 @@ def test_nucleus_scan_matches_exhaustive_oracle(name, make_config, bound, powers
             outcome = structure.nucleus_membership(structure.NucleusQuery(x, side, bound))
             witness = _exhaustive_membership(x, side, bound)
             assert outcome.passed == (witness is None), (x, side)
+            assert outcome.witness == witness, (x, side)
             verdicts.add((side, outcome.passed))
-            if config.shape == poly.ORE:
-                assert outcome.witness == witness, (x, side)
-            elif not outcome.passed:
-                a, b, c, value = outcome.witness
-                assert rings.associator(a, b, c) == value
-                assert value
     # both verdicts occur in the middle and right slots (the memoised
-    # slots of the laurent scan); the Weyl algebra is associative
+    # slots of the monomial scan); the Weyl algebra is associative
     expected = {True} if name == "weyl" else {True, False}
     assert {(s, v) for s in ("middle", "right") for v in expected} <= verdicts
 
@@ -196,7 +205,7 @@ def _seeded_h_twist_config():
 
 
 @pytest.mark.parametrize("name", [
-    *(name for name, doc in suites.ROSTER.items() if doc.get("shape") != poly.ORE),
+    *(name for name, doc in suites.ROSTER.items() if "delta" not in doc),
     "H-matrix-twist",
 ])
 def test_left_scan_at_one_exponent_matches_the_full_window(name):
@@ -222,12 +231,14 @@ def test_left_scan_at_one_exponent_matches_the_full_window(name):
 
 
 def _mixed_queries(config, rng):
-    """X^n, constants and random elements in every slot, at bounds 2 and 1 in turn."""
+    """X^n at the ends of the bound-1 window, constants and random elements in
+    every slot, at bounds 2 and 1 in turn."""
     ring = config.coefficients
-    elements = [config.variable_power(n) for n in (-1, 1)]
+    window = config.exponent_window(1)
+    elements = [config.variable_power(n) for n in (window[0], window[-1])]
     elements += [config.constant(c) for c in ring.spanning_set(0)[1:3]]
     elements += [
-        poly.SkewPoly(config, poly.random_terms(ring, rng, rng.sample(range(-1, 2), 2)))
+        poly.SkewPoly(config, poly.random_terms(ring, rng, rng.sample(window, 2)))
         for _ in range(2)
     ]
     return [
@@ -241,6 +252,8 @@ def _mixed_queries(config, rng):
     ("matrix-swap", cfg_matrix_swap),
     ("octonion-conj", cfg_octonion),
     ("octonion-torus", lambda: poly.quantum_torus(O, 2)),
+    ("gaussian-q2-ore", lambda: cfg_q2(poly.ORE)),
+    ("octonion-ore", lambda: suites.builtin("octonion-ore")),
 ])
 def test_shared_scan_memo_matches_fresh_scans(name, make_config):
     """Scans sharing one memo return the verdicts and witnesses of fresh scans."""
@@ -278,7 +291,7 @@ def _repeated_coefficient_elements(config, rng, bound):
 
 
 @pytest.mark.parametrize("name", [
-    name for name, doc in suites.ROSTER.items() if doc.get("shape") != poly.ORE
+    name for name, doc in suites.ROSTER.items() if "delta" not in doc
 ])
 def test_right_slot_records_match_fresh_scans(name):
     """Right-slot scans sharing one memo, so sharing the first failure recorded
@@ -336,7 +349,7 @@ def test_rational_right_slot_lemma_matches_the_span_search(monkeypatch, name):
         window = list(config.exponent_window(bound))
         x = config.from_terms({window[0]: one.scale(Fraction(-1, 3)), window[-1]: one.scale(2)})
         with monkeypatch.context() as patched:
-            patched.setattr(structure, "_laurent_nucleus_scan", no_search)
+            patched.setattr(structure, "_monomial_scan", no_search)
             patched.setattr(structure, "first_associator", no_search)
             outcome = structure.nucleus_membership(structure.NucleusQuery(x, "right", bound))
         span = config.spanning_set(bound)
@@ -567,7 +580,7 @@ def test_scan_verdicts_match_plain_arithmetic(name, make_config):
         if failing is None:
             assert first is None
         else:
-            assert failing[1].scale(Fraction(*failing[0])) == first
+            assert coeffs[failing] == first
         checked += 1
     assert checked
 
@@ -753,6 +766,8 @@ def test_associativity_certificate_matches_generic_search_on_random_twists():
                         None, "X", poly.LAURENT)
         for _ in range(2)
     ]
+    # each twist again as a delta-free ore ring, decided by the same scan
+    configs += [poly.RingConfig(c.coefficients, c.sigma, None, "X", poly.ORE) for c in configs]
     verdicts = {_assert_certificate_matches_generic(config, bound)
                 for config in configs for bound in (1, 2)}
     assert verdicts == {True, False}
@@ -859,17 +874,20 @@ def _fresh(name):
 ])
 def test_is_associative_matches_the_uncut_search(name):
     config = _fresh(name)
-    span, block = config.span_and_block(2)
+    span = config.spanning_set(2)
+    block = span[:len(config.coefficients.spanning_set(2))]
     witness = rings.first_associator(span, span, span)
     assert rings.first_associator(span, span, block) == witness
     assert config.is_associative == (witness is None)
 
 
 @pytest.mark.parametrize("name, products, associative", [
-    # the uncut searches made 47,500 and 121,418 products
-    ("torus-rational", 10000, True),
-    ("torus-octonion", 24458, False),
-])
+    # the bound-2 certificate's monomial scans over the polynomial coefficient
+    # ring; the cut triple search made 10,000 and 24,458, the uncut one 47,500
+    # and 121,418
+    ("torus-rational", 65, True),
+    ("torus-octonion", 2292, False),
+], ids=["torus-rational", "torus-octonion"])
 def test_is_associative_search_budget(monkeypatch, name, products, associative):
     config = _fresh(name)
     config.spanning_set(2)  # build the cached span outside the count
@@ -912,6 +930,24 @@ def test_associativity_certificate_product_budget(monkeypatch):
         assert skew_products == 0
 
 
+def test_ore_certificate_makes_no_polynomial_product(monkeypatch):
+    """A passing delta-free ore certificate is monomial scans alone: M3(Q)[X; id]
+    at bound 4 makes no ``product_terms`` call, where the cut triple search
+    made 56,700."""
+    m3 = rings.matrix_algebra(Q, 3)
+    config = poly.RingConfig(m3, maps.make_twist(m3, "identity"), None, "X", poly.ORE)
+    count = [0]
+    product_terms = poly.product_terms
+
+    def counted(*args):
+        count[0] += 1
+        return product_terms(*args)
+
+    monkeypatch.setattr(poly, "product_terms", counted)
+    assert structure.associativity_certificate(config, 4).passed
+    assert count[0] == 0
+
+
 def test_nuclei_suite_operation_budget(monkeypatch):
     """One nuclei run's coefficient products, polynomial products, scans,
     scaled products and inversions, pinned. With one memo per check the
@@ -919,8 +955,12 @@ def test_nuclei_suite_operation_budget(monkeypatch):
     scans. With left scans over the whole exponent window, right-slot scans
     of X^n and an inversion per hypothesis it made 378, 56, 112, 7,728 and
     36; with one memo entry per (config, bound) and right-slot records,
-    378, 56, 69, 2,594 and 12. The second run repeats the count, so no
-    memo outlives its run."""
+    378, 56, 69, 2,594 and 12. Before a failing middle- or right-slot scan
+    finished its first failing exponent block, to name the first failing
+    triple in span order, 286 coefficient products; before the middle slot
+    formed t·sigma^k(b) once per cell, not once per exponent of u, 2,608
+    scaled ones. The second run repeats the count, so no memo outlives
+    its run."""
     for config in suites._laurent_roster() + [suites.builtin("gaussian-q-1")]:
         for bound in (3, 4):  # build the cached spans outside the count
             config.coefficients.spanning_set(bound)
@@ -938,7 +978,7 @@ def test_nuclei_suite_operation_budget(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(rings.AlgebraElement, "__mul__")
-    counted(structure, "_laurent_nucleus_scan")
+    counted(structure, "_monomial_scan")
     counted(structure._ScaledOps, "mul")
     counted(poly.RingConfig, "invert")
     for _ in range(2):
@@ -946,7 +986,7 @@ def test_nuclei_suite_operation_budget(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert suites.run_suite("nuclei").ok
         assert count[0] == 56
-        assert calls == {"__mul__": 286, "_laurent_nucleus_scan": 69, "mul": 2608, "invert": 12}
+        assert calls == {"__mul__": 289, "_monomial_scan": 69, "mul": 1370, "invert": 12}
 
 
 def test_hilbert_suite_operation_budget(monkeypatch, factor_count):
