@@ -38,7 +38,7 @@ _MODULE_OF = {
         "series": "TruncatedSeries equal_to_precision series_invert series_mul",
         "structure": "GeneratorSet NucleusQuery ReductionResult associativity_certificate "
                      "associativity_prediction central_reduction monic_left_reduce "
-                     "nuclear_inverse_check nucleus_membership replay_reduction "
+                     "nuclear_inverse_check nucleus_membership reduce replay_reduction "
                      "right_reduce shrink simplicity_probe",
     }.items()
     for name in names.split()

@@ -38,13 +38,15 @@ With a delta the rule is a sum over pi_i^m, and only the shift lemma
 (by D2) is used: those queries are the cut triple search.
 
 The reduction algorithms (central quotient rewriting, shrink-based
-simplicity probing, monic left division, right reduction) mirror the
-constructive steps of the Hilbert-style and simplicity proofs. Right
-reduction is one leading-term loop for polynomials and series; only the
-leading exponent (degree or order) depends on the type. Each reduction
-produces a replayable record: generators combined with single-monomial
-cofactors plus a remainder that reconstructs the input exactly; replay
-rebuilds each step with the cofactor product the reduction subtracted.
+simplicity probing, leading-term reduction) mirror the constructive
+steps of the Hilbert-style and simplicity proofs. Reduction is one
+leading-term loop for left and right generator sets, polynomials and
+series: the generator set's side picks the solve and the cofactor's
+side, and the type picks the leading exponent (degree or order). Each
+reduction produces a replayable record: generators combined with
+single-monomial cofactors plus a remainder that reconstructs the input
+exactly; replay rebuilds each step with the cofactor product the
+reduction subtracted.
 """
 
 from __future__ import annotations
@@ -647,65 +649,31 @@ def _cofactor_factors(g, side, u, k):
     return (mono, 0, g) if side == "left" else (g, 0, mono)
 
 
-def monic_left_reduce(f, p):
-    """Left-divide f by p over division-ring coefficients.
+def reduce(f, gens, max_steps=None):
+    """Reduce f against a generator set on its side, recording replayable steps.
 
-    Each step subtracts (t·V^(n-m))·p where t solves
-    t·sigma^(n-m)(lead p) = lead f, cancelling the top term; the proof's
-    preliminary monic normalization is folded into that solve, and each
-    distinct value of sigma^(n-m)(lead p) is factored once per call. The
-    remainder ends with degree < deg p and the recorded steps replay to
-    f exactly.
-    """
-    config = f.config
-    config._own(f)
-    config._own(p)
-    if not p:
-        raise ReductionError("cannot divide by zero")
-    if not config.coefficients.is_division:
-        raise ReductionError("left division requires division ring")
-    m = p.degree
-    c = p.leading_coefficient
-    sigma = config.sigma
-    divisors = Divisors(config.coefficients, "right")
-    steps = []
-    rem = f
-    while rem and rem.degree >= m:
-        n = rem.degree
-        t = divisors[sigma.power_apply(n - m, c)](rem.leading_coefficient)
-        if t is None:
-            raise ReductionError("left division requires division ring")
-        steps.append(CofactorStep(0, "left", t, n - m))
-        rem = rem - p.times_monomial(t, n - m, left=True)
-    return ReductionResult(steps, rem)
-
-
-def right_reduce(f, gens, max_steps=None):
-    """Reduce f against a right generator set, recording replayable steps.
-
-    One leading-term loop for polynomials and series: n is the element's
-    ``leading_exponent``, the degree of a polynomial and the order of a
-    series. Each step cancels the leading coefficient by subtracting
-    g·(u·V^(n-m_g)), where m_g is g's leading exponent,
-    u = sigma^(-m_g)(w) and w solves (lead g)·w = lead f; the first
-    generator with m_g <= n whose solve succeeds is used (one always
-    does over division-ring coefficients), and a generator's leading
-    coefficient is factored once per call, on its first use. A series
-    step raises the order, so the loop ends when the remainder's window
-    is exhausted.
+    One leading-term loop for both sides, polynomials and series: n is the
+    element's ``leading_exponent``, the degree of a polynomial and the order
+    of a series, m_g is g's and k = n - m_g. A right step subtracts
+    g·(u·V^k), where u = sigma^(-m_g)(w) and w solves (lead g)·w = lead f;
+    a left step subtracts (t·V^k)·g, where t solves
+    t·sigma^k(lead g) = lead f. Either cancels the leading coefficient.
+    The first generator with m_g <= n whose solve succeeds is used, and
+    each distinct divisor (lead g, or sigma^k(lead g) on the left) is
+    factored once per call, on its first use. A series step raises the
+    order, so the loop ends when the remainder's window is exhausted.
     When no generator has m_g <= n, a polynomial remainder is a true
     remainder, but a series is flagged ``irreducible``; so is any
     remainder whose leading coefficient no single eligible generator
     matches. At most ``max_steps`` steps are taken.
     """
-    if gens.side != "right":
-        raise ConstructionError("right_reduce needs a right generator set")
     config = f.config
     if gens.config != config or type(f) is not type(gens.generators[0]):
         raise RingMismatchError("incompatible rings")
+    left = gens.side == "left"
     is_series = isinstance(f, TruncatedSeries)
     sigma = config.sigma
-    divisors = Divisors(config.coefficients, "left")
+    divisors = Divisors(config.coefficients, "right" if left else "left")
     rem = f
     steps = []
     irreducible = False
@@ -717,36 +685,60 @@ def right_reduce(f, gens, max_steps=None):
         if not eligible and not is_series:
             break
         for idx, g in eligible:
-            w = divisors[g.leading_coefficient](rem.leading_coefficient)
+            k = n - g.leading_exponent
+            lead = sigma.power_apply(k, g.leading_coefficient) if left else g.leading_coefficient
+            w = divisors[lead](rem.leading_coefficient)
             if w is not None:
                 break
         else:
             irreducible = True
             break
-        mg = g.leading_exponent
-        u = sigma.power_apply(-mg, w)
-        steps.append(CofactorStep(idx, "right", u, n - mg))
-        rem = rem - g.times_monomial(u, n - mg)
+        u = w if left else sigma.power_apply(-g.leading_exponent, w)
+        steps.append(CofactorStep(idx, gens.side, u, k))
+        rem = rem - g.times_monomial(u, k, left=left)
     return ReductionResult(steps, rem, irreducible)
+
+
+def monic_left_reduce(f, p):
+    """Left-divide the polynomial f by p over division-ring coefficients.
+
+    ``reduce`` by the left set {p}: sigma is bijective, so
+    sigma^k(lead p) != 0, and over a division ring every step matches.
+    The remainder ends with degree < deg p and the recorded steps replay
+    to f exactly. The proof's preliminary monic normalization is folded
+    into each step's solve.
+    """
+    config = f.config
+    config._own(f)
+    config._own(p)
+    if not p:
+        raise ReductionError("cannot divide by zero")
+    if not config.coefficients.is_division:
+        raise ReductionError("left division requires division ring")
+    return reduce(f, GeneratorSet(config, [p], "left"))
+
+
+def right_reduce(f, gens, max_steps=None):
+    """``reduce`` by a right generator set; a left set raises ``ConstructionError``."""
+    if gens.side != "right":
+        raise ConstructionError("right_reduce needs a right generator set")
+    return reduce(f, gens, max_steps)
 
 
 def replay_reduction(result, gens):
     """Rebuild the reduced input: the remainder plus every recorded cofactor product.
 
-    Polynomials and series share this replay up to the one rule where a
-    series differs: each cofactor product is the generator's
-    ``times_monomial`` shift with its own precision, so the shifts are
-    added one at a time and the sum keeps the least precision, and a left
-    step raises ``ConstructionError``. A polynomial's cofactor products
-    are summed by one ``dot`` of its config, so each output coefficient
-    is one sum.
+    Each step's product is g·(u·V^k) on the right and (u·V^k)·g on the
+    left. A series adds each step's ``times_monomial`` shift with its own
+    precision, one at a time, so the sum keeps the least precision. A
+    polynomial's cofactor products are summed by one ``dot`` of its
+    config, so each output coefficient is one sum.
     """
     generators = gens.generators if isinstance(gens, GeneratorSet) else list(gens)
     total = result.remainder
     steps = [(generators[step.generator], step.side, step.coeff, step.exponent)
              for step in result.steps]
     if isinstance(total, TruncatedSeries):
-        if any(side != "right" for _, side, _, _ in steps):
-            raise ConstructionError("series replay supports right cofactors")
-        return sum((g.times_monomial(u, k) for g, _, u, k in steps), total)
+        return sum((g.times_monomial(u, k, left=side == "left") for g, side, u, k in steps),
+                   total)
     return total + total.config.dot([_cofactor_factors(*step) for step in steps])

@@ -1,7 +1,9 @@
+import json
+
 import pytest
 from hypothesis import settings
 
-from skewring import linalg, maps
+from skewring import cli, linalg, maps, parsing, structure
 
 # Tier-1 runs a small, derandomized budget, so every run checks the same
 # examples; `pytest --hypothesis-profile=fuzz` (a CI step of its own) runs
@@ -40,3 +42,24 @@ def power_apply_count(monkeypatch):
 
     monkeypatch.setattr(maps.LinearTwist, "power_apply", counted)
     return counts
+
+
+@pytest.fixture(scope="session")
+def replay_printed():
+    """``replay(out, cli_config, gen_texts)``: the element that the ``reduce``
+    record printed as ``out`` replays to, its cofactors and remainder parsed back
+    under ``cli_config`` and its generators parsed from ``gen_texts``."""
+    def replay(out, cli_config, gen_texts):
+        record = json.loads(out)
+        steps = []
+        for step in record["steps"]:
+            (exponent, coeff), = parsing.parse_poly(step["cofactor"],
+                                                    cli_config.ring_config).terms.items()
+            steps.append(structure.CofactorStep(step["generator"], step["side"], coeff,
+                                                exponent))
+        remainder = cli.parse_expr(record["remainder"], cli_config)
+        return structure.replay_reduction(
+            structure.ReductionResult(steps, remainder),
+            [cli.parse_expr(text, cli_config) for text in gen_texts])
+
+    return replay

@@ -310,67 +310,78 @@ def test_reduce_left(runner, tmp_path):
     assert all(step["side"] == "left" for step in doc["steps"])
 
 
-def test_reduce_left_rejects_steps(runner, tmp_path):
-    # left division always ends, so a step cap there would be ignored
-    cfg_path = write(tmp_path, "cfg.json", dict(GAUSS_Q2, shape="ore"))
+def test_reduce_left_steps_caps_and_replays(runner, tmp_path, replay_printed):
+    # --steps caps a left reduction as it caps a right one: iX^3 takes two steps
+    doc = dict(GAUSS_Q2, shape="ore")
+    cfg_path = write(tmp_path, "cfg.json", doc)
     gens_path = write(tmp_path, "gens.json", ["X^2 + iX"])
     result = runner.invoke(
         cli.main,
         ["reduce", "--config", cfg_path, "--gens", gens_path, "--side", "left",
-         "--steps", "0", "iX^3"],
+         "--steps", "1", "iX^3"],
     )
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith("error: --steps")
+    assert result.exit_code == 0
+    record = json.loads(result.stdout)
+    assert record["remainder"] == "2X^2"
+    assert [step["side"] for step in record["steps"]] == ["left"]
+    cli_config = config.load_config(doc)
+    assert (replay_printed(result.stdout, cli_config, ["X^2 + iX"])
+            == cli.parse_expr("iX^3", cli_config))
 
 
-def test_reduce_left_rejects_a_series_config(runner, tmp_path):
-    # refused before any expression is parsed: left division is for polynomials
-    cfg_path = write(tmp_path, "cfg.json", SERIES_Q2)
-    gens_path = write(tmp_path, "gens.json", ["1 + X + O(X^4)"])
+def test_reduce_left_by_two_generators(runner, tmp_path, replay_printed):
+    # X·(X^2 + i) = X^3 + 2iX under q = 2, then 1·(X^2 + i), leave -2iX + 1 - i,
+    # and (-2)·(iX + 1) leaves 3 - i
+    doc = dict(GAUSS_Q2, shape="ore")
+    gens = ["X^2 + i", "iX + 1"]
+    cfg_path = write(tmp_path, "cfg.json", doc)
+    gens_path = write(tmp_path, "gens.json", gens)
+    target = "X^3 + X^2 + 1"
     result = runner.invoke(
         cli.main,
-        ["reduce", "--config", cfg_path, "--gens", gens_path, "--side", "left",
-         "X^2 + O(X^4)"],
+        ["reduce", "--config", cfg_path, "--gens", gens_path, "--side", "left", target],
     )
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr == "error: left reduction takes polynomials, not series\n"
+    assert result.exit_code == 0
+    record = json.loads(result.stdout)
+    assert record["remainder"] == "[3,-1]" and record["irreducible"] is False
+    assert [(step["generator"], step["cofactor"]) for step in record["steps"]] == [
+        (0, "X"), (0, "1"), (1, "-2")]
+    cli_config = config.load_config(doc)
+    assert replay_printed(result.stdout, cli_config, gens) == cli.parse_expr(target, cli_config)
 
 
 POWER_SERIES_Q = {"ring": "rationals", "twist": "identity", "shape": "power_series",
                   "precision": 4}
-
-
-@pytest.mark.parametrize("doc, gens, target", [
+SERIES_CASES = [
     (POWER_SERIES_Q, ["1 + X + O(X^4)"], "1 + O(X^4)"),
     (dict(POWER_SERIES_Q, shape="laurent_series"), ["X^-1 + X + O(X^4)"], "X^-1 + 1 + O(X^4)"),
-], ids=["power_series", "laurent_series"])
-def test_reduce_right_on_a_series_config_replays(runner, tmp_path, doc, gens, target):
-    # each step subtracts a generator times an exact monomial cofactor, so the
-    # record parsed back replays to the target within its precision
+]
+
+
+@pytest.mark.parametrize("doc, gens, target, side", [
+    *[(*case, "right") for case in SERIES_CASES],
+    *[(*case, "left") for case in SERIES_CASES],
+], ids=["power_series", "laurent_series", "power_series-left", "laurent_series-left"])
+def test_reduce_right_on_a_series_config_replays(runner, tmp_path, replay_printed,
+                                                 doc, gens, target, side):
+    # each step subtracts a generator times an exact monomial cofactor, on
+    # either side, so the record parsed back replays to the target within its
+    # precision
     cfg_path = write(tmp_path, "cfg.json", doc)
     gens_path = write(tmp_path, "gens.json", gens)
     result = runner.invoke(
         cli.main,
-        ["reduce", "--config", cfg_path, "--gens", gens_path, "--side", "right", target],
+        ["reduce", "--config", cfg_path, "--gens", gens_path, "--side", side, target],
     )
     assert result.exit_code == 0
     assert result.stderr == ""
     record = json.loads(result.stdout)
     assert record["remainder"] == "0 + O(X^4)"
     assert record["irreducible"] is False
+    assert {step["side"] for step in record["steps"]} == {side}
     cli_config = config.load_config(doc)
-    ring = cli_config.ring_config
-    steps = []
-    for step in record["steps"]:
-        (exponent, coeff), = parsing.parse_poly(step["cofactor"], ring).terms.items()
-        steps.append(structure.CofactorStep(step["generator"], step["side"], coeff, exponent))
-    replayed = structure.replay_reduction(
-        structure.ReductionResult(steps, cli.parse_expr(record["remainder"], cli_config)),
-        [cli.parse_expr(text, cli_config) for text in gens],
-    )
-    assert series.equal_to_precision(replayed, cli.parse_expr(target, cli_config))
+    assert series.equal_to_precision(replay_printed(result.stdout, cli_config, gens),
+                                     cli.parse_expr(target, cli_config))
 
 
 @pytest.mark.parametrize("suite", ["nuclei", "associativity", "laurent-axioms",

@@ -1256,6 +1256,12 @@ def test_monic_left_requires_division():
     config = poly.RingConfig(m2, maps.make_twist(m2, "identity"), None, "X", poly.ORE)
     with pytest.raises(ReductionError, match="left division requires division ring"):
         structure.monic_left_reduce(config.gen, config.one + config.gen)
+    # reduce takes the same left set and flags a lead that no t·E11 matches
+    e11, e22 = m2.basis_element(0), m2.basis_element(3)
+    f = config.monomial(e22, 2)
+    gens = structure.GeneratorSet(config, [config.monomial(e11, 1)], "left")
+    result = structure.reduce(f, gens)
+    assert result.irreducible and not result.steps and result.remainder == f
 
 
 # -- right reduction ---------------------------------------------------------------
@@ -1318,14 +1324,15 @@ def test_right_reduce_irreducible_flag(case, irreducible):
     assert result.remainder == f
 
 
-def test_replay_rejects_left_step_on_series():
-    config = poly.RingConfig(Q, maps.make_twist(Q, "identity"), None, "X", poly.LAURENT)
-    gen = series.series(config, {0: Q.one, 1: -Q.one}, 5)
+def test_replay_left_step_on_series():
+    # (iX)·(i + X) = X + iX^2 under conjugation, where (i + X)·(iX) = -X - iX^2
+    config = cfg_conj()
+    i = G.basis_element(1)
+    gen = series.series(config, {0: i, 1: G.one}, 5)
     record = structure.ReductionResult(
-        [structure.CofactorStep(0, "left", Q.one, 1)], series.series(config, {}, 5)
+        [structure.CofactorStep(0, "left", i, 1)], series.series(config, {}, 5)
     )
-    with pytest.raises(ConstructionError, match="series replay supports right cofactors"):
-        structure.replay_reduction(record, [gen])
+    assert structure.replay_reduction(record, [gen]) == series.series(config, {1: G.one, 2: i}, 5)
 
 
 def test_right_reduce_poly_coefficient_match():
@@ -1340,21 +1347,83 @@ def test_right_reduce_poly_coefficient_match():
     assert structure.replay_reduction(result, [gen]) == f
 
 
-def test_right_reduce_random_replay():
-    config = cfg_q2(poly.ORE)
+REDUCTION_RINGS = {
+    "q2-ore": lambda: cfg_q2(poly.ORE),
+    "octonion-conj-ore": lambda: poly.RingConfig(O, maps.make_twist(O, "conjugation"), None,
+                                                 "X", poly.ORE),
+    "weyl": lambda: suites.builtin("weyl"),
+}
+
+
+def _generator_with_unit_lead(config, rng):
+    """Random terms below a degree 1..3 whose lead is invertible: any nonzero
+    one over a division ring, 1 over the Weyl ring's Q[Y]."""
+    ring = config.coefficients
+    lead = ring.zero
+    while not lead:
+        lead = ring.random_element(rng) if ring.is_division else ring.one
+    degree = rng.randint(1, 3)
+    terms = {e: ring.random_element(rng) for e in range(degree)}
+    return config.from_terms({**terms, degree: lead})
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", sorted(REDUCTION_RINGS))
+def test_reduce_random_replay(name, side):
+    """Two generators with invertible leads: every step cancels the lead, so
+    the degree falls each step and the remainder ends below both generators
+    within deg f - min deg g + 1 steps; the cap makes a step that cancels
+    nothing fail here instead of looping. One step capped replays too."""
+    config = REDUCTION_RINGS[name]()
     rng = random.Random(59)
-    done = 0
-    while done < 25:
-        gens = [g for g in (config.random_element(rng, max_degree=3) for _ in range(2)) if g]
+    for _ in range(12):
+        gens = [_generator_with_unit_lead(config, rng) for _ in range(2)]
         f = config.random_element(rng, max_degree=6)
-        if not gens:
-            continue
-        done += 1
-        gset = structure.GeneratorSet(config, gens, "right")
-        result = structure.right_reduce(f, gset)
-        if result.remainder:
-            assert result.remainder.degree < min(g.degree for g in gens)
+        bound = min(g.degree for g in gens)
+        cap = max(f.degree - bound + 1, 0) if f else 0
+        gset = structure.GeneratorSet(config, gens, side)
+        result = structure.reduce(f, gset, max_steps=cap)
+        assert not result.irreducible
+        assert not result.remainder or result.remainder.degree < bound
+        assert all(step.side == side for step in result.steps)
         assert structure.replay_reduction(result, gset) == f
+        capped = structure.reduce(f, gset, max_steps=1)
+        assert len(capped.steps) == min(1, len(result.steps))
+        assert structure.replay_reduction(capped, gset) == f
+
+
+def _left_power_series():
+    # Q(i)[[X; conj]] by a generator of order 1, so a left step's sigma^k
+    # and a right step's sigma^(-1) differ
+    config = poly.RingConfig(G, maps.make_twist(G, "conjugation"), None, "X", poly.ORE)
+    i = G.basis_element(1)
+    gen = series.series(config, {1: G.one + i, 2: i, 4: G.one.scale(2)}, 6)
+    return gen, series.series(config, {1: i, 2: G.one, 3: i}, 6)
+
+
+def _left_laurent_series():
+    # O((X; conj)) by a generator of order -1 with octonion coefficients
+    config = cfg_octonion()
+    rng = random.Random(67)
+    gen = series.series(config, {-1: O.random_element(rng), 1: O.random_element(rng)}, 5)
+    f = series.series(config, {e: O.random_element(rng) for e in (-1, 0, 2)}, 5)
+    return gen, f
+
+
+@pytest.mark.parametrize("case", [_left_power_series, _left_laurent_series],
+                         ids=["power-series", "laurent-series"])
+def test_left_reduce_series_replays_within_precision(case):
+    """Each left step raises the order, so the window empties within
+    N - ord f + 1 steps; the cap makes a step that cancels nothing fail."""
+    gen, f = case()
+    gens = structure.GeneratorSet(f.config, [gen], "left")
+    result = structure.reduce(f, gens, max_steps=f.precision - f.order + 1)
+    assert not result.remainder and not result.irreducible
+    exponents = [step.exponent for step in result.steps]
+    assert exponents == sorted(set(exponents)) and {s.side for s in result.steps} == {"left"}
+    assert series.equal_to_precision(
+        structure.replay_reduction(result, gens), f, result.remainder.precision
+    )
 
 
 def test_right_reduce_series_geometric():
@@ -1428,6 +1497,8 @@ def test_generator_set_validation():
         structure.GeneratorSet(config, [], "right")
     with pytest.raises(ConstructionError, match="side"):
         structure.GeneratorSet(config, [config.one], "up")
+    with pytest.raises(ConstructionError, match="right_reduce needs a right generator set"):
+        structure.right_reduce(config.gen, structure.GeneratorSet(config, [config.one], "left"))
 
 
 def test_reduction_rejects_the_other_kind():
