@@ -30,8 +30,8 @@ _MODULE_OF = {
                 "infinite_order_reason make_twist pi_apply pi_word_sum pi_words "
                 "standard_derivation validate_twist_axioms",
         "poly": "DStructure RingConfig SkewPoly corrupted_d_structure from_right_form "
-                "iterated_extend laurent_d_structure ore_d_structure poly_mul "
-                "quantum_torus to_right_form validate_d_structure",
+                "laurent_d_structure ore_d_structure poly_mul quantum_torus "
+                "to_right_form validate_d_structure",
         "rings": "AlgebraSpec associator cayley_dickson_double commutator gaussian "
                  "jordan_algebra matrix_algebra octonions quaternions rationals "
                  "sedenions",

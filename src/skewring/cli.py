@@ -26,6 +26,7 @@ runs on :mod:`skewring.maps` alone; the other commands add
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -126,7 +127,7 @@ def pi(i_value, m_value, emit_words):
 
 
 def _axioms(report):
-    return [{"axiom": c.axiom, "passed": c.passed, "detail": c.detail} for c in report.checks]
+    return [{"axiom": a, "passed": p, "detail": d} for a, p, d in report.entries]
 
 
 def classify(config_path):
@@ -198,10 +199,34 @@ def _parser():
     return parser
 
 
+# the options that take a value, which is the token after them even if it begins with "-"
+_VALUED_OPTIONS = ("--suite", "--config", "--format", "--out", "--gens", "--side", "--steps",
+                  "--i", "--m")
+
+
+def _operands_last(argv):
+    """argv with its options first and a ``--`` before its operands when one begins with
+    "-", so ``mul --config C -X X`` reads the EXPR -X. An operand is any token after ``--``
+    and any token that is neither an option (``-h``, ``--...``) nor an option's value."""
+    options, operands = argv[:1], []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            operands += tokens
+        elif token == "-h" or token.startswith("--"):
+            options += [token, *itertools.islice(tokens, token in _VALUED_OPTIONS)]
+        else:
+            operands.append(token)
+    if not any(token.startswith("-") for token in operands):
+        return argv
+    return [*options, "--", *operands]
+
+
 def main(argv=None):
     """Run the command in argv (``sys.argv[1:]`` when None) and exit with its status:
     2, after ``error: ...`` on stderr, when the command raises a library error."""
-    args = vars(_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = vars(_parser().parse_args(_operands_last(argv)))
     run = args.pop("run")
     try:
         code = run(**args)

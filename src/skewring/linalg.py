@@ -20,7 +20,8 @@ one-off solve (``solve_columns``) eliminates ``[M | b]`` instead. A
 solution sets the free variables to 0, so it is the one that reduced
 row echelon form gives, and reduced row echelon form is unique: the
 results equal those of elimination over ``Fraction`` rows.
-``invert_matrix`` is the same path on a ``Fraction`` matrix.
+``invert_columns`` is the same path from a square matrix's column pairs
+to its inverse's.
 """
 
 from __future__ import annotations
@@ -29,11 +30,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def identity_matrix(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def canonical(nums, den):
@@ -198,12 +194,11 @@ def solve_columns(columns, pair):
     return canonical(x, common * d)
 
 
-def invert_matrix(matrix):
-    """Exact inverse of a square matrix, or None if singular."""
-    pivot_cols, solution_rows, _null, scale, _n = factor(
-        [integer_vector(col) for col in zip(*matrix)]
-    )
-    if len(pivot_cols) < len(matrix):
+def invert_columns(columns):
+    """The pairs of the columns of M^-1, for the square matrix M whose j-th
+    column has the pair ``columns[j]``, or None if M is singular."""
+    pivot_cols, solution_rows, _null, scale, _n = factor(columns)
+    if len(pivot_cols) < len(columns):
         return None
     # full rank: pivot row i solves for x_i, so it is row i of the inverse
-    return [list(fraction_vector(row, scale)) for row in solution_rows]
+    return tuple(canonical(col, scale) for col in zip(*solution_rows))

@@ -3,11 +3,12 @@
 A twist map is a Q-linear endomorphism of a ring. Skew multiplication
 needs two of them: a bijection sigma with sigma(1) = 1 and a map delta
 with delta(1) = 0; ``poly.RingConfig`` checks these axioms, whatever
-kind of map plays each role. Maps on finite-dimensional rings are
-stored as exact rational matrices on the flattened coordinate space;
-maps on polynomial coefficient rings are stored structurally
-(coefficient-wise action plus a variable scaling, or the formal
-derivative).
+kind of map plays each role. A map on a finite-dimensional ring is
+stored as the canonical integer pairs of its columns on the flattened
+coordinate space, whatever its kind; maps on polynomial coefficient
+rings are stored structurally (coefficient-wise action plus a variable
+scaling, or the formal derivative). Both roles report their axioms in
+one shape, an ``AxiomReport``, which D-structures share.
 
 A twist map is a value. ``TwistMap.power_apply`` is the one power rule:
 a loop for m > 0, ``inverse()`` or ``NotInvertibleError`` for m < 0. A
@@ -43,11 +44,7 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .errors import (
-    ConstructionError,
-    NotInvertibleError,
-    UnsupportedRingError,
-)
+from .errors import ConstructionError, NotInvertibleError, UnsupportedRingError
 from .rings import MatrixRing, associator, commutator
 
 
@@ -99,33 +96,29 @@ class TwistMap(Keyed):
 
 
 class LinearTwist(TwistMap):
-    """Exact Q-matrix map on a finite-dimensional ring.
+    """Exact linear map on a finite-dimensional ring.
 
-    ``images[j]`` is the flattened image of the j-th flat basis vector,
-    so application is a sparse linear combination of columns.
+    ``pairs[j]`` is the canonical pair (see :mod:`skewring.linalg`) of
+    the flattened image of the j-th flat basis vector, so application
+    is a sparse linear combination of columns, and equal maps have
+    equal pairs.
     """
 
-    def __init__(self, ring, images, kind, label=None):
+    def __init__(self, ring, pairs, kind, label=None):
         super().__init__(ring)
-        self.images = tuple(tuple(row) for row in images)
+        self.pairs = tuple(pairs)
         self.kind = kind
         self.label = label
-        pairs = tuple(linalg.integer_vector(col) for col in self.images)
-        self._columns = linalg.compile_columns(pairs)
+        self._columns = linalg.compile_columns(self.pairs)
         # m -> (pairs of the images of the m-th power, their compiled columns)
-        self._pow = {1: (pairs, self._columns)}
+        self._pow = {1: (self.pairs, self._columns)}
         self._inverse = None
         self._inverse_known = False
-        d = len(self.images)
-        self._identity = all(
-            col[i] == (1 if i == j else 0)
-            for j, col in enumerate(self.images)
-            for i in range(d)
-        )
+        self._identity = self.pairs == _diagonal([1] * len(self.pairs))
 
     @classmethod
     def from_function(cls, ring, fn, kind):
-        return cls(ring, [ring.flatten(fn(b)) for b in ring.basis_elements()], kind)
+        return cls(ring, [fn(b).pair for b in ring.basis_elements()], kind)
 
     def __call__(self, el):
         return self.power_apply(1, el)
@@ -156,17 +149,15 @@ class LinearTwist(TwistMap):
     def inverse(self):
         if not self._inverse_known:
             self._inverse_known = True
-            # the images are the rows of A^T, and (A^T)^-1 = (A^-1)^T, so
-            # the rows of the inverse are the inverse map's images
-            rows = linalg.invert_matrix(self.images)
-            if rows is not None:
-                self._inverse = LinearTwist(self.ring, rows, f"{self.kind}^-1", self.label)
+            pairs = linalg.invert_columns(self.pairs)
+            if pairs is not None:
+                self._inverse = LinearTwist(self.ring, pairs, f"{self.kind}^-1", self.label)
                 self._inverse._inverse = self
                 self._inverse._inverse_known = True
         return self._inverse
 
     def _key(self):
-        return (self.ring, self.images)
+        return (self.ring, self.pairs)
 
 
 class PolyTwist(TwistMap):
@@ -285,34 +276,40 @@ def check_twist_kind(ring, kind):
         raise ConstructionError(f"twist {kind!r} needs a polynomial ring, not {ring.describe()}")
 
 
+def _diagonal(scales):
+    """The pairs of the diagonal map scaling flat basis vector j by ``scales[j]``,
+    an int or a Fraction."""
+    d = len(scales)
+    return tuple((tuple(s.numerator if i == j else 0 for i in range(d)), s.denominator)
+                 for j, s in enumerate(scales))
+
+
 def make_twist(ring, kind, **params):
     """Build one of the named twist maps on the given ring.
 
-    Finite-dimensional kinds compile to an exact matrix; polynomial-ring
-    kinds stay structural. Construction checks only that the kind fits
-    the ring (``check_twist_kind``) and what a kind needs to exist (a
-    nonzero scaling, an invertible conjugating unit); the sigma/delta
-    axioms belong to a role and ``poly.RingConfig`` checks them.
+    Finite-dimensional kinds build the canonical pairs of their matrix
+    columns; polynomial-ring kinds stay structural. Construction checks
+    only that the kind fits the ring (``check_twist_kind``) and what a
+    kind needs to exist (a nonzero scaling, an invertible conjugating
+    unit); the sigma/delta axioms belong to a role and
+    ``poly.RingConfig`` checks them.
     """
     check_twist_kind(ring, kind)
     if kind == "identity":
         if not ring.is_finite_dimensional:
             return PolyTwist(ring, None, 1, "identity")
-        return LinearTwist(ring, linalg.identity_matrix(ring.qdim), "identity")
+        return LinearTwist(ring, _diagonal([1] * ring.qdim), "identity")
 
     if kind == "q_twist":
         q = Fraction(params["q"])
         if q == 0:
             raise ConstructionError("not bijective")
-        unit = ring.flatten(ring.one)
+        unit = ring.one.pair[0]
         if sum(1 for v in unit if v) != 1:
             raise UnsupportedRingError("q_twist needs the unit as a basis direction")
         pivot = next(i for i, v in enumerate(unit) if v)
-        images = [
-            tuple(v if j == pivot else q * v for v in row)
-            for j, row in enumerate(linalg.identity_matrix(ring.qdim))
-        ]
-        return LinearTwist(ring, images, "q_twist", str(q))
+        scales = [1 if j == pivot else q for j in range(ring.qdim)]
+        return LinearTwist(ring, _diagonal(scales), "q_twist", str(q))
 
     if kind == "conjugation":
         if getattr(ring, "involution", None) is None:
@@ -355,7 +352,7 @@ def make_twist(ring, kind, **params):
             raise ConstructionError(
                 f"a matrix twist on {ring.describe()} needs {d} rows of {d} rationals"
             )
-        return LinearTwist(ring, list(zip(*matrix)), "matrix")
+        return LinearTwist(ring, [linalg.integer_vector(col) for col in zip(*matrix)], "matrix")
 
     if kind == "coefficientwise":
         return PolyTwist(ring, params["base"], 1, "coefficientwise")
@@ -545,14 +542,9 @@ def infinite_order_reason(tm):
             return infinite_order_reason(tm.coeff_map)
         return None
     if isinstance(tm, LinearTwist):
-        images = tm.images
-        d = len(images)
-        for j in range(d):
-            col = images[j]
-            q = col[j]
-            if q in (0, 1, -1):
-                continue
-            if all(col[i] == 0 for i in range(d) if i != j):
+        for j, (nums, den) in enumerate(tm.pairs):
+            q = Fraction(nums[j], den)
+            if q not in (0, 1, -1) and not any(v for i, v in enumerate(nums) if i != j):
                 return (
                     f"basis direction {j} is scaled by {q}; "
                     f"{q}^m is never 1 for m >= 1"
@@ -571,11 +563,6 @@ def standard_derivation(a, b):
     return LinearTwist.from_function(ring, fn, "standard_derivation")
 
 
-class AxiomCheck:
-    def __init__(self, axiom, passed, detail):
-        self.axiom, self.passed, self.detail = axiom, passed, detail
-
-
 _AXIOM_ERRORS = {
     "respects_one": "does not respect one",
     "bijective": "sigma must be bijective",
@@ -583,34 +570,35 @@ _AXIOM_ERRORS = {
 }
 
 
-class TwistReport:
-    def __init__(self, role, checks):
-        self.role, self.checks = role, checks
+class AxiomReport:
+    """The verdicts of one map's or family's axioms: ``entries`` holds an
+    ``(axiom, passed, detail)`` triple per axiom, in checking order."""
+
+    def __init__(self, name, entries):
+        self.name, self.entries = name, entries
 
     @property
     def ok(self):
-        return all(c.passed for c in self.checks)
+        return all(passed for _, passed, _ in self.entries)
 
     def require(self):
         """This report, or ``ConstructionError`` naming the first failed axiom."""
-        for c in self.checks:
-            if not c.passed:
-                raise ConstructionError(_AXIOM_ERRORS[c.axiom])
+        for axiom, passed, detail in self.entries:
+            if not passed:
+                raise ConstructionError(_AXIOM_ERRORS.get(axiom, detail))
         return self
 
 
 def validate_twist_axioms(tm, role):
-    """Check the defining sigma/delta axioms and report per axiom."""
+    """Check the defining sigma/delta axioms and report per axiom, under the role's name."""
     if role not in ("sigma", "delta"):
         raise ConstructionError(f"unknown twist role: {role}")
-    checks = [AxiomCheck("additive", True, "exact linear representation")]
+    entries = [("additive", True, "exact linear representation")]
     one = tm.ring.one
     image = tm(one)
     if role == "sigma":
-        checks.append(AxiomCheck("respects_one", image == one, f"sigma(1) = {image!r}"))
-        checks.append(
-            AxiomCheck("bijective", tm.inverse() is not None, "inverse construction")
-        )
+        entries.append(("respects_one", image == one, f"sigma(1) = {image!r}"))
+        entries.append(("bijective", tm.inverse() is not None, "inverse construction"))
     else:
-        checks.append(AxiomCheck("kills_one", not image, f"delta(1) = {image!r}"))
-    return TwistReport(role=role, checks=checks)
+        entries.append(("kills_one", not image, f"delta(1) = {image!r}"))
+    return AxiomReport(role, entries)

@@ -27,7 +27,8 @@ from .errors import (
     RingMismatchError,
     ZeroElementError,
 )
-from .maps import Keyed, PiFamily, PolyTwist, make_twist, pi_apply, pi_rows, validate_twist_axioms
+from .maps import (AxiomReport, Keyed, PiFamily, PolyTwist, make_twist, pi_apply, pi_rows,
+                   validate_twist_axioms)
 from .rings import AlgebraElement
 
 ORE = "ore"
@@ -605,15 +606,6 @@ def corrupted_d_structure(base):
     )
 
 
-class DStructureReport:
-    def __init__(self, name):
-        self.name, self.entries = name, []
-
-    @property
-    def ok(self):
-        return all(passed for _, passed, _ in self.entries)
-
-
 def validate_d_structure(d, exponents, elements):
     """Check axioms D0-D4 on the sampled exponents and ring elements.
 
@@ -663,11 +655,10 @@ def validate_d_structure(d, exponents, elements):
         )),
         ("D4", "composition identity on sampled triples", d4_failures()),
     )
-    report = DStructureReport(name=d.name)
-    for axiom, detail, failures in axioms:
-        failure = next(failures, None)
-        report.entries.append((axiom, failure is None, failure or detail))
-    return report
+    return AxiomReport(d.name, [
+        (axiom, (failure := next(failures, None)) is None, failure or detail)
+        for axiom, detail, failures in axioms
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -675,34 +666,7 @@ def validate_d_structure(d, exponents, elements):
 # ---------------------------------------------------------------------------
 
 
-def iterated_extend(base_config, variable, twist_spec):
-    """Adjoin a fresh Laurent variable over an already twisted ring.
-
-    ``twist_spec`` holds a ``"kind"`` and the ``make_twist`` parameters of
-    the twist on ``base_config``: {"kind": "y_scale", "q": q} or {"kind":
-    "coefficientwise", "base": map-on-coefficients}. The lifted twist
-    acts coefficient-wise and fixes (or uniformly scales) the inner
-    variable; it exists exactly when the coefficient-level twists
-    commute, which ``RingConfig`` checks on basis elements.
-    """
-    spec = dict(twist_spec)
-    lifted = make_twist(base_config, spec.pop("kind"), **spec)
-    return RingConfig(
-        coefficients=base_config,
-        sigma=lifted,
-        delta=None,
-        variable=variable,
-        shape=LAURENT,
-    )
-
-
 def quantum_torus(coefficients, q):
     """R[Y±][X±; Y -> qY], in the variables Y and X: the ring with X·Y = q·Y·X."""
-    inner = RingConfig(
-        coefficients=coefficients,
-        sigma=make_twist(coefficients, "identity"),
-        delta=None,
-        variable="Y",
-        shape=LAURENT,
-    )
-    return iterated_extend(inner, "X", {"kind": "y_scale", "q": q})
+    inner = RingConfig(coefficients, make_twist(coefficients, "identity"), None, "Y", LAURENT)
+    return RingConfig(inner, make_twist(inner, "y_scale", q=q), None, "X", LAURENT)

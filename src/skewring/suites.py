@@ -988,9 +988,8 @@ def _check_derivations():
 def _check_jordan_twisted_ring():
     hp = _jordan()
     h = rings.quaternions()
-    inner = maps.make_twist(h, "inner", u=h.basis_element(1))
-    tm = maps.make_twist(hp, "matrix",
-                         matrix=[[inner.images[j][i] for j in range(4)] for i in range(4)])
+    # the columns of an inner automorphism of H, read on H+'s basis
+    tm = maps.LinearTwist(hp, maps.make_twist(h, "inner", u=h.basis_element(1)).pairs, "matrix")
     tags = maps.classify_multiplicativity(tm)
     _require("automorphism" in tags, "inner maps act as automorphisms of H+")
     config = poly.RingConfig(hp, tm, None, "X", poly.LAURENT)
@@ -1127,13 +1126,13 @@ def _check_torus_iterated_guard():
     first = maps.make_twist(h, "inner", u=one + h.basis_element(1))
     second = maps.make_twist(h, "inner", u=one + h.basis_element(2))
     inner_ring = poly.RingConfig(h, first, None, "Y", poly.LAURENT)
-    commuting = poly.iterated_extend(
-        inner_ring, "X", {"kind": "coefficientwise", "base": first}
-    )
-    _require(commuting.shape == poly.LAURENT, "commuting lifts must build")
+    def lift(base):
+        sigma = maps.make_twist(inner_ring, "coefficientwise", base=base)
+        return poly.RingConfig(inner_ring, sigma, None, "X", poly.LAURENT)
+
+    _require(lift(first).shape == poly.LAURENT, "commuting lifts must build")
     exc = _require_raises(ConstructionError, "non-commuting twists must be rejected",
-                          poly.iterated_extend, inner_ring, "X",
-                          {"kind": "coefficientwise", "base": second})
+                          lift, second)
     _require("commuting" in str(exc), "wrong guard message")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -900,6 +901,69 @@ def test_argument_errors_exit_2(runner, tmp_path, name):
     assert result.stdout == ""
     assert result.stderr
     assert "Traceback" not in result.stderr
+
+
+# an EXPR may begin with "-", as the printer writes a negative element, with the
+# options before, between or after the EXPRs and with or without "--"
+DASH_EXPRS = {
+    "options-first": ["mul", "--config", "{cfg}", "-X", "X"],
+    "options-last": ["mul", "-X", "X", "--config", "{cfg}"],
+    "options-between": ["mul", "-X", "--config={cfg}", "X"],
+    "double-dash": ["mul", "--config", "{cfg}", "--", "-X", "X"],
+}
+
+
+@pytest.mark.parametrize("name", DASH_EXPRS)
+def test_an_expr_may_begin_with_a_dash(runner, tmp_path, name):
+    cfg = write(tmp_path, "q2.json", GAUSS_Q2)
+    result = runner.invoke(cli.main, [a.format(cfg=cfg) for a in DASH_EXPRS[name]])
+    assert (result.exit_code, result.stdout, result.stderr) == (0, "-X^2\n", "")
+
+
+def test_a_negative_cofactor_feeds_back_into_mul(runner, tmp_path):
+    cfg = write(tmp_path, "ore.json", dict(GAUSS_Q2, shape="ore"))
+    gens = write(tmp_path, "gens.json", ["X - i"])
+    result = runner.invoke(cli.main, ["reduce", "--config", cfg, "--gens", gens, "-X^2"])
+    assert result.exit_code == 0
+    cofactor = json.loads(result.stdout)["steps"][0]["cofactor"]
+    assert cofactor == "-X"
+    result = runner.invoke(cli.main, ["mul", "--config", cfg, cofactor, "X"])
+    assert (result.exit_code, result.stdout) == (0, "-X^2\n")
+
+
+# a negative option value stays that option's value, so these keep their own messages
+DASH_VALUES = {
+    "pi-i-negative": (["pi", "--i", "-1", "--m", "3"], "i and m must be non-negative"),
+    "steps-negative": (["reduce", "--config", "{cfg}", "--gens", "{gens}", "--steps", "-1",
+                        "-X"], "--steps must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("name", DASH_VALUES)
+def test_a_negative_option_value_keeps_its_message(runner, tmp_path, name):
+    paths = {"cfg": write(tmp_path, "ore.json", dict(GAUSS_Q2, shape="ore")),
+             "gens": write(tmp_path, "gens.json", ["X - i"])}
+    args, message = DASH_VALUES[name]
+    result = runner.invoke(cli.main, [a.format(**paths) for a in args])
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_valued_options_are_the_parsers():
+    """The options whose next token _operands_last keeps as their value are exactly the
+    parser's options that take one."""
+    parser = cli._parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    valued = {name for sub in commands.choices.values() for action in sub._actions
+              if action.nargs != 0 for name in action.option_strings}
+    assert valued == set(cli._VALUED_OPTIONS)
+
+
+def test_dash_exprs_keep_help_and_usage_errors(runner, tmp_path):
+    cfg = write(tmp_path, "q2.json", GAUSS_Q2)
+    result = runner.invoke(cli.main, ["mul", "--config", cfg, "-X", "-h"])
+    assert result.exit_code == 0 and result.stdout.startswith("usage: skewring mul")
+    result = runner.invoke(cli.main, ["mul", "--config", cfg, "-X"])
+    assert result.exit_code == 2 and "the following arguments are required: EXPR" in result.stderr
 
 
 @pytest.mark.parametrize("args", [["--help"], ["mul", "--help"]], ids=["top", "mul"])

@@ -356,7 +356,7 @@ def test_verify_on_mutated_configs_keeps_the_exit_contract(files, doc):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP items 6 and 9: under Q(i) conjugation, X^5000 builds sigma's powers by "
+    "ROADMAP item 9: under Q(i) conjugation, X^5000 builds sigma's powers by "
     "recursion in LinearTwist._images_power and ends in RecursionError (exit 1)"))
 def test_deep_power_under_conjugation_keeps_the_exit_contract(files):
     code, _, _ = run_cli(["mul", "--config", _write(files[0], suites.ROSTER["gaussian-conj"]),

@@ -92,9 +92,13 @@ def oracle_solve(matrix, rhs):
     return solution
 
 
+def identity_matrix(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
 def oracle_invert_matrix(matrix):
     n = len(matrix)
-    aug = [list(row) + ident for row, ident in zip(matrix, linalg.identity_matrix(n))]
+    aug = [list(row) + ident for row, ident in zip(matrix, identity_matrix(n))]
     for c in range(n):
         pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
         if pivot is None:
@@ -285,8 +289,7 @@ def test_matrix_basis_and_random_match_entrywise(name):
     assert basis == [ring.unit_matrix(r, c, e) for r in range(n) for c in range(n)
                      for e in base.basis_elements()]
     # flat order: row-major entries, base coordinates inside each entry
-    assert [ring.flatten(e) for e in basis] == [tuple(row) for row in
-                                                linalg.identity_matrix(ring.qdim)]
+    assert [ring.flatten(e) for e in basis] == [tuple(row) for row in identity_matrix(ring.qdim)]
     for seed in range(5):
         flat, entrywise = random.Random(seed), random.Random(seed)
         el = ring.random_element(flat)
@@ -302,7 +305,7 @@ def test_matrix_basis_and_random_match_entrywise(name):
 
 
 def oracle_power(tm, m, coords):
-    images = tm.images
+    images = [linalg.fraction_vector(*pair) for pair in tm.pairs]
     if m < 0:
         inv = oracle_invert_matrix(
             [[images[j][i] for j in range(len(images))] for i in range(len(images))]
@@ -344,12 +347,9 @@ def test_twist_powers_match_fraction_oracle(case, m):
 @given(st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
 def test_q_twist_inverse_images_match_oracle(q):
     tm = maps.make_twist(rings.gaussian(), "q_twist", q=q)
-    expected = oracle_invert_matrix(
-        [[tm.images[j][i] for j in range(2)] for i in range(2)]
-    )
-    assert tm.inverse().images == tuple(
-        tuple(expected[i][j] for i in range(2)) for j in range(2)
-    )
+    images = [linalg.fraction_vector(*pair) for pair in tm.pairs]
+    expected = oracle_invert_matrix([[images[j][i] for j in range(2)] for i in range(2)])
+    assert tm.inverse().pairs == tuple(column_pairs(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +418,20 @@ def test_solve_free_variables_and_inconsistency():
 @given(st.integers(1, 6).flatmap(
     lambda n: st.lists(vectors(n).map(list), min_size=n, max_size=n)
 ))
-def test_invert_matrix_matches_fraction_oracle(matrix):
-    out = linalg.invert_matrix(matrix)
-    assert out == oracle_invert_matrix(matrix)
-    if out is not None:
-        assert_fractions(v for row in out for v in row)
+def test_invert_columns_matches_fraction_oracle(matrix):
+    """The inverse's column pairs, canonical, are those of the oracle's inverse."""
+    out = linalg.invert_columns(column_pairs(matrix))
+    expected = oracle_invert_matrix(matrix)
+    if expected is None:
+        assert out is None
+    else:
+        assert out == tuple(column_pairs(expected))
+        assert all(linalg.canonical(*pair) == pair for pair in out)
 
 
-def test_invert_matrix_singular():
-    assert linalg.invert_matrix([[ONE, 2 * ONE], [Fraction(1, 2), ONE]]) is None
-    assert linalg.invert_matrix([[ZERO]]) is None
+def test_invert_columns_singular():
+    assert linalg.invert_columns(column_pairs([[ONE, 2 * ONE], [Fraction(1, 2), ONE]])) is None
+    assert linalg.invert_columns(column_pairs([[ZERO]])) is None
 
 
 @st.composite
@@ -649,7 +653,7 @@ def _invertible_matrix(n, rng):
     """A random n x n integer matrix with entries in -2..2 and an inverse."""
     while True:
         matrix = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        if linalg.invert_matrix([[Fraction(v) for v in row] for row in matrix]) is not None:
+        if linalg.invert_columns(column_pairs(matrix)) is not None:
             return matrix
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from skewring import maps, poly, rings, suites
+from skewring import config, linalg, maps, poly, rings, suites
 from skewring.errors import ConstructionError, NotInvertibleError
 
 G = rings.gaussian()
@@ -312,9 +312,11 @@ def test_validate_twist_axioms():
     assert report.ok
 
     report = maps.validate_twist_axioms(q3, "delta")
-    assert not report.ok
-    failed = [c.axiom for c in report.checks if not c.passed]
+    assert not report.ok and report.name == "delta"
+    failed = [axiom for axiom, passed, _ in report.entries if not passed]
     assert failed == ["kills_one"]
+    with pytest.raises(ConstructionError, match="delta must kill one"):
+        report.require()
 
     with pytest.raises(ConstructionError, match="unknown twist role: tau"):
         maps.validate_twist_axioms(q3, "tau")
@@ -353,6 +355,37 @@ def test_equal_twists_hash_equal():
         assert a.kind != b.kind and a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+def matrix_document(tm):
+    """The ``matrix`` twist document of a linear twist: row i lists coordinate i of each image."""
+    images = [linalg.fraction_vector(*pair) for pair in tm.pairs]
+    return {"kind": "matrix", "matrix": [[str(col[i]) for col in images]
+                                         for i in range(len(images))]}
+
+
+M2Q = rings.matrix_algebra(rings.rationals(), 2)
+KIND_TWISTS = {
+    "gaussian-conjugation": maps.make_twist(G, "conjugation"),
+    "octonion-conjugation": maps.make_twist(O, "conjugation"),
+    "diag_swap": maps.make_twist(M2Q, "diag_swap"),
+    "transpose": maps.make_twist(rings.matrix_algebra(G, 2), "transpose"),
+    "inner": maps.make_twist(H, "inner", u=H.element((1, 2, -1, 3))),
+    "q_twist": maps.make_twist(G, "q_twist", q="-7/3"),
+}
+
+
+@pytest.mark.parametrize("name", KIND_TWISTS)
+def test_a_twist_by_kind_is_its_matrix_document(name):
+    """One value however a linear twist is built: by its kind, from its matrix document,
+    or as an inverse, with equal canonical column pairs and equal hashes."""
+    tm = KIND_TWISTS[name]
+    from_doc = config.twist_from_descriptor(tm.ring, matrix_document(tm))
+    assert from_doc.kind == "matrix" and from_doc == tm and hash(from_doc) == hash(tm)
+    inverse = tm.inverse()
+    assert inverse.inverse() == tm
+    assert config.twist_from_descriptor(tm.ring, matrix_document(inverse)) == inverse
+    assert all(linalg.canonical(*pair) == pair for pair in inverse.pairs)
 
 
 def test_twists_of_one_kind_differ_by_value():

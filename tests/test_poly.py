@@ -258,6 +258,12 @@ def test_quantum_torus_trivial_q():
     assert x * y == y * x
 
 
+def test_quantum_torus_is_its_roster_document():
+    """The library constructor and the configs built from documents give one ring."""
+    assert poly.quantum_torus(O, 2) == suites.builtin("torus-octonion")
+    assert poly.quantum_torus(Q, 1) == suites.builtin("torus-rational")
+
+
 def test_quantum_torus_coefficient_products():
     torus = poly.quantum_torus(O, 3)
     inner = torus.coefficients
@@ -282,19 +288,19 @@ def test_iterated_extend_requires_commuting():
     first = maps.make_twist(h, "inner", u=h.one + h.basis_element(1))
     second = maps.make_twist(h, "inner", u=h.one + h.basis_element(2))
     base = poly.RingConfig(h, first, None, "Y", poly.LAURENT)
+
+    def lift(inner):
+        sigma = maps.make_twist(base, "coefficientwise", base=inner)
+        return poly.RingConfig(base, sigma, None, "X", poly.LAURENT)
+
     with pytest.raises(ConstructionError, match="commuting automorphisms"):
-        poly.iterated_extend(base, "X", {"kind": "coefficientwise", "base": second})
-    # the rule lives in RingConfig, so a config built directly obeys it too
-    with pytest.raises(ConstructionError, match="commuting automorphisms"):
-        poly.RingConfig(base, maps.make_twist(base, "coefficientwise", base=second),
-                        None, "X", poly.LAURENT)
-    lifted = poly.iterated_extend(base, "X", {"kind": "coefficientwise", "base": first})
-    assert lifted.coefficients is base
+        lift(second)
+    assert lift(first).coefficients is base
 
 
 def test_iterated_identity_twists():
     base = poly.RingConfig(Q, maps.make_twist(Q, "identity"), None, "Y", poly.LAURENT)
-    outer = poly.iterated_extend(base, "X", {"kind": "identity"})
+    outer = poly.RingConfig(base, maps.make_twist(base, "identity"), None, "X", poly.LAURENT)
     x = outer.gen
     y = outer.constant(base.gen)
     assert x * y == y * x
