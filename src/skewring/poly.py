@@ -18,7 +18,7 @@ quantum torus arise; configs are shareable read-only.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 from .errors import (
@@ -277,7 +277,16 @@ class RingConfig:
         )
 
     def __hash__(self):
-        return hash((self.shape, self.variable))
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        """The hash of every field ``__eq__`` compares, computed once."""
+        return hash((self.shape, self.variable, self.coefficients, self.sigma, self.delta))
+
+    def __getstate__(self):
+        # string hashes differ between processes, so a copy hashes itself again
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def __repr__(self):
         return self.describe()

@@ -125,7 +125,7 @@ class CompiledAlgebra:
     A ring's first product generates ``_kernels`` from the table, so no
     product loops over it. The table holds ints alone, which the generator
     checks, so no text of a user's document reaches its source. Pickling
-    leaves the kernels out; a copy generates its own.
+    leaves the kernels and the cached unit out; a copy builds its own.
     """
 
     _basis_cache = None
@@ -137,7 +137,7 @@ class CompiledAlgebra:
         return _product_kernels(self._mul_rows, self.dimension)
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_kernels", "one")}
 
     def mul_pairs(self, a, b):
         """The canonical pair of a·b, from the pairs of a and b."""
@@ -178,7 +178,7 @@ class CompiledAlgebra:
     def zero(self):
         return self.from_pair(((0,) * self.dimension, 1))
 
-    @property
+    @cached_property
     def one(self):
         return self.unflatten(self.unit)
 

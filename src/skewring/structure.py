@@ -37,6 +37,22 @@ exponents m, n >= 0, so each step above holds on [0, B]:
 With a delta the rule is a sum over pi_i^m, and only the shift lemma
 (by D2) is used: those queries are the cut triple search.
 
+The period lemma (delta = 0, either window). Let r be the least power
+below the window's length with sigma^r = id (``_ScaledOps.period``; with
+none, r is the length and nothing is cut). Every value a scan compares is
+a product of sigma-powers of fixed elements, sigma^m(p), sigma^(m+s)(q)
+and sigma^m(p·sigma^s(q)), and sigma^(e+r) = sigma^e·sigma^r = sigma^e
+for every e the window allows (e >= 0 in the ore window, so no negative
+power of sigma enters). So each verdict is r-periodic in each free
+exponent: at e it is the verdict at the e' = e - r·floor((e - w)/r) among
+the window's first r exponents, w, ..., w + r - 1 (w = -B laurent, 0
+ore), and e' <= e. Hence the first failing u = a·X^m in window order has
+its m there, and at that m the least failing (a, n, b) has its n there;
+the middle and right slots scan only those exponents. Likewise the
+left-slot verdict of u = t·X^k is r-periodic in k, so the certificate's
+first failing u in span order (exponent-major) lies in its first r
+exponent blocks, and it asks no other u.
+
 The reduction algorithms (central quotient rewriting, shrink-based
 simplicity probing, leading-term reduction) mirror the constructive
 steps of the Hilbert-style and simplicity proofs. Reduction is one
@@ -60,7 +76,7 @@ from .errors import (
     ReductionError,
     RingMismatchError,
 )
-from .maps import Keyed, _power_is_identity, classify_multiplicativity
+from .maps import Keyed, _power_is_identity, classify_multiplicativity, detect_finite_order
 from .poly import LAURENT, SkewPoly, add_term
 from .rings import Divisors, first_associator
 from .series import TruncatedSeries
@@ -130,7 +146,8 @@ class _ScaledOps:
     values are equal iff their scalars match and their parts are the same
     object.
 
-    Products, twist powers and parts serve every degree bound.
+    Products, twist powers and parts serve every degree bound, and so does
+    ``period``, the scan's period for each window length.
     ``verdicts`` holds the monomial scan's slot verdicts, ``outcomes`` maps
     each ``NucleusQuery`` to its ``CheckOutcome``, and ``inverses`` each
     element ``nuclear_inverse_check`` inverted to x⁻¹, or None.
@@ -141,6 +158,7 @@ class _ScaledOps:
         self._norm = {}
         self._powers = {}
         self._products = {}
+        self._periods = {}
         self.verdicts = {}
         self.outcomes = {}
         self.inverses = {}
@@ -178,6 +196,14 @@ class _ScaledOps:
         if cs == _ONE:
             return (scalar, ce)
         return (_ratio(scalar[0] * cs[0], scalar[1] * cs[1]), ce)
+
+    def period(self, window):
+        """The least r < len(window) with sigma^r = id, else len(window): the
+        window's first r exponents decide the scan (the module's period lemma)."""
+        size = len(window)
+        if size not in self._periods:
+            self._periods[size] = detect_finite_order(self.sigma, size - 1) or size
+        return self._periods[size]
 
     def part_mul(self, le, re):
         """The split product of two normalised parts, computed once per pair."""
@@ -258,7 +284,9 @@ def _monomial_scan(query, ops):
     corollary), so it scans that one. Its v, and a middle-slot witness's,
     sits at the window's lowest exponent. The middle and right slots stop
     at the first m with a failure and take the least (a, n, b) there, so
-    every witness is the span search's first, u and v exponent-major.
+    every witness is the span search's first, u and v exponent-major; m
+    and the right slot's n run over one period of sigma, the window's
+    first r exponents (the module's period lemma).
 
     ``ops`` is the config's memo. Nothing in it depends on the queried
     element or slot; a verdict's key carries the bound, as a polynomial
@@ -317,12 +345,14 @@ def _monomial_scan(query, ops):
     # the left slot u's exponent is fixed too (the left-slot corollary).
     low = exps[0]
     if side == "left":
+        # v = b·X^low: sigma^(k+low)(b) for each term and sigma^low(b), once per b
+        tb = [([twist(k + low, b) for k, _ in x_terms], twist(low, b)) for b in split_coeffs]
         for i, a in enumerate(split_coeffs):
             ta = [(twist(k, a), k, t) for k, t in x_terms]
-            for j, b in enumerate(split_coeffs):
-                for pre, k, t in ta:
-                    lhs = mul(mul(t, pre), twist(k + low, b))
-                    rhs = mul(t, twist(k, mul(a, twist(low, b))))
+            for j, (b_terms, b_low) in enumerate(tb):
+                for (pre, k, t), b_k in zip(ta, b_terms):
+                    lhs = mul(mul(t, pre), b_k)
+                    rhs = mul(t, twist(k, mul(a, b_low)))
                     if not equal(lhs, rhs):
                         return report(i, low, j, low)
         return CheckOutcome(True)
@@ -332,14 +362,18 @@ def _monomial_scan(query, ops):
     # of m, so p·sigma^s(q) is formed once per cell. (u x) v vs u (x v):
     # p = t, s = k, q = b for each term t·X^k of x, v = b at the lowest
     # exponent; (u v) x vs u (v x): p = b, s = n, q = t for v = b·X^n and
-    # each term's part t. A failure is ranked by (a, n, b), v = b·X^n.
+    # each term's part t. A failure is ranked by (a, n, b), v = b·X^n. With
+    # sigma^r = id each Ei is r-periodic in m and in n, so the first failing
+    # m, and the least (a, n, b) there, lie in the window's first r
+    # exponents (the module's period lemma).
+    period = exps[:ops.period(exps)]
     if side == "middle":
         cells = [(j, low, t, k, b) for j, b in enumerate(split_coeffs) for k, t in x_terms]
     else:
         cells = [(j, n, b, n, (_ONE, part)) for _, (_, part) in x_terms
-                 for j, b in enumerate(split_coeffs) for n in exps]
+                 for j, b in enumerate(split_coeffs) for n in period]
     cells = [(j, n, p, s, q, mul(p, twist(s, q))) for j, n, p, s, q in cells]
-    for m in exps:
+    for m in period:
         failures = []
         for j, n, p, s, q, pq in cells:
             i = first_failure(twist(m, p), twist(m + s, q), twist(m, pq))
@@ -402,12 +436,17 @@ def associativity_certificate(config, degree_bound):
     and returns that query's outcome; a pass needs no triple search. Its
     witness is the first failing triple in span order, as the query puts
     the last factor at the window's lowest exponent (the module's shift
-    lemma).
+    lemma). On a delta-free ring only the u in the window's first r
+    exponent blocks are asked (the module's period lemma).
     """
     if degree_bound < 0:
         raise ConstructionError("degree_bound must be non-negative")
     memo = {}
-    for u in config.spanning_set(degree_bound):
+    span = config.spanning_set(degree_bound)
+    if config.delta is None:
+        r = _ops(memo, config).period(config.exponent_window(degree_bound))
+        span = span[:r * len(config.coefficients.spanning_set(degree_bound))]
+    for u in span:
         outcome = nucleus_membership(NucleusQuery(u, "left", degree_bound), memo)
         if not outcome:
             return outcome

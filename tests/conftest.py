@@ -48,13 +48,16 @@ def power_apply_count(monkeypatch):
 def replay_printed():
     """``replay(out, cli_config, gen_texts)``: the element that the ``reduce``
     record printed as ``out`` replays to, its cofactors and remainder parsed back
-    under ``cli_config`` and its generators parsed from ``gen_texts``."""
+    under ``cli_config`` and its generators parsed from ``gen_texts``. A series
+    cofactor must carry its O(X^N) marker; its N is read without the config's
+    cap, which a Laurent series cofactor's exponent may pass."""
     def replay(out, cli_config, gen_texts):
         record = json.loads(out)
+        ring = cli_config.ring_config
+        read = parsing.parse_series if cli_config.is_series else parsing.parse_poly
         steps = []
         for step in record["steps"]:
-            (exponent, coeff), = parsing.parse_poly(step["cofactor"],
-                                                    cli_config.ring_config).terms.items()
+            (exponent, coeff), = read(step["cofactor"], ring).terms.items()
             steps.append(structure.CofactorStep(step["generator"], step["side"], coeff,
                                                 exponent))
         remainder = cli.parse_expr(record["remainder"], cli_config)

@@ -385,6 +385,33 @@ def test_reduce_right_on_a_series_config_replays(runner, tmp_path, replay_printe
                                      cli.parse_expr(target, cli_config))
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_series_reduce_cofactors_multiply_back(runner, tmp_path, side):
+    # every cofactor of a power-series record is printed in the series grammar
+    # at the config's precision, so mul on the same config reads it: the
+    # printed products of the generator and each cofactor, added to the
+    # remainder, give back the target
+    cfg_path = write(tmp_path, "cfg.json", POWER_SERIES_Q)
+    gens = ["1 + X + O(X^4)"]
+    gens_path = write(tmp_path, "gens.json", gens)
+    target = "X + O(X^4)"
+    result = runner.invoke(
+        cli.main, ["reduce", "--config", cfg_path, "--gens", gens_path, "--side", side, target])
+    assert result.exit_code == 0
+    record = json.loads(result.stdout)
+    assert [step["cofactor"] for step in record["steps"]] == [
+        "X + O(X^4)", "-X^2 + O(X^4)", "X^3 + O(X^4)", "-X^4 + O(X^4)"]
+    cli_config = config.load_config(POWER_SERIES_Q)
+    total = cli.parse_expr(record["remainder"], cli_config)
+    for step in record["steps"]:
+        g = gens[step["generator"]]
+        factors = (step["cofactor"], g) if side == "left" else (g, step["cofactor"])
+        product = runner.invoke(cli.main, ["mul", "--config", cfg_path, "--", *factors])
+        assert product.exit_code == 0, product.stderr
+        total = total + cli.parse_expr(product.stdout.strip(), cli_config)
+    assert series.equal_to_precision(total, cli.parse_expr(target, cli_config))
+
+
 @pytest.mark.parametrize("suite", ["nuclei", "associativity", "laurent-axioms",
                                    "d-structure", "all"])
 @pytest.mark.parametrize("shape", ["power_series", "laurent_series"])

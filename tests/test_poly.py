@@ -1,5 +1,7 @@
+import pickle
 import random
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -262,6 +264,19 @@ def test_quantum_torus_is_its_roster_document():
     """The library constructor and the configs built from documents give one ring."""
     assert poly.quantum_torus(O, 2) == suites.builtin("torus-octonion")
     assert poly.quantum_torus(Q, 1) == suites.builtin("torus-rational")
+
+
+def test_config_hash_covers_every_compared_field():
+    """Unequal roster configs hash apart (the Laurent ones in X once shared
+    one hash; gaussian-q-1 is gaussian-conj); a pickled copy drops the cached
+    hash, as string hashes differ between processes, and hashes again to an
+    equal value here."""
+    configs = [suites.builtin(name) for name in suites.ROSTER]
+    assert all(hash(a) != hash(b) for a, b in combinations(configs, 2) if a != b)
+    config = suites.builtin("torus-octonion")
+    copy = pickle.loads(pickle.dumps(config))
+    assert "_hash" not in vars(copy)
+    assert copy == config and hash(copy) == hash(config)
 
 
 def test_quantum_torus_coefficient_products():

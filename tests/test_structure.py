@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -119,6 +120,26 @@ def _octonion_laurent_y2_ore():
     return poly.RingConfig(inner, maps.make_twist(inner, "y_scale", q=2), None, "X", poly.ORE)
 
 
+# twists of finite order: the inner automorphisms of H by 1+i+j+k (order 3)
+# and 1+i (order 4), and e1 -> e2 -> e3 -> e1 on O, which fixes the other
+# basis elements and is no automorphism (order 3)
+FINITE_ORDER_TWISTS = {
+    "H-inner-3": ({"ring": "quaternions", "twist": {"kind": "inner", "u": ["1", "1", "1", "1"]}},
+                  3),
+    "H-inner-4": ({"ring": "quaternions", "twist": {"kind": "inner", "u": ["1", "1", "0", "0"]}},
+                  4),
+    "O-cycle-3": ({"ring": "octonions", "twist": {"kind": "matrix", "matrix": [
+        [int(i == {1: 2, 2: 3, 3: 1}.get(j, j)) for j in range(8)] for i in range(8)]}}, 3),
+}
+
+
+def _finite_order_config(name, shape):
+    doc, order = FINITE_ORDER_TWISTS[name]
+    config = load_config(dict(doc, shape=shape)).ring_config
+    assert maps.detect_finite_order(config.sigma, 8) == order
+    return config
+
+
 def _oracle_elements(config, powers, rng):
     """X^n for the given n, two non-unit basis constants, two random elements."""
     ring = config.coefficients
@@ -140,6 +161,11 @@ def _oracle_elements(config, powers, rng):
     ("gaussian-q2-ore", lambda: suites.builtin("gaussian-q2-ore"), 2, (1, 2)),
     ("sedenion-conj-ore", _sedenion_ore, 2, (1, 2)),
     ("octonion-laurent-y2-ore", _octonion_laurent_y2_ore, 1, (1,)),
+    *(pytest.param(name, partial(_finite_order_config, name, shape), bound,
+                   tuple(sorted({1, bound})),
+                   id=f"{name}-{shape}-bound{bound}")
+      for name in FINITE_ORDER_TWISTS for shape in (poly.LAURENT, poly.ORE)
+      for bound in (1, 2, 3, 4)),
 ])
 def test_nucleus_scan_matches_exhaustive_oracle(name, make_config, bound, powers):
     """Each nucleus query against the uncut whole-span search, in every slot:
@@ -147,7 +173,9 @@ def test_nucleus_scan_matches_exhaustive_oracle(name, make_config, bound, powers
 
     A delta-free query, laurent or ore, is the monomial scan; a query on
     the Weyl ring is the search with its last slot cut to the first block
-    (the shift lemma).
+    (the shift lemma). A twist of order 3 or 4 is scanned over one period
+    of exponents where that is shorter than the window (the period lemma),
+    and over the whole window where it is not.
     """
     config = make_config()
     rng = random.Random(f"oracle-{name}")
@@ -160,8 +188,9 @@ def test_nucleus_scan_matches_exhaustive_oracle(name, make_config, bound, powers
             assert outcome.witness == witness, (x, side)
             verdicts.add((side, outcome.passed))
     # both verdicts occur in the middle and right slots (the memoised
-    # slots of the monomial scan); the Weyl algebra is associative
-    expected = {True} if name == "weyl" else {True, False}
+    # slots of the monomial scan), unless the ring is associative: the Weyl
+    # algebra and H under an inner automorphism
+    expected = {True} if structure.associativity_prediction(config) else {True, False}
     assert {(s, v) for s in ("middle", "right") for v in expected} <= verdicts
 
 
@@ -766,11 +795,42 @@ def test_associativity_certificate_matches_generic_search_on_random_twists():
                         None, "X", poly.LAURENT)
         for _ in range(2)
     ]
+    # twists of order 3 and 4, whose certificate asks u at the window's first
+    # r exponents only once r is below the window's length
+    configs += [_finite_order_config(name, poly.LAURENT) for name in FINITE_ORDER_TWISTS]
     # each twist again as a delta-free ore ring, decided by the same scan
     configs += [poly.RingConfig(c.coefficients, c.sigma, None, "X", poly.ORE) for c in configs]
     verdicts = {_assert_certificate_matches_generic(config, bound)
                 for config in configs for bound in (1, 2)}
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name, window, period", [
+    ("H-inner-3", range(-1, 2), 3),  # no power below the window's length
+    ("H-inner-3", range(-2, 3), 3),
+    ("H-inner-4", range(0, 4), 4),
+    ("H-inner-4", range(-4, 5), 4),
+    ("rational-laurent", range(-4, 5), 1),
+    ("matrix-swap", range(0, 2), 2),
+    ("gaussian-q2", range(-4, 5), 9),  # infinite order
+])
+def test_scan_period_is_sigmas_order_within_the_window(name, window, period):
+    config = (_finite_order_config(name, poly.LAURENT) if name in FINITE_ORDER_TWISTS
+              else suites.builtin(name))
+    assert structure._ScaledOps(config.sigma).period(window) == period
+
+
+def test_certificate_queries_one_period_of_exponents(monkeypatch):
+    """sigma of order 3 on H: the passing certificate at bound 3 asks the
+    left-slot queries of the 4 basis monomials at 3 of the window's 7
+    exponents, 12 queries where the whole window takes 28."""
+    config = _finite_order_config("H-inner-3", poly.LAURENT)
+    asked = []
+    membership = structure.nucleus_membership
+    monkeypatch.setattr(structure, "nucleus_membership",
+                        lambda query, memo=None: asked.append(query) or membership(query, memo))
+    assert structure.associativity_certificate(config, 3).passed
+    assert [q.element for q in asked] == config.spanning_set(3)[:12]
 
 
 def test_ore_searches_match_generic_search_on_random_configs():
@@ -950,17 +1010,20 @@ def test_ore_certificate_makes_no_polynomial_product(monkeypatch):
 
 def test_nuclei_suite_operation_budget(monkeypatch):
     """One nuclei run's coefficient products, polynomial products, scans,
-    scaled products and inversions, pinned. With one memo per check the
-    suite made 2,561 coefficient products, 112 polynomial products and 160
-    scans. With left scans over the whole exponent window, right-slot scans
-    of X^n and an inversion per hypothesis it made 378, 56, 112, 7,728 and
-    36; with one memo entry per (config, bound) and right-slot records,
+    scaled products, scaled twists and inversions, pinned. With one memo
+    per check the suite made 2,561 coefficient products, 112 polynomial
+    products and 160 scans. With left scans over the whole exponent
+    window, right-slot scans of X^n and an inversion per hypothesis it
+    made 378, 56, 112, 7,728 and 36; with one memo entry per (config, bound) and right-slot records,
     378, 56, 69, 2,594 and 12. Before a failing middle- or right-slot scan
     finished its first failing exponent block, to name the first failing
     triple in span order, 286 coefficient products; before the middle slot
     formed t·sigma^k(b) once per cell, not once per exponent of u, 2,608
-    scaled ones. The second run repeats the count, so no memo outlives
-    its run."""
+    scaled ones. Before the middle and right slots scanned one period of
+    exponents (sigma has order 2 on three of the four rings) and the left
+    slot twisted v once per b, not once per (a, b), 1,370 scaled products
+    and 6,582 scaled twists. The second run repeats the count, so no memo
+    outlives its run."""
     for config in suites._laurent_roster() + [suites.builtin("gaussian-q-1")]:
         for bound in (3, 4):  # build the cached spans outside the count
             config.coefficients.spanning_set(bound)
@@ -980,13 +1043,15 @@ def test_nuclei_suite_operation_budget(monkeypatch):
     counted(rings.AlgebraElement, "__mul__")
     counted(structure, "_monomial_scan")
     counted(structure._ScaledOps, "mul")
+    counted(structure._ScaledOps, "twist")
     counted(poly.RingConfig, "invert")
     for _ in range(2):
         count[0] = 0
         calls.update(dict.fromkeys(calls, 0))
         assert suites.run_suite("nuclei").ok
         assert count[0] == 56
-        assert calls == {"__mul__": 289, "_monomial_scan": 69, "mul": 1370, "invert": 12}
+        assert calls == {"__mul__": 289, "_monomial_scan": 69, "mul": 1290, "twist": 2428,
+                         "invert": 12}
 
 
 def test_hilbert_suite_operation_budget(monkeypatch, factor_count):
