@@ -26,9 +26,8 @@ _MODULE_OF = {
     for module, names in {
         "errors": "ConstructionError NotInvertibleError ParseError ReductionError "
                   "RingMismatchError SkewringError UnsupportedRingError ZeroElementError",
-        "maps": "PiFamily classify_multiplicativity detect_finite_order "
-                "infinite_order_reason make_twist pi_apply pi_word_sum pi_words "
-                "standard_derivation validate_twist_axioms",
+        "maps": "PiFamily classify_multiplicativity detect_finite_order make_twist "
+                "pi_apply pi_word_sum pi_words standard_derivation validate_twist_axioms",
         "poly": "DStructure RingConfig SkewPoly corrupted_d_structure from_right_form "
                 "laurent_d_structure ore_d_structure poly_mul quantum_torus "
                 "to_right_form validate_d_structure",

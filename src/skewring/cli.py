@@ -140,8 +140,7 @@ def classify(config_path):
 
     config = load_config_file(config_path).ring_config
     tags = sorted(maps.classify_multiplicativity(config.sigma))
-    order = maps.detect_finite_order(config.sigma, 12)
-    reason = maps.infinite_order_reason(config.sigma)
+    order, reason = config.sigma.order
     doc = {
         "ring": config.describe(),
         "sigma": {

@@ -16,7 +16,10 @@ matrix map replaces the loop by its cached matrix power, and
 ``PolyTwist`` by its closed formula. Equality and hashing come from
 ``_key()``, so equal maps of different kinds (the identity and the
 matrix [[1]]) are equal. ``describe()`` is the ``kind`` with an
-optional ``label``: the "2" of ``q_twist(2)``.
+optional ``label``: the "2" of ``q_twist(2)``. A map's ``order`` is
+decided exactly and cached: ``(m, None)`` for the least m >= 1 with
+map^m = id, or ``(None, reason)``; a matrix map reads it off its minimal
+polynomial (``_cyclotomic_order``).
 
 A matrix map is applied through its compiled form, sparse integer
 columns over one denominator, straight to the argument's canonical
@@ -42,6 +45,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from . import linalg
 from .errors import ConstructionError, NotInvertibleError, UnsupportedRingError
@@ -73,6 +78,11 @@ class TwistMap(Keyed):
     def inverse(self):
         """The inverse map, or None when the map is not bijective."""
         return None
+
+    @property
+    def order(self):
+        """``(m, None)`` for the least m >= 1 with map^m = id, else ``(None, reason)``."""
+        return None, f"{self.kind} has no inverse, so no power of it is the identity"
 
     def power_apply(self, m, el):
         """Apply the m-fold composition (inverse composition for m < 0)."""
@@ -146,6 +156,18 @@ class LinearTwist(TwistMap):
         columns = self.power_columns(m)
         return el if columns is None else self.ring.from_pair(linalg.apply_columns(columns, el.pair))
 
+    @cached_property
+    def order(self):
+        """``_cyclotomic_order`` of the minimal polynomial: the first linear
+        dependency of id, sigma, sigma^2, ..., each with its columns stacked."""
+        def flat(pairs):  # the pair, not reduced, of the stacked columns
+            den = lcm(*[d for _, d in pairs])
+            return [v * (den // d) for nums, d in pairs for v in nums], den
+        powers = [flat(_diagonal([1] * len(self.pairs))), flat(self.pairs)]
+        while (x := linalg.solve_columns(powers[:-1], powers[-1])) is None:
+            powers.append(flat(self._images_power(len(powers))[0]))
+        return _cyclotomic_order([-Fraction(v, x[1]) for v in x[0]] + [1])
+
     def inverse(self):
         if not self._inverse_known:
             self._inverse_known = True
@@ -199,6 +221,13 @@ class PolyTwist(TwistMap):
                 return None
         return PolyTwist(self.ring, inv_base, 1 / self.var_scale, f"{self.kind}^-1")
 
+    @cached_property
+    def order(self):
+        """The lcm of the variable scaling's order and the coefficient map's."""
+        (m, reason), (n, inner) = (_scalar_order(self.var_scale, "variable"),
+                                   (1, None) if self.coeff_map is None else self.coeff_map.order)
+        return (lcm(m, n), None) if m and n else (None, reason or inner)
+
     def _key(self):
         return (self.ring, self.coeff_map, self.var_scale)
 
@@ -234,6 +263,10 @@ class YCoeffScale(TwistMap):
 
     def inverse(self):
         return YCoeffScale(self.ring, 1 / self.q)
+
+    @property
+    def order(self):
+        return _scalar_order(self.q, "degree-one coefficient")
 
     def _key(self):
         return (self.ring, self.q)
@@ -481,7 +514,8 @@ def classify_multiplicativity(tm):
     Decided exhaustively on the ring's spanning set (the basis for
     finite-dimensional rings; basis monomials with exponents in [-2, 2]
     for polynomial rings, where the structural maps act monomial-wise so
-    the bounded check spans every product shape that occurs).
+    the bounded check spans every product shape that occurs). An
+    antiautomorphism is an involution when its ``order`` is 1 or 2.
     """
     span = tm.ring.spanning_set(2)
     bijective = tm.inverse() is not None
@@ -505,51 +539,60 @@ def classify_multiplicativity(tm):
         tags.add("automorphism")
     if anti and bijective:
         tags.add("antiautomorphism")
-        if all(tm(tm(a)) == a for a in span):
+        if tm.order[0] in (1, 2):
             tags.add("involution")
     return frozenset(tags)
 
 
-def _power_is_identity(tm, m):
-    """Whether tm^m = id.
-
-    The check runs on the spanning set, which determines a linear map
-    completely on finite-dimensional rings and monomial-wise structural
-    maps on polynomial rings.
-    """
-    return all(tm.power_apply(m, b) == b for b in tm.ring.spanning_set(2))
-
-
 def detect_finite_order(tm, bound=8):
-    """Least m in [1, bound] with sigma^m = id, or None."""
-    return next((m for m in range(1, bound + 1) if _power_is_identity(tm, m)), None)
+    """The order of tm if it is at most ``bound``, else None: a bounded view of ``order``."""
+    return tm.order[0] if (tm.order[0] or bound + 1) <= bound else None
 
 
-def infinite_order_reason(tm):
-    """A scaling-direction certificate that no power of tm is the identity.
+def _scalar_order(q, what):
+    """The order of the map that scales ``what`` by the rational q."""
+    if q in (1, -1):
+        return (1 if q == 1 else 2), None
+    return None, f"{what} is scaled by {q}; {q}^m is never 1 for m >= 1"
 
-    Looks for a basis direction b with tm(b) = q·b for q outside {1,-1};
-    then tm^m(b) = q^m·b never returns to b. Returns a human-readable
-    reason, or None when no such certificate is found.
+
+def _cyclotomic_order(mu):
+    """The order of a linear map with minimal polynomial mu, lowest coefficient first.
+
+    map^m = id iff mu divides x^m - 1, the product of the Phi_n with n | m: iff
+    mu is a product of distinct Phi_n, whose lcm is then the order. A Phi_n
+    that divides mu has phi(n) <= deg mu and phi(n) >= sqrt(n/2), so n <= 2·deg².
     """
-    if isinstance(tm, PolyTwist):
-        if tm.var_scale not in (1, -1):
-            return (
-                f"variable is scaled by {tm.var_scale}; "
-                f"{tm.var_scale}^m is never 1 for m >= 1"
-            )
-        if tm.coeff_map is not None:
-            return infinite_order_reason(tm.coeff_map)
-        return None
-    if isinstance(tm, LinearTwist):
-        for j, (nums, den) in enumerate(tm.pairs):
-            q = Fraction(nums[j], den)
-            if q not in (0, 1, -1) and not any(v for i, v in enumerate(nums) if i != j):
-                return (
-                    f"basis direction {j} is scaled by {q}; "
-                    f"{q}^m is never 1 for m >= 1"
-                )
-    return None
+    def divide(num, den):  # quotient and remainder by the monic den, lowest first
+        num, k = list(num), len(den) - 1
+        quotient = [0] * max(len(num) - k, 0)
+        for i in reversed(range(len(quotient))):
+            quotient[i] = c = num[i + k]
+            num[i:i + k + 1] = [a - c * v for a, v in zip(num[i:], den)]
+        return quotient, num[:k]
+
+    def text(coeffs):  # x^2 - 3/2x + 1 for [1, -3/2, 1], as the expression grammar prints
+        terms = [("" if c == 1 and k else "-" if c == -1 and k else str(c)) + ("x" if k else "")
+                 + (f"^{k}" if k > 1 else "") for k, c in reversed(list(enumerate(coeffs))) if c]
+        return " + ".join(terms).replace("+ -", "- ")
+
+    rest, ns, phi, cyclotomic = mu, [], list(range(2 * (len(mu) - 1) ** 2 + 1)), {}
+    for n in range(1, len(phi)):
+        if phi[n] == n > 1:  # n is prime: sieve Euler's phi
+            phi[n::n] = [v - v // n for v in phi[n::n]]
+        if phi[n] < len(rest):  # Phi_n is x^n - 1 over each Phi_d, d | n, d < n
+            cyclotomic[n] = [-1] + [0] * (n - 1) + [1]
+            for d in [d for d in cyclotomic if d < n and n % d == 0]:
+                cyclotomic[n] = divide(cyclotomic[n], cyclotomic[d])[0]
+        while phi[n] < len(rest) and not any((split := divide(rest, cyclotomic[n]))[1]):
+            if n in ns:
+                return None, (f"the minimal polynomial {text(mu)} has the factor "
+                              f"{text(cyclotomic[n])} twice, a Jordan block")
+            rest, ns = split[0], ns + [n]
+    if len(rest) > 1:
+        return None, (f"the minimal polynomial {text(mu)} has the factor {text(rest)}, "
+                      "whose roots are no roots of unity")
+    return lcm(*ns), None
 
 
 def standard_derivation(a, b):

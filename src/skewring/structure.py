@@ -37,10 +37,10 @@ exponents m, n >= 0, so each step above holds on [0, B]:
 With a delta the rule is a sum over pi_i^m, and only the shift lemma
 (by D2) is used: those queries are the cut triple search.
 
-The period lemma (delta = 0, either window). Let r be the least power
-below the window's length with sigma^r = id (``_ScaledOps.period``; with
-none, r is the length and nothing is cut). Every value a scan compares is
-a product of sigma-powers of fixed elements, sigma^m(p), sigma^(m+s)(q)
+The period lemma (delta = 0, either window). Let r be sigma's order if
+it is below the window's length, else the length, which cuts nothing
+(``_ScaledOps.period``). Every value a scan compares is a product of
+sigma-powers of fixed elements, sigma^m(p), sigma^(m+s)(q)
 and sigma^m(p·sigma^s(q)), and sigma^(e+r) = sigma^e·sigma^r = sigma^e
 for every e the window allows (e >= 0 in the ore window, so no negative
 power of sigma enters). So each verdict is r-periodic in each free
@@ -76,7 +76,7 @@ from .errors import (
     ReductionError,
     RingMismatchError,
 )
-from .maps import Keyed, _power_is_identity, classify_multiplicativity, detect_finite_order
+from .maps import Keyed, classify_multiplicativity
 from .poly import LAURENT, SkewPoly, add_term
 from .rings import Divisors, first_associator
 from .series import TruncatedSeries
@@ -146,8 +146,7 @@ class _ScaledOps:
     values are equal iff their scalars match and their parts are the same
     object.
 
-    Products, twist powers and parts serve every degree bound, and so does
-    ``period``, the scan's period for each window length.
+    Products, twist powers and parts serve every degree bound.
     ``verdicts`` holds the monomial scan's slot verdicts, ``outcomes`` maps
     each ``NucleusQuery`` to its ``CheckOutcome``, and ``inverses`` each
     element ``nuclear_inverse_check`` inverted to x⁻¹, or None.
@@ -158,7 +157,6 @@ class _ScaledOps:
         self._norm = {}
         self._powers = {}
         self._products = {}
-        self._periods = {}
         self.verdicts = {}
         self.outcomes = {}
         self.inverses = {}
@@ -198,12 +196,9 @@ class _ScaledOps:
         return (_ratio(scalar[0] * cs[0], scalar[1] * cs[1]), ce)
 
     def period(self, window):
-        """The least r < len(window) with sigma^r = id, else len(window): the
+        """sigma's order if it is below len(window), else len(window): the
         window's first r exponents decide the scan (the module's period lemma)."""
-        size = len(window)
-        if size not in self._periods:
-            self._periods[size] = detect_finite_order(self.sigma, size - 1) or size
-        return self._periods[size]
+        return min(self.sigma.order[0] or len(window), len(window))
 
     def part_mul(self, le, re):
         """The split product of two normalised parts, computed once per pair."""
@@ -549,7 +544,7 @@ def nuclear_inverse_check(x, hypothesis, degree_bound, memo=None):
 def central_reduction(p, m):
     """Canonical representative of p modulo the rewriting X^(m²) -> -1.
 
-    Valid when sigma^m = id (checked on the coefficient spanning set):
+    Valid when sigma^m = id, that is when sigma's order divides m:
     then X^(m²) is nuclear and central, the principal ideal it generates
     with 1 + X^(m²) rewrites X^(m²) to -1, coefficients pass through,
     and each term r·X^e maps to (-1)^floor(e/m²) · r · X^(e mod m²).
@@ -561,7 +556,8 @@ def central_reduction(p, m):
     terms = config._own(p)
     if config.shape != LAURENT:
         raise ConstructionError("central reduction needs the laurent shape")
-    if not _power_is_identity(config.sigma, m):
+    order = config.sigma.order[0]
+    if order is None or m % order:
         raise ReductionError("finite order hypothesis fails")
     modulus = m * m
     out = {}

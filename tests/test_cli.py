@@ -490,6 +490,55 @@ def test_classify_command(runner, tmp_path):
     assert all(list(a) == ["axiom", "passed", "detail"] for a in delta["axioms"])
 
 
+SHEAR = {"kind": "matrix", "matrix": [["1", "1"], ["0", "1"]]}
+# e1 -> e2 -> e3 -> e1 and e4 -> e5 -> e6 -> e7 -> -e4 on O, which fix e0: order 24
+SIGNED_CYCLE = {0: 0, 1: 2, 2: 3, 3: 1, 4: 5, 5: 6, 6: 7, 7: -4}
+OCTONION_24 = {"ring": "octonions", "twist": {"kind": "matrix", "matrix": [
+    [str((-1 if SIGNED_CYCLE[j] < 0 else 1) * (abs(SIGNED_CYCLE[j]) == i)) for j in range(8)]
+    for i in range(8)]}}
+
+
+# documents whose order a probe of m = 1..12 and a scaled-direction heuristic
+# left open: classify printed finite_order and infinite_order_reason both null
+@pytest.mark.parametrize("doc, order", [
+    ({"ring": "gaussian", "twist": SHEAR}, None),
+    (OCTONION_24, 24),
+    ({"ring": {"kind": "polynomial", "base": "rationals"},
+      "twist": {"kind": "y_coeff_scale", "q": "2"}}, None),
+    ({"ring": {"kind": "polynomial", "base": "gaussian"},
+      "twist": {"kind": "coefficientwise", "base": SHEAR}}, None),
+], ids=["shear", "octonion-signed-cycle", "y-coeff-scale", "lifted-shear"])
+def test_classify_decides_the_order(runner, tmp_path, doc, order):
+    result = runner.invoke(cli.main, ["classify", "--config", write(tmp_path, "cfg.json", doc)])
+    assert result.exit_code == 0
+    sigma = json.loads(result.output)["sigma"]
+    assert sigma["finite_order"] == order
+    assert (sigma["infinite_order_reason"] is None) == (order is not None)
+
+
+AUTO, ANTI, INV = "automorphism", "antiautomorphism", "involution"
+# (finite_order, multiplicativity) of each roster document, as classify printed
+# them when the order was probed for m = 1..12
+ROSTER_CLASSES = {
+    **{name: (None, []) for name in ("gaussian-q1/2", "gaussian-q2", "gaussian-q2-ore",
+                                     "gaussian-q3", "gaussian-q3/5")},
+    **{name: (1, [ANTI, AUTO, INV]) for name in ("gaussian-q1", "rational-laurent",
+                                                 "torus-rational", "weyl")},
+    "gaussian-q-1": (2, [ANTI, AUTO, INV]), "gaussian-conj": (2, [ANTI, AUTO, INV]),
+    "matrix-swap": (2, [ANTI, INV]), "octonion-conj": (2, [ANTI, INV]),
+    "octonion-ore": (1, [AUTO]), "torus-octonion": (None, [AUTO]),
+}
+
+
+def test_classify_keeps_every_roster_order_and_tag(runner, tmp_path):
+    assert set(ROSTER_CLASSES) == set(suites.ROSTER)
+    for name, doc in suites.ROSTER.items():
+        result = runner.invoke(cli.main, ["classify", "--config", write(tmp_path, "c.json", doc)])
+        sigma = json.loads(result.output)["sigma"]
+        assert (sigma["finite_order"], sigma["multiplicativity"]) == ROSTER_CLASSES[name], name
+        assert (sigma["finite_order"] is None) != (sigma["infinite_order_reason"] is None), name
+
+
 @pytest.mark.parametrize("shape, ring", [("power_series", "QQ[X; identity]"),
                                          ("laurent_series", "QQ[X^±; identity]")],
                          ids=["power_series", "laurent_series"])

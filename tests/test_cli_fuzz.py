@@ -1,7 +1,8 @@
 """Exit-code fuzz of the CLI: whatever the input, ``mul``, ``classify``,
 ``reduce``, ``pi`` and ``verify --config`` exit 0 or 2 and never end in a
-traceback, and a ``reduce`` that exits 0 prints a record that replays to its
-target.
+traceback, a ``reduce`` that exits 0 prints a record that replays to its
+target, and a ``classify`` of a matrix twist that exits 0 prints either its
+finite order or the reason that it has none.
 
 Expressions are printed elements of the config's ring, strings of the
 expression grammar that may not fit the ring, and token soup; configs are
@@ -263,6 +264,26 @@ def test_mul_on_mutated_configs_keeps_the_exit_contract(files, case):
 @given(doc=mutated_docs())
 def test_classify_on_mutated_configs_keeps_the_exit_contract(files, doc):
     assert_contract(["classify", "--config", _write(files[0], doc)])
+
+
+@st.composite
+def matrix_twist_docs(draw):
+    """A matrix twist on Q(i) or H whose first column is e0, so sigma(1) = 1, and
+    whose other entries lie in -2..2; it may be singular, which classify refuses."""
+    ring, d = draw(st.sampled_from([("gaussian", 2), ("quaternions", 4)]))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=d * (d - 1), max_size=d * (d - 1)))
+    rows = [[str(int(i == 0))] + [str(v) for v in entries[i::d]] for i in range(d)]
+    return {"ring": ring, "twist": {"kind": "matrix", "matrix": rows}}
+
+
+@FUZZ
+@given(doc=matrix_twist_docs())
+def test_classify_decides_the_order_of_every_matrix_twist(files, doc):
+    code, out = assert_contract(["classify", "--config", _write(files[0], doc)])
+    if code == 0:
+        sigma = json.loads(out)["sigma"]
+        event(f"finite order {sigma['finite_order']}")
+        assert (sigma["finite_order"] is None) != (sigma["infinite_order_reason"] is None)
 
 
 # inputs that reduce by both generators on either side, so every combination

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -71,7 +72,7 @@ def test_diag_swap_has_order_two():
     for _ in range(10):
         r = m2.random_element(rng)
         assert swap.power_apply(2, r) == r
-    assert maps.detect_finite_order(swap, 8) == 2
+    assert swap.order == (2, None)
 
 
 def test_inner_automorphism_values():
@@ -130,7 +131,7 @@ def test_conj_transpose_is_involution():
     star = maps.make_twist(m2, "conj_transpose")
     tags = maps.classify_multiplicativity(star)
     assert "involution" in tags
-    assert maps.detect_finite_order(star, 4) == 2
+    assert star.order == (2, None)
 
 
 def test_transpose_on_matrix_ring():
@@ -143,22 +144,145 @@ def test_transpose_on_matrix_ring():
 
 def test_finite_order_detection():
     conj = maps.make_twist(G, "conjugation")
-    assert maps.detect_finite_order(conj, 8) == 2
-    ident = maps.make_twist(G, "identity")
-    assert maps.detect_finite_order(ident, 8) == 1
+    assert conj.order == (2, None)
+    assert maps.make_twist(G, "identity").order == (1, None)
     q2 = maps.make_twist(G, "q_twist", q=2)
+    assert q2.order == (None, "the minimal polynomial x^2 - 3x + 2 has the factor x - 2, "
+                              "whose roots are no roots of unity")
+    # detect_finite_order is the order seen through a bound
+    assert [maps.detect_finite_order(conj, b) for b in (1, 2, 8)] == [None, 2, 2]
     assert maps.detect_finite_order(q2, 10) is None
-    assert maps.infinite_order_reason(q2) is not None
-    assert maps.infinite_order_reason(conj) is None
 
 
 def test_infinite_order_for_variable_scaling():
     g_cfg = poly.RingConfig(G, maps.make_twist(G, "identity"), None, "Y", poly.LAURENT)
     scale = maps.make_twist(g_cfg, "y_scale", q=2)
-    assert maps.detect_finite_order(scale, 6) is None
-    assert "never 1" in maps.infinite_order_reason(scale)
+    assert scale.order == (None, "variable is scaled by 2; 2^m is never 1 for m >= 1")
     flip = maps.make_twist(g_cfg, "y_scale", q=-1)
-    assert maps.detect_finite_order(flip, 6) == 2
+    assert flip.order == (2, None)
+    # the lcm of the variable's order and the coefficient map's
+    lifted = maps.make_twist(g_cfg, "coefficientwise", base=maps.make_twist(G, "conjugation"))
+    assert lifted.order == (2, None)
+    both = maps.PolyTwist(g_cfg, maps.make_twist(G, "conjugation"), -1, "coefficientwise")
+    assert both.order == (2, None)
+    q = rings.rationals()
+    qy = poly.RingConfig(q, maps.make_twist(q, "identity"), None, "Y", poly.LAURENT)
+    assert maps.make_twist(qy, "y_coeff_scale", q=-1).order == (2, None)
+    assert maps.make_twist(qy, "y_coeff_scale", q=3).order[0] is None
+    # a map with no inverse has no power that is the identity
+    assert maps.make_twist(qy, "derivative").order[0] is None
+
+
+# cyclotomic polynomials Phi_n, lowest coefficient first, written out by hand
+PHI = {1: [-1, 1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 0, 1], 5: [1, 1, 1, 1, 1],
+       6: [1, -1, 1], 7: [1] * 7, 8: [1, 0, 0, 0, 1], 9: [1, 0, 0, 1, 0, 0, 1],
+       10: [1, -1, 1, -1, 1], 12: [1, 0, -1, 0, 1]}
+S = rings.sedenions()
+
+
+def probe_order(tm, limit):
+    """The least m <= limit with tm^m = id, by applying tm to the basis m times, or None."""
+    basis = tm.ring.basis_elements()
+    images = basis
+    for m in range(1, limit + 1):
+        images = [tm.power_apply(1, b) for b in images]
+        if images == basis:
+            return m
+    return None
+
+
+def companion_twist(ring, polys, rng):
+    """The matrix twist on ``ring`` made of companion blocks of the monic ``polys``
+    (lowest coefficient first, degrees summing to the ring's dimension), conjugated
+    by a random integer matrix P with P·e0 = e0, so sigma(1) = 1 when polys[0] is Phi_1."""
+    d, cols = ring.qdim, []
+    for poly in polys:
+        base, k = len(cols), len(poly) - 1
+        for i in range(k):
+            col = [0] * d
+            if i < k - 1:
+                col[base + i + 1] = 1
+            else:
+                for j in range(k):
+                    col[base + j] = -Fraction(poly[j])
+            cols.append(col)
+    assert len(cols) == d
+    block = maps.make_twist(ring, "matrix", matrix=list(zip(*cols)))
+    while True:
+        p_cols = [[int(i == 0) for i in range(d)]] + [
+            [rng.randint(-1, 1) for _ in range(d)] for _ in range(d - 1)]
+        change = maps.make_twist(ring, "matrix", matrix=list(zip(*p_cols)))
+        back = change.inverse()
+        if back is not None:
+            return maps.LinearTwist.from_function(ring, lambda el: change(block(back(el))),
+                                                  "matrix")
+
+
+@pytest.mark.parametrize("ring, ns", [
+    (S, [1, 2, 3, 4, 5, 7]),  # order 420, on a 16-dimensional ring
+    (S, [1, 2, 9, 5, 10]),  # 90
+    (S, [1, 1, 7, 8, 3, 4]),  # 168
+    (O, [1, 3, 8, 1]),  # 24
+    (O, [1, 3, 3, 6, 2]),  # Phi_3 in two blocks is still one factor of mu: 6
+    (H, [1, 2, 4]),
+    (H, [1, 1, 6]),
+    (G, [1, 1]),
+    (G, [1, 2]),
+], ids=["S-420", "S-90", "S-168", "O-24", "O-6", "H-4", "H-6", "G-1", "G-2"])
+def test_order_of_distinct_cyclotomic_blocks_matches_the_probe(ring, ns):
+    tm = companion_twist(ring, [PHI[n] for n in ns], random.Random(f"{ring.name}{ns}"))
+    assert tm(ring.one) == ring.one
+    order = math.lcm(*ns)
+    assert tm.order == (order, None)
+    assert probe_order(tm, order) == order
+
+
+def test_random_cyclotomic_blocks_match_the_probe():
+    rng = random.Random(42)
+    for ring in (G, H, O, S, H, O, S):
+        ns = [1]
+        while True:
+            n = rng.choice([n for n in PHI if len(PHI[n]) - 1 <= ring.qdim - 1])
+            if sum(len(PHI[k]) - 1 for k in ns) + len(PHI[n]) - 1 > ring.qdim:
+                break
+            ns.append(n)
+        ns += [rng.choice([1, 2])] * (ring.qdim - sum(len(PHI[k]) - 1 for k in ns))
+        tm = companion_twist(ring, [PHI[n] for n in ns], rng)
+        order = math.lcm(*ns)
+        assert tm.order == (order, None), ns
+        assert probe_order(tm, order) == order, ns
+
+
+@pytest.mark.parametrize("ring, polys, certificate", [
+    (G, [[1, -2, 1]], "x - 1 twice"),  # the shear: Phi_1 squared
+    (O, [PHI[1], PHI[2], [1, 2, 3, 2, 1], PHI[6]], "x^2 + x + 1 twice"),  # Phi_3 squared
+    (O, [PHI[1], [1, 0, 2, 0, 1], PHI[2], PHI[1], PHI[1]], "x^2 + 1 twice"),  # Phi_4 squared
+    (G, [PHI[1], [-2, 1]], "the factor x - 2, whose"),
+    (H, [PHI[1], [1, Fraction(-6, 5), 1], PHI[2]], "the factor x^2 - 6/5x + 1, whose"),
+    (H, [PHI[1], [0, 1], PHI[4]], "the factor x, whose"),  # singular
+], ids=["shear", "jordan-Phi3", "jordan-Phi4", "q2", "unit-circle", "singular"])
+def test_a_repeated_or_non_cyclotomic_factor_certifies_infinite_order(ring, polys, certificate):
+    tm = companion_twist(ring, polys, random.Random(7))
+    order, reason = tm.order
+    assert order is None and certificate in reason
+    assert probe_order(tm, 60) is None
+
+
+def test_random_matrices_judged_infinite_have_no_small_power_the_identity():
+    """Integer matrices with entries in -1..1 and first column e0: an exact finite
+    order is the probe's least m, and an infinite one leaves sigma^m != id up to 60."""
+    rng = random.Random(3)
+    seen = set()
+    for ring in (G, G, G, G, H, H, H, O) * 4:
+        d = ring.qdim
+        cols = [[int(i == 0) for i in range(d)]] + [
+            [rng.randint(-1, 1) for _ in range(d)] for _ in range(d - 1)]
+        tm = maps.make_twist(ring, "matrix", matrix=list(zip(*cols)))
+        order, reason = tm.order
+        assert (order is None) != (reason is None)
+        assert probe_order(tm, order or 60) == order
+        seen.add(order is None)
+    assert seen == {True, False}
 
 
 def test_pi_word_enumeration():
@@ -341,7 +465,7 @@ def test_coefficientwise_lift():
     i = G.basis_element(1)
     p = inner.monomial(i, 3)
     assert lifted(p) == inner.monomial(-i, 3)
-    assert maps.detect_finite_order(lifted, 4) == 2
+    assert lifted.order == (2, None)
 
 
 def test_equal_twists_hash_equal():
