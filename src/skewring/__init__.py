@@ -35,7 +35,8 @@ _MODULE_OF = {
                  "jordan_algebra matrix_algebra octonions quaternions rationals "
                  "sedenions",
         "series": "TruncatedSeries equal_to_precision series_invert series_mul",
-        "structure": "GeneratorSet NucleusQuery ReductionResult associativity_certificate "
+        "structure": "Certificate GeneratorSet NucleusQuery ReductionResult "
+                     "associativity_certificate "
                      "associativity_prediction central_reduction monic_left_reduce "
                      "nuclear_inverse_check nucleus_membership reduce replay_reduction "
                      "right_reduce shrink simplicity_probe",

@@ -82,9 +82,8 @@ def mul(config_path, left, right):
 
 def reduce(config_path, gens_path, side, max_steps, expr):
     """Reduce an expression against generators; prints a replayable record."""
-    from . import parsing, structure
+    from . import structure
     from .config import load_config_file, load_json_file
-    from .series import TruncatedSeries
 
     if max_steps is not None and max_steps < 0:
         raise SkewringError("--steps must be non-negative")
@@ -95,25 +94,8 @@ def reduce(config_path, gens_path, side, max_steps, expr):
     generators = [parse_expr(text, cli_config) for text in gen_texts]
     target = parse_expr(expr, cli_config)
     gset = structure.GeneratorSet(cli_config.ring_config, generators, side)
-    result = structure.reduce(target, gset, max_steps=max_steps)
-
-    def cofactor(step):
-        """The step's exact monomial u·X^k; on a series config, in the series
-        grammar at the config's precision (k, if k is higher), so ``mul`` reads it."""
-        config, u, k = cli_config.ring_config, step.coeff, step.exponent
-        if not cli_config.is_series:
-            return parsing.format_monomial(config, u, k)
-        return parsing.format_series(TruncatedSeries(config, {k: u}, max(cli_config.precision, k)))
-
-    doc = {
-        "remainder": repr(result.remainder),
-        "irreducible": result.irreducible,
-        "steps": [
-            {"generator": step.generator, "cofactor": cofactor(step), "side": step.side}
-            for step in result.steps
-        ],
-    }
-    print(json.dumps(doc, indent=2))
+    certificate = structure.reduce(target, gset, max_steps=max_steps)
+    print(json.dumps(certificate.payload(cli_config.precision), indent=2))
 
 
 def pi(i_value, m_value, emit_words):

@@ -550,10 +550,12 @@ def detect_finite_order(tm, bound=8):
 
 
 def _scalar_order(q, what):
-    """The order of the map that scales ``what`` by the rational q."""
+    """The order of the map that scales ``what`` by the rational q; a base of q^m
+    that is not a positive integer is parenthesised, as in (1/2)^m."""
     if q in (1, -1):
         return (1 if q == 1 else 2), None
-    return None, f"{what} is scaled by {q}; {q}^m is never 1 for m >= 1"
+    base = q if q > 0 and q.denominator == 1 else f"({q})"
+    return None, f"{what} is scaled by {q}; {base}^m is never 1 for m >= 1"
 
 
 def _cyclotomic_order(mu):

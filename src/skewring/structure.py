@@ -58,11 +58,14 @@ simplicity probing, leading-term reduction) mirror the constructive
 steps of the Hilbert-style and simplicity proofs. Reduction is one
 leading-term loop for left and right generator sets, polynomials and
 series: the generator set's side picks the solve and the cofactor's
-side, and the type picks the leading exponent (degree or order). Each
-reduction produces a replayable record: generators combined with
-single-monomial cofactors plus a remainder that reconstructs the input
+side, and the type picks the leading exponent (degree or order). Every
+answer here is one ``Certificate`` with one printer, ``payload``. A
+reduction's is a replayable record, whose generators combined with
+single-monomial cofactors plus the remainder reconstruct the input
 exactly; replay rebuilds each step with the cofactor product the
-reduction subtracted.
+reduction subtracted. So a step-capped reduction passes as a finished
+one does, and only a remainder that no generator matches is
+``irreducible``.
 """
 
 from __future__ import annotations
@@ -104,14 +107,63 @@ class NucleusQuery(Keyed):
         return (self.element, self.side, self.degree_bound)
 
 
-class CheckOutcome:
-    """pass/witness result of a degree-bounded associator exhaustion."""
+class Certificate:
+    """One exact answer and its evidence.
 
-    def __init__(self, passed, witness=None):
-        self.passed, self.witness = passed, witness  # witness: (a, b, c, associator value)
+    ``kind`` is what was searched: ``window`` (a nucleus or associativity
+    scan, or a nuclear-inverse check), ``reduction`` or ``probe``. ``verdict``
+    is what it found: ``pass``, ``witness``, ``irreducible``, ``unit`` or
+    ``inconclusive``; a finished or step-capped reduction passes, as its
+    record replays. The evidence: ``witness`` (a, b, c, associator), the
+    ``steps`` (``CofactorStep``s, or a probe's (d, shrink) pairs), the
+    ``remainder`` they end at, and the ``failing_sides`` of a nuclear-inverse
+    hypothesis that fails, which makes its pass vacuous.
+    """
+
+    def __init__(self, kind, verdict, witness=None, steps=(), remainder=None, failing_sides=()):
+        self.kind, self.verdict, self.witness = kind, verdict, witness
+        self.steps, self.remainder, self.failing_sides = steps, remainder, failing_sides
 
     def __bool__(self):
-        return self.passed
+        return self.verdict == "pass"
+
+    @property
+    def irreducible(self):
+        return self.verdict == "irreducible"
+
+    def payload(self, precision=None):
+        """The evidence as JSON data in the canonical grammar: the witness triple and
+        its associator, the failing sides of a vacuous nuclear-inverse pass, or a
+        reduction's record; None for any other pass or a probe. A series record prints each
+        cofactor u·X^k as a series at ``precision`` (k, if k is higher), so ``mul``
+        reads it; ``precision`` defaults to the remainder's."""
+        if self.witness is not None:
+            *triple, value = self.witness
+            return {"triple": [repr(t) for t in triple], "associator": repr(value)}
+        if self.failing_sides:
+            return {"hypothesis": "not satisfied", "failing_sides": self.failing_sides}
+        if self.kind != "reduction":
+            return None
+        rem = self.remainder
+        if isinstance(rem, TruncatedSeries):
+            cap = rem.precision if precision is None else precision
+
+            def cofactor(u, k):
+                return TruncatedSeries(rem.config, {k: u}, max(cap, k))
+        else:
+            cofactor = rem.config.monomial
+        return {
+            "remainder": repr(rem),
+            "irreducible": self.irreducible,
+            "steps": [{"generator": step.generator,
+                       "cofactor": repr(cofactor(step.coeff, step.exponent)), "side": step.side}
+                      for step in self.steps],
+        }
+
+
+def _window(witness=None):
+    """The certificate of a scan: a pass, or the first failing triple."""
+    return Certificate("window", "pass" if witness is None else "witness", witness)
 
 
 def _ratio(num, den):
@@ -148,7 +200,7 @@ class _ScaledOps:
 
     Products, twist powers and parts serve every degree bound.
     ``verdicts`` holds the monomial scan's slot verdicts, ``outcomes`` maps
-    each ``NucleusQuery`` to its ``CheckOutcome``, and ``inverses`` each
+    each ``NucleusQuery`` to its certificate, and ``inverses`` each
     element ``nuclear_inverse_check`` inverted to x⁻¹, or None.
     """
 
@@ -308,7 +360,7 @@ def _monomial_scan(query, ops):
         witness = first_associator(*_slot_triple(side, [x], [u], [v]))
         if witness is None:
             raise AssertionError("monomial scan disagreed with the generic product")
-        return CheckOutcome(False, witness)
+        return _window(witness)
 
     def first_failure(e1, e2, e3):
         """The index of the first a with (a·e1)·e2 != a·e3, or None."""
@@ -350,7 +402,7 @@ def _monomial_scan(query, ops):
                     rhs = mul(t, twist(k, mul(a, b_low)))
                     if not equal(lhs, rhs):
                         return report(i, low, j, low)
-        return CheckOutcome(True)
+        return _window()
 
     # With u = a·X^m, both identities read E1 = sigma^m(p), E2 =
     # sigma^(m+s)(q), E3 = sigma^m(p·sigma^s(q)) for a cell (p, s, q) free
@@ -377,7 +429,7 @@ def _monomial_scan(query, ops):
         if failures:
             i, n, j = min(failures)
             return report(i, m, j, n)
-    return CheckOutcome(True)
+    return _window()
 
 
 def nucleus_membership(query, memo=None):
@@ -393,7 +445,7 @@ def nucleus_membership(query, memo=None):
 
     ``memo`` is a dict owned by the caller, from each config to its
     ``_ScaledOps``. Queries that share it share their outcomes (a query
-    asked again returns its recorded ``CheckOutcome``) and, on delta-free
+    asked again returns its recorded certificate) and, on delta-free
     configs, coefficient products, twist powers and slot verdicts across
     degree bounds, and return exactly what fresh queries return. ``None``
     gives the query a fresh memo. Keep one memo per suite run, not
@@ -408,7 +460,7 @@ def nucleus_membership(query, memo=None):
         return ops.outcomes[query]
     one = ops.split(config.coefficients.one)[1]  # Q·1 is one normalised part
     if query.side == "right" and all(ops.split(c)[1] is one for c in x.terms.values()):
-        outcome = CheckOutcome(True)
+        outcome = _window()
     elif config.delta is None:
         outcome = _monomial_scan(query, ops)
     else:
@@ -416,8 +468,7 @@ def nucleus_membership(query, memo=None):
         span = config.spanning_set(bound)
         block = span[:len(config.coefficients.spanning_set(bound))]
         last = span if query.side == "right" else block
-        witness = first_associator(*_slot_triple(query.side, [x], span, last))
-        outcome = CheckOutcome(witness is None, witness)
+        outcome = _window(first_associator(*_slot_triple(query.side, [x], span, last)))
     ops.outcomes[query] = outcome
     return outcome
 
@@ -445,7 +496,7 @@ def associativity_certificate(config, degree_bound):
         outcome = nucleus_membership(NucleusQuery(u, "left", degree_bound), memo)
         if not outcome:
             return outcome
-    return CheckOutcome(True)
+    return _window()
 
 
 def variable_left_nuclear(config):
@@ -484,30 +535,14 @@ _HYPOTHESES = {
 }
 
 
-class NuclearInverseReport:
-    def __init__(self, hypothesis, hypothesis_checks, conclusion_side, conclusion):
-        self.hypothesis, self.hypothesis_checks = hypothesis, hypothesis_checks
-        self.conclusion_side, self.conclusion = conclusion_side, conclusion  # CheckOutcome | None
-
-    @property
-    def hypothesis_satisfied(self):
-        return all(outcome.passed for outcome in self.hypothesis_checks.values())
-
-    @property
-    def ok(self):
-        """True unless the hypothesis holds and the conclusion fails."""
-        if not self.hypothesis_satisfied:
-            return True
-        return self.conclusion is not None and self.conclusion.passed
-
-
 def nuclear_inverse_check(x, hypothesis, degree_bound, memo=None):
     """Check one clause of the nuclear-inverse lemma on basis monomials.
 
     hypothesis "lm": x in N_l∩N_m implies x⁻¹ in N_l; "full": x in N
     implies x⁻¹ in N_m; "mr": x in N_m∩N_r implies x⁻¹ in N_r. If the
-    hypothesis fails on x the clause holds vacuously and the report says
-    so; otherwise the concluded side is checked for x⁻¹. ``memo`` is
+    hypothesis fails on x the clause holds vacuously: a pass whose
+    ``failing_sides`` name the hypothesis sides x misses. Otherwise the
+    result is x⁻¹'s certificate on the concluded side. ``memo`` is
     passed to every query, as in ``nucleus_membership``, and x is inverted
     once per memo.
     """
@@ -524,16 +559,11 @@ def nuclear_inverse_check(x, hypothesis, degree_bound, memo=None):
     x_inv = inverses[x]
     if x_inv is None:
         raise ReductionError("inverse not representable")
-    checks = {
-        side: nucleus_membership(NucleusQuery(x, side, degree_bound), memo)
-        for side in hyp_sides
-    }
-    report = NuclearInverseReport(hypothesis, checks, conclusion_side, None)
-    if report.hypothesis_satisfied:
-        report.conclusion = nucleus_membership(
-            NucleusQuery(x_inv, conclusion_side, degree_bound), memo
-        )
-    return report
+    failing = [side for side in hyp_sides
+               if not nucleus_membership(NucleusQuery(x, side, degree_bound), memo)]
+    if failing:
+        return Certificate("window", "pass", failing_sides=failing)
+    return nucleus_membership(NucleusQuery(x_inv, conclusion_side, degree_bound), memo)
 
 
 # ---------------------------------------------------------------------------
@@ -598,16 +628,6 @@ def shrink(p, d):
     return p.times_monomial(d, 0) - p.times_monomial(twisted, 0, left=True)
 
 
-class SimplicityResult:
-    def __init__(self, status, unit, steps, note):
-        self.status, self.unit, self.note = status, unit, note  # status: "unit" | "inconclusive"
-        self.steps = steps
-
-    @property
-    def reached_unit(self):
-        return self.status == "unit"
-
-
 def simplicity_probe(p):
     """Iterate shrink steps until the ideal generated by p exhibits a unit.
 
@@ -615,9 +635,11 @@ def simplicity_probe(p):
     coefficient basis elements in fixed order and takes the first one
     whose shrink is nonzero (its degree is then strictly smaller).
     Reaching a nonzero constant certifies that the two-sided ideal
-    generated by p is the whole ring. Returns inconclusive when every
-    shrink vanishes (finite-order twists). Each step strictly lowers the
-    order-normalized degree, so the probe ends within deg p - ord p steps.
+    generated by p is the whole ring: the verdict is ``unit``, and the
+    remainder that constant. It is ``inconclusive`` when every shrink of
+    the remainder vanishes (finite-order twists). Each step strictly lowers
+    the order-normalized degree, so the probe ends within deg p - ord p
+    steps.
     """
     config = p.config
     config._own(p)
@@ -631,13 +653,13 @@ def simplicity_probe(p):
         if ord_c != 0:
             current = current.times_monomial(config.coefficients.one, -ord_c)
         if current.degree == 0:
-            return SimplicityResult("unit", current.terms[0], steps, "reduced to a unit")
+            return Certificate("probe", "unit", steps=steps, remainder=current)
         for d in config.coefficients.basis_elements():
             candidate = shrink(current, d)
             if candidate:
                 break
         else:
-            return SimplicityResult("inconclusive", None, steps, "all shrinks vanish")
+            return Certificate("probe", "inconclusive", steps=steps, remainder=current)
         steps.append((d, candidate))
         current = candidate
 
@@ -658,9 +680,10 @@ class CofactorStep(Keyed):
         return (self.generator, self.side, self.coeff, self.exponent)
 
 
-class ReductionResult:
-    def __init__(self, steps, remainder, irreducible=False):
-        self.steps, self.remainder, self.irreducible = steps, remainder, irreducible
+def ReductionResult(steps, remainder, irreducible=False):
+    """The reduction certificate of a record."""
+    return Certificate("reduction", "irreducible" if irreducible else "pass",
+                       steps=steps, remainder=remainder)
 
 
 class GeneratorSet:
@@ -711,7 +734,7 @@ def reduce(f, gens, max_steps=None):
     divisors = Divisors(config.coefficients, "right" if left else "left")
     rem = f
     steps = []
-    irreducible = False
+    verdict = "pass"
     while rem:
         if max_steps is not None and len(steps) >= max_steps:
             break
@@ -726,12 +749,12 @@ def reduce(f, gens, max_steps=None):
             if w is not None:
                 break
         else:
-            irreducible = True
+            verdict = "irreducible"
             break
         u = w if left else sigma.power_apply(-g.leading_exponent, w)
         steps.append(CofactorStep(idx, gens.side, u, k))
         rem = rem - g.times_monomial(u, k, left=left)
-    return ReductionResult(steps, rem, irreducible)
+    return Certificate("reduction", verdict, steps=steps, remainder=rem)
 
 
 def monic_left_reduce(f, p):

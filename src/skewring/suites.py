@@ -94,14 +94,6 @@ def _draws(count, draw):
             yield value
 
 
-def _triple_payload(witness):
-    a, b, c, value = witness
-    return {
-        "triple": [repr(a), repr(b), repr(c)],
-        "associator": repr(value),
-    }
-
-
 def _require(condition, message):
     if not condition:
         raise AssertionError(message)
@@ -240,7 +232,7 @@ def _check_variable_associators(configs):
         memo = {}
         for side, message in (("right", "(p,q,X) != 0"), ("middle", "(p,X,q) != 0")):
             query = structure.NucleusQuery(config.gen, side, 4)
-            _require(structure.nucleus_membership(query, memo).passed, message)
+            _require(structure.nucleus_membership(query, memo), message)
 
 
 def _check_ring_laws(configs):
@@ -328,7 +320,7 @@ ANCHOR_NUCLEAR_INV = (
 def _check_power_nuclear(config, n, side, memo):
     query = structure.NucleusQuery(config.variable_power(n), side, 4)
     outcome = structure.nucleus_membership(query, memo)
-    _require(outcome.passed, f"X^{n} must be {side}-nuclear")
+    _require(outcome, f"X^{n} must be {side}-nuclear")
 
 
 def _check_left_witness(config, memo):
@@ -336,10 +328,10 @@ def _check_left_witness(config, memo):
         structure.NucleusQuery(config.gen, "left", 4), memo
     )
     if structure.variable_left_nuclear(config):
-        _require(outcome.passed, "an automorphism with a sigma-derivation must put X in N_l")
+        _require(outcome, "an automorphism with a sigma-derivation must put X in N_l")
         return
-    _require(not outcome.passed, "X lies in N_l only for an automorphism with a sigma-derivation")
-    return "witness", _triple_payload(outcome.witness)
+    _require(not outcome, "X lies in N_l only for an automorphism with a sigma-derivation")
+    return "witness", outcome.payload()
 
 
 def _unit_for(config):
@@ -365,15 +357,10 @@ def _unit_for(config):
 
 
 def _check_nuclear_inverse(x, hypothesis, memo):
-    report = structure.nuclear_inverse_check(x, hypothesis, 3, memo)
-    _require(report.ok, f"nuclear inverse clause {hypothesis} violated")
-    if report.hypothesis_satisfied:
-        return
-    failing = [
-        side for side, outcome in report.hypothesis_checks.items()
-        if not outcome.passed
-    ]
-    return "pass", {"hypothesis": "not satisfied", "failing_sides": failing}
+    certificate = structure.nuclear_inverse_check(x, hypothesis, 3, memo)
+    _require(certificate, f"nuclear inverse clause {hypothesis} violated")
+    if certificate.failing_sides:
+        return "pass", certificate.payload()
 
 
 def _nuclei_suite(configs=None):
@@ -429,15 +416,15 @@ def _check_associativity(config, expect_pass=None):
     outcome = structure.associativity_certificate(config, 3)
     predicted = structure.associativity_prediction(config)
     _require(
-        outcome.passed == predicted,
+        bool(outcome) == predicted,
         "certificate disagrees with the classification criterion",
     )
     if expect_pass:
-        _require(outcome.passed, "expected an associative ring")
+        _require(outcome, "expected an associative ring")
     elif expect_pass is not None:
-        _require(not outcome.passed, "expected a non-associativity witness")
-    if not outcome.passed:
-        return "witness", _triple_payload(outcome.witness)
+        _require(not outcome, "expected a non-associativity witness")
+    if not outcome:
+        return "witness", outcome.payload()
 
 
 def _check_twist_classification():
@@ -493,8 +480,8 @@ def _check_shrink_example():
     result = structure.shrink(p, i)
     _require(result == config.constant(-i), "shrink(X+1, i) must equal -i")
     probe = structure.simplicity_probe(p)
-    _require(probe.reached_unit and len(probe.steps) == 1, "X+1 must shrink in one step")
-    _require(probe.unit == -i, "unit certificate must be -i")
+    _require(probe.verdict == "unit" and len(probe.steps) == 1, "X+1 must shrink in one step")
+    _require(probe.remainder == config.constant(-i), "unit certificate must be -i")
 
 
 def _check_probe_random():
@@ -508,7 +495,7 @@ def _check_probe_random():
 
     for p in _draws(25, draw):
         probe = structure.simplicity_probe(p)
-        _require(probe.reached_unit, "probe must reach a unit")
+        _require(probe.verdict == "unit", "probe must reach a unit")
         _require(len(probe.steps) <= p.degree + 1, "probe exceeded deg(p)+1 shrink steps")
 
 
@@ -518,14 +505,14 @@ def _check_probe_inconclusive():
     for d in config.coefficients.basis_elements():
         _require(not structure.shrink(p, d), "all shrinks of 1+X^4 must vanish")
     probe = structure.simplicity_probe(p)
-    _require(probe.status == "inconclusive", "probe must be inconclusive")
-    _require(probe.note == "all shrinks vanish", "probe note must report vanishing shrinks")
+    _require(probe.verdict == "inconclusive", "probe must be inconclusive")
+    _require(probe.remainder == p and not probe.steps, "the probe must end at 1+X^4 itself")
 
 
 def _check_probe_constant():
     config = builtin("gaussian-q2")
     probe = structure.simplicity_probe(config.scalar(5))
-    _require(probe.reached_unit and not probe.steps, "constants are already units")
+    _require(probe.verdict == "unit" and not probe.steps, "constants are already units")
 
 
 def _check_probe_hypotheses():
@@ -564,7 +551,7 @@ def _check_generator_nuclear():
             outcome = structure.nucleus_membership(
                 structure.NucleusQuery(element, side, 4), memo
             )
-            _require(outcome.passed, f"{side} nuclearity of the ideal generator fails")
+            _require(outcome, f"{side} nuclearity of the ideal generator fails")
 
 
 def _check_multiples_vanish(config, label, count):
@@ -1112,8 +1099,7 @@ def _check_torus_nuclearity():
     for element, name in ((torus.gen, "X"), (torus.constant(inner.gen), "Y")):
         for side in ("middle", "right"):
             query = structure.NucleusQuery(element, side, 1)
-            _require(structure.nucleus_membership(query, memo).passed,
-                     f"{name} must be {side}-nuclear")
+            _require(structure.nucleus_membership(query, memo), f"{name} must be {side}-nuclear")
 
 
 def _check_torus_iterated_guard():

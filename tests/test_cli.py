@@ -1,8 +1,10 @@
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -445,6 +447,50 @@ def test_reduce_negative_steps_exit_2(runner, tmp_path):
     assert json.loads(zero.stdout) == {"remainder": "X^2", "irreducible": False, "steps": []}
 
 
+# the reduce sweep: every roster document, the two rational series documents
+# and a Q(i) power-series one
+REDUCE_SWEEP_DOCS = {
+    **suites.ROSTER,
+    "power-series-q": POWER_SERIES_Q,
+    "laurent-series-q": dict(POWER_SERIES_Q, shape="laurent_series"),
+    "power-series-gaussian-conj": {"ring": "gaussian", "twist": "conjugation",
+                                   "shape": "power_series", "precision": 6},
+}
+# sha256 of the sweep's `reduce` exit codes and outputs below: any drift in a
+# remainder, cofactor, step order or the irreducible flag changes it
+REDUCE_RECORD_DIGEST = "4610898606d7fa3405bbe609e982c507bbfb670ed013470dab81120c3a613eb0"
+
+
+def test_reduce_records_are_pinned(runner, tmp_path):
+    # per document: two seeded generators of degree <= 2 and a target of
+    # degree <= 3, reduced on both sides by one and by two generators, with
+    # and without a step cap
+    outputs = []
+    for name, doc in REDUCE_SWEEP_DOCS.items():
+        cli_config = config.load_config(doc)
+        ring = cli_config.ring_config
+        marker = (f" + O({ring.variable}^{cli_config.precision})" if cli_config.is_series
+                  else "")
+        rng = random.Random(name)
+
+        def draw(degree):
+            element = ring.zero
+            while not element:
+                element = ring.random_element(rng, degree)
+            return repr(element) + marker
+
+        gens, target = [draw(2), draw(2)], draw(3)
+        cfg_path = write(tmp_path, "cfg.json", doc)
+        for count, side, steps in itertools.product([1, 2], ["right", "left"],
+                                                    [[], ["--steps", "2"]]):
+            gens_path = write(tmp_path, "gens.json", gens[:count])
+            result = runner.invoke(cli.main, ["reduce", "--config", cfg_path, "--gens",
+                                              gens_path, "--side", side, *steps, target])
+            outputs.append(f"{name} {count} {side} {steps} {result.exit_code}\n"
+                           f"{result.stdout}{result.stderr}")
+    assert hashlib.sha256("\n".join(outputs).encode()).hexdigest() == REDUCE_RECORD_DIGEST
+
+
 def test_pi_command(runner):
     result = runner.invoke(cli.main, ["pi", "--i", "1", "--m", "3", "--emit-words"])
     assert result.exit_code == 0
@@ -514,6 +560,21 @@ def test_classify_decides_the_order(runner, tmp_path, doc, order):
     sigma = json.loads(result.output)["sigma"]
     assert sigma["finite_order"] == order
     assert (sigma["infinite_order_reason"] is None) == (order is not None)
+
+
+@pytest.mark.parametrize("q, reason", [
+    ("1/2", "variable is scaled by 1/2; (1/2)^m is never 1 for m >= 1"),
+    ("-2", "variable is scaled by -2; (-2)^m is never 1 for m >= 1"),
+])
+def test_classify_parenthesises_a_scale_that_is_no_positive_integer(runner, tmp_path, q,
+                                                                    reason):
+    # 1/2^m and -2^m would read as 1/(2^m) and -(2^m)
+    doc = {"ring": {"kind": "polynomial", "base": "rationals"},
+           "twist": {"kind": "y_scale", "q": q}}
+    result = runner.invoke(cli.main, ["classify", "--config", write(tmp_path, "cfg.json", doc)])
+    assert result.exit_code == 0
+    sigma = json.loads(result.stdout)["sigma"]
+    assert (sigma["finite_order"], sigma["infinite_order_reason"]) == (None, reason)
 
 
 AUTO, ANTI, INV = "automorphism", "antiautomorphism", "involution"

@@ -39,14 +39,14 @@ def test_x_powers_middle_right_nuclear():
         for n in (-3, -1, 0, 2, 4):
             for side in ("middle", "right"):
                 query = structure.NucleusQuery(config.variable_power(n), side, 4)
-                assert structure.nucleus_membership(query).passed
+                assert structure.nucleus_membership(query)
 
 
 def test_left_nucleus_witness_for_non_automorphism():
     outcome = structure.nucleus_membership(
         structure.NucleusQuery(cfg_q2().gen, "left", 3)
     )
-    assert not outcome.passed
+    assert not outcome
     a, b, c, value = outcome.witness
     assert rings.associator(a, b, c) == value
     assert value
@@ -57,7 +57,7 @@ def test_left_nucleus_passes_for_automorphism():
         G, maps.make_twist(G, "q_twist", q=-1), None, "X", poly.LAURENT
     )
     outcome = structure.nucleus_membership(structure.NucleusQuery(config.gen, "left", 3))
-    assert outcome.passed
+    assert outcome
 
 
 def test_unit_is_nuclear_everywhere():
@@ -65,7 +65,7 @@ def test_unit_is_nuclear_everywhere():
         for side in ("left", "middle", "right"):
             assert structure.nucleus_membership(
                 structure.NucleusQuery(config.one, side, 3)
-            ).passed
+            )
 
 
 def test_non_nuclear_coefficient_witness():
@@ -74,7 +74,7 @@ def test_non_nuclear_coefficient_witness():
     outcome = structure.nucleus_membership(
         structure.NucleusQuery(element, "middle", 2)
     )
-    assert not outcome.passed
+    assert not outcome
 
 
 def test_query_validates_bound():
@@ -184,9 +184,9 @@ def test_nucleus_scan_matches_exhaustive_oracle(name, make_config, bound, powers
         for side in structure.SIDES:
             outcome = structure.nucleus_membership(structure.NucleusQuery(x, side, bound))
             witness = _exhaustive_membership(x, side, bound)
-            assert outcome.passed == (witness is None), (x, side)
+            assert bool(outcome) == (witness is None), (x, side)
             assert outcome.witness == witness, (x, side)
-            verdicts.add((side, outcome.passed))
+            verdicts.add((side, bool(outcome)))
     # both verdicts occur in the middle and right slots (the memoised
     # slots of the monomial scan), unless the ring is associative: the Weyl
     # algebra and H under an inner automorphism
@@ -252,9 +252,9 @@ def test_left_scan_at_one_exponent_matches_the_full_window(name):
         for x in elements:
             outcome = structure.nucleus_membership(structure.NucleusQuery(x, "left", bound))
             witness = _full_window_left_scan(x, bound)
-            assert outcome.passed == (witness is None), (x, bound)
+            assert bool(outcome) == (witness is None), (x, bound)
             assert outcome.witness == witness, (x, bound)
-            failures += not outcome.passed
+            failures += not outcome
     if not config.is_associative:
         assert failures
 
@@ -296,9 +296,9 @@ def test_shared_scan_memo_matches_fresh_scans(name, make_config):
     failures = 0
     for query, outcome in zip(queries, shared):
         fresh = structure.nucleus_membership(query)
-        assert outcome.passed == fresh.passed, query
+        assert bool(outcome) == bool(fresh), query
         assert outcome.witness == fresh.witness, query
-        failures += not outcome.passed
+        failures += not outcome
     assert 0 < failures < len(queries)
 
 
@@ -333,9 +333,9 @@ def test_right_slot_records_match_fresh_scans(name):
         query = structure.NucleusQuery(x, "right", bound)
         shared = structure.nucleus_membership(query, memo)
         fresh = structure.nucleus_membership(query)
-        assert shared.passed == fresh.passed, x
+        assert bool(shared) == bool(fresh), x
         assert shared.witness == fresh.witness, x
-        failures += not shared.passed
+        failures += not shared
         total += 1
     if not config.is_associative:
         assert 0 < failures < total
@@ -357,8 +357,8 @@ def test_ore_right_slot_records_match_the_span_search(name):
             x = config.monomial(c, k)
             outcome = structure.nucleus_membership(structure.NucleusQuery(x, "right", 2), memo)
             assert outcome.witness == rings.first_associator(span, span, [x]), x
-            assert outcome.passed == (outcome.witness is None)
-            failures += not outcome.passed
+            assert bool(outcome) == (outcome.witness is None)
+            failures += not outcome
     assert (failures > 0) == (not config.is_associative)
 
 
@@ -382,7 +382,7 @@ def test_rational_right_slot_lemma_matches_the_span_search(monkeypatch, name):
             patched.setattr(structure, "first_associator", no_search)
             outcome = structure.nucleus_membership(structure.NucleusQuery(x, "right", bound))
         span = config.spanning_set(bound)
-        assert outcome.passed and outcome.witness is None
+        assert outcome and outcome.witness is None
         assert rings.first_associator(span, span, [x]) is None, (x, bound)
 
 
@@ -428,7 +428,7 @@ def _torus_bound3_scans():
         for element in (torus.variable_power(n), torus.constant(inner.variable_power(n))):
             for side in ("middle", "right"):
                 query = structure.NucleusQuery(element, side, 3)
-                assert structure.nucleus_membership(query, memo).passed
+                assert structure.nucleus_membership(query, memo)
 
 
 def _assert_torus_budget(monkeypatch, run, products, scans):
@@ -548,7 +548,7 @@ def test_torus_lemma_names_non_nuclear_monomials():
     assert _torus_lemma(torus, *triple)
     assert rings.associator(*triple) == _torus_lemma(torus, *triple)
     outcome = structure.nucleus_membership(structure.NucleusQuery(x, "middle", 1))
-    assert not outcome.passed
+    assert not outcome
     a, b, c, value = outcome.witness
     assert b == x
     assert value and value == _torus_lemma(torus, a, b, c)
@@ -672,14 +672,14 @@ def test_warm_scan_builds_no_fraction(monkeypatch):
         for side in ("middle", "right")
     ]
     for query in queries:
-        assert structure.nucleus_membership(query, memo).passed
+        assert structure.nucleus_membership(query, memo)
 
     def no_fraction(*args):
         raise AssertionError("Fraction built on the scan's hot path")
 
     monkeypatch.setattr(structure, "Fraction", no_fraction)
     for query in queries:
-        assert structure.nucleus_membership(query, memo).passed
+        assert structure.nucleus_membership(query, memo)
 
 
 # -- associativity ---------------------------------------------------------------
@@ -691,7 +691,7 @@ def test_associativity_dichotomy():
             G, maps.make_twist(G, "q_twist", q=q), None, "X", poly.LAURENT
         )
         outcome = structure.associativity_certificate(config, 3)
-        assert outcome.passed == expect
+        assert bool(outcome) == expect
         assert structure.associativity_prediction(config) == expect
         if not expect:
             a, b, c, value = outcome.witness
@@ -700,9 +700,9 @@ def test_associativity_dichotomy():
 
 def test_associativity_certificate_witnesses_matrix_and_octonion():
     swap_cfg = cfg_matrix_swap()
-    assert not structure.associativity_certificate(swap_cfg, 3).passed
+    assert not structure.associativity_certificate(swap_cfg, 3)
     assert not structure.associativity_prediction(swap_cfg)
-    assert not structure.associativity_certificate(cfg_octonion(), 3).passed
+    assert not structure.associativity_certificate(cfg_octonion(), 3)
 
 
 QY = {"kind": "polynomial", "base": "rationals", "shape": "ore"}
@@ -733,9 +733,9 @@ def test_ore_left_nuclear_criterion_matches_scan_and_certificate(name):
     prediction against the certificate at bound 2."""
     config = load_config(ORE_CRITERION_DOCS[name]).ring_config
     left = structure.nucleus_membership(structure.NucleusQuery(config.gen, "left", 3))
-    assert structure.variable_left_nuclear(config) == left.passed
+    assert structure.variable_left_nuclear(config) == bool(left)
     certificate = structure.associativity_certificate(config, 2)
-    assert structure.associativity_prediction(config) == certificate.passed
+    assert structure.associativity_prediction(config) == bool(certificate)
 
 
 def _assert_certificate_matches_generic(config, bound):
@@ -743,9 +743,9 @@ def _assert_certificate_matches_generic(config, bound):
     outcome = structure.associativity_certificate(config, bound)
     span = config.spanning_set(bound)
     witness = rings.first_associator(span, span, span)
-    assert outcome.passed == (witness is None), (config.describe(), bound)
+    assert bool(outcome) == (witness is None), (config.describe(), bound)
     assert outcome.witness == witness, (config.describe(), bound)
-    return outcome.passed
+    return bool(outcome)
 
 
 _ROSTER_BOUNDS = [
@@ -829,7 +829,7 @@ def test_certificate_queries_one_period_of_exponents(monkeypatch):
     membership = structure.nucleus_membership
     monkeypatch.setattr(structure, "nucleus_membership",
                         lambda query, memo=None: asked.append(query) or membership(query, memo))
-    assert structure.associativity_certificate(config, 3).passed
+    assert structure.associativity_certificate(config, 3)
     assert [q.element for q in asked] == config.spanning_set(3)[:12]
 
 
@@ -911,7 +911,7 @@ def test_weyl_search_budget(monkeypatch, run, products):
     for bound in (3, 4):
         weyl.spanning_set(bound)  # build the cached spans outside the count
     count = _count_skew_products(monkeypatch)
-    assert run(weyl).passed
+    assert run(weyl)
     assert count[0] == products
 
 
@@ -983,7 +983,7 @@ def test_associativity_certificate_product_budget(monkeypatch):
     monkeypatch.setattr(structure, "first_associator", no_generic_search)
     for _ in range(2):
         products = skew_products = 0
-        assert structure.associativity_certificate(config, 3).passed
+        assert structure.associativity_certificate(config, 3)
         # the products of the parts 1 and i; the generic search made
         # 8,428 SkewPoly products
         assert products == 4
@@ -1004,7 +1004,7 @@ def test_ore_certificate_makes_no_polynomial_product(monkeypatch):
         return product_terms(*args)
 
     monkeypatch.setattr(poly, "product_terms", counted)
-    assert structure.associativity_certificate(config, 4).passed
+    assert structure.associativity_certificate(config, 4)
     assert count[0] == 0
 
 
@@ -1098,24 +1098,26 @@ def test_nuclei_suite_shared_memo_matches_fresh_memos(monkeypatch, name):
 def test_nuclear_inverse_on_conjugation_octonions():
     config = cfg_octonion()
     report = structure.nuclear_inverse_check(config.gen, "mr", 3)
-    assert report.hypothesis_satisfied
-    assert report.conclusion is not None and report.conclusion.passed
-    assert report.ok
+    assert not report.failing_sides
+    assert report.verdict == "pass" and report.witness is None
+    assert report
 
 
 def test_nuclear_inverse_trivial_unit():
     config = cfg_q2()
     report = structure.nuclear_inverse_check(config.one, "full", 3)
-    assert report.hypothesis_satisfied and report.ok
+    assert not report.failing_sides and report
 
 
 def test_nuclear_inverse_hypothesis_fails_gracefully():
     config = poly.RingConfig(O, maps.make_twist(O, "identity"), None, "X", poly.LAURENT)
     x = config.constant(O.basis_element(1))
     report = structure.nuclear_inverse_check(x, "lm", 3)
-    assert not report.hypothesis_satisfied
-    assert report.conclusion is None
-    assert report.ok
+    assert report.failing_sides == ["left", "middle"]
+    assert report.witness is None
+    assert report
+    assert report.payload() == {"hypothesis": "not satisfied",
+                                "failing_sides": ["left", "middle"]}
 
 
 def test_nuclear_inverse_requires_invertible():
@@ -1144,8 +1146,8 @@ def test_nuclear_inverse_inverts_each_element_once_per_memo(monkeypatch):
             for x in units:
                 fresh = structure.nuclear_inverse_check(x, hypothesis, 2)
                 shared = structure.nuclear_inverse_check(x, hypothesis, 2, memo)
-                assert shared.hypothesis_satisfied == fresh.hypothesis_satisfied
-                assert (shared.conclusion is None) == (fresh.conclusion is None)
+                assert shared.failing_sides == fresh.failing_sides
+                assert shared.verdict == fresh.verdict
             with pytest.raises(ReductionError, match="inverse not representable"):
                 structure.nuclear_inverse_check(singular, hypothesis, 2, memo)
     # two shared memos, and a fresh one for each of the three hypotheses
@@ -1220,8 +1222,8 @@ def test_shrink_rejects_non_commutative():
 def test_simplicity_probe_reaches_unit():
     config = cfg_q2()
     probe = structure.simplicity_probe(config.gen + config.one)
-    assert probe.reached_unit
-    assert probe.unit == -G.basis_element(1)
+    assert probe.verdict == "unit"
+    assert probe.remainder == config.constant(-G.basis_element(1))
     assert len(probe.steps) == 1
 
 
@@ -1240,7 +1242,7 @@ def test_simplicity_probe_random():
             continue
         done += 1
         probe = structure.simplicity_probe(p)
-        assert probe.reached_unit
+        assert probe.verdict == "unit"
         assert len(probe.steps) <= p.degree + 1
 
 
@@ -1248,13 +1250,13 @@ def test_simplicity_probe_inconclusive():
     config = cfg_conj()
     p = config.one + config.variable_power(4)
     probe = structure.simplicity_probe(p)
-    assert probe.status == "inconclusive"
-    assert probe.note == "all shrinks vanish"
+    assert probe.verdict == "inconclusive"
+    assert probe.remainder == p and not probe.steps
 
 
 def test_simplicity_probe_constant():
     probe = structure.simplicity_probe(cfg_q2().scalar(5))
-    assert probe.reached_unit and not probe.steps
+    assert probe.verdict == "unit" and not probe.steps
 
 
 @pytest.mark.parametrize("call", [
@@ -1501,6 +1503,10 @@ def test_right_reduce_series_geometric():
     assert not result.remainder.coeffs
     assert [s.exponent for s in result.steps] == [0, 1, 2, 3, 4, 5]
     assert series.equal_to_precision(structure.replay_reduction(result, gens), one)
+    # with no precision given, the record prints each cofactor at the remainder's
+    assert [step["cofactor"] for step in result.payload()["steps"]] == [
+        "1 + O(X^5)", "X + O(X^5)", "X^2 + O(X^5)", "X^3 + O(X^5)", "X^4 + O(X^5)",
+        "X^5 + O(X^5)"]
 
 
 def test_right_reduce_series_strictly_raises_order():
