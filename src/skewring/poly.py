@@ -12,7 +12,10 @@ only for the ore shape), a variable name, and the exponent shape:
 Polynomials are immutable sparse exponent-to-coefficient maps in
 canonical form (no zero coefficients stored). A config is itself a
 coefficient ring, which is how iterated constructions such as the
-quantum torus arise; configs are shareable read-only.
+quantum torus arise; configs are shareable read-only. As a coefficient
+ring a config divides by exact long division, whose steps are
+``SkewPoly.lead_quotient``, the leading-coefficient step that reductions
+and series inverses also take.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
 )
 from .maps import (AxiomReport, Keyed, PiFamily, PolyTwist, make_twist, pi_apply, pi_rows,
                    validate_twist_axioms)
-from .rings import AlgebraElement
+from .rings import AlgebraElement, Divisors
 
 ORE = "ore"
 LAURENT = "laurent"
@@ -208,52 +211,33 @@ class RingConfig:
     def solver(self, c, side):
         """The function r -> u with c·u = r (side "left") or u·c = r ("right"), or None.
 
-        A commutative config divides exactly (see ``_divide``) through one
-        solver of c's leading coefficient; any other config inverts c once,
-        which succeeds for a unit monomial, and keeps c⁻¹·r (r·c⁻¹ on the
-        right) only if it solves the equation.
+        Exact long division: each step cancels the remainder's top term
+        with c·(t·V^e), or (t·V^e)·c on the right, where t is c's
+        ``lead_quotient`` and each divisor is factored once per solver.
+        Quotient exponents run down to 0 in the ore shape and to
+        ord r - ord c in the laurent shape. No element is inverted, so no
+        associativity is assumed; with zero divisors among the coefficients
+        a step keeps one solution of several, and a quotient may be missed.
+        A zero c solves nothing.
         """
-        if self.is_commutative:
-            if not c:
-                return lambda r: None
-            solve = self.coefficients.solver(c.leading_coefficient, "left")
-            return lambda r: self._divide(c, solve, r)
-        try:
-            inverse = self.invert(c)
-        except NotInvertibleError:
+        if not c:
             return lambda r: None
+        left = side == "right"  # u·c = r: each cofactor multiplies c from the left
+        divisors = Divisors(self.coefficients, side)
 
         def solve(r):
-            if side == "left":
-                u = poly_mul(inverse, r)
-                return u if poly_mul(c, u) == r else None
-            u = poly_mul(r, inverse)
-            return u if poly_mul(u, c) == r else None
+            low = 0 if self.shape == ORE or not r else r.order - c.order
+            quotient = {}
+            while r:
+                e = r.degree - c.degree
+                t = None if e < low else c.lead_quotient(r.leading_coefficient, e, left, divisors)
+                if t is None:
+                    return None
+                quotient[e] = t
+                r = r - c.times_monomial(t, e, left=left)
+            return self.from_terms(quotient)
 
         return solve
-
-    def _divide(self, c, solve, r):
-        """u with c·u = r by exact long division in a commutative config, or None.
-
-        Each step cancels the top term of the remainder by ``solve``, the
-        coefficient ring's solver of c's leading coefficient. Quotient
-        exponents run down to 0 in the ore shape and to ord r - ord c in
-        the laurent shape, where a quotient ends when the coefficients
-        have no zero divisors.
-        """
-        low = 0 if self.shape == ORE or not r else r.order - c.order
-        quotient = {}
-        rem = r
-        while rem:
-            e = rem.degree - c.degree
-            if e < low:
-                return None
-            lead = solve(rem.leading_coefficient)
-            if not lead:
-                return None
-            quotient[e] = lead
-            rem = rem - c.times_monomial(lead, e)
-        return self.from_terms(quotient)
 
     def describe(self):
         inner = self.coefficients.describe()
@@ -345,6 +329,23 @@ class SkewPoly:
     @property
     def leading_coefficient(self):
         return self.terms[self.leading_exponent]
+
+    def lead_quotient(self, target, k, left, divisors):
+        """The u for which self·(u·V^k), or (u·V^k)·self when left, has top coefficient target.
+
+        The one leading-coefficient step of reductions, divisions and series
+        inverses. With lead and m this element's leading coefficient and
+        exponent, the monomial rule puts lead·sigma^m(u) on top of
+        self·(u·V^k): u is sigma^(-m)(w), where w solves lead·w = target.
+        On top of (u·V^k)·self it puts u·sigma^k(lead), and u solves that
+        directly. ``divisors`` (a ``rings.Divisors`` on side "left", or
+        "right" when left) holds the solves; None when target is not reached.
+        """
+        sigma = self.config.sigma
+        if left:
+            return divisors[sigma.power_apply(k, self.leading_coefficient)](target)
+        w = divisors[self.leading_coefficient](target)
+        return None if w is None else sigma.power_apply(-self.leading_exponent, w)
 
     def coefficient(self, exp):
         if exp in self.terms:

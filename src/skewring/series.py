@@ -17,7 +17,8 @@ so sigma must be bijective, and precision propagates pessimistically
 through products: N(a·b) = min(N_a + w_b, N_b + w_a), w(a·b) = w_a + w_b.
 A monomial c·X^k is exact, so the shared ``times_monomial`` (a product
 with a scalar, a coefficient or a reduction cofactor) shifts N and w by k.
-A series and a polynomial never mix in one operation.
+A series and a polynomial never mix in one operation. Inversion solves
+one coefficient per step with the polynomial's ``lead_quotient``.
 """
 
 from __future__ import annotations
@@ -117,10 +118,10 @@ def series_invert(a, side="right"):
     """Inverse of a unit series, solved one coefficient at a time.
 
     ``side="right"`` returns b with a·b = 1, ``side="left"`` returns b
-    with b·a = 1, each by its own triangular recurrence whose steps are
-    exact solves of the coefficient ring, ``solver(c, "left")`` for the
-    right inverse and ``solver(c, "right")`` for the left one (no
-    associativity assumed). ``side="both"`` solves both recurrences and
+    with b·a = 1, each by its own triangular recurrence whose step n is
+    the series' ``lead_quotient``: the b_n for which a·(b_n·X^n), or
+    (b_n·X^n)·a for the left inverse, puts the missing coefficient on
+    top (no associativity assumed). ``side="both"`` solves both recurrences and
     insists they agree -- that is the genuinely two-sided inverse, which
     exists whenever the twist is an automorphism but can fail to exist
     otherwise (the one-sided inverses of 1 - iX under the q=2 scaling
@@ -131,8 +132,9 @@ def series_invert(a, side="right"):
     Each step sums its products with one ``dot`` of the coefficient
     ring, which applies each product's power of sigma itself; a step's
     one ``power_apply`` is sigma^(-w) of the right inverse's new term or
-    the left one's divisor sigma^n(lead). The right recurrence factors
-    the lead once; the left one each distinct sigma^n(lead) once.
+    the left one's divisor sigma^n(lead). Each recurrence keeps its own
+    ``Divisors``, so the right one factors the lead once and the left one
+    each distinct sigma^n(lead) once.
     """
     config = a.config
     ring = config.coefficients
@@ -142,40 +144,31 @@ def series_invert(a, side="right"):
     if not a:
         raise NotInvertibleError("series is not a unit")
     w = a.order
-    lead = a.terms[w]
     out_precision = a.precision - 2 * w
     if out_precision < -w or (w > 0 and config.shape == ORE):
         raise NotInvertibleError("series is not a unit")
 
-    right = {}
-    left = {}
     one = ring.one
     zero = ring.zero
-    if side in ("right", "both"):
-        solve_right = ring.solver(lead, "left")
-    left_divisors = Divisors(ring, "right")
+    lefts = {"right": (False,), "left": (True,), "both": (False, True)}[side]
+    found = {left: {} for left in lefts}
+    divisors = {left: Divisors(ring, "right" if left else "left") for left in lefts}
     for e in range(0, a.precision - w + 1):
-        n = e - w
-        if side in ("right", "both"):
-            # a·b = 1: sum_m a_m sigma^m(b_{e-m}) = [e == 0]
-            acc = ring.dot([(am, m, right[e - m])
-                            for m, am in a.terms.items() if m != w and e - m in right], sigma)
-            u = solve_right(one - acc if e == 0 else -acc)
-            if u is None:
-                raise NotInvertibleError("series is not a unit")
-            right[n] = sigma.power_apply(-w, u)
-        if side in ("left", "both"):
+        for left in lefts:
+            b = found[left]
+            # a·b = 1: sum_m a_m sigma^m(b_{e-m}) = [e == 0];
             # b·a = 1: sum_m b_{e-m} sigma^(e-m)(a_m) = [e == 0]
-            acc = ring.dot([(left[e - m], e - m, am)
-                            for m, am in a.terms.items() if m != w and e - m in left], sigma)
-            u = left_divisors[sigma.power_apply(n, lead)](one - acc if e == 0 else -acc)
+            acc = ring.dot([(b[e - m], e - m, am) if left else (am, m, b[e - m])
+                            for m, am in a.terms.items() if m != w and e - m in b], sigma)
+            u = a.lead_quotient(one - acc if e == 0 else -acc, e - w, left, divisors[left])
             if u is None:
                 raise NotInvertibleError("series is not a unit")
-            left[n] = u
+            b[e - w] = u
 
+    coeffs = found[side == "left"]
     if side == "both":
+        right, left = found[False], found[True]
         if any(right.get(n, zero) != left.get(n, zero)
                for n in set(right) | set(left) if n <= out_precision):
             raise NotInvertibleError("series is not a unit")
-    coeffs = left if side == "left" else right
     return TruncatedSeries(config, coeffs, out_precision, -w)

@@ -57,8 +57,10 @@ The reduction algorithms (central quotient rewriting, shrink-based
 simplicity probing, leading-term reduction) mirror the constructive
 steps of the Hilbert-style and simplicity proofs. Reduction is one
 leading-term loop for left and right generator sets, polynomials and
-series: the generator set's side picks the solve and the cofactor's
-side, and the type picks the leading exponent (degree or order). Every
+series: the generator set's side picks the cofactor's side, the type
+picks the leading exponent (degree or order), and each step's cofactor
+is the generator's ``lead_quotient`` of the remainder's lead, the one
+leading-coefficient step that long division and series inversion share. Every
 answer here is one ``Certificate`` with one printer, ``payload``. A
 reduction's is a replayable record, whose generators combined with
 single-monomial cofactors plus the remainder reconstruct the input
@@ -713,10 +715,10 @@ def reduce(f, gens, max_steps=None):
     One leading-term loop for both sides, polynomials and series: n is the
     element's ``leading_exponent``, the degree of a polynomial and the order
     of a series, m_g is g's and k = n - m_g. A right step subtracts
-    g·(u·V^k), where u = sigma^(-m_g)(w) and w solves (lead g)·w = lead f;
-    a left step subtracts (t·V^k)·g, where t solves
-    t·sigma^k(lead g) = lead f. Either cancels the leading coefficient.
-    The first generator with m_g <= n whose solve succeeds is used, and
+    g·(u·V^k) and a left step (u·V^k)·g, where u is g's ``lead_quotient``
+    of lead f: u = sigma^(-m_g)(w) with (lead g)·w = lead f on the right,
+    u·sigma^k(lead g) = lead f on the left. Either cancels the leading
+    coefficient. The first generator with m_g <= n whose solve succeeds is used, and
     each distinct divisor (lead g, or sigma^k(lead g) on the left) is
     factored once per call, on its first use. A series step raises the
     order, so the loop ends when the remainder's window is exhausted.
@@ -730,7 +732,6 @@ def reduce(f, gens, max_steps=None):
         raise RingMismatchError("incompatible rings")
     left = gens.side == "left"
     is_series = isinstance(f, TruncatedSeries)
-    sigma = config.sigma
     divisors = Divisors(config.coefficients, "right" if left else "left")
     rem = f
     steps = []
@@ -744,14 +745,12 @@ def reduce(f, gens, max_steps=None):
             break
         for idx, g in eligible:
             k = n - g.leading_exponent
-            lead = sigma.power_apply(k, g.leading_coefficient) if left else g.leading_coefficient
-            w = divisors[lead](rem.leading_coefficient)
-            if w is not None:
+            u = g.lead_quotient(rem.leading_coefficient, k, left, divisors)
+            if u is not None:
                 break
         else:
             verdict = "irreducible"
             break
-        u = w if left else sigma.power_apply(-g.leading_exponent, w)
         steps.append(CofactorStep(idx, gens.side, u, k))
         rem = rem - g.times_monomial(u, k, left=left)
     return Certificate("reduction", verdict, steps=steps, remainder=rem)

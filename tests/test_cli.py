@@ -353,6 +353,56 @@ def test_reduce_left_by_two_generators(runner, tmp_path, replay_printed):
     assert replay_printed(result.stdout, cli_config, gens) == cli.parse_expr(target, cli_config)
 
 
+# the Weyl algebra Q[Y][X; id, d/dY] as the coefficient ring of Q[Y][X; id, d/dY][Z; id]
+WEYL_COEFFICIENTS = {
+    "ring": {"kind": "polynomial", "base": {"kind": "polynomial", "base": "rationals",
+                                            "shape": "ore"},
+             "twist": "identity", "delta": "derivative", "shape": "ore", "variable": "X"},
+    "twist": "identity", "shape": "ore", "variable": "Z",
+}
+
+
+@pytest.mark.parametrize("doc, side, gens, target, cofactor", [
+    (WEYL_COEFFICIENTS, "right", ["(X)Z"], "(X^2)Z", "(X)"),
+    (WEYL_COEFFICIENTS, "left", ["(X)Z"], "(X^2)Z", "(X)"),
+    (suites.ROSTER["torus-octonion"], "right", ["(1 + Y)X"], "(e1 + e1Y)X^2", "(e1)X"),
+], ids=["weyl-coefficients-right", "weyl-coefficients-left", "torus-octonion-right"])
+def test_reduce_divides_a_lead_in_a_noncommutative_inner_ring(runner, tmp_path, replay_printed,
+                                                            doc, side, gens, target, cofactor):
+    # the generator's lead divides the target's in a polynomial coefficient
+    # ring that is not commutative (the Weyl algebra, O[Y^±]), so one step
+    # cancels the target; the record replays, and mul of the generator and
+    # the printed cofactor gives the target back
+    cfg_path = write(tmp_path, "cfg.json", doc)
+    gens_path = write(tmp_path, "gens.json", gens)
+    result = runner.invoke(
+        cli.main, ["reduce", "--config", cfg_path, "--gens", gens_path, "--side", side, target])
+    assert result.exit_code == 0
+    record = json.loads(result.stdout)
+    assert record["remainder"] == "0" and record["irreducible"] is False
+    assert record["steps"] == [{"generator": 0, "cofactor": cofactor, "side": side}]
+    cli_config = config.load_config(doc)
+    assert replay_printed(result.stdout, cli_config, gens) == cli.parse_expr(target, cli_config)
+    factors = (cofactor, gens[0]) if side == "left" else (gens[0], cofactor)
+    product = runner.invoke(cli.main, ["mul", "--config", cfg_path, "--", *factors])
+    assert product.exit_code == 0 and product.stdout == target + "\n"
+
+
+@pytest.mark.parametrize("doc, side, gens, target", [
+    (suites.ROSTER["weyl"], "right", ["(Y)X"], "X"),
+    (suites.ROSTER["torus-octonion"], "left", ["(1 + Y)X"], "(e1 + e1Y)X^2"),
+], ids=["weyl-right", "torus-octonion-left"])
+def test_reduce_keeps_a_lead_that_does_not_divide_irreducible(runner, tmp_path, doc, side, gens,
+                                                              target):
+    # Y does not divide 1 in Q[Y], and no u has u·(1 + 2Y) = e1 + e1Y in O[Y^±]
+    cfg_path = write(tmp_path, "cfg.json", doc)
+    gens_path = write(tmp_path, "gens.json", gens)
+    result = runner.invoke(
+        cli.main, ["reduce", "--config", cfg_path, "--gens", gens_path, "--side", side, target])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout) == {"remainder": target, "irreducible": True, "steps": []}
+
+
 POWER_SERIES_Q = {"ring": "rationals", "twist": "identity", "shape": "power_series",
                   "precision": 4}
 SERIES_CASES = [

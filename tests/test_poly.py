@@ -455,18 +455,57 @@ def test_ring_config_solves():
     u2 = ly.variable_power(-2).scale(3) - ly.gen
     assert ly.solver(c2, "left")(c2 * u2) == u2
     assert ly.solver(ly.gen + ly.one, "left")(ly.one) is None
-    # the Weyl algebra is not commutative and X is not a unit there, so
-    # even an exact multiple gets None
+    # the Weyl algebra is not commutative and X is not a unit there, yet
+    # long division finds the exact multiple on both sides
     w = weyl()
-    assert w.solver(w.gen, "left")(w.gen * w.gen) is None
-    assert w.solver(w.gen, "right")(w.gen * w.gen) is None
-    # a non-commutative config solves through the inverse of a unit monomial
+    assert w.solver(w.gen, "left")(w.gen * w.gen) == w.gen
+    assert w.solver(w.gen, "right")(w.gen * w.gen) == w.gen
+    # a non-commutative laurent config divides by a monomial on both sides
     lq = laurent_q2()
     x = lq.gen
     u3 = x * x + lq.constant(G.element([0, 1]))
     assert lq.solver(x, "left")(x * u3) == u3
     assert lq.solver(x, "right")(u3 * x) == u3
     assert lq.solver(x + lq.one, "left")(x * u3) is None
+
+
+def _division_oracle_rings():
+    h = rings.quaternions()
+    inner = maps.make_twist(h, "inner", u=h.one + h.basis_element(1))
+    octonion_laurent = poly.RingConfig(O, maps.make_twist(O, "identity"), None, "Y", poly.LAURENT)
+    return {
+        "octonion-laurent": octonion_laurent,
+        "quaternion-inner-ore": poly.RingConfig(h, inner, None, "Y", poly.ORE),
+        "quaternion-inner-laurent": poly.RingConfig(h, inner, None, "Y", poly.LAURENT),
+        "weyl": weyl(),
+        "gauss-q2-laurent": laurent_q2(),
+        "rational-ore": rational_poly_ring(),
+    }
+
+
+@pytest.mark.parametrize("name", list(_division_oracle_rings()))
+def test_solver_recovers_every_exact_multiple(name):
+    """Division oracle on O[Y^±], H[Y; inner by 1+i] in both shapes, the Weyl
+    algebra, Q(i)[Y^±; q=2] and Q[Y], all domains: ``solver(c, "left")``
+    returns u from c·u and ``solver(c, "right")`` returns it from u·c, for
+    seeded random c and u (40 pairs, 80 divisions a ring)."""
+    cfg = _division_oracle_rings()[name]
+    rng = random.Random(44)
+    for _ in range(40):
+        c = u = cfg.zero
+        while not c:
+            c = cfg.random_element(rng, max_degree=2)
+        while not u:
+            u = cfg.random_element(rng, max_degree=2)
+        assert cfg.solver(c, "left")(c * u) == u
+        assert cfg.solver(c, "right")(u * c) == u
+
+
+def test_solver_refuses_a_non_multiple():
+    qy = rational_poly_ring()
+    y = qy.gen
+    assert qy.solver(y + qy.one, "left")(y * y + qy.scalar(2)) is None
+    assert qy.solver(y + qy.one, "right")(y * y + qy.scalar(2)) is None
 
 
 def test_bool_compares_unequal_without_raising():

@@ -263,8 +263,8 @@ def test_invert_with_polynomial_coefficients():
     inv_b = series.series_invert(b, side="both")
     assert series.equal_to_precision(b * inv_b, series.series_one(lcfg, 4))
     assert inv_b.coefficient(0) == ly.variable_power(-1)
-    # over Q(i)[X^±; q=2], which is not commutative, a unit monomial
-    # leading coefficient is solved through its inverse
+    # over Q(i)[X^±; q=2], which is not commutative, a monomial leading
+    # coefficient divides by long division
     inner = cfg_q2()
     qcfg = poly.RingConfig(inner, maps.make_twist(inner, "identity"), None, "Z", poly.LAURENT)
     qone = series.series_one(qcfg, 4)
@@ -276,6 +276,31 @@ def test_invert_with_polynomial_coefficients():
     assert inv_c.coefficient(0) == inner.variable_power(-1)
     with pytest.raises(NotInvertibleError):
         series.series_invert(series.series(qcfg, {0: inner.gen + inner.one}, 4))
+
+
+def test_left_inverse_refuses_a_singular_twisted_lead():
+    """M2(Q)[[X; sigma]] under a matrix twist fixing 1 that maps the invertible
+    lead diag(1, -1) to a singular matrix: the right recurrence divides by the
+    lead itself and inverts 1 + lead·X, but the left one must solve
+    u·sigma(lead) = -lead⁻¹ at X^1, which has no solution."""
+    m2 = rings.matrix_algebra(Q, 2)
+    e11, e12, e21, e22 = m2.basis_elements()
+    # columns: sigma(E11) = E11 + E12 - E21/4, sigma(E22) = E22 - E12 + E21/4,
+    # sigma(E12) = E12 and sigma(E21) = E21
+    sigma = maps.make_twist(m2, "matrix", matrix=[
+        ["1", "0", "0", "0"], ["1", "1", "0", "-1"], ["-1/4", "0", "1", "1/4"],
+        ["0", "0", "0", "1"]])
+    cfg = poly.RingConfig(m2, sigma, None, "X", poly.ORE)
+    lead = e11 - e22
+    assert sigma(m2.one) == m2.one and m2.invert(lead) == lead
+    with pytest.raises(NotInvertibleError):
+        m2.invert(sigma(lead))
+    a = series.series(cfg, {0: lead, 1: m2.one}, 3)
+    right = series.series_invert(a, side="right")
+    assert series.equal_to_precision(a * right, series.series_one(cfg, 3))
+    for side in ("left", "both"):
+        with pytest.raises(NotInvertibleError, match="series is not a unit"):
+            series.series_invert(a, side=side)
 
 
 @pytest.mark.parametrize("make_config, side, factorisations", [

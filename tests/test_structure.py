@@ -1072,7 +1072,7 @@ def test_hilbert_suite_operation_budget(monkeypatch, factor_count):
     for _ in range(2):
         count[0] = factor_count["calls"] = 0
         assert suites.run_suite("hilbert-reduction").ok
-        assert (count[0], factor_count["calls"]) == (1597, 181)
+        assert (count[0], factor_count["calls"]) == (1597, 180)
 
 
 @pytest.mark.parametrize("name", [None, "weyl", "octonion-ore"])
