@@ -7,7 +7,8 @@ is unique, so pairs compare and hash exactly. ``integer_vector`` reads
 the pair of ``Fraction`` values, ``canonical`` restores the form after
 integer arithmetic, and ``fraction_vector`` gives the ``Fraction`` view
 back. A linear map is compiled once into sparse integer columns over one
-denominator (``compile_columns``) and applied to pairs (``apply_columns``).
+denominator (``compile_columns``), from which :mod:`skewring.rings`
+generates the straight-line code that applies it to pairs.
 
 A linear system is factored once and solved for any number of
 right-hand sides: ``factor`` runs one fraction-free Gauss-Jordan
@@ -67,19 +68,6 @@ def compile_columns(columns):
         tuple((i, c * (den // d)) for i, c in enumerate(nums) if c) for nums, d in columns
     )
     return cols, den
-
-
-def apply_columns(compiled, pair, reduce=True):
-    """The pair of the image of a vector's pair under a square compiled map, or
-    with ``reduce`` false its unreduced numerators and denominator, for a sum."""
-    cols, den = compiled
-    nums, d = pair
-    acc = [0] * len(nums)
-    for j, x in enumerate(nums):
-        if x:
-            for i, c in cols[j]:
-                acc[i] += c * x
-    return canonical(acc, d * den) if reduce else (acc, d * den)
 
 
 def _eliminate(rows, n_cols):

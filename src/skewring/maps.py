@@ -11,20 +11,23 @@ scaling, or the formal derivative). Both roles report their axioms in
 one shape, an ``AxiomReport``, which D-structures share.
 
 A twist map is a value. ``TwistMap.power_apply`` is the one power rule:
-a loop for m > 0, ``inverse()`` or ``NotInvertibleError`` for m < 0. A
-matrix map replaces the loop by its cached matrix power, and
-``PolyTwist`` by its closed formula. Equality and hashing come from
-``_key()``, so equal maps of different kinds (the identity and the
-matrix [[1]]) are equal. ``describe()`` is the ``kind`` with an
+it checks the element's ring (``check_ring``, which a ring's ``dot``
+runs too), then loops for m > 0 and takes ``inverse()`` or raises
+``NotInvertibleError`` for m < 0. A matrix map replaces the loop by its
+cached power, and ``PolyTwist`` by its closed formula. Equality and
+hashing come from ``_key()``, so equal maps of different kinds (the
+identity and the matrix [[1]]) are equal. ``describe()`` is the ``kind`` with an
 optional ``label``: the "2" of ``q_twist(2)``. A map's ``order`` is
 decided exactly and cached: ``(m, None)`` for the least m >= 1 with
 map^m = id, or ``(None, reason)``; a matrix map reads it off its minimal
 polynomial (``_cyclotomic_order``).
 
-A matrix map is applied through its compiled form, sparse integer
-columns over one denominator, straight to the argument's canonical
-integer pair (see :mod:`skewring.linalg`). Powers of a map, with their
-compiled columns, are cached on the map object, which keeps the
+Each power of a matrix map runs as straight-line code that the product
+kernels' source generator writes from its integer columns, applied to
+the argument's canonical integer pair (see :mod:`skewring.linalg`); a
+power that is the identity, such as an even power of a conjugation, gets
+no kernel and applies nothing. Powers of a map and their kernels are
+cached on the map object when first asked for, which keeps the
 degree-bounded exhaustive checks in :mod:`skewring.structure` cheap,
 and a coefficient ring's ``dot`` applies them itself (``power_columns``).
 
@@ -48,8 +51,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from . import linalg
-from .errors import ConstructionError, NotInvertibleError, UnsupportedRingError
+from . import linalg, rings
+from .errors import ConstructionError, NotInvertibleError, RingMismatchError, UnsupportedRingError
 from .rings import MatrixRing, associator, commutator
 
 
@@ -64,7 +67,7 @@ class Keyed:
 
 
 class TwistMap(Keyed):
-    """A Q-linear map on ``ring``; concrete maps implement __call__."""
+    """A Q-linear map on ``ring``, which implements ``_step`` (itself) or ``_power``."""
 
     kind = "twist"
     label = None
@@ -73,7 +76,10 @@ class TwistMap(Keyed):
         self.ring = ring
 
     def __call__(self, el):
-        raise NotImplementedError
+        ring = getattr(el, "ring", None)
+        if ring is not self.ring:  # the common case skips a call
+            self.check_ring(ring)
+        return self._step(el)
 
     def inverse(self):
         """The inverse map, or None when the map is not bijective."""
@@ -84,15 +90,31 @@ class TwistMap(Keyed):
         """``(m, None)`` for the least m >= 1 with map^m = id, else ``(None, reason)``."""
         return None, f"{self.kind} has no inverse, so no power of it is the identity"
 
+    def check_ring(self, ring):
+        """This map, if it acts on ``ring``; RingMismatchError otherwise. Every
+        application of a twist, ``power_apply``'s and a ring's ``dot``'s, checks."""
+        if ring is self.ring or ring == self.ring:
+            return self
+        raise RingMismatchError(f"incompatible rings: {self.describe()} on {self.ring.describe()}")
+
     def power_apply(self, m, el):
-        """Apply the m-fold composition (inverse composition for m < 0)."""
+        """Apply the m-fold composition (the inverse's for m < 0) to an element of ``ring``."""
+        ring = getattr(el, "ring", None)
+        if ring is not self.ring:
+            self.check_ring(ring)
+        return self._power(m, el)
+
+    def _step(self, el):
+        return self._power(1, el)
+
+    def _power(self, m, el):
         if m < 0:
             inv = self.inverse()
             if inv is None:
                 raise NotInvertibleError("inverse unavailable")
-            return inv.power_apply(-m, el)
+            return inv._power(-m, el)
         for _ in range(m):
-            el = self(el)
+            el = self._step(el)
         return el
 
     def _key(self):
@@ -119,42 +141,45 @@ class LinearTwist(TwistMap):
         self.pairs = tuple(pairs)
         self.kind = kind
         self.label = label
-        self._columns = linalg.compile_columns(self.pairs)
-        # m -> (pairs of the images of the m-th power, their compiled columns)
-        self._pow = {1: (self.pairs, self._columns)}
+        # m -> the pairs of the images of the m-th power, and its generated kernel
+        self._pow, self._kernels = {0: _diagonal([1] * len(self.pairs)), 1: self.pairs}, {}
         self._inverse = None
         self._inverse_known = False
-        self._identity = self.pairs == _diagonal([1] * len(self.pairs))
+        self._identity = self.pairs == self._pow[0]
 
     @classmethod
     def from_function(cls, ring, fn, kind):
         return cls(ring, [fn(b).pair for b in ring.basis_elements()], kind)
 
-    def __call__(self, el):
-        return self.power_apply(1, el)
+    def __getstate__(self):  # a copy generates its own kernels
+        return {**self.__dict__, "_kernels": {}}
 
     def _images_power(self, m):
         if m not in self._pow:
-            prev = self._images_power(m - 1)[0]
-            images = tuple(linalg.apply_columns(self._columns, col) for col in prev)
-            self._pow[m] = (images, linalg.compile_columns(images))
+            prev, kernel = self._images_power(m - 1), self.power_columns(1)
+            self._pow[m] = tuple(linalg.canonical(*kernel(col)) for col in prev)
         return self._pow[m]
 
     def power_columns(self, m):
-        """The compiled columns of the m-th power (the inverse's for m < 0, which
-        raise NotInvertibleError without one), or None for an identity power."""
-        if m == 0 or self._identity:
-            return None
-        if m > 0:
-            return self._images_power(m)[1]
-        inv = self.inverse()
-        if inv is None:
-            raise NotInvertibleError("inverse unavailable")
-        return inv._images_power(-m)[1]
+        """The m-th power's kernel, code generated from its integer columns that maps a
+        pair to the unreduced pair of its image, or None for an identity power; for
+        m < 0 the inverse's, which raise NotInvertibleError without one."""
+        kernels = self._kernels
+        if m not in kernels:
+            if m < 0:
+                inv = self.inverse()
+                if inv is None:
+                    raise NotInvertibleError("inverse unavailable")
+                kernels[m] = inv.power_columns(-m)
+            elif self._identity or (images := self._images_power(m)) == self._pow[0]:
+                kernels[m] = None
+            else:
+                kernels[m] = rings._linear_kernel(linalg.compile_columns(images))
+        return kernels[m]
 
-    def power_apply(self, m, el):
-        columns = self.power_columns(m)
-        return el if columns is None else self.ring.from_pair(linalg.apply_columns(columns, el.pair))
+    def _power(self, m, el):
+        kernel = self.power_columns(m)
+        return el if kernel is None else self.ring.from_pair(linalg.canonical(*kernel(el.pair)))
 
     @cached_property
     def order(self):
@@ -163,9 +188,9 @@ class LinearTwist(TwistMap):
         def flat(pairs):  # the pair, not reduced, of the stacked columns
             den = lcm(*[d for _, d in pairs])
             return [v * (den // d) for nums, d in pairs for v in nums], den
-        powers = [flat(_diagonal([1] * len(self.pairs))), flat(self.pairs)]
+        powers = [flat(self._pow[0]), flat(self.pairs)]
         while (x := linalg.solve_columns(powers[:-1], powers[-1])) is None:
-            powers.append(flat(self._images_power(len(powers))[0]))
+            powers.append(flat(self._images_power(len(powers))))
         return _cyclotomic_order([-Fraction(v, x[1]) for v in x[0]] + [1])
 
     def inverse(self):
@@ -199,10 +224,7 @@ class PolyTwist(TwistMap):
         self.kind = kind
         self.label = label
 
-    def __call__(self, el):
-        return self.power_apply(1, el)
-
-    def power_apply(self, m, el):
+    def _power(self, m, el):
         if m == 0 or (self.coeff_map is None and self.var_scale == 1):
             return el
         terms = {}
@@ -237,7 +259,7 @@ class DerivativeMap(TwistMap):
 
     kind = "derivative"
 
-    def __call__(self, el):
+    def _step(self, el):
         return self.ring.from_terms(
             {exp - 1: coeff.scale(exp) for exp, coeff in el.terms.items() if exp}
         )
@@ -255,7 +277,7 @@ class YCoeffScale(TwistMap):
             raise ConstructionError("not bijective")
         self.label = str(self.q)
 
-    def __call__(self, el):
+    def _step(self, el):
         terms = dict(el.terms)
         if 1 in terms:
             terms[1] = terms[1].scale(self.q)
@@ -277,7 +299,7 @@ class ZeroMap(TwistMap):
 
     kind = "zero"
 
-    def __call__(self, el):
+    def _step(self, el):
         return self.ring.zero
 
 

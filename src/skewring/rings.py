@@ -24,9 +24,9 @@ keeps one call's solvers by divisor.
 
 ``dot`` accumulates every product's numerators into one integer vector
 over the least common multiple of their denominators and canonicalises
-once, so a product sum builds no partial sums; it applies sigma^m's
-cached columns to b's numerators in the sum, building no twisted element,
-and an identity power applies nothing. ``solver`` builds the
+once, so a product sum builds no partial sums; in its one loop over the
+items it runs sigma^m's generated kernel on b's pair, building no twisted
+element, and an identity power applies nothing. ``solver`` builds the
 multiplication operator of c from ``mul_pairs`` on basis pairs and
 factors it once with :func:`skewring.linalg.factor`; each solve is then
 one :func:`skewring.linalg.solve_pair` on the right-hand side's pair, so
@@ -42,7 +42,9 @@ compiles its product once into sparse integer rows over one table
 denominator (the octonions keep 64 of their 512 constants; a matrix ring
 builds its rows from its base's). A ring's first product generates
 straight-line Python from its rows: ``mul`` behind ``mul_pairs`` and
-``sum_products`` behind ``dot``. Elements are immutable values, so
+``sum_products`` behind ``dot``, and from its involution's columns the
+``apply`` behind ``involve_pair``. The same source generator writes every
+linear map's kernel, a twist power's too. Elements are immutable values, so
 everything here is safe to share across threads.
 """
 
@@ -78,39 +80,66 @@ def _frac(value) -> Fraction:
 _TERMS_PER_STATEMENT = 256
 
 
+def _generate(dimension, terms, factors, source):
+    """The functions that ``source(unpack, assign, chunks, names)`` lists: the one
+    source generator of every kernel. Coordinate i sums c·``factors.format(*indices)``
+    over the (i, c, *indices) of ``terms``, ``chunks[i]`` its parts of at most
+    ``_TERMS_PER_STATEMENT`` products; ``assign`` sets s<i> to it and ``unpack(v)``
+    unpacks n<v> into v0, v1, .... Every entry must be an int, so the source holds
+    int literals and fixed names alone, whatever document the table came from."""
+    sums = [[] for _ in range(dimension)]
+    for i, c, *indices in terms:
+        if not all(type(v) is int for v in (i, c, *indices)):
+            raise ConstructionError(f"structure constant is not an int: {c!r}")
+        coeff = "" if abs(c) == 1 else f"{abs(c)}*"
+        sums[i].append(f"{'+' if c > 0 else '-'} {coeff}{factors.format(*indices)}")
+    chunks = [[" ".join(terms[k:k + _TERMS_PER_STATEMENT]).removeprefix("+ ")
+               for k in range(0, len(terms), _TERMS_PER_STATEMENT)] for terms in sums]
+    assign = [f"s{i} {'+=' if k else '='} {chunk}"
+              for i, parts in enumerate(chunks) for k, chunk in enumerate(parts or ["0"])]
+    names = ", ".join(f"s{i}" for i in range(dimension))
+    return _define("\n".join(source(lambda v: "".join(f"{v}{p}, " for p in range(dimension))
+                                    + f"= n{v}", assign, chunks, names)))
+
+
+@lru_cache(maxsize=64)  # equal rings and maps are rebuilt, as each suite run builds them
+def _define(source):
+    exec(source, namespace := {"__builtins__": {}})
+    return namespace
+
+
 def _product_kernels(rows, dimension):
     """Straight-line ``(mul, sum_products)`` for the compiled table ``rows``.
 
     ``mul(na, nb)`` returns the numerators of a·b over the table
     denominator, ``sum_products(items)`` those of the sum of f·a·b over
-    (f, na, nb) items: coordinate i sums c·a<p>·b<q> over row p's (q, i, c),
-    at most ``_TERMS_PER_STATEMENT`` products a statement. The source holds
-    int literals and fixed names alone, whatever document the table came from.
+    (f, na, nb) items: coordinate i sums c·a<p>·b<q> over row p's (q, i, c).
     """
-    sums = [[] for _ in range(dimension)]
-    for p, row in enumerate(rows):
-        for q, i, c in row:
-            if not type(q) is type(i) is type(c) is int:
-                raise ConstructionError(f"structure constant is not an int: {c!r}")
-            coeff = "" if abs(c) == 1 else f"{abs(c)}*"
-            sums[i].append(f"{'+' if c > 0 else '-'} {coeff}a{p}*b{q}")
-    chunks = [[" ".join(terms[k:k + _TERMS_PER_STATEMENT]).removeprefix("+ ")
-               for k in range(0, len(terms), _TERMS_PER_STATEMENT)] for terms in sums]
-    unpack = [f"{''.join(f'{v}{p}, ' for p in range(dimension))}= n{v}" for v in "ab"]
-    names = ", ".join(f"s{i}" for i in range(dimension))
-    source = "\n".join([
-        "def mul(na, nb):", *("    " + line for line in unpack),
-        *(f"    s{i} {'+=' if k else '='} {chunk}"
-          for i, parts in enumerate(chunks) for k, chunk in enumerate(parts or ["0"])),
-        f"    return ({names},)",
-        "def sum_products(items):", f"    {' = '.join(f's{i}' for i in range(dimension))} = 0",
-        "    for f, na, nb in items:", *("        " + line for line in unpack),
-        *(f"        s{i} += f * ({chunk})" for i, parts in enumerate(chunks) for chunk in parts),
-        f"    return ({names},)",
-    ])
-    namespace = {"__builtins__": {}}
-    exec(source, namespace)
-    return namespace["mul"], namespace["sum_products"]
+    kernels = _generate(
+        dimension, ((i, c, p, q) for p, row in enumerate(rows) for q, i, c in row), "a{}*b{}",
+        lambda unpack, assign, chunks, names: [
+            "def mul(na, nb):", *("    " + line for line in (unpack("a"), unpack("b"), *assign)),
+            f"    return ({names},)",
+            "def sum_products(items):", f"    {' = '.join(f's{i}' for i in range(dimension))} = 0",
+            "    for f, na, nb in items:", f"        {unpack('a')}", f"        {unpack('b')}",
+            *(f"        s{i} += f * ({chunk})"
+              for i, parts in enumerate(chunks) for chunk in parts),
+            f"    return ({names},)"])
+    return kernels["mul"], kernels["sum_products"]
+
+
+def _linear_kernel(compiled):
+    """Straight-line ``apply(pair)`` for the compiled columns ``(cols, den)`` of a
+    square map (:func:`skewring.linalg.compile_columns`): the unreduced pair of the
+    image of a vector's pair, its numerators over the pair's denominator times den."""
+    cols, den = compiled
+    if type(den) is not int:
+        raise ConstructionError(f"denominator is not an int: {den!r}")
+    return _generate(
+        len(cols), ((i, c, j) for j, col in enumerate(cols) for i, c in col), "a{}",
+        lambda unpack, assign, chunks, names: [
+            "def apply(pair):", "    na, d = pair", f"    {unpack('a')}",
+            *("    " + line for line in assign), f"    return ({names},), d * {den}"])["apply"]
 
 
 class CompiledAlgebra:
@@ -133,8 +162,10 @@ class CompiledAlgebra:
 
     @cached_property
     def _kernels(self):
-        """The generated ``(mul, sum_products)`` of ``_mul_rows``, built on first use."""
-        return _product_kernels(self._mul_rows, self.dimension)
+        """The generated ``(mul, sum_products)`` of ``_mul_rows`` and ``apply`` of
+        ``_involution_map`` (None without one), built on first use."""
+        return (*_product_kernels(self._mul_rows, self.dimension),
+                self._involution_map and _linear_kernel(self._involution_map))
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in ("_kernels", "one")}
@@ -150,19 +181,17 @@ class CompiledAlgebra:
             return el.pair
         raise RingMismatchError("incompatible rings")
 
-    def _twisted(self, sigma, m, b):
-        """The unreduced pair of sigma^m(b); b's own pair when sigma^m is the identity."""
-        pair = self._own(b)
-        columns = None if sigma is None else sigma.power_columns(m)
-        return pair if columns is None else linalg.apply_columns(columns, pair, reduce=False)
-
     def dot(self, products, sigma=None):
         """The sum of a·sigma^m(b) over the (a, m, b) items of ``products``, canonicalised
-        once; sigma is a ``LinearTwist`` on this ring, or None for the identity."""
-        if len(products) == 1:
-            ((a, m, b),) = products
-            return self.from_pair(self.mul_pairs(self._own(a), self._twisted(sigma, m, b)))
-        pairs = [(self._own(a), self._twisted(sigma, m, b)) for a, m, b in products]
+        once; sigma is a ``LinearTwist`` on this ring, or None for the identity. Each
+        sigma^m runs as its kernel on b's pair, and an identity power applies nothing."""
+        own = self._own
+        identity = sigma is None or sigma.check_ring(self).power_columns(1) is None
+        power = None if identity else sigma.power_columns
+        pairs = [(own(a), kernel(own(b)) if power and (kernel := power(m)) else own(b))
+                 for a, m, b in products]
+        if len(pairs) == 1:
+            return self.from_pair(self.mul_pairs(*pairs[0]))
         den = lcm(*[da * db for (_, da), (_, db) in pairs])
         acc = self._kernels[1]([(den // (da * db), na, nb) for (na, da), (nb, db) in pairs])
         return self.from_pair(linalg.canonical(acc, den * self._mul_den))
@@ -200,7 +229,7 @@ class CompiledAlgebra:
         """The canonical pair of a*, from the pair of a."""
         if self._involution_map is None:
             raise ConstructionError(f"{self.describe()} is not a *-algebra")
-        return linalg.apply_columns(self._involution_map, a)
+        return linalg.canonical(*self._kernels[2](a))
 
     def flatten(self, el):
         return el.coords

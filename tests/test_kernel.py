@@ -317,15 +317,38 @@ def oracle_power(tm, m, coords):
     return coords
 
 
+# the order-24 signed permutation of O that CI's classify step reads from a config
+OCTONION_24 = [
+    [1, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, -1],
+    [0, 0, 0, 0, 1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, 0],
+]
+# diagonal twists of infinite order, the sign flips of three conjugations
+# (order 2), the dense inner automorphism of H by 1+i+j+k (order 3) and a
+# signed permutation of order 24
 TWISTS = [
     maps.make_twist(rings.gaussian(), "conjugation"),
     maps.make_twist(rings.octonions(), "conjugation"),
     maps.make_twist(rings.gaussian(), "q_twist", q="-7/3"),
     maps.make_twist(JORDAN_H, "q_twist", q="5/2"),
+    maps.make_twist(rings.quaternions(), "inner", u=rings.quaternions().element((1, 1, 1, 1))),
+    maps.make_twist(rings.octonions(), "matrix", matrix=OCTONION_24),
+    maps.make_twist(rings.sedenions(), "conjugation"),
 ]
 
 
-@settings(max_examples=80, deadline=None)
+def oracle_is_identity(tm, m):
+    d = tm.ring.qdim
+    units = [tuple(ONE if i == j else ZERO for i in range(d)) for j in range(d)]
+    return all(oracle_power(tm, m, e) == e for e in units)
+
+
+@settings(max_examples=tier1_budget(80), deadline=None)
 @given(
     st.sampled_from(range(len(TWISTS))).flatmap(
         lambda k: st.tuples(st.just(TWISTS[k]), vectors(TWISTS[k].ring.qdim))
@@ -333,6 +356,8 @@ TWISTS = [
     st.integers(-4, 5),
 )
 def test_twist_powers_match_fraction_oracle(case, m):
+    """sigma^m's generated kernel against the oracle; an identity power gets no
+    kernel and applies nothing."""
     tm, coords = case
     el = tm.ring.unflatten(coords)
     if m == 1:
@@ -341,6 +366,19 @@ def test_twist_powers_match_fraction_oracle(case, m):
         out = tm.ring.flatten(tm.power_apply(m, el))
     assert out == oracle_power(tm, m, coords)
     assert_fractions(out)
+    assert (tm.power_columns(m) is None) == oracle_is_identity(tm, m)
+
+
+@pytest.mark.parametrize("k", range(len(TWISTS)))
+def test_exactly_the_identity_powers_get_no_kernel(k):
+    """Over powers -6..25, past every finite order above: sigma^m gets no kernel
+    exactly when the oracle finds it the identity, at the multiples of the order."""
+    tm = TWISTS[k]
+    order = tm.order[0]
+    assert order in (None, 2, 3, 24)
+    for m in range(-6, 26):
+        assert (tm.power_columns(m) is None) == oracle_is_identity(tm, m) \
+            == (m == 0 or order is not None and m % order == 0), m
 
 
 @settings(max_examples=20, deadline=None)
@@ -509,8 +547,14 @@ def test_wide_table_splits_one_coordinate_over_statements():
 
 @pytest.mark.parametrize("constant", [Fraction(1), 1.0, True, "1"])
 def test_kernels_refuse_a_constant_that_is_not_an_int(constant):
+    """Product tables and linear maps' columns share one source generator, and
+    a linear map's denominator is a literal of its source too."""
     with pytest.raises(ConstructionError, match="not an int"):
         rings._product_kernels((((0, 0, constant),),), 1)
+    with pytest.raises(ConstructionError, match="not an int"):
+        rings._linear_kernel(((((0, constant),),), 1))
+    with pytest.raises(ConstructionError, match="not an int"):
+        rings._linear_kernel(((((0, 1),),), constant))
 
 
 _GQ2 = maps.make_twist(rings.gaussian(), "q_twist", q=2)

@@ -9,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from skewring import config, linalg, maps, poly, rings, suites
-from skewring.errors import ConstructionError, NotInvertibleError
+from skewring.errors import ConstructionError, NotInvertibleError, RingMismatchError
 
 G = rings.gaussian()
 H = rings.quaternions()
@@ -63,6 +63,26 @@ def test_apply_power_without_inverse():
     der = maps.make_twist(qy, "derivative")
     with pytest.raises(NotInvertibleError, match="inverse unavailable"):
         der.power_apply(-1, qy.gen)
+
+
+def _laurent_y(ring):
+    return poly.RingConfig(ring, maps.make_twist(ring, "identity"), None, "Y", poly.LAURENT)
+
+
+@pytest.mark.parametrize("twist, el", [
+    (maps.make_twist(O, "conjugation"), G.basis_element(1)),
+    (maps.make_twist(G, "q_twist", q=2), O.basis_element(1)),
+    (maps.make_twist(_laurent_y(rings.rationals()), "y_scale", q=2),
+     _laurent_y(G).monomial(G.basis_element(1), 1)),
+], ids=["OO-conjugation-on-QQ(i)", "QQ(i)-q-twist-on-OO", "QQ[Y]-y-scale-on-QQ(i)[Y]"])
+def test_a_twist_refuses_an_element_of_another_ring(twist, el):
+    """Every application checks the element's ring, as a ring's dot checks the twist's."""
+    for apply in (twist, lambda x: twist.power_apply(0, x), lambda x: twist.power_apply(-3, x)):
+        with pytest.raises(RingMismatchError, match="incompatible rings"):
+            apply(el)
+    if isinstance(el.ring, rings.CompiledAlgebra):
+        with pytest.raises(RingMismatchError, match="incompatible rings"):
+            el.ring.dot([(el, 1, el)], twist)
 
 
 def test_diag_swap_has_order_two():

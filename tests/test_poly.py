@@ -636,6 +636,38 @@ def test_laurent_product_applies_sigma_inside_dot(power_apply_count):
     assert power_apply_count["calls"] == 0
 
 
+def test_laurent_product_applies_only_the_odd_powers_of_a_conjugation(monkeypatch):
+    """A 7-term by 7-term product over OO[X^±; conjugation]: each odd left
+    exponent m runs sigma^m's kernel once per right term, and each even m, an
+    identity power, applies nothing."""
+    sigma = maps.make_twist(O, "conjugation")
+    config = poly.RingConfig(O, sigma, None, "X", poly.LAURENT)
+    rng = random.Random(7)
+    p, q = (config.from_terms({e: O.random_element(rng) for e in range(-3, 4)})
+            for _ in range(2))
+    expected = config.zero
+    for m, r in p.terms.items():
+        for n, s in q.terms.items():
+            expected = expected + config.monomial(r * sigma.power_apply(m, s), m + n)
+    calls = Counter()
+    power_columns = sigma.power_columns
+
+    def counted(m):
+        kernel = power_columns(m)
+        if kernel is None:
+            return None
+
+        def apply(pair):
+            calls[m] += 1
+            return kernel(pair)
+
+        return apply
+
+    monkeypatch.setattr(sigma, "power_columns", counted)
+    assert poly.poly_mul(p, q) == expected
+    assert calls == {m: 7 for m in (-3, -1, 1, 3)}
+
+
 def test_weyl_product_sweeps_pi_once_per_right_term(monkeypatch):
     """A dense degree-6 by degree-6 Weyl product: one pi sweep per term of the right factor."""
     config = weyl()
