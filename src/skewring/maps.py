@@ -12,11 +12,12 @@ one shape, an ``AxiomReport``, which D-structures share.
 
 A twist map is a value. ``TwistMap.power_apply`` is the one power rule:
 it checks the element's ring (``check_ring``, which a ring's ``dot``
-runs too), then loops for m > 0 and takes ``inverse()`` or raises
-``NotInvertibleError`` for m < 0. A matrix map replaces the loop by its
-cached power, and ``PolyTwist`` by its closed formula. Equality and
-hashing come from ``_key()``, so equal maps of different kinds (the
-identity and the matrix [[1]]) are equal. ``describe()`` is the ``kind`` with an
+runs once per call, though not its ``unchecked_dot``), then loops for
+m > 0 and takes ``inverse()`` or raises ``NotInvertibleError`` for
+m < 0. A matrix map replaces the loop by its cached power, and
+``PolyTwist`` by its closed formula. Equality and hashing come from
+``_key()``, so equal maps of different kinds (the identity and the
+matrix [[1]]) are equal. ``describe()`` is the ``kind`` with an
 optional ``label``: the "2" of ``q_twist(2)``. A map's ``order`` is
 decided exactly and cached: ``(m, None)`` for the least m >= 1 with
 map^m = id, or ``(None, reason)``; a matrix map reads it off its minimal
@@ -29,7 +30,7 @@ power that is the identity, such as an even power of a conjugation, gets
 no kernel and applies nothing. Powers of a map and their kernels are
 cached on the map object when first asked for, which keeps the
 degree-bounded exhaustive checks in :mod:`skewring.structure` cheap,
-and a coefficient ring's ``dot`` applies them itself (``power_columns``).
+and a coefficient ring's product sum applies them itself (``power_columns``).
 
 The Ore product X^m·s = sum_i pi_i^m(s)·X^i needs the operator sums
 pi_i^m, each the sum of all words in i sigmas and m-i deltas. One
@@ -91,8 +92,8 @@ class TwistMap(Keyed):
         return None, f"{self.kind} has no inverse, so no power of it is the identity"
 
     def check_ring(self, ring):
-        """This map, if it acts on ``ring``; RingMismatchError otherwise. Every
-        application of a twist, ``power_apply``'s and a ring's ``dot``'s, checks."""
+        """This map, if it acts on ``ring``; RingMismatchError otherwise. ``__call__``
+        and ``power_apply`` check each element, and a ring's ``dot`` once per call."""
         if ring is self.ring or ring == self.ring:
             return self
         raise RingMismatchError(f"incompatible rings: {self.describe()} on {self.ring.describe()}")

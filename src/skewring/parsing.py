@@ -14,8 +14,8 @@ Grammar (whitespace insignificant):
 Coordinate vectors live in the coefficient ring's flat basis; named
 aliases (i, j, k, e0..e7, an inner variable like Y) are accepted for
 the built-in rings. Negative exponents parse only in the laurent shape,
-which ``laurent`` and ``laurent_series`` configs build; the config's
-``from_terms`` refuses them in the ore shape, polynomial or power series.
+which ``laurent`` and ``laurent_series`` configs build; a polynomial's
+construction refuses them in the ore shape, polynomial or power series.
 
 An identifier that ends in the variable, such as ``iX`` or ``YX``, is
 read as two tokens, the coefficient name and the variable, each taking

@@ -10,12 +10,13 @@ only for the ore shape), a variable name, and the exponent shape:
                  (r·V^m)(s·V^n) = (r·sigma^m(s))·V^(m+n).
 
 Polynomials are immutable sparse exponent-to-coefficient maps in
-canonical form (no zero coefficients stored). A config is itself a
-coefficient ring, which is how iterated constructions such as the
-quantum torus arise; configs are shareable read-only. As a coefficient
-ring a config divides by exact long division, whose steps are
-``SkewPoly.lead_quotient``, the leading-coefficient step that reductions
-and series inverses also take.
+canonical form (no zero coefficients stored), checked once, when built
+(``SkewPoly``), so product sums check no factor (``unchecked_dot``). A
+config is itself a coefficient ring, which is how iterated constructions
+such as the quantum torus arise; configs are shareable read-only. As a
+coefficient ring a config divides by exact long division, whose steps
+are ``SkewPoly.lead_quotient``, the leading-coefficient step that
+reductions and series inverses also take.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .errors import (
     RingMismatchError,
     ZeroElementError,
 )
-from .maps import (AxiomReport, Keyed, PiFamily, PolyTwist, make_twist, pi_apply, pi_rows,
+from .maps import (AxiomReport, PiFamily, PolyTwist, make_twist, pi_apply, pi_rows,
                    validate_twist_axioms)
-from .rings import AlgebraElement, Divisors
+from .rings import AlgebraElement, Divisors, checked_dot
 
 ORE = "ore"
 LAURENT = "laurent"
@@ -100,14 +101,7 @@ class RingConfig:
         return self.monomial(coeff, 0)
 
     def from_terms(self, terms):
-        clean = {}
-        for exp, coeff in terms.items():
-            if not coeff:
-                continue
-            if self.shape == ORE and exp < 0:
-                raise ConstructionError("negative exponent")
-            clean[exp] = coeff
-        return SkewPoly(self, clean)
+        return SkewPoly(self, {exp: coeff for exp, coeff in terms.items() if coeff})
 
     # -- ring protocol ---------------------------------------------------
 
@@ -197,14 +191,14 @@ class RingConfig:
             return el.terms
         raise RingMismatchError("incompatible rings")
 
-    def dot(self, products, sigma=None):
-        """The sum of a·sigma^m(b) over the (a, m, b) items of ``products``.
+    dot = checked_dot
 
-        sigma is a twist of this config or None; sigma^m(b) is one ``power_apply``.
-        Every item's term products go into one ``product_terms`` grouping, so
-        the coefficient ring's ``dot`` runs once per output exponent.
-        """
-        pairs = [(self._own(a), self._own(b if sigma is None else sigma.power_apply(m, b)))
+    def unchecked_dot(self, products, sigma=None):
+        """``dot`` of polynomials of this config, sigma a twist of it or None:
+        sigma^m(b) is one ``power_apply``, and every item's term products go
+        into one ``product_terms`` grouping, so the coefficient ring sums once
+        per output exponent."""
+        pairs = [(a.terms, (b if sigma is None else sigma.power_apply(m, b)).terms)
                  for a, m, b in products]
         return SkewPoly(self, product_terms(self, pairs))
 
@@ -279,16 +273,27 @@ class RingConfig:
 class SkewPoly:
     """Sparse exponent-to-coefficient map over a ``RingConfig``.
 
-    A truncated series (``series.TruncatedSeries``) is a subclass with a
-    precision: it rebuilds its results through ``_like``, multiplies two
-    elements through ``_product`` and places an exact monomial product
-    through ``_shifted``, and the two kinds never mix in one operation.
+    Construction, on every path, is the one check of the terms: an exponent
+    that is no int, or negative in the ore shape, raises ``ConstructionError``
+    and a coefficient of another ring ``RingMismatchError``. A truncated
+    series (``series.TruncatedSeries``) is a subclass with a precision: it
+    rebuilds its results through ``_like``, multiplies two elements through
+    ``_product`` and places an exact monomial product through ``_shifted``,
+    and the two kinds never mix in one operation.
     """
 
     __slots__ = ("config", "terms", "_hash")
     _zero_message = "zero polynomial has no degree"
 
     def __init__(self, config, terms):
+        ring = config.coefficients
+        for exp, coeff in terms.items():
+            if type(exp) is not int:
+                raise ConstructionError(f"exponent is not an int: {exp!r}")
+            if exp < 0 and config.shape == ORE:
+                raise ConstructionError("negative exponent")
+            if getattr(coeff, "ring", None) is not ring:  # the common case skips a call
+                ring._own(coeff)
         self.config = config
         self.terms = terms
         self._hash = None
@@ -404,7 +409,8 @@ class SkewPoly:
         runs here; the monomial is exact, so a series keeps its precision
         and window, shifted by exp.
         """
-        pair = ({exp: coeff}, self.terms) if left else (self.terms, {exp: coeff})
+        mono = SkewPoly(self.config, {exp: coeff}).terms  # checks coeff and exp
+        pair = (mono, self.terms) if left else (self.terms, mono)
         return self._shifted(product_terms(self.config, [pair]), exp)
 
     def __mul__(self, other):
@@ -484,15 +490,16 @@ def product_terms(config, pairs, top=None):
     """The sparse map of the sum of left·right over the (left, right) term maps in pairs.
 
     The one product-sum kernel: every coefficient product is grouped by
-    its output exponent, and each exponent's coefficient is one ``dot``
-    of the coefficient ring, zeros dropped. A series passes its precision
-    as ``top``, and products above it are skipped. Without a delta the
-    monomial rule is (r·V^m)(s·V^n) = (r·sigma^m(s))·V^(m+n), and the
-    item (r, m, s) leaves sigma^m to the coefficient ring's ``dot``. With a
-    delta it is sum_i (r·pi_i^m(s))·V^(i+n): each right-hand coefficient
-    s takes one ``pi_rows`` sweep up to the left degree, read at the rows
-    m where the left side has a term, each entry t an item (r, 0, t); no
-    row is rebuilt, and no row cache outlives the call.
+    its output exponent, and each exponent's coefficient is one
+    ``unchecked_dot`` of the coefficient ring, zeros dropped. A series
+    passes its precision as ``top``, and products above it are skipped.
+    Without a delta the monomial rule is
+    (r·V^m)(s·V^n) = (r·sigma^m(s))·V^(m+n), and the item (r, m, s) leaves
+    sigma^m to that sum. With a delta it is sum_i (r·pi_i^m(s))·V^(i+n):
+    each right-hand coefficient s takes one ``pi_rows`` sweep up to the
+    left degree, read at the rows m where the left side has a term, each
+    entry t an item (r, 0, t); no row is rebuilt, and no row cache
+    outlives the call.
     """
     groups = {}
     if config.delta is None:
@@ -516,7 +523,7 @@ def product_terms(config, pairs, top=None):
     ring = config.coefficients
     out = {}
     for e, products in groups.items():
-        value = ring.dot(products, sigma)
+        value = ring.unchecked_dot(products, sigma)
         if value:
             out[e] = value
     return out
@@ -571,7 +578,7 @@ def from_right_form(config, pairs):
 # ---------------------------------------------------------------------------
 
 
-class DStructure(Keyed):
+class DStructure:
     """A family of maps pi_b^a over a monoid, candidate Ore-monoid data.
 
     ``pi(a, b, s)`` is the value pi_b^a(s), and ``support(a)`` holds the
@@ -582,9 +589,6 @@ class DStructure(Keyed):
         if monoid not in ("naturals", "integers"):
             raise ConstructionError(f"unsupported monoid: {monoid}")
         self.monoid, self.name, self.pi, self.support = monoid, name, pi, support
-
-    def _key(self):
-        return (self.monoid, self.name, self.pi, self.support)
 
     def in_monoid(self, a):
         return a >= 0 if self.monoid == "naturals" else True

@@ -22,14 +22,17 @@ predicates ``is_associative``/``is_commutative``. Twisted polynomial rings
 implement the same protocol in :mod:`skewring.poly`, and ``Divisors``
 keeps one call's solvers by divisor.
 
-``dot`` accumulates every product's numerators into one integer vector
-over the least common multiple of their denominators and canonicalises
-once, so a product sum builds no partial sums; in its one loop over the
-items it runs sigma^m's generated kernel on b's pair, building no twisted
-element, and an identity power applies nothing. ``solver`` builds the
-multiplication operator of c from ``mul_pairs`` on basis pairs and
-factors it once with :func:`skewring.linalg.factor`; each solve is then
-one :func:`skewring.linalg.solve_pair` on the right-hand side's pair, so
+``dot`` (``checked_dot``) checks each factor's ring and sigma's once,
+then sums with ``unchecked_dot``, which the polynomial products call on
+coefficients checked when built. The sum accumulates every product's
+numerators into one integer vector over the least common multiple of
+their denominators and canonicalises once, so a product sum builds no
+partial sums; in its one loop over the items it runs sigma^m's generated
+kernel on b's pair, building no twisted element, and an identity power
+applies nothing. ``solver`` builds the multiplication operator of c from
+``mul_pairs`` on basis pairs and factors it once with
+:func:`skewring.linalg.factor`; each solve is then one
+:func:`skewring.linalg.solve_pair` on the right-hand side's pair, so
 a loop that divides by one coefficient many times eliminates once.
 ``invert`` solves on the same path, the stacked left/right system only
 when the left one does not decide.
@@ -142,6 +145,16 @@ def _linear_kernel(compiled):
             *("    " + line for line in assign), f"    return ({names},), d * {den}"])["apply"]
 
 
+def checked_dot(self, products, sigma=None):
+    """A ring's ``dot``: each factor's ring and sigma's checked once, then ``unchecked_dot``."""
+    for a, _, b in products:
+        self._own(a)
+        self._own(b)
+    if sigma is not None:
+        sigma.check_ring(self)
+    return self.unchecked_dot(products, sigma)
+
+
 class CompiledAlgebra:
     """A finite-dimensional algebra over Q with a compiled product.
 
@@ -181,14 +194,14 @@ class CompiledAlgebra:
             return el.pair
         raise RingMismatchError("incompatible rings")
 
-    def dot(self, products, sigma=None):
-        """The sum of a·sigma^m(b) over the (a, m, b) items of ``products``, canonicalised
-        once; sigma is a ``LinearTwist`` on this ring, or None for the identity. Each
-        sigma^m runs as its kernel on b's pair, and an identity power applies nothing."""
-        own = self._own
-        identity = sigma is None or sigma.check_ring(self).power_columns(1) is None
-        power = None if identity else sigma.power_columns
-        pairs = [(own(a), kernel(own(b)) if power and (kernel := power(m)) else own(b))
+    dot = checked_dot
+
+    def unchecked_dot(self, products, sigma=None):
+        """``dot`` of elements of this ring, sigma a ``LinearTwist`` on it or None,
+        canonicalised once. Each sigma^m runs as its kernel on b's pair, and an
+        identity power applies nothing."""
+        power = None if sigma is None else sigma.power_columns
+        pairs = [(a.pair, kernel(b.pair) if power and (kernel := power(m)) else b.pair)
                  for a, m, b in products]
         if len(pairs) == 1:
             return self.from_pair(self.mul_pairs(*pairs[0]))

@@ -5,9 +5,9 @@ precision N and a window start w: ``terms`` holds the exact coefficients
 on the window [w, N] of R[[X; sigma]] or R((X; sigma)), everything above
 N is unknown (O(X^(N+1))) and everything below w is known to be zero.
 A power series truncates the ore shape R[X; sigma] and a Laurent series
-the laurent shape R[X^±; sigma]. Construction passes the terms through
-the config's ``from_terms``, so its exponent rule refuses a negative
-exponent in every power series, however it is built.
+the laurent shape R[X^±; sigma]. However a series is built, it passes
+the polynomial's construction check (coefficients of the ring, int
+exponents, none negative in a power series) and has int bounds N and w.
 It shares the polynomial's coercion, ``+``, ``-``, coefficients and
 order, and keeps only its own rules: construction drops the terms above
 N, N(a+b) = min(N_a, N_b), the product is ``series_mul``, equality
@@ -37,16 +37,17 @@ class TruncatedSeries(SkewPoly):
     def __init__(self, config, coeffs, precision, window_start=None):
         if config.delta is not None:
             raise ConstructionError("series take a delta-free config")
-        clean = config.from_terms(coeffs).terms
+        super().__init__(config, clean := {e: c for e, c in coeffs.items() if c})
         if window_start is None:
             window_start = min([0, *clean])
+        if type(precision) is not int or type(window_start) is not int:
+            raise ConstructionError(f"series bounds must be ints: {precision!r}, {window_start!r}")
         if clean and min(clean) < window_start:
             raise ConstructionError("coefficient below the window start")
         if clean and max(clean) > precision:
-            clean = {e: c for e, c in clean.items() if e <= precision}
+            self.terms = {e: c for e, c in clean.items() if e <= precision}
         if window_start > precision + 1:
             raise ConstructionError("empty series window")
-        super().__init__(config, clean)
         self.precision = precision
         self.window_start = window_start
 
@@ -129,8 +130,8 @@ def series_invert(a, side="right"):
     order w known to precision N is known to precision N - 2w. A power
     series (the ore shape) is a unit only if its order is 0.
 
-    Each step sums its products with one ``dot`` of the coefficient
-    ring, which applies each product's power of sigma itself; a step's
+    Each step sums its products with one ``unchecked_dot`` of the
+    coefficient ring, which applies each product's power of sigma; a step's
     one ``power_apply`` is sigma^(-w) of the right inverse's new term or
     the left one's divisor sigma^n(lead). Each recurrence keeps its own
     ``Divisors``, so the right one factors the lead once and the left one
@@ -158,8 +159,9 @@ def series_invert(a, side="right"):
             b = found[left]
             # a·b = 1: sum_m a_m sigma^m(b_{e-m}) = [e == 0];
             # b·a = 1: sum_m b_{e-m} sigma^(e-m)(a_m) = [e == 0]
-            acc = ring.dot([(b[e - m], e - m, am) if left else (am, m, b[e - m])
-                            for m, am in a.terms.items() if m != w and e - m in b], sigma)
+            acc = ring.unchecked_dot([(b[e - m], e - m, am) if left else (am, m, b[e - m])
+                                      for m, am in a.terms.items() if m != w and e - m in b],
+                                     sigma)
             u = a.lead_quotient(one - acc if e == 0 else -acc, e - w, left, divisors[left])
             if u is None:
                 raise NotInvertibleError("series is not a unit")

@@ -6,8 +6,10 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from skewring import linalg, maps, poly, rings, suites
+from skewring import linalg, maps, poly, rings, series, structure, suites
 from skewring.errors import (
     ConstructionError,
     NotInvertibleError,
@@ -108,6 +110,77 @@ def test_negative_exponent_rejected_in_ore():
     cfg = poly.RingConfig(G, maps.make_twist(G, "q_twist", q=2), None, "X", poly.ORE)
     with pytest.raises(ConstructionError, match="negative exponent"):
         cfg.monomial(G.one, -1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda cfg: cfg.from_terms({1.5: G.one}),
+    lambda cfg: cfg.variable_power(2.0),
+    lambda cfg: cfg.monomial(G.one, True),
+    lambda cfg: poly.SkewPoly(cfg, {Fraction(1): G.one}),
+], ids=["from_terms-float", "variable_power-float", "monomial-bool", "SkewPoly-Fraction"])
+def test_an_exponent_that_is_not_an_int_is_refused(build):
+    # X^1.5 built, and its square recursed without end; X^2.0 printed a
+    # product that mul could not read back
+    with pytest.raises(ConstructionError, match="exponent is not an int"):
+        build(laurent_q2())
+
+
+H = rings.quaternions()
+M2Q = rings.matrix_algebra(Q, 2)
+H_CONFIG = poly.RingConfig(H, maps.make_twist(H, "identity"), None, "X", poly.LAURENT)
+# every delta-free roster config (the two tori have a polynomial coefficient
+# ring) and HH, which has M2(QQ)'s dimension
+REFUSAL_CONFIGS = [suites.builtin(name) for name in sorted(suites.ROSTER)
+                   if suites.builtin(name).delta is None] + [H_CONFIG]
+OTHER_RINGS = [Q, G, H, O, M2Q, rings.matrix_algebra(G, 2), rings.jordan_algebra(H),
+               suites.builtin("torus-rational").coefficients,
+               suites.builtin("torus-octonion").coefficients, suites.builtin("gaussian-conj")]
+
+
+@st.composite
+def foreign_coefficients(draw, kind):
+    """A config and a nonzero value that is no element of its coefficient ring."""
+    if kind == "equal-dimension":
+        config, other = draw(st.sampled_from([(H_CONFIG, M2Q), (suites.builtin("matrix-swap"), H)]))
+        return config, draw(st.sampled_from(other.basis_elements()))
+    config = draw(st.sampled_from(REFUSAL_CONFIGS))
+    if kind == "int":
+        return config, draw(st.integers(-9, 9).filter(bool))
+    other = draw(st.sampled_from([r for r in OTHER_RINGS if r != config.coefficients]))
+    return config, draw(st.sampled_from(other.spanning_set(1)))
+
+
+@pytest.mark.parametrize("kind", ["other-ring", "int", "equal-dimension"])
+@pytest.mark.parametrize("build", [
+    lambda cfg, v: cfg.from_terms({1: v}),
+    lambda cfg, v: cfg.monomial(v, 1),
+    lambda cfg, v: cfg.constant(v),
+    lambda cfg, v: poly.SkewPoly(cfg, {0: cfg.coefficients.one, 1: v}),
+    lambda cfg, v: series.series(cfg, {0: cfg.coefficients.one, 1: v}, 4),
+    lambda cfg, v: series.TruncatedSeries(cfg, {1: v}, 4),
+    lambda cfg, v: cfg.gen.times_monomial(v, 1),
+    lambda cfg, v: cfg.gen.times_monomial(v, 1, left=True),
+    lambda cfg, v: series.series_one(cfg, 4).times_monomial(v, 1),
+], ids=["from_terms", "monomial", "constant", "SkewPoly", "series", "TruncatedSeries",
+        "times_monomial", "times_monomial-left", "series-times_monomial"])
+@given(data=st.data())
+def test_construction_refuses_a_foreign_coefficient(build, kind, data):
+    """Every path that puts a coefficient into a polynomial or series refuses a
+    value of another ring at once: an element of another ring (an octonion in a
+    torus, whose coefficients are O[Y^±]), a bare int, and an element of M2(QQ)
+    over HH or of HH over M2(QQ), which have one dimension."""
+    config, value = data.draw(foreign_coefficients(kind))
+    with pytest.raises(RingMismatchError, match="incompatible rings"):
+        build(config, value)
+
+
+@given(value=st.one_of(st.integers(-9, 9).filter(bool),
+                       st.sampled_from([v for r in OTHER_RINGS if r != G
+                                        for v in r.spanning_set(1)])))
+def test_shrink_refuses_a_foreign_coefficient(value):
+    config = laurent_q2()
+    with pytest.raises(RingMismatchError, match="incompatible rings"):
+        structure.shrink(config.gen + config.one, value)
 
 
 def test_spanning_set_is_exponent_major_from_the_lowest_exponent():
@@ -634,6 +707,44 @@ def test_laurent_product_applies_sigma_inside_dot(power_apply_count):
     power_apply_count["calls"] = 0
     assert poly.poly_mul(p, q) == expected
     assert power_apply_count["calls"] == 0
+
+
+def test_product_sums_check_no_factor_again(monkeypatch):
+    """The 7-term by 7-term product above and one inverse of a 3-term power
+    series over OO[X; conjugation] at precision 8 sum with ``unchecked_dot``: no
+    ``_own`` call per factor (98 and 40 when each sum was a checked ``dot``) and
+    no ``check_ring`` per sum (13 and 9). Each product coefficient passes
+    construction on its ring's ``is`` test, so the inverse's ``_own`` calls are
+    its 9 solves and its one operator of the lead. A checked ``dot`` of n items
+    checks each of its 2n factors once and sigma once."""
+    calls = Counter()
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self, arg):
+            calls[name] += 1
+            return method(self, arg)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    config = laurent_q2()
+    rng = random.Random(7)
+    p, q = (config.from_terms({e: G.random_element(rng) for e in range(-3, 4)})
+            for _ in range(2))
+    sigma = maps.make_twist(O, "conjugation")
+    rng = random.Random(8)
+    a = series.series(poly.RingConfig(O, sigma, None, "X", poly.ORE),
+                      {e: O.random_element(rng) for e in range(3)}, 8)
+    counted(rings.CompiledAlgebra, "_own")
+    counted(maps.TwistMap, "check_ring")
+    assert len(poly.poly_mul(p, q).terms) == 13
+    assert calls == {}
+    series.series_invert(a)
+    assert calls == {"_own": 10}
+    calls.clear()
+    G.dot([(r, m, s) for m, r in p.terms.items() for s in q.terms.values()], config.sigma)
+    assert calls == {"_own": 98, "check_ring": 1}
 
 
 def test_laurent_product_applies_only_the_odd_powers_of_a_conjugation(monkeypatch):

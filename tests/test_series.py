@@ -243,6 +243,15 @@ def test_exponent_rule_holds_at_construction(build, shape):
         assert build(cfg).order == -1
 
 
+@pytest.mark.parametrize("precision, window_start", [
+    (True, None), (4.0, None), (Fraction(4), None), (4, 0.0), (4, False),
+])
+def test_a_precision_that_is_not_an_int_is_refused(precision, window_start):
+    # TruncatedSeries(cfg, terms, True) printed O(X^True)
+    with pytest.raises(ConstructionError, match="series bounds must be ints"):
+        series.TruncatedSeries(cfg_q2(), {0: G.one}, precision, window_start)
+
+
 def test_invert_with_polynomial_coefficients():
     # coefficients in Q[Y]: the solves are exact division there, so the
     # unit leading coefficient 2 inverts and the non-unit Y does not
